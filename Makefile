@@ -1,6 +1,6 @@
 # Tier-1 verification in one command: build every target (libraries,
 # executables, tests, benches) and run the full test suite.
-.PHONY: check build test loopback nemesis certify-check query-plane race-smoke bench bench-smoke bench-check fed-determinism clean
+.PHONY: check build test loopback nemesis certify-check query-plane race-smoke bench bench-smoke bench-check fed-determinism perfbench-smoke clean
 
 check: build test
 
@@ -71,6 +71,15 @@ fed-determinism: build
 	cmp .fedsim-a.trace .fedsim-b.trace
 	rm -f .fedsim-a.trace .fedsim-b.trace
 	@echo "fedsim: trace is deterministic"
+
+# Service benchmark correctness smoke: a short run of each perfbench
+# workload over the durable 3-replica TCP chain.  A failed output check
+# (replica agreement, re-queried acknowledged orders, oracle answers,
+# recovery) exits non-zero and fails the target; the figures are not gated.
+perfbench-smoke:
+	python3 perfbench/run.py --workload write_chain --seed 1 --seconds 6 --trace 0
+	python3 perfbench/run.py --workload read_wide --seed 1 --seconds 6 --trace 0
+	python3 perfbench/run.py --workload mixed_rw --seed 1 --seconds 6 --trace 0
 
 clean:
 	dune clean

@@ -2,9 +2,10 @@ open Kronos
 
 module M = struct
   let scope = Kronos_metrics.scope "certify"
-  let proved = Kronos_metrics.counter scope "proofs_generated_total"
-  let unproved = Kronos_metrics.counter scope "proofs_unproved_total"
-  let visited = Kronos_metrics.counter scope "prover_visited_total"
+  (* bumped from query-pool reader domains too, so exact under concurrency *)
+  let proved = Kronos_metrics.atomic_counter scope "proofs_generated_total"
+  let unproved = Kronos_metrics.atomic_counter scope "proofs_unproved_total"
+  let visited = Kronos_metrics.atomic_counter scope "prover_visited_total"
 end
 
 (* Bound-tracking backward search (DESIGN.md §13).
@@ -115,9 +116,9 @@ let prove g ~source ~target =
           done
         end
       done;
-      Kronos_metrics.Counter.add M.visited !visited;
+      Kronos_metrics.Atomic_counter.add M.visited !visited;
       if not !found then begin
-        Kronos_metrics.Counter.incr M.unproved;
+        Kronos_metrics.Atomic_counter.incr M.unproved;
         None
       end
       else begin
@@ -168,7 +169,7 @@ let prove g ~source ~target =
           | Some c -> c
           | None -> assert false
         in
-        Kronos_metrics.Counter.incr M.proved;
+        Kronos_metrics.Atomic_counter.incr M.proved;
         Some
           { Certificate.source; target;
             source_commit = commit source;

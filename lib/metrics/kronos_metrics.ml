@@ -15,6 +15,18 @@ module Counter = struct
   let value c = c.v
 end
 
+(* For the few counters bumped off the loop thread (the certify prover runs
+   on query-pool reader domains): a plain [mutable int] would lose
+   concurrent increments. *)
+module Atomic_counter = struct
+  type t = int Atomic.t
+
+  let make () = Atomic.make 0
+  let incr c = if !on then Atomic.incr c
+  let add c n = if !on then ignore (Atomic.fetch_and_add c n)
+  let value c = Atomic.get c
+end
+
 module Gauge = struct
   type t = { mutable v : int }
 
@@ -97,6 +109,7 @@ let scope name = name
 
 type value =
   | C of Counter.t
+  | A of Atomic_counter.t
   | G of Gauge.t
   | H of Histogram.t
 
@@ -114,7 +127,11 @@ let render_labels = function
 
 let series base labels = base ^ render_labels labels
 
-let kind_name = function C _ -> "counter" | G _ -> "gauge" | H _ -> "histogram"
+let kind_name = function
+  | C _ -> "counter"
+  | A _ -> "atomic counter"
+  | G _ -> "gauge"
+  | H _ -> "histogram"
 
 let find_or_add scope_ labels name wrap unwrap make =
   let base = "kronos_" ^ scope_ ^ "_" ^ name in
@@ -135,19 +152,25 @@ let find_or_add scope_ labels name wrap unwrap make =
 let counter scope_ ?(labels = []) name =
   find_or_add scope_ labels name
     (fun c -> C c)
-    (function C c -> Some c | G _ | H _ -> None)
+    (function C c -> Some c | A _ | G _ | H _ -> None)
     Counter.make
+
+let atomic_counter scope_ ?(labels = []) name =
+  find_or_add scope_ labels name
+    (fun c -> A c)
+    (function A c -> Some c | C _ | G _ | H _ -> None)
+    Atomic_counter.make
 
 let gauge scope_ ?(labels = []) name =
   find_or_add scope_ labels name
     (fun g -> G g)
-    (function G g -> Some g | C _ | H _ -> None)
+    (function G g -> Some g | C _ | A _ | H _ -> None)
     Gauge.make
 
 let histogram scope_ ?(labels = []) name =
   find_or_add scope_ labels name
     (fun h -> H h)
-    (function H h -> Some h | C _ | G _ -> None)
+    (function H h -> Some h | C _ | A _ | G _ -> None)
     Histogram.make
 
 (* {1 Export} *)
@@ -178,6 +201,7 @@ let samples () =
   |> List.concat_map (fun (key, entry) ->
          match entry.value with
          | C c -> [ (key, float_of_int (Counter.value c)) ]
+         | A c -> [ (key, float_of_int (Atomic_counter.value c)) ]
          | G g -> [ (key, float_of_int (Gauge.value g)) ]
          | H h -> histogram_samples entry.base entry.labels h)
   (* flattening histograms breaks key order (base{q=..} vs base_count) *)
@@ -193,12 +217,14 @@ let render () =
         Buffer.add_string b
           (Printf.sprintf "# TYPE %s %s\n" entry.base
              (match entry.value with
-              | C _ -> "counter"
+              | C _ | A _ -> "counter"
               | G _ -> "gauge"
               | H _ -> "summary"))
       end;
       match entry.value with
       | C c -> Buffer.add_string b (Printf.sprintf "%s %d\n" key (Counter.value c))
+      | A c ->
+        Buffer.add_string b (Printf.sprintf "%s %d\n" key (Atomic_counter.value c))
       | G g -> Buffer.add_string b (Printf.sprintf "%s %d\n" key (Gauge.value g))
       | H h ->
         List.iter
@@ -212,6 +238,7 @@ let reset () =
     (fun _ entry ->
       match entry.value with
       | C c -> c.Counter.v <- 0
+      | A c -> Atomic.set c 0
       | G g -> g.Gauge.v <- 0
       | H h -> Histogram.reset h)
     registry

@@ -38,6 +38,19 @@ module Counter : sig
   val value : t -> int
 end
 
+(** A counter that several domains may bump at once ([Atomic.fetch_and_add]
+    per increment).  For the few counters recorded off the loop thread,
+    such as the certify prover's on query-pool reader domains; everything
+    else uses the cheaper {!Counter}. *)
+module Atomic_counter : sig
+  type t
+
+  val make : unit -> t
+  val incr : t -> unit
+  val add : t -> int -> unit
+  val value : t -> int
+end
+
 module Gauge : sig
   type t
 
@@ -94,6 +107,10 @@ val counter : scope -> ?labels:(string * string) list -> string -> Counter.t
     Re-registering the same name and labels returns the same counter.
     @raise Invalid_argument if the name is already registered as a
     different kind of instrument. *)
+
+val atomic_counter :
+  scope -> ?labels:(string * string) list -> string -> Atomic_counter.t
+(** Like {!val-counter}, for an {!Atomic_counter}; exported as a counter. *)
 
 val gauge : scope -> ?labels:(string * string) list -> string -> Gauge.t
 val histogram : scope -> ?labels:(string * string) list -> string -> Histogram.t

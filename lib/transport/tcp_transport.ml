@@ -38,13 +38,20 @@ type endpoint = string * int
 
 (* One TCP connection, inbound or outbound.  [endpoint] is [Some] for
    outbound (dialed) connections, which reconnect on failure; inbound
-   connections just die. *)
+   connections just die.
+
+   Outgoing frames are laid end to end in [obuf.(ooff) .. obuf.(ofill - 1)]
+   so one [write] can take the whole backlog; [lens] keeps their lengths
+   (head first) so a write is accounted frame by frame and a torn head
+   frame can be told apart from the whole frames queued behind it. *)
 type conn = {
   mutable fd : Unix.file_descr option;
   ep : endpoint option;
   mutable state : [ `Connecting | `Up | `Down ];
-  mutable out : string Queue.t;  (* whole frames, head partially written *)
-  mutable out_bytes : int;
+  mutable obuf : Bytes.t;
+  mutable ooff : int;
+  mutable ofill : int;
+  mutable lens : int Queue.t;
   mutable head_off : int;  (* bytes of the head frame already written *)
   mutable reasm : Frame.Reassembler.t;
   mutable backoff : float;
@@ -64,6 +71,7 @@ type 'm t = {
   learned : (int, conn) Hashtbl.t;  (* return routes *)
   mutable listeners : Unix.file_descr list;
   rand : Random.State.t;
+  rbuf : Bytes.t;  (* receive buffer shared by every read of this runtime *)
   mutable housekeeper : Event_loop.timer option;
   mutable closed : bool;
   mutable sent : int;
@@ -81,18 +89,18 @@ let connections t =
   Hashtbl.fold (fun _ c n -> if c.state = `Up then n + 1 else n) t.conns 0
   + List.length (List.filter (fun c -> c.state = `Up) t.inbound)
 
-(* The gauges mirror sums over live connections; recomputing on each state
-   change keeps them correct through torn frames, shutdowns and redials at
-   a cost of O(#connections), which is the (small) mesh size. *)
-let update_gauges t =
-  if Kronos_metrics.enabled () then begin
-    Kronos_metrics.Gauge.set M.connections (connections t);
-    let queued =
-      Hashtbl.fold (fun _ c n -> n + c.out_bytes) t.conns 0
-      + List.fold_left (fun n c -> n + c.out_bytes) 0 t.inbound
-    in
-    Kronos_metrics.Gauge.set M.queue_bytes queued
-  end
+(* The gauges are process-wide sums over every runtime's connections, kept
+   by deltas rather than recomputed: each transition into or out of [`Up]
+   and each frame entering or leaving a write queue adjusts them. *)
+let set_state conn state =
+  if conn.state = `Up && state <> `Up then Kronos_metrics.Gauge.add M.connections (-1)
+  else if conn.state <> `Up && state = `Up then Kronos_metrics.Gauge.add M.connections 1;
+  conn.state <- state
+
+let queued n = Kronos_metrics.Gauge.add M.queue_bytes n
+
+(* Bytes of the frames queued, the head frame in full. *)
+let out_bytes conn = conn.ofill - conn.ooff + conn.head_off
 
 (* {1 Envelope framing}
 
@@ -108,13 +116,9 @@ let encode_hello addrs =
   Codec.put_list b (fun b a -> Codec.put_i64 b (Int64.of_int a)) addrs;
   Frame.encode (Codec.to_string b)
 
-let encode_msg ~src ~dst body =
-  let b = Codec.encoder () in
-  Codec.put_u8 b msg_tag;
-  Codec.put_i64 b (Int64.of_int src);
-  Codec.put_i64 b (Int64.of_int dst);
-  Codec.put_string b body;
-  Frame.encode (Codec.to_string b)
+(* A message frame is [u32 len | u8 tag | i64 src | i64 dst | u32 body_len |
+   body]: [msg_overhead] bytes in front of the body. *)
+let msg_overhead = Frame.header + 1 + 8 + 8 + 4
 
 type envelope =
   | Hello of int list
@@ -140,6 +144,26 @@ let decode_envelope payload =
 
 let sockaddr_of (host, port) = Unix.ADDR_INET (Unix.inet_addr_of_string host, port)
 
+let drop t =
+  t.dropped <- t.dropped + 1;
+  Kronos_metrics.Counter.incr M.dropped
+
+let new_conn t ep fd =
+  {
+    fd;
+    ep;
+    state = `Down;
+    obuf = Bytes.empty;
+    ooff = 0;
+    ofill = 0;
+    lens = Queue.create ();
+    head_off = 0;
+    reasm = Frame.Reassembler.create ~max_frame:t.cfg.max_frame ();
+    backoff = t.cfg.backoff_min;
+    last_activity = Event_loop.now t.loop;
+    retry = None;
+  }
+
 let close_fd t conn =
   match conn.fd with
   | None -> ()
@@ -157,28 +181,103 @@ let cancel_retry conn =
 
 let hello_bytes t = encode_hello (Hashtbl.fold (fun a _ acc -> a :: acc) t.handlers [])
 
+(* {2 Write queue} *)
+
+(* A drained write buffer up to this size is kept for the next frames. *)
+let retain = 64 * 1024
+
+(* Room for [n] more bytes at the tail: slide the pending bytes to the
+   front if that makes room, grow the buffer otherwise. *)
+let reserve conn n =
+  if conn.ofill + n > Bytes.length conn.obuf then begin
+    let pending = conn.ofill - conn.ooff in
+    let dst =
+      if pending + n <= Bytes.length conn.obuf then conn.obuf
+      else Bytes.create (max (pending + n) (max 4096 (2 * Bytes.length conn.obuf)))
+    in
+    Bytes.blit conn.obuf conn.ooff dst 0 pending;
+    conn.obuf <- dst;
+    conn.ooff <- 0;
+    conn.ofill <- pending
+  end
+
+let pushed conn len =
+  conn.ofill <- conn.ofill + len;
+  Queue.push len conn.lens;
+  queued len
+
+let push_frame conn frame =
+  let len = String.length frame in
+  reserve conn len;
+  Bytes.blit_string frame 0 conn.obuf conn.ofill len;
+  pushed conn len
+
+(* Lay the message frame down in place: the body is copied once, from the
+   encoder's string into the write buffer. *)
+let push_msg conn ~src ~dst body =
+  let blen = String.length body in
+  let len = msg_overhead + blen in
+  reserve conn len;
+  let b = conn.obuf and o = conn.ofill in
+  Bytes.set_int32_be b o (Int32.of_int (len - Frame.header));
+  Bytes.set_uint8 b (o + 4) msg_tag;
+  Bytes.set_int64_be b (o + 5) (Int64.of_int src);
+  Bytes.set_int64_be b (o + 13) (Int64.of_int dst);
+  Bytes.set_int32_be b (o + 21) (Int32.of_int blen);
+  Bytes.blit_string body 0 b (o + msg_overhead) blen;
+  pushed conn len
+
+(* Drop the first [n] pending bytes (written, or the rest of a torn head
+   frame), retiring every frame they finish. *)
+let retire conn n =
+  conn.ooff <- conn.ooff + n;
+  let rec advance n =
+    if n > 0 then begin
+      let len = Queue.peek conn.lens in
+      let rest = len - conn.head_off in
+      if n >= rest then begin
+        ignore (Queue.pop conn.lens);
+        queued (-len);
+        conn.head_off <- 0;
+        advance (n - rest)
+      end
+      else conn.head_off <- conn.head_off + n
+    end
+  in
+  advance n;
+  if conn.ooff = conn.ofill then begin
+    conn.ooff <- 0;
+    conn.ofill <- 0;
+    if Bytes.length conn.obuf > retain then conn.obuf <- Bytes.empty
+  end
+
+(* Put [frame] ahead of everything queued; the head frame is whole here,
+   since a torn one was retired when the connection went down. *)
+let push_front conn frame =
+  let rest = Bytes.sub conn.obuf conn.ooff (conn.ofill - conn.ooff) in
+  let lens = conn.lens in
+  conn.ooff <- 0;
+  conn.ofill <- 0;
+  conn.lens <- Queue.create ();
+  push_frame conn frame;
+  reserve conn (Bytes.length rest);
+  Bytes.blit rest 0 conn.obuf conn.ofill (Bytes.length rest);
+  conn.ofill <- conn.ofill + Bytes.length rest;
+  Queue.transfer lens conn.lens
+
+(* The whole backlog goes out in one write, accounted frame by frame; a
+   short write keeps the rest queued and resumes on writability. *)
 let rec flush t conn =
-  match (conn.fd, Queue.peek_opt conn.out) with
-  | None, _ | _, None -> (
-      match conn.fd with
-      | Some fd -> Event_loop.unwatch_write t.loop fd
-      | None -> ())
-  | Some fd, Some frame -> (
-      let len = String.length frame - conn.head_off in
-      match Unix.write_substring fd frame conn.head_off len with
+  match conn.fd with
+  | None -> ()
+  | Some fd when conn.ooff = conn.ofill -> Event_loop.unwatch_write t.loop fd
+  | Some fd -> (
+      match Unix.write fd conn.obuf conn.ooff (conn.ofill - conn.ooff) with
       | n ->
         conn.last_activity <- Event_loop.now t.loop;
         Kronos_metrics.Counter.add M.bytes_out n;
-        if n = len then begin
-          ignore (Queue.pop conn.out);
-          conn.out_bytes <- conn.out_bytes - String.length frame;
-          conn.head_off <- 0;
-          update_gauges t;
-          flush t conn
-        end
-        else
-          (* short write: keep the offset, resume on next writability *)
-          conn.head_off <- conn.head_off + n
+        retire conn n;
+        if conn.ooff = conn.ofill then Event_loop.unwatch_write t.loop fd
       | exception Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN | Unix.EINTR), _, _)
         ->
         ()
@@ -189,18 +288,14 @@ let rec flush t conn =
 (* Tear a connection down.  Outbound (dialed) connections schedule a
    reconnect with exponential backoff when [redial]; inbound ones are
    dropped entirely.  A half-written head frame is discarded: its prefix
-   died with the receiver's per-connection reassembler. *)
+   died with the receiver's per-connection reassembler.  The whole frames
+   queued behind it stay queued for the next connection. *)
 and conn_down ?(redial = true) t conn =
   close_fd t conn;
-  conn.state <- `Down;
+  set_state conn `Down;
   conn.reasm <- Frame.Reassembler.create ~max_frame:t.cfg.max_frame ();
-  if conn.head_off > 0 then begin
-    (match Queue.pop conn.out with
-     | torn -> conn.out_bytes <- conn.out_bytes - String.length torn
-     | exception Queue.Empty -> ());
-    conn.head_off <- 0
-  end;
-  (match conn.ep with
+  if conn.head_off > 0 then retire conn (Queue.peek conn.lens - conn.head_off);
+  match conn.ep with
   | Some _ when redial && not t.closed ->
     if conn.retry = None then begin
       let delay = conn.backoff in
@@ -211,24 +306,32 @@ and conn_down ?(redial = true) t conn =
                conn.retry <- None;
                if conn.state = `Down && not t.closed then start_connect t conn))
     end
-  | Some _ | None ->
-    t.inbound <- List.filter (fun c -> c != conn) t.inbound);
-  update_gauges t
+  | Some _ -> ()
+  | None ->
+    (* nothing will ever write an inbound connection's queue again *)
+    retire conn (conn.ofill - conn.ooff);
+    t.inbound <- List.filter (fun c -> c != conn) t.inbound
 
 and on_readable t conn =
   match conn.fd with
   | None -> ()
   | Some fd -> (
-      let buf = Bytes.create 65536 in
-      match Unix.read fd buf 0 (Bytes.length buf) with
+      match Unix.read fd t.rbuf 0 (Bytes.length t.rbuf) with
       | 0 -> conn_down t conn (* EOF *)
       | n -> (
           conn.last_activity <- Event_loop.now t.loop;
           Kronos_metrics.Counter.add M.bytes_in n;
-          match Frame.Reassembler.feed conn.reasm (Bytes.sub_string buf 0 n) with
+          let reasm = conn.reasm in
+          match Frame.Reassembler.feed_sub reasm t.rbuf 0 n with
           | frames ->
             Kronos_metrics.Counter.add M.frames (List.length frames);
-            List.iter (handle_frame t conn) frames
+            (* Taking the connection down swaps in a fresh reassembler: the
+               rest of this read belongs to a dead stream. *)
+            List.iter
+              (fun payload ->
+                if conn.state = `Up && conn.reasm == reasm then
+                  handle_frame t conn payload)
+              frames
           | exception Codec.Decode_error reason ->
             Log.warn (fun m -> m "closing connection on bad frame: %s" reason);
             conn_down ~redial:false t conn)
@@ -253,11 +356,8 @@ and handle_frame t conn payload =
             handler ~src msg
           | exception Codec.Decode_error reason ->
             Log.warn (fun m -> m "undecodable message for %d: %s" dst reason);
-            t.dropped <- t.dropped + 1;
-            Kronos_metrics.Counter.incr M.dropped)
-      | None ->
-        t.dropped <- t.dropped + 1;
-        Kronos_metrics.Counter.incr M.dropped)
+            drop t)
+      | None -> drop t)
   | exception Codec.Decode_error reason ->
     Log.warn (fun m -> m "closing connection on bad envelope: %s" reason);
     conn_down ~redial:false t conn
@@ -266,20 +366,14 @@ and on_connected t conn =
   match conn.fd with
   | None -> ()
   | Some fd ->
-    conn.state <- `Up;
+    set_state conn `Up;
     conn.backoff <- t.cfg.backoff_min;
     conn.last_activity <- Event_loop.now t.loop;
     (* HELLO must precede any queued traffic so the receiver can route
        replies before it processes the first request *)
-    let hello = hello_bytes t in
-    let q = Queue.create () in
-    Queue.push hello q;
-    conn.out_bytes <- conn.out_bytes + String.length hello;
-    Queue.transfer conn.out q;
-    conn.out <- q;
+    push_front conn (hello_bytes t);
     Event_loop.watch_read t.loop fd (fun () -> on_readable t conn);
     Event_loop.watch_write t.loop fd (fun () -> flush t conn);
-    update_gauges t;
     flush t conn
 
 and start_connect t conn =
@@ -290,7 +384,7 @@ and start_connect t conn =
       Unix.set_nonblock fd;
       (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
       conn.fd <- Some fd;
-      conn.state <- `Connecting;
+      set_state conn `Connecting;
       match Unix.connect fd (sockaddr_of ep) with
       | () -> on_connected t conn
       | exception Unix.Unix_error ((Unix.EINPROGRESS | Unix.EWOULDBLOCK), _, _) ->
@@ -316,40 +410,22 @@ let conn_to t ep =
   match Hashtbl.find_opt t.conns ep with
   | Some conn -> conn
   | None ->
-    let conn =
-      {
-        fd = None;
-        ep = Some ep;
-        state = `Down;
-        out = Queue.create ();
-        out_bytes = 0;
-        head_off = 0;
-        reasm = Frame.Reassembler.create ~max_frame:t.cfg.max_frame ();
-        backoff = t.cfg.backoff_min;
-        last_activity = Event_loop.now t.loop;
-        retry = None;
-      }
-    in
+    let conn = new_conn t (Some ep) None in
     Hashtbl.replace t.conns ep conn;
     start_connect t conn;
     conn
 
-let enqueue t conn frame =
-  if conn.out_bytes + String.length frame > t.cfg.max_buffer then begin
-    (* backpressure: shed load, retransmission recovers *)
-    t.dropped <- t.dropped + 1;
-    Kronos_metrics.Counter.incr M.dropped
-  end
-  else begin
-    Queue.push frame conn.out;
-    conn.out_bytes <- conn.out_bytes + String.length frame;
-    update_gauges t;
-    match (conn.state, conn.fd) with
-    | `Up, Some fd -> Event_loop.watch_write t.loop fd (fun () -> flush t conn)
-    | `Connecting, _ -> ()
-    | `Down, _ -> if conn.retry = None then start_connect t conn
-    | `Up, None -> ()
-  end
+(* Backpressure: a frame that would take the queue past [max_buffer] is
+   shed, and retransmission recovers. *)
+let fits t conn len = out_bytes conn + len <= t.cfg.max_buffer || (drop t; false)
+
+(* Get queued frames moving: watch for writability when up, dial when down. *)
+let kick t conn =
+  match (conn.state, conn.fd) with
+  | `Up, Some fd -> Event_loop.watch_write t.loop fd (fun () -> flush t conn)
+  | `Connecting, _ -> ()
+  | `Down, _ -> if conn.retry = None then start_connect t conn
+  | `Up, None -> ()
 
 let route t dst =
   match Hashtbl.find_opt t.peers dst with
@@ -365,17 +441,12 @@ let deliver_local t ~src ~dst msg =
     t.delivered <- t.delivered + 1;
     Kronos_metrics.Counter.incr M.delivered;
     handler ~src msg
-  | None ->
-    t.dropped <- t.dropped + 1;
-    Kronos_metrics.Counter.incr M.dropped
+  | None -> drop t
 
 let send t ~src ~dst msg =
   t.sent <- t.sent + 1;
   Kronos_metrics.Counter.incr M.sent;
-  if t.closed then begin
-    t.dropped <- t.dropped + 1;
-    Kronos_metrics.Counter.incr M.dropped
-  end
+  if t.closed then drop t
   else if Hashtbl.mem t.handlers dst then
     (* local short-circuit, deferred through the loop so a handler never
        runs inside the sender's stack frame *)
@@ -383,10 +454,13 @@ let send t ~src ~dst msg =
       (Event_loop.schedule t.loop ~delay:0.0 (fun () -> deliver_local t ~src ~dst msg))
   else
     match route t dst with
-    | Some conn -> enqueue t conn (encode_msg ~src ~dst (t.encode msg))
-    | None ->
-      t.dropped <- t.dropped + 1;
-      Kronos_metrics.Counter.incr M.dropped
+    | Some conn ->
+      let body = t.encode msg in
+      if fits t conn (msg_overhead + String.length body) then begin
+        push_msg conn ~src ~dst body;
+        kick t conn
+      end
+    | None -> drop t
 
 (* {1 Listening} *)
 
@@ -396,24 +470,13 @@ let on_acceptable t listener =
     | fd, _peer ->
       Unix.set_nonblock fd;
       (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
-      let conn =
-        {
-          fd = Some fd;
-          ep = None;
-          state = `Up;
-          out = Queue.create ();
-          out_bytes = 0;
-          head_off = 0;
-          reasm = Frame.Reassembler.create ~max_frame:t.cfg.max_frame ();
-          backoff = t.cfg.backoff_min;
-          last_activity = Event_loop.now t.loop;
-          retry = None;
-        }
-      in
+      let conn = new_conn t None (Some fd) in
+      set_state conn `Up;
       t.inbound <- conn :: t.inbound;
       (* announce our addresses on the accepted side too, so both ends
          learn return routes regardless of who dialed *)
-      enqueue t conn (hello_bytes t);
+      push_frame conn (hello_bytes t);
+      kick t conn;
       Event_loop.watch_read t.loop fd (fun () -> on_readable t conn);
       accept_loop ()
     | exception Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN | Unix.EINTR), _, _)
@@ -447,7 +510,7 @@ let sweep_idle t =
   if t.cfg.idle_timeout > 0.0 then begin
     let cutoff = Event_loop.now t.loop -. t.cfg.idle_timeout in
     let idle conn =
-      conn.state = `Up && Queue.is_empty conn.out && conn.last_activity < cutoff
+      conn.state = `Up && out_bytes conn = 0 && conn.last_activity < cutoff
     in
     Hashtbl.iter
       (fun _ conn -> if idle conn then conn_down ~redial:false t conn)
@@ -473,6 +536,7 @@ let create ~loop ~encode ~decode ?(config = default_config) () =
       learned = Hashtbl.create 16;
       listeners = [];
       rand = Random.State.make [| 0x6b726f6e; 0x6f737463 |];
+      rbuf = Bytes.create 65536;
       housekeeper = None;
       closed = false;
       sent = 0;
@@ -498,7 +562,7 @@ let drain ~grace t conn =
     let deadline = Unix.gettimeofday () +. grace in
     (try
        while
-         (not (Queue.is_empty conn.out)) && Unix.gettimeofday () < deadline
+         out_bytes conn > 0 && Unix.gettimeofday () < deadline
        do
          match Unix.select [] [ fd ] [] (deadline -. Unix.gettimeofday ()) with
          | _, [ _ ], _ -> flush t conn
@@ -524,14 +588,14 @@ let shutdown t =
       cancel_retry conn;
       if conn.state = `Up then drain ~grace:0.2 t conn;
       close_fd t conn;
-      conn.state <- `Down
+      set_state conn `Down;
+      retire conn (conn.ofill - conn.ooff)
     in
     Hashtbl.iter (fun _ conn -> close_conn conn) t.conns;
     List.iter close_conn t.inbound;
     Hashtbl.reset t.conns;
     Hashtbl.reset t.learned;
-    t.inbound <- [];
-    update_gauges t
+    t.inbound <- []
   end
 
 let transport t =

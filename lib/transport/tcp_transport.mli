@@ -11,8 +11,10 @@
     replicas needs no listener of its own for replies to find it.
 
     {b Connections.}  Outgoing connections are pooled per endpoint.
-    Partial reads are reassembled per connection; short writes keep their
-    offset and resume on writability.  A failed or broken peer connection
+    Every read of a runtime lands in one reused receive buffer and partial
+    frames are reassembled per connection; a connection's queued frames
+    leave in one write per writability wakeup, and a short write keeps its
+    offset and resumes on the next.  A failed or broken peer connection
     reconnects with exponential backoff (a frame half-written when the
     connection died is discarded — the receiver lost its reassembly state
     with the connection, so no torn frame is ever delivered).  Connections

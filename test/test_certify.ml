@@ -189,6 +189,49 @@ let test_unprovable_is_none () =
   (* while the closed path is still provable *)
   verify_ok "closed path stays provable" (prove_exn engine a b)
 
+(* The prover's counters are bumped from query-pool reader domains: with
+   N domains proving K times each over one frozen view, every increment
+   must land. *)
+let test_prover_counters_exact_across_domains () =
+  let sample name =
+    match List.assoc_opt ("kronos_certify_" ^ name) (Kronos_metrics.samples ()) with
+    | Some v -> int_of_float v
+    | None -> Alcotest.failf "%s not registered" name
+  in
+  let counts () =
+    (sample "proofs_generated_total", sample "proofs_unproved_total",
+     sample "prover_visited_total")
+  in
+  let engine = Engine.create () in
+  let ids = Array.init 16 (fun _ -> Engine.create_event engine) in
+  for i = 0 to 14 do
+    must engine ids.(i) ids.(i + 1)
+  done;
+  (* [x -> ids.(0)] lands after [ids.(0)]'s fold into [ids.(1)]: holds, unprovable *)
+  let x = Engine.create_event engine in
+  must engine x ids.(0);
+  let view = Engine.publish engine in
+  let p0, u0, v0 = counts () in
+  Alcotest.(check bool) "provable" true
+    (Prover.prove view ~source:ids.(0) ~target:ids.(15) <> None);
+  Alcotest.(check bool) "unprovable" true
+    (Prover.prove view ~source:x ~target:ids.(15) = None);
+  let p1, u1, v1 = counts () in
+  Alcotest.(check (pair int int)) "one of each" (1, 1) (p1 - p0, u1 - u0);
+  let visits = v1 - v0 in
+  let domains = 4 and k = 2_000 in
+  List.init domains (fun _ ->
+      Domain.spawn (fun () ->
+          for _ = 1 to k do
+            ignore (Prover.prove view ~source:ids.(0) ~target:ids.(15));
+            ignore (Prover.prove view ~source:x ~target:ids.(15))
+          done))
+  |> List.iter Domain.join;
+  let p2, u2, v2 = counts () in
+  Alcotest.(check int) "proofs_generated_total" (domains * k) (p2 - p1);
+  Alcotest.(check int) "proofs_unproved_total" (domains * k) (u2 - u1);
+  Alcotest.(check int) "prover_visited_total" (domains * k * visits) (v2 - v1)
+
 let prop_random_dag_roundtrip =
   let open QCheck2 in
   Test.make ~name:"certify: random DAG proofs verify" ~count:40
@@ -733,6 +776,8 @@ let suites =
         Alcotest.test_case "chain path" `Quick test_chain_path;
         Alcotest.test_case "unprovable answers None" `Quick
           test_unprovable_is_none;
+        Alcotest.test_case "counters exact across domains" `Quick
+          test_prover_counters_exact_across_domains;
         QCheck_alcotest.to_alcotest prop_random_dag_roundtrip;
       ] );
     ( "certify.tamper",

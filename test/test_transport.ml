@@ -331,6 +331,219 @@ let test_tcp_local_short_circuit_and_unroutable () =
     (Tcp.dropped t);
   Tcp.shutdown t
 
+(* {2 Raw-socket peers}
+
+   These tests put a hand-driven socket on one side of a runtime, so they
+   can feed it arbitrary bytes or stop reading altogether. *)
+
+let envelope_msg ~src ~dst body =
+  let b = Codec.encoder () in
+  Codec.put_u8 b 1;
+  Codec.put_i64 b (Int64.of_int src);
+  Codec.put_i64 b (Int64.of_int dst);
+  Codec.put_string b body;
+  Frame.encode (Codec.to_string b)
+
+let write_all fd s =
+  let rec go off =
+    if off < String.length s then
+      go (off + Unix.write_substring fd s off (String.length s - off))
+  in
+  go 0
+
+let raw_connect port =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  fd
+
+(* A bad envelope takes the connection down; frames behind it in the same
+   read belong to the dead connection and must not reach a handler. *)
+let test_tcp_bad_envelope_stops_dispatch () =
+  let loop = Event_loop.create () in
+  let server = string_tcp loop in
+  let port = Tcp.listen server ~port:0 () in
+  let got = ref [] in
+  Transport.register (Tcp.transport server) 1 (fun ~src:_ m -> got := m :: !got);
+  let run_until pred =
+    ignore (Event_loop.run_until loop ~deadline:(Event_loop.now loop +. 5.0) pred)
+  in
+  (* control: the same message alone on a healthy connection is delivered *)
+  let good = raw_connect port in
+  write_all good (envelope_msg ~src:7 ~dst:1 "alone");
+  run_until (fun () -> !got <> []);
+  Alcotest.(check (list string)) "valid frame delivered" [ "alone" ] !got;
+  (* [bad envelope; valid Msg] written at once arrive in one read *)
+  let bad = raw_connect port in
+  write_all bad (Frame.encode "\x07" ^ envelope_msg ~src:7 ~dst:1 "after-bad");
+  run_until (fun () -> Tcp.connections server = 1);
+  Event_loop.run_for loop 0.05;
+  Alcotest.(check int) "bad connection closed" 1 (Tcp.connections server);
+  Alcotest.(check (list string)) "nothing dispatched after the bad envelope"
+    [ "alone" ] !got;
+  Unix.close good;
+  Unix.close bad;
+  Tcp.shutdown server
+
+let metric name =
+  match List.assoc_opt ("kronos_transport_" ^ name) (Kronos_metrics.samples ()) with
+  | Some v -> int_of_float v
+  | None -> Alcotest.failf "metric %s missing" name
+
+(* The peer side of [test_tcp_short_and_torn_writes]: a listener whose
+   sockets have a tiny receive buffer, and a reader that reassembles the
+   runtime's frames only when told to. *)
+type peer = {
+  listener : Unix.file_descr;
+  mutable conn : Unix.file_descr option;
+  mutable reasm : Frame.Reassembler.t;
+  rbuf : Bytes.t;
+  mutable bodies : string list;  (* Msg bodies received, newest first *)
+}
+
+let peer_create () =
+  let l = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt l Unix.SO_REUSEADDR true;
+  Unix.setsockopt_int l Unix.SO_RCVBUF 4096;
+  Unix.bind l (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen l 4;
+  Unix.set_nonblock l;
+  { listener = l; conn = None; reasm = Frame.Reassembler.create ();
+    rbuf = Bytes.create 997; bodies = [] }
+
+let peer_port p =
+  match Unix.getsockname p.listener with
+  | Unix.ADDR_INET (_, port) -> port
+  | Unix.ADDR_UNIX _ -> assert false
+
+let peer_accept p =
+  match p.conn with
+  | Some _ -> ()
+  | None -> (
+      match Unix.accept p.listener with
+      | fd, _ ->
+        Unix.set_nonblock fd;
+        p.conn <- Some fd;
+        p.reasm <- Frame.Reassembler.create ()
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ())
+
+(* One small read, if anything is there. *)
+let peer_read p =
+  match p.conn with
+  | None -> ()
+  | Some fd -> (
+      match Unix.read fd p.rbuf 0 (Bytes.length p.rbuf) with
+      | n ->
+        List.iter
+          (fun payload ->
+            let d = Codec.decoder payload in
+            match Codec.get_u8 d with
+            | 0 -> () (* HELLO *)
+            | _ ->
+              ignore (Codec.get_i64 d);
+              ignore (Codec.get_i64 d);
+              p.bodies <- Codec.get_string d :: p.bodies)
+          (Frame.Reassembler.feed_sub p.reasm p.rbuf 0 n)
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ())
+
+let peer_kill p =
+  Option.iter Unix.close p.conn;
+  p.conn <- None
+
+(* A paused reader behind a tiny receive buffer makes every flush of a
+   deep backlog short.  Hundreds of mixed-size frames (one over 64 KiB)
+   must still arrive whole and in order.  Then, with the reader paused
+   again, the peer dies in the middle of a flush: the frame the last write
+   tore is the only queued frame that may be lost, and every frame queued
+   behind it is delivered, in order, over the redialed connection. *)
+let test_tcp_short_and_torn_writes () =
+  (* larger than the most a socket's send buffer can autotune to *)
+  let big_frame =
+    let wmem_max =
+      try
+        let ic = open_in "/proc/sys/net/ipv4/tcp_wmem" in
+        let line = Fun.protect ~finally:(fun () -> close_in ic) (fun () -> input_line ic) in
+        Scanf.sscanf line " %d %d %d" (fun _ _ max -> max)
+      with _ -> 4 * 1024 * 1024
+    in
+    max (12 * 1024 * 1024) ((2 * wmem_max) + (1024 * 1024))
+  in
+  let loop = Event_loop.create () in
+  let tx =
+    Tcp.create ~loop ~encode:Fun.id ~decode:Fun.id
+      ~config:{ Tcp.default_config with max_buffer = 2 * big_frame }
+      ()
+  in
+  let p = peer_create () in
+  Tcp.add_peer tx 1 ~host:"127.0.0.1" ~port:(peer_port p);
+  let net = Tcp.transport tx in
+  Transport.register net 2 (fun ~src:_ _ -> ());
+  let body i =
+    let size = [| 3; 150; 1_000; 30_000; 40 |].(i mod 5) in
+    let size = if i = 123 then 100_000 else size in
+    Printf.sprintf "%04d:" i ^ String.make size (Char.chr (65 + (i mod 26)))
+  in
+  let framed b = Frame.header + 1 + 8 + 8 + 4 + String.length b in
+  let spin seconds =
+    let until = Event_loop.now loop +. seconds in
+    while Event_loop.now loop < until do
+      Event_loop.run_once loop ~max_wait:0.002 ();
+      peer_accept p
+    done
+  in
+  let pump pred =
+    let deadline = Event_loop.now loop +. 20.0 in
+    while (not (pred ())) && Event_loop.now loop < deadline do
+      Event_loop.run_once loop ~max_wait:0.0 ();
+      peer_accept p;
+      peer_read p
+    done
+  in
+  (* phase 1: at least 300 frames, in batches until a flush leaves some
+     queued (the kernel's send buffer autotunes to megabytes, so how many
+     that takes depends on the host); then a slow reader *)
+  let queued0 = metric "write_queue_bytes" in
+  let sent = ref [] and short = ref false in
+  while (not !short) && List.length !sent < 2000 do
+    for _ = 1 to 25 do
+      let b = body (List.length !sent) in
+      Transport.send net ~src:2 ~dst:1 b;
+      sent := b :: !sent
+    done;
+    spin 0.005;
+    short := List.length !sent >= 300 && metric "write_queue_bytes" > queued0
+  done;
+  let first = List.rev !sent in
+  Alcotest.(check bool) "paused reader leaves the backlog short-written" true !short;
+  pump (fun () -> List.length p.bodies = List.length first);
+  Alcotest.(check bool) "all frames intact and in order" true
+    (List.rev p.bodies = first);
+  Alcotest.(check int) "queue drained" queued0 (metric "write_queue_bytes");
+  (* phase 2: pause again and queue a frame no kernel buffer can take
+     whole, then more frames behind it: the flush ends inside the big one *)
+  let out0 = metric "bytes_out_total" in
+  let torn = String.make big_frame 'T' in
+  let behind = List.init 40 (fun i -> body (5000 + i)) in
+  List.iter (fun b -> Transport.send net ~src:2 ~dst:1 b) (torn :: behind);
+  spin 0.1;
+  let written = metric "bytes_out_total" - out0 in
+  Alcotest.(check bool) "the flush ended inside the head frame" true
+    (written > 0 && written < framed torn);
+  Alcotest.(check int) "the queue holds the torn frame and those behind it"
+    (List.fold_left (fun n b -> n + framed b) 0 (torn :: behind))
+    (metric "write_queue_bytes" - queued0);
+  p.bodies <- [];
+  peer_kill p;
+  pump (fun () -> List.length p.bodies >= List.length behind);
+  Alcotest.(check bool) "queued frames delivered after the redial, in order" true
+    (List.rev p.bodies = behind);
+  Alcotest.(check bool) "the torn frame is not delivered" false
+    (List.mem torn p.bodies);
+  Alcotest.(check int) "queue drained after the redial" queued0
+    (metric "write_queue_bytes");
+  peer_kill p;
+  Unix.close p.listener;
+  Tcp.shutdown tx
+
 let suites =
   [ ( "transport",
       [
@@ -353,5 +566,9 @@ let suites =
         Alcotest.test_case "tcp large message" `Quick test_tcp_large_message;
         Alcotest.test_case "tcp local short-circuit" `Quick
           test_tcp_local_short_circuit_and_unroutable;
+        Alcotest.test_case "tcp bad envelope stops dispatch" `Quick
+          test_tcp_bad_envelope_stops_dispatch;
+        Alcotest.test_case "tcp short and torn writes" `Quick
+          test_tcp_short_and_torn_writes;
       ] );
   ]

@@ -159,6 +159,88 @@ let prop_frames_any_chunking =
       done;
       !out = payloads)
 
+(* [feed_sub] against [feed] and against the ground truth, with the source
+   buffer reused the way the TCP receive loop reuses its one read buffer:
+   each chunk lands at some offset of [src], which is overwritten after
+   every call.  A payload aliasing [src] would come out corrupted.  With a
+   small [max_frame], both must reject at the call that completes the
+   first oversized length prefix, having returned every frame completed
+   before it. *)
+let prop_feed_sub_differential =
+  let open QCheck2 in
+  let src_len = 1024 in
+  Test.make ~name:"frame feed_sub matches feed, no aliasing" ~count:300
+    Gen.(
+      triple
+        (list_size (int_bound 12)
+           (string_size (frequency [ (8, int_bound 40); (1, int_range 200 3000) ])))
+        (list_size (int_bound 40) (int_range 1 600))
+        (frequency [ (3, return Frame.max_frame); (1, int_range 0 400) ]))
+    (fun (payloads, chunk_sizes, limit) ->
+      let stream = String.concat "" (List.map Frame.encode payloads) in
+      let total = String.length stream in
+      (* stream offset at which each frame ends *)
+      let ends =
+        List.rev
+          (snd
+             (List.fold_left
+                (fun (at, acc) p ->
+                  let e = at + Frame.header + String.length p in
+                  (e, e :: acc))
+                (0, []) payloads))
+      in
+      let bad_at =
+        (* where the first oversized frame's length prefix completes *)
+        let rec go at = function
+          | [] -> max_int
+          | p :: rest ->
+            if String.length p > limit then at + Frame.header
+            else go (at + Frame.header + String.length p) rest
+        in
+        go 0 payloads
+      in
+      let completed_by p = List.filter (fun e -> e <= p) ends in
+      let expect_out p =
+        List.filteri (fun i _ -> i < List.length (completed_by p)) payloads
+      in
+      let expect_pending p =
+        p - List.fold_left (fun _ e -> e) 0 (completed_by p)
+      in
+      let by_feed = Frame.Reassembler.create ~max_frame:limit () in
+      let by_sub = Frame.Reassembler.create ~max_frame:limit () in
+      let src = Bytes.make src_len '\x00' in
+      let out = ref [] and ok = ref true and stop = ref false in
+      let pos = ref 0 and sizes = ref chunk_sizes in
+      while !ok && (not !stop) && !pos < total do
+        let n =
+          match !sizes with
+          | [] -> min src_len (total - !pos)
+          | s :: rest ->
+            sizes := rest;
+            min s (total - !pos)
+        in
+        let off = !pos * 7 mod (src_len - n + 1) in
+        Bytes.blit_string stream !pos src off n;
+        let run f = try Ok (f ()) with Codec.Decode_error _ -> Error () in
+        let r1 = run (fun () -> Frame.Reassembler.feed by_feed (String.sub stream !pos n)) in
+        let r2 = run (fun () -> Frame.Reassembler.feed_sub by_sub src off n) in
+        Bytes.fill src 0 src_len '\xa5';
+        (match (r1, r2) with
+         | Ok a, Ok b ->
+           pos := !pos + n;
+           out := !out @ b;
+           ok :=
+             a = b && !pos < bad_at
+             && Frame.Reassembler.pending_bytes by_sub = expect_pending !pos
+             && Frame.Reassembler.pending_bytes by_feed = expect_pending !pos
+         | Error (), Error () ->
+           stop := true;
+           ok := !pos < bad_at && bad_at <= !pos + n
+         | Ok _, Error () | Error (), Ok _ -> ok := false);
+        ok := !ok && !out = expect_out !pos
+      done;
+      !ok && (!stop || (!out = payloads && Frame.Reassembler.pending_bytes by_sub = 0)))
+
 let suites =
   [ ( "wire",
       [
@@ -172,5 +254,6 @@ let suites =
         Alcotest.test_case "frame oversized" `Quick test_frame_oversized;
         QCheck_alcotest.to_alcotest prop_request_roundtrip;
         QCheck_alcotest.to_alcotest prop_frames_any_chunking;
+        QCheck_alcotest.to_alcotest prop_feed_sub_differential;
       ] );
   ]
