@@ -55,9 +55,9 @@ bench:
 bench-smoke: build
 	dune exec bench/main.exe -- smoke
 
-# Regression gate: re-measure the engine hot paths and fail when any
-# engine.* series in a fresh run is more than 2.5x slower than the
-# committed BENCH_smoke.json.  Service-level series are not gated (they
+# Regression gate: re-measure the engine hot paths and the client order
+# cache, and fail when any engine.* or client.order_cache_* series in a
+# fresh run is more than 2.5x slower than the committed BENCH_smoke.json.  Service-level series are not gated (they
 # track machine load, not code).
 bench-check: build
 	dune exec bench/main.exe -- smoke-check

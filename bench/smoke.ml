@@ -101,6 +101,68 @@ let engine_hot_paths () =
   in
   record "engine.assign_must_dense" must_dense_ns "ns/op"
 
+(* Client order cache (DESIGN.md §17) under the chain-shaped stream that
+   session clients produce: 64 session chains fed round-robin into a full
+   65 536-entry cache at the default pre-fill fanout, so every timed
+   insert pays its pre-fills and the evictions they force.
+   [client.order_cache_find_hit] times a lookup of a resident pair (a
+   hit, which also refreshes recency).  Both are timed as the best of five
+   fixed-length windows rather than by Bechamel, whose own allocation
+   drives major-GC slices over the cache's multi-megabyte heap and would
+   bill them to the operation. *)
+let order_cache_smoke () =
+  let best_window_ns ~ops f =
+    let best = ref infinity in
+    for _ = 1 to 5 do
+      let t0 = Unix.gettimeofday () in
+      for _ = 1 to ops do f () done;
+      let ns = (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int ops in
+      best := Float.min !best ns
+    done;
+    !best
+  in
+  let sessions = 64 and capacity = 65_536 in
+  let cache = Order_cache.create ~capacity () in
+  let next_slot = ref 0 in
+  let fresh () =
+    let e = Event_id.make ~slot:!next_slot ~gen:0 in
+    incr next_slot;
+    e
+  in
+  let tips = Array.init sessions (fun _ -> fresh ()) in
+  let turn = ref 0 in
+  let step () =
+    let s = !turn in
+    turn := (s + 1) mod sessions;
+    let e = fresh () in
+    Order_cache.insert cache tips.(s) e Order.Before;
+    tips.(s) <- e
+  in
+  (* run past the first eviction, so timing starts in the steady state *)
+  while Order_cache.evictions cache = 0 do step () done;
+  for _ = 1 to 4 * sessions do step () done;
+  let insert_ns = best_window_ns ~ops:2_000 step in
+  record "client.order_cache_insert_chain" insert_ns "ns/op";
+  (* the newest edge of every session is resident *)
+  let pairs =
+    Array.init sessions (fun _ ->
+        let s = !turn in
+        let before = tips.(s) in
+        step ();
+        (before, tips.(s)))
+  in
+  let misses = Order_cache.misses cache in
+  let k = ref 0 in
+  let find_ns =
+    best_window_ns ~ops:200_000 (fun () ->
+        let a, b = pairs.(!k) in
+        k := (!k + 1) mod sessions;
+        ignore (Order_cache.find cache a b))
+  in
+  if Order_cache.misses cache <> misses then
+    failwith "order_cache_smoke: a resident pair missed";
+  record "client.order_cache_find_hit" find_ns "ns/op"
+
 (* Multicore query plane (DESIGN.md §14): the worst-case concurrent
    workload of [engine.query_concurrent], answered from a frozen
    {!Engine.View} by every available domain at once.  Three series:
@@ -651,9 +713,10 @@ let read_file path =
   data
 
 (* Regression gate behind `make bench-check`: re-measure the engine hot
-   paths, the certify series and the federated series, and compare them
-   with the committed BENCH_smoke.json.  The engine.* and certify.*
-   ns/op series are in-process numbers; the fed.* series are closed-loop
+   paths, the client order cache, the certify series and the federated
+   series, and compare them with the committed BENCH_smoke.json.  The
+   engine.*, client.order_cache_* and certify.* ns/op series are
+   in-process numbers; the fed.* series are closed-loop
    rates on the simulated network (pure compute, no real sleeping), so
    both are stable enough to gate.  The service.* series swing with
    machine load and are not gated, and the pct series is held under an
@@ -689,6 +752,7 @@ let check () =
   let threshold = 2.5 in
   results := [];
   engine_hot_paths ();
+  order_cache_smoke ();
   query_parallel_smoke ();
   certify_smoke ();
   federation_smoke ();
@@ -768,6 +832,7 @@ let run () =
   Bench_util.section "Smoke: quick performance snapshot -> BENCH_smoke.json";
   results := [];
   engine_hot_paths ();
+  order_cache_smoke ();
   query_parallel_smoke ();
   certify_smoke ();
   service_closed_loop ();

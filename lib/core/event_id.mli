@@ -5,7 +5,10 @@
     (and reject) uses of a collected event's identifier instead of silently
     resolving it to an unrelated newer event. *)
 
-type t
+type t = private int
+(** Code may read an identifier as an [int] with [(e :> int)], so tables
+    keyed by identifiers store them unboxed and comparisons compile to
+    integer compares; only {!make}, {!of_int64} and {!none} build one. *)
 
 val none : t
 (** A sentinel identifier that never names a live event. *)
