@@ -139,7 +139,9 @@ let run () =
       for i = 1 to replayable do
         let u = ids.(i mod n) and v = ids.((i * 7 + 1) mod n) in
         Wal.append wal ~seq:(i + 1)
-          ~payload:(Message.encode_request (Message.Query_order [ (u, v) ]))
+          ~payload:
+            (Message.encode_request
+               (Message.Query_order { min_epoch = 0L; pairs = [ (u, v) ] }))
       done;
       Wal.sync wal;
       let _, recover_wal_s =

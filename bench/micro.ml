@@ -196,52 +196,6 @@ let prefer_ordering_ablation () =
   Bench_util.ours
     "applying musts before prefers keeps adversarially-ordered batches abort-free"
 
-(* Ablation: the Section 2.5 server-side traversal-result memo, on a skewed
-   query workload over a dense graph (where each positive BFS is
-   expensive). *)
-let traversal_cache_ablation () =
-  Bench_util.section "Ablation: server-side traversal-result memo (Section 2.5)";
-  let n = 5_000 in
-  let build ~traversal_cache =
-    let engine =
-      Engine.create ~config:{ Engine.default_config with Engine.initial_capacity = n; traversal_cache } ()
-    in
-    let rng = Rng.create ~seed:5L in
-    let g = Graph_gen.erdos_renyi_gnm ~rng ~n ~m:100_000 in
-    let ids = Array.init n (fun _ -> Engine.create_event engine) in
-    let gr = Engine.graph engine in
-    Array.iter (fun (u, v) -> Graph.add_edge gr ids.(u) ids.(v)) g.Graph_gen.edges;
-    (engine, ids)
-  in
-  (* a Zipf-skewed popular set of pairs: hot queries repeat, as a
-     high-degree-vertex cache expects *)
-  let zipf = Kronos_workload.Zipf.create ~n:200 ~exponent:1.1 () in
-  let measure ~traversal_cache =
-    let engine, ids = build ~traversal_cache in
-    let pick = Rng.create ~seed:17L in
-    let hot =
-      Array.init 200 (fun _ -> (ids.(Rng.int pick n), ids.(Rng.int pick n)))
-    in
-    let rng = Rng.create ~seed:23L in
-    let ops = ref 0 in
-    let t0 = Unix.gettimeofday () in
-    while Unix.gettimeofday () -. t0 < 0.5 do
-      for _ = 1 to 50 do
-        ignore
-          (Engine.query_order engine
-             [ hot.(Kronos_workload.Zipf.sample zipf rng) ]);
-        incr ops
-      done
-    done;
-    float_of_int !ops /. (Unix.gettimeofday () -. t0)
-  in
-  let off = measure ~traversal_cache:0 in
-  let on_ = measure ~traversal_cache:4096 in
-  Printf.printf "  memo off: %s\n" (Bench_util.pp_ops off);
-  Printf.printf "  memo on:  %s\n%!" (Bench_util.pp_ops on_);
-  Bench_util.ours "the positive-reachability memo yields %.1fx on skewed hot queries"
-    (on_ /. off)
-
 (* Ablation: the observability gate (DESIGN.md §10).  Metrics are compiled
    into every layer but gated on one process-wide flag; the budget is <5%
    overhead on the query hot path with recording on, and bit-identical
@@ -311,5 +265,4 @@ let run () =
   dependency_creation ();
   sparse_set_ablation ();
   prefer_ordering_ablation ();
-  traversal_cache_ablation ();
   metrics_overhead_ablation ()

@@ -232,8 +232,8 @@ let () =
     Option.get !result
   in
   (* The client-side order cache counters, printed wherever server-side
-     numbers appear so both cache planes (client order cache, server
-     traversal memo) can be read side by side. *)
+     numbers appear so the client's cache can be read beside the server's
+     label and BFS counters. *)
   let print_cache_stats ~prefix =
     match Client.cache_stats client with
     | None -> Printf.printf "%sclient order cache disabled\n" prefix

@@ -12,14 +12,12 @@ end
 
 type config = {
   initial_capacity : int;
-  traversal_cache : int;
   digests : bool;
   max_chains : int;
 }
 
 let default_config =
-  { initial_capacity = 1024; traversal_cache = 0; digests = true;
-    max_chains = 64 }
+  { initial_capacity = 1024; digests = true; max_chains = 64 }
 
 type t = {
   g : Graph.t;
@@ -33,8 +31,7 @@ type t = {
 
 let create ?(config = default_config) () =
   { g = Graph.create ~initial_capacity:config.initial_capacity
-      ~traversal_cache:config.traversal_cache ~digests:config.digests
-      ~max_chains:config.max_chains ();
+      ~digests:config.digests ~max_chains:config.max_chains ();
     creates = 0; queries = 0; assigns = 0; aborted_batches = 0;
     reversals = 0; collected = 0 }
 
@@ -223,8 +220,7 @@ let of_snapshot ?(config = default_config) s =
   {
     g =
       Graph.of_snapshot ~initial_capacity:config.initial_capacity
-        ~traversal_cache:config.traversal_cache ~digests:config.digests
-        ~max_chains:config.max_chains s.snap_graph;
+        ~digests:config.digests ~max_chains:config.max_chains s.snap_graph;
     creates = s.snap_creates;
     queries = s.snap_queries;
     assigns = s.snap_assigns;

@@ -7,9 +7,6 @@ type t
 
 type config = {
   initial_capacity : int;  (** starting number of vertex slots (doubles) *)
-  traversal_cache : int;
-      (** size of the internal positive-reachability memo (Section 2.5);
-          0 (the default) disables it *)
   digests : bool;
       (** maintain hash-chained event commitments (DESIGN.md §13) so
           happens-before answers can be proved; [true] by default *)
@@ -98,8 +95,7 @@ val to_snapshot : t -> snapshot
 
 val of_snapshot : ?config:config -> snapshot -> t
 (** Rebuild an engine that behaves identically to the captured one under
-    any subsequent command sequence ([config] mirrors {!create}; the
-    traversal memo restarts cold).
+    any subsequent command sequence ([config] mirrors {!create}).
     @raise Invalid_argument on an internally inconsistent snapshot. *)
 
 (** Incremental counterpart of {!snapshot} (DESIGN.md §16): the graph's
@@ -224,7 +220,7 @@ val label_hits : t -> int
     to the metrics plane as [engine.label_hits_total]). *)
 
 val label_misses : t -> int
-(** Probes that fell back to the memo/BFS path ([engine.label_misses_total]).
+(** Probes that fell back to the BFS ([engine.label_misses_total]).
     A high miss share means the workload's breadth defeats the chain cap —
     raise {!config.max_chains}. *)
 

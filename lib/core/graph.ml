@@ -6,7 +6,6 @@ module M = struct
   let scope = Kronos_metrics.scope "engine"
   let traversals = Kronos_metrics.counter scope "bfs_traversals_total"
   let visited = Kronos_metrics.counter scope "bfs_visited_total"
-  let cache_hits = Kronos_metrics.counter scope "traversal_cache_hits_total"
   let rank_relabels = Kronos_metrics.counter scope "rank_relabels_total"
   let rank_pruned = Kronos_metrics.counter scope "rank_pruned_queries_total"
   let bidir = Kronos_metrics.counter scope "bidir_traversals_total"
@@ -98,14 +97,6 @@ type t = {
   mutable rank_relabels : int;
   mutable rank_pruned : int;
   mutable bidir_traversals : int;
-  (* Positive reachability memo (Section 2.5 of the paper: "Kronos can
-     maintain an internal cache of traversal results").  Only reachable=true
-     results may be cached: monotonicity makes them stable forever, while a
-     negative result can be invalidated by any later edge.  Keys carry
-     generations, so slot reuse can never resurrect an entry. *)
-  reach_cache : (Event_id.t * Event_id.t, unit) Hashtbl.t;
-  reach_cache_capacity : int;  (* 0 disables caching *)
-  mutable reach_cache_hits : int;
   (* Commitment chains (DESIGN.md §13).  Per live slot, the ordered list of
      links folded into the event's chain, one per admitted incoming edge;
      the event's commitment is the head of the last link (or its identity
@@ -165,7 +156,7 @@ let max_gen = (1 lsl 22) - 1
 
 let default_max_chains = 64
 
-let create ?(initial_capacity = 1024) ?(traversal_cache = 0) ?(digests = true)
+let create ?(initial_capacity = 1024) ?(digests = true)
     ?(max_chains = default_max_chains) () =
   let cap = max initial_capacity 16 in
   {
@@ -183,9 +174,6 @@ let create ?(initial_capacity = 1024) ?(traversal_cache = 0) ?(digests = true)
     label_hits = 0;
     label_misses = 0;
     label_rebuilds = 0;
-    reach_cache = Hashtbl.create (max 16 (min traversal_cache 4096));
-    reach_cache_capacity = max 0 traversal_cache;
-    reach_cache_hits = 0;
     digests;
     chains = Array.init cap (fun _ -> Vec.create ~dummy:dummy_link ());
     digest_folds = 0;
@@ -221,7 +209,6 @@ let live_count g = g.live
 let edge_count g = g.edges
 let traversal_count g = g.traversals
 let visited_total g = g.visited_total
-let traversal_cache_hits g = g.reach_cache_hits
 let rank_relabel_count g = g.rank_relabels
 let rank_pruned_count g = g.rank_pruned
 let bidir_traversal_count g = g.bidir_traversals
@@ -751,32 +738,13 @@ let reachable_slots g src dst =
     end
   end
 
-let cache_reachable g u v su sv =
-  if Hashtbl.mem g.reach_cache (u, v) then begin
-    g.reach_cache_hits <- g.reach_cache_hits + 1;
-    Kronos_metrics.Counter.incr M.cache_hits;
-    true
-  end
-  else begin
-    let found = reachable_slots g su sv in
-    if found then begin
-      (* full: drop everything rather than track recency — the memo refills
-         from the hot working set almost immediately *)
-      if Hashtbl.length g.reach_cache >= g.reach_cache_capacity then
-        Hashtbl.reset g.reach_cache;
-      Hashtbl.replace g.reach_cache (u, v) ()
-    end;
-    found
-  end
-
 (* A negative answer by rank comparison alone: u ⇝ v requires
-   rank u < rank v, so rank u >= rank v (distinct slots) refutes it in O(1)
-   without consulting the memo (which only holds positive facts).  When the
-   destination sits on a chain, the label compare answers the remaining
-   direction — both ways — in O(#chains); only an unassigned destination
-   (chain cap saturated, or no admitted in-edge) falls back to the
-   memo/BFS path. *)
-let reachable_ids g u v su sv =
+   rank u < rank v, so rank u >= rank v (distinct slots) refutes it in O(1).
+   When the destination sits on a chain, the label compare answers the
+   remaining direction — both ways — in O(#chains); only an unassigned
+   destination (chain cap saturated, or no admitted in-edge) falls back to
+   the BFS. *)
+let reachable_ranked g su sv =
   if su = sv then false
   else if g.rank.(su) >= g.rank.(sv) then begin
     g.rank_pruned <- g.rank_pruned + 1;
@@ -793,8 +761,7 @@ let reachable_ids g u v su sv =
     else begin
       g.label_misses <- g.label_misses + 1;
       Kronos_metrics.Counter.incr M.label_misses;
-      if g.reach_cache_capacity = 0 then reachable_slots g su sv
-      else cache_reachable g u v su sv
+      reachable_slots g su sv
     end
   end
 
@@ -816,7 +783,7 @@ let label_reachable g u v =
 
 let reachable g u v =
   match resolve g u, resolve g v with
-  | Some su, Some sv -> reachable_ids g u v su sv
+  | Some su, Some sv -> reachable_ranked g su sv
   | (None | Some _), _ -> false
 
 (* The rank comparison eliminates at least one BFS direction of every query
@@ -836,12 +803,12 @@ let query g e1 e2 =
       in
       if r1 < r2 then begin
         prune 1;
-        if reachable_ids g e1 e2 s1 s2 then Ok Order.Before
+        if reachable_ranked g s1 s2 then Ok Order.Before
         else Ok Order.Concurrent
       end
       else if r2 < r1 then begin
         prune 1;
-        if reachable_ids g e2 e1 s2 s1 then Ok Order.After
+        if reachable_ranked g s2 s1 then Ok Order.After
         else Ok Order.Concurrent
       end
       else begin
@@ -1006,9 +973,6 @@ let remove_last_edge g u v =
        break "u ⇝ v implies rank u < rank v", it only removes paths.  The
        relabel the edge may have caused stays — it is a valid order for the
        smaller edge set too. *)
-    (* a rolled-back edge may have witnessed memoized reachability facts:
-       drop the memo wholesale (rollbacks are rare) *)
-    if g.reach_cache_capacity > 0 then Hashtbl.reset g.reach_cache;
     (* Labels must not over-approximate: pop this edge's journal group,
        restoring the exact pre-edge chains and label arrays.  The topmost
        group necessarily belongs to this edge (rollback is LIFO within the
@@ -1295,8 +1259,8 @@ let rebuild_chains g =
         Int_vec.iter (fun u -> fold_edge g u v) g.pred.(v))
     order
 
-let of_snapshot ?(initial_capacity = 1024) ?(traversal_cache = 0)
-    ?(digests = true) ?(max_chains = default_max_chains) s =
+let of_snapshot ?(initial_capacity = 1024) ?(digests = true)
+    ?(max_chains = default_max_chains) s =
   let fail what = invalid_arg ("Graph.of_snapshot: " ^ what) in
   let n = s.snap_next_slot in
   if n < 0 || n > Event_id.max_slot + 1 then fail "bad slot count";
@@ -1305,8 +1269,7 @@ let of_snapshot ?(initial_capacity = 1024) ?(traversal_cache = 0)
      || Array.length s.snap_succ <> n
   then fail "mismatched array lengths";
   let g =
-    create ~initial_capacity:(max initial_capacity n) ~traversal_cache
-      ~digests ~max_chains ()
+    create ~initial_capacity:(max initial_capacity n) ~digests ~max_chains ()
   in
   g.next_slot <- n;
   let live = ref 0 in
@@ -1753,12 +1716,10 @@ module Frozen = struct
       end
     end
 
-  (* The same label fast path as the live graph's [reachable_ids]: frozen
+  (* The same label fast path as the live graph's [reachable_ranked]: frozen
      views carry the chain index, so reader domains answer assigned
      destinations — both polarities — by an O(#chains) compare and only
-     fall back to the scratch BFS on cap saturation.  (This closes the
-     PR 7 open item: frozen views used to have no positive fast path at
-     all, the live reach memo being unshareable.) *)
+     fall back to the scratch BFS on cap saturation. *)
   let reach f su sv =
     let c = f.f_chain_of.(sv) in
     if c >= 0 then label_le f.f_labels.(su) c f.f_chain_pos.(sv)

@@ -43,8 +43,7 @@
 type t
 
 val create :
-  ?initial_capacity:int -> ?traversal_cache:int -> ?digests:bool ->
-  ?max_chains:int -> unit -> t
+  ?initial_capacity:int -> ?digests:bool -> ?max_chains:int -> unit -> t
 (** [create ()] is an empty graph.  [initial_capacity] (default 1024) sizes
     the initial slot arrays; they double on demand.
 
@@ -53,14 +52,6 @@ val create :
     breadth, not history; events admitted while every chain is occupied
     stay unassigned and queries to them fall back to the BFS.  [0]
     disables the label index entirely.
-
-    [traversal_cache] (default 0 = off) bounds an internal memo of
-    {e positive} reachability results (Section 2.5 of the paper): a
-    [u ->* v] fact is stable forever by monotonicity, so it may be cached;
-    negative results never are.  Entries key on full identifiers
-    (slot + generation), so garbage collection cannot resurrect them.
-    Rank pruning runs {e before} the memo: a rank-refuted pair never pays
-    the hash lookup.
 
     [digests] (default [true]) maintains hash-chained event commitments
     alongside the graph (DESIGN.md §13): admitting an edge folds one link —
@@ -211,8 +202,8 @@ val digest_fold_count : t -> int
       answers but not necessarily traversal statistics);
     - traversal counters, so work accounting continues rather than resets.
 
-    In-degrees, reverse adjacency, live/edge counts and the traversal memo
-    are reconstructed (the memo restarts cold: it is a cache, not state). *)
+    In-degrees, reverse adjacency and live/edge counts are
+    reconstructed. *)
 
 (** The chain-decomposition assignment (snapshot format v5).  Labels are
     deliberately absent: exact labels are a pure function of adjacency +
@@ -262,8 +253,7 @@ val to_snapshot : t -> snapshot
     [Some _] iff digests are enabled. *)
 
 val of_snapshot :
-  ?initial_capacity:int -> ?traversal_cache:int -> ?digests:bool ->
-  ?max_chains:int -> snapshot -> t
+  ?initial_capacity:int -> ?digests:bool -> ?max_chains:int -> snapshot -> t
 (** Rebuild a graph behaviourally identical to the one captured.  The
     options mirror {!create}; capacity is raised to fit the snapshot.
 
@@ -375,9 +365,6 @@ val visited_total : t -> int
 (** Total vertices visited across all traversals (work accounting): every
     distinct slot inserted into a visited set, endpoints included. *)
 
-val traversal_cache_hits : t -> int
-(** Queries answered from the positive-reachability memo. *)
-
 val rank_relabel_count : t -> int
 (** Edge insertions that triggered an affected-region relabel. *)
 
@@ -390,12 +377,12 @@ val bidir_traversal_count : t -> int
 
 val label_hit_count : t -> int
 (** Reachability probes answered by the chain-label compare alone (no
-    traversal, no memo). *)
+    traversal). *)
 
 val label_miss_count : t -> int
 (** Probes that passed the rank filter but found the destination off every
     chain (cap saturation, or no admitted in-edge) and fell back to the
-    memo/BFS path. *)
+    BFS. *)
 
 val label_rebuild_count : t -> int
 (** Full deterministic label recomputations (snapshot restores, and the

@@ -43,9 +43,6 @@ type t = {
       (* highest view epoch observed in any epoch-stamped reply; what
          [`At_least (last_epoch t)] demands for read-your-writes *)
   mutable epoch_retries : int;
-  mutable assign_compat : bool;
-      (* the server rejected the epoch-stamped assign tag as unparseable
-         (pre-epoch release): speak legacy [Assign_order] from now on *)
 }
 
 let create ~net ~addr ~coordinator ?(cache_capacity = 65536) ?request_timeout () =
@@ -55,7 +52,7 @@ let create ~net ~addr ~coordinator ?(cache_capacity = 65536) ?request_timeout ()
     else None
   in
   { proxy; cache; server_queries = 0; stale_revalidations = 0;
-    last_epoch = 0L; epoch_retries = 0; assign_compat = false }
+    last_epoch = 0L; epoch_retries = 0 }
 
 let cache t = t.cache
 let cache_stats t = Option.map Order_cache.stats t.cache
@@ -69,17 +66,22 @@ let note_epoch t e = if e > t.last_epoch then t.last_epoch <- e
 let unexpected = Error.Rejected (Order.Unknown_event Event_id.none)
 
 (* Lift a proxy response into a decoded message for [k], translating
-   transport-level timeouts into the unified {!Error.t}. *)
+   transport-level timeouts into the unified {!Error.t}.  A reply that does
+   not decode fails the call, never the process: the callback runs inside
+   the event loop's frame handler. *)
 let decoded k = function
   | Error (`Timeout as e) -> k (Error (Error.of_proxy e))
-  | Ok resp -> k (Ok (Message.decode_response resp))
+  | Ok resp -> (
+    match Message.decode_response resp with
+    | msg -> k (Ok msg)
+    | exception Codec.Decode_error _ -> k (Error unexpected))
 
 let create_event t ?timeout callback =
   let callback = timed M.create_event callback in
   Proxy.write t.proxy ?timeout (Message.encode_request Message.Create_event)
     (decoded (function
       | Ok (Message.Event_created e) -> callback (Ok e)
-      | Ok _ -> invalid_arg "Client.create_event: unexpected response"
+      | Ok _ -> callback (Error unexpected)
       | Error e -> callback (Error e)))
 
 let acquire_ref t ?timeout e callback =
@@ -106,31 +108,25 @@ let cache_find t e1 e2 =
 let cache_insert t e1 e2 rel =
   match t.cache with None -> () | Some c -> Order_cache.insert c e1 e2 rel
 
-(* Issue one query to the service for [pairs]; [target] selects the
-   replica.  Without [min_epoch] this is a plain [Query_order]; with it,
-   an epoch-stamped [Query_order_at], and a reply from a replica whose
-   view is behind the demanded epoch is retried once at the tail — the
-   tail applied the write that produced the demand, so it can never be
-   behind it (DESIGN.md §14).  The callback receives the relations plus
-   the reply epoch (0 when the server answered the legacy message). *)
-let rec send_query t ?timeout ?min_epoch ~target pairs callback =
+(* Issue one epoch-stamped query to the service for [pairs]; [target]
+   selects the replica.  A reply from a replica whose view is behind
+   [min_epoch] is retried once at the tail — the tail applied the write
+   that produced the demand, so it can never be behind it (DESIGN.md §14).
+   The callback receives one relation per pair plus the reply epoch; a
+   reply of any other length fails the call. *)
+let rec send_query t ?timeout ~min_epoch ~target pairs callback =
   t.server_queries <- t.server_queries + 1;
-  let request =
-    match min_epoch with
-    | None -> Message.Query_order pairs
-    | Some e -> Message.Query_order_at { min_epoch = e; pairs }
-  in
   Proxy.read t.proxy ?timeout ~target
-    (Message.encode_request request)
+    (Message.encode_request (Message.Query_order { min_epoch; pairs }))
     (decoded (function
-      | Ok (Message.Orders rels) -> callback (Ok (rels, 0L))
-      | Ok (Message.Orders_at { epoch; rels }) ->
+      | Ok (Message.Orders { epoch; rels })
+        when List.compare_lengths rels pairs = 0 ->
         note_epoch t epoch;
-        (match min_epoch with
-         | Some e when epoch < e && target <> Proxy.Tail ->
-           t.epoch_retries <- t.epoch_retries + 1;
-           send_query t ?timeout ?min_epoch ~target:Proxy.Tail pairs callback
-         | _ -> callback (Ok (rels, epoch)))
+        if epoch < min_epoch && target <> Proxy.Tail then begin
+          t.epoch_retries <- t.epoch_retries + 1;
+          send_query t ?timeout ~min_epoch ~target:Proxy.Tail pairs callback
+        end
+        else callback (Ok (rels, epoch))
       | Ok (Message.Rejected err) -> callback (Error (Error.Rejected err))
       | Ok _ -> callback (Error unexpected)
       | Error e -> callback (Error e)))
@@ -138,9 +134,7 @@ let rec send_query t ?timeout ?min_epoch ~target pairs callback =
 let query_order t ?timeout ?(stale = false) ?(revalidate = true)
     ?(consistency = `Latest) pairs callback =
   let callback = timed M.query_order callback in
-  let min_epoch =
-    match consistency with `Latest -> None | `At_least e -> Some e
-  in
+  let min_epoch = match consistency with `Latest -> 0L | `At_least e -> e in
   (* Resolve from the cache first. *)
   let n = List.length pairs in
   let answers = Array.make n None in
@@ -173,7 +167,7 @@ let query_order t ?timeout ?(stale = false) ?(revalidate = true)
   | _ ->
     let miss_pairs = List.map snd misses in
     let target = if stale then Proxy.Any else Proxy.Tail in
-    send_query t ?timeout ?min_epoch ~target miss_pairs (fun result ->
+    send_query t ?timeout ~min_epoch ~target miss_pairs (fun result ->
         match result with
         | Error err -> callback (Error err)
         | Ok (rels, _epoch) ->
@@ -207,7 +201,7 @@ let query_order t ?timeout ?(stale = false) ?(revalidate = true)
             | _ ->
               t.stale_revalidations <- t.stale_revalidations + List.length unresolved;
               Kronos_metrics.Counter.add M.revalidations (List.length unresolved);
-              send_query t ?timeout ?min_epoch ~target:Proxy.Tail
+              send_query t ?timeout ~min_epoch ~target:Proxy.Tail
                 (List.map snd unresolved)
                 (fun result ->
                   match result with
@@ -224,11 +218,9 @@ let query_order t ?timeout ?(stale = false) ?(revalidate = true)
 let query_order_e t ?timeout ?(stale = false) ?(consistency = `Latest) pairs
     callback =
   let callback = timed M.query_order callback in
-  let min_epoch =
-    match consistency with `Latest -> Some 0L | `At_least e -> Some e
-  in
+  let min_epoch = match consistency with `Latest -> 0L | `At_least e -> e in
   let target = if stale then Proxy.Any else Proxy.Tail in
-  send_query t ?timeout ?min_epoch ~target pairs (fun result ->
+  send_query t ?timeout ~min_epoch ~target pairs (fun result ->
       match result with
       | Error err -> callback (Error err)
       | Ok (rels, epoch) ->
@@ -315,50 +307,24 @@ let cache_outcomes t specs outs =
       | Reversed -> cache_insert t after before Order.Before)
     specs outs
 
-(* The canonical rejection an old server sends for a request whose tag its
-   decoder does not know (its [apply] maps [Decode_error] to
-   [Rejected (Unknown_event none)]); a genuine unknown-event rejection
-   names the offending id, which is never [none] for a batch the client
-   itself encoded from live ids. *)
-let rejected_as_unparseable = function
-  | Order.Unknown_event e -> Event_id.equal e Event_id.none
-  | Order.Must_violated _ | Order.Must_self _ | Order.Guard_failed _ -> false
-
-let send_assign t ?timeout ?on_old_server request specs callback =
+(* Send an assign-type batch.  The ack's epoch covers it, so a subsequent
+   [`At_least (last_epoch t)] query reads its own writes.  An ack whose
+   outcome count differs from the batch fails the call. *)
+let send_assign t ?timeout request specs callback =
   Proxy.write t.proxy ?timeout (Message.encode_request request)
     (decoded (function
-      | Ok (Message.Outcomes outs) ->
-        cache_outcomes t specs outs;
-        callback (Ok outs)
-      | Ok (Message.Outcomes_at { epoch; outs }) ->
-        (* the ack's epoch covers this batch: a subsequent
-           [`At_least (last_epoch t)] query reads its own writes *)
+      | Ok (Message.Outcomes { epoch; outs })
+        when List.compare_lengths outs specs = 0 ->
         note_epoch t epoch;
         cache_outcomes t specs outs;
         callback (Ok outs)
-      | Ok (Message.Rejected err) -> (
-        match on_old_server with
-        | Some retry when rejected_as_unparseable err -> retry ()
-        | _ -> callback (Error (Error.Rejected err)))
+      | Ok (Message.Rejected err) -> callback (Error (Error.Rejected err))
       | Ok _ -> callback (Error unexpected)
       | Error e -> callback (Error e)))
 
-(* Prefer the epoch-stamped assign so the ack carries the view epoch, but
-   degrade gracefully in a mixed-version cluster: a server predating the
-   tag rejects it as unparseable (and applies nothing), so we retry the
-   same batch once with the legacy encoding and stay on it for the rest of
-   this client's life.  The only false positive is a batch that really
-   names [Event_id.none] — the legacy retry then draws the identical
-   rejection, costing one extra round trip before the same error. *)
 let assign_order t ?timeout specs callback =
   let callback = timed M.assign_order callback in
-  if t.assign_compat then
-    send_assign t ?timeout (Message.Assign_order specs) specs callback
-  else
-    send_assign t ?timeout (Message.Assign_order_at specs) specs callback
-      ~on_old_server:(fun () ->
-        t.assign_compat <- true;
-        send_assign t ?timeout (Message.Assign_order specs) specs callback)
+  send_assign t ?timeout (Message.Assign_order specs) specs callback
 
 let guarded_assign t ?timeout ~guards specs callback =
   let callback = timed M.assign_order callback in

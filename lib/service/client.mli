@@ -22,7 +22,10 @@
     reply.  A stale query that needs tail revalidation applies the timeout
     to each of its two round trips.
 
-    All operations fail with the service-wide {!Error.t}. *)
+    All operations fail with the service-wide {!Error.t}.  A reply that
+    does not decode, or that carries a different number of relations or
+    outcomes than the request had pairs, fails the call with
+    [Error (Error.Rejected (Unknown_event Event_id.none))]. *)
 
 open Kronos
 
@@ -65,8 +68,9 @@ val query_order :
     a read-only phase), as in the paper's scalability experiment.
 
     [consistency] (default [`Latest]) is the view-epoch demand
-    (DESIGN.md §14).  [`At_least e] sends the epoch-stamped wire message;
-    if the answering replica's view is older than [e], the client retries
+    (DESIGN.md §14), sent as the request's [min_epoch]: [`Latest] is
+    [min_epoch = 0], which every view meets.  For [`At_least e], if the
+    answering replica's view is older than [e], the client retries
     once at the tail — which applied the write that produced [e], so
     cannot be behind it.  Pass [`At_least (last_epoch t)] after an
     {!assign_order} ack for read-your-writes.  Cached answers are served
@@ -83,8 +87,8 @@ val query_order_e :
   unit
 (** Like {!query_order} but cache-{e bypassing} and epoch-{e reporting}:
     every pair is sent to the service and the callback also receives the
-    exact view epoch the answers reflect (0 only when talking to a server
-    predating epoch stamps).  Answers still populate the cache.  This is
+    exact view epoch the answers reflect.  Answers still populate the
+    cache.  This is
     what [kronos_cli query] prints. *)
 
 val assign_order :
@@ -97,14 +101,8 @@ val assign_order :
     the specs with {!Order.must_before} and friends.  On success, every
     applied or implied pair is inserted into the local order cache.
 
-    The batch is sent with the epoch-stamped wire encoding so the ack
-    advances {!last_epoch}; a server predating epoch stamps rejects that
-    tag as unparseable (applying nothing), in which case the client
-    transparently retries the batch once with the legacy encoding and
-    keeps using it for the rest of its life — mixed-version clusters and
-    rolling upgrades keep writing, at the cost that such acks carry no
-    epoch (so [`At_least (last_epoch t)] demands only up to the newest
-    epoch some stamped reply did report). *)
+    The ack carries the engine epoch after the batch applied and advances
+    {!last_epoch}, so [`At_least (last_epoch t)] reads this write. *)
 
 val guarded_assign :
   t ->
@@ -117,7 +115,8 @@ val guarded_assign :
     applies only if every guard pair still has the expected relation,
     otherwise it fails with [Rejected (Guard_failed i)] and no side
     effects.  The federation router uses this to commit cross-shard
-    edges without a window for concurrent contradicting assigns. *)
+    edges without a window for concurrent contradicting assigns.  Like
+    an {!assign_order} ack, a guarded ack advances {!last_epoch}. *)
 
 val query_verified :
   t ->
@@ -166,8 +165,9 @@ val stale_revalidations : t -> int
     the tail. *)
 
 val last_epoch : t -> int64
-(** Highest view epoch observed in any epoch-stamped reply ({!assign_order}
-    acks, {!query_order_e}, [`At_least] queries); 0 before the first one.
+(** Highest view epoch observed in any reply ({!assign_order} and
+    {!guarded_assign} acks, queries sent to the service); 0 before the
+    first one.
     [`At_least (last_epoch t)] demands read-your-writes. *)
 
 val epoch_retries : t -> int

@@ -21,11 +21,6 @@ module M = struct
       ~labels:[ ("domain", string_of_int d) ]
       "answered_total"
 
-  let memo_hits d =
-    Kronos_metrics.counter scope
-      ~labels:[ ("domain", string_of_int d) ]
-      "memo_hits_total"
-
   let queue_depth d =
     Kronos_metrics.gauge scope
       ~labels:[ ("domain", string_of_int d) ]
@@ -34,75 +29,16 @@ end
 
 type job = { j_req : Message.request; j_reply : string -> unit }
 
-(* Per-worker positive-answer memo: a direct-mapped table keyed by
-   (epoch, pair).  A frozen view is immutable, so a pair answered under an
-   epoch answers identically forever under that epoch — the epoch in the
-   key is the invalidation: a new published view changes the epoch and
-   every old entry silently stops matching.  Owned exclusively by its
-   worker domain; only [Ok] relations are stored, so the atomic staleness
-   contract replays exactly on a hit. *)
-let memo_size = 512
-
 type worker = {
   w_index : int;
   w_mutex : Mutex.t;
   w_cond : Condition.t;
   w_queue : job Queue.t;
   w_answered : Kronos_metrics.Counter.t;
-  w_memo_hit : Kronos_metrics.Counter.t;
   w_depth : Kronos_metrics.Gauge.t;
-  w_memo_epoch : int64 array;
-  w_memo_e1 : Event_id.t array;
-  w_memo_e2 : Event_id.t array;
-  w_memo_rel : Order.relation array;
   mutable w_submitted : int; (* loop thread only *)
   mutable w_completed : int; (* loop thread only *)
 }
-
-let memo_slot e1 e2 =
-  let a = Int64.to_int (Event_id.to_int64 e1) * 0x9e3779b1 in
-  let b = Int64.to_int (Event_id.to_int64 e2) * 0x85ebca77 in
-  let h = a lxor b in
-  (h lxor (h lsr 16)) land (memo_size - 1)
-
-let memo_find w epoch e1 e2 =
-  let i = memo_slot e1 e2 in
-  if
-    Int64.equal w.w_memo_epoch.(i) epoch
-    && Event_id.equal w.w_memo_e1.(i) e1
-    && Event_id.equal w.w_memo_e2.(i) e2
-  then Some w.w_memo_rel.(i)
-  else None
-
-let memo_store w epoch e1 e2 rel =
-  let i = memo_slot e1 e2 in
-  w.w_memo_epoch.(i) <- epoch;
-  w.w_memo_e1.(i) <- e1;
-  w.w_memo_e2.(i) <- e2;
-  w.w_memo_rel.(i) <- rel
-
-(* Answer a pair list through the memo: if every pair hits, no view work at
-   all; otherwise one view call, then populate.  (Errors are not cached —
-   the view call is the canonical rejection path.) *)
-let memo_query w view pairs =
-  let epoch = Engine.View.epoch view in
-  let rec hits acc = function
-    | [] -> Some (List.rev acc)
-    | (a, b) :: rest -> (
-      match memo_find w epoch a b with
-      | Some r -> hits (r :: acc) rest
-      | None -> None)
-  in
-  match hits [] pairs with
-  | Some rels ->
-    Kronos_metrics.Counter.incr w.w_memo_hit;
-    Ok rels
-  | None -> (
-    match Engine.View.query_order view pairs with
-    | Ok rels as ok ->
-      List.iter2 (fun (a, b) r -> memo_store w epoch a b r) pairs rels;
-      ok
-    | Error _ as e -> e)
 
 type t = {
   loop : Event_loop.t;
@@ -121,25 +57,20 @@ type t = {
 let domains t = Array.length t.workers
 
 (* Worker side.  The query path is write-free on shared state: the view is
-   immutable, the BFS scratch is domain-local ([Graph.Frozen]'s DLS), the
-   memo above is worker-private, and no process-wide counter is touched
-   except this worker's own [answered_total]/[memo_hits_total].  The one
-   exception is [Query_proof]: the certify prover bumps its own counters,
-   so concurrent provers may lose increments — monitoring noise, never a
-   safety issue (documented in DESIGN.md §14). *)
-let answer w view req =
+   immutable, the BFS scratch is domain-local ([Graph.Frozen]'s DLS), and
+   no process-wide counter is touched except this worker's own
+   [answered_total].  The one exception is [Query_proof]: the certify
+   prover bumps its own counters, so concurrent provers may lose
+   increments — monitoring noise, never a safety issue (documented in
+   DESIGN.md §14). *)
+let answer view req =
   let response =
     match (req : Message.request) with
-    | Message.Query_order pairs -> (
-      match memo_query w view pairs with
-      | Ok rels -> Message.Orders rels
-      | Error err -> Message.Rejected err)
-    | Message.Query_order_at { min_epoch = _; pairs } -> (
+    | Message.Query_order { min_epoch = _; pairs } -> (
       (* answer at whatever epoch we have; the stamp lets the client
          detect staleness and escalate to the tail *)
-      match memo_query w view pairs with
-      | Ok rels ->
-        Message.Orders_at { epoch = Engine.View.epoch view; rels }
+      match Engine.View.query_order view pairs with
+      | Ok rels -> Message.Orders { epoch = Engine.View.epoch view; rels }
       | Error err -> Message.Rejected err)
     | Message.Query_proof (e1, e2) -> (
       match Engine.View.query_order view [ (e1, e2) ] with
@@ -156,8 +87,7 @@ let answer w view req =
         Message.Proof_is { relation; cert }
       | Ok _ -> assert false)
     | Message.Create_event | Message.Acquire_ref _ | Message.Release_ref _
-    | Message.Assign_order _ | Message.Assign_order_at _
-    | Message.Guarded_assign _ ->
+    | Message.Assign_order _ | Message.Guarded_assign _ ->
       assert false (* offload never enqueues writes *)
   in
   Message.encode_response response
@@ -183,7 +113,7 @@ let rec worker_loop t w =
       | None -> assert false (* offload publishes before enqueueing *)
     in
     Kronos_metrics.Counter.incr w.w_answered;
-    complete t w job.j_reply (answer w view job.j_req);
+    complete t w job.j_reply (answer view job.j_req);
     worker_loop t w
   end
 
@@ -217,12 +147,7 @@ let create ~loop ~domains () =
           w_cond = Condition.create ();
           w_queue = Queue.create ();
           w_answered = M.answered i;
-          w_memo_hit = M.memo_hits i;
           w_depth = M.queue_depth i;
-          w_memo_epoch = Array.make memo_size (-1L);
-          w_memo_e1 = Array.make memo_size Event_id.none;
-          w_memo_e2 = Array.make memo_size Event_id.none;
-          w_memo_rel = Array.make memo_size Order.Same;
           w_submitted = 0;
           w_completed = 0;
         })
@@ -272,12 +197,10 @@ let offload t ~client ~cmd ~reply =
         (* let the synchronous path produce the canonical rejection *)
         false
       | Message.Create_event | Message.Acquire_ref _ | Message.Release_ref _
-      | Message.Assign_order _ | Message.Assign_order_at _
-      | Message.Guarded_assign _ ->
+      | Message.Assign_order _ | Message.Guarded_assign _ ->
         Kronos_metrics.Counter.incr M.declined;
         false
-      | (Message.Query_order _ | Message.Query_order_at _
-        | Message.Query_proof _) as req ->
+      | (Message.Query_order _ | Message.Query_proof _) as req ->
         (* Publish at most once per event-loop iteration: re-freezing on
            every offloaded read made interleaved write/read workloads pay
            the freeze's O(live slots) flat-array copy per request.  One
@@ -296,7 +219,7 @@ let offload t ~client ~cmd ~reply =
           | None -> true
           | Some v -> (
             match req with
-            | Message.Query_order_at { min_epoch; _ } ->
+            | Message.Query_order { min_epoch; _ } ->
               Engine.View.epoch v < min_epoch
             | _ -> false)
         in

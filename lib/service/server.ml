@@ -51,10 +51,13 @@ let apply engine cmd =
           match Engine.release_ref engine e with
           | Ok n -> Message.Ref_released n
           | Error err -> Message.Rejected err)
-    | Message.Query_order pairs ->
+    | Message.Query_order { min_epoch = _; pairs } ->
+      (* [min_epoch] is advisory: the live engine is the freshest state
+         this replica has, so it answers regardless and the stamped epoch
+         lets the client detect and escalate staleness *)
       timed M.query_order (fun () ->
           match Engine.query_order engine pairs with
-          | Ok rels -> Message.Orders rels
+          | Ok rels -> Message.Orders { epoch = Engine.epoch engine; rels }
           | Error err -> Message.Rejected err)
     | Message.Query_proof (e1, e2) ->
       timed M.query_proof (fun () ->
@@ -73,31 +76,18 @@ let apply engine cmd =
             Message.Proof_is { relation; cert }
           | Ok _ -> assert false (* one pair in, one relation out *))
     | Message.Assign_order reqs ->
-      timed M.assign_order (fun () ->
-          match Engine.assign_order engine reqs with
-          | Ok outs -> Message.Outcomes outs
-          | Error err -> Message.Rejected err)
-    | Message.Guarded_assign { guards; specs } ->
-      timed M.guarded_assign (fun () ->
-          match Engine.guarded_assign engine ~guards specs with
-          | Ok outs -> Message.Outcomes outs
-          | Error err -> Message.Rejected err)
-    | Message.Query_order_at { min_epoch = _; pairs } ->
-      (* [min_epoch] is advisory: the live engine is the freshest state
-         this replica has, so it answers regardless and the stamped epoch
-         lets the client detect and escalate staleness *)
-      timed M.query_order (fun () ->
-          match Engine.query_order engine pairs with
-          | Ok rels -> Message.Orders_at { epoch = Engine.epoch engine; rels }
-          | Error err -> Message.Rejected err)
-    | Message.Assign_order_at reqs ->
       (* the reply epoch is replicated state (every replica encodes its own
          answer), which is why the epoch must be deterministic across
          replicas: it is the graph mutation version, persisted in
          snapshots *)
       timed M.assign_order (fun () ->
           match Engine.assign_order engine reqs with
-          | Ok outs -> Message.Outcomes_at { epoch = Engine.epoch engine; outs }
+          | Ok outs -> Message.Outcomes { epoch = Engine.epoch engine; outs }
+          | Error err -> Message.Rejected err)
+    | Message.Guarded_assign { guards; specs } ->
+      timed M.guarded_assign (fun () ->
+          match Engine.guarded_assign engine ~guards specs with
+          | Ok outs -> Message.Outcomes { epoch = Engine.epoch engine; outs }
           | Error err -> Message.Rejected err)
   in
   Message.encode_response response

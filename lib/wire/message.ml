@@ -4,32 +4,28 @@ type request =
   | Create_event
   | Acquire_ref of Event_id.t
   | Release_ref of Event_id.t
-  | Query_order of (Event_id.t * Event_id.t) list
+  | Query_order of {
+      min_epoch : int64;
+      pairs : (Event_id.t * Event_id.t) list;
+    }
   | Assign_order of Order.spec list
   | Guarded_assign of {
       guards : (Event_id.t * Event_id.t * Order.relation) list;
       specs : Order.spec list;
     }
   | Query_proof of (Event_id.t * Event_id.t)
-  | Query_order_at of {
-      min_epoch : int64;
-      pairs : (Event_id.t * Event_id.t) list;
-    }
-  | Assign_order_at of Order.spec list
 
 type response =
   | Event_created of Event_id.t
   | Ref_acquired
   | Ref_released of int
-  | Orders of Order.relation list
-  | Outcomes of Order.outcome list
+  | Orders of { epoch : int64; rels : Order.relation list }
+  | Outcomes of { epoch : int64; outs : Order.outcome list }
   | Rejected of Order.assign_error
   | Proof_is of {
       relation : Order.relation;
       cert : Kronos_certify.Certificate.t option;
     }
-  | Orders_at of { epoch : int64; rels : Order.relation list }
-  | Outcomes_at of { epoch : int64; outs : Order.outcome list }
 
 let put_event b e = Codec.put_i64 b (Event_id.to_int64 e)
 
@@ -119,14 +115,6 @@ let encode_request r =
    | Create_event -> Codec.put_u8 b 0
    | Acquire_ref e -> Codec.put_u8 b 1; put_event b e
    | Release_ref e -> Codec.put_u8 b 2; put_event b e
-   | Query_order pairs ->
-     Codec.put_u8 b 3;
-     Codec.put_list b (fun b (e1, e2) -> put_event b e1; put_event b e2) pairs
-   | Assign_order reqs ->
-     Codec.put_u8 b 4;
-     (* field order matches the pre-[Order.spec] tuple encoding byte for
-        byte, so the wire format is unchanged *)
-     Codec.put_list b put_spec reqs
    | Guarded_assign { guards; specs } ->
      Codec.put_u8 b 5;
      Codec.put_list b
@@ -140,11 +128,11 @@ let encode_request r =
      Codec.put_u8 b 6;
      put_event b e1;
      put_event b e2
-   | Query_order_at { min_epoch; pairs } ->
+   | Query_order { min_epoch; pairs } ->
      Codec.put_u8 b 7;
      Codec.put_i64 b min_epoch;
      Codec.put_list b (fun b (e1, e2) -> put_event b e1; put_event b e2) pairs
-   | Assign_order_at reqs ->
+   | Assign_order reqs ->
      Codec.put_u8 b 8;
      Codec.put_list b put_spec reqs);
   Codec.to_string b
@@ -156,13 +144,6 @@ let decode_request s =
     | 0 -> Create_event
     | 1 -> Acquire_ref (get_event d)
     | 2 -> Release_ref (get_event d)
-    | 3 ->
-      Query_order
-        (Codec.get_list d (fun d ->
-             let e1 = get_event d in
-             let e2 = get_event d in
-             (e1, e2)))
-    | 4 -> Assign_order (Codec.get_list d get_spec)
     | 5 ->
       let guards =
         Codec.get_list d (fun d ->
@@ -185,8 +166,8 @@ let decode_request s =
             let e2 = get_event d in
             (e1, e2))
       in
-      Query_order_at { min_epoch; pairs }
-    | 8 -> Assign_order_at (Codec.get_list d get_spec)
+      Query_order { min_epoch; pairs }
+    | 8 -> Assign_order (Codec.get_list d get_spec)
     | n -> raise (Codec.Decode_error (Printf.sprintf "bad request tag %d" n))
   in
   Codec.expect_end d;
@@ -198,8 +179,6 @@ let encode_response r =
    | Event_created e -> Codec.put_u8 b 0; put_event b e
    | Ref_acquired -> Codec.put_u8 b 1
    | Ref_released n -> Codec.put_u8 b 2; Codec.put_u32 b n
-   | Orders rels -> Codec.put_u8 b 3; Codec.put_list b put_relation rels
-   | Outcomes outs -> Codec.put_u8 b 4; Codec.put_list b put_outcome outs
    | Rejected e -> Codec.put_u8 b 5; put_error b e
    | Proof_is { relation; cert } ->
      Codec.put_u8 b 6;
@@ -211,11 +190,11 @@ let encode_response r =
         (* the certificate carries its own self-describing encoding; the
            wire layer only frames it as an opaque string *)
         Codec.put_string b (Kronos_certify.Certificate.encode c))
-   | Orders_at { epoch; rels } ->
+   | Orders { epoch; rels } ->
      Codec.put_u8 b 7;
      Codec.put_i64 b epoch;
      Codec.put_list b put_relation rels
-   | Outcomes_at { epoch; outs } ->
+   | Outcomes { epoch; outs } ->
      Codec.put_u8 b 8;
      Codec.put_i64 b epoch;
      Codec.put_list b put_outcome outs);
@@ -228,8 +207,6 @@ let decode_response s =
     | 0 -> Event_created (get_event d)
     | 1 -> Ref_acquired
     | 2 -> Ref_released (Codec.get_u32 d)
-    | 3 -> Orders (Codec.get_list d get_relation)
-    | 4 -> Outcomes (Codec.get_list d get_outcome)
     | 5 -> Rejected (get_error d)
     | 6 ->
       let relation = get_relation d in
@@ -244,11 +221,11 @@ let decode_response s =
     | 7 ->
       let epoch = Codec.get_i64 d in
       let rels = Codec.get_list d get_relation in
-      Orders_at { epoch; rels }
+      Orders { epoch; rels }
     | 8 ->
       let epoch = Codec.get_i64 d in
       let outs = Codec.get_list d get_outcome in
-      Outcomes_at { epoch; outs }
+      Outcomes { epoch; outs }
     | n -> raise (Codec.Decode_error (Printf.sprintf "bad response tag %d" n))
   in
   Codec.expect_end d;
@@ -261,30 +238,27 @@ let pp_request ppf = function
   | Create_event -> Format.pp_print_string ppf "create_event"
   | Acquire_ref e -> Format.fprintf ppf "acquire_ref(%a)" Event_id.pp e
   | Release_ref e -> Format.fprintf ppf "release_ref(%a)" Event_id.pp e
-  | Query_order pairs -> Format.fprintf ppf "query_order(%d pairs)" (List.length pairs)
+  | Query_order { min_epoch; pairs } ->
+    Format.fprintf ppf "query_order(>=%Ld, %d pairs)" min_epoch
+      (List.length pairs)
   | Assign_order reqs -> Format.fprintf ppf "assign_order(%d pairs)" (List.length reqs)
   | Guarded_assign { guards; specs } ->
     Format.fprintf ppf "guarded_assign(%d guards, %d pairs)"
       (List.length guards) (List.length specs)
   | Query_proof (e1, e2) ->
     Format.fprintf ppf "query_proof(%a, %a)" Event_id.pp e1 Event_id.pp e2
-  | Query_order_at { min_epoch; pairs } ->
-    Format.fprintf ppf "query_order_at(>=%Ld, %d pairs)" min_epoch
-      (List.length pairs)
-  | Assign_order_at reqs ->
-    Format.fprintf ppf "assign_order_at(%d pairs)" (List.length reqs)
 
 let pp_response ppf = function
   | Event_created e -> Format.fprintf ppf "event_created(%a)" Event_id.pp e
   | Ref_acquired -> Format.pp_print_string ppf "ref_acquired"
   | Ref_released n -> Format.fprintf ppf "ref_released(%d collected)" n
-  | Orders rels ->
-    Format.fprintf ppf "orders(%a)"
+  | Orders { epoch; rels } ->
+    Format.fprintf ppf "orders(@%Ld, %a)" epoch
       (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",")
          Order.pp_relation)
       rels
-  | Outcomes outs ->
-    Format.fprintf ppf "outcomes(%a)"
+  | Outcomes { epoch; outs } ->
+    Format.fprintf ppf "outcomes(@%Ld, %a)" epoch
       (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",")
          Order.pp_outcome)
       outs
@@ -296,19 +270,3 @@ let pp_response ppf = function
          Printf.sprintf "%d-step certificate"
            (Kronos_certify.Certificate.path_length c)
        | None -> "no certificate")
-  | Orders_at { epoch; rels } ->
-    Format.fprintf ppf "orders_at(@%Ld, %a)" epoch
-      (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",")
-         Order.pp_relation)
-      rels
-  | Outcomes_at { epoch; outs } ->
-    Format.fprintf ppf "outcomes_at(@%Ld, %a)" epoch
-      (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",")
-         Order.pp_outcome)
-      outs
-
-let is_read_only = function
-  | Query_order _ | Query_proof _ | Query_order_at _ -> true
-  | Create_event | Acquire_ref _ | Release_ref _ | Assign_order _
-  | Assign_order_at _ | Guarded_assign _ ->
-    false

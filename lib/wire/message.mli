@@ -10,8 +10,19 @@ type request =
   | Create_event
   | Acquire_ref of Event_id.t
   | Release_ref of Event_id.t
-  | Query_order of (Event_id.t * Event_id.t) list
+  | Query_order of {
+      min_epoch : int64;
+      pairs : (Event_id.t * Event_id.t) list;
+    }
+      (** the reply is an {!Orders} carrying the view epoch it was answered
+          at (DESIGN.md §14).  [min_epoch] is the client's consistency
+          demand, [0L] for [`Latest]: a server whose view is older answers
+          anyway (its epoch exposes the staleness) and the client escalates
+          to a fresher replica *)
   | Assign_order of Order.spec list
+      (** the reply ({!Outcomes}) carries the post-apply epoch, so the
+          caller can demand read-your-writes ([`At_least]) from subsequent
+          queries *)
   | Guarded_assign of {
       guards : (Event_id.t * Event_id.t * Order.relation) list;
       specs : Order.spec list;
@@ -25,26 +36,18 @@ type request =
           [Before]/[After] the server also attempts a happens-before
           certificate the client can check against the endpoint
           commitments alone (DESIGN.md §13) *)
-  | Query_order_at of {
-      min_epoch : int64;
-      pairs : (Event_id.t * Event_id.t) list;
-    }
-      (** epoch-aware {!Query_order} (DESIGN.md §14): the reply is an
-          {!Orders_at} carrying the view epoch it was answered at.
-          [min_epoch] is the client's consistency demand — a server whose
-          view is older answers anyway (its epoch exposes the staleness)
-          and the client escalates to a fresher replica *)
-  | Assign_order_at of Order.spec list
-      (** {!Assign_order} whose reply ({!Outcomes_at}) carries the
-          post-apply epoch, so the caller can demand read-your-writes
-          ([`At_least]) from subsequent queries *)
 
 type response =
   | Event_created of Event_id.t
   | Ref_acquired
   | Ref_released of int   (** number of events garbage-collected *)
-  | Orders of Order.relation list
-  | Outcomes of Order.outcome list
+  | Orders of { epoch : int64; rels : Order.relation list }
+      (** answer to {!Query_order}: the relations plus the view epoch they
+          were computed against *)
+  | Outcomes of { epoch : int64; outs : Order.outcome list }
+      (** answer to {!Assign_order} and {!Guarded_assign}: the outcomes plus
+          the engine epoch after the batch applied (deterministic, so
+          replicas agree) *)
   | Rejected of Order.assign_error
   | Proof_is of {
       relation : Order.relation;
@@ -54,28 +57,19 @@ type response =
           [Concurrent]/[Same], when digests are disabled, or when the
           relation holds but no commitment-closed path exists ("true but
           unproved" — see {!Kronos_certify.Prover}) *)
-  | Orders_at of { epoch : int64; rels : Order.relation list }
-      (** answer to {!Query_order_at}: the relations plus the view epoch
-          they were computed against *)
-  | Outcomes_at of { epoch : int64; outs : Order.outcome list }
-      (** answer to {!Assign_order_at}: the outcomes plus the engine epoch
-          after the batch applied (deterministic, so replicas agree) *)
 
 val encode_request : request -> string
 val decode_request : string -> request
-(** @raise Codec.Decode_error on malformed input. *)
+(** @raise Codec.Decode_error on malformed input.  Tags 3 and 4 (the
+    retired unstamped query and assign) are malformed. *)
 
 val encode_response : response -> string
 val decode_response : string -> response
-(** @raise Codec.Decode_error on malformed input. *)
+(** @raise Codec.Decode_error on malformed input, including the retired
+    tags 3 and 4. *)
 
 val request_equal : request -> request -> bool
 val response_equal : response -> response -> bool
 
 val pp_request : Format.formatter -> request -> unit
 val pp_response : Format.formatter -> response -> unit
-
-val is_read_only : request -> bool
-(** [true] for requests that never mutate the event dependency graph
-    ({!Query_order}, {!Query_proof}, {!Query_order_at}); these may be
-    served by stale replicas (Section 2.5). *)

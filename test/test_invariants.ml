@@ -148,75 +148,6 @@ let test_slot_reuse_no_ghost_edges () =
     "no ghost order" [ Order.Concurrent ]
     (ok (Engine.query_order t [ (a', b') ]))
 
-(* Differential test: an engine with the Section 2.5 traversal-result memo
-   must answer every query identically to an uncached one, across random
-   programs including batch aborts (which roll edges back) and GC. *)
-let prop_traversal_cache_transparent =
-  let open QCheck2 in
-  let n = 10 in
-  let gen_op =
-    Gen.(frequency
-           [ (4, map2 (fun u v -> `Prefer (u, v)) (int_bound (n - 1)) (int_bound (n - 1)));
-             (2, map3 (fun a b c -> `Must2 (a, b, c))
-                (int_bound (n - 1)) (int_bound (n - 1)) (int_bound (n - 1)));
-             (4, map2 (fun u v -> `Query (u, v)) (int_bound (n - 1)) (int_bound (n - 1)));
-             (1, map (fun u -> `Release u) (int_bound (n - 1)));
-           ])
-  in
-  Test.make ~name:"traversal cache is semantically transparent" ~count:200
-    Gen.(list_size (int_bound 80) gen_op)
-    (fun ops ->
-      let cached =
-        Engine.create ~config:{ Engine.default_config with Engine.initial_capacity = 16; traversal_cache = 64 } ()
-      in
-      let plain = Engine.create () in
-      let ids_c = Array.init n (fun _ -> Engine.create_event cached) in
-      let ids_p = Array.init n (fun _ -> Engine.create_event plain) in
-      List.for_all
-        (fun op ->
-          match op with
-          | `Prefer (u, v) ->
-            let r1 =
-              Engine.assign_order cached
-                [ Order.prefer_before ids_c.(u) ids_c.(v) ]
-            and r2 =
-              Engine.assign_order plain
-                [ Order.prefer_before ids_p.(u) ids_p.(v) ]
-            in
-            r1 = r2
-          | `Must2 (a, b, c) ->
-            (* two musts: the second may violate, forcing a rollback of the
-               first — the dangerous path for a stale memo *)
-            let batch ids =
-              [ Order.must_before ids.(a) ids.(b);
-                Order.must_before ids.(b) ids.(c) ]
-            in
-            Engine.assign_order cached (batch ids_c)
-            = Engine.assign_order plain (batch ids_p)
-          | `Query (u, v) ->
-            Engine.query_order cached [ (ids_c.(u), ids_c.(v)) ]
-            = Engine.query_order plain [ (ids_p.(u), ids_p.(v)) ]
-          | `Release u ->
-            Engine.release_ref cached ids_c.(u) = Engine.release_ref plain ids_p.(u))
-        ops)
-
-let test_traversal_cache_hits () =
-  (* the label index would answer these queries before the memo is even
-     consulted, so turn it off to exercise the memo path *)
-  let t =
-    Engine.create
-      ~config:{ Engine.default_config with Engine.initial_capacity = 16;
-                traversal_cache = 128; max_chains = 0 } ()
-  in
-  let a = Engine.create_event t in
-  let b = Engine.create_event t in
-  ignore (ok (Engine.assign_order t [ Order.must_before a b ]));
-  for _ = 1 to 10 do
-    ignore (ok (Engine.query_order t [ (a, b) ]))
-  done;
-  Alcotest.(check bool) "memo hit" true
-    (Graph.traversal_cache_hits (Engine.graph t) > 0)
-
 let test_label_hits () =
   (* with the default config the chain-label compare answers positive
      queries with zero traversals *)
@@ -238,10 +169,8 @@ let suites =
         Alcotest.test_case "growth under load" `Quick test_growth_under_load;
         Alcotest.test_case "slot reuse has no ghosts" `Quick
           test_slot_reuse_no_ghost_edges;
-        Alcotest.test_case "traversal cache hits" `Quick test_traversal_cache_hits;
         Alcotest.test_case "label hits" `Quick test_label_hits;
         QCheck_alcotest.to_alcotest prop_structural_invariants;
         QCheck_alcotest.to_alcotest prop_refcounts;
-        QCheck_alcotest.to_alcotest prop_traversal_cache_transparent;
       ] );
   ]

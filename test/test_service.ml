@@ -179,35 +179,31 @@ let test_malformed_command_rejected () =
   | Kronos_wire.Message.Rejected (Order.Unknown_event _) -> ()
   | _ -> Alcotest.fail "expected rejection of malformed command"
 
-(* Mixed-version cluster: a current client against a server predating the
-   epoch-stamped wire tags.  The "old server" applies everything like
-   today's [Server.apply] except that the stamped requests draw the
-   canonical unparseable rejection — exactly what a pre-epoch decoder's
-   [Decode_error] turned into.  The client's first assign must fall back
-   to the legacy encoding (the old server applied nothing for the stamped
-   attempt), and the downgrade is latched: later batches skip the stamped
-   attempt entirely. *)
-let test_assign_legacy_fallback () =
+(* A reply the client cannot use fails that call with [Error], never the
+   process: the fake replica answers like [Server.apply] except for the
+   commands [mangle] picks, whose replies are an undecodable byte, carry
+   one relation or outcome fewer than the request had pairs, or answer a
+   create with the wrong constructor. *)
+let test_malformed_replies_fail_the_call () =
   let module Message = Kronos_wire.Message in
   let module Chain = Kronos_replication.Chain in
   let sim = Sim.create ~seed:11L () in
   let net = Kronos_transport.Sim_transport.of_net (Net.create sim) in
   let engine = Engine.create () in
-  let stamped = ref 0 and legacy = ref 0 in
-  let old_apply cmd =
-    match Message.decode_request cmd with
-    | Message.Assign_order_at _ | Message.Query_order_at _ ->
-      incr stamped;
-      Message.encode_response
-        (Message.Rejected (Order.Unknown_event Event_id.none))
-    | Message.Assign_order _ ->
-      incr legacy;
-      Server.apply engine cmd
-    | _ -> Server.apply engine cmd
-    | exception _ -> Server.apply engine cmd
+  let mangle = ref `None in
+  let fake_apply cmd =
+    let resp = Server.apply engine cmd in
+    match (!mangle, Message.decode_response resp) with
+    | `Garbage, _ -> "\xff"
+    | `Short, Message.Orders { epoch; rels = _ :: rels } ->
+      Message.encode_response (Message.Orders { epoch; rels })
+    | `Short, Message.Outcomes { epoch; outs = _ :: outs } ->
+      Message.encode_response (Message.Outcomes { epoch; outs })
+    | `Wrong, Message.Event_created _ -> Message.encode_response Message.Ref_acquired
+    | _ -> resp
   in
   let (_ : Chain.Replica.t) =
-    Chain.Replica.create ~net ~addr:1 ~apply:old_apply
+    Chain.Replica.create ~net ~addr:1 ~apply:fake_apply
       ~config:{ Chain.version = 0; chain = [] } ()
   in
   let (_ : Chain.Coordinator.t) =
@@ -216,7 +212,7 @@ let test_assign_legacy_fallback () =
   in
   let client =
     Client.create ~net ~addr:2000 ~coordinator:coordinator_addr
-      ~request_timeout:0.4 ()
+      ~cache_capacity:0 ~request_timeout:0.4 ()
   in
   let await f =
     let result = ref None in
@@ -229,24 +225,62 @@ let test_assign_legacy_fallback () =
     | Some x -> x
     | None -> Alcotest.fail "service call did not complete"
   in
+  let failed what = function
+    | Error (Error.Rejected (Order.Unknown_event e))
+      when Event_id.equal e Event_id.none -> ()
+    | Error e -> Alcotest.failf "%s: unexpected error %a" what Error.pp e
+    | Ok _ -> Alcotest.failf "%s: expected the call to fail" what
+  in
   let a = ok (await (Client.create_event client)) in
   let b = ok (await (Client.create_event client)) in
-  let outs = ok (await (Client.assign_order client [ Order.must_before a b ])) in
-  Alcotest.(check (list outcome)) "applied via legacy fallback"
-    [ Order.Applied ] outs;
-  Alcotest.(check int) "one stamped attempt" 1 !stamped;
-  Alcotest.(check int) "one legacy apply" 1 !legacy;
   let c = ok (await (Client.create_event client)) in
-  let outs2 =
-    ok (await (Client.assign_order client [ Order.must_before b c ]))
-  in
-  Alcotest.(check (list outcome)) "second batch applied" [ Order.Applied ] outs2;
-  Alcotest.(check int) "downgrade latched: no new stamped attempt" 1 !stamped;
-  Alcotest.(check int) "second batch went legacy" 2 !legacy;
-  Alcotest.(check int64) "legacy acks carry no epoch" 0L
-    (Client.last_epoch client);
+  mangle := `Garbage;
+  failed "undecodable query reply"
+    (await (Client.query_order client [ (a, b) ]));
+  failed "undecodable create reply" (await (Client.create_event client));
+  mangle := `Short;
+  failed "short query reply"
+    (await (Client.query_order client [ (a, b); (b, c) ]));
+  failed "short epoch query reply"
+    (await (Client.query_order_e client [ (a, b); (b, c) ]));
+  failed "short assign ack"
+    (await (Client.assign_order client
+              [ Order.must_before a b; Order.must_before b c ]));
+  mangle := `Wrong;
+  failed "wrong create reply" (await (Client.create_event client));
+  mangle := `None;
   let rels = ok (await (Client.query_order client [ (a, c) ])) in
-  Alcotest.(check (list relation)) "orders visible" [ Order.Before ] rels
+  Alcotest.(check (list relation)) "service usable afterwards"
+    [ Order.Before ] rels
+
+(* A guarded ack is epoch-stamped like a plain assign ack, so
+   [`At_least (last_epoch c)] after a cross-shard commit reads it. *)
+let test_guarded_assign_advances_epoch () =
+  let env = make_env () in
+  let a = ok (await env (Client.create_event env.client)) in
+  let b = ok (await env (Client.create_event env.client)) in
+  let c = ok (await env (Client.create_event env.client)) in
+  ignore (ok (await env (Client.assign_order env.client [ Order.must_before a b ])));
+  let after_assign = Client.last_epoch env.client in
+  let outs =
+    ok (await env
+          (Client.guarded_assign env.client
+             ~guards:[ (a, b, Order.Before) ]
+             [ Order.must_before b c ]))
+  in
+  Alcotest.(check (list outcome)) "guarded applied" [ Order.Applied ] outs;
+  let e = Client.last_epoch env.client in
+  Alcotest.(check bool) "guarded ack advanced the epoch" true (e > after_assign);
+  (match Server.engine_of env.cluster 0 with
+   | Some engine -> Alcotest.(check int64) "ack epoch is the engine's" (Engine.epoch engine) e
+   | None -> Alcotest.fail "replica 0 missing");
+  let rels, at =
+    ok (await env
+          (Client.query_order_e env.client ~stale:true ~consistency:(`At_least e)
+             [ (b, c) ]))
+  in
+  Alcotest.(check (list relation)) "read your guarded write" [ Order.Before ] rels;
+  Alcotest.(check bool) "answered at the demanded epoch" true (at >= e)
 
 let suites =
   [ ( "service",
@@ -260,7 +294,9 @@ let suites =
         Alcotest.test_case "survives replica failure" `Quick test_survives_replica_failure;
         Alcotest.test_case "join catches up" `Quick test_join_catches_up;
         Alcotest.test_case "malformed command" `Quick test_malformed_command_rejected;
-        Alcotest.test_case "assign falls back on old servers" `Quick
-          test_assign_legacy_fallback;
+        Alcotest.test_case "malformed replies fail the call" `Quick
+          test_malformed_replies_fail_the_call;
+        Alcotest.test_case "guarded ack advances last_epoch" `Quick
+          test_guarded_assign_advances_epoch;
       ] );
   ]

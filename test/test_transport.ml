@@ -196,8 +196,9 @@ let prop_service_payload_roundtrip_rechunked =
           (1, map (fun e -> Message.Acquire_ref e) gen_event);
           (1, map (fun e -> Message.Release_ref e) gen_event);
           ( 2,
-            map
-              (fun ps -> Message.Query_order ps)
+            map2
+              (fun min_epoch pairs -> Message.Query_order { min_epoch; pairs })
+              ui64
               (list_size (int_bound 10) (pair gen_event gen_event)) );
         ])
   in

@@ -41,10 +41,14 @@ let sample_requests =
     Message.Create_event;
     Message.Acquire_ref (e 7);
     Message.Release_ref (e 0);
-    Message.Query_order [];
-    Message.Query_order [ (e 1, e 2); (e 3, e 3) ];
+    Message.Query_order { min_epoch = 0L; pairs = [] };
+    Message.Query_order { min_epoch = 42L; pairs = [ (e 1, e 2); (e 3, e 3) ] };
     Message.Assign_order
       [ Order.must_before (e 1) (e 2); Order.prefer_after (e 2) (e 3) ];
+    Message.Guarded_assign
+      { guards = [ (e 1, e 2, Order.Concurrent) ];
+        specs = [ Order.must_before (e 1) (e 2) ] };
+    Message.Query_proof (e 4, e 5);
   ]
 
 let sample_responses =
@@ -53,8 +57,11 @@ let sample_responses =
     Message.Event_created (e 9);
     Message.Ref_acquired;
     Message.Ref_released 17;
-    Message.Orders [ Order.Before; Order.After; Order.Concurrent; Order.Same ];
-    Message.Outcomes [ Order.Applied; Order.Already; Order.Reversed ];
+    Message.Orders
+      { epoch = 7L; rels = [ Order.Before; Order.After; Order.Concurrent; Order.Same ] };
+    Message.Outcomes
+      { epoch = Int64.max_int; outs = [ Order.Applied; Order.Already; Order.Reversed ] };
+    Message.Proof_is { relation = Order.Concurrent; cert = None };
     Message.Rejected (Order.Must_violated 3);
     Message.Rejected (Order.Must_self 0);
     Message.Rejected (Order.Unknown_event (e 5));
@@ -87,10 +94,33 @@ let test_bad_tags () =
   raises "trailing" (fun () ->
       Message.decode_request (Message.encode_request Message.Create_event ^ "x"))
 
-let test_read_only () =
-  Alcotest.(check bool) "query ro" true (Message.is_read_only (Message.Query_order []));
-  Alcotest.(check bool) "create rw" false (Message.is_read_only Message.Create_event);
-  Alcotest.(check bool) "assign rw" false (Message.is_read_only (Message.Assign_order []))
+(* Tags 3 and 4 carried the unstamped query and assign and their replies;
+   they are retired in both directions, empty body or not. *)
+let test_retired_tags () =
+  List.iter
+    (fun body ->
+      (match Message.decode_request body with
+       | exception Codec.Decode_error _ -> ()
+       | r -> Alcotest.failf "request %S decoded as %a" body Message.pp_request r);
+      match Message.decode_response body with
+      | exception Codec.Decode_error _ -> ()
+      | r -> Alcotest.failf "response %S decoded as %a" body Message.pp_response r)
+    [ "\x03"; "\x04"; "\x03\x00\x00\x00\x00"; "\x04\x00\x00\x00\x00" ]
+
+let test_retired_tag_rejected_by_server () =
+  let malformed =
+    Kronos_metrics.counter (Kronos_metrics.scope "server") "malformed_requests_total"
+  in
+  let was_enabled = Kronos_metrics.enabled () in
+  Kronos_metrics.set_enabled true;
+  let before = Kronos_metrics.Counter.value malformed in
+  let resp = Kronos_service.Server.apply (Engine.create ()) "\x03\x00\x00\x00\x00" in
+  let after = Kronos_metrics.Counter.value malformed in
+  Kronos_metrics.set_enabled was_enabled;
+  (match Message.decode_response resp with
+   | Message.Rejected (Order.Unknown_event e) when Event_id.equal e Event_id.none -> ()
+   | r -> Alcotest.failf "expected rejection, got %a" Message.pp_response r);
+  Alcotest.(check int) "malformed counted" (before + 1) after
 
 let test_frame_roundtrip () =
   let r = Frame.Reassembler.create () in
@@ -112,28 +142,56 @@ let test_frame_oversized () =
   | exception Codec.Decode_error _ -> ()
   | _ -> Alcotest.fail "expected oversized frame rejection"
 
+let gen_event =
+  QCheck2.Gen.(map2 (fun s g -> Event_id.make ~slot:s ~gen:g) (int_bound 10_000) (int_bound 50))
+
+let gen_relation =
+  QCheck2.Gen.oneofl [ Order.Before; Order.After; Order.Concurrent; Order.Same ]
+
 let prop_request_roundtrip =
   let open QCheck2 in
-  let gen_event = Gen.(map2 (fun s g -> Event_id.make ~slot:s ~gen:g) (int_bound 10_000) (int_bound 50)) in
   let gen_dir = Gen.(map (fun b -> if b then Order.Happens_before else Order.Happens_after) bool) in
   let gen_kind = Gen.(map (fun b -> if b then Order.Must else Order.Prefer) bool) in
+  let gen_specs =
+    Gen.(list_size (int_bound 20)
+           (map2
+              (fun (e1, e2) (d, k) -> Order.constrain ~kind:k ~direction:d e1 e2)
+              (pair gen_event gen_event) (pair gen_dir gen_kind)))
+  in
   let gen_req =
     Gen.(frequency
            [ (1, return Message.Create_event);
              (1, map (fun e -> Message.Acquire_ref e) gen_event);
              (1, map (fun e -> Message.Release_ref e) gen_event);
-             (2, map (fun ps -> Message.Query_order ps)
-                (list_size (int_bound 20) (pair gen_event gen_event)));
-             (2, map (fun rs -> Message.Assign_order rs)
-                (list_size (int_bound 20)
-                   (map2
-                      (fun (e1, e2) (d, k) ->
-                        Order.constrain ~kind:k ~direction:d e1 e2)
-                      (pair gen_event gen_event) (pair gen_dir gen_kind))));
+             (2, map2 (fun min_epoch pairs -> Message.Query_order { min_epoch; pairs })
+                ui64 (list_size (int_bound 20) (pair gen_event gen_event)));
+             (2, map (fun rs -> Message.Assign_order rs) gen_specs);
+             (1, map2 (fun guards specs -> Message.Guarded_assign { guards; specs })
+                (list_size (int_bound 5) (triple gen_event gen_event gen_relation))
+                gen_specs);
+             (1, map (fun p -> Message.Query_proof p) (pair gen_event gen_event));
            ])
   in
   Test.make ~name:"wire request roundtrip" ~count:300 gen_req (fun r ->
       Message.request_equal r (Message.decode_request (Message.encode_request r)))
+
+let prop_response_roundtrip =
+  let open QCheck2 in
+  let gen_outcome = Gen.oneofl [ Order.Applied; Order.Already; Order.Reversed ] in
+  let gen_resp =
+    Gen.(frequency
+           [ (1, map (fun e -> Message.Event_created e) gen_event);
+             (1, return Message.Ref_acquired);
+             (1, map (fun n -> Message.Ref_released n) (int_bound 1000));
+             (2, map2 (fun epoch rels -> Message.Orders { epoch; rels })
+                ui64 (list_size (int_bound 20) gen_relation));
+             (2, map2 (fun epoch outs -> Message.Outcomes { epoch; outs })
+                ui64 (list_size (int_bound 20) gen_outcome));
+             (1, map (fun e -> Message.Rejected (Order.Unknown_event e)) gen_event);
+           ])
+  in
+  Test.make ~name:"wire response roundtrip" ~count:300 gen_resp (fun r ->
+      Message.response_equal r (Message.decode_response (Message.encode_response r)))
 
 let prop_frames_any_chunking =
   let open QCheck2 in
@@ -249,10 +307,13 @@ let suites =
         Alcotest.test_case "request roundtrip" `Quick test_request_roundtrip;
         Alcotest.test_case "response roundtrip" `Quick test_response_roundtrip;
         Alcotest.test_case "bad tags" `Quick test_bad_tags;
-        Alcotest.test_case "read-only classification" `Quick test_read_only;
+        Alcotest.test_case "retired tags" `Quick test_retired_tags;
+        Alcotest.test_case "retired tag rejected by server" `Quick
+          test_retired_tag_rejected_by_server;
         Alcotest.test_case "frame roundtrip" `Quick test_frame_roundtrip;
         Alcotest.test_case "frame oversized" `Quick test_frame_oversized;
         QCheck_alcotest.to_alcotest prop_request_roundtrip;
+        QCheck_alcotest.to_alcotest prop_response_roundtrip;
         QCheck_alcotest.to_alcotest prop_frames_any_chunking;
         QCheck_alcotest.to_alcotest prop_feed_sub_differential;
       ] );
