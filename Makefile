@@ -17,7 +17,7 @@ loopback: build
 	dune exec test/test_main.exe -- test loopback
 
 # Nemesis gate (DESIGN.md §16): the real-TCP fault schedule — partitions
-# through drop proxies, clean kills with planted legacy-format snapshots,
+# through drop proxies, clean kills with planted full snapshots,
 # machine crashes over a lying/torn disk — under the incremental snapshot
 # policy.  KRONOS_NEMESIS_ITERS scales the schedule (default 3; CI's PR
 # lane uses 2, the nightly lane 12).
@@ -27,7 +27,7 @@ nemesis: build
 # Verifiable-causality gate (DESIGN.md §13): commitment chains,
 # prover/verifier roundtrips, the tamper-injection suite (flipped digest,
 # truncated path, spliced proof, reordered suffix — all rejected),
-# snapshot v1/v2 upgrades, verified reads over simnet and real TCP, and
+# digest-toggle snapshot restores, verified reads over simnet and real TCP, and
 # audit pinning against a history rewrite.
 certify-check: build
 	dune exec test/test_main.exe -- test certify

@@ -224,7 +224,17 @@ let () =
     end
   in
   let replica, _engine =
-    Server.start_node ~net ~addr:!addr ?durability ?query_pool ()
+    (* A snapshot in a format this build does not read must stop the
+       daemon: skipping it would recover older state over a log that no
+       longer covers the gap. *)
+    try Server.start_node ~net ~addr:!addr ?durability ?query_pool ()
+    with Kronos_durability.Snapshot.Unsupported_version { file; version } ->
+      Printf.eprintf
+        "kronosd: cannot recover: %s has snapshot format version %d, this \
+         build reads only version %d\n%!"
+        (Filename.concat (Filename.concat !data_dir (string_of_int !addr)) file)
+        version Kronos_durability.Snapshot.version;
+      exit 1
   in
   Printf.printf "kronosd: replica %d listening on %s:%d (recovered seq %d)\n%!"
     !addr !host actual_port

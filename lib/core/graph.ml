@@ -606,12 +606,12 @@ let compute_labels g =
   done;
   g.journal <- [] (* recomputation is never part of a batch *)
 
-(* Deterministic full rebuild (restores of captures without a chain
-   section, and the defensive out-of-protocol rollback path): canonical
-   greedy chain assignment over live slots in (rank, slot) order — extend
-   the first predecessor that is its chain's tail, else open a chain until
-   the cap — then exact labels.  A function of adjacency and ranks alone,
-   so replicas restoring the same capture agree. *)
+(* Deterministic full rebuild for the defensive out-of-protocol rollback
+   path of [remove_last_edge]: canonical greedy chain assignment over live
+   slots in (rank, slot) order — extend the first predecessor that is its
+   chain's tail, else open a chain until the cap — then exact labels.  A
+   function of adjacency and ranks alone, so replicas that issue the same
+   operations agree. *)
 let rebuild_label_index g =
   Int_vec.clear g.chain_len;
   Int_vec.clear g.chain_live;
@@ -1019,13 +1019,13 @@ type snapshot = {
   snap_gen : int array;
   snap_succ : int array array;
   snap_free : int array;
-  snap_rank : int array option;
+  snap_rank : int array;
   snap_next_rank : int;
   snap_traversals : int;
   snap_visited_total : int;
   snap_links : (int64 * string * int) array array option;
   snap_version : int;
-  snap_chains : chain_snapshot option;
+  snap_chains : chain_snapshot;
 }
 
 let to_snapshot g =
@@ -1037,7 +1037,7 @@ let to_snapshot g =
     snap_gen = Array.sub g.gen 0 n;
     snap_succ = Array.init n (fun i -> int_vec_to_array g.succ.(i));
     snap_free = int_vec_to_array g.free;
-    snap_rank = Some (Array.sub g.rank 0 n);
+    snap_rank = Array.sub g.rank 0 n;
     snap_next_rank = g.next_rank;
     snap_traversals = g.traversals;
     snap_visited_total = g.visited_total;
@@ -1052,13 +1052,12 @@ let to_snapshot g =
                     (Event_id.to_int64 l.l_pred, l.l_pred_head, l.l_pred_pos)))));
     snap_version = g.version;
     snap_chains =
-      Some
-        {
-          cs_chain_of = Array.sub g.chain_of 0 n;
-          cs_chain_pos = Array.sub g.chain_pos 0 n;
-          cs_chain_len = int_vec_to_array g.chain_len;
-          cs_free_chains = int_vec_to_array g.free_chains;
-        };
+      {
+        cs_chain_of = Array.sub g.chain_of 0 n;
+        cs_chain_pos = Array.sub g.chain_pos 0 n;
+        cs_chain_len = int_vec_to_array g.chain_len;
+        cs_free_chains = int_vec_to_array g.free_chains;
+      };
   }
 
 (* ------------------------------------------------------------------ *)
@@ -1137,24 +1136,12 @@ let to_delta g =
    per-slot state is overlaid for the slots the delta carries, everything
    else comes from the base; globals come from the delta wholesale.  Pure
    — the result is validated like any other snapshot by [of_snapshot].
-   Raises on structural mismatch (a base without ranks or chains — i.e. a
-   legacy capture whose restore {e rebuilt} that state, so a delta against
-   it would compose against reconstructed rather than captured values —
-   or a delta that shrinks the slot space). *)
+   Raises on structural mismatch (a digest-carrying delta over a base
+   without links, or a delta that shrinks the slot space). *)
 let apply_delta base d =
   let fail what = invalid_arg ("Graph.apply_delta: " ^ what) in
   let nb = base.snap_next_slot and n = d.d_next_slot in
   if n < nb then fail "delta shrinks the slot space";
-  let base_rank =
-    match base.snap_rank with
-    | Some r -> r
-    | None -> fail "base snapshot has no rank section"
-  in
-  let base_chains =
-    match base.snap_chains with
-    | Some c -> c
-    | None -> fail "base snapshot has no chain section"
-  in
   let base_links =
     if not d.d_digests then None
     else
@@ -1166,10 +1153,10 @@ let apply_delta base d =
   let refcount = extend base.snap_refcount (-1) in
   let gen = extend base.snap_gen 0 in
   let succ = extend base.snap_succ [||] in
-  let rank = extend base_rank 0 in
+  let rank = extend base.snap_rank 0 in
   let links = Option.map (fun l -> extend l [||]) base_links in
-  let chain_of = extend base_chains.cs_chain_of (-1) in
-  let chain_pos = extend base_chains.cs_chain_pos 0 in
+  let chain_of = extend base.snap_chains.cs_chain_of (-1) in
+  let chain_pos = extend base.snap_chains.cs_chain_pos 0 in
   Array.iter
     (fun sd ->
       let s = sd.sd_slot in
@@ -1188,51 +1175,24 @@ let apply_delta base d =
     snap_gen = gen;
     snap_succ = succ;
     snap_free = d.d_free;
-    snap_rank = Some rank;
+    snap_rank = rank;
     snap_next_rank = d.d_next_rank;
     snap_traversals = d.d_traversals;
     snap_visited_total = d.d_visited_total;
     snap_links = links;
     snap_version = d.d_version;
     snap_chains =
-      Some
-        {
-          cs_chain_of = chain_of;
-          cs_chain_pos = chain_pos;
-          cs_chain_len = d.d_chain_len;
-          cs_free_chains = d.d_free_chains;
-        };
+      {
+        cs_chain_of = chain_of;
+        cs_chain_pos = chain_pos;
+        cs_chain_len = d.d_chain_len;
+        cs_free_chains = d.d_free_chains;
+      };
   }
 
-(* Deterministic rank reconstruction for rank-less (version-1) snapshots:
-   Kahn's algorithm over the live subgraph, seeding sources in ascending
-   slot order and appending newly freed vertices in adjacency order.  The
-   ranks differ from the captured graph's (so traversal work may differ),
-   but the invariant holds, which is all queries need. *)
-let rebuild_ranks g fail =
-  let n = g.next_slot in
-  let indeg = Array.sub g.indeg 0 n in
-  let queue = Queue.create () in
-  for s = 0 to n - 1 do
-    if g.refcount.(s) >= 0 && indeg.(s) = 0 then Queue.add s queue
-  done;
-  let r = ref 0 in
-  while not (Queue.is_empty queue) do
-    let s = Queue.pop queue in
-    g.rank.(s) <- !r;
-    incr r;
-    Int_vec.iter
-      (fun w ->
-        indeg.(w) <- indeg.(w) - 1;
-        if indeg.(w) = 0 then Queue.add w queue)
-      g.succ.(s)
-  done;
-  if !r <> g.live then fail "cyclic dependency graph";
-  g.next_rank <- !r
-
 (* Deterministic commitment reconstruction for captures without a digest
-   section (pre-version-3 snapshots, or snapshots of a digest-less engine
-   restored into a digest-enabled one).  Live slots are processed in
+   section (snapshots of a digest-less engine restored into a
+   digest-enabled one).  Live slots are processed in
    (rank, slot) order — a topological order by the rank invariant — and each
    slot folds one link per stored predecessor, in reverse-adjacency order,
    using the predecessor's {e final} head.  The result depends only on the
@@ -1240,11 +1200,12 @@ let rebuild_ranks g fail =
    order by [of_snapshot]) and not on which valid rank assignment is in
    force: any topological order finalizes predecessors first and yields the
    same folds.  Restores of the same logical graph therefore agree on every
-   commitment, whether ranks were persisted (v2) or Kahn-rebuilt (v1).
+   commitment.
 
    The rebuilt chains are generally {e not} the ones the captured engine
    held — the original interleaving of edge admissions is not recorded — so
-   an upgrade re-anchors commitments; DESIGN.md §13 spells this out. *)
+   turning digests on re-anchors commitments; DESIGN.md §13 spells this
+   out. *)
 let rebuild_chains g =
   let n = g.next_slot in
   let order = Array.init n (fun i -> i) in
@@ -1302,24 +1263,22 @@ let of_snapshot ?(initial_capacity = 1024) ?(digests = true)
       if f < 0 || f >= n || g.refcount.(f) >= 0 then fail "bad free slot";
       Int_vec.push g.free f)
     s.snap_free;
-  (match s.snap_rank with
-   | Some ranks ->
-     if Array.length ranks <> n then fail "mismatched rank length";
-     let max_rank = ref (-1) in
-     for i = 0 to n - 1 do
-       if ranks.(i) < 0 then fail "bad rank";
-       g.rank.(i) <- ranks.(i);
-       if ranks.(i) > !max_rank then max_rank := ranks.(i)
-     done;
-     for i = 0 to n - 1 do
-       Int_vec.iter
-         (fun w -> if ranks.(i) >= ranks.(w) then fail "rank invariant violated")
-         g.succ.(i)
-     done;
-     (* a too-small next_rank would only cost extra relabels, never
-        correctness, but genuine snapshots always satisfy this *)
-     g.next_rank <- max s.snap_next_rank (!max_rank + 1)
-   | None -> rebuild_ranks g fail);
+  let ranks = s.snap_rank in
+  if Array.length ranks <> n then fail "mismatched rank length";
+  let max_rank = ref (-1) in
+  for i = 0 to n - 1 do
+    if ranks.(i) < 0 then fail "bad rank";
+    g.rank.(i) <- ranks.(i);
+    if ranks.(i) > !max_rank then max_rank := ranks.(i)
+  done;
+  for i = 0 to n - 1 do
+    Int_vec.iter
+      (fun w -> if ranks.(i) >= ranks.(w) then fail "rank invariant violated")
+      g.succ.(i)
+  done;
+  (* a too-small next_rank would only cost extra relabels, never
+     correctness, but genuine snapshots always satisfy this *)
+  g.next_rank <- max s.snap_next_rank (!max_rank + 1);
   (if digests then
      match s.snap_links with
      | Some links ->
@@ -1355,82 +1314,76 @@ let of_snapshot ?(initial_capacity = 1024) ?(digests = true)
      against its own invariants (one member per position, live members a
      consecutive suffix joined by direct edges, dead chains reset and
      freed) and installed verbatim — the cap only gates {e new} chains, so
-     a capture from a larger-capped engine still loads.  Captures without
-     the section (format < 5, or hand-built) get the canonical rebuild.
-     Labels are never persisted: exact labels are a pure function of
-     adjacency + chains, recomputed identically on every restore. *)
-  (match s.snap_chains with
-   | None -> rebuild_label_index g
-   | Some cs ->
-     if Array.length cs.cs_chain_of <> n || Array.length cs.cs_chain_pos <> n
-     then fail "mismatched chain index length";
-     let nc = Array.length cs.cs_chain_len in
-     Array.iter (fun l -> if l < 0 then fail "bad chain length")
-       cs.cs_chain_len;
-     let members = Array.make (max nc 1) [] in
-     for i = 0 to n - 1 do
-       let c = cs.cs_chain_of.(i) in
-       if c < -1 || c >= nc then fail "bad chain id";
-       if c >= 0 then begin
-         if g.refcount.(i) < 0 then fail "chain entry on a free slot";
-         let p = cs.cs_chain_pos.(i) in
-         if p < 0 || p >= cs.cs_chain_len.(c) then fail "bad chain position";
-         g.chain_of.(i) <- c;
-         g.chain_pos.(i) <- p;
-         members.(c) <- i :: members.(c)
-       end
-     done;
-     let on_free = Array.make (max nc 1) false in
-     Array.iter
-       (fun c ->
-         if c < 0 || c >= nc || on_free.(c) then fail "bad free chain";
-         on_free.(c) <- true)
-       cs.cs_free_chains;
-     for c = 0 to nc - 1 do
-       let ms =
-         List.sort
-           (fun a b -> compare cs.cs_chain_pos.(a) cs.cs_chain_pos.(b))
-           members.(c)
-       in
-       let live = List.length ms in
-       Int_vec.push g.chain_len cs.cs_chain_len.(c);
-       Int_vec.push g.chain_live live;
-       if live = 0 then begin
-         if cs.cs_chain_len.(c) <> 0 || not on_free.(c) then
-           fail "dead chain not reset";
-         Int_vec.push g.chain_tail (-1)
-       end
-       else begin
-         if on_free.(c) then fail "live chain on the free list";
-         let expect = ref (cs.cs_chain_len.(c) - live) in
-         let prev = ref (-1) in
-         List.iter
-           (fun m ->
-             if cs.cs_chain_pos.(m) <> !expect then
-               fail "chain positions not a suffix";
-             incr expect;
-             if !prev >= 0 && not (Int_vec.mem g.succ.(!prev) m) then
-               fail "chain members not joined by an edge";
-             prev := m)
-           ms;
-         Int_vec.push g.chain_tail !prev
-       end
-     done;
-     Array.iter (fun c -> Int_vec.push g.free_chains c) cs.cs_free_chains;
-     Kronos_metrics.Gauge.set M.chains
-       (Int_vec.length g.chain_len - Int_vec.length g.free_chains);
-     compute_labels g);
+     a capture from a larger-capped engine still loads.  Labels are never
+     persisted: exact labels are a pure function of adjacency + chains,
+     recomputed identically on every restore. *)
+  let cs = s.snap_chains in
+  if Array.length cs.cs_chain_of <> n || Array.length cs.cs_chain_pos <> n
+  then fail "mismatched chain index length";
+  let nc = Array.length cs.cs_chain_len in
+  Array.iter (fun l -> if l < 0 then fail "bad chain length")
+    cs.cs_chain_len;
+  let members = Array.make (max nc 1) [] in
+  for i = 0 to n - 1 do
+    let c = cs.cs_chain_of.(i) in
+    if c < -1 || c >= nc then fail "bad chain id";
+    if c >= 0 then begin
+      if g.refcount.(i) < 0 then fail "chain entry on a free slot";
+      let p = cs.cs_chain_pos.(i) in
+      if p < 0 || p >= cs.cs_chain_len.(c) then fail "bad chain position";
+      g.chain_of.(i) <- c;
+      g.chain_pos.(i) <- p;
+      members.(c) <- i :: members.(c)
+    end
+  done;
+  let on_free = Array.make (max nc 1) false in
+  Array.iter
+    (fun c ->
+      if c < 0 || c >= nc || on_free.(c) then fail "bad free chain";
+      on_free.(c) <- true)
+    cs.cs_free_chains;
+  for c = 0 to nc - 1 do
+    let ms =
+      List.sort
+        (fun a b -> compare cs.cs_chain_pos.(a) cs.cs_chain_pos.(b))
+        members.(c)
+    in
+    let live = List.length ms in
+    Int_vec.push g.chain_len cs.cs_chain_len.(c);
+    Int_vec.push g.chain_live live;
+    if live = 0 then begin
+      if cs.cs_chain_len.(c) <> 0 || not on_free.(c) then
+        fail "dead chain not reset";
+      Int_vec.push g.chain_tail (-1)
+    end
+    else begin
+      if on_free.(c) then fail "live chain on the free list";
+      let expect = ref (cs.cs_chain_len.(c) - live) in
+      let prev = ref (-1) in
+      List.iter
+        (fun m ->
+          if cs.cs_chain_pos.(m) <> !expect then
+            fail "chain positions not a suffix";
+          incr expect;
+          if !prev >= 0 && not (Int_vec.mem g.succ.(!prev) m) then
+            fail "chain members not joined by an edge";
+          prev := m)
+        ms;
+      Int_vec.push g.chain_tail !prev
+    end
+  done;
+  Array.iter (fun c -> Int_vec.push g.free_chains c) cs.cs_free_chains;
+  Kronos_metrics.Gauge.set M.chains
+    (Int_vec.length g.chain_len - Int_vec.length g.free_chains);
+  compute_labels g;
   g.traversals <- s.snap_traversals;
   g.visited_total <- s.snap_visited_total;
   (* Restored epochs must continue monotonically so a client's
      [`At_least e] demand issued before a restart is still satisfiable
-     after it.  Legacy captures (pre snap_version) fall back to the rank
-     allocator, a deterministic lower bound of the mutation count: epochs
-     then restart from a smaller value, exactly like the documented
-     traversal-statistics caveat of rank-less restores. *)
-  g.version <- (if s.snap_version > 0 then s.snap_version else g.next_rank);
+     after it. *)
+  g.version <- s.snap_version;
   (* A restored graph shares no durable base with any snapshot on disk
-     (legacy restores even rebuild ranks/chains), so the first incremental
+     (a digest toggle even rebuilds its chains), so the first incremental
      snapshot after a restore must carry every slot. *)
   for s = 0 to n - 1 do
     Sparse_set.add g.snap_dirty s

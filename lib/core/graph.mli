@@ -196,10 +196,7 @@ val digest_fold_count : t -> int
     - per-slot generations, including those of free slots, so restored
       identifiers resolve exactly as before and stale ones stay stale;
     - per-slot topological ranks and the rank allocator, so restored
-      engines prune and relabel exactly as the captured one would
-      ([snap_rank = None] marks a legacy rank-less capture: ranks are then
-      rebuilt deterministically with Kahn's algorithm, preserving query
-      answers but not necessarily traversal statistics);
+      engines prune and relabel exactly as the captured one would;
     - traversal counters, so work accounting continues rather than resets.
 
     In-degrees, reverse adjacency and live/edge counts are
@@ -221,7 +218,7 @@ type snapshot = {
   snap_gen : int array;          (** per slot *)
   snap_succ : int array array;   (** successor slots, insertion order *)
   snap_free : int array;         (** free stack, bottom to top *)
-  snap_rank : int array option;  (** per slot; [None] for legacy captures *)
+  snap_rank : int array;         (** per slot *)
   snap_next_rank : int;          (** rank allocator high-water mark *)
   snap_traversals : int;
   snap_visited_total : int;
@@ -229,47 +226,36 @@ type snapshot = {
   (** per-slot commitment-chain links as
       [(predecessor id, predecessor head, predecessor position)] triples;
       partners and heads are refolded on restore.  [None] marks a capture
-      without a digest section (legacy version, or digests disabled):
-      chains are then rebuilt deterministically from adjacency — see
+      of an engine running without digests: restoring it with digests on
+      rebuilds the chains deterministically from adjacency — see
       {!of_snapshot}. *)
   snap_version : int;
   (** the graph {!version} at capture time, so the view epoch continues
-      monotonically across restarts.  [0] marks a legacy capture (snapshot
-      format < 4): restore then seeds the version from the rank allocator,
-      which is deterministic across replicas but not continuous with the
-      captured engine's epoch. *)
-  snap_chains : chain_snapshot option;
-  (** the chain-decomposition assignment; [None] marks a legacy capture
-      (format < 5): chains are then rebuilt canonically — live slots in
-      (rank, slot) order, each extending the first predecessor that is its
-      chain's tail — so replicas restoring the same capture agree, though
-      the assignment generally differs from the captured engine's (and so
-      may the post-restore hit rate, never an answer). *)
+      monotonically across restarts. *)
+  snap_chains : chain_snapshot;  (** the chain-decomposition assignment *)
 }
 
 val to_snapshot : t -> snapshot
 (** Deep copy; the snapshot does not alias the graph's arrays.
-    [snap_rank] and [snap_chains] are always [Some _]; [snap_links] is
-    [Some _] iff digests are enabled. *)
+    [snap_links] is [Some _] iff digests are enabled. *)
 
 val of_snapshot :
   ?initial_capacity:int -> ?digests:bool -> ?max_chains:int -> snapshot -> t
 (** Rebuild a graph behaviourally identical to the one captured.  The
     options mirror {!create}; capacity is raised to fit the snapshot.
 
-    With [~digests:true] (default) and [snap_links = None] — a legacy
-    capture upgraded in place — commitment chains are rebuilt canonically:
-    live slots in (rank, slot) order, one link per stored predecessor in
+    With [~digests:true] (default) and [snap_links = None] — a capture of
+    a digest-less engine — commitment chains are rebuilt canonically: live
+    slots in (rank, slot) order, one link per stored predecessor in
     reverse-adjacency order, each fold using the predecessor's final head.
     The rebuild is a function of the snapshot's adjacency alone, so every
-    upgrade of the same logical graph agrees on every commitment (whether
-    ranks were persisted or reconstructed); it does {e not} reproduce the
-    captured engine's original chains, whose admission interleaving the
-    snapshot never recorded.
+    restore of the same logical graph agrees on every commitment; it does
+    {e not} reproduce chains the engine never folded, whose admission
+    interleaving the snapshot never recorded.
     @raise Invalid_argument if the snapshot is internally inconsistent
     (mismatched array lengths, edges to free slots, out-of-range values,
-    ranks violating the edge invariant, a cyclic edge set, or malformed
-    chain links). *)
+    ranks violating the edge invariant — as any cyclic edge set does — or
+    a malformed chain section or chain links). *)
 
 (** {1 Incremental snapshots}
 
@@ -322,9 +308,8 @@ val apply_delta : snapshot -> delta -> snapshot
 (** Overlay a delta on the base snapshot it was captured against.  Pure;
     the composed snapshot is validated by {!of_snapshot} like any other.
     @raise Invalid_argument when the base structurally cannot carry the
-    delta: no rank/chain/digest section (a legacy capture whose restore
-    rebuilt that state), or a delta whose slot space is smaller than the
-    base's. *)
+    delta: a digest-carrying delta over a base without links, or a delta
+    whose slot space is smaller than the base's. *)
 
 val snapshot_written : t -> unit
 (** Mark the current state durably captured: clear the snapshot dirty set

@@ -1,36 +1,29 @@
 open Kronos
 module Codec = Kronos_wire.Codec
 
-(* Version 2 appends the graph's topological-rank index (per-slot ranks +
-   the rank allocator) to the version-1 body.  Version-1 snapshots are still
-   decoded: they surface as [snap_rank = None] and [Graph.of_snapshot]
-   rebuilds an equivalent rank assignment deterministically with Kahn's
-   algorithm, so pre-rank snapshot files stay loadable after an upgrade.
+(* The one snapshot format this build reads and writes (format version 5).
+   After the header, the body carries, in order: the sequence number; the
+   slot table (high-water mark, refcounts biased by one so free slots' -1
+   stays unsigned, generations, adjacency in insertion order, free stack);
+   the traversal counters; the topological-rank index (per-slot ranks and
+   the rank allocator, as i64 because sparse ranks can outgrow u32); the
+   engine counters; the commitment-chain links (DESIGN.md §13), absent when
+   the engine runs without digests; the graph mutation version (the view
+   epoch, DESIGN.md §14); and the chain-decomposition assignment
+   (DESIGN.md §15: per-slot chain id biased by one and position, per-chain
+   length, free-chain stack).  The rank, link and chain sections each
+   open with a bool presence flag; the rank and chain flags are always
+   true.  Labels are not persisted — exact labels are a pure function of
+   adjacency + chains and are recomputed on restore.
 
-   Version 3 appends the commitment-chain links (DESIGN.md §13): per live
-   slot, one [(predecessor id, predecessor head, predecessor position)]
-   triple per link; partners and heads are refolded on restore.  Version-1
-   and version-2 snapshots surface as [snap_links = None] and
-   [Graph.of_snapshot] rebuilds the chains canonically from adjacency, so
-   every upgrade of the same logical graph re-anchors to identical
-   commitments.
-
-   Version 4 appends the graph mutation version (the view epoch,
-   DESIGN.md §14) so epochs continue monotonically across restarts.
-   Pre-v4 snapshots surface as [snap_version = 0] and [Graph.of_snapshot]
-   seeds the epoch from the rank allocator — deterministic across
-   replicas, though not continuous with the captured engine's epoch.
-
-   Version 5 appends the chain-decomposition assignment (DESIGN.md §15):
-   per slot its chain id (biased by one to stay unsigned) and position,
-   per chain its length, and the free-chain stack.  Labels are not
-   persisted — exact labels are a pure function of adjacency + chains and
-   are recomputed on restore.  Pre-v5 snapshots surface as
-   [snap_chains = None] and [Graph.of_snapshot] rebuilds a canonical
-   assignment deterministically, mirroring the v1 rank rebuild. *)
+   A checksum-valid file under any other version number — a retired format
+   or one from a newer build — raises [Unsupported_version] rather than
+   being skipped like a corrupt file: falling back past it would silently
+   restore an older state (or an empty engine) over a log that no longer
+   holds the history in between. *)
 let version = 5
 
-let oldest_supported_version = 1
+exception Unsupported_version of { file : string; version : int }
 
 let magic = "KSNP"
 
@@ -42,19 +35,11 @@ let put_int_array e a =
 
 let get_int_array d = Array.of_list (Codec.get_list d Codec.get_u32)
 
-(* Encoder for any supported format version.  [encode] always emits the
-   newest; older formats exist for the cross-version recovery matrix and
-   the nemesis harness's mixed-version chains — a v[k] file written here
-   is bit-compatible with what a v[k]-era engine wrote (the sections a
-   format lacks are simply absent). *)
-let encode_at ~fmt ~seq (s : Engine.snapshot) =
-  if fmt < oldest_supported_version || fmt > version then
-    invalid_arg (Printf.sprintf "Snapshot.encode_at: unsupported version %d" fmt);
+let encode ~seq (s : Engine.snapshot) =
   let e = Codec.encoder () in
   Codec.put_i64 e (Int64.of_int seq);
   let g = s.Engine.snap_graph in
   Codec.put_u32 e g.Graph.snap_next_slot;
-  (* refcounts include -1 for free slots: bias by one to stay unsigned *)
   Codec.put_u32 e (Array.length g.Graph.snap_refcount);
   Array.iter (fun rc -> Codec.put_u32 e (rc + 1)) g.Graph.snap_refcount;
   put_int_array e g.Graph.snap_gen;
@@ -63,92 +48,75 @@ let encode_at ~fmt ~seq (s : Engine.snapshot) =
   put_int_array e g.Graph.snap_free;
   Codec.put_i64 e (Int64.of_int g.Graph.snap_traversals);
   Codec.put_i64 e (Int64.of_int g.Graph.snap_visited_total);
-  (* v2 suffix: rank index.  Ranks are sparse integers that can exceed the
-     u32 range on long-lived engines, so they travel as i64. *)
-  if fmt >= 2 then begin
-    match g.Graph.snap_rank with
-    | Some ranks ->
-      Codec.put_bool e true;
-      Codec.put_u32 e (Array.length ranks);
-      Array.iter (fun r -> Codec.put_i64 e (Int64.of_int r)) ranks;
-      Codec.put_i64 e (Int64.of_int g.Graph.snap_next_rank)
-    | None -> Codec.put_bool e false
-  end;
+  Codec.put_bool e true;
+  Codec.put_u32 e (Array.length g.Graph.snap_rank);
+  Array.iter (fun r -> Codec.put_i64 e (Int64.of_int r)) g.Graph.snap_rank;
+  Codec.put_i64 e (Int64.of_int g.Graph.snap_next_rank);
   Codec.put_i64 e (Int64.of_int s.Engine.snap_creates);
   Codec.put_i64 e (Int64.of_int s.Engine.snap_queries);
   Codec.put_i64 e (Int64.of_int s.Engine.snap_assigns);
   Codec.put_i64 e (Int64.of_int s.Engine.snap_aborted_batches);
   Codec.put_i64 e (Int64.of_int s.Engine.snap_reversals);
   Codec.put_i64 e (Int64.of_int s.Engine.snap_collected);
-  (* v3 suffix: commitment-chain links.  Positions travel as i64 like the
-     ranks (chain lengths are unbounded ints in principle). *)
-  if fmt >= 3 then begin
-    match g.Graph.snap_links with
-    | Some links ->
-      Codec.put_bool e true;
-      Codec.put_u32 e (Array.length links);
-      Array.iter
-        (fun ls ->
-          Codec.put_u32 e (Array.length ls);
-          Array.iter
-            (fun (pred, head, pos) ->
-              Codec.put_i64 e pred;
-              Codec.put_string e head;
-              Codec.put_i64 e (Int64.of_int pos))
-            ls)
-        links
-    | None -> Codec.put_bool e false
-  end;
-  (* v4 suffix: graph mutation version (view epoch). *)
-  if fmt >= 4 then Codec.put_i64 e (Int64.of_int g.Graph.snap_version);
-  (* v5 suffix: chain-decomposition assignment.  Chain ids are small (the
-     cap bounds them) but positions count members ever appended, so they
-     travel as i64 like the ranks; per-slot ids are biased by one so the
-     -1 "unassigned" marker stays unsigned. *)
-  if fmt >= 5 then begin
-    match g.Graph.snap_chains with
-    | Some cs ->
-      Codec.put_bool e true;
-      Codec.put_u32 e (Array.length cs.Graph.cs_chain_of);
-      Array.iter (fun c -> Codec.put_u32 e (c + 1)) cs.Graph.cs_chain_of;
-      Array.iter (fun p -> Codec.put_i64 e (Int64.of_int p))
-        cs.Graph.cs_chain_pos;
-      Codec.put_u32 e (Array.length cs.Graph.cs_chain_len);
-      Array.iter (fun l -> Codec.put_i64 e (Int64.of_int l))
-        cs.Graph.cs_chain_len;
-      put_int_array e cs.Graph.cs_free_chains
-    | None -> Codec.put_bool e false
-  end;
+  (match g.Graph.snap_links with
+   | Some links ->
+     Codec.put_bool e true;
+     Codec.put_u32 e (Array.length links);
+     Array.iter
+       (fun ls ->
+         Codec.put_u32 e (Array.length ls);
+         Array.iter
+           (fun (pred, head, pos) ->
+             Codec.put_i64 e pred;
+             Codec.put_string e head;
+             Codec.put_i64 e (Int64.of_int pos))
+           ls)
+       links
+   | None -> Codec.put_bool e false);
+  Codec.put_i64 e (Int64.of_int g.Graph.snap_version);
+  let cs = g.Graph.snap_chains in
+  Codec.put_bool e true;
+  Codec.put_u32 e (Array.length cs.Graph.cs_chain_of);
+  Array.iter (fun c -> Codec.put_u32 e (c + 1)) cs.Graph.cs_chain_of;
+  Array.iter (fun p -> Codec.put_i64 e (Int64.of_int p)) cs.Graph.cs_chain_pos;
+  Codec.put_u32 e (Array.length cs.Graph.cs_chain_len);
+  Array.iter (fun l -> Codec.put_i64 e (Int64.of_int l)) cs.Graph.cs_chain_len;
+  put_int_array e cs.Graph.cs_free_chains;
   let body = Codec.to_string e in
   let b = Buffer.create (String.length body + header_bytes) in
   Buffer.add_string b magic;
-  Buffer.add_uint16_be b fmt;
+  Buffer.add_uint16_be b version;
   Buffer.add_int32_be b (Crc32.string body);
   Buffer.add_string b body;
   Buffer.contents b
 
-let encode ~seq s = encode_at ~fmt:version ~seq s
-
-(* Header check shared by [decode] and [load_latest_bytes]: returns the
-   format version and the body on success. *)
-let validate data =
+(* Header check: magic, then body checksum, then version — so garbage and
+   torn files stay [Decode_error]s that readers fall back past, and only an
+   intact file under another format number is [Unsupported_version].
+   Returns the body. *)
+let validate ~file data =
   if String.length data < header_bytes then
     raise (Codec.Decode_error "snapshot: truncated header");
   if String.sub data 0 4 <> magic then
     raise (Codec.Decode_error "snapshot: bad magic");
-  let v = String.get_uint16_be data 4 in
-  if v < oldest_supported_version || v > version then
-    raise (Codec.Decode_error (Printf.sprintf "snapshot: unsupported version %d" v));
   let crc = String.get_int32_be data 6 in
   let body = String.sub data header_bytes (String.length data - header_bytes) in
   if Crc32.string body <> crc then
     raise (Codec.Decode_error "snapshot: checksum mismatch");
-  (v, body)
+  let v = String.get_uint16_be data 4 in
+  if v <> version then raise (Unsupported_version { file; version = v });
+  body
 
 let get_int64 d = Int64.to_int (Codec.get_i64 d)
 
-let decode data =
-  let v, body = validate data in
+(* The rank and chain sections are always present in this format; a false
+   flag is a malformed body. *)
+let expect_section d what =
+  if not (Codec.get_bool d) then
+    raise (Codec.Decode_error ("snapshot: missing " ^ what ^ " section"))
+
+let decode_file ~file data =
+  let body = validate ~file data in
   let d = Codec.decoder body in
   let seq = get_int64 d in
   let snap_next_slot = Codec.get_u32 d in
@@ -163,18 +131,12 @@ let decode data =
   let snap_free = get_int_array d in
   let snap_traversals = get_int64 d in
   let snap_visited_total = get_int64 d in
-  let snap_rank, snap_next_rank =
-    if v < 2 then (None, 0)
-    else if not (Codec.get_bool d) then (None, 0)
-    else begin
-      let len = Codec.get_u32 d in
-      if len > String.length body then
-        raise (Codec.Decode_error "snapshot: absurd rank count");
-      let ranks = Array.init len (fun _ -> get_int64 d) in
-      let next_rank = get_int64 d in
-      (Some ranks, next_rank)
-    end
-  in
+  expect_section d "rank";
+  let len = Codec.get_u32 d in
+  if len > String.length body then
+    raise (Codec.Decode_error "snapshot: absurd rank count");
+  let snap_rank = Array.init len (fun _ -> get_int64 d) in
+  let snap_next_rank = get_int64 d in
   let snap_creates = get_int64 d in
   let snap_queries = get_int64 d in
   let snap_assigns = get_int64 d in
@@ -182,8 +144,7 @@ let decode data =
   let snap_reversals = get_int64 d in
   let snap_collected = get_int64 d in
   let snap_links =
-    if v < 3 then None
-    else if not (Codec.get_bool d) then None
+    if not (Codec.get_bool d) then None
     else begin
       let len = Codec.get_u32 d in
       if len > String.length body then
@@ -200,23 +161,20 @@ let decode data =
                  (pred, head, pos))))
     end
   in
-  let snap_version = if v < 4 then 0 else get_int64 d in
+  let snap_version = get_int64 d in
+  expect_section d "chain";
+  let nslots = Codec.get_u32 d in
+  if nslots > String.length body then
+    raise (Codec.Decode_error "snapshot: absurd chain table count");
+  let cs_chain_of = Array.init nslots (fun _ -> Codec.get_u32 d - 1) in
+  let cs_chain_pos = Array.init nslots (fun _ -> get_int64 d) in
+  let nchains = Codec.get_u32 d in
+  if nchains > String.length body then
+    raise (Codec.Decode_error "snapshot: absurd chain count");
+  let cs_chain_len = Array.init nchains (fun _ -> get_int64 d) in
+  let cs_free_chains = get_int_array d in
   let snap_chains =
-    if v < 5 then None
-    else if not (Codec.get_bool d) then None
-    else begin
-      let nslots = Codec.get_u32 d in
-      if nslots > String.length body then
-        raise (Codec.Decode_error "snapshot: absurd chain table count");
-      let cs_chain_of = Array.init nslots (fun _ -> Codec.get_u32 d - 1) in
-      let cs_chain_pos = Array.init nslots (fun _ -> get_int64 d) in
-      let nchains = Codec.get_u32 d in
-      if nchains > String.length body then
-        raise (Codec.Decode_error "snapshot: absurd chain count");
-      let cs_chain_len = Array.init nchains (fun _ -> get_int64 d) in
-      let cs_free_chains = get_int_array d in
-      Some { Graph.cs_chain_of; cs_chain_pos; cs_chain_len; cs_free_chains }
-    end
+    { Graph.cs_chain_of; cs_chain_pos; cs_chain_len; cs_free_chains }
   in
   Codec.expect_end d;
   ( seq,
@@ -243,6 +201,8 @@ let decode data =
       snap_reversals;
       snap_collected;
     } )
+
+let decode data = decode_file ~file:"(in-memory snapshot)" data
 
 let filename ~seq = Printf.sprintf "snap-%010d.snap" seq
 
@@ -278,28 +238,6 @@ let list_snapshots storage =
   storage.Storage.list_files ()
   |> List.filter_map (fun n -> Option.map (fun s -> (s, n)) (parse_filename n))
   |> List.sort (fun a b -> compare b a) (* newest first *)
-
-let load_latest_bytes storage =
-  List.find_map
-    (fun (seq, name) ->
-      match storage.Storage.read_file name with
-      | None -> None
-      | Some data -> (
-          match validate data with
-          | (_ : int * string) -> Some (seq, data)
-          | exception Codec.Decode_error _ -> None))
-    (list_snapshots storage)
-
-let load_latest ?config storage =
-  List.find_map
-    (fun (_, name) ->
-      match storage.Storage.read_file name with
-      | None -> None
-      | Some data -> (
-          match decode data with
-          | seq, snap -> Some (seq, Engine.of_snapshot ?config snap)
-          | exception (Codec.Decode_error _ | Invalid_argument _) -> None))
-    (list_snapshots storage)
 
 let truncate_old storage ~keep =
   let keep = max keep 1 in
@@ -512,13 +450,15 @@ let max_chain_depth = 1024
 (* Resolve the composed snapshot state at [seq]: a valid full file wins;
    otherwise a valid delta at [seq] recursively resolves its base and
    overlays.  Returns the composed snapshot and the number of deltas
-   applied, or [None] when any link of the chain is missing or corrupt. *)
+   applied, or [None] when any link of the chain is missing or corrupt.
+   A full file in another format version raises [Unsupported_version]. *)
 let rec state_at storage ~fuel seq =
   let full =
-    match storage.Storage.read_file (filename ~seq) with
+    let file = filename ~seq in
+    match storage.Storage.read_file file with
     | None -> None
     | Some data -> (
-        match decode data with
+        match decode_file ~file data with
         | s, snap when s = seq -> Some (snap, 0)
         | _ -> None
         | exception (Codec.Decode_error _ | Invalid_argument _) -> None)
@@ -562,15 +502,20 @@ let load_chain ?config storage =
           | exception Invalid_argument _ -> None))
     (heads storage)
 
+(* A full file whose header and checksum hold; [Unsupported_version]
+   propagates. *)
+let is_valid ~file data =
+  match validate ~file data with
+  | (_ : string) -> true
+  | exception Codec.Decode_error _ -> false
+
 let load_chain_bytes storage =
   List.find_map
     (fun seq ->
       (* fast path: a checksum-valid full file ships as-is *)
-      match storage.Storage.read_file (filename ~seq) with
-      | Some data when (match validate data with
-                        | (_ : int * string) -> true
-                        | exception Codec.Decode_error _ -> false) ->
-        Some (seq, data)
+      let file = filename ~seq in
+      match storage.Storage.read_file file with
+      | Some data when is_valid ~file data -> Some (seq, data)
       | _ -> (
           match state_at storage ~fuel:max_chain_depth seq with
           | None -> None
@@ -646,13 +591,10 @@ let compact storage ~keep =
   in
   let fulls =
     List.filter
-      (fun (_, name) ->
-        match storage.Storage.read_file name with
+      (fun (_, file) ->
+        match storage.Storage.read_file file with
         | None -> false
-        | Some data -> (
-            match validate data with
-            | (_ : int * string) -> true
-            | exception Codec.Decode_error _ -> false))
+        | Some data -> is_valid ~file data)
       (list_snapshots storage)
   in
   let newest_full = match fulls with (s, _) :: _ -> s | [] -> min_int in
@@ -681,11 +623,9 @@ let compact storage ~keep =
      the head it can never be.  Checksum-valid fulls short-circuit the
      chain walk. *)
   let resolvable seq =
-    (match storage.Storage.read_file (filename ~seq) with
-     | Some data -> (
-         match validate data with
-         | (_ : int * string) -> true
-         | exception Codec.Decode_error _ -> false)
+    (let file = filename ~seq in
+     match storage.Storage.read_file file with
+     | Some data -> is_valid ~file data
      | None -> false)
     || state_at storage ~fuel:max_chain_depth seq <> None
   in

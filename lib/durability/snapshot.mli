@@ -1,30 +1,37 @@
-(** Versioned binary snapshots of full engine state.
+(** Binary snapshots of full engine state, in one format.
 
     A snapshot file ([snap-<seq>.snap]) holds the engine as of sequence
-    number [seq]: magic, a format version, a CRC-32 of the body, then the
+    number [seq]: magic, the format version, a CRC-32 of the body, then the
     {!Kronos.Engine.snapshot} encoded with the wire codec.  Files are
     written to a temporary name, synced, then renamed, so a crash mid-write
     never leaves a readable-but-bogus newest snapshot; readers skip corrupt
-    files and fall back to the next older one. *)
+    files (bad magic, checksum mismatch, malformed body) and fall back to
+    the next older one.
+
+    This build reads exactly one format, {!version}.  An intact file under
+    any other version number — a retired format or one from a newer build
+    — is never skipped: it raises {!Unsupported_version}, so recovery
+    stops instead of silently restoring older state over a log that no
+    longer covers the gap. *)
 
 open Kronos
 
 val version : int
+(** The snapshot format version this build writes and reads (5). *)
+
+exception Unsupported_version of { file : string; version : int }
+(** A checksum-valid snapshot whose format [version] is not {!version}.
+    [file] is the storage file name, or ["(in-memory snapshot)"] for
+    {!decode}. *)
 
 (** {1 Pure encoding} *)
 
 val encode : seq:int -> Engine.snapshot -> string
 
-val encode_at : fmt:int -> seq:int -> Engine.snapshot -> string
-(** Encode in an older format version ([1 <= fmt <= version]) — the
-    sections that format lacks are omitted, so the file is bit-compatible
-    with what a [fmt]-era engine wrote.  Used by the cross-version
-    recovery matrix and the nemesis harness's mixed-version chains.
-    @raise Invalid_argument on an unsupported [fmt]. *)
-
 val decode : string -> int * Engine.snapshot
-(** @raise Kronos_wire.Codec.Decode_error on bad magic, unsupported
-    version, checksum mismatch or malformed body. *)
+(** @raise Kronos_wire.Codec.Decode_error on bad magic, checksum mismatch
+    or malformed body.
+    @raise Unsupported_version on an intact body under another version. *)
 
 (** {1 Snapshot files} *)
 
@@ -35,13 +42,6 @@ val write : Storage.t -> seq:int -> Engine.t -> unit
 
 val write_bytes : Storage.t -> seq:int -> string -> unit
 (** Persist already-encoded snapshot bytes (state transfer receive path). *)
-
-val load_latest : ?config:Engine.config -> Storage.t -> (int * Engine.t) option
-(** Decode the newest valid snapshot, skipping corrupt ones. *)
-
-val load_latest_bytes : Storage.t -> (int * string) option
-(** The newest checksum-valid snapshot without decoding it (state transfer
-    send path). *)
 
 val truncate_old : Storage.t -> keep:int -> unit
 (** Delete all but the newest [keep] snapshot files (and stray temporary
@@ -54,7 +54,8 @@ val truncate_old : Storage.t -> keep:int -> unit
     another delta, forming a chain terminating in a full snapshot.
     Recovery resolves the newest head whose entire chain is intact and
     falls back to older heads otherwise, exactly as it skips corrupt full
-    snapshots. *)
+    snapshots.  Every resolver below lets {!Unsupported_version}
+    propagate from any full file it reads. *)
 
 val encode_delta : base_seq:int -> seq:int -> Engine.delta -> string
 

@@ -174,8 +174,8 @@ let start_durable_replica ~net ~addr ~engine_config ~service ~query_pool d =
   (* Incremental-snapshot bookkeeping.  [last_full = 0] forces the first
      policy-triggered snapshot after {e any} recovery or install to be a
      full one: a delta may only base on a snapshot this process wrote
-     after the dirty set was last cleared, never on whatever (possibly
-     legacy-format, possibly rebuilt) state recovery restored. *)
+     after the dirty set was last cleared, never on whatever state
+     recovery restored. *)
   let last_full = ref 0 in
   let deltas_since_full = ref 0 in
   let bytes_mark = ref (Durability.Wal.logged_bytes wal) in
@@ -233,8 +233,9 @@ let start_durable_replica ~net ~addr ~engine_config ~service ~query_pool d =
           engine := Engine.of_snapshot ?config:engine_config snap;
           (* persist the received snapshot: it is this replica's new
              recovery baseline, and its own log below [seq] is stale.
-             The received bytes may be an older format, so the next
-             policy snapshot must be full ([last_full] stays 0). *)
+             No delta may base on bytes this process did not capture, and
+             the restored engine has every slot dirty anyway, so the next
+             policy snapshot is full ([last_full] stays 0). *)
           Durability.Snapshot.write_bytes storage ~seq snapshot;
           last_snap := seq;
           last_full := 0;

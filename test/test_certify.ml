@@ -398,9 +398,9 @@ module Snapshot = Kronos_durability.Snapshot
 
 (* A deterministic engine with slot reuse: random must-edges over n events,
    then a few releases so restores exercise collected slots. *)
-let build_engine ~seed ~n =
+let build_engine ?config ~seed ~n () =
   let rng = Kronos_simnet.Rng.create ~seed:(Int64.of_int seed) in
-  let engine = Engine.create () in
+  let engine = Engine.create ?config () in
   let ids = Array.init n (fun _ -> Engine.create_event engine) in
   for _ = 1 to 3 * n do
     let i = Kronos_simnet.Rng.int rng (n - 1) in
@@ -426,8 +426,28 @@ let check_same_commitments msg expected candidate =
       | None -> Alcotest.failf "%s: commitment lost" msg)
     expected
 
+(* Every provable ordered pair among [ids]' live events yields a
+   certificate on [engine] that verifies; returns how many were proved. *)
+let verify_all_proofs msg engine ids =
+  let g = Engine.current_view engine in
+  let live = List.map fst (live_commitments engine ids) in
+  let proved = ref 0 in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          if (not (Event_id.equal a b)) && rel engine a b = Order.Before then
+            match Prover.prove g ~source:a ~target:b with
+            | Some cert ->
+              incr proved;
+              verify_ok msg cert
+            | None -> ())
+        live)
+    live;
+  !proved
+
 let test_snapshot_v3_roundtrip () =
-  let engine, ids = build_engine ~seed:5 ~n:24 in
+  let engine, ids = build_engine ~seed:5 ~n:24 () in
   let data = Snapshot.encode ~seq:9 (Engine.to_snapshot engine) in
   let seq, snap = Snapshot.decode data in
   Alcotest.(check int) "seq" 9 seq;
@@ -438,87 +458,33 @@ let test_snapshot_v3_roundtrip () =
   check_same_commitments "v3 roundtrip" (live_commitments engine ids) restored;
   (* and proofs generated on the restored engine still verify (released
      events are gone on both sides: prove only over the live ones) *)
-  let g = Engine.current_view restored in
-  let live = List.map fst (live_commitments restored ids) in
-  let proved = ref 0 in
-  List.iter
-    (fun a ->
-      List.iter
-        (fun b ->
-          if (not (Event_id.equal a b)) && rel restored a b = Order.Before then
-            match Prover.prove g ~source:a ~target:b with
-            | Some cert ->
-              incr proved;
-              verify_ok "restored proof" cert
-            | None -> ())
-        live)
-    live;
-  Alcotest.(check bool) "restored engine proves" true (!proved > 0)
+  Alcotest.(check bool) "restored engine proves" true
+    (verify_all_proofs "restored proof" restored ids > 0)
 
-(* Re-encode a v3 snapshot as the byte-exact v1 and v2 formats (the same
-   construction test_durability uses for v1). *)
-let downgrade_bytes ~version:v (s : Engine.snapshot) =
-  let module Codec = Kronos_wire.Codec in
-  let module Crc32 = Kronos_durability.Crc32 in
-  let g = s.Engine.snap_graph in
-  let e = Codec.encoder () in
-  let put_arr a =
-    Codec.put_u32 e (Array.length a);
-    Array.iter (fun x -> Codec.put_u32 e x) a
-  in
-  Codec.put_i64 e 7L;
-  Codec.put_u32 e g.Graph.snap_next_slot;
-  Codec.put_u32 e (Array.length g.Graph.snap_refcount);
-  Array.iter (fun rc -> Codec.put_u32 e (rc + 1)) g.Graph.snap_refcount;
-  put_arr g.Graph.snap_gen;
-  Codec.put_u32 e (Array.length g.Graph.snap_succ);
-  Array.iter put_arr g.Graph.snap_succ;
-  put_arr g.Graph.snap_free;
-  Codec.put_i64 e (Int64.of_int g.Graph.snap_traversals);
-  Codec.put_i64 e (Int64.of_int g.Graph.snap_visited_total);
-  if v >= 2 then begin
-    match g.Graph.snap_rank with
-    | Some ranks ->
-      Codec.put_bool e true;
-      Codec.put_u32 e (Array.length ranks);
-      Array.iter (fun r -> Codec.put_i64 e (Int64.of_int r)) ranks;
-      Codec.put_i64 e (Int64.of_int g.Graph.snap_next_rank)
-    | None -> Codec.put_bool e false
-  end;
-  List.iter
-    (fun x -> Codec.put_i64 e (Int64.of_int x))
-    [
-      s.Engine.snap_creates; s.Engine.snap_queries; s.Engine.snap_assigns;
-      s.Engine.snap_aborted_batches; s.Engine.snap_reversals;
-      s.Engine.snap_collected;
-    ];
-  let body = Codec.to_string e in
-  let b = Buffer.create (String.length body + 10) in
-  Buffer.add_string b "KSNP";
-  Buffer.add_uint16_be b v;
-  Buffer.add_int32_be b (Crc32.string body);
-  Buffer.add_string b body;
-  Buffer.contents b
-
-let prop_upgrade_chain =
+(* A capture of a digest-less engine carries no link section.  Restoring
+   it with digests on must rebuild the commitment chains canonically: both
+   restores — straight from the capture and through the file encoding —
+   answer exactly like the original, agree on every commitment, and prove
+   orders with certificates that verify. *)
+let prop_digest_toggle =
   let open QCheck2 in
-  Test.make ~name:"certify: v1/v2 snapshots upgrade to identical chains"
+  Test.make ~name:"certify: digest toggle rebuilds identical chains"
     ~count:25
     Gen.(int_range 0 10_000)
     (fun seed ->
-      let engine, ids = build_engine ~seed ~n:20 in
-      let snap = Engine.to_snapshot engine in
-      let restore v =
-        let _, decoded = Snapshot.decode (downgrade_bytes ~version:v snap) in
-        if v >= 2 && decoded.Engine.snap_graph.Graph.snap_rank = None then
-          Test.fail_report "v2 bytes lost the rank index";
-        if decoded.Engine.snap_graph.Graph.snap_links <> None then
-          Test.fail_reportf "v%d bytes carry links" v;
-        Engine.of_snapshot decoded
+      let engine, ids =
+        build_engine
+          ~config:{ Engine.default_config with digests = false }
+          ~seed ~n:20 ()
       in
-      let r1 = restore 1 in
-      let r2 = restore 2 in
-      (* both rebuilds answer exactly like the original... *)
+      let snap = Engine.to_snapshot engine in
+      if snap.Engine.snap_graph.Graph.snap_links <> None then
+        Test.fail_report "digest-less capture carries links";
+      let _, decoded = Snapshot.decode (Snapshot.encode ~seq:7 snap) in
+      if decoded.Engine.snap_graph.Graph.snap_links <> None then
+        Test.fail_report "decoded capture grew links";
+      let r1 = Engine.of_snapshot snap in
+      let r2 = Engine.of_snapshot decoded in
       Array.iter
         (fun a ->
           Array.iter
@@ -526,43 +492,25 @@ let prop_upgrade_chain =
               if not (Event_id.equal a b) then begin
                 let expect = Engine.query_order engine [ (a, b) ] in
                 if Engine.query_order r1 [ (a, b) ] <> expect then
-                  Test.fail_report "v1 restore diverges on a query";
+                  Test.fail_report "restore diverges on a query";
                 if Engine.query_order r2 [ (a, b) ] <> expect then
-                  Test.fail_report "v2 restore diverges on a query"
+                  Test.fail_report "decoded restore diverges on a query"
               end)
             ids)
         ids;
-      (* ...and rebuild the *same* canonical commitments, even though v1
-         re-derives ranks with Kahn's algorithm while v2 restores the
-         original index: the canonical fold order is rank-independent. *)
       let c1 = live_commitments r1 ids in
       let c2 = live_commitments r2 ids in
-      if List.length c1 = 0 then Test.fail_report "no live commitments";
+      if c1 = [] then Test.fail_report "no live commitments";
       if
         not
-          (List.for_all2
-             (fun (e, a) (e', b) ->
-               Event_id.equal e e' && Chain_digest.equal a b)
-             c1 c2)
-      then Test.fail_report "v1 and v2 upgrades disagree on commitments";
-      (* a links-stripped v3 snapshot rebuilds the same canonical chains *)
-      let stripped =
-        {
-          snap with
-          Engine.snap_graph =
-            { snap.Engine.snap_graph with Graph.snap_links = None };
-        }
-      in
-      let r3 = Engine.of_snapshot stripped in
-      if
-        not
-          (List.for_all
-             (fun (e, a) ->
-               match Engine.commitment r3 e with
-               | Some b -> Chain_digest.equal a b
-               | None -> false)
-             c1)
-      then Test.fail_report "stripped v3 rebuild disagrees";
+          (List.length c1 = List.length c2
+           && List.for_all2
+                (fun (e, a) (e', b) ->
+                  Event_id.equal e e' && Chain_digest.equal a b)
+                c1 c2)
+      then Test.fail_report "the two restores disagree on commitments";
+      if verify_all_proofs "rebuilt chain proof" r1 ids = 0 then
+        Test.fail_report "rebuilt chains proved nothing";
       true)
 
 (* ---------- verified reads on the simnet service ---------- *)
@@ -793,7 +741,7 @@ let suites =
     ( "certify.snapshot",
       [
         Alcotest.test_case "v3 roundtrip" `Quick test_snapshot_v3_roundtrip;
-        QCheck_alcotest.to_alcotest prop_upgrade_chain;
+        QCheck_alcotest.to_alcotest prop_digest_toggle;
       ] );
     ( "certify.service",
       [

@@ -209,74 +209,11 @@ let prop_snapshot_round_trip =
       check_engines_agree "after more commands" ids reference restored;
       true)
 
-(* Snapshot files written before the rank index (format version 1) must
-   stay loadable.  A v1 file is the v2 body without the rank suffix under a
-   version-1 header; the decoder surfaces it as [snap_rank = None] and
-   [Graph.of_snapshot] rebuilds an equivalent rank assignment with Kahn's
-   algorithm, so every query answer and counter is preserved. *)
-let test_snapshot_v1_compat () =
-  let module Codec = Kronos_wire.Codec in
-  let module Crc32 = Kronos_durability.Crc32 in
-  let ids, cmds = workload ~seed:17 ~n:12 ~m:20 in
-  let engine = Engine.create () in
-  List.iter (fun c -> ignore (Kronos_service.Server.apply engine c)) cmds;
-  let s = Engine.to_snapshot engine in
-  let g = s.Engine.snap_graph in
-  let e = Codec.encoder () in
-  let put_arr a =
-    Codec.put_u32 e (Array.length a);
-    Array.iter (fun x -> Codec.put_u32 e x) a
-  in
-  Codec.put_i64 e 42L;
-  Codec.put_u32 e g.Graph.snap_next_slot;
-  Codec.put_u32 e (Array.length g.Graph.snap_refcount);
-  Array.iter (fun rc -> Codec.put_u32 e (rc + 1)) g.Graph.snap_refcount;
-  put_arr g.Graph.snap_gen;
-  Codec.put_u32 e (Array.length g.Graph.snap_succ);
-  Array.iter put_arr g.Graph.snap_succ;
-  put_arr g.Graph.snap_free;
-  Codec.put_i64 e (Int64.of_int g.Graph.snap_traversals);
-  Codec.put_i64 e (Int64.of_int g.Graph.snap_visited_total);
-  List.iter
-    (fun v -> Codec.put_i64 e (Int64.of_int v))
-    [
-      s.Engine.snap_creates; s.Engine.snap_queries; s.Engine.snap_assigns;
-      s.Engine.snap_aborted_batches; s.Engine.snap_reversals;
-      s.Engine.snap_collected;
-    ];
-  let body = Codec.to_string e in
-  let b = Buffer.create (String.length body + 10) in
-  Buffer.add_string b "KSNP";
-  Buffer.add_uint16_be b 1;
-  Buffer.add_int32_be b (Crc32.string body);
-  Buffer.add_string b body;
-  (* [encode_at ~fmt:1] must reproduce this independently constructed v1
-     file bit-for-bit — the cross-version matrix and the nemesis harness
-     rely on it writing genuine old-format files. *)
-  Alcotest.(check bool) "encode_at reproduces the hand-rolled v1 bytes" true
-    (String.equal (Buffer.contents b) (Snapshot.encode_at ~fmt:1 ~seq:42 s));
-  let seq, snap = Snapshot.decode (Buffer.contents b) in
-  Alcotest.(check int) "v1 seq" 42 seq;
-  Alcotest.(check bool) "v1 decodes without ranks" true
-    (snap.Engine.snap_graph.Graph.snap_rank = None);
-  let restored = Engine.of_snapshot snap in
-  check_engines_agree "v1 snapshot" ids engine restored;
-  (* the rebuilt ranks must satisfy the index invariant on every edge *)
-  let rg = Engine.graph restored in
-  Graph.fold_edges rg
-    (fun () u v ->
-      match (Graph.rank rg u, Graph.rank rg v) with
-      | Some ru, Some rv ->
-        if ru >= rv then Alcotest.fail "rebuilt ranks violate edge invariant"
-      | _ -> Alcotest.fail "live event without rank")
-    ()
-
 (* Version-5 snapshots persist the chain decomposition behind the label
    index.  The restore must install exactly the captured chains (labels are
    recomputed, never stored), so index-only answers are identical before
-   and after; a chain-less body (what a v4 file decodes to) must rebuild a
-   decomposition deterministically; and a corrupted chain section must be
-   rejected rather than installed as an over-approximating index. *)
+   and after; and a corrupted chain section must be rejected rather than
+   installed as an over-approximating index. *)
 let test_snapshot_v5_chains () =
   let ids, cmds = workload ~seed:23 ~n:12 ~m:20 in
   let engine = Engine.create () in
@@ -284,8 +221,6 @@ let test_snapshot_v5_chains () =
   let bytes = Snapshot.encode ~seq:7 (Engine.to_snapshot engine) in
   let seq, snap = Snapshot.decode bytes in
   Alcotest.(check int) "seq" 7 seq;
-  Alcotest.(check bool) "v5 carries chains" true
-    (snap.Engine.snap_graph.Graph.snap_chains <> None);
   let restored = Engine.of_snapshot snap in
   check_engines_agree "v5 snapshot" ids engine restored;
   Alcotest.(check int) "chain count preserved" (Engine.chain_count engine)
@@ -302,33 +237,19 @@ let test_snapshot_v5_chains () =
               (Graph.label_reachable g0 u v) (Graph.label_reachable g1 u v))
         ids)
     ids;
-  (* chain-less restore (the v4 decode surface) rebuilds and still agrees;
-     recapture so the counters reflect the queries just issued above *)
-  let snap2 = Engine.to_snapshot engine in
-  let chainless =
-    { snap2 with
-      Engine.snap_graph =
-        { snap2.Engine.snap_graph with Graph.snap_chains = None } }
-  in
-  check_engines_agree "chainless restore" ids engine
-    (Engine.of_snapshot chainless);
   (* a corrupt chain section must raise, not load *)
-  (match snap.Engine.snap_graph.Graph.snap_chains with
-   | None -> ()
-   | Some cs ->
-     let bad_of = Array.copy cs.Graph.cs_chain_of in
-     (try
-        ignore bad_of.(0);
-        bad_of.(0) <- 9999;
-        let bad =
-          { snap with
-            Engine.snap_graph =
-              { snap.Engine.snap_graph with
-                Graph.snap_chains = Some { cs with Graph.cs_chain_of = bad_of } } }
-        in
-        ignore (Engine.of_snapshot bad);
-        Alcotest.fail "corrupt chain section accepted"
-      with Invalid_argument _ -> ()))
+  let cs = snap.Engine.snap_graph.Graph.snap_chains in
+  let bad_of = Array.copy cs.Graph.cs_chain_of in
+  bad_of.(0) <- 9999;
+  let bad =
+    { snap with
+      Engine.snap_graph =
+        { snap.Engine.snap_graph with
+          Graph.snap_chains = { cs with Graph.cs_chain_of = bad_of } } }
+  in
+  match Engine.of_snapshot bad with
+  | _ -> Alcotest.fail "corrupt chain section accepted"
+  | exception Invalid_argument _ -> ()
 
 let test_snapshot_files () =
   let _dir, storage = mem () in
@@ -341,8 +262,8 @@ let test_snapshot_files () =
     cmds;
   let final = List.length cmds in
   Snapshot.write storage ~seq:final engine;
-  (match Snapshot.load_latest storage with
-   | Some (seq, restored) ->
+  (match Snapshot.load_chain storage with
+   | Some (seq, restored, _) ->
      Alcotest.(check int) "newest snapshot wins" final seq;
      check_engines_agree "loaded snapshot" ids engine restored
    | None -> Alcotest.fail "snapshot missing");
@@ -353,8 +274,8 @@ let test_snapshot_files () =
   w.Storage.append "KSNPgarbage";
   w.Storage.sync ();
   w.Storage.close ();
-  (match Snapshot.load_latest storage with
-   | Some (seq, _) ->
+  (match Snapshot.load_chain storage with
+   | Some (seq, _, _) ->
      Alcotest.(check bool) "fell back past corruption" true (seq < final)
    | None -> Alcotest.fail "no fallback snapshot");
   Snapshot.truncate_old storage ~keep:1;
@@ -444,102 +365,126 @@ let test_recovery_after_crash_loses_only_unsynced () =
 
 (* {1 Incremental snapshots (DESIGN.md §16)} *)
 
-(* Every supported snapshot format must encode, decode and restore to a
-   behaviourally identical engine, with exactly the sections its era
-   carried; out-of-range formats are refused at encode time. *)
+(* Rewrite the u16 format version in a snapshot header (bytes 4-5).  The
+   CRC covers only the body, so the relabelled file stays checksum-valid. *)
+let relabel data v =
+  let b = Bytes.of_string data in
+  Bytes.set_uint16_be b 4 v;
+  Bytes.to_string b
+
+(* Flip one bit of the body's last byte: the checksum no longer matches. *)
+let corrupt_body data =
+  let b = Bytes.of_string data in
+  let i = Bytes.length b - 1 in
+  Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
+  Bytes.to_string b
+
+(* This build reads one snapshot format.  Its encoding is pinned: a fixed
+   workload must keep producing the bytes every build since format 5 was
+   introduced has written.  An intact file under any other version number
+   — a retired one or a newer build's — is refused with
+   [Unsupported_version] naming that number, while a corrupt body stays a
+   plain decode error whatever its header says (the checksum is checked
+   before the version). *)
 let test_snapshot_version_matrix () =
   let ids, cmds = workload ~seed:41 ~n:14 ~m:24 in
   let engine = Engine.create () in
   List.iter (fun c -> ignore (Kronos_service.Server.apply engine c)) cmds;
-  for fmt = 1 to Snapshot.version do
-    (* recapture per format: [check_engines_agree] issues queries, so the
-       reference's counters move between iterations *)
-    let snap = Engine.to_snapshot engine in
-    let bytes = Snapshot.encode_at ~fmt ~seq:fmt snap in
-    let seq, decoded = Snapshot.decode bytes in
-    Alcotest.(check int) (Printf.sprintf "v%d seq" fmt) fmt seq;
-    Alcotest.(check bool)
-      (Printf.sprintf "v%d rank section" fmt)
-      (fmt >= 2)
-      (decoded.Engine.snap_graph.Graph.snap_rank <> None);
-    Alcotest.(check bool)
-      (Printf.sprintf "v%d chain section" fmt)
-      (fmt >= 5)
-      (decoded.Engine.snap_graph.Graph.snap_chains <> None);
-    check_engines_agree
-      (Printf.sprintf "v%d restore" fmt)
-      ids engine
-      (Engine.of_snapshot decoded)
-  done;
-  let snap = Engine.to_snapshot engine in
-  (try
-     ignore (Snapshot.encode_at ~fmt:0 ~seq:1 snap);
-     Alcotest.fail "format 0 accepted"
-   with Invalid_argument _ -> ());
-  try
-    ignore (Snapshot.encode_at ~fmt:(Snapshot.version + 1) ~seq:1 snap);
-    Alcotest.fail "future format accepted"
-  with Invalid_argument _ -> ()
+  let bytes = Snapshot.encode ~seq:40 (Engine.to_snapshot engine) in
+  Alcotest.(check string) "format 5 encoding unchanged"
+    "ea533022be1f1061447438664bb5e3e1" (Digest.to_hex (Digest.string bytes));
+  for v = 0 to Snapshot.version + 2 do
+    let data = relabel bytes v in
+    (match Snapshot.decode data with
+     | seq, snap ->
+       if v <> Snapshot.version then Alcotest.failf "version %d decoded" v;
+       Alcotest.(check int) "seq" 40 seq;
+       check_engines_agree "current format" ids engine (Engine.of_snapshot snap)
+     | exception Snapshot.Unsupported_version { version; _ } ->
+       if v = Snapshot.version then Alcotest.fail "current format refused";
+       Alcotest.(check int) "refused version reported" v version);
+    match Snapshot.decode (corrupt_body data) with
+    | _ -> Alcotest.failf "corrupt version-%d body decoded" v
+    | exception Kronos_wire.Codec.Decode_error _ -> ()
+  done
 
-(* Files of every vintage coexisting in one directory: recovery resolves
-   the newest head (a delta chained on a current full), and when the
-   newest links are corrupted it falls back across the version boundary
-   to a legacy file — restoring exactly that prefix's state. *)
-let test_mixed_version_recovery () =
+(* A checksum-valid head in a format this build does not read — retired
+   (4) or newer (6) — sits above an older valid full snapshot, with the WAL
+   already truncated past that full.  Skipping the head the way a corrupt
+   file is skipped would restore the old full and stop replay at the WAL
+   gap: a silent rollback of every acknowledged command in between.
+   Recovery must stop loudly instead, naming the file and version, and so
+   must every other resolver; a body-corrupted head in the same position
+   still falls back. *)
+let test_retired_version_stops_recovery () =
   let ids, cmds = workload ~seed:41 ~n:14 ~m:24 in
   let cmds = Array.of_list cmds in
   let total = Array.length cmds in
-  Alcotest.(check int) "workload length" 40 total;
+  let wal_config = { Wal.segment_bytes = 256; sync = Wal.Always } in
   let _dir, storage = mem () in
+  let wal, _ = Wal.open_ ~config:wal_config storage in
   let engine = Engine.create () in
-  let legacy = [ (8, 1); (16, 2); (24, 3); (32, 4) ] in
   Array.iteri
     (fun i c ->
-      ignore (Kronos_service.Server.apply engine c);
       let seq = i + 1 in
-      (match List.assoc_opt seq legacy with
-       | Some fmt ->
-         Snapshot.write_bytes storage ~seq
-           (Snapshot.encode_at ~fmt ~seq (Engine.to_snapshot engine))
-       | None -> ());
-      if seq = 36 then begin
+      ignore (Kronos_service.Server.apply engine c);
+      Wal.append wal ~seq ~payload:c;
+      Wal.flush wal;
+      if seq = 16 || seq = 32 then begin
         Snapshot.write storage ~seq engine;
-        Engine.snapshot_written engine
+        Wal.truncate_before wal ~seq
       end)
     cmds;
-  Snapshot.write_delta storage ~base_seq:36 ~seq:total engine;
-  Engine.snapshot_written engine;
-  (match Snapshot.load_chain storage with
-   | Some (seq, restored, applied) ->
-     Alcotest.(check int) "newest head wins over legacy files" total seq;
-     Alcotest.(check int) "one delta composed" 1 applied;
-     check_engines_agree "mixed directory restore" ids engine restored
-   | None -> Alcotest.fail "mixed directory did not resolve");
-  (* corrupt the delta head and its full base: the resolver must cross
-     back into the legacy files and land on the v4 state at 32 *)
+  Wal.sync wal;
+  let recover () =
+    Recovery.run ~wal_config
+      ~replay:(fun e (r : Wal.record) ->
+        ignore (Kronos_service.Server.apply e r.payload))
+      storage
+  in
+  let outcome = recover () in
+  Alcotest.(check int) "intact head recovered" 32 outcome.Recovery.snapshot_seq;
+  Alcotest.(check int) "whole log recovered" (total + 1)
+    outcome.Recovery.next_seq;
+  check_engines_agree "intact head" ids engine outcome.Recovery.engine;
+  let head = Snapshot.filename ~seq:32 in
+  let current =
+    match storage.Storage.read_file head with
+    | Some data -> data
+    | None -> Alcotest.fail "head snapshot missing"
+  in
+  let plant data =
+    storage.Storage.remove_file head;
+    let w = storage.Storage.open_append head in
+    w.Storage.append data;
+    w.Storage.sync ();
+    w.Storage.close ()
+  in
+  let refused what v f =
+    match f () with
+    | _ -> Alcotest.failf "%s skipped a version-%d head" what v
+    | exception Snapshot.Unsupported_version { file; version } ->
+      Alcotest.(check string) (what ^ ": file named") head file;
+      Alcotest.(check int) (what ^ ": version named") v version
+  in
   List.iter
-    (fun name ->
-      storage.Storage.remove_file name;
-      let w = storage.Storage.open_append name in
-      w.Storage.append "KSNPbitrot";
-      w.Storage.sync ();
-      w.Storage.close ())
-    [ Snapshot.delta_filename ~seq:total; Snapshot.filename ~seq:36 ];
-  let reference = Engine.create () in
-  for i = 0 to 31 do
-    ignore (Kronos_service.Server.apply reference cmds.(i))
-  done;
-  match Snapshot.load_chain storage with
-  | Some (seq, restored, applied) ->
-    Alcotest.(check int) "fell back to the v4 file" 32 seq;
-    Alcotest.(check int) "no deltas on the legacy path" 0 applied;
-    check_engines_agree "legacy fallback restore" ids reference restored
-  | None -> Alcotest.fail "legacy fallback did not resolve"
+    (fun v ->
+      plant (relabel current v);
+      refused "recovery" v (fun () -> ignore (recover ()));
+      refused "load_chain_bytes" v (fun () ->
+          ignore (Snapshot.load_chain_bytes storage));
+      refused "compact" v (fun () -> ignore (Snapshot.compact storage ~keep:2)))
+    [ 4; 6 ];
+  plant (corrupt_body current);
+  let outcome = recover () in
+  Alcotest.(check int) "corrupt head falls back" 16
+    outcome.Recovery.snapshot_seq;
+  Alcotest.(check bool) "the WAL no longer covers the gap" true
+    (outcome.Recovery.next_seq <= 32)
 
 (* A delta captures exactly the slots dirtied since the base was written:
-   composing it back onto the base reproduces the live engine, the wire
-   encoding round-trips, and bases missing the sections deltas overlay
-   (legacy decodes) are refused rather than silently mis-composed. *)
+   composing it back onto the base reproduces the live engine and the wire
+   encoding round-trips. *)
 let test_delta_round_trip () =
   let ids, cmds = workload ~seed:29 ~n:12 ~m:18 in
   let cmds = Array.of_list cmds in
@@ -564,17 +509,6 @@ let test_delta_round_trip () =
   Alcotest.(check int) "delta seq" (Array.length cmds) seq;
   let composed = Engine.of_snapshot (Engine.apply_delta base decoded) in
   check_engines_agree "base + delta equals live engine" ids engine composed;
-  (* a base that decoded without ranks (a legacy file) cannot anchor a
-     delta chain *)
-  let crippled =
-    { base with
-      Engine.snap_graph =
-        { base.Engine.snap_graph with Graph.snap_rank = None } }
-  in
-  (try
-     ignore (Engine.apply_delta crippled decoded);
-     Alcotest.fail "delta composed onto a rank-less base"
-   with Invalid_argument _ -> ());
   (* corrupting the encoding must be detected by the checksum *)
   let flipped = Bytes.of_string bytes in
   Bytes.set flipped (Bytes.length flipped - 1)
@@ -717,8 +651,6 @@ let suites =
           test_wal_rotation_and_truncation;
         Alcotest.test_case "wal sync policies" `Quick test_wal_sync_policies;
         QCheck_alcotest.to_alcotest prop_snapshot_round_trip;
-        Alcotest.test_case "snapshot v1 compatibility" `Quick
-          test_snapshot_v1_compat;
         Alcotest.test_case "snapshot v5 chains" `Quick test_snapshot_v5_chains;
         Alcotest.test_case "snapshot files" `Quick test_snapshot_files;
         Alcotest.test_case "recovery at every prefix" `Quick
@@ -727,8 +659,8 @@ let suites =
           test_recovery_after_crash_loses_only_unsynced;
         Alcotest.test_case "snapshot version matrix" `Quick
           test_snapshot_version_matrix;
-        Alcotest.test_case "mixed-version recovery" `Quick
-          test_mixed_version_recovery;
+        Alcotest.test_case "retired-version head stops recovery" `Quick
+          test_retired_version_stops_recovery;
         Alcotest.test_case "delta round trip" `Quick test_delta_round_trip;
         Alcotest.test_case "delta chain recovery" `Quick
           test_delta_chain_recovery;

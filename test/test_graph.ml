@@ -217,15 +217,59 @@ let test_visited_accounting () =
      Alcotest.(check bool) "ranks repaired" true (ry < rx)
    | _ -> Alcotest.fail "live events must have ranks")
 
+(* [remove_last_edge] outside the batch protocol: creating an event seals
+   the rollback journal, so undoing the edge admitted just before finds no
+   journal group and falls back to the deterministic full label rebuild.
+   The rebuilt index may decide more pairs than a graph that never saw the
+   edge (the rebuild assigns every live event a chain), but every answer
+   it commits to, and every query, must match that graph. *)
+let test_label_rebuild_fallback () =
+  let edges = [ (0, 1); (1, 2); (0, 3); (3, 4); (2, 5); (4, 5); (6, 7) ] in
+  let build () =
+    let g = Graph.create () in
+    let ids = Array.init 8 (fun _ -> Graph.create_event g) in
+    List.iter (fun (u, v) -> Graph.add_edge g ids.(u) ids.(v)) edges;
+    (g, ids)
+  in
+  let g, ids = build () in
+  Graph.add_edge g ids.(5) ids.(6);
+  let extra = Graph.create_event g in
+  let rebuilds = Graph.label_rebuild_count g in
+  Graph.remove_last_edge g ids.(5) ids.(6);
+  Alcotest.(check int) "one full label rebuild" (rebuilds + 1)
+    (Graph.label_rebuild_count g);
+  let fresh, fids = build () in
+  let fextra = Graph.create_event fresh in
+  let ids = Array.append ids [| extra |] in
+  let fids = Array.append fids [| fextra |] in
+  let decided = ref 0 in
+  Array.iteri
+    (fun i u ->
+      Array.iteri
+        (fun j v ->
+          if i <> j then begin
+            let what = Printf.sprintf "%d -> %d" i j in
+            (match Graph.label_reachable g u v with
+             | Some ans ->
+               incr decided;
+               Alcotest.(check bool) ("label " ^ what)
+                 (Graph.reachable fresh fids.(i) fids.(j)) ans
+             | None -> ());
+            Alcotest.(check bool) ("query " ^ what) true
+              (Graph.query fresh fids.(i) fids.(j) = Graph.query g u v)
+          end)
+        ids)
+    ids;
+  Alcotest.(check int) "rebuilt labels decide every pair" (9 * 8) !decided
+
 (* Differential property for the rank index: drive a random interleaving of
    create / add_edge / release / rollback / snapshot operations against
    both the real graph and a naive reference model (adjacency lists,
    refcounts and the same strict-GC rule), and after every single step
    check that liveness, GC counts and pairwise reachability agree with the
    model and that rank u < rank v holds for every live edge — through slot
-   reuse, GC cascades, edge rollback and snapshot round-trips (including
-   legacy rank-less snapshots, which force the Kahn rebuild path, and
-   chain-less ones, which force the label rebuild path).  The same program
+   reuse, GC cascades, edge rollback and snapshot round-trips.  The same
+   program
    also exercises the chain-label index: whenever [Graph.label_reachable]
    commits to an answer it must bit-match the model — over-approximation
    is as much a bug as under-approximation.  Instantiated three times:
@@ -242,8 +286,6 @@ let make_rank_differential ~max_chains name =
         (2, Gen.map (fun a -> `Release a) (Gen.int_bound 999));
         (1, Gen.return `Rollback);
         (1, Gen.return `Snapshot);
-        (1, Gen.return `Legacy_snapshot);
-        (1, Gen.return `Chainless_snapshot);
       ]
   in
   Test.make ~name ~count:120
@@ -379,21 +421,6 @@ let make_rank_differential ~max_chains name =
                  last_edge := None)
            | `Snapshot ->
              g := Graph.of_snapshot ~max_chains (Graph.to_snapshot !g);
-             last_edge := None
-           | `Legacy_snapshot ->
-             (* v1–v3 on disk: no rank index, no chains — both rebuild *)
-             let s = Graph.to_snapshot !g in
-             g :=
-               Graph.of_snapshot ~max_chains
-                 { s with Graph.snap_rank = None; snap_next_rank = 0;
-                   snap_chains = None };
-             last_edge := None
-           | `Chainless_snapshot ->
-             (* v4 on disk: rank survives, chains rebuilt deterministically *)
-             let s = Graph.to_snapshot !g in
-             g :=
-               Graph.of_snapshot ~max_chains
-                 { s with Graph.snap_chains = None };
              last_edge := None);
           check_agree step)
         ops;
@@ -557,6 +584,8 @@ let suites =
         Alcotest.test_case "introspection" `Quick test_introspection;
         Alcotest.test_case "visited accounting" `Quick test_visited_accounting;
         Alcotest.test_case "chain cap saturation" `Quick test_chain_cap_saturation;
+        Alcotest.test_case "label rebuild fallback" `Quick
+          test_label_rebuild_fallback;
         QCheck_alcotest.to_alcotest prop_rank_index_differential;
         QCheck_alcotest.to_alcotest prop_label_saturated_differential;
         QCheck_alcotest.to_alcotest prop_label_disabled_differential;

@@ -5,10 +5,10 @@
    - {b partition}: every TCP connection between replica 2 and the rest of
      the cluster runs through byte-level drop proxies; partitioning closes
      the live connections and refuses new ones until healed;
-   - {b clean kill + mixed snapshot versions}: replica 2's runtime is shut
-     down and a legacy-format snapshot (v1..v5, cycling per iteration) is
-     planted in its storage, so recovery must read old formats that
-     coexist with current full snapshots and deltas;
+   - {b clean kill + planted snapshot}: replica 2's runtime is shut down
+     and a full snapshot of its engine is planted in its storage at the
+     applied sequence, so recovery must resolve it among the policy's own
+     full snapshots and deltas;
    - {b machine crash + lying disk}: replica 2's storage wrapper silently
      drops fsyncs, then the "machine" crashes (un-synced bytes vanish) and
      a torn half-record is appended to the WAL tail — recovery must
@@ -354,18 +354,17 @@ let test_nemesis_schedule () =
        faults.Faults.torn_next_append <- true;
        restart_r2 ()
      | 1 ->
-       (* Clean kill, then plant a legacy-format snapshot (cycling v1..v5)
-          at the replica's applied sequence: recovery must prefer it and
-          read the old format alongside current fulls and deltas. *)
+       (* Clean kill, then plant a full snapshot at the replica's applied
+          sequence: recovery must prefer it over the policy's own fulls
+          and deltas beside it. *)
        run_workload ~total:30 ~at:10
          ~nemesis:(fun () -> Tcp.shutdown !t2cur)
          ();
        Alcotest.(check int) "chain reconfigured around the kill" 2
          (chain_length ());
-       let fmt = 1 + ((iter - 1) mod Snapshot.version) in
        let seq = Chain.Replica.last_applied !r2cur in
        Snapshot.write_bytes storage2_raw ~seq
-         (Snapshot.encode_at ~fmt ~seq (Engine.to_snapshot !(!e2cur)));
+         (Snapshot.encode ~seq (Engine.to_snapshot !(!e2cur)));
        restart_r2 ()
      | _ ->
        (* Lying disk: fsyncs silently dropped from here on, then the
