@@ -18,8 +18,8 @@ loopback: build
 
 # Nemesis gate (DESIGN.md §16): the real-TCP fault schedule — partitions
 # through drop proxies, clean kills with planted full snapshots,
-# machine crashes over a lying/torn disk — under the incremental snapshot
-# policy.  KRONOS_NEMESIS_ITERS scales the schedule (default 3; CI's PR
+# machine crashes over a lying/torn disk — under the WAL-bytes snapshot
+# schedule.  KRONOS_NEMESIS_ITERS scales the schedule (default 3; CI's PR
 # lane uses 2, the nightly lane 12).
 nemesis: build
 	dune exec test/test_main.exe -- test '^nemesis'

@@ -558,67 +558,49 @@ let write_scaling_smoke () =
   record "fed.write_scaling" (t4 /. t1) "x"
 
 (* Documented budget (DESIGN.md §16) for [durability.recovery_ms]: the
-   snapshot policy bounds the WAL tail a restart replays to one policy
-   window, so cold recovery time is independent of history length.  One
-   window of single-chain commands replays in well under a second on any
-   recent machine; 2000 ms leaves generous slack for loaded CI runners
-   while still failing if recovery ever degrades to replaying history
+   snapshot schedule bounds the WAL tail a restart replays to one window,
+   so cold recovery time is independent of history length.  One window of
+   single-chain commands replays in well under a second on any recent
+   machine; 2000 ms leaves generous slack for loaded CI runners while
+   still failing if recovery ever degrades to replaying history
    proportional to its length. *)
 let recovery_ms_budget = 2_000.
 
 (* Bounded-time recovery (DESIGN.md §16): build a single-chain history of
    [events] events through the wire codec into a WAL plus incremental
-   snapshots, driving the same policy loop the server runs — a delta per
-   WAL window, a full re-anchor every [max_chain] windows, segments
-   retired and the directory compacted as it goes — then measure a cold
+   snapshots, group-committing every 32 commands through the snapshot
+   schedule the server runs ([Schedule.commit]: a delta per WAL window, a
+   full re-anchor every [Schedule.max_delta_chain] deltas, segments
+   retired and the directory compacted as it goes) — then measure a cold
    [Recovery.run] over the result.  The replayed tail is bounded by one
-   policy window no matter how long the history grew (that is the point
-   of the subsystem), so [durability.recovery_ms] is held under an
-   absolute budget in [check] rather than ratio-gated against a baseline.
+   window no matter how long the history grew (that is the point of the
+   subsystem), so [durability.recovery_ms] is held under an absolute
+   budget in [check] rather than ratio-gated against a baseline.
    [durability.recovery_rss_mb] tracks the resident set right after the
    restore (Linux /proc/self/statm; skipped elsewhere). *)
 let durability_recovery_smoke () =
   let module Storage = Kronos_durability.Storage in
   let module Wal = Kronos_durability.Wal in
-  let module Snapshot = Kronos_durability.Snapshot in
+  let module Schedule = Kronos_durability.Schedule in
   let module Recovery = Kronos_durability.Recovery in
   let module Message = Kronos_wire.Message in
   let events = if !Bench_util.full_scale then 1_000_000 else 30_000 in
   let window = if !Bench_util.full_scale then 4 * 1024 * 1024 else 128 * 1024 in
-  let max_chain = 8 and keep = 2 in
   let wal_config = { Wal.segment_bytes = 1 lsl 20; sync = Wal.Always } in
   let storage = Storage.Memory.storage (Storage.Memory.create ()) in
   let wal, _ = Wal.open_ ~config:wal_config storage in
+  let schedule = Schedule.create storage wal ~wal_bytes:window ~snapshot_seq:0 in
   let engine = Engine.create () in
   (* a scratch engine mints the same event ids the real one will *)
   let scratch = Engine.create () in
   let ids = Array.init events (fun _ -> Engine.create_event scratch) in
   let create_cmd = Kronos_wire.Message.encode_request Message.Create_event in
   let seq = ref 0 in
-  let last_snap = ref 0 and last_full = ref 0 and chain_len = ref 0 in
-  let mark = ref (Wal.logged_bytes wal) in
   let apply payload =
     incr seq;
     ignore (Server.apply engine payload);
     Wal.append wal ~seq:!seq ~payload;
-    if !seq land 31 = 0 then Wal.flush wal;
-    if Wal.logged_bytes wal - !mark >= window then begin
-      Wal.flush wal;
-      (if !last_full > 0 && !chain_len < max_chain then begin
-         Snapshot.write_delta storage ~base_seq:!last_snap ~seq:!seq engine;
-         incr chain_len
-       end
-       else begin
-         Snapshot.write storage ~seq:!seq engine;
-         last_full := !seq;
-         chain_len := 0
-       end);
-      Engine.snapshot_written engine;
-      last_snap := !seq;
-      mark := Wal.logged_bytes wal;
-      Wal.truncate_before wal ~seq:!seq;
-      ignore (Snapshot.compact storage ~keep)
-    end
+    if !seq land 31 = 0 then Schedule.commit schedule engine ~upto:!seq
   in
   for i = 0 to events - 1 do
     apply create_cmd;
@@ -628,7 +610,8 @@ let durability_recovery_smoke () =
            (Message.Assign_order [ Order.must_before ids.(i - 1) ids.(i) ]))
   done;
   Wal.sync wal;
-  if !last_snap = 0 then failwith "smoke: recovery bench never snapshotted";
+  if Schedule.last_snapshot schedule = 0 then
+    failwith "smoke: recovery bench never snapshotted";
   let outcome =
     Recovery.run ~wal_config
       ~replay:(fun e (r : Wal.record) -> ignore (Server.apply e r.payload))
@@ -637,7 +620,7 @@ let durability_recovery_smoke () =
   if outcome.Recovery.next_seq <> !seq + 1 then
     failwith "smoke: recovery lost acknowledged commands";
   if outcome.Recovery.wal_bytes_replayed > 2 * window then
-    failwith "smoke: recovery replayed more than one policy window";
+    failwith "smoke: recovery replayed more than one window";
   record "durability.recovery_ms" outcome.Recovery.recovery_ms "ms";
   record "durability.replay_ms" outcome.Recovery.replay_ms "ms";
   record "durability.wal_replayed_mb"

@@ -23,7 +23,10 @@ let () =
     Kronos_durability.Storage.files
       ~dir:(Filename.concat base (Printf.sprintf "replica-%d" addr))
   in
-  let durability = Server.durability ~snapshot_every:8 ~storage_of () in
+  (* a tiny WAL window, so the few commands below already snapshot *)
+  let durability =
+    Server.durability ~wal_bytes_per_snapshot:128 ~storage_of ()
+  in
   let cluster =
     Server.deploy ~net ~coordinator:1000 ~replicas:[ 0; 1; 2 ] ~durability
       ~ping_interval:0.2 ~failure_timeout:0.8 ()

@@ -67,9 +67,7 @@ let () =
   let data_dir = ref "" in
   let metrics_addr = ref "" in
   let no_metrics = ref false in
-  let snapshot_every = ref 1024 in
-  let snapshot_wal_bytes = ref 0 in
-  let max_delta_chain = ref 8 in
+  let snapshot_wal_bytes = ref Kronos_durability.Schedule.default_wal_bytes in
   let query_domains = ref (max 1 (Domain.recommended_domain_count () - 1)) in
   let ping_interval = ref 0.2 in
   let failure_timeout = ref 1.0 in
@@ -111,18 +109,15 @@ let () =
       ( "--no-metrics",
         Arg.Set no_metrics,
         " switch the metrics registry to the no-op sink" );
-      ( "--snapshot-every",
-        Arg.Set_int snapshot_every,
-        "N snapshot + truncate the WAL every N commands (default 1024)" );
       ( "--snapshot-wal-bytes",
-        Arg.Set_int snapshot_wal_bytes,
+        Arg.Int
+          (fun b ->
+            if b < 1 then
+              raise (Arg.Bad ("--snapshot-wal-bytes: expected B >= 1, got "
+                              ^ string_of_int b));
+            snapshot_wal_bytes := b),
         "B snapshot once B WAL bytes accrue, writing incremental deltas \
-         between full snapshots (0 = count-based --snapshot-every, the \
-         default)" );
-      ( "--max-delta-chain",
-        Arg.Set_int max_delta_chain,
-        "N deltas between full snapshots under --snapshot-wal-bytes \
-         (default 8; 0 = full snapshots only)" );
+         between full snapshots (default 4194304)" );
       ( "--query-domains",
         Arg.Set_int query_domains,
         "N reader domains answering queries over published views (default \
@@ -197,16 +192,8 @@ let () =
   let durability =
     if !data_dir = "" then None
     else
-      let policy =
-        if !snapshot_wal_bytes <= 0 then None
-        else
-          Some
-            (Server.snapshot_policy
-               ~wal_bytes_per_snapshot:!snapshot_wal_bytes
-               ~max_delta_chain:!max_delta_chain ())
-      in
       Some
-        (Server.durability ~snapshot_every:!snapshot_every ?policy
+        (Server.durability ~wal_bytes_per_snapshot:!snapshot_wal_bytes
            ~storage_of:(fun a ->
              Kronos_durability.Storage.files
                ~dir:(Filename.concat !data_dir (string_of_int a)))

@@ -239,19 +239,6 @@ let list_snapshots storage =
   |> List.filter_map (fun n -> Option.map (fun s -> (s, n)) (parse_filename n))
   |> List.sort (fun a b -> compare b a) (* newest first *)
 
-let truncate_old storage ~keep =
-  let keep = max keep 1 in
-  list_snapshots storage
-  |> List.iteri (fun i (_, name) ->
-         if i >= keep then storage.Storage.remove_file name);
-  (* stray temporaries from interrupted writes *)
-  storage.Storage.list_files ()
-  |> List.iter (fun n ->
-         if String.length n >= 5
-            && String.sub n 0 5 = "snap-"
-            && Filename.check_suffix n ".tmp"
-         then storage.Storage.remove_file n)
-
 (* ------------------------------------------------------------------ *)
 (* Incremental snapshots (DESIGN.md §16).                              *)
 (*                                                                     *)
@@ -575,12 +562,13 @@ let m_retired =
 
 (* Retire snapshot files made redundant by newer durable state: delta
    files at or below the newest valid full snapshot (the full already
-   covers them), full files beyond the newest [keep], and stray
-   temporaries.  Crash ordering is the caller's: the covering snapshot is
-   written and synced {e before} compact unlinks anything, and unlinking
-   is idempotent — a crash mid-compact leaves extra files that the next
-   compact retires and recovery happily ignores.  Returns the number of
-   files removed. *)
+   covers them), valid full files beyond the newest [keep], corrupt full
+   files (a file under its final name never becomes valid later: writes
+   go tmp -> sync -> rename), and stray temporaries.  Crash ordering is
+   the caller's: the covering snapshot is written and synced {e before}
+   compact unlinks anything, and unlinking is idempotent — a crash
+   mid-compact leaves extra files that the next compact retires and
+   recovery happily ignores.  Returns the number of files removed. *)
 let compact storage ~keep =
   let keep = max keep 1 in
   let removed = ref 0 in
@@ -589,8 +577,8 @@ let compact storage ~keep =
     incr removed;
     Kronos_metrics.Counter.incr m_retired
   in
-  let fulls =
-    List.filter
+  let fulls, corrupt =
+    List.partition
       (fun (_, file) ->
         match storage.Storage.read_file file with
         | None -> false
@@ -601,12 +589,8 @@ let compact storage ~keep =
   List.iter
     (fun (seq, name) -> if seq <= newest_full then remove name)
     (list_deltas storage);
-  List.iteri
-    (fun i (_, name) -> if i >= keep then remove name)
-    (list_snapshots storage);
-  (* corrupt fulls older than the newest valid one are unrecoverable
-     anyway once a valid newer head exists; leave newer ones (they may be
-     mid-write by a concurrent path) *)
+  List.iteri (fun i (_, name) -> if i >= keep then remove name) fulls;
+  List.iter (fun (_, name) -> remove name) corrupt;
   storage.Storage.list_files ()
   |> List.iter (fun n ->
          if Filename.check_suffix n ".tmp"

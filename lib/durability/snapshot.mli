@@ -43,10 +43,6 @@ val write : Storage.t -> seq:int -> Engine.t -> unit
 val write_bytes : Storage.t -> seq:int -> string -> unit
 (** Persist already-encoded snapshot bytes (state transfer receive path). *)
 
-val truncate_old : Storage.t -> keep:int -> unit
-(** Delete all but the newest [keep] snapshot files (and stray temporary
-    files from interrupted writes). *)
-
 (** {1 Incremental snapshots (DESIGN.md §16)}
 
     A delta file ([delta-<seq>.delta]) holds an {!Kronos.Engine.delta}
@@ -86,9 +82,10 @@ val load_chain_bytes : Storage.t -> (int * string) option
 
 val compact : Storage.t -> keep:int -> int
 (** Retire snapshot files made redundant by newer durable state: deltas
-    at or below the newest valid full snapshot, fulls beyond the newest
-    [keep] (min 1), and stray temporaries.  Call {e after} the covering
-    snapshot is durably written — unlinking is idempotent and recovery
+    at or below the newest valid full snapshot, valid fulls beyond the
+    newest [keep] (min 1), corrupt fulls, and the stray [snap-*.tmp] /
+    [delta-*.tmp] files of interrupted writes.  Call {e after} the
+    covering snapshot is durably written — unlinking is idempotent and recovery
     ignores missing files, so a crash at any point mid-compact is safe.
     Rewrites the {!read_manifest} audit record.  Returns the number of
     files removed (counted in [durability.snapshots_retired_total]). *)

@@ -43,7 +43,7 @@ type t = {
   mutable syncs : int;
   (* cumulative framed bytes accepted by [append] (header + payload),
      including bytes still in the group-commit buffer — the snapshot
-     policy's WAL-bytes-since-snapshot trigger reads this *)
+     schedule's WAL-bytes-since-snapshot trigger reads this *)
   mutable logged_bytes : int;
   mutable retired_segments : int;
 }

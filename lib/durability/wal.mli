@@ -68,7 +68,8 @@ val sync_count : t -> int
 val logged_bytes : t -> int
 (** Cumulative framed bytes accepted by {!append} since this handle was
     opened (header + payload, buffered bytes included).  The snapshot
-    policy's WAL-bytes-since-snapshot trigger diffs this counter. *)
+    schedule's WAL-bytes-since-snapshot trigger ({!Schedule}) diffs this
+    counter. *)
 
 val retired_segments : t -> int
 (** Segments deleted by {!truncate_before} on this handle. *)

@@ -92,35 +92,18 @@ let apply engine cmd =
   in
   Message.encode_response response
 
-(* Amortized snapshotting (DESIGN.md §16): instead of a full snapshot
-   every N commands, trigger on WAL bytes accumulated since the last
-   snapshot and write {e incremental} deltas between full snapshots, so a
-   busy replica's snapshot cost tracks its write rate, not its history. *)
-type snapshot_policy = {
-  wal_bytes_per_snapshot : int;
-  max_delta_chain : int;
-}
-
-let snapshot_policy ?(wal_bytes_per_snapshot = 4 * 1024 * 1024)
-    ?(max_delta_chain = 8) () =
-  if wal_bytes_per_snapshot < 1 then
-    invalid_arg "Server.snapshot_policy: wal_bytes_per_snapshot";
-  if max_delta_chain < 0 then
-    invalid_arg "Server.snapshot_policy: max_delta_chain";
-  { wal_bytes_per_snapshot; max_delta_chain }
-
 type durability = {
   storage_of : Transport.addr -> Durability.Storage.t;
   wal_config : Durability.Wal.config;
-  snapshot_every : int;
-  snapshots_kept : int;
-  policy : snapshot_policy option;
+  wal_bytes_per_snapshot : int;
 }
 
 let durability ?(wal_config = Durability.Wal.default_config)
-    ?(snapshot_every = 1024) ?(snapshots_kept = 2) ?policy ~storage_of () =
-  if snapshot_every < 1 then invalid_arg "Server.durability: snapshot_every";
-  { storage_of; wal_config; snapshot_every; snapshots_kept; policy }
+    ?(wal_bytes_per_snapshot = Durability.Schedule.default_wal_bytes)
+    ~storage_of () =
+  if wal_bytes_per_snapshot < 1 then
+    invalid_arg "Server.durability: wal_bytes_per_snapshot";
+  { storage_of; wal_config; wal_bytes_per_snapshot }
 
 type cluster = {
   net : Chain.msg Transport.t;
@@ -154,9 +137,9 @@ let start_replica ~net ~addr ~engine_config ~service ~query_pool =
   (replica, engine)
 
 (* A durable replica first recovers from its storage (snapshot + WAL
-   suffix), then runs with persistence hooks: log each applied command,
-   group-commit per message, snapshot every [snapshot_every] commands and
-   truncate the log segments the snapshot covers. *)
+   suffix), then runs with persistence hooks: log each applied command and
+   group-commit per message through the snapshot schedule, which snapshots
+   by WAL bytes and retires what each snapshot covers (DESIGN.md §16). *)
 let start_durable_replica ~net ~addr ~engine_config ~service ~query_pool d =
   let storage = d.storage_of addr in
   let replayed = ref [] in
@@ -170,35 +153,10 @@ let start_durable_replica ~net ~addr ~engine_config ~service ~query_pool d =
   in
   let engine = ref outcome.Durability.Recovery.engine in
   let wal = outcome.Durability.Recovery.wal in
-  let last_snap = ref outcome.Durability.Recovery.snapshot_seq in
-  (* Incremental-snapshot bookkeeping.  [last_full = 0] forces the first
-     policy-triggered snapshot after {e any} recovery or install to be a
-     full one: a delta may only base on a snapshot this process wrote
-     after the dirty set was last cleared, never on whatever state
-     recovery restored. *)
-  let last_full = ref 0 in
-  let deltas_since_full = ref 0 in
-  let bytes_mark = ref (Durability.Wal.logged_bytes wal) in
-  let write_snapshot ~upto =
-    (match d.policy with
-     | Some p when !last_full > 0 && !deltas_since_full < p.max_delta_chain ->
-       Durability.Snapshot.write_delta storage ~base_seq:!last_snap ~seq:upto
-         !engine;
-       incr deltas_since_full
-     | _ ->
-       Durability.Snapshot.write storage ~seq:upto !engine;
-       last_full := upto;
-       deltas_since_full := 0);
-    (* the capture is durable (tmp -> sync -> rename): only now may the
-       dirty set restart, and only now may covered files be retired *)
-    Engine.snapshot_written !engine;
-    last_snap := upto;
-    bytes_mark := Durability.Wal.logged_bytes wal;
-    Durability.Wal.truncate_before wal ~seq:upto;
-    match d.policy with
-    | Some _ ->
-      ignore (Durability.Snapshot.compact storage ~keep:d.snapshots_kept)
-    | None -> Durability.Snapshot.truncate_old storage ~keep:d.snapshots_kept
+  let schedule =
+    Durability.Schedule.create storage wal
+      ~wal_bytes:d.wal_bytes_per_snapshot
+      ~snapshot_seq:outcome.Durability.Recovery.snapshot_seq
   in
   let persist =
     {
@@ -206,17 +164,7 @@ let start_durable_replica ~net ~addr ~engine_config ~service ~query_pool d =
         (fun ~seq ~client ~req_id ~cmd ->
           Durability.Wal.append wal ~seq
             ~payload:(Chain.encode_entry_payload ~client ~req_id ~cmd));
-      commit =
-        (fun ~upto ->
-          Durability.Wal.flush wal;
-          let due =
-            match d.policy with
-            | Some p ->
-              Durability.Wal.logged_bytes wal - !bytes_mark
-              >= p.wal_bytes_per_snapshot
-            | None -> upto - !last_snap >= d.snapshot_every
-          in
-          if due && upto > !last_snap then write_snapshot ~upto);
+      commit = (fun ~upto -> Durability.Schedule.commit schedule !engine ~upto);
       snapshot = (fun () -> Durability.Snapshot.load_chain_bytes storage);
       tail =
         (fun ~since ->
@@ -231,17 +179,9 @@ let start_durable_replica ~net ~addr ~engine_config ~service ~query_pool d =
         (fun ~seq snapshot ->
           let _, snap = Durability.Snapshot.decode snapshot in
           engine := Engine.of_snapshot ?config:engine_config snap;
-          (* persist the received snapshot: it is this replica's new
-             recovery baseline, and its own log below [seq] is stale.
-             No delta may base on bytes this process did not capture, and
-             the restored engine has every slot dirty anyway, so the next
-             policy snapshot is full ([last_full] stays 0). *)
-          Durability.Snapshot.write_bytes storage ~seq snapshot;
-          last_snap := seq;
-          last_full := 0;
-          deltas_since_full := 0;
-          bytes_mark := Durability.Wal.logged_bytes wal;
-          Durability.Wal.truncate_before wal ~seq);
+          (* the received snapshot is this replica's new recovery
+             baseline, and its own log below [seq] is stale *)
+          Durability.Schedule.install schedule ~seq snapshot);
     }
   in
   let replica =

@@ -18,48 +18,27 @@ val apply : Engine.t -> string -> string
     on [engine] and returns the encoded response.  Malformed commands yield
     an encoded [Rejected] response rather than raising. *)
 
-(** Amortized incremental snapshotting (DESIGN.md §16).  With a policy,
-    snapshots trigger on WAL bytes accumulated since the last one (so the
-    trigger tracks write volume, not command count) and between full
-    snapshots the replica writes {e deltas} — only the slots dirtied
-    since the previous capture — keeping both snapshot cost and restart
-    cost bounded as history grows.  Every [max_delta_chain] deltas (and
-    always first after a recovery or state-transfer install) a full
-    snapshot re-anchors the chain, and {!Durability.Snapshot.compact}
-    retires the files it covers. *)
-type snapshot_policy = {
-  wal_bytes_per_snapshot : int;  (** snapshot once this many WAL bytes accrue *)
-  max_delta_chain : int;  (** deltas between full snapshots; 0 = fulls only *)
-}
-
-val snapshot_policy :
-  ?wal_bytes_per_snapshot:int -> ?max_delta_chain:int -> unit ->
-  snapshot_policy
-(** Defaults: 4 MiB of WAL per snapshot, at most 8 deltas per chain. *)
-
-(** Per-cluster durability configuration. *)
+(** Per-cluster durability configuration.  Every durable replica runs the
+    one snapshot schedule, {!Durability.Schedule}: a snapshot once
+    [wal_bytes_per_snapshot] WAL bytes accrue, deltas between full
+    re-anchors, and compaction of what each snapshot covers. *)
 type durability = {
   storage_of : Kronos_transport.Transport.addr -> Durability.Storage.t;
       (** each replica's private storage directory; must return the {e
           same} storage for the same address across restarts *)
   wal_config : Durability.Wal.config;
-  snapshot_every : int;  (** snapshot + truncate the log every N commands *)
-  snapshots_kept : int;  (** old snapshots retained as fallbacks *)
-  policy : snapshot_policy option;
-      (** when set, replaces the command-count trigger with the WAL-bytes
-          trigger and enables incremental snapshots + compaction *)
+  wal_bytes_per_snapshot : int;  (** snapshot once this many WAL bytes accrue *)
 }
 
 val durability :
   ?wal_config:Durability.Wal.config ->
-  ?snapshot_every:int ->
-  ?snapshots_kept:int ->
-  ?policy:snapshot_policy ->
+  ?wal_bytes_per_snapshot:int ->
   storage_of:(Kronos_transport.Transport.addr -> Durability.Storage.t) ->
   unit ->
   durability
-(** Defaults: {!Durability.Wal.default_config}, snapshot every 1024
-    commands, 2 snapshots kept, no incremental policy. *)
+(** Defaults: {!Durability.Wal.default_config} and
+    {!Durability.Schedule.default_wal_bytes} (4 MiB).
+    @raise Invalid_argument when [wal_bytes_per_snapshot < 1]. *)
 
 (** A running replicated Kronos deployment over any transport.
 

@@ -8,6 +8,7 @@ module Storage = Kronos_durability.Storage
 module Wal = Kronos_durability.Wal
 module Snapshot = Kronos_durability.Snapshot
 module Recovery = Kronos_durability.Recovery
+module Schedule = Kronos_durability.Schedule
 module Graph_gen = Kronos_workload.Graph_gen
 module Message = Kronos_wire.Message
 
@@ -278,13 +279,46 @@ let test_snapshot_files () =
    | Some (seq, _, _) ->
      Alcotest.(check bool) "fell back past corruption" true (seq < final)
    | None -> Alcotest.fail "no fallback snapshot");
-  Snapshot.truncate_old storage ~keep:1;
+  ignore (Snapshot.compact storage ~keep:1);
   let snaps =
     List.filter
       (fun n -> Filename.check_suffix n ".snap")
       (storage.Storage.list_files ())
   in
-  Alcotest.(check int) "truncate_old keeps one" 1 (List.length snaps)
+  Alcotest.(check int) "compact keeps one" 1 (List.length snaps);
+  (* the one kept is the valid fallback, not the corrupt newest file *)
+  match Snapshot.load_chain storage with
+  | Some (seq, _, _) ->
+    Alcotest.(check bool) "kept snapshot still loads" true (seq < final)
+  | None -> Alcotest.fail "compact kept no loadable snapshot"
+
+(* Interrupted writes leave [snap-*.tmp] / [delta-*.tmp] files behind;
+   compaction retires them and nothing else that recovery needs. *)
+let test_compact_retires_temporaries () =
+  let _dir, storage = mem () in
+  let engine = Engine.create () in
+  ignore (Engine.create_event engine);
+  Snapshot.write storage ~seq:1 engine;
+  Engine.snapshot_written engine;
+  ignore (Engine.create_event engine);
+  Snapshot.write_delta storage ~base_seq:1 ~seq:2 engine;
+  let strays = [ "snap-0000000003.tmp"; "delta-0000000004.tmp" ] in
+  List.iter
+    (fun name ->
+      let w = storage.Storage.open_append name in
+      w.Storage.append "interrupted";
+      w.Storage.sync ();
+      w.Storage.close ())
+    strays;
+  Alcotest.(check int) "both strays retired" 2
+    (Snapshot.compact storage ~keep:2);
+  Alcotest.(check (list string)) "full, delta and manifest remain"
+    [ "MANIFEST"; Snapshot.delta_filename ~seq:2; Snapshot.filename ~seq:1 ]
+    (List.sort compare (storage.Storage.list_files ()));
+  match Snapshot.load_chain storage with
+  | Some (seq, _, applied) ->
+    Alcotest.(check (pair int int)) "head still resolves" (2, 1) (seq, applied)
+  | None -> Alcotest.fail "compaction destroyed the chain"
 
 (* Crash-restart recovery must reproduce the reference engine at {e every}
    prefix of the workload, across snapshot cadences and segment rotations. *)
@@ -311,7 +345,7 @@ let test_recovery_every_prefix () =
       if seq mod 5 = 0 then begin
         Snapshot.write storage ~seq engine;
         Wal.truncate_before wal ~seq;
-        Snapshot.truncate_old storage ~keep:2
+        ignore (Snapshot.compact storage ~keep:2)
       end
     done;
     Wal.sync wal;
@@ -639,6 +673,94 @@ let test_delta_torn_write_compaction () =
     Alcotest.(check int) "head unchanged by compaction" 24 seq
   | None -> Alcotest.fail "compaction destroyed the chain"
 
+(* The snapshot schedule every durable replica runs.  With a one-byte
+   window every group commit snapshots, so the cadence is exact: a full
+   snapshot, [max_delta_chain] deltas, a full re-anchor, and so on; the
+   directory never holds more than [fulls_kept] fulls or a delta a full
+   covers.  After a restart the first snapshot is full again, whatever the
+   chain length, and recovery resolves the schedule's head. *)
+let test_schedule_cadence () =
+  let ids, cmds = workload ~seed:31 ~n:14 ~m:22 in
+  let cmds = Array.of_list cmds in
+  let total = Array.length cmds in
+  let restart_at = 30 in
+  let wal_config = { Wal.segment_bytes = 256; sync = Wal.Always } in
+  let _dir, storage = mem () in
+  let kinds = Buffer.create total in
+  let run wal engine schedule lo hi =
+    for seq = lo to hi do
+      ignore (Kronos_service.Server.apply engine cmds.(seq - 1));
+      Wal.append wal ~seq ~payload:cmds.(seq - 1);
+      Schedule.commit schedule engine ~upto:seq;
+      Alcotest.(check int) "every commit snapshots" seq
+        (Schedule.last_snapshot schedule);
+      let files = storage.Storage.list_files () in
+      Buffer.add_char kinds
+        (if List.mem (Snapshot.filename ~seq) files then 'F' else 'D');
+      let fulls =
+        List.filter (fun n -> Filename.check_suffix n ".snap") files
+      in
+      Alcotest.(check bool) "at most fulls_kept fulls" true
+        (List.length fulls <= Schedule.fulls_kept);
+      let newest_full = List.fold_left max "" fulls in
+      List.iter
+        (fun n ->
+          if Filename.check_suffix n ".delta" then
+            Alcotest.(check bool) (n ^ " is newer than the newest full") true
+              (String.sub n 6 10 > String.sub newest_full 5 10))
+        files
+    done
+  in
+  let wal, _ = Wal.open_ ~config:wal_config storage in
+  let engine = Engine.create () in
+  run wal engine (Schedule.create storage wal ~wal_bytes:1 ~snapshot_seq:0)
+    1 restart_at;
+  let recover () =
+    Recovery.run ~wal_config
+      ~replay:(fun e (r : Wal.record) ->
+        ignore (Kronos_service.Server.apply e r.payload))
+      storage
+  in
+  let o = recover () in
+  Alcotest.(check int) "restart resolves the schedule's head" restart_at
+    o.Recovery.snapshot_seq;
+  Alcotest.(check int) "restart composes the open chain" 2
+    o.Recovery.deltas_applied;
+  run o.Recovery.wal o.Recovery.engine
+    (Schedule.create storage o.Recovery.wal ~wal_bytes:1
+       ~snapshot_seq:o.Recovery.snapshot_seq)
+    (restart_at + 1) total;
+  (* fulls at 1, 10, 19, 28; the restart forces one at 31 *)
+  Alcotest.(check string) "full every max_delta_chain deltas"
+    "FDDDDDDDDFDDDDDDDDFDDDDDDDDFDDFDDDDDDD" (Buffer.contents kinds);
+  Alcotest.(check int) "max_delta_chain" 8 Schedule.max_delta_chain;
+  let o = recover () in
+  Alcotest.(check int) "final head" total o.Recovery.snapshot_seq;
+  Alcotest.(check int) "nothing left to replay" 0 o.Recovery.replayed;
+  let reference = Engine.create () in
+  Array.iter (fun c -> ignore (Kronos_service.Server.apply reference c)) cmds;
+  check_engines_agree "schedule recovery" ids reference o.Recovery.engine
+
+(* The snapshot window is the one durability setting; a window below one
+   byte is refused where the configuration is built. *)
+let test_durability_window_validated () =
+  let storage_of _ = snd (mem ()) in
+  List.iter
+    (fun w ->
+      Alcotest.check_raises
+        (Printf.sprintf "window %d refused" w)
+        (Invalid_argument "Server.durability: wal_bytes_per_snapshot")
+        (fun () ->
+          ignore
+            (Kronos_service.Server.durability ~wal_bytes_per_snapshot:w
+               ~storage_of ())))
+    [ 0; -1 ];
+  let d = Kronos_service.Server.durability ~storage_of () in
+  Alcotest.(check int) "default window" Schedule.default_wal_bytes
+    d.Kronos_service.Server.wal_bytes_per_snapshot;
+  Alcotest.(check int) "default is 4 MiB" (4 * 1024 * 1024)
+    Schedule.default_wal_bytes
+
 let suites =
   [ ( "durability",
       [
@@ -666,5 +788,10 @@ let suites =
           test_delta_chain_recovery;
         Alcotest.test_case "torn delta write + compaction" `Quick
           test_delta_torn_write_compaction;
+        Alcotest.test_case "compact retires temporaries" `Quick
+          test_compact_retires_temporaries;
+        Alcotest.test_case "schedule cadence" `Quick test_schedule_cadence;
+        Alcotest.test_case "durability window validated" `Quick
+          test_durability_window_validated;
       ] );
   ]

@@ -167,7 +167,7 @@ type durable_env = {
   disks : (Net.addr, Storage.Memory.dir) Hashtbl.t;
 }
 
-let make_durable_env ?(seed = 21L) ?wal_config ?snapshot_every () =
+let make_durable_env ?(seed = 21L) ?wal_config ?wal_bytes_per_snapshot () =
   let sim = Sim.create ~seed () in
   let net = Sim_transport.of_net (Net.create sim) in
   let disks : (Net.addr, Storage.Memory.dir) Hashtbl.t = Hashtbl.create 8 in
@@ -182,7 +182,9 @@ let make_durable_env ?(seed = 21L) ?wal_config ?snapshot_every () =
     in
     Storage.Memory.storage dir
   in
-  let durability = Server.durability ?wal_config ?snapshot_every ~storage_of () in
+  let durability =
+    Server.durability ?wal_config ?wal_bytes_per_snapshot ~storage_of ()
+  in
   let cluster =
     Server.deploy ~net ~coordinator:coordinator_addr ~replicas:[ 0; 1; 2 ]
       ~durability ~ping_interval:0.1 ~failure_timeout:0.35 ()
@@ -279,14 +281,15 @@ let test_durable_restart_via_wal_tail () =
    | None -> Alcotest.fail "restarted replica missing");
   engines_identical "after restart" env.cluster
 
-(* Same crash, but the survivors snapshot aggressively and truncate their
-   logs while the replica is down: its missing range is gone, so rejoin must
-   fall back to shipping a snapshot plus the log above it. *)
+(* Same crash, but the survivors snapshot aggressively (every 200 WAL
+   bytes, about four commands) and truncate their logs while the replica
+   is down: its missing range is gone, so rejoin must fall back to
+   shipping a snapshot plus the log above it. *)
 let test_durable_restart_far_behind_installs_snapshot () =
   let env =
     make_durable_env
       ~wal_config:{ Kronos_durability.Wal.segment_bytes = 256; sync = Always }
-      ~snapshot_every:4 ()
+      ~wal_bytes_per_snapshot:200 ()
   in
   let finished = ref false in
   run_write_workload env ~n:6 (fun _ -> finished := true);
@@ -299,6 +302,16 @@ let test_durable_restart_far_behind_installs_snapshot () =
   run_write_workload env ~n:12 (fun _ -> finished2 := true);
   Sim.run ~until:(Sim.now env.dsim +. 4.0) env.dsim;
   Alcotest.(check bool) "second workload done" true !finished2;
+  List.iter
+    (fun addr ->
+      let files =
+        List.map fst (Storage.Memory.files (Hashtbl.find env.disks addr))
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "survivor %d wrote a full snapshot" addr)
+        true
+        (List.exists (fun n -> Filename.check_suffix n ".snap") files))
+    [ 0; 2 ];
   Server.restart_replica env.cluster 1 ();
   Sim.run ~until:(Sim.now env.dsim +. 2.0) env.dsim;
   (match Server.replica_of env.cluster 1 with

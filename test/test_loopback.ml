@@ -44,7 +44,7 @@ let test_kill_and_rejoin () =
       d
   in
   let durability =
-    Server.durability ~snapshot_every:16
+    Server.durability ~wal_bytes_per_snapshot:512
       ~storage_of:(fun a -> Storage.Memory.storage (dir_of a))
       ()
   in
@@ -135,6 +135,14 @@ let test_kill_and_rejoin () =
   Alcotest.(check bool) "replica 2 was killed mid-run" true !killed;
   Alcotest.(check int) "every order acked" (total - 1) (List.length !acked);
   Alcotest.(check int) "chain reconfigured without replica 2" 2 (chain_length ());
+
+  (* A 512-byte WAL window is about a dozen commands: replica 2 snapshotted
+     before the kill, so its restart restores a snapshot and replays only
+     the WAL past it. *)
+  Alcotest.(check bool) "replica 2 snapshotted before the kill" true
+    (Option.is_some
+       (Kronos_durability.Snapshot.load_chain
+          (Storage.Memory.storage (dir_of 2))));
 
   (* Restart: same port (the listener socket is SO_REUSEADDR), same
      storage.  The replica recovers locally, then rejoins at the tail with

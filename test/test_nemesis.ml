@@ -7,21 +7,22 @@
      the live connections and refuses new ones until healed;
    - {b clean kill + planted snapshot}: replica 2's runtime is shut down
      and a full snapshot of its engine is planted in its storage at the
-     applied sequence, so recovery must resolve it among the policy's own
-     full snapshots and deltas;
+     applied sequence, so recovery must resolve it among the schedule's
+     own full snapshots and deltas;
    - {b machine crash + lying disk}: replica 2's storage wrapper silently
      drops fsyncs, then the "machine" crashes (un-synced bytes vanish) and
      a torn half-record is appended to the WAL tail — recovery must
      truncate the tear and rejoin from whatever really reached the disk.
 
-   Replicas run the incremental snapshot policy with tiny thresholds, so
-   full snapshots, delta chains, WAL segment retirement and compaction all
-   churn constantly underneath the faults.  The checker asserts that no
-   acknowledged order is ever lost (every acked pair still answers
-   [Before] through the tail), that the replicas that never crashed
-   converge bit-identically, that the restarted replica's engine matches
-   the head, and that an offline re-recovery of the victim's storage
-   resolves a snapshot chain plus a bounded WAL tail.
+   Replicas run the snapshot schedule with a tiny WAL window, so full
+   snapshots, delta chains, WAL segment retirement and compaction all
+   churn constantly underneath the faults — every iteration checks that
+   they did.  The checker asserts that no acknowledged order is ever lost
+   (every acked pair still answers [Before] through the tail), that the
+   replicas that never crashed converge bit-identically, that the
+   restarted replica's engine matches the head, and that an offline
+   re-recovery of the victim's storage resolves a snapshot chain plus a
+   bounded WAL tail.
 
    Iteration count: KRONOS_NEMESIS_ITERS (default 3; CI's PR lane runs a
    reduced count, the nightly lane the full schedule). *)
@@ -201,15 +202,26 @@ let test_nemesis_schedule () =
     | 3 -> Storage.Memory.storage dir3
     | a -> Alcotest.fail (Printf.sprintf "unexpected storage for addr %d" a)
   in
-  (* Tiny thresholds so the incremental snapshot machinery — deltas, full
-     re-anchors, WAL segment retirement, compaction — churns constantly. *)
+  (* A tiny WAL window so the snapshot schedule — deltas, full re-anchors,
+     WAL segment retirement, compaction — churns constantly: a window is
+     about four commands, so each iteration's ~60 commands take every
+     replica through more than [max_delta_chain] snapshots. *)
   let durability =
     Server.durability
       ~wal_config:{ Wal.segment_bytes = 512; sync = Wal.Always }
-      ~policy:
-        (Server.snapshot_policy ~wal_bytes_per_snapshot:400 ~max_delta_chain:3
-           ())
-      ~snapshots_kept:3 ~storage_of ()
+      ~wal_bytes_per_snapshot:160 ~storage_of ()
+  in
+  let cval scope name =
+    Kronos_metrics.Counter.value
+      (Kronos_metrics.counter (Kronos_metrics.scope scope) name)
+  in
+  (* Newest full snapshot in a never-restarted replica's directory: it
+     only grows when the schedule re-anchors its delta chain. *)
+  let newest_full dir =
+    List.fold_left
+      (fun acc (n, _) ->
+        if Filename.check_suffix n ".snap" then max acc n else acc)
+      "" (Storage.Memory.files dir)
   in
 
   (* Real listeners first, then the proxies that front them. *)
@@ -339,6 +351,9 @@ let test_nemesis_schedule () =
   in
 
   for iter = 1 to iterations do
+    let deltas0 = cval "snapshot" "delta_writes_total" in
+    let retired0 = cval "durability" "snapshots_retired_total" in
+    let full0 = newest_full dir1 in
     (match (iter - 1) mod 3 with
      | 0 ->
        (* Partition replica 2 mid-workload; the chain stalls until the
@@ -355,7 +370,7 @@ let test_nemesis_schedule () =
        restart_r2 ()
      | 1 ->
        (* Clean kill, then plant a full snapshot at the replica's applied
-          sequence: recovery must prefer it over the policy's own fulls
+          sequence: recovery must prefer it over the schedule's own fulls
           and deltas beside it. *)
        run_workload ~total:30 ~at:10
          ~nemesis:(fun () -> Tcp.shutdown !t2cur)
@@ -398,7 +413,30 @@ let test_nemesis_schedule () =
     Alcotest.(check bool)
       (Printf.sprintf "iteration %d: restarted engine matches head" iter)
       true
-      (Engine.stats !e1 = Engine.stats !(!e2cur))
+      (Engine.stats !e1 = Engine.stats !(!e2cur));
+    (* ... and the snapshot schedule must have churned within it *)
+    let churned what v0 v =
+      Alcotest.(check bool) (Printf.sprintf "iteration %d: %s" iter what) true
+        (v > v0)
+    in
+    churned "a delta was written" deltas0 (cval "snapshot" "delta_writes_total");
+    churned "replica 1 re-anchored with a full snapshot" full0
+      (newest_full dir1);
+    churned "a snapshot file was retired" retired0
+      (cval "durability" "snapshots_retired_total");
+    List.iter
+      (fun (addr, dir) ->
+        let storage = Storage.Memory.storage dir in
+        match (Snapshot.read_manifest storage, Snapshot.load_chain storage) with
+        | Some (head, _), Some (seq, _, _) ->
+          Alcotest.(check int)
+            (Printf.sprintf "iteration %d: replica %d manifest head" iter addr)
+            seq head
+        | _ ->
+          Alcotest.fail
+            (Printf.sprintf "iteration %d: replica %d has no manifest or head"
+               iter addr))
+      [ (1, dir1); (3, dir3) ]
   done;
 
   (* The replicas that never crashed must be bit-identical: same commands,
@@ -427,11 +465,7 @@ let test_nemesis_schedule () =
           rels)
     (chunks 32 (List.rev !acked));
 
-  (* The snapshot-policy machinery must have actually churned. *)
-  let cval scope name =
-    Kronos_metrics.Counter.value
-      (Kronos_metrics.counter (Kronos_metrics.scope scope) name)
-  in
+  (* The snapshot schedule must have actually churned. *)
   Alcotest.(check bool) "incremental deltas were written" true
     (cval "snapshot" "delta_writes_total" > 0);
   Alcotest.(check bool) "WAL segments were retired" true
@@ -449,7 +483,9 @@ let test_nemesis_schedule () =
   w.Storage.append "interrupted";
   w.Storage.sync ();
   w.Storage.close ();
-  let removed = Snapshot.compact storage2_raw ~keep:3 in
+  let removed =
+    Snapshot.compact storage2_raw ~keep:Kronos_durability.Schedule.fulls_kept
+  in
   Alcotest.(check bool) "compaction retired the stray tmp" true (removed >= 1);
   Alcotest.(check bool) "snapshots retired counted" true
     (cval "durability" "snapshots_retired_total" > 0);

@@ -113,7 +113,7 @@ let test_kill_restart_with_pools () =
         d
   in
   let durability =
-    Server.durability ~snapshot_every:16
+    Server.durability ~wal_bytes_per_snapshot:512
       ~storage_of:(fun a -> Storage.Memory.storage (dir_of a))
       ()
   in
@@ -277,6 +277,14 @@ let test_kill_restart_with_pools () =
   step2 None 10;
   wait ~what:"workload phase 2 over the kill" ~secs:60. (fun () ->
       !finished2 && chain_length () = 2);
+
+  (* A 512-byte WAL window is about a dozen commands: node 2 snapshotted
+     before the kill, so its restart restores a snapshot and replays only
+     the WAL past it. *)
+  Alcotest.(check bool) "node 2 snapshotted before the kill" true
+    (Option.is_some
+       (Kronos_durability.Snapshot.load_chain
+          (Storage.Memory.storage (dir_of 2))));
 
   (* Restart node 2 on the same port with a fresh pool; it recovers from
      its storage and rejoins at the tail. *)
