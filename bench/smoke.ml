@@ -101,6 +101,17 @@ let engine_hot_paths () =
   in
   record "engine.assign_must_dense" must_dense_ns "ns/op"
 
+(* Best of five fixed-length windows of [ops] calls, in ns per call. *)
+let best_window_ns ~ops f =
+  let best = ref infinity in
+  for _ = 1 to 5 do
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to ops do f () done;
+    let ns = (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int ops in
+    best := Float.min !best ns
+  done;
+  !best
+
 (* Client order cache (DESIGN.md §17) under the chain-shaped stream that
    session clients produce: 64 session chains fed round-robin into a full
    65 536-entry cache at the default pre-fill fanout, so every timed
@@ -111,16 +122,6 @@ let engine_hot_paths () =
    drives major-GC slices over the cache's multi-megabyte heap and would
    bill them to the operation. *)
 let order_cache_smoke () =
-  let best_window_ns ~ops f =
-    let best = ref infinity in
-    for _ = 1 to 5 do
-      let t0 = Unix.gettimeofday () in
-      for _ = 1 to ops do f () done;
-      let ns = (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int ops in
-      best := Float.min !best ns
-    done;
-    !best
-  in
   let sessions = 64 and capacity = 65_536 in
   let cache = Order_cache.create ~capacity () in
   let next_slot = ref 0 in
@@ -220,6 +221,37 @@ let query_parallel_smoke () =
   record "engine.query_frozen_1" (1e9 /. rate1) "ns/op";
   record "engine.query_parallel" rate_all "ops/s";
   record "engine.query_parallel_speedup" (rate_all *. live_ns /. 1e9) "x"
+
+(* View publication (DESIGN.md §14) over graphs of 10k and 100k events:
+   ns per step, where a step admits one must edge between consecutive
+   events (the chain-append shape of session writes, dirtying two slots)
+   and then publishes.  A publish copies each field's small root and the
+   blocks and chunks holding dirty slots, so the two series should be
+   flat in graph size.  Timed like [client.order_cache_*], as the best of five
+   fixed-length windows after a compaction: Bechamel's own allocation
+   would bill major-GC slices over the multi-megabyte graph to the
+   operation. *)
+let publish_smoke () =
+  List.iter
+    (fun (n, name) ->
+      let engine = Engine.create () in
+      let ids = Array.init n (fun _ -> Engine.create_event engine) in
+      ignore (Engine.publish engine);
+      let next = ref 0 in
+      let step () =
+        let i = !next in
+        next := i + 1;
+        ignore
+          (Engine.assign_order engine
+             [ Order.must_before ids.(i) ids.(i + 1) ]);
+        ignore (Engine.publish engine)
+      in
+      Gc.compact ();
+      record name (best_window_ns ~ops:1_000 step) "ns/op")
+    [
+      (10_000, "engine.publish_one_write_10k");
+      (100_000, "engine.publish_one_write_100k");
+    ]
 
 (* Certify hot paths (DESIGN.md §13): proof generation and verification
    over a real chain, plus the assign-path cost of digest maintenance —
@@ -737,6 +769,7 @@ let check () =
   engine_hot_paths ();
   order_cache_smoke ();
   query_parallel_smoke ();
+  publish_smoke ();
   certify_smoke ();
   federation_smoke ();
   write_scaling_smoke ();
@@ -817,6 +850,7 @@ let run () =
   engine_hot_paths ();
   order_cache_smoke ();
   query_parallel_smoke ();
+  publish_smoke ();
   certify_smoke ();
   service_closed_loop ();
   service_closed_loop_domains4 ();

@@ -33,28 +33,58 @@ let dummy_link =
   { l_pred = Event_id.none; l_pred_head = ""; l_pred_pos = 0;
     l_partner = ""; l_head = "" }
 
-(* A deeply immutable copy of the graph's query-visible state, safe to
-   share across domains (see [freeze]).  Flat int arrays are private copies;
-   the per-slot adjacency and chain arrays are immutable and may be shared
-   structurally with other frozen views of the same graph. *)
+(* Every per-slot field of a frozen view (see [freeze]) is a two-level
+   persistent array: slot [s] sits at index [s land chunk_mask] of a chunk
+   of [chunk_size] entries, chunks hang off blocks of [chunk_size] chunks,
+   and a small root lists the blocks.  A chunk or block is immutable once
+   its view is published and is shared by pointer with every later view
+   until one of its slots changes.  At 128 entries every array a publish
+   allocates stays a minor-heap allocation (the root too, up to 4M slots),
+   where a one-level spine of a 100k-slot graph would be a major-heap
+   allocation costing more GC work per publish than the rest of it. *)
+let chunk_bits = 7
+let chunk_size = 1 lsl chunk_bits
+let chunk_mask = chunk_size - 1
+let block_bits = 2 * chunk_bits (* slots per block, as a shift *)
+
+type 'a pa = 'a array array array
+
+(* Slot [s]'s chunk, for [s] below the view's slot count.  Unchecked: the
+   root covers every such slot, blocks and chunks have exactly
+   [chunk_size] entries, and the index is masked. *)
+let[@inline] pa_chunk (root : 'a pa) s =
+  Array.unsafe_get
+    (Array.unsafe_get root (s lsr block_bits))
+    ((s lsr chunk_bits) land chunk_mask)
+
+(* Typed reads, so the compiler emits a direct load rather than the
+   generic float-array test. *)
+let[@inline] pa_int (root : int pa) s =
+  Array.unsafe_get (pa_chunk root s) (s land chunk_mask)
+
+let[@inline] pa_arr (root : 'a array pa) s =
+  Array.unsafe_get (pa_chunk root s) (s land chunk_mask)
+
+(* A deeply immutable copy of the graph's query-visible state over slots
+   [0, f_next_slot), safe to share across domains.  Views only ever test
+   liveness, so one word per slot stands in for refcount and generation:
+   the generation of a live slot, -1 (which no identifier carries) for a
+   free one.  Per-slot adjacency, chain and label arrays are immutable and
+   shared structurally too. *)
 type frozen = {
   f_version : int;
   f_next_slot : int;
   f_live : int;
   f_edges : int;
-  f_refcount : int array;
-  f_gen : int array;
-  f_rank : int array;
-  f_succ : int array array;
-  f_pred : int array array;
   f_digests : bool;
-  f_chains : link array array;
-  (* chain-decomposition index (DESIGN.md §15): flat arrays are private
-     copies, the per-slot label arrays are immutable and shared
-     structurally like adjacency *)
-  f_chain_of : int array;
-  f_chain_pos : int array;
-  f_labels : int array array;
+  f_gen : int pa;
+  f_rank : int pa;
+  f_chain_of : int pa;  (* chain index (DESIGN.md §15) *)
+  f_chain_pos : int pa;
+  f_succ : int array pa;
+  f_pred : int array pa;
+  f_chains : link array pa;  (* all [||] when digests are off *)
+  f_labels : int array pa;
 }
 
 (* One entry of the per-edge rollback journal for the chain-decomposition
@@ -109,18 +139,20 @@ type t = {
   (* Epoch counter for the multicore query plane (DESIGN.md §14): bumped on
      every mutation a read view could observe (event creation, collection,
      edge admission/rollback) and never on invisible ones (refcount moves
-     that do not collect).  [dirty] tracks the slots whose per-slot arrays
-     (succ/pred/chains) changed since the last [freeze], so a freeze copies
-     only those and shares the rest with the previous frozen view. *)
+     that do not collect).  [dirty] tracks the slots whose view-visible
+     per-slot state (liveness, rank, chain assignment, adjacency, chains,
+     labels) changed since the last [freeze], so a freeze copies only
+     the chunks holding them and shares the rest with the previous frozen
+     view. *)
   mutable version : int;
   dirty : Sparse_set.t;
   (* [snap_dirty] tracks slots whose {e snapshot-visible} per-slot state
      (refcount, generation, rank, adjacency, chains, chain assignment)
      changed since the last durable snapshot — a superset of [dirty]'s
-     view-visible notion, because refcount moves and rank relabels matter
-     to a restore even though frozen views never see them.  Consumed
-     explicitly by [snapshot_written] (after the write is durable), never
-     by [freeze]. *)
+     view-visible notion, because refcount moves that do not collect
+     matter to a restore even though frozen views never see them.
+     Consumed explicitly by [snapshot_written] (after the write is
+     durable), never by [freeze]. *)
   snap_dirty : Sparse_set.t;
   mutable frozen_cache : frozen option;
   (* Chain-decomposition reachability index (DESIGN.md §15).  Live events
@@ -255,17 +287,16 @@ let grow g =
 
 let version g = g.version
 
-(* Record a view-visible mutation of slot [s]: its per-slot arrays must be
-   re-copied by the next [freeze] instead of shared with the previous one.
-   Every view-visible change is also snapshot-visible. *)
+(* Record a view-visible mutation of slot [s]: the next [freeze] must
+   rewrite it instead of sharing the previous view's chunks.  Every
+   view-visible change is also snapshot-visible. *)
 let touch g s =
   Sparse_set.add g.dirty s;
   Sparse_set.add g.snap_dirty s
 
 (* Record a snapshot-visible but view-invisible mutation of slot [s]:
-   refcount moves that do not collect, and rank relabels.  These never
-   force a freeze re-copy, but the next incremental snapshot must carry
-   the slot. *)
+   refcount moves that do not collect.  These never force a freeze
+   rebuild, but the next incremental snapshot must carry the slot. *)
 let touch_snap g s = Sparse_set.add g.snap_dirty s
 
 (* Resolve an identifier to its slot, checking liveness and generation. *)
@@ -622,7 +653,10 @@ let rebuild_label_index g =
   let order = ref [] in
   for s = 0 to n - 1 do
     g.chain_of.(s) <- -1;
-    if g.refcount.(s) >= 0 then order := s :: !order
+    if g.refcount.(s) >= 0 then begin
+      touch g s;
+      order := s :: !order
+    end
   done;
   let order = Array.of_list !order in
   Array.sort
@@ -914,7 +948,7 @@ let relabel g sv floor =
     if g.rank.(w) <= floor then begin
       let r = floor + 1 in
       g.rank.(w) <- r;
-      touch_snap g w;
+      touch g w;
       if r >= g.next_rank then g.next_rank <- r + 1;
       Int_vec.iter
         (fun x ->
@@ -986,7 +1020,7 @@ let remove_last_edge g u v =
         undo rest
       | J_assign (s, c, prev_tail) :: rest ->
         g.chain_of.(s) <- -1;
-        touch_snap g s;
+        touch g s;
         Int_vec.set g.chain_len c (Int_vec.get g.chain_len c - 1);
         Int_vec.set g.chain_live c (Int_vec.get g.chain_live c - 1);
         Int_vec.set g.chain_tail c prev_tail;
@@ -1482,41 +1516,91 @@ let memory_bytes g =
 let int_vec_array v = Array.init (Int_vec.length v) (Int_vec.get v)
 let vec_array c = Array.init (Vec.length c) (Vec.get c)
 
-(* Publish an immutable copy of the query-visible state.  Incremental: the
-   flat per-slot int arrays (refcount/gen/rank) are copied wholesale — one
-   memcpy each — while the per-slot succ/pred/chain arrays are re-copied
-   only for slots dirtied since the previous freeze; clean slots share the
-   previous frozen view's immutable arrays.  Sharing is sound because
-   [frozen_cache] always holds the {e latest} freeze and [dirty] records
-   exactly the slots mutated since it.  Must be called from the writer
-   domain only (it consumes the dirty set and updates the cache); the
-   returned value may then be read from any domain. *)
+(* One-block templates whose every slot reads [fill]: what a field holds
+   for slots past the previous view's end.  Never written — [pa_set]
+   copies a block or chunk before its first write. *)
+let pa_empty fill = [| Array.make chunk_size (Array.make chunk_size fill) |]
+let minus_ones : int pa = pa_empty (-1)
+let zeros : int pa = pa_empty 0
+let no_ints : int array pa = pa_empty [||]
+let no_links : link array pa = pa_empty [||]
+
+(* The next version of [old] over [blocks] blocks, sharing every block
+   with it. *)
+let pa_next old empty blocks =
+  let root = Array.make blocks empty.(0) in
+  Array.blit old 0 root 0 (Array.length old);
+  root
+
+(* Write slot [s] of [root], the next version of [old]: a block or chunk
+   still physically [old]'s (or the template's) is copied before its first
+   write, so [old] and every view sharing it never change. *)
+let pa_set root old empty s v =
+  let b = s lsr block_bits and k = (s lsr chunk_bits) land chunk_mask in
+  let old_block = if b < Array.length old then old.(b) else empty.(0) in
+  let block =
+    let blk = root.(b) in
+    if blk != old_block then blk
+    else begin
+      let blk = Array.copy blk in
+      root.(b) <- blk;
+      blk
+    end
+  in
+  let c =
+    let c = block.(k) in
+    if c != old_block.(k) then c
+    else begin
+      let c = Array.copy c in
+      block.(k) <- c;
+      c
+    end
+  in
+  c.(s land chunk_mask) <- v
+
+(* Publish an immutable copy of the query-visible state in O(dirty): each
+   field's next version copies the small root, plus — once each — the
+   block and chunk holding every slot dirtied since the previous freeze;
+   every other block and chunk is shared with the previous view by
+   pointer.  Sharing is sound because [frozen_cache] always holds the
+   {e latest} freeze and [dirty] records exactly the slots mutated since
+   it; slots created since are dirty too, so chunks past the previous
+   view's end are always written.  The first freeze (and the first after a
+   restore) writes every slot.  Must be called from the writer domain only
+   (it consumes the dirty set and updates the cache); the returned value
+   may then be read from any domain. *)
 let freeze g =
   match g.frozen_cache with
   | Some f when f.f_version = g.version -> f
   | prev ->
     let n = g.next_slot in
-    let f_succ = Array.make n [||] in
-    let f_pred = Array.make n [||] in
-    let f_chains = Array.make n [||] in
-    let f_labels = Array.make n [||] in
+    let blocks = (n + (1 lsl block_bits) - 1) lsr block_bits in
+    let next field empty =
+      let old = match prev with Some p -> field p | None -> [||] in
+      let root = pa_next old empty blocks in
+      (root, pa_set root old empty)
+    in
+    let gen, set_gen = next (fun f -> f.f_gen) minus_ones in
+    let rank, set_rank = next (fun f -> f.f_rank) zeros in
+    let chain_of, set_chain_of = next (fun f -> f.f_chain_of) minus_ones in
+    let chain_pos, set_chain_pos = next (fun f -> f.f_chain_pos) zeros in
+    let succ, set_succ = next (fun f -> f.f_succ) no_ints in
+    let pred, set_pred = next (fun f -> f.f_pred) no_ints in
+    let chains, set_chains = next (fun f -> f.f_chains) no_links in
+    let labels, set_labels = next (fun f -> f.f_labels) no_ints in
     let copy_slot s =
-      f_succ.(s) <- int_vec_array g.succ.(s);
-      f_pred.(s) <- int_vec_array g.pred.(s);
-      if g.digests then f_chains.(s) <- vec_array g.chains.(s);
+      set_gen s (if g.refcount.(s) >= 0 then g.gen.(s) else -1);
+      set_rank s g.rank.(s);
+      set_chain_of s g.chain_of.(s);
+      set_chain_pos s g.chain_pos.(s);
+      set_succ s (int_vec_array g.succ.(s));
+      set_pred s (int_vec_array g.pred.(s));
+      if g.digests then set_chains s (vec_array g.chains.(s));
       (* label arrays are immutable once installed: share the pointer *)
-      f_labels.(s) <- g.labels.(s)
+      set_labels s g.labels.(s)
     in
     (match prev with
-     | Some p ->
-       let shared = min p.f_next_slot n in
-       Array.blit p.f_succ 0 f_succ 0 shared;
-       Array.blit p.f_pred 0 f_pred 0 shared;
-       Array.blit p.f_chains 0 f_chains 0 shared;
-       Array.blit p.f_labels 0 f_labels 0 shared;
-       (* slots created since the previous freeze are necessarily dirty,
-          so everything in [shared, n) is re-copied here too *)
-       Sparse_set.iter (fun s -> if s < n then copy_slot s) g.dirty
+     | Some _ -> Sparse_set.iter (fun s -> if s < n then copy_slot s) g.dirty
      | None ->
        for s = 0 to n - 1 do
          copy_slot s
@@ -1528,16 +1612,15 @@ let freeze g =
         f_next_slot = n;
         f_live = g.live;
         f_edges = g.edges;
-        f_refcount = Array.sub g.refcount 0 n;
-        f_gen = Array.sub g.gen 0 n;
-        f_rank = Array.sub g.rank 0 n;
-        f_succ;
-        f_pred;
         f_digests = g.digests;
-        f_chains;
-        f_chain_of = Array.sub g.chain_of 0 n;
-        f_chain_pos = Array.sub g.chain_pos 0 n;
-        f_labels;
+        f_gen = gen;
+        f_rank = rank;
+        f_chain_of = chain_of;
+        f_chain_pos = chain_pos;
+        f_succ = succ;
+        f_pred = pred;
+        f_chains = chains;
+        f_labels = labels;
       }
     in
     g.frozen_cache <- Some f;
@@ -1551,19 +1634,20 @@ module Frozen = struct
   let edge_count f = f.f_edges
   let digests_enabled f = f.f_digests
 
-  let resolve f id =
+  (* [id]'s slot when [id] is live in the view, else -1; allocation-free. *)
+  let slot_of f id =
     let s = Event_id.slot id in
     if id <> Event_id.none
        && s < f.f_next_slot
-       && f.f_refcount.(s) >= 0
-       && f.f_gen.(s) = Event_id.gen id
-    then Some s
-    else None
+       && pa_int f.f_gen s = Event_id.gen id
+    then s
+    else -1
 
-  let is_live f id = resolve f id <> None
+  let is_live f id = slot_of f id >= 0
 
   let rank f id =
-    match resolve f id with Some s -> Some f.f_rank.(s) | None -> None
+    let s = slot_of f id in
+    if s < 0 then None else Some (pa_int f.f_rank s)
 
   (* Per-domain reusable traversal scratch — the frozen twin of the live
      graph's preallocated sparse sets and queues.  Keyed by domain-local
@@ -1599,15 +1683,16 @@ module Frozen = struct
     s
 
   (* Rank-pruned level-synchronous bidirectional BFS over the frozen
-     arrays; the same algorithm as the live graph's [reachable_slots], with
+     fields; the same algorithm as the live graph's [reachable_slots], with
      in-degree read off the immutable reverse adjacency. *)
   let reachable_slots f sc src dst =
     if src = dst then true
     else begin
-      let rlo = f.f_rank.(src) and rhi = f.f_rank.(dst) in
+      let rank = f.f_rank and succ = f.f_succ and pred = f.f_pred in
+      let rlo = pa_int rank src and rhi = pa_int rank dst in
       if rlo >= rhi then false
       else if
-        Array.length f.f_succ.(src) = 0 || Array.length f.f_pred.(dst) = 0
+        Array.length (pa_arr succ src) = 0 || Array.length (pa_arr pred dst) = 0
       then false
       else begin
         let vf = sc.visited and vb = sc.visited_b in
@@ -1625,14 +1710,13 @@ module Frozen = struct
           let lo = !fh and hi = !ft in
           fh := hi;
           for i = lo to hi - 1 do
-            let outs = f.f_succ.(qf.(i)) in
+            let outs = pa_arr succ qf.(i) in
             for k = 0 to Array.length outs - 1 do
               let w = outs.(k) in
               if Sparse_set.mem vb w then found := true
               else if
                 (not (Sparse_set.mem vf w))
-                && f.f_rank.(w) > rlo
-                && f.f_rank.(w) < rhi
+                && (let r = pa_int rank w in r > rlo && r < rhi)
               then begin
                 Sparse_set.add vf w;
                 qf.(!ft) <- w;
@@ -1645,14 +1729,13 @@ module Frozen = struct
           let lo = !bh and hi = !bt in
           bh := hi;
           for i = lo to hi - 1 do
-            let ins = f.f_pred.(qb.(i)) in
+            let ins = pa_arr pred qb.(i) in
             for k = 0 to Array.length ins - 1 do
               let w = ins.(k) in
               if Sparse_set.mem vf w then found := true
               else if
                 (not (Sparse_set.mem vb w))
-                && f.f_rank.(w) > rlo
-                && f.f_rank.(w) < rhi
+                && (let r = pa_int rank w in r > rlo && r < rhi)
               then begin
                 Sparse_set.add vb w;
                 qb.(!bt) <- w;
@@ -1674,73 +1757,70 @@ module Frozen = struct
      destinations — both polarities — by an O(#chains) compare and only
      fall back to the scratch BFS on cap saturation. *)
   let reach f su sv =
-    let c = f.f_chain_of.(sv) in
-    if c >= 0 then label_le f.f_labels.(su) c f.f_chain_pos.(sv)
+    let c = pa_int f.f_chain_of sv in
+    if c >= 0 then label_le (pa_arr f.f_labels su) c (pa_int f.f_chain_pos sv)
     else reachable_slots f (scratch_for f.f_next_slot) su sv
 
   let reachable f u v =
-    match (resolve f u, resolve f v) with
-    | Some su, Some sv ->
-      if su = sv then false
-      else if f.f_rank.(su) >= f.f_rank.(sv) then false
-      else reach f su sv
-    | _ -> false
+    let su = slot_of f u and sv = slot_of f v in
+    su >= 0 && sv >= 0 && su <> sv
+    && pa_int f.f_rank su < pa_int f.f_rank sv
+    && reach f su sv
 
   let label_reachable f u v =
-    match (resolve f u, resolve f v) with
-    | Some su, Some sv ->
-      if su = sv then Some false
-      else if f.f_rank.(su) >= f.f_rank.(sv) then Some false
-      else begin
-        let c = f.f_chain_of.(sv) in
-        if c >= 0 then Some (label_le f.f_labels.(su) c f.f_chain_pos.(sv))
-        else None
-      end
-    | _ -> Some false
+    let su = slot_of f u and sv = slot_of f v in
+    if su < 0 || sv < 0 || su = sv || pa_int f.f_rank su >= pa_int f.f_rank sv
+    then Some false
+    else begin
+      let c = pa_int f.f_chain_of sv in
+      if c >= 0 then
+        Some (label_le (pa_arr f.f_labels su) c (pa_int f.f_chain_pos sv))
+      else None
+    end
 
   let query f e1 e2 =
-    match (resolve f e1, resolve f e2) with
-    | None, _ -> Error e1
-    | _, None -> Error e2
-    | Some s1, Some s2 ->
-      if s1 = s2 then Ok Order.Same
-      else begin
-        let r1 = f.f_rank.(s1) and r2 = f.f_rank.(s2) in
-        if r1 < r2 then begin
-          if reach f s1 s2 then Ok Order.Before else Ok Order.Concurrent
-        end
-        else if r2 < r1 then begin
-          if reach f s2 s1 then Ok Order.After else Ok Order.Concurrent
-        end
-        else Ok Order.Concurrent
+    let s1 = slot_of f e1 and s2 = slot_of f e2 in
+    if s1 < 0 then Error e1
+    else if s2 < 0 then Error e2
+    else if s1 = s2 then Ok Order.Same
+    else begin
+      let r1 = pa_int f.f_rank s1 and r2 = pa_int f.f_rank s2 in
+      if r1 < r2 then begin
+        if reach f s1 s2 then Ok Order.Before else Ok Order.Concurrent
       end
+      else if r2 < r1 then begin
+        if reach f s2 s1 then Ok Order.After else Ok Order.Concurrent
+      end
+      else Ok Order.Concurrent
+    end
 
-  let id_of_slot f s = Event_id.make ~slot:s ~gen:f.f_gen.(s)
+  (* [id]'s commitment links, when it is live and the view carries
+     chains. *)
+  let links f id =
+    let s = slot_of f id in
+    if s < 0 || not f.f_digests then None else Some (s, pa_arr f.f_chains s)
 
-  let head_at_slot f s n =
-    if n = 0 then Chain_digest.init (id_of_slot f s)
-    else f.f_chains.(s).(n - 1).l_head
+  let head_at_slot f s links n =
+    if n = 0 then
+      Chain_digest.init (Event_id.make ~slot:s ~gen:(pa_int f.f_gen s))
+    else links.(n - 1).l_head
 
   let commitment f id =
-    match resolve f id with
-    | Some s when f.f_digests ->
-      Some (head_at_slot f s (Array.length f.f_chains.(s)))
-    | Some _ | None -> None
+    match links f id with
+    | Some (s, l) -> Some (head_at_slot f s l (Array.length l))
+    | None -> None
 
   let chain_length f id =
-    match resolve f id with
-    | Some s when f.f_digests -> Some (Array.length f.f_chains.(s))
-    | Some _ | None -> None
+    match links f id with Some (_, l) -> Some (Array.length l) | None -> None
 
   let chain_link f id i =
-    match resolve f id with
-    | Some s when f.f_digests && i >= 0 && i < Array.length f.f_chains.(s) ->
-      Some f.f_chains.(s).(i)
+    match links f id with
+    | Some (_, l) when i >= 0 && i < Array.length l -> Some l.(i)
     | Some _ | None -> None
 
   let head_at f id n =
-    match resolve f id with
-    | Some s when f.f_digests && n >= 0 && n <= Array.length f.f_chains.(s) ->
-      Some (head_at_slot f s n)
+    match links f id with
+    | Some (s, l) when n >= 0 && n <= Array.length l ->
+      Some (head_at_slot f s l n)
     | Some _ | None -> None
 end

@@ -261,7 +261,7 @@ val of_snapshot :
 
     The graph tracks the slots whose snapshot-visible state changed since
     the last durable snapshot in a dedicated dirty set — a superset of the
-    freeze set, because refcount moves and rank relabels matter to a
+    freeze set, because refcount moves that do not collect matter to a
     restore even though frozen views never observe them.  {!to_delta}
     captures exactly those slots plus every small global; composing the
     previous full snapshot with the delta ({!apply_delta}) yields a
@@ -391,8 +391,9 @@ val chain_count : t -> int
 val version : t -> int
 (** Monotonic mutation counter, bumped once per view-visible change:
     event creation, collection, edge admission, edge rollback.  Reference
-    count changes that do not collect, and internal rank relabels, are
-    invisible to views and do not bump it.  This is the epoch stamped on
+    count changes that do not collect are invisible to views and do not
+    bump it; rank relabels happen only within an edge admission, which
+    bumps it once.  This is the epoch stamped on
     frozen views and surfaced in wire replies. *)
 
 module Frozen : sig
@@ -435,11 +436,16 @@ module Frozen : sig
 end
 
 val freeze : t -> Frozen.g
-(** Capture the current query-visible state as an immutable view.
-    Incremental: flat per-slot arrays (refcounts, generations, ranks) are
-    copied wholesale, while adjacency and chain arrays are re-copied only
-    for slots mutated since the previous freeze — clean slots share the
-    previous view's immutable arrays structurally.  When nothing changed
-    since the last call, the cached view is returned as-is.  Must be
-    called from the domain that owns the graph (the writer); the result
-    may be handed to any domain. *)
+(** Capture the current query-visible state as an immutable view, in
+    time and allocation proportional to what changed since the previous
+    freeze, not to graph size.  Every per-slot field of a view (liveness,
+    rank, chain index, adjacency, chains, labels) is a two-level
+    persistent array of 128-entry chunks under 128-entry blocks.  A
+    freeze copies each field's small root, copies the blocks and chunks
+    holding a slot mutated since the previous freeze, and shares every
+    other chunk with the previous view by pointer; up to 4M slots, every
+    array it allocates stays in the minor heap.  The first freeze of a
+    graph (including the first after {!of_snapshot}) writes every slot.
+    When nothing changed since the last call, the cached view is returned
+    as-is.  Must be called from the domain that owns the graph (the
+    writer); the result may be handed to any domain. *)

@@ -13,6 +13,7 @@ module M = struct
   let domains = Kronos_metrics.gauge scope "query_domains"
   let view_epoch = Kronos_metrics.gauge scope "view_epoch"
   let publishes = Kronos_metrics.counter scope "view_publish_total"
+  let publish_seconds = Kronos_metrics.histogram scope "publish_seconds"
   let offloaded = Kronos_metrics.counter scope "offloaded_total"
   let declined = Kronos_metrics.counter scope "declined_total"
 
@@ -176,8 +177,19 @@ let create ~loop ~domains () =
 
 let attach t ~engine = t.engine <- Some engine
 
+(* Timed: [publish_seconds] is what view publication costs the loop
+   thread (a cached, no-change publish included). *)
 let publish t engine =
-  let v = Engine.publish engine in
+  let v =
+    if Kronos_metrics.enabled () then begin
+      let t0 = Unix.gettimeofday () in
+      let v = Engine.publish engine in
+      Kronos_metrics.Histogram.observe M.publish_seconds
+        (Unix.gettimeofday () -. t0);
+      v
+    end
+    else Engine.publish engine
+  in
   let e = Engine.View.epoch v in
   if e <> t.last_epoch then begin
     t.last_epoch <- e;
@@ -201,10 +213,11 @@ let offload t ~client ~cmd ~reply =
         Kronos_metrics.Counter.incr M.declined;
         false
       | (Message.Query_order _ | Message.Query_proof _) as req ->
-        (* Publish at most once per event-loop iteration: re-freezing on
-           every offloaded read made interleaved write/read workloads pay
-           the freeze's O(live slots) flat-array copy per request.  One
-           view per tick is fresh enough — an ack must cross a select
+        (* Publish at most once per event-loop iteration: a freeze
+           copies the chunks holding every slot written since the last
+           one, and re-freezing on every offloaded read would pay that
+           per request instead of per iteration.  One view per tick is
+           fresh enough — an ack must cross a select
            round before the client that received it can have a follow-up
            query dispatched, so every write acked before this iteration
            began is already in the engine we freeze here.  The one caller

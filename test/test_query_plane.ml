@@ -216,8 +216,16 @@ let test_kill_restart_with_pools () =
                                 epochs := epoch :: !epochs;
                                 step (Some e) (n - 1)))))
   in
+  let publishes_timed () =
+    Option.value ~default:0.
+      (List.assoc_opt "kronos_query_pool_publish_seconds_count"
+         (Kronos_metrics.samples ()))
+  in
+  let timed0 = publishes_timed () in
   step None total;
   wait ~what:"workload phase 1" ~secs:60. (fun () -> !finished);
+  Alcotest.(check bool) "view publishes are timed" true
+    (publishes_timed () > timed0);
   let rec non_decreasing = function
     | a :: (b :: _ as rest) -> a >= b && non_decreasing rest
     | _ -> true

@@ -105,6 +105,123 @@ let test_prover_on_frozen_view () =
       | Ok () -> ()
       | Error e -> Alcotest.fail ("certificate failed: " ^ e))
 
+(* Publication cost is O(dirty): after a full first publish of a
+   100k-slot graph, one create and one must-edge dirty two slots in
+   different blocks, so the next publish copies, per view field, a
+   seven-entry root and two 128-entry blocks and chunks.  A flat copy of
+   the per-slot fields would allocate ~9 words per slot (over 900 000
+   words here). *)
+let test_publish_allocates_o_dirty () =
+  let t = Engine.create () in
+  let first = Engine.create_event t in
+  for _ = 2 to 100_000 do
+    ignore (Engine.create_event t)
+  done;
+  ignore (Engine.publish t);
+  let e = Engine.create_event t in
+  (match Engine.assign_order t [ Order.must_before first e ] with
+  | Ok _ -> ()
+  | Error _ -> Alcotest.fail "assign failed");
+  (* words allocated on either heap; promotions are not new allocations.
+     [Gc.counters] rather than [Gc.quick_stat]: the latter's totals only
+     catch up at collections, so a direct major allocation (a flat
+     per-slot copy) could go unseen or an earlier one be billed here. *)
+  let allocated () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let before = allocated () in
+  let v = Engine.publish t in
+  let words = allocated () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "publish allocated %.0f words (< 5000)" words)
+    true (words < 5_000.);
+  match View.query v first e with
+  | Ok Order.Before -> ()
+  | _ -> Alcotest.fail "new edge missing from the view"
+
+(* Chunk-boundary differential: a graph spanning five chunks goes through
+   slot reuse across a chunk boundary, an out-of-order must edge that
+   relabels ranks in several chunks, and a batch rollback
+   ([Graph.remove_last_edge]) — publishing after each step.  Every older
+   view must keep answering exactly as it did when it was published (its
+   chunks are shared with, never mutated by, later publishes), and the
+   newest must match the live engine. *)
+let test_chunk_boundaries () =
+  let t = Engine.create () in
+  let ids = Array.init 560 (fun _ -> Engine.create_event t) in
+  let must pairs =
+    match
+      Engine.assign_order t
+        (List.map (fun (u, v) -> Order.must_before ids.(u) ids.(v)) pairs)
+    with
+    | Ok _ -> ()
+    | Error _ -> Alcotest.fail "assign failed"
+  in
+  (* chains crossing every chunk boundary, and one spanning chunks *)
+  must
+    [ (125, 126); (126, 129); (129, 130); (254, 255); (255, 256);
+      (383, 384); (384, 385); (511, 512); (512, 513); (10, 200);
+      (200, 300); (300, 400) ];
+  let tracked = ref (Array.to_list ids) in
+  let observe v sample =
+    let facts =
+      Array.map
+        (fun id ->
+          (View.is_live v id, View.rank v id, View.chain_length v id,
+           View.commitment v id))
+        sample
+    in
+    (all_relations v sample, facts)
+  in
+  let views = ref [] in
+  let publish step =
+    let v = Engine.publish t in
+    let sample = Array.of_list !tracked in
+    let recorded = observe v sample in
+    List.iter
+      (fun (old, old_step, old_sample, expected) ->
+        if observe old old_sample <> expected then
+          Alcotest.failf "view from step %s changed after step %s" old_step
+            step)
+      !views;
+    if observe (Engine.current_view t) sample <> recorded then
+      Alcotest.failf "view after step %s differs from the live engine" step;
+    views := (v, step, sample, recorded) :: !views
+  in
+  publish "build";
+  (* slots 127 and 128 straddle the chunk 0/1 boundary: collect both and
+     let two new events reuse them, joined by an edge across the boundary *)
+  List.iter (fun i -> ignore (Engine.release_ref t ids.(i))) [ 127; 128 ];
+  let a = Engine.create_event t and b = Engine.create_event t in
+  Alcotest.(check (list int)) "slots reused across the boundary" [ 128; 127 ]
+    [ Event_id.slot a; Event_id.slot b ];
+  ignore (Engine.assign_order t [ Order.must_before a b ]);
+  tracked := a :: b :: !tracked;
+  publish "reuse";
+  (* 500 ranks above 10, so this edge relabels 10 -> 200 -> 300 -> 400 *)
+  let g = Engine.graph t in
+  let relabels = Graph.rank_relabel_count g in
+  must [ (500, 10) ];
+  Alcotest.(check bool) "rank relabel forced" true
+    (Graph.rank_relabel_count g > relabels);
+  publish "relabel";
+  (* the second edge would close a cycle: the batch aborts and the first
+     edge (itself a relabelling one) is rolled back *)
+  let aborted = (Engine.stats t).Engine.aborted_batches in
+  (match
+     Engine.assign_order t
+       [ Order.must_before ids.(540) ids.(20);
+         Order.must_before ids.(20) ids.(540) ]
+   with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "cyclic batch accepted");
+  Alcotest.(check int) "batch rolled back" (aborted + 1)
+    (Engine.stats t).Engine.aborted_batches;
+  publish "rollback";
+  must [ (130, 254); (513, 559) ];
+  publish "extend"
+
 (* Differential stress: a random op stream applied to one engine; frozen
    checkpoints taken along the way must answer exactly like a
    single-threaded reference at the matching epoch — verified from N
@@ -187,15 +304,22 @@ let prop_domains_match_reference =
 
 (* Race smoke: one writer domain mutating and publishing as fast as it
    can, several reader domains chasing the latest view through an atomic
-   slot.  Stable facts (edges assigned before the first publish) must
-   hold in every view ever observed, and the epochs each reader observes
-   must never go backwards. *)
+   slot.  Stable facts (edges assigned before the first publish) in chunk
+   0 and in a later chunk must hold in every view ever observed, and the
+   epochs each reader observes must never go backwards.  The writer forces
+   rank relabels and reuses freed slots (some of them in chunk 0), so
+   publishes keep copying chunks that readers are querying. *)
 let test_publish_race () =
   let t = Engine.create () in
-  let ids = Array.init 8 (fun _ -> Engine.create_event t) in
+  let ids = Array.init 300 (fun _ -> Engine.create_event t) in
   ignore
     (Engine.assign_order t
-       [ Order.must_before ids.(0) ids.(1); Order.must_before ids.(1) ids.(2) ]);
+       [
+         Order.must_before ids.(0) ids.(1);
+         Order.must_before ids.(1) ids.(2);
+         Order.must_before ids.(200) ids.(201);
+         Order.must_before ids.(201) ids.(290);
+       ]);
   let slot = Atomic.make (Engine.publish t) in
   let stop = Atomic.make false in
   let readers =
@@ -209,26 +333,48 @@ let test_publish_race () =
               let e = View.epoch v in
               if e < !last then ok := false;
               last := e;
-              (match View.query v ids.(0) ids.(2) with
-              | Ok Order.Before -> ()
-              | _ -> ok := false);
+              List.iter
+                (fun (a, b) ->
+                  match View.query v ids.(a) ids.(b) with
+                  | Ok Order.Before -> ()
+                  | _ -> ok := false)
+                [ (0, 2); (200, 290) ];
               incr checks
             done;
             (!ok, !checks)))
   in
-  (* Writer: keep growing and publishing. *)
-  let extra = ref [] in
+  (* Writer: keep growing and publishing.  Events 3..7 are isolated in
+     chunk 0; releasing them hands their slots to later creates. *)
+  let g = Engine.graph t in
+  let relabels = Graph.rank_relabel_count g in
+  let spare = ref [ 3; 4; 5; 6; 7 ] in
+  let reused = ref 0 in
+  let prev = ref ids.(299) in
   for i = 1 to 2_000 do
     let e = Engine.create_event t in
-    extra := e :: !extra;
-    (match !extra with
-    | a :: b :: _ -> ignore (Engine.assign_order t [ Order.must_before b a ])
-    | _ -> ());
-    if i mod 50 = 0 then
-      match !extra with e :: _ -> ignore (Engine.release_ref t e) | [] -> ();
+    if Event_id.slot e < 300 then incr reused;
+    ignore (Engine.assign_order t [ Order.must_before !prev e ]);
+    prev := e;
+    if i mod 10 = 0 then begin
+      (* against creation order: [x] is relabelled above [y]; collecting
+         [y] then frees its slot for the next create *)
+      let x = Engine.create_event t in
+      let y = Engine.create_event t in
+      ignore (Engine.assign_order t [ Order.must_before y x ]);
+      ignore (Engine.release_ref t y)
+    end;
+    (if i mod 50 = 0 then
+       match !spare with
+       | s :: rest ->
+         ignore (Engine.release_ref t ids.(s));
+         spare := rest
+       | [] -> ());
     Atomic.set slot (Engine.publish t)
   done;
   Atomic.set stop true;
+  Alcotest.(check bool) "writer relabelled ranks" true
+    (Graph.rank_relabel_count g > relabels);
+  Alcotest.(check int) "writer reused every chunk-0 slot" 5 !reused;
   Array.iter
     (fun d ->
       let ok, checks = Domain.join d in
@@ -247,6 +393,9 @@ let suites =
           test_publish_cached_when_clean;
         Alcotest.test_case "prover on frozen view" `Quick
           test_prover_on_frozen_view;
+        Alcotest.test_case "publish allocates O(dirty)" `Quick
+          test_publish_allocates_o_dirty;
+        Alcotest.test_case "chunk boundaries" `Quick test_chunk_boundaries;
         QCheck_alcotest.to_alcotest prop_domains_match_reference;
       ] );
     ("view_race", [ Alcotest.test_case "publish race" `Quick test_publish_race ]);
