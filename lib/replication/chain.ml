@@ -108,6 +108,7 @@ module Replica = struct
     stash : (int, entry) Hashtbl.t;          (* out-of-order forwards *)
     mutable removed : bool;
     mutable installs : int;                  (* Sync_snapshot transfers taken *)
+    mutable commit_due : bool;               (* a deferred commit is queued *)
   }
 
   let addr t = t.addr
@@ -138,8 +139,8 @@ module Replica = struct
 
   (* Apply a command locally and record everything needed to re-reply,
      deduplicate, and transfer state later.  With a durability layer, the
-     command is also logged at its sequence number (group-committed once the
-     current message is fully handled). *)
+     command is also logged at its sequence number (group-committed at the
+     transport's next deferral point, see [handle]). *)
   let apply_entry t entry =
     let resp = t.apply entry.cmd in
     Kronos_metrics.Counter.incr M.applied;
@@ -352,14 +353,20 @@ module Replica = struct
          not part of the replicated state machine.  The registry is
          process-wide, so the reply covers every layer of this daemon. *)
       send t client (Stats_is { samples = Kronos_metrics.samples () })
-    | _ ->
+    | _ -> (
       let before = t.last_applied in
       handle t ~src msg;
-      (* group commit: one durability flush per delivered message, however
-         many commands it applied (forward bursts, stash drains, syncs) *)
+      (* Group commit: one durability flush per dispatch pass, covering
+         every command the pass applied.  Replies, acks and forwards are
+         only queued here, and the transport sends nothing a pass queued
+         before its deferred work has run. *)
       match t.persist with
-      | Some p when t.last_applied > before -> p.commit ~upto:t.last_applied
-      | Some _ | None -> ()
+      | Some p when t.last_applied > before && not t.commit_due ->
+        t.commit_due <- true;
+        Transport.defer t.net (fun () ->
+            t.commit_due <- false;
+            p.commit ~upto:t.last_applied)
+      | Some _ | None -> ())
 
   let restore t ~last_applied ~entries =
     if t.last_applied <> 0 || Vec.length t.log > 0 then
@@ -390,6 +397,7 @@ module Replica = struct
         stash = Hashtbl.create 16;
         removed = false;
         installs = 0;
+        commit_due = false;
       }
     in
     let deliver =

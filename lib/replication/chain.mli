@@ -23,8 +23,10 @@
 
     {b Durability.}  A replica may be given {!Replica.persist} hooks wired
     to the [kronos_durability] WAL/snapshot layer: every applied command is
-    logged at its sequence number and group-committed once per delivered
-    message, and a periodic snapshot lets old log segments be truncated.
+    logged at its sequence number and group-committed once per transport
+    dispatch pass ({!Kronos_transport.Transport.defer}), covering every
+    command the pass applied, and a periodic snapshot lets old log
+    segments be truncated.
     State transfer then adapts to what the joining replica already has
     (announced in [New_config]): a recovered replica close behind receives
     only the missing WAL tail; one too far behind (its range was truncated
@@ -89,9 +91,12 @@ module Replica : sig
     log_entry : seq:int -> client:addr -> req_id:int -> cmd:string -> unit;
         (** called after each command is applied, in sequence order *)
     commit : upto:int -> unit;
-        (** called once per delivered message that applied at least one
-            command — the group-commit point (WAL flush, snapshot cadence,
-            segment truncation live behind this) *)
+        (** the group-commit point (WAL flush, snapshot cadence, segment
+            truncation live behind this): deferred through
+            {!Kronos_transport.Transport.defer} by a message that applied
+            at least one command, at most once per dispatch pass, with
+            [upto] the last sequence number applied when it runs.  Replies,
+            acks and forwards the pass queued leave after it. *)
     snapshot : unit -> (int * string) option;
         (** newest local snapshot as [(seq, bytes)], for state transfer *)
     tail : since:int -> (int * addr * int * string) list option;

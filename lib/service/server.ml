@@ -138,8 +138,9 @@ let start_replica ~net ~addr ~engine_config ~service ~query_pool =
 
 (* A durable replica first recovers from its storage (snapshot + WAL
    suffix), then runs with persistence hooks: log each applied command and
-   group-commit per message through the snapshot schedule, which snapshots
-   by WAL bytes and retires what each snapshot covers (DESIGN.md §16). *)
+   group-commit once per loop pass through the snapshot schedule, which
+   snapshots by WAL bytes and retires what each snapshot covers
+   (DESIGN.md §16). *)
 let start_durable_replica ~net ~addr ~engine_config ~service ~query_pool d =
   let storage = d.storage_of addr in
   let replayed = ref [] in

@@ -23,6 +23,7 @@ type t = {
   wake_buf : Bytes.t;
   mutable notify_callbacks : (unit -> unit) list;
   mutable ticks : int;
+  deferred : (unit -> unit) Queue.t;
 }
 
 let drain_wake t () =
@@ -52,7 +53,8 @@ let create () =
   let t =
     { heap = Heap.create (); fds = Hashtbl.create 16; seq = 0; live = 0;
       wake_r; wake_w; notified = Atomic.make false;
-      wake_buf = Bytes.create 64; notify_callbacks = []; ticks = 0 }
+      wake_buf = Bytes.create 64; notify_callbacks = []; ticks = 0;
+      deferred = Queue.create () }
   in
   t
 
@@ -150,6 +152,14 @@ let run_due_timers t =
 
 let ticks t = t.ticks
 
+let defer t f = Queue.push f t.deferred
+
+(* Until empty: a deferred callback may defer another. *)
+let run_deferred t =
+  while not (Queue.is_empty t.deferred) do
+    (Queue.pop t.deferred) ()
+  done
+
 let run_once t ?(max_wait = 0.05) () =
   t.ticks <- t.ticks + 1;
   let timeout =
@@ -184,13 +194,18 @@ let run_once t ?(max_wait = 0.05) () =
         | Some { on_read = Some f; _ } -> f ()
         | Some _ | None -> ())
     ready_r;
+  (* Deferred work (a replica's group commit) runs between the handlers
+     that queued replies and the write callbacks that send them, and again
+     after the timers, so no byte queued in a pass leaves before it. *)
+  run_deferred t;
   List.iter
     (fun fd ->
       match Hashtbl.find_opt t.fds fd with
       | Some { on_write = Some f; _ } -> f ()
       | Some _ | None -> ())
     ready_w;
-  run_due_timers t
+  run_due_timers t;
+  run_deferred t
 
 let run_for t duration =
   let deadline = now t +. duration in

@@ -59,12 +59,24 @@ val on_notify : t -> (unit -> unit) -> unit
     must themselves be cheap; typical use is draining a completion queue
     filled by other domains. *)
 
+(** {1 Deferred work} *)
+
+val defer : t -> (unit -> unit) -> unit
+(** Queue a callback for the current pass's next deferral point (loop
+    thread only).  A {!run_once} pass has two: after the read/notify
+    callbacks and before any write callback, and again after the timers.
+    Callbacks run in the order they were deferred; one deferred while the
+    queue drains runs in the same drain.  Work that must precede every
+    byte a pass's handlers queued (a WAL group commit) is deferred: write
+    callbacks are the only place queued bytes leave. *)
+
 (** {1 Driving} *)
 
 val run_once : t -> ?max_wait:float -> unit -> unit
 (** One iteration: wait (at most [max_wait], default 0.05 s, clamped down
-    to the next timer deadline) for readiness, dispatch ready callbacks,
-    then run due timers. *)
+    to the next timer deadline) for readiness, then run, in order: ready
+    read (and notify) callbacks, deferred callbacks, ready write callbacks,
+    due timers, deferred callbacks. *)
 
 val ticks : t -> int
 (** Number of {!run_once} iterations started so far (0 before the first).

@@ -18,5 +18,6 @@ let of_net net =
         let timer = Sim.every sim ~period f in
         Transport.make_timer (fun () -> Sim.cancel timer));
     random_int = (fun n -> Rng.int rng n);
+    defer = (fun f -> f ());
     sim = Some sim;
   }

@@ -373,8 +373,11 @@ and on_connected t conn =
        replies before it processes the first request *)
     push_front conn (hello_bytes t);
     Event_loop.watch_read t.loop fd (fun () -> on_readable t conn);
-    Event_loop.watch_write t.loop fd (fun () -> flush t conn);
-    flush t conn
+    (* The first write is left to the loop's write phase, like every
+       other: a dial that completes at once runs inside [send], possibly
+       inside a handler whose queued frames its deferred WAL commit must
+       precede (Event_loop.defer). *)
+    Event_loop.watch_write t.loop fd (fun () -> flush t conn)
 
 and start_connect t conn =
   match conn.ep with
@@ -614,5 +617,6 @@ let transport t =
         let timer = Event_loop.every t.loop ~period f in
         Transport.make_timer (fun () -> Event_loop.cancel timer));
     random_int = (fun n -> Random.State.int t.rand n);
+    defer = Event_loop.defer t.loop;
     sim = None;
   }

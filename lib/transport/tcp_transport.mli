@@ -66,12 +66,17 @@ val connect_peers : 'm t -> unit
 
 val transport : 'm t -> 'm Transport.t
 (** The abstraction the replication/service layers consume.  [sim] is
-    [None]; timers run on the event loop; [send] to a locally registered
-    address short-circuits through the loop (never re-entrantly). *)
+    [None]; timers run on the event loop; [defer] is {!Event_loop.defer};
+    [send] to a locally registered address short-circuits through the
+    loop (never re-entrantly).  [send] only queues: bytes leave in the
+    loop's write phase, never inside the caller. *)
 
 val shutdown : 'm t -> unit
 (** Graceful: stop listening, try briefly to flush pending write queues,
-    close every connection, cancel housekeeping timers.  Idempotent. *)
+    close every connection, cancel housekeeping timers.  Idempotent.
+    That flush is the one write outside the loop's write phase: called
+    from a handler, it sends frames queued before the pass's deferred
+    work ran.  Daemons call it once their loop has stopped. *)
 
 (** {1 Introspection} *)
 

@@ -11,6 +11,7 @@ type 'm t = {
   schedule : delay:float -> (unit -> unit) -> timer;
   every : period:float -> (unit -> unit) -> timer;
   random_int : int -> int;
+  defer : (unit -> unit) -> unit;
   sim : Kronos_simnet.Sim.t option;
 }
 
@@ -22,6 +23,7 @@ let now t = t.now ()
 let schedule t ~delay f = t.schedule ~delay f
 let every t ~period f = t.every ~period f
 let random_int t n = t.random_int n
+let defer t f = t.defer f
 let sim t = t.sim
 
 let cancel timer = timer.cancel ()

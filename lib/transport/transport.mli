@@ -33,6 +33,11 @@ type 'm t = {
   schedule : delay:float -> (unit -> unit) -> timer;
   every : period:float -> (unit -> unit) -> timer;
   random_int : int -> int;
+  defer : (unit -> unit) -> unit;
+      (** Run work later in the current dispatch pass but before any byte
+          queued by this pass's handlers leaves the runtime (TCP:
+          {!Event_loop.defer}).  The simulated network runs it at once:
+          its sends are already events on the virtual clock. *)
   sim : Kronos_simnet.Sim.t option;
       (** The simulator when this transport is simulated; [None] over real
           sockets.  Only simulation-specific features (service-time
@@ -49,6 +54,7 @@ val now : 'm t -> float
 val schedule : 'm t -> delay:float -> (unit -> unit) -> timer
 val every : 'm t -> period:float -> (unit -> unit) -> timer
 val random_int : 'm t -> int -> int
+val defer : 'm t -> (unit -> unit) -> unit
 val sim : 'm t -> Kronos_simnet.Sim.t option
 
 val cancel : timer -> unit

@@ -262,6 +262,55 @@ let test_event_loop_fd_readiness () =
   Alcotest.(check bool) "read callback ran" true ok;
   Alcotest.(check string) "bytes seen" "ping" !got
 
+(* One pass runs read callbacks, then deferred work, then write
+   callbacks: what a read callback defers precedes a write callback that
+   is ready in the same pass. *)
+let test_event_loop_defer_before_writes () =
+  let loop = Event_loop.create () in
+  let r, w = Unix.pipe () in
+  Unix.set_nonblock r;
+  let log = ref [] in
+  let note what = log := (what, Event_loop.ticks loop) :: !log in
+  Event_loop.watch_read loop r (fun () ->
+      ignore (Unix.read r (Bytes.create 1) 0 1);
+      note "read";
+      Event_loop.defer loop (fun () ->
+          note "deferred";
+          Event_loop.defer loop (fun () -> note "nested")));
+  (* a pipe's write end is writable from the start *)
+  Event_loop.watch_write loop w (fun () ->
+      note "write";
+      Event_loop.unwatch_write loop w);
+  ignore (Unix.write_substring w "x" 0 1);
+  Event_loop.run_once loop ~max_wait:1.0 ();
+  Event_loop.forget loop r;
+  Unix.close r;
+  Unix.close w;
+  Alcotest.(check (list (pair string int))) "read, deferred, write in one pass"
+    [ ("read", 1); ("deferred", 1); ("nested", 1); ("write", 1) ]
+    (List.rev !log)
+
+(* Work deferred from a timer runs after the timers of its pass, so before
+   the next pass's write callbacks. *)
+let test_event_loop_defer_from_timer () =
+  let loop = Event_loop.create () in
+  let r, w = Unix.pipe () in
+  let log = ref [] in
+  let note what = log := (what, Event_loop.ticks loop) :: !log in
+  ignore
+    (Event_loop.schedule loop ~delay:0.0 (fun () ->
+         note "timer";
+         Event_loop.defer loop (fun () -> note "deferred")));
+  Event_loop.watch_write loop w (fun () -> note "write");
+  Event_loop.run_once loop ~max_wait:1.0 ();
+  Event_loop.run_once loop ~max_wait:1.0 ();
+  Event_loop.forget loop w;
+  Unix.close r;
+  Unix.close w;
+  Alcotest.(check (list (pair string int))) "deferred before the next write"
+    [ ("write", 1); ("timer", 1); ("deferred", 1); ("write", 2) ]
+    (List.rev !log)
+
 (* {1 TCP runtime on loopback sockets} *)
 
 let string_tcp loop = Tcp.create ~loop ~encode:Fun.id ~decode:Fun.id ()
@@ -545,6 +594,54 @@ let test_tcp_short_and_torn_writes () =
   Unix.close p.listener;
   Tcp.shutdown tx
 
+(* Sends from a handler only queue: no byte leaves before the pass's
+   deferred work (a replica's WAL commit) has run.  The reply goes out on
+   a connection that is already due for a write in the pass that runs the
+   handler, the forward on a connection the send itself dials. *)
+let test_tcp_handler_sends_wait_for_deferred () =
+  let loop = Event_loop.create () in
+  let server = string_tcp loop and client = string_tcp loop in
+  let third = string_tcp loop in
+  let port = Tcp.listen server ~port:0 () in
+  let port3 = Tcp.listen third ~port:0 () in
+  Tcp.add_peer client 1 ~host:"127.0.0.1" ~port;
+  Tcp.add_peer server 3 ~host:"127.0.0.1" ~port:port3;
+  let snet = Tcp.transport server and cnet = Tcp.transport client in
+  let out = ref [] and got = ref [] and forwarded = ref None in
+  Transport.register snet 1 (fun ~src m ->
+      got := m :: !got;
+      if m = "go" then begin
+        let before = metric "bytes_out_total" in
+        Transport.send snet ~src:1 ~dst:src "reply";
+        Transport.send snet ~src:1 ~dst:3 "forward";
+        let queued = metric "bytes_out_total" in
+        Transport.defer snet (fun () ->
+            out := [ before; queued; metric "bytes_out_total" ])
+      end);
+  Transport.register cnet 2 (fun ~src:_ m -> got := m :: !got);
+  Transport.register (Tcp.transport third) 3 (fun ~src:_ m -> forwarded := Some m);
+  let run_until pred =
+    Alcotest.(check bool) "progress" true
+      (Event_loop.run_until loop ~deadline:(Event_loop.now loop +. 5.0) pred)
+  in
+  (* connect, and let the server learn its route back *)
+  Transport.send cnet ~src:2 ~dst:1 "hi";
+  run_until (fun () -> List.mem "hi" !got);
+  (* [go] is written; a frame the server then queues outside any handler
+     leaves its connection due for a write in the pass that reads [go] *)
+  let written = metric "bytes_out_total" in
+  Transport.send cnet ~src:2 ~dst:1 "go";
+  run_until (fun () -> metric "bytes_out_total" > written);
+  Transport.send snet ~src:1 ~dst:2 "pre";
+  run_until (fun () -> List.mem "reply" !got && !forwarded <> None);
+  (match !out with
+   | [ before; queued; deferred ] ->
+     Alcotest.(check int) "nothing written inside the handler" before queued;
+     Alcotest.(check int) "nothing written before the deferred work" before
+       deferred
+   | _ -> Alcotest.fail "deferred callback did not run");
+  List.iter Tcp.shutdown [ client; server; third ]
+
 let suites =
   [ ( "transport",
       [
@@ -562,6 +659,10 @@ let suites =
           test_event_loop_every_cancel;
         Alcotest.test_case "event loop fd readiness" `Quick
           test_event_loop_fd_readiness;
+        Alcotest.test_case "event loop defers before writes" `Quick
+          test_event_loop_defer_before_writes;
+        Alcotest.test_case "event loop defers after timers" `Quick
+          test_event_loop_defer_from_timer;
         Alcotest.test_case "tcp round trip via learned route" `Quick
           test_tcp_round_trip_learned_route;
         Alcotest.test_case "tcp large message" `Quick test_tcp_large_message;
@@ -571,5 +672,7 @@ let suites =
           test_tcp_bad_envelope_stops_dispatch;
         Alcotest.test_case "tcp short and torn writes" `Quick
           test_tcp_short_and_torn_writes;
+        Alcotest.test_case "tcp handler sends wait for deferred work" `Quick
+          test_tcp_handler_sends_wait_for_deferred;
       ] );
   ]
