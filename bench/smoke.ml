@@ -253,6 +253,50 @@ let publish_smoke () =
       (100_000, "engine.publish_one_write_100k");
     ]
 
+(* Fig 8's graph: G(10k,50k) with every edge oriented low -> high, queried
+   with uniform pairs.  The 64-chain label cap saturates on it, so most
+   queries fall through to the rank-windowed bidirectional BFS — the only
+   smoke series whose answers the BFS decides (the two-chain series above
+   are answered by labels).  Two series over the same 10 000 pre-drawn
+   pairs:
+   - [engine.query_wide]: [Engine.query_order] on the live engine;
+   - [engine.query_frozen_wide]: [Engine.View.query] over a published
+     view, on this domain's traversal scratch.
+   Timed like [engine.publish_one_write_*], as the best of five
+   fixed-length windows after a compaction. *)
+let query_wide_smoke () =
+  let module Graph_gen = Kronos_workload.Graph_gen in
+  let n = 10_000 in
+  let graph =
+    Graph_gen.erdos_renyi_gnm ~rng:(Kronos_simnet.Rng.create ~seed:77L) ~n
+      ~m:50_000
+  in
+  let engine = Engine.create () in
+  let ids = Array.init n (fun _ -> Engine.create_event engine) in
+  let g = Engine.graph engine in
+  Array.iter (fun (u, v) -> Graph.add_edge g ids.(u) ids.(v)) graph.edges;
+  let view = Engine.publish engine in
+  let rng = Kronos_simnet.Rng.create ~seed:123L in
+  let ops = 10_000 in
+  let pairs =
+    Array.init ops (fun _ ->
+        (ids.(Kronos_simnet.Rng.int rng n), ids.(Kronos_simnet.Rng.int rng n)))
+  in
+  let timed query =
+    let k = ref 0 in
+    Gc.compact ();
+    best_window_ns ~ops (fun () ->
+        let a, b = pairs.(!k) in
+        k := (!k + 1) mod ops;
+        query a b)
+  in
+  record "engine.query_wide"
+    (timed (fun a b -> ignore (Engine.query_order engine [ (a, b) ])))
+    "ns/op";
+  record "engine.query_frozen_wide"
+    (timed (fun a b -> ignore (Engine.View.query view a b)))
+    "ns/op"
+
 (* Certify hot paths (DESIGN.md §13): proof generation and verification
    over a real chain, plus the assign-path cost of digest maintenance —
    the fresh-assign workload of [engine.assign_fresh] with commitment
@@ -770,6 +814,7 @@ let check () =
   order_cache_smoke ();
   query_parallel_smoke ();
   publish_smoke ();
+  query_wide_smoke ();
   certify_smoke ();
   federation_smoke ();
   write_scaling_smoke ();
@@ -851,6 +896,7 @@ let run () =
   order_cache_smoke ();
   query_parallel_smoke ();
   publish_smoke ();
+  query_wide_smoke ();
   certify_smoke ();
   service_closed_loop ();
   service_closed_loop_domains4 ();

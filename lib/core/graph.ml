@@ -117,9 +117,15 @@ type t = {
      the open rank window (rank src, rank dst). *)
   mutable rank : int array;
   mutable next_rank : int;       (* strictly above every live rank *)
-  mutable visited : Sparse_set.t;
+  (* Visited marks shared by every search: a search bumps [stamp] and marks
+     the slots it reaches forward with [2 * stamp] and backward with
+     [2 * stamp + 1], so any older value reads as unseen.  One load answers
+     seen-forward / seen-backward / unseen, and a search starts without
+     clearing anything.  Stamps start at 1 over a zero-filled array, and a
+     63-bit stamp does not wrap in any realistic lifetime. *)
+  mutable marks : int array;
+  mutable stamp : int;
   mutable queue : int array;     (* forward BFS frontier, capacity slots *)
-  mutable visited_b : Sparse_set.t;
   mutable queue_b : int array;   (* backward BFS frontier *)
   relabel_stack : Int_vec.t;     (* (slot, floor) pairs, flattened *)
   mutable traversals : int;
@@ -220,9 +226,9 @@ let create ?(initial_capacity = 1024) ?(digests = true)
     edges = 0;
     rank = Array.make cap 0;
     next_rank = 0;
-    visited = Sparse_set.create cap;
+    marks = Array.make cap 0;
+    stamp = 0;
     queue = Array.make cap 0;
-    visited_b = Sparse_set.create cap;
     queue_b = Array.make cap 0;
     relabel_stack = Int_vec.create ();
     traversals = 0;
@@ -278,8 +284,7 @@ let grow g =
   let labels = Array.make cap [||] in
   Array.blit g.labels 0 labels 0 old;
   g.labels <- labels;
-  Sparse_set.grow g.visited cap;
-  Sparse_set.grow g.visited_b cap;
+  g.marks <- copy g.marks 0;
   Sparse_set.grow g.dirty cap;
   Sparse_set.grow g.snap_dirty cap;
   g.queue <- Array.make cap 0;
@@ -690,7 +695,7 @@ let rebuild_label_index g =
   compute_labels g
 
 (* Rank-pruned bidirectional BFS over slots; allocation-free thanks to the
-   preallocated sparse sets and queues.  Degree guards make the common
+   stamped marks and preallocated queues.  Degree guards make the common
    fresh-event cases O(1): a source with no outgoing edge reaches nothing, a
    destination with no incoming edge is unreachable.
 
@@ -702,70 +707,62 @@ let rebuild_label_index g =
    slot order there, losing the original interleaving).
 
    Work accounting: every traversal adds to [visited_total] the number of
-   distinct slots inserted into a visited set, endpoints included (the
-   source and destination seed their sides, fixing the historical
-   undercount of the destination on found paths). *)
+   distinct slots marked, endpoints included (the source and destination
+   seed their sides, fixing the historical undercount of the destination
+   on found paths).  Every marked slot is also queued, so that number is
+   the two queue tails. *)
 let reachable_slots g src dst =
   if src = dst then true
   else begin
-    let rlo = g.rank.(src) and rhi = g.rank.(dst) in
+    let rank = g.rank in
+    let rlo = rank.(src) and rhi = rank.(dst) in
     if rlo >= rhi then false
     else if Int_vec.is_empty g.succ.(src) || g.indeg.(dst) = 0 then false
     else begin
       g.traversals <- g.traversals + 1;
       Kronos_metrics.Counter.incr M.traversals;
-      let vf = g.visited and vb = g.visited_b in
-      Sparse_set.clear vf;
-      Sparse_set.clear vb;
-      Sparse_set.add vf src;
-      Sparse_set.add vb dst;
+      g.stamp <- g.stamp + 1;
+      let fmark = 2 * g.stamp in
+      let bmark = fmark + 1 in
+      let marks = g.marks in
+      marks.(src) <- fmark;
+      marks.(dst) <- bmark;
       let qf = g.queue and qb = g.queue_b in
       qf.(0) <- src;
       qb.(0) <- dst;
       let fh = ref 0 and ft = ref 1 in  (* forward level = qf.[fh..ft) *)
       let bh = ref 0 and bt = ref 1 in
       let found = ref false in
-      let expand_forward () =
-        let lo = !fh and hi = !ft in
-        fh := hi;
+      (* Expand one side's current level over [adj], marking with [mine];
+         reaching a slot marked [theirs] means the frontiers met. *)
+      let expand adj q head tail mine theirs =
+        let lo = !head and hi = !tail in
+        head := hi;
         for i = lo to hi - 1 do
-          let visit w =
-            if Sparse_set.mem vb w then found := true
-            else if (not (Sparse_set.mem vf w))
-                    && g.rank.(w) > rlo && g.rank.(w) < rhi
+          let edges = adj.(q.(i)) in
+          let data = Int_vec.unsafe_data edges in
+          for k = 0 to Int_vec.length edges - 1 do
+            let w = Array.unsafe_get data k in
+            let m = marks.(w) in
+            if m = theirs then found := true
+            else if m <> mine && (let r = rank.(w) in r > rlo && r < rhi)
             then begin
-              Sparse_set.add vf w;
-              qf.(!ft) <- w;
-              incr ft
+              marks.(w) <- mine;
+              q.(!tail) <- w;
+              incr tail
             end
-          in
-          Int_vec.iter visit g.succ.(qf.(i))
-        done
-      in
-      let expand_backward () =
-        g.bidir_traversals <- g.bidir_traversals + 1;
-        Kronos_metrics.Counter.incr M.bidir;
-        let lo = !bh and hi = !bt in
-        bh := hi;
-        for i = lo to hi - 1 do
-          let visit w =
-            if Sparse_set.mem vf w then found := true
-            else if (not (Sparse_set.mem vb w))
-                    && g.rank.(w) > rlo && g.rank.(w) < rhi
-            then begin
-              Sparse_set.add vb w;
-              qb.(!bt) <- w;
-              incr bt
-            end
-          in
-          Int_vec.iter visit g.pred.(qb.(i))
+          done
         done
       in
       while (not !found) && !fh < !ft && !bh < !bt do
-        if !ft - !fh <= !bt - !bh then expand_forward ()
-        else expand_backward ()
+        if !ft - !fh <= !bt - !bh then expand g.succ qf fh ft fmark bmark
+        else begin
+          g.bidir_traversals <- g.bidir_traversals + 1;
+          Kronos_metrics.Counter.incr M.bidir;
+          expand g.pred qb bh bt bmark fmark
+        end
       done;
-      let visited = Sparse_set.cardinal vf + Sparse_set.cardinal vb in
+      let visited = !ft + !bt in
       g.visited_total <- g.visited_total + visited;
       Kronos_metrics.Counter.add M.visited visited;
       !found
@@ -897,34 +894,37 @@ let cycle_probe g sv su =
   g.traversals <- g.traversals + 1;
   Kronos_metrics.Counter.incr M.traversals;
   let ceiling = g.rank.(su) in
-  let visited = g.visited in
-  Sparse_set.clear visited;
-  Sparse_set.add visited sv;
+  g.stamp <- g.stamp + 1;
+  let mark = 2 * g.stamp in
+  let marks = g.marks in
+  marks.(sv) <- mark;
   let queue = g.queue in
   queue.(0) <- sv;
   let head = ref 0 and tail = ref 1 in
   let found = ref false in
   while (not !found) && !head < !tail do
-    let u = queue.(!head) in
+    let edges = g.succ.(queue.(!head)) in
     incr head;
-    let visit w =
-      if not (Sparse_set.mem visited w) then begin
+    let data = Int_vec.unsafe_data edges in
+    for k = 0 to Int_vec.length edges - 1 do
+      let w = Array.unsafe_get data k in
+      if marks.(w) <> mark then begin
         if w = su then begin
           found := true;
           (* count the discovered endpoint, mirroring the bidirectional
              search where both endpoints are seeded *)
-          Sparse_set.add visited w
+          marks.(w) <- mark
         end
         else if g.rank.(w) <= ceiling then begin
-          Sparse_set.add visited w;
+          marks.(w) <- mark;
           queue.(!tail) <- w;
           incr tail
         end
       end
-    in
-    Int_vec.iter visit g.succ.(u)
+    done
   done;
-  let visited_n = Sparse_set.cardinal visited in
+  (* every marked slot is queued, except a discovered [su] *)
+  let visited_n = !tail + if !found then 1 else 0 in
   g.visited_total <- g.visited_total + visited_n;
   Kronos_metrics.Counter.add M.visited visited_n;
   !found
@@ -1490,8 +1490,7 @@ let memory_bytes g =
   + array_bytes g.queue + array_bytes g.queue_b
   + (2 * (capacity g + 2) * word) (* succ/pred pointer arrays *)
   + adjacency g.succ + adjacency g.pred
-  + Sparse_set.memory_bytes g.visited
-  + Sparse_set.memory_bytes g.visited_b
+  + array_bytes g.marks
   + Int_vec.capacity_bytes g.free
   + Int_vec.capacity_bytes g.relabel_stack
   (* chain-decomposition index: flat arrays + per-slot label vectors *)
@@ -1650,14 +1649,17 @@ module Frozen = struct
     if s < 0 then None else Some (pa_int f.f_rank s)
 
   (* Per-domain reusable traversal scratch — the frozen twin of the live
-     graph's preallocated sparse sets and queues.  Keyed by domain-local
-     storage, so concurrent readers never share it and a query allocates
-     nothing once the scratch has grown to the view's slot count.  Frozen
-     queries deliberately touch no process-wide metrics counters and no
-     mutable graph state: the whole read path is write-free. *)
+     graph's stamped marks and queues.  Keyed by domain-local storage, so
+     concurrent readers never share it and a query allocates nothing once
+     the scratch has grown to the view's slot count.  The marks regrow
+     zero-filled and the stamp only moves forward, so a mark left by a
+     query on any earlier view — larger or smaller — never reads as seen.
+     Frozen queries deliberately touch no process-wide metrics counters and
+     no mutable graph state: the whole read path is write-free outside the
+     domain's own scratch. *)
   type scratch = {
-    mutable visited : Sparse_set.t;
-    mutable visited_b : Sparse_set.t;
+    mutable marks : int array;
+    mutable stamp : int;
     mutable queue : int array;
     mutable queue_b : int array;
   }
@@ -1665,8 +1667,8 @@ module Frozen = struct
   let scratch_key =
     Domain.DLS.new_key (fun () ->
         {
-          visited = Sparse_set.create 16;
-          visited_b = Sparse_set.create 16;
+          marks = Array.make 16 0;
+          stamp = 0;
           queue = Array.make 16 0;
           queue_b = Array.make 16 0;
         })
@@ -1675,8 +1677,7 @@ module Frozen = struct
     let s = Domain.DLS.get scratch_key in
     if Array.length s.queue < n then begin
       let cap = max n (2 * Array.length s.queue) in
-      Sparse_set.grow s.visited cap;
-      Sparse_set.grow s.visited_b cap;
+      s.marks <- Array.make cap 0;
       s.queue <- Array.make cap 0;
       s.queue_b <- Array.make cap 0
     end;
@@ -1695,58 +1696,39 @@ module Frozen = struct
         Array.length (pa_arr succ src) = 0 || Array.length (pa_arr pred dst) = 0
       then false
       else begin
-        let vf = sc.visited and vb = sc.visited_b in
-        Sparse_set.clear vf;
-        Sparse_set.clear vb;
-        Sparse_set.add vf src;
-        Sparse_set.add vb dst;
+        sc.stamp <- sc.stamp + 1;
+        let fmark = 2 * sc.stamp in
+        let bmark = fmark + 1 in
+        let marks = sc.marks in
+        marks.(src) <- fmark;
+        marks.(dst) <- bmark;
         let qf = sc.queue and qb = sc.queue_b in
         qf.(0) <- src;
         qb.(0) <- dst;
         let fh = ref 0 and ft = ref 1 in
         let bh = ref 0 and bt = ref 1 in
         let found = ref false in
-        let expand_forward () =
-          let lo = !fh and hi = !ft in
-          fh := hi;
+        let expand adj q head tail mine theirs =
+          let lo = !head and hi = !tail in
+          head := hi;
           for i = lo to hi - 1 do
-            let outs = pa_arr succ qf.(i) in
-            for k = 0 to Array.length outs - 1 do
-              let w = outs.(k) in
-              if Sparse_set.mem vb w then found := true
-              else if
-                (not (Sparse_set.mem vf w))
-                && (let r = pa_int rank w in r > rlo && r < rhi)
+            let edges = pa_arr adj q.(i) in
+            for k = 0 to Array.length edges - 1 do
+              let w = Array.unsafe_get edges k in
+              let m = marks.(w) in
+              if m = theirs then found := true
+              else if m <> mine && (let r = pa_int rank w in r > rlo && r < rhi)
               then begin
-                Sparse_set.add vf w;
-                qf.(!ft) <- w;
-                incr ft
-              end
-            done
-          done
-        in
-        let expand_backward () =
-          let lo = !bh and hi = !bt in
-          bh := hi;
-          for i = lo to hi - 1 do
-            let ins = pa_arr pred qb.(i) in
-            for k = 0 to Array.length ins - 1 do
-              let w = ins.(k) in
-              if Sparse_set.mem vf w then found := true
-              else if
-                (not (Sparse_set.mem vb w))
-                && (let r = pa_int rank w in r > rlo && r < rhi)
-              then begin
-                Sparse_set.add vb w;
-                qb.(!bt) <- w;
-                incr bt
+                marks.(w) <- mine;
+                q.(!tail) <- w;
+                incr tail
               end
             done
           done
         in
         while (not !found) && !fh < !ft && !bh < !bt do
-          if !ft - !fh <= !bt - !bh then expand_forward ()
-          else expand_backward ()
+          if !ft - !fh <= !bt - !bh then expand succ qf fh ft fmark bmark
+          else expand pred qb bh bt bmark fmark
         done;
         !found
       end

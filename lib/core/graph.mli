@@ -36,9 +36,9 @@
     only chain-cap saturation falls back to the BFS (counted by
     {!label_miss_count}).
 
-    All memory needed to traverse (visited sparse sets, BFS queues) is
-    preallocated and grows with the vertex capacity, so queries allocate
-    nothing. *)
+    All memory needed to traverse (one stamped visited-mark array, BFS
+    queues) is preallocated and grows with the vertex capacity, so queries
+    allocate nothing. *)
 
 type t
 
@@ -416,7 +416,7 @@ module Frozen : sig
       remaining direction is answered by the frozen chain-label compare
       whenever the destination sits on a chain, falling back to a
       rank-pruned bidirectional BFS only on label misses.  Traversal
-      scratch (sparse visited sets, queues) is kept in domain-local
+      scratch (stamped visited marks, queues) is kept in domain-local
       storage and reused, so concurrent queries from different domains
       share no mutable state and allocate nothing once warm.  Frozen
       queries update no counters and no caches. *)

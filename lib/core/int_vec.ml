@@ -11,6 +11,7 @@ let check v i =
   if i < 0 || i >= v.len then invalid_arg "Int_vec: index out of bounds"
 
 let get v i = check v i; Array.unsafe_get v.data i
+let unsafe_data v = v.data
 let set v i x = check v i; Array.unsafe_set v.data i x
 
 let grow v =

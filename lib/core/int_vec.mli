@@ -41,6 +41,12 @@ val mem : t -> int -> bool
 
 val iter : (int -> unit) -> t -> unit
 
+val unsafe_data : t -> int array
+(** The backing array: its first [length v] entries are [v]'s elements,
+    the rest are garbage, and a growing [push] replaces it.  For index
+    loops on hot paths that must not pay a closure or a bounds check per
+    element; never write through it. *)
+
 val fold : ('a -> int -> 'a) -> 'a -> t -> 'a
 
 val to_list : t -> int list

@@ -31,11 +31,7 @@ let add s i =
     s.ptr <- s.ptr + 1
   end
 
-let clears = Kronos_metrics.counter (Kronos_metrics.scope "engine") "sparse_set_clears_total"
-
-let clear s =
-  Kronos_metrics.Counter.incr clears;
-  s.ptr <- 0
+let clear s = s.ptr <- 0
 
 let grow s capacity =
   if capacity > Array.length s.sparse then begin
@@ -51,5 +47,3 @@ let iter f s =
   for slot = 0 to s.ptr - 1 do
     f s.dense.(slot)
   done
-
-let memory_bytes s = 2 * (Array.length s.sparse + 2) * (Sys.word_size / 8)

@@ -1,7 +1,10 @@
 (** Briggs–Torczon sparse set over the integers [0, capacity).
 
     This is the visited-set structure from Section 2.2 / Figure 3 of the
-    Kronos paper.  Membership of [i] holds iff
+    Kronos paper.  The graph's searches have moved to stamped marks (one
+    load per test, see [bench/micro.ml]'s visited-structure ablation); the
+    set remains for tracking dirty slots, which must also be iterated.
+    Membership of [i] holds iff
     [sparse.(i) < ptr && dense.(sparse.(i)) = i]; insertion writes one slot of
     each array and bumps [ptr]; {!clear} resets [ptr] to zero in constant
     time.  The arrays need no initialization, so a traversal touches memory
@@ -33,6 +36,3 @@ val grow : t -> int -> unit
 
 val iter : (int -> unit) -> t -> unit
 (** Iterate over members in insertion order. *)
-
-val memory_bytes : t -> int
-(** Approximate heap footprint in bytes. *)

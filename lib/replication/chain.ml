@@ -104,7 +104,7 @@ module Replica = struct
     log : entry Vec.t;                       (* full command history *)
     responses : (int, string) Hashtbl.t;     (* seq -> response *)
     dedup : (addr * int, int) Hashtbl.t;     (* (client, req_id) -> seq *)
-    mutable pending : entry list;            (* forwarded, unacked; seq asc *)
+    pending : entry Queue.t;                 (* forwarded, unacked; seq asc *)
     stash : (int, entry) Hashtbl.t;          (* out-of-order forwards *)
     mutable removed : bool;
     mutable installs : int;                  (* Sync_snapshot transfers taken *)
@@ -114,7 +114,7 @@ module Replica = struct
   let addr t = t.addr
   let last_applied t = t.last_applied
   let config t = t.cfg
-  let pending_count t = List.length t.pending
+  let pending_count t = Queue.length t.pending
   let log_length t = Vec.length t.log
   let snapshot_installs t = t.installs
 
@@ -163,7 +163,7 @@ module Replica = struct
       to_predecessor t (Ack { seq = entry.seq })
     end
     else begin
-      t.pending <- t.pending @ [ entry ];
+      Queue.push entry t.pending;
       to_successor t
         (Forward { seq = entry.seq; client = entry.client;
                    req_id = entry.req_id; cmd = entry.cmd })
@@ -222,7 +222,13 @@ module Replica = struct
 
   let handle_ack t seq =
     Kronos_metrics.Counter.incr M.acks;
-    t.pending <- List.filter (fun e -> e.seq > seq) t.pending;
+    (* acks are cumulative and [pending] is in seq order: drop the
+       acknowledged prefix *)
+    while
+      (not (Queue.is_empty t.pending)) && (Queue.peek t.pending).seq <= seq
+    do
+      ignore (Queue.pop t.pending)
+    done;
     to_predecessor t (Ack { seq })
 
   (* State transfer to a joining successor that has already applied
@@ -270,25 +276,24 @@ module Replica = struct
            (match fresh with
             | Some (a, applied) when a = succ -> send_sync t succ ~applied
             | Some _ | None -> ());
-           List.iter
+           Queue.iter
              (fun e ->
                send t succ
                  (Forward { seq = e.seq; client = e.client;
                             req_id = e.req_id; cmd = e.cmd }))
              t.pending
          | Some _ | None -> ());
-        if is_tail new_cfg t.addr && t.pending <> [] then begin
+        if is_tail new_cfg t.addr && not (Queue.is_empty t.pending) then begin
           (* We just became tail: close out the in-flight entries. *)
-          List.iter
+          Queue.iter
             (fun e ->
               match Hashtbl.find_opt t.responses e.seq with
               | Some resp -> send t e.client (Reply { req_id = e.req_id; resp })
               | None -> ())
             t.pending;
-          (match List.rev t.pending with
-           | last :: _ -> to_predecessor t (Ack { seq = last.seq })
-           | [] -> ());
-          t.pending <- []
+          let last = Queue.fold (fun _ e -> e.seq) 0 t.pending in
+          to_predecessor t (Ack { seq = last });
+          Queue.clear t.pending
         end
       end
     end
@@ -393,7 +398,7 @@ module Replica = struct
         log = Vec.create ~dummy:{ seq = 0; client = 0; req_id = 0; cmd = "" } ();
         responses = Hashtbl.create 1024;
         dedup = Hashtbl.create 1024;
-        pending = [];
+        pending = Queue.create ();
         stash = Hashtbl.create 16;
         removed = false;
         installs = 0;

@@ -1,17 +1,28 @@
 module Heap = Kronos_simnet.Heap
 
-type timer = { mutable cancelled : bool; mutable action : unit -> unit }
-
 type watcher = {
   mutable on_read : (unit -> unit) option;
   mutable on_write : (unit -> unit) option;
 }
 
-type t = {
+type timer = {
+  mutable cancelled : bool;
+  mutable action : unit -> unit;
+  owner : t;
+  mutable queued : bool;   (* in [owner]'s heap; [every] handles never are *)
+}
+
+and t = {
   heap : timer Heap.t;
   fds : (Unix.file_descr, watcher) Hashtbl.t;
   mutable seq : int;
+  (* Heap entries by state.  [cancel] only flags a timer, so a cancelled
+     one stays in the heap until its deadline; once such [dead] entries
+     outnumber the [live] ones the heap is rebuilt without them (see
+     [purge]).  Every request timer a client acknowledges is cancelled
+     long before it is due. *)
   mutable live : int;
+  mutable dead : int;
   (* Self-pipe (DESIGN.md §14): [notify] — callable from any domain —
      writes one byte to [wake_w], which makes the select (or the idle
      sleep, since [wake_r] is always in the read set) return promptly;
@@ -52,6 +63,7 @@ let create () =
   Unix.set_nonblock wake_w;
   let t =
     { heap = Heap.create (); fds = Hashtbl.create 16; seq = 0; live = 0;
+      dead = 0;
       wake_r; wake_w; notified = Atomic.make false;
       wake_buf = Bytes.create 64; notify_callbacks = []; ticks = 0;
       deferred = Queue.create () }
@@ -78,21 +90,49 @@ let now _t = Unix.gettimeofday ()
 let pending_timers t = t.live
 
 let schedule t ~delay action =
-  let timer = { cancelled = false; action } in
+  let timer = { cancelled = false; action; owner = t; queued = true } in
   t.seq <- t.seq + 1;
   t.live <- t.live + 1;
   Heap.push t.heap ~time:(now t +. max 0.0 delay) ~seq:t.seq timer;
   timer
 
+(* Rebuild the heap from its live entries, keeping each one's deadline and
+   sequence number, so firing order is unchanged.  Run only once the dead
+   outnumber the live, so the O(n log n) rebuild is paid for by the
+   cancels since the last one, and the heap never holds more than about
+   twice its live timers. *)
+let purge t =
+  let keep = ref [] in
+  let rec drain () =
+    match Heap.pop t.heap with
+    | Some ((_, _, timer) as entry) ->
+      if not timer.cancelled then keep := entry :: !keep;
+      drain ()
+    | None -> ()
+  in
+  drain ();
+  List.iter
+    (fun (time, seq, timer) -> Heap.push t.heap ~time ~seq timer)
+    (List.rev !keep);
+  t.dead <- 0
+
 let cancel timer =
   if not timer.cancelled then begin
     timer.cancelled <- true;
-    timer.action <- ignore
+    timer.action <- ignore;
+    if timer.queued then begin
+      let t = timer.owner in
+      t.live <- t.live - 1;
+      t.dead <- t.dead + 1;
+      if t.dead > t.live then purge t
+    end
   end
 
 let every t ~period action =
   if period <= 0.0 then invalid_arg "Event_loop.every: period must be positive";
-  let handle = { cancelled = false; action = ignore } in
+  let handle =
+    { cancelled = false; action = ignore; owner = t; queued = false }
+  in
   let rec tick () =
     if not handle.cancelled then begin
       action ();
@@ -142,8 +182,12 @@ let run_due_timers t =
     | Some time when time <= cutoff -> (
         match Heap.pop t.heap with
         | Some (_, _, timer) ->
-          t.live <- t.live - 1;
-          if not timer.cancelled then timer.action ();
+          timer.queued <- false;
+          if timer.cancelled then t.dead <- t.dead - 1
+          else begin
+            t.live <- t.live - 1;
+            timer.action ()
+          end;
           loop ()
         | None -> ())
     | Some _ | None -> ()

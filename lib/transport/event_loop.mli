@@ -24,9 +24,11 @@ val every : t -> period:float -> (unit -> unit) -> timer
 
 val cancel : timer -> unit
 (** Idempotent; cancelling from inside the timer's own action is allowed
-    (and for [every], stops the recurrence). *)
+    (and for [every], stops the recurrence).  A cancelled timer leaves
+    the heap once cancelled timers outnumber live ones. *)
 
 val pending_timers : t -> int
+(** Timers scheduled and neither run nor cancelled. *)
 
 (** {1 File descriptors}
 

@@ -244,6 +244,42 @@ let test_event_loop_every_cancel () =
   Alcotest.(check int) "stopped after self-cancel" 3 !count;
   Alcotest.(check int) "no timers left" 0 (Event_loop.pending_timers loop)
 
+(* A client cancels each acknowledged request's timeout long before it is
+   due: the cancelled entries must leave the timer heap rather than pile
+   up until their deadlines, without disturbing the live timers. *)
+let test_event_loop_cancel_many () =
+  let loop = Event_loop.create () in
+  let fired = ref [] in
+  let survivor delay name =
+    ignore
+      (Event_loop.schedule loop ~delay (fun () -> fired := name :: !fired))
+  in
+  for i = 1 to 10_000 do
+    let timer =
+      Event_loop.schedule loop ~delay:3600.0 (fun () ->
+          fired := "cancelled" :: !fired)
+    in
+    Event_loop.cancel timer;
+    (* survivors arrive between heap rebuilds, out of deadline order *)
+    match i with
+    | 2_500 -> survivor 0.03 "c"
+    | 5_000 -> survivor 0.01 "a"
+    | 7_500 -> survivor 0.02 "b"
+    | _ -> ()
+  done;
+  Alcotest.(check int) "only survivors pending" 3
+    (Event_loop.pending_timers loop);
+  Event_loop.run_for loop 0.08;
+  Alcotest.(check (list string)) "survivors fire in deadline order"
+    [ "a"; "b"; "c" ] (List.rev !fired);
+  Alcotest.(check int) "no timers left" 0 (Event_loop.pending_timers loop);
+  let far =
+    List.init 10_000 (fun _ -> Event_loop.schedule loop ~delay:3600.0 ignore)
+  in
+  List.iter Event_loop.cancel far;
+  Alcotest.(check int) "far-future timers all cancelled" 0
+    (Event_loop.pending_timers loop)
+
 let test_event_loop_fd_readiness () =
   let loop = Event_loop.create () in
   let r, w = Unix.pipe () in
@@ -657,6 +693,8 @@ let suites =
           test_event_loop_timer_order;
         Alcotest.test_case "event loop every/cancel" `Quick
           test_event_loop_every_cancel;
+        Alcotest.test_case "event loop drops cancelled timers" `Quick
+          test_event_loop_cancel_many;
         Alcotest.test_case "event loop fd readiness" `Quick
           test_event_loop_fd_readiness;
         Alcotest.test_case "event loop defers before writes" `Quick

@@ -8,6 +8,11 @@ module View = Engine.View
 
 let relation = Alcotest.testable Order.pp_relation ( = )
 
+(* With no chain labels, the rank-windowed BFS decides every pair that
+   rank does not refute, live and frozen alike: the configuration that
+   runs the differential suites below a second time. *)
+let labels_off = { Engine.default_config with Engine.max_chains = 0 }
+
 (* Pull every pairwise relation out of a view. *)
 let all_relations view ids =
   let n = Array.length ids in
@@ -22,8 +27,8 @@ let all_relations view ids =
   done;
   List.rev !out
 
-let test_frozen_matches_live () =
-  let t = Engine.create () in
+let test_frozen_matches_live config () =
+  let t = Engine.create ~config () in
   let ids = Array.init 6 (fun _ -> Engine.create_event t) in
   let ok =
     Engine.assign_order t
@@ -147,8 +152,8 @@ let test_publish_allocates_o_dirty () =
    view must keep answering exactly as it did when it was published (its
    chunks are shared with, never mutated by, later publishes), and the
    newest must match the live engine. *)
-let test_chunk_boundaries () =
-  let t = Engine.create () in
+let test_chunk_boundaries config () =
+  let t = Engine.create ~config () in
   let ids = Array.init 560 (fun _ -> Engine.create_event t) in
   let must pairs =
     match
@@ -264,11 +269,10 @@ let apply_op t ids op =
       let n = Array.length a in
       if n > 0 then ignore (Engine.release_ref t a.(u mod n))
 
-let prop_domains_match_reference =
+let prop_domains_match_reference ~name config =
   let open QCheck2 in
-  Test.make ~name:"reader domains match single-threaded reference at epoch"
-    ~count:1000 gen_ops (fun ops ->
-      let t = Engine.create () in
+  Test.make ~name ~count:1000 gen_ops (fun ops ->
+      let t = Engine.create ~config () in
       let ids = ref [ Engine.create_event t; Engine.create_event t ] in
       (* Checkpoints: (frozen view, reference answers at that epoch). *)
       let checkpoints = ref [] in
@@ -305,22 +309,43 @@ let prop_domains_match_reference =
 (* Race smoke: one writer domain mutating and publishing as fast as it
    can, several reader domains chasing the latest view through an atomic
    slot.  Stable facts (edges assigned before the first publish) in chunk
-   0 and in a later chunk must hold in every view ever observed, and the
+   0 and in later chunks must hold in every view ever observed, and the
    epochs each reader observes must never go backwards.  The writer forces
    rank relabels and reuses freed slots (some of them in chunk 0), so
-   publishes keep copying chunks that readers are querying. *)
+   publishes keep copying chunks that readers are querying.
+
+   The label cap is two chains, both taken by the first two facts, so the
+   three facts assigned after them — a four-hop path across chunks 0 to
+   2, a pair it does not connect, and a slot the writer's chain hangs off
+   — have no labels and only the frozen BFS can decide them.  The writer
+   grows the graph from 300 to ~2 400 slots, so each reader's traversal
+   scratch regrows several times mid-run, always under a view it is
+   querying. *)
 let test_publish_race () =
-  let t = Engine.create () in
+  let t =
+    Engine.create ~config:{ Engine.default_config with max_chains = 2 } ()
+  in
   let ids = Array.init 300 (fun _ -> Engine.create_event t) in
-  ignore
-    (Engine.assign_order t
-       [
-         Order.must_before ids.(0) ids.(1);
-         Order.must_before ids.(1) ids.(2);
-         Order.must_before ids.(200) ids.(201);
-         Order.must_before ids.(201) ids.(290);
-       ]);
-  let slot = Atomic.make (Engine.publish t) in
+  let must pairs =
+    match
+      Engine.assign_order t
+        (List.map (fun (u, v) -> Order.must_before ids.(u) ids.(v)) pairs)
+    with
+    | Ok _ -> ()
+    | Error _ -> Alcotest.fail "assign failed"
+  in
+  let labelled = [ (0, 2); (200, 290) ] in
+  must [ (0, 1); (1, 2); (200, 201); (201, 290) ];
+  let unlabelled = [ (10, 280); (30, 299) ] in
+  must [ (10, 100); (100, 150); (150, 250); (250, 280); (30, 40); (40, 299) ];
+  let concurrent = (10, 40) in
+  let first = Engine.publish t in
+  List.iter
+    (fun (a, b) ->
+      if View.label_reachable first ids.(a) ids.(b) <> None then
+        Alcotest.failf "labels decide (%d, %d): the BFS would not run" a b)
+    (concurrent :: unlabelled);
+  let slot = Atomic.make first in
   let stop = Atomic.make false in
   let readers =
     Array.init 3 (fun _ ->
@@ -338,7 +363,11 @@ let test_publish_race () =
                   match View.query v ids.(a) ids.(b) with
                   | Ok Order.Before -> ()
                   | _ -> ok := false)
-                [ (0, 2); (200, 290) ];
+                (labelled @ unlabelled);
+              (let a, b = concurrent in
+               match View.query v ids.(a) ids.(b) with
+               | Ok Order.Concurrent -> ()
+               | _ -> ok := false);
               incr checks
             done;
             (!ok, !checks)))
@@ -375,6 +404,8 @@ let test_publish_race () =
   Alcotest.(check bool) "writer relabelled ranks" true
     (Graph.rank_relabel_count g > relabels);
   Alcotest.(check int) "writer reused every chunk-0 slot" 5 !reused;
+  Alcotest.(check bool) "graph outgrew the first view" true
+    (Graph.capacity g > 4 * Array.length ids);
   Array.iter
     (fun d ->
       let ok, checks = Domain.join d in
@@ -382,11 +413,48 @@ let test_publish_race () =
       Alcotest.(check bool) "reader made progress" true (checks > 0))
     readers
 
+(* One domain's traversal scratch serves every view it queries.  Query a
+   large view first, so the scratch grows to it and its marks cover slots
+   the older view never had, then an older, smaller view: every answer
+   must match the live engine at the older view's epoch.  Labels are off,
+   so the BFS decides every pair. *)
+let test_large_then_older_view () =
+  let t = Engine.create ~config:labels_off () in
+  let ids = Array.init 24 (fun _ -> Engine.create_event t) in
+  List.iter
+    (fun (u, v) ->
+      ignore (Engine.assign_order t [ Order.must_before ids.(u) ids.(v) ]))
+    [ (0, 5); (5, 9); (9, 17); (2, 9); (17, 23); (3, 4); (11, 12); (12, 23) ];
+  let small = Engine.publish t in
+  let reference = all_relations (Engine.current_view t) ids in
+  let big = Array.init 5_000 (fun _ -> Engine.create_event t) in
+  for i = 0 to Array.length big - 2 do
+    ignore (Engine.assign_order t [ Order.must_before big.(i) big.(i + 1) ])
+  done;
+  ignore (Engine.assign_order t [ Order.must_before ids.(23) big.(0) ]);
+  let large = Engine.publish t in
+  let last = big.(Array.length big - 1) in
+  let reader =
+    Domain.spawn (fun () ->
+        let long_path () = View.query large ids.(0) last = Ok Order.Before in
+        let before = long_path () in
+        let older = all_relations small ids in
+        (before, older, long_path ()))
+  in
+  let before, older, after = Domain.join reader in
+  Alcotest.(check bool) "large view first" true before;
+  Alcotest.(check (list (pair (pair int int) relation)))
+    "older view after the large one" reference older;
+  Alcotest.(check bool) "large view again" true after
+
 let suites =
   [
     ( "view",
       [
-        Alcotest.test_case "frozen matches live" `Quick test_frozen_matches_live;
+        Alcotest.test_case "frozen matches live" `Quick
+          (test_frozen_matches_live Engine.default_config);
+        Alcotest.test_case "labels off: frozen matches live" `Quick
+          (test_frozen_matches_live labels_off);
         Alcotest.test_case "frozen immutable under mutation" `Quick
           test_frozen_immutable_under_mutation;
         Alcotest.test_case "publish cached when clean" `Quick
@@ -395,8 +463,20 @@ let suites =
           test_prover_on_frozen_view;
         Alcotest.test_case "publish allocates O(dirty)" `Quick
           test_publish_allocates_o_dirty;
-        Alcotest.test_case "chunk boundaries" `Quick test_chunk_boundaries;
-        QCheck_alcotest.to_alcotest prop_domains_match_reference;
+        Alcotest.test_case "chunk boundaries" `Quick
+          (test_chunk_boundaries Engine.default_config);
+        Alcotest.test_case "labels off: chunk boundaries" `Quick
+          (test_chunk_boundaries labels_off);
+        Alcotest.test_case "large view then an older one" `Quick
+          test_large_then_older_view;
+        QCheck_alcotest.to_alcotest
+          (prop_domains_match_reference
+             ~name:"reader domains match single-threaded reference at epoch"
+             Engine.default_config);
+        QCheck_alcotest.to_alcotest
+          (prop_domains_match_reference
+             ~name:"labels off: reader domains match reference at epoch"
+             labels_off);
       ] );
     ("view_race", [ Alcotest.test_case "publish race" `Quick test_publish_race ]);
   ]
