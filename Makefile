@@ -55,10 +55,15 @@ bench:
 bench-smoke: build
 	dune exec bench/main.exe -- smoke
 
-# Regression gate: re-measure the engine hot paths and the client order
-# cache, and fail when any engine.* or client.order_cache_* series in a
-# fresh run is more than 2.5x slower than the committed BENCH_smoke.json.  Service-level series are not gated (they
-# track machine load, not code).
+# Regression gate: re-measure the smoke series and compare them with the
+# committed BENCH_smoke.json.  It fails when an engine.*,
+# client.order_cache_* or certify.* ns/op series, or a fed.* rate, is more
+# than 2.5x worse than its committed value; when
+# certify.assign_overhead_pct exceeds its 250 pct budget; when
+# fed.write_scaling (or, on hosts with 4+ domains,
+# engine.query_parallel_speedup) falls to 2x or below; or when
+# durability.recovery_ms exceeds its 2000 ms budget.  The replicated service end to end is
+# measured by perfbench/, not here.
 bench-check: build
 	dune exec bench/main.exe -- smoke-check
 

@@ -3,15 +3,16 @@
    track coarse regressions without running the full figure harness.
 
    Four families of numbers:
-   - in-process engine hot paths (ns/op via Bechamel);
+   - in-process engine hot paths (ns/op via Bechamel or best-of-N
+     windows);
    - the certify subsystem: proof generation/verification ns/op and the
      digest-maintenance overhead on the assign path (DESIGN.md §13);
-   - the replicated service on the simulated network, with per-op compute
-     latency quantiles taken from the client's own metrics histograms —
-     the same instruments `kronos_cli stats` reports in production;
    - the federated service (2 shards behind one router): cross-shard
      two-shard-commit and scatter-query closed-loop rates, plus the
-     deterministic 4-vs-1-shard write-scaling ratio in virtual time. *)
+     deterministic 4-vs-1-shard write-scaling ratio in virtual time;
+   - bounded-time recovery of a durable replica (DESIGN.md §16).
+   The replicated service end to end is measured by perfbench/, over
+   real TCP. *)
 
 open Kronos
 module Sim = Kronos_simnet.Sim
@@ -380,141 +381,6 @@ let certify_smoke () =
    further points) still fails. *)
 let assign_overhead_budget_pct = 250.
 
-let service_closed_loop () =
-  M.reset ();
-  let sim = Sim.create ~seed:42L () in
-  let net = Kronos_transport.Sim_transport.of_net (Net.create sim) in
-  ignore
-    (Server.deploy ~net ~coordinator:1000 ~replicas:[ 0; 1; 2 ]
-       ~ping_interval:0.1 ~failure_timeout:0.5 ());
-  let client =
-    Client.create ~net ~addr:2000 ~coordinator:1000 ~request_timeout:0.4 ()
-  in
-  let await f =
-    let result = ref None in
-    f (fun x -> result := Some x);
-    while !result = None && Sim.pending sim > 0 do
-      ignore (Sim.step sim)
-    done;
-    match !result with
-    | Some (Ok x) -> x
-    | Some (Error _) | None -> failwith "smoke: service op failed"
-  in
-  let ops = 2_000 in
-  let t0 = Unix.gettimeofday () in
-  let prev = ref None in
-  for _ = 1 to ops do
-    let e = await (Client.create_event client) in
-    (match !prev with
-     | Some p -> ignore (await (Client.assign_order client [ Order.must_before p e ]))
-     | None -> ());
-    prev := Some e
-  done;
-  let elapsed = Unix.gettimeofday () -. t0 in
-  let total = (2 * ops) - 1 in
-  record "service.closed_loop" (float_of_int total /. elapsed) "ops/s";
-  (* compute-latency quantiles from the instruments themselves *)
-  List.iter
-    (fun op ->
-      let h = M.histogram (M.scope "client") ~labels:[ ("op", op) ] "op_seconds" in
-      if M.Histogram.count h > 0 then begin
-        List.iter
-          (fun (q, tag) ->
-            record
-              (Printf.sprintf "service.%s.p%s" op tag)
-              (1e6 *. M.Histogram.quantile h q)
-              "us")
-          [ (0.5, "50"); (0.9, "90"); (0.99, "99") ];
-        record
-          (Printf.sprintf "service.%s.max" op)
-          (1e6 *. M.Histogram.max_value h)
-          "us"
-      end)
-    [ "create_event"; "assign_order" ]
-
-(* The query plane end to end: a single-replica chain over real loopback
-   TCP whose reads are offloaded to a 4-domain query pool — the
-   [kronosd --query-domains 4] configuration.  A closed loop of
-   create/assign/query triples measures acknowledged ops/s through the
-   whole stack (wire codec, chain, view publication, reader domain,
-   completion queue).  A service-level series: recorded, never gated. *)
-let service_closed_loop_domains4 () =
-  let module Tcp = Kronos_transport.Tcp_transport in
-  let module Event_loop = Kronos_transport.Event_loop in
-  let module Chain = Kronos_replication.Chain in
-  let module Query_pool = Kronos_service.Query_pool in
-  let loop = Event_loop.create () in
-  let config =
-    { Tcp.default_config with backoff_min = 0.02; backoff_max = 0.2 }
-  in
-  let tcp () =
-    Tcp.create ~loop ~encode:Kronos_replication.Chain_codec.encode
-      ~decode:Kronos_replication.Chain_codec.decode ~config ()
-  in
-  let st = tcp () in
-  let port = Tcp.listen st ~port:0 () in
-  let pool = Query_pool.create ~loop ~domains:4 () in
-  let _replica, _engine =
-    Server.start_node ~net:(Tcp.transport st) ~addr:1 ~query_pool:pool ()
-  in
-  ignore
-    (Chain.Coordinator.create ~net:(Tcp.transport st) ~addr:1000 ~chain:[ 1 ]
-       ~ping_interval:0.1 ~failure_timeout:1.0 ());
-  let ct = tcp () in
-  List.iter
-    (fun t ->
-      Tcp.add_peer t 1 ~host:"127.0.0.1" ~port;
-      Tcp.add_peer t 1000 ~host:"127.0.0.1" ~port)
-    [ st; ct ];
-  Tcp.connect_peers ct;
-  let client =
-    Client.create ~net:(Tcp.transport ct) ~addr:9001 ~coordinator:1000
-      ~cache_capacity:0 ~request_timeout:0.25 ()
-  in
-  let iters = if !Bench_util.full_scale then 1_000 else 300 in
-  let completed = ref 0 in
-  let finished = ref false in
-  let fail what = failwith ("smoke: domains4 " ^ what ^ " failed") in
-  let rec step prev n =
-    if n = 0 then finished := true
-    else
-      Client.create_event client (function
-        | Error _ -> fail "create_event"
-        | Ok e -> (
-            incr completed;
-            match prev with
-            | None -> step (Some e) (n - 1)
-            | Some p ->
-                Client.assign_order client
-                  [ Order.must_before p e ]
-                  (function
-                    | Error _ -> fail "assign_order"
-                    | Ok _ ->
-                        incr completed;
-                        Client.query_order_e client
-                          [ (p, e) ]
-                          (function
-                            | Error _ -> fail "query_order"
-                            | Ok _ ->
-                                incr completed;
-                                step (Some e) (n - 1)))))
-  in
-  let t0 = Unix.gettimeofday () in
-  step None iters;
-  if
-    not
-      (Event_loop.run_until loop
-         ~deadline:(Event_loop.now loop +. 120.)
-         (fun () -> !finished))
-  then failwith "smoke: domains4 closed loop timed out";
-  let elapsed = Unix.gettimeofday () -. t0 in
-  record "service.closed_loop_domains4"
-    (float_of_int !completed /. elapsed)
-    "ops/s";
-  Query_pool.stop pool;
-  Tcp.shutdown ct;
-  Tcp.shutdown st
-
 (* Federated service on the simulated network: a 2-shard deployment
    behind one router.  [fed.assign_cross_shard] is the closed-loop rate
    of two-shard commits (portal pair + guarded batches + reflection
@@ -777,8 +643,7 @@ let read_file path =
    engine.*, client.order_cache_* and certify.* ns/op series are
    in-process numbers; the fed.* series are closed-loop
    rates on the simulated network (pure compute, no real sleeping), so
-   both are stable enough to gate.  The service.* series swing with
-   machine load and are not gated, and the pct series is held under an
+   both are stable enough to gate.  The pct series is held under an
    absolute budget ([assign_overhead_budget_pct]) instead of a baseline
    ratio — it is a difference of two noisy numbers.  The threshold is
    deliberately loose (2.5x) so only real regressions fail CI, not
@@ -898,8 +763,6 @@ let run () =
   publish_smoke ();
   query_wide_smoke ();
   certify_smoke ();
-  service_closed_loop ();
-  service_closed_loop_domains4 ();
   federation_smoke ();
   write_scaling_smoke ();
   durability_recovery_smoke ();

@@ -14,9 +14,11 @@
    the others dial it and join the chain at the tail.  Every daemon must
    list the other replicas with --peer: chain neighbours send to each other
    directly, so each process needs a route to any replica it may precede or
-   follow (exactly as in etcd's initial-cluster).  Add --data-dir to make a
-   replica durable: it logs every applied command and recovers from its own
-   snapshot + WAL when restarted with the same flags.
+   follow (exactly as in etcd's initial-cluster).  Every replica logs each
+   applied command to a WAL and snapshots it; add --data-dir to keep them
+   on disk, so the replica recovers from its own snapshot + WAL when
+   restarted with the same flags.  Without it they live in memory, and a
+   restarted replica rejoins blank and catches up by state transfer.
 
    In a federated deployment (N independent chains behind one federation
    router, see DESIGN.md §12) each daemon declares its slot with
@@ -102,7 +104,10 @@ let () =
                 | Some i, Some n when 0 <= i && i < n -> shard := Some (i, n)
                 | _ -> raise (Arg.Bad ("--shard: expected i/N, got " ^ s)))),
         "i/N serve shard i of an N-shard federation" );
-      ("--data-dir", Arg.Set_string data_dir, "DIR durable storage directory");
+      ( "--data-dir",
+        Arg.Set_string data_dir,
+        "DIR durable storage directory (default: WAL and snapshots in memory, \
+         lost on exit)" );
       ( "--metrics-addr",
         Arg.Set_string metrics_addr,
         "[H:]P serve the metrics text page over one-shot TCP (0 = ephemeral)" );
@@ -190,14 +195,14 @@ let () =
   let net = Tcp.transport tcp in
 
   let durability =
-    if !data_dir = "" then None
-    else
-      Some
-        (Server.durability ~wal_bytes_per_snapshot:!snapshot_wal_bytes
-           ~storage_of:(fun a ->
-             Kronos_durability.Storage.files
-               ~dir:(Filename.concat !data_dir (string_of_int a)))
-           ())
+    Server.durability ~wal_bytes_per_snapshot:!snapshot_wal_bytes
+      ~storage_of:(fun a ->
+        if !data_dir = "" then
+          Kronos_durability.Storage.(Memory.storage (Memory.create ()))
+        else
+          Kronos_durability.Storage.files
+            ~dir:(Filename.concat !data_dir (string_of_int a)))
+      ()
   in
   let query_pool =
     if !query_domains <= 0 then None
@@ -214,7 +219,7 @@ let () =
     (* A snapshot in a format this build does not read must stop the
        daemon: skipping it would recover older state over a log that no
        longer covers the gap. *)
-    try Server.start_node ~net ~addr:!addr ?durability ?query_pool ()
+    try Server.start_node ~net ~addr:!addr ~durability ?query_pool ()
     with Kronos_durability.Snapshot.Unsupported_version { file; version } ->
       Printf.eprintf
         "kronosd: cannot recover: %s has snapshot format version %d, this \

@@ -345,11 +345,6 @@ module View = struct
     | Live e -> Graph.query e.g e1 e2
     | Frozen f -> Graph.Frozen.query f e1 e2
 
-  let reachable v u w =
-    match v with
-    | Live e -> Graph.reachable e.g u w
-    | Frozen f -> Graph.Frozen.reachable f u w
-
   let label_reachable v u w =
     match v with
     | Live e -> Graph.label_reachable e.g u w

@@ -165,8 +165,6 @@ module View : sig
       view this is exactly {!Engine.query_order} (counters included); on a
       frozen view it updates nothing. *)
 
-  val reachable : t -> Event_id.t -> Event_id.t -> bool
-
   val label_reachable : t -> Event_id.t -> Event_id.t -> bool option
   (** Index-only reachability: [Some ans] when the rank or chain-label
       compare decides ({!Graph.label_reachable}), [None] when only a BFS

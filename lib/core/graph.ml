@@ -1491,6 +1491,8 @@ let memory_bytes g =
   + (2 * (capacity g + 2) * word) (* succ/pred pointer arrays *)
   + adjacency g.succ + adjacency g.pred
   + array_bytes g.marks
+  (* dirty-slot sets: a sparse and a dense array each *)
+  + (4 * (capacity g + 2) * word)
   + Int_vec.capacity_bytes g.free
   + Int_vec.capacity_bytes g.relabel_stack
   (* chain-decomposition index: flat arrays + per-slot label vectors *)
@@ -1742,12 +1744,6 @@ module Frozen = struct
     let c = pa_int f.f_chain_of sv in
     if c >= 0 then label_le (pa_arr f.f_labels su) c (pa_int f.f_chain_pos sv)
     else reachable_slots f (scratch_for f.f_next_slot) su sv
-
-  let reachable f u v =
-    let su = slot_of f u and sv = slot_of f v in
-    su >= 0 && sv >= 0 && su <> sv
-    && pa_int f.f_rank su < pa_int f.f_rank sv
-    && reach f su sv
 
   let label_reachable f u v =
     let su = slot_of f u and sv = slot_of f v in

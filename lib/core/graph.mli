@@ -421,8 +421,6 @@ module Frozen : sig
       share no mutable state and allocate nothing once warm.  Frozen
       queries update no counters and no caches. *)
 
-  val reachable : g -> Event_id.t -> Event_id.t -> bool
-
   val label_reachable : g -> Event_id.t -> Event_id.t -> bool option
   (** The frozen twin of the top-level {!val:label_reachable}: index-only
       answer, [None] when only a BFS could tell. *)

@@ -31,6 +31,10 @@ let run ?engine_config ?wal_config ~replay storage =
     | Some (seq, engine, deltas) -> (seq, engine, deltas)
     | None -> (0, Engine.create ?config:engine_config (), 0)
   in
+  (* a snapshot past every logged record (installed by state transfer,
+     nothing appended since) still bounds the log from below *)
+  if snapshot_seq > Wal.last_seq wal then
+    Wal.truncate_before wal ~seq:snapshot_seq;
   let t1 = Unix.gettimeofday () in
   let next = ref (snapshot_seq + 1) in
   let replayed = ref 0 in

@@ -245,6 +245,9 @@ let read_from t ~since =
   end
 
 let truncate_before t ~seq =
+  (* everything up to [seq] is covered by a snapshot: a range reaching
+     below it is no longer in the log, even if nothing above was appended *)
+  if seq > t.last_seq then t.last_seq <- seq;
   let rec drop = function
     | (_, name) :: ((next_first, _) :: _ as rest) when next_first <= seq + 1 ->
       t.storage.Storage.remove_file name;

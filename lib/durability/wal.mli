@@ -52,11 +52,14 @@ val read_from : t -> since:int -> record list option
 
 val truncate_before : t -> seq:int -> unit
 (** Delete whole segments every record of which has [seq' <= seq]; the
-    active segment is always kept.  Retired segments are counted in
+    active segment is always kept.  [seq] is covered by a snapshot, so
+    {!last_seq} rises to at least [seq]: later appends continue above it,
+    and {!read_from} answers [None] for ranges starting below it.  Retired segments are counted in
     {!retired_segments} and [durability.segments_retired_total]. *)
 
 val last_seq : t -> int
-(** Highest sequence number appended or recovered; 0 for an empty log. *)
+(** Highest sequence number appended, recovered or truncated below
+    ({!truncate_before}); 0 for an empty log. *)
 
 val segment_files : t -> string list
 

@@ -1,5 +1,4 @@
 open Kronos_simnet
-module Vec = Kronos.Vec
 module Transport = Kronos_transport.Transport
 
 type addr = Transport.addr
@@ -81,7 +80,7 @@ module Replica = struct
   type persist = {
     log_entry : seq:int -> client:addr -> req_id:int -> cmd:string -> unit;
     commit : upto:int -> unit;
-    snapshot : unit -> (int * string) option;
+    snapshot : upto:int -> int * string;
     tail : since:int -> (int * addr * int * string) list option;
     install : seq:int -> string -> unit;
   }
@@ -98,10 +97,9 @@ module Replica = struct
        it has taken ownership of the request and will call [reply] later
        (e.g. from a reader-domain completion); [false] falls back to the
        synchronous [apply] path *)
-    persist : persist option;
+    persist : persist;
     mutable cfg : config;
     mutable last_applied : int;
-    log : entry Vec.t;                       (* full command history *)
     responses : (int, string) Hashtbl.t;     (* seq -> response *)
     dedup : (addr * int, int) Hashtbl.t;     (* (client, req_id) -> seq *)
     pending : entry Queue.t;                 (* forwarded, unacked; seq asc *)
@@ -115,7 +113,6 @@ module Replica = struct
   let last_applied t = t.last_applied
   let config t = t.cfg
   let pending_count t = Queue.length t.pending
-  let log_length t = Vec.length t.log
   let snapshot_installs t = t.installs
 
   let is_removed t = t.removed
@@ -137,22 +134,18 @@ module Replica = struct
     | Some pred -> send t pred msg
     | None -> ()
 
-  (* Apply a command locally and record everything needed to re-reply,
-     deduplicate, and transfer state later.  With a durability layer, the
-     command is also logged at its sequence number (group-committed at the
-     transport's next deferral point, see [handle]). *)
+  (* Apply a command locally, record what is needed to re-reply and
+     deduplicate, and log it at its sequence number (group-committed at the
+     transport's next deferral point, see [handle]); the log is also what
+     later state transfers ship. *)
   let apply_entry t entry =
     let resp = t.apply entry.cmd in
     Kronos_metrics.Counter.incr M.applied;
     t.last_applied <- entry.seq;
-    Vec.push t.log entry;
     Hashtbl.replace t.responses entry.seq resp;
     Hashtbl.replace t.dedup (entry.client, entry.req_id) entry.seq;
-    (match t.persist with
-     | Some p ->
-       p.log_entry ~seq:entry.seq ~client:entry.client ~req_id:entry.req_id
-         ~cmd:entry.cmd
-     | None -> ());
+    t.persist.log_entry ~seq:entry.seq ~client:entry.client
+      ~req_id:entry.req_id ~cmd:entry.cmd;
     resp
 
   (* Post-application propagation: tail replies and acks; others forward and
@@ -232,33 +225,18 @@ module Replica = struct
     to_predecessor t (Ack { seq })
 
   (* State transfer to a joining successor that has already applied
-     [applied] commands.  Preference order: the smallest sufficient log
-     tail (from the WAL when one is attached, else the in-memory log);
-     otherwise — the needed range was truncated under a snapshot — the
-     latest snapshot plus the log above it. *)
+     [applied] commands: the log tail above [applied] when the log still
+     holds it, otherwise — the range was truncated under a snapshot — a
+     snapshot plus the log above it. *)
   let send_sync t succ ~applied =
     Kronos_metrics.Counter.incr M.transfers;
-    let from_memory () =
-      Vec.to_list t.log
-      |> List.filter_map (fun e ->
-             if e.seq > applied then Some (e.seq, e.client, e.req_id, e.cmd)
-             else None)
-    in
-    match t.persist with
-    | None -> send t succ (Sync_state { entries = from_memory () })
-    | Some p -> (
-        match p.tail ~since:applied with
-        | Some entries -> send t succ (Sync_state { entries })
-        | None -> (
-            match p.snapshot () with
-            | Some (seq, snapshot) when seq > applied ->
-              let entries = Option.value (p.tail ~since:seq) ~default:[] in
-              send t succ (Sync_snapshot { seq; snapshot; entries })
-            | Some _ | None ->
-              (* no snapshot that helps; the in-memory log is the last
-                 resort (complete unless this replica itself recovered
-                 from a snapshot, which implies one exists) *)
-              send t succ (Sync_state { entries = from_memory () })))
+    let p = t.persist in
+    match p.tail ~since:applied with
+    | Some entries -> send t succ (Sync_state { entries })
+    | None ->
+      let seq, snapshot = p.snapshot ~upto:t.last_applied in
+      let entries = Option.value (p.tail ~since:seq) ~default:[] in
+      send t succ (Sync_snapshot { seq; snapshot; entries })
 
   let handle_new_config t new_cfg fresh =
     if new_cfg.version > t.cfg.version then begin
@@ -298,36 +276,33 @@ module Replica = struct
       end
     end
 
+  (* Transferred log entries: apply the run that continues [last_applied];
+     anything past a gap waits in [stash] like an early forward, until the
+     missing entries arrive. *)
   let handle_sync t entries =
     List.iter
       (fun (seq, client, req_id, cmd) ->
-        if seq > t.last_applied then
-          ignore (apply_entry t { seq; client; req_id; cmd }))
+        let entry = { seq; client; req_id; cmd } in
+        if seq = t.last_applied + 1 then ignore (apply_entry t entry)
+        else if seq > t.last_applied then Hashtbl.replace t.stash seq entry)
       entries;
     drain_stash t
 
   (* A snapshot transfer: jump the local state machine to [seq], then apply
-     the log entries above it.  Only meaningful with an [install] hook (a
-     deployment mixing durable and non-durable replicas would need full-log
-     transfer; we log and ignore rather than corrupt state). *)
+     the log entries above it. *)
   let handle_sync_snapshot t ~seq ~snapshot ~entries =
-    (match t.persist with
-     | Some p when seq > t.last_applied ->
-       p.install ~seq snapshot;
-       t.installs <- t.installs + 1;
-       Kronos_metrics.Counter.incr M.installs;
-       t.last_applied <- seq;
-       (* bookkeeping for the snapshotted prefix is gone with the old
-          engine; it is no longer replayable, so drop it *)
-       Vec.clear t.log;
-       Hashtbl.reset t.responses;
-       Hashtbl.reset t.dedup;
-       Hashtbl.reset t.stash;
-       handle_sync t entries
-     | Some _ -> handle_sync t entries
-     | None ->
-       Log.err (fun m ->
-           m "replica %d: dropped snapshot transfer (no install hook)" t.addr))
+    if seq > t.last_applied then begin
+      t.persist.install ~seq snapshot;
+      t.installs <- t.installs + 1;
+      Kronos_metrics.Counter.incr M.installs;
+      t.last_applied <- seq;
+      (* bookkeeping for the snapshotted prefix is gone with the old
+         engine; it is no longer replayable, so drop it *)
+      Hashtbl.reset t.responses;
+      Hashtbl.reset t.dedup;
+      Hashtbl.reset t.stash
+    end;
+    handle_sync t entries
 
   let handle t ~src:_ msg =
     if not t.removed then
@@ -365,27 +340,25 @@ module Replica = struct
          every command the pass applied.  Replies, acks and forwards are
          only queued here, and the transport sends nothing a pass queued
          before its deferred work has run. *)
-      match t.persist with
-      | Some p when t.last_applied > before && not t.commit_due ->
+      if t.last_applied > before && not t.commit_due then begin
         t.commit_due <- true;
         Transport.defer t.net (fun () ->
             t.commit_due <- false;
-            p.commit ~upto:t.last_applied)
-      | Some _ | None -> ())
+            t.persist.commit ~upto:t.last_applied)
+      end)
 
   let restore t ~last_applied ~entries =
-    if t.last_applied <> 0 || Vec.length t.log > 0 then
+    if t.last_applied <> 0 || Hashtbl.length t.responses > 0 then
       invalid_arg "Replica.restore: replica already has state";
     t.last_applied <- last_applied;
     List.iter
-      (fun (seq, client, req_id, cmd, resp) ->
-        Vec.push t.log { seq; client; req_id; cmd };
+      (fun (seq, client, req_id, resp) ->
         Hashtbl.replace t.responses seq resp;
         Hashtbl.replace t.dedup (client, req_id) seq)
       entries
 
   let create ~net ~addr ~apply ?read_async
-      ?(config = { version = 0; chain = [] }) ?service ?persist () =
+      ?(config = { version = 0; chain = [] }) ?service ~persist () =
     let t =
       {
         net;
@@ -395,7 +368,6 @@ module Replica = struct
         persist;
         cfg = config;
         last_applied = 0;
-        log = Vec.create ~dummy:{ seq = 0; client = 0; req_id = 0; cmd = "" } ();
         responses = Hashtbl.create 1024;
         dedup = Hashtbl.create 1024;
         pending = Queue.create ();

@@ -21,17 +21,20 @@
     entries (duplicates are discarded by sequence number); a replica that
     became tail replies to the clients of its pending entries.
 
-    {b Durability.}  A replica may be given {!Replica.persist} hooks wired
-    to the [kronos_durability] WAL/snapshot layer: every applied command is
-    logged at its sequence number and group-committed once per transport
-    dispatch pass ({!Kronos_transport.Transport.defer}), covering every
-    command the pass applied, and a periodic snapshot lets old log
-    segments be truncated.
-    State transfer then adapts to what the joining replica already has
-    (announced in [New_config]): a recovered replica close behind receives
-    only the missing WAL tail; one too far behind (its range was truncated
-    under a snapshot) receives the latest snapshot plus the WAL tail above
-    it, instead of a replay of the entire history. *)
+    {b Durability.}  Every replica keeps its history through
+    {!Replica.persist} hooks, which the service layer wires to the
+    [kronos_durability] WAL/snapshot layer (over real files or in-memory
+    storage); the chain holds no command log of its own.  Every applied
+    command is logged at its sequence number and group-committed once per
+    transport dispatch pass ({!Kronos_transport.Transport.defer}),
+    covering every command the pass applied, and a periodic snapshot lets
+    old log segments be truncated.
+    State transfer adapts to what the joining replica already has
+    (announced in [New_config]) and has two sources: the log tail above
+    the joiner's sequence number when the log still holds it, otherwise a
+    snapshot plus the log above it, instead of a replay of the entire
+    history.  A receiver applies transferred entries only in sequence
+    order; entries past a gap wait for the missing ones. *)
 
 type addr = Kronos_transport.Transport.addr
 
@@ -83,10 +86,10 @@ val is_tail : config -> addr -> bool
 module Replica : sig
   type t
 
-  (** Hooks connecting a replica to a local durability layer.  The chain
-      stays generic over the hosted state machine: it calls these at the
-      protocol points where persistence matters and never interprets the
-      snapshot bytes. *)
+  (** Hooks connecting a replica to its local durability layer, which is
+      also its only record of past commands.  The chain stays generic over
+      the hosted state machine: it calls these at the protocol points where
+      persistence matters and never interprets the snapshot bytes. *)
   type persist = {
     log_entry : seq:int -> client:addr -> req_id:int -> cmd:string -> unit;
         (** called after each command is applied, in sequence order *)
@@ -97,8 +100,11 @@ module Replica : sig
             at least one command, at most once per dispatch pass, with
             [upto] the last sequence number applied when it runs.  Replies,
             acks and forwards the pass queued leave after it. *)
-    snapshot : unit -> (int * string) option;
-        (** newest local snapshot as [(seq, bytes)], for state transfer *)
+    snapshot : upto:int -> int * string;
+        (** a snapshot [(seq, bytes)] for a state transfer that [tail]
+            cannot serve: the newest local snapshot when the log still
+            holds every entry above it, otherwise the current state
+            machine encoded at [upto], the last applied sequence number *)
     tail : since:int -> (int * addr * int * string) list option;
         (** logged entries with [seq > since]; [None] once truncation has
             removed part of that range *)
@@ -119,11 +125,12 @@ module Replica : sig
        bool) ->
     ?config:config ->
     ?service:[ `Fixed of float | `Measured of float ] ->
-    ?persist:persist ->
+    persist:persist ->
     unit ->
     t
   (** Create a replica and register it on the network.  [apply] must be
-      deterministic.  [config] seeds the initial chain configuration (all
+      deterministic, and [persist] must start empty or hold exactly what
+      {!restore} is told about.  [config] seeds the initial chain configuration (all
       replicas and the coordinator must agree on it).
 
       [read_async] offloads local reads ([Client_read]): when it returns
@@ -144,12 +151,12 @@ module Replica : sig
   val restore :
     t ->
     last_applied:int ->
-    entries:(int * addr * int * string * string) list ->
+    entries:(int * addr * int * string) list ->
     unit
   (** Pre-load recovered state into a freshly created, not-yet-joined
-      replica: set its applied sequence number and re-seed the in-memory
-      log, response table and deduplication index from replayed entries
-      ((seq, client, req_id, cmd, resp), ascending).  Only the replayed WAL
+      replica: set its applied sequence number and re-seed the response
+      table and deduplication index from replayed entries
+      ((seq, client, req_id, resp), ascending).  Only the replayed WAL
       suffix is available after a restart; earlier history lives in the
       snapshot the engine was restored from. *)
 
@@ -157,7 +164,6 @@ module Replica : sig
   val last_applied : t -> int
   val config : t -> config
   val pending_count : t -> int
-  val log_length : t -> int
 
   val snapshot_installs : t -> int
   (** Number of [Sync_snapshot] transfers this replica has installed (0

@@ -105,11 +105,19 @@ let durability ?(wal_config = Durability.Wal.default_config)
     invalid_arg "Server.durability: wal_bytes_per_snapshot";
   { storage_of; wal_config; wal_bytes_per_snapshot }
 
+(* Without [~durability] every replica start gets fresh in-memory storage:
+   the same WAL and snapshot path, with nothing kept across a restart. *)
+let in_memory =
+  durability
+    ~storage_of:(fun _ ->
+      Durability.Storage.Memory.storage (Durability.Storage.Memory.create ()))
+    ()
+
 type cluster = {
   net : Chain.msg Transport.t;
   coordinator : Chain.Coordinator.t;
   mutable replicas : (Chain.Replica.t * Engine.t ref) list;
-  dur : durability option;
+  dur : durability;
   engine_config : Engine.config option;
   service : [ `Fixed of float | `Measured of float ] option;
 }
@@ -126,22 +134,11 @@ let read_async_of query_pool engine =
         Query_pool.offload pool ~client ~cmd ~reply)
     query_pool
 
-let start_replica ~net ~addr ~engine_config ~service ~query_pool =
-  let engine = ref (Engine.create ?config:engine_config ()) in
-  let replica =
-    Chain.Replica.create ~net ~addr
-      ~apply:(fun cmd -> apply !engine cmd)
-      ?read_async:(read_async_of query_pool engine)
-      ~config:{ Chain.version = 0; chain = [] } ?service ()
-  in
-  (replica, engine)
-
-(* A durable replica first recovers from its storage (snapshot + WAL
-   suffix), then runs with persistence hooks: log each applied command and
-   group-commit once per loop pass through the snapshot schedule, which
-   snapshots by WAL bytes and retires what each snapshot covers
-   (DESIGN.md §16). *)
-let start_durable_replica ~net ~addr ~engine_config ~service ~query_pool d =
+(* A replica first recovers from its storage (snapshot + WAL suffix), then
+   runs with persistence hooks: log each applied command and group-commit
+   once per loop pass through the snapshot schedule, which snapshots by WAL
+   bytes and retires what each snapshot covers (DESIGN.md §16). *)
+let start ~net ~addr ~engine_config ~service ?query_pool d =
   let storage = d.storage_of addr in
   let replayed = ref [] in
   let outcome =
@@ -149,7 +146,7 @@ let start_durable_replica ~net ~addr ~engine_config ~service ~query_pool d =
       ~replay:(fun engine (r : Durability.Wal.record) ->
         let client, req_id, cmd = Chain.decode_entry_payload r.payload in
         let resp = apply engine cmd in
-        replayed := (r.seq, client, req_id, cmd, resp) :: !replayed)
+        replayed := (r.seq, client, req_id, resp) :: !replayed)
       storage
   in
   let engine = ref outcome.Durability.Recovery.engine in
@@ -166,7 +163,16 @@ let start_durable_replica ~net ~addr ~engine_config ~service ~query_pool d =
           Durability.Wal.append wal ~seq
             ~payload:(Chain.encode_entry_payload ~client ~req_id ~cmd));
       commit = (fun ~upto -> Durability.Schedule.commit schedule !engine ~upto);
-      snapshot = (fun () -> Durability.Snapshot.load_chain_bytes storage);
+      snapshot =
+        (fun ~upto ->
+          (* the newest snapshot file serves only while the WAL above it is
+             intact; when files were lost, ship the engine as it stands *)
+          let covers (seq, _) = Durability.Wal.read_from wal ~since:seq <> None in
+          match Durability.Snapshot.load_chain_bytes storage with
+          | Some file when covers file -> file
+          | Some _ | None ->
+            let snap = Engine.to_snapshot !engine in
+            (upto, Durability.Snapshot.encode ~seq:upto snap));
       tail =
         (fun ~since ->
           Option.map
@@ -197,17 +203,13 @@ let start_durable_replica ~net ~addr ~engine_config ~service ~query_pool d =
       ~entries:(List.rev !replayed);
   (replica, engine)
 
-let start ~net ~addr ~engine_config ~service ?query_pool dur =
-  match dur with
-  | Some d ->
-    start_durable_replica ~net ~addr ~engine_config ~service ~query_pool d
-  | None -> start_replica ~net ~addr ~engine_config ~service ~query_pool
-
-let start_node ~net ~addr ?engine_config ?service ?durability ?query_pool () =
+let start_node ~net ~addr ?engine_config ?service ?(durability = in_memory)
+    ?query_pool () =
   start ~net ~addr ~engine_config ~service ?query_pool durability
 
-let deploy ~net ~coordinator ~replicas ?engine_config ?service ?durability
-    ?(ping_interval = 0.2) ?(failure_timeout = 1.0) () =
+let deploy ~net ~coordinator ~replicas ?engine_config ?service
+    ?(durability = in_memory) ?(ping_interval = 0.2) ?(failure_timeout = 1.0)
+    () =
   let started =
     List.map
       (fun addr -> start ~net ~addr ~engine_config ~service durability)
@@ -243,9 +245,6 @@ let join cluster addr ?engine_config ?service () =
   cluster.replicas <- cluster.replicas @ [ (replica, engine) ]
 
 let restart_replica cluster addr ?service () =
-  (match cluster.dur with
-   | None -> invalid_arg "Server.restart_replica: cluster has no durability"
-   | Some _ -> ());
   if Transport.is_registered cluster.net addr then
     invalid_arg "Server.restart_replica: replica still running";
   if replica_of cluster addr = None then

@@ -4,11 +4,14 @@
     commands to it; because every API call is deterministic, replicas stay
     identical under chain replication (Section 2.4 of the paper).
 
-    With a {!durability} option, every replica additionally keeps a local
-    write-ahead log of applied commands and periodic engine snapshots
-    (see [kronos_durability]), so a crashed replica can be restarted from
-    its own disk with {!restart_replica} instead of requiring a full state
-    transfer from a live peer. *)
+    Every replica keeps a write-ahead log of applied commands and periodic
+    engine snapshots (see [kronos_durability]); they are its only record
+    of past commands, and what state transfer ships to a joining replica.
+    A {!durability} configuration puts them in storage that outlives the
+    replica, so a crashed replica can be restarted from its own disk with
+    {!restart_replica} instead of requiring a full state transfer from a
+    live peer.  Without one, each replica start gets fresh in-memory
+    storage. *)
 
 open Kronos
 module Durability = Kronos_durability
@@ -48,7 +51,8 @@ type cluster = {
   net : Kronos_replication.Chain.msg Kronos_transport.Transport.t;
   coordinator : Kronos_replication.Chain.Coordinator.t;
   mutable replicas : (Kronos_replication.Chain.Replica.t * Engine.t ref) list;
-  dur : durability option;
+  dur : durability;  (** fresh in-memory storage per start when deployed
+                         without [~durability] *)
   engine_config : Engine.config option;
   service : [ `Fixed of float | `Measured of float ] option;
 }
@@ -65,8 +69,9 @@ val start_node :
 (** Start a single engine-backed replica without a coordinator or cluster
     handle — the building block for hosting one replica per process (see
     [kronosd]).  The caller wires it into a chain with
-    {!Kronos_replication.Chain.Replica.announce_join}.  With [durability]
-    the replica recovers from its storage first, exactly as in {!deploy}.
+    {!Kronos_replication.Chain.Replica.announce_join}.  It recovers from
+    [durability]'s storage first, exactly as in {!deploy}; without
+    [durability] it starts blank over fresh in-memory storage.
     With [query_pool] the replica's local reads are offloaded to reader
     domains over published engine views ({!Query_pool}, DESIGN.md §14);
     the pool follows the engine cell across snapshot installs and
@@ -89,14 +94,17 @@ val deploy :
     the real wall-clock cost of each engine call as virtual busy time, so
     throughput experiments reflect genuine graph-traversal work.
 
-    With [durability], each replica first {e recovers} from its storage
-    (newest snapshot + WAL suffix), then logs every applied command; a
-    redeploy over existing storage therefore resumes rather than restarts
-    from scratch. *)
+    Each replica first {e recovers} from its storage (newest snapshot +
+    WAL suffix), then logs every applied command; a redeploy over existing
+    [durability] storage therefore resumes rather than restarts from
+    scratch.  Without [durability] every replica runs the same WAL and
+    snapshot path over fresh in-memory storage (default WAL config and
+    snapshot window). *)
 
 val crash : cluster -> Kronos_transport.Transport.addr -> unit
 (** Crash the replica with the given address (no-op if absent).  Its
-    storage — if any — survives for {!restart_replica}. *)
+    storage survives for {!restart_replica}, unless the cluster runs over
+    fresh in-memory storage per start. *)
 
 val join :
   cluster ->
@@ -105,9 +113,10 @@ val join :
   ?service:[ `Fixed of float | `Measured of float ] ->
   unit ->
   unit
-(** Start a fresh engine-backed replica and integrate it at the tail (in a
-    durable cluster it gets its own storage via [storage_of] and recovers
-    from it first, so "fresh" storage must be empty). *)
+(** Start a fresh engine-backed replica and integrate it at the tail.  It
+    gets its own storage via [storage_of] and recovers from it first, so
+    in a cluster deployed with [~durability] "fresh" storage must be
+    empty. *)
 
 val restart_replica :
   cluster ->
@@ -115,14 +124,15 @@ val restart_replica :
   ?service:[ `Fixed of float | `Measured of float ] ->
   unit ->
   unit
-(** Restart a crashed replica of a durable cluster from its local storage:
-    recover the engine (snapshot + WAL replay), re-register on the network
-    and rejoin the chain at the tail.  The join announces the recovered
-    sequence number, so the predecessor ships only the missing log tail
-    (or a snapshot, if that range was already truncated) rather than the
-    full history.
-    @raise Invalid_argument if the cluster has no durability layer, the
-    address was never part of it, or the replica is still registered. *)
+(** Restart a crashed replica from its local storage: recover the engine
+    (snapshot + WAL replay), re-register on the network and rejoin the
+    chain at the tail.  The join announces the recovered sequence number,
+    so the predecessor ships only the missing log tail (or a snapshot, if
+    that range was already truncated) rather than the full history.  In a
+    cluster deployed without [~durability] the storage is fresh, so the
+    replica restarts blank and receives the full state by transfer.
+    @raise Invalid_argument if the address was never part of the cluster,
+    or the replica is still registered. *)
 
 val engine_of : cluster -> Kronos_transport.Transport.addr -> Engine.t option
 (** Direct handle on a replica's current engine, for tests and

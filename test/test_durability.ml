@@ -112,6 +112,39 @@ let test_wal_rotation_and_truncation () =
   check_records "reopen sees only surviving segments" [ 4; 5; 6; 7; 8; 9; 10 ]
     recovered
 
+(* A snapshot installed by state transfer can sit above every logged
+   record.  The log must then report the range below it as gone, both on
+   the handle that installed it and after recovery, or a state transfer
+   would ship an empty tail to a joiner that needs the whole history. *)
+let test_wal_truncated_past_its_end () =
+  let _dir, storage = mem () in
+  let wal, _ = Wal.open_ storage in
+  append_range wal 1 3;
+  Wal.flush wal;
+  Wal.truncate_before wal ~seq:10;
+  Alcotest.(check int) "last seq covers the snapshot" 10 (Wal.last_seq wal);
+  Alcotest.(check bool) "range below the snapshot gone" true
+    (Wal.read_from wal ~since:0 = None);
+  Alcotest.(check bool) "nothing above the snapshot yet" true
+    (Wal.read_from wal ~since:10 = Some []);
+  Alcotest.check_raises "appends continue above the snapshot"
+    (Invalid_argument "Wal.append: non-increasing seq") (fun () ->
+      Wal.append wal ~seq:5 ~payload:"x");
+  append_range wal 11 12;
+  (match Wal.read_from wal ~since:10 with
+   | Some records -> check_records "tail above the snapshot" [ 11; 12 ] records
+   | None -> Alcotest.fail "tail above the snapshot must be readable");
+  let _dir, storage = mem () in
+  let wal, _ = Wal.open_ storage in
+  append_range wal 1 3;
+  Wal.flush wal;
+  Snapshot.write storage ~seq:10 (Engine.create ());
+  let outcome = Recovery.run ~replay:(fun _ _ -> ()) storage in
+  Alcotest.(check int) "recovered at the snapshot" 11
+    outcome.Recovery.next_seq;
+  Alcotest.(check bool) "recovered log reports the range gone" true
+    (Wal.read_from outcome.Recovery.wal ~since:0 = None)
+
 let test_wal_sync_policies () =
   (* Always: one fsync per group commit *)
   let _dir, storage = mem () in
@@ -771,6 +804,8 @@ let suites =
           test_wal_torn_tail_truncated;
         Alcotest.test_case "wal rotation and truncation" `Quick
           test_wal_rotation_and_truncation;
+        Alcotest.test_case "wal truncated past its end" `Quick
+          test_wal_truncated_past_its_end;
         Alcotest.test_case "wal sync policies" `Quick test_wal_sync_policies;
         QCheck_alcotest.to_alcotest prop_snapshot_round_trip;
         Alcotest.test_case "snapshot v5 chains" `Quick test_snapshot_v5_chains;

@@ -10,16 +10,6 @@ let ok = function
   | Ok r -> r
   | Error `Timeout -> Alcotest.fail "unexpected proxy timeout"
 
-let register_sm () =
-  let value = ref 0 in
-  fun cmd ->
-    match String.split_on_char ':' cmd with
-    | [ "add"; n ] ->
-      value := !value + int_of_string n;
-      string_of_int !value
-    | [ "get" ] -> string_of_int !value
-    | _ -> "error"
-
 let coordinator_addr = 1000
 
 type cluster = {
@@ -35,11 +25,7 @@ let make_cluster ?(n = 3) ?(seed = 7L) () =
   let raw_net = Net.create sim in
   let net = Sim_transport.of_net raw_net in
   let chain = List.init n (fun i -> i) in
-  let config = { Chain.version = 0; chain = [] } in
-  let replicas =
-    Array.init n (fun i ->
-        Chain.Replica.create ~net ~addr:i ~apply:(register_sm ()) ~config ())
-  in
+  let replicas = Array.init n (fun i -> Toy_replica.register ~net ~addr:i ()) in
   let coordinator =
     Chain.Coordinator.create ~net ~addr:coordinator_addr ~chain
       ~ping_interval:0.1 ~failure_timeout:0.35 ()
@@ -119,10 +105,7 @@ let test_churn () =
     (Sim.schedule c.sim ~delay:0.5 (fun () -> Chain.Replica.crash c.replicas.(2)));
   ignore
     (Sim.schedule c.sim ~delay:2.5 (fun () ->
-         let fresh =
-           Chain.Replica.create ~net:c.net ~addr:9 ~apply:(register_sm ())
-             ~config:{ Chain.version = 0; chain = [] } ()
-         in
+         let fresh = Toy_replica.register ~net:c.net ~addr:9 () in
          Chain.Coordinator.join c.coordinator fresh));
   Sim.run ~until:30.0 c.sim;
   Alcotest.(check int) "all writes completed" target !completed;
@@ -167,33 +150,41 @@ type durable_env = {
   disks : (Net.addr, Storage.Memory.dir) Hashtbl.t;
 }
 
-let make_durable_env ?(seed = 21L) ?wal_config ?wal_bytes_per_snapshot () =
+(* A 3-replica cluster deployed with [durability], or without it when
+   that is [None]. *)
+let make_env ?(seed = 21L) ~durability disks =
   let sim = Sim.create ~seed () in
   let net = Sim_transport.of_net (Net.create sim) in
-  let disks : (Net.addr, Storage.Memory.dir) Hashtbl.t = Hashtbl.create 8 in
-  let storage_of addr =
-    let dir =
-      match Hashtbl.find_opt disks addr with
-      | Some dir -> dir
-      | None ->
-        let dir = Storage.Memory.create () in
-        Hashtbl.add disks addr dir;
-        dir
-    in
-    Storage.Memory.storage dir
-  in
-  let durability =
-    Server.durability ?wal_config ?wal_bytes_per_snapshot ~storage_of ()
-  in
   let cluster =
     Server.deploy ~net ~coordinator:coordinator_addr ~replicas:[ 0; 1; 2 ]
-      ~durability ~ping_interval:0.1 ~failure_timeout:0.35 ()
+      ?durability ~ping_interval:0.1 ~failure_timeout:0.35 ()
   in
   let client =
     Client.create ~net ~addr:2000 ~coordinator:coordinator_addr
       ~cache_capacity:0 ~request_timeout:0.4 ()
   in
   { dsim = sim; cluster; client; writes = ref 0; disks }
+
+(* With [in_memory], every replica start gets a fresh disk, as in a
+   cluster deployed without [~durability] ([disks] then holds the latest
+   one per address). *)
+let make_durable_env ?seed ?(in_memory = false) ?wal_config
+    ?wal_bytes_per_snapshot () =
+  let disks : (Net.addr, Storage.Memory.dir) Hashtbl.t = Hashtbl.create 8 in
+  let storage_of addr =
+    let dir =
+      match Hashtbl.find_opt disks addr with
+      | Some dir when not in_memory -> dir
+      | Some _ | None ->
+        let dir = Storage.Memory.create () in
+        Hashtbl.replace disks addr dir;
+        dir
+    in
+    Storage.Memory.storage dir
+  in
+  make_env ?seed disks
+    ~durability:
+      (Some (Server.durability ?wal_config ?wal_bytes_per_snapshot ~storage_of ()))
 
 (* A write-only workload (reads are not sequenced, so they would skew the
    per-replica stats we compare): create [n] events, then chain them with
@@ -348,6 +339,127 @@ let prop_decode_fuzz =
       in
       safe Kronos_wire.Message.decode_request && safe_resp ())
 
+(* Every pair of [ids] gets the same answer from replica [a] and replica
+   [b].  Asked of published views, which update no engine counters, so
+   [engines_identical] still holds afterwards. *)
+let agree_on_pairs what cluster ids a b =
+  let pairs = List.concat_map (fun x -> List.map (fun y -> (x, y)) ids) ids in
+  let answers addr =
+    match Server.engine_of cluster addr with
+    | Some e -> (
+      match Engine.View.query_order (Engine.publish e) pairs with
+      | Ok rels -> rels
+      | Error _ -> Alcotest.failf "%s: replica %d rejects a pair" what addr)
+    | None -> Alcotest.failf "%s: replica %d missing" what addr
+  in
+  let differ =
+    List.fold_left2
+      (fun n r1 r2 -> if r1 = r2 then n else n + 1)
+      0 (answers a) (answers b)
+  in
+  Alcotest.(check int)
+    (Printf.sprintf "%s: pairs where %d and %d disagree" what a b)
+    0 differ
+
+(* A 3-replica deployment over snapshot-sized WAL windows and tiny
+   segments, so the survivors truncate their logs; each case below then
+   joins a blank replica that only a snapshot transfer can bring up. *)
+let truncating_env ?in_memory () =
+  make_durable_env ?in_memory
+    ~wal_config:{ Kronos_durability.Wal.segment_bytes = 256; sync = Always }
+    ~wal_bytes_per_snapshot:200 ()
+
+let run_to_completion env ~n =
+  let ids = ref None in
+  run_write_workload env ~n (fun got -> ids := Some got);
+  Sim.run ~until:(Sim.now env.dsim +. 4.0) env.dsim;
+  match !ids with
+  | Some ids -> ids
+  | None -> Alcotest.fail "workload did not finish"
+
+let check_snapshot_join what env ids addr =
+  match Server.replica_of env.cluster addr with
+  | Some replica ->
+    Alcotest.(check int) (what ^ ": snapshot transfer used") 1
+      (Chain.Replica.snapshot_installs replica);
+    Alcotest.(check int) (what ^ ": caught up") !(env.writes)
+      (Chain.Replica.last_applied replica);
+    agree_on_pairs what env.cluster ids 2 addr;
+    engines_identical what env.cluster
+  | None -> Alcotest.fail "joined replica missing"
+
+(* A cluster over fresh in-memory storage per start still truncates its
+   WAL under snapshots, so a blank joiner and a restarted replica (which
+   comes back blank) both catch up through [Sync_snapshot]. *)
+let test_in_memory_blank_join_installs_snapshot () =
+  let env = truncating_env ~in_memory:true () in
+  let ids = run_to_completion env ~n:12 in
+  let files =
+    List.map fst (Storage.Memory.files (Hashtbl.find env.disks 2))
+  in
+  Alcotest.(check bool) "tail's WAL no longer starts at seq 1" false
+    (List.mem "wal-0000000001.log" files);
+  Server.join env.cluster 3 ();
+  Sim.run ~until:(Sim.now env.dsim +. 2.0) env.dsim;
+  check_snapshot_join "blank joiner" env ids 3;
+  Server.crash env.cluster 1;
+  Sim.run ~until:(Sim.now env.dsim +. 2.0) env.dsim;
+  Server.restart_replica env.cluster 1 ();
+  Sim.run ~until:(Sim.now env.dsim +. 2.0) env.dsim;
+  check_snapshot_join "restarted blank" env ids 1
+
+(* A cluster deployed without [~durability] restarts a crashed replica
+   blank, and the tail's WAL tail brings it back. *)
+let test_restart_without_durability () =
+  let env = make_env ~seed:25L ~durability:None (Hashtbl.create 1) in
+  let sim = env.dsim and cluster = env.cluster in
+  let ids = run_to_completion env ~n:6 in
+  Server.crash cluster 1;
+  Sim.run ~until:(Sim.now sim +. 2.0) sim;
+  Server.restart_replica cluster 1 ();
+  Alcotest.(check (option int)) "restarts blank" (Some 0)
+    (Option.map Chain.Replica.last_applied (Server.replica_of cluster 1));
+  Sim.run ~until:(Sim.now sim +. 2.0) sim;
+  match Server.replica_of cluster 1 with
+  | Some replica ->
+    Alcotest.(check int) "caught up from blank" !(env.writes)
+      (Chain.Replica.last_applied replica);
+    Alcotest.(check int) "the WAL tail sufficed" 0
+      (Chain.Replica.snapshot_installs replica);
+    agree_on_pairs "restarted blank" cluster ids 2 1;
+    engines_identical "restarted blank" cluster
+  | None -> Alcotest.fail "restarted replica missing"
+
+(* The sender's snapshot files are deleted under it (a planted loss) while
+   its WAL is truncated: no file covers the joiner's range, so the
+   transfer ships the sender's current engine at its last applied seq. *)
+let test_join_after_snapshot_deleted () =
+  let env = truncating_env () in
+  let ids = run_to_completion env ~n:12 in
+  let disk = Hashtbl.find env.disks 2 in
+  let storage = Storage.Memory.storage disk in
+  let planted =
+    List.filter
+      (fun (name, _) ->
+        Filename.check_suffix name ".snap" || Filename.check_suffix name ".delta")
+      (Storage.Memory.files disk)
+  in
+  Alcotest.(check bool) "tail had snapshot files" true (planted <> []);
+  List.iter (fun (name, _) -> storage.Storage.remove_file name) planted;
+  Alcotest.(check bool) "no snapshot left" true
+    (Kronos_durability.Snapshot.load_chain_bytes storage = None);
+  Server.join env.cluster 3 ();
+  Sim.run ~until:(Sim.now env.dsim +. 2.0) env.dsim;
+  check_snapshot_join "after planted loss" env ids 3;
+  (* replica 3's log holds nothing below the installed snapshot, so the
+     next blank joiner must get that snapshot, not an empty tail *)
+  Server.join env.cluster 4 ();
+  Sim.run ~until:(Sim.now env.dsim +. 2.0) env.dsim;
+  check_snapshot_join "served by an installed snapshot" env ids 4;
+  let more = run_to_completion env ~n:4 in
+  agree_on_pairs "after further writes" env.cluster (ids @ more) 2 3;
+  engines_identical "after further writes" env.cluster
+
 let suites =
   [ ( "fault_injection",
       [
@@ -360,6 +472,12 @@ let suites =
           test_durable_restart_via_wal_tail;
         Alcotest.test_case "durable restart far behind" `Quick
           test_durable_restart_far_behind_installs_snapshot;
+        Alcotest.test_case "in-memory blank join installs snapshot" `Quick
+          test_in_memory_blank_join_installs_snapshot;
+        Alcotest.test_case "restart without durability" `Quick
+          test_restart_without_durability;
+        Alcotest.test_case "join after snapshot files deleted" `Quick
+          test_join_after_snapshot_deleted;
         QCheck_alcotest.to_alcotest prop_decode_fuzz;
       ] );
   ]

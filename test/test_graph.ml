@@ -168,6 +168,28 @@ let test_introspection () =
   Alcotest.(check int) "fold_edges" 2 edges;
   Alcotest.(check bool) "memory positive" true (Graph.memory_bytes g > 0)
 
+(* [memory_bytes] counts every capacity-sized structure: across one
+   doubling it must grow by at least the words each new slot costs.  Per
+   slot: nine int arrays (refcount, gen, indeg, rank, marks, queue,
+   queue_b, chain_of, chain_pos), four pointer arrays (succ, pred, labels,
+   chains), two fresh capacity-2 adjacency vectors (4 words each), and the
+   sparse + dense arrays of the [dirty] and [snap_dirty] sets. *)
+let test_memory_bytes_across_doubling () =
+  let g = Graph.create ~initial_capacity:64 () in
+  for _ = 1 to 64 do
+    ignore (Graph.create_event g)
+  done;
+  let cap = Graph.capacity g in
+  let before = Graph.memory_bytes g in
+  ignore (Graph.create_event g);
+  Alcotest.(check int) "capacity doubled" (2 * cap) (Graph.capacity g);
+  let word = Sys.word_size / 8 in
+  let per_slot_words = 9 + 4 + 8 + 4 in
+  let grown = Graph.memory_bytes g - before in
+  if grown < per_slot_words * word * cap then
+    Alcotest.failf "memory_bytes grew by %d bytes over %d new slots, below %d"
+      grown cap (per_slot_words * word * cap)
+
 (* Work accounting of the traversal counters.  The chain is built in
    creation order, so the rank index admits every edge in O(1) without a
    single traversal; each positive query then counts every distinct slot
@@ -572,6 +594,8 @@ let suites =
   [ ( "graph",
       [
         Alcotest.test_case "create/refcount" `Quick test_create_refcount;
+        Alcotest.test_case "memory bytes across a doubling" `Quick
+          test_memory_bytes_across_doubling;
         Alcotest.test_case "query relations" `Quick test_query_relations;
         Alcotest.test_case "stale query" `Quick test_stale_query;
         Alcotest.test_case "slot reuse generation" `Quick test_slot_reuse_generation;

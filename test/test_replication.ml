@@ -8,18 +8,6 @@ let ok = function
   | Ok r -> r
   | Error `Timeout -> Alcotest.fail "unexpected proxy timeout"
 
-(* Test state machine: an integer register with deterministic commands.
-   "add:<n>" adds n and returns the new value; "get" returns the value. *)
-let register_sm () =
-  let value = ref 0 in
-  fun cmd ->
-    match String.split_on_char ':' cmd with
-    | [ "add"; n ] ->
-      value := !value + int_of_string n;
-      string_of_int !value
-    | [ "get" ] -> string_of_int !value
-    | _ -> "error"
-
 type cluster = {
   sim : Sim.t;
   net : Chain.msg Kronos_transport.Transport.t;
@@ -33,11 +21,7 @@ let make_cluster ?(n = 3) ?(seed = 7L) () =
   let sim = Sim.create ~seed () in
   let net = Sim_transport.of_net (Net.create sim) in
   let chain = List.init n (fun i -> i) in
-  let config = { Chain.version = 0; chain = [] } in
-  let replicas =
-    Array.init n (fun i ->
-        Chain.Replica.create ~net ~addr:i ~apply:(register_sm ()) ~config ())
-  in
+  let replicas = Array.init n (fun i -> Toy_replica.register ~net ~addr:i ()) in
   let coordinator =
     Chain.Coordinator.create ~net ~addr:coordinator_addr ~chain
       ~ping_interval:0.1 ~failure_timeout:0.35 ()
@@ -72,7 +56,6 @@ let test_all_replicas_converge () =
   Sim.run ~until:5.0 c.sim;
   Array.iter
     (fun r ->
-      Alcotest.(check int) "log length" 10 (Chain.Replica.log_length r);
       Alcotest.(check int) "applied" 10 (Chain.Replica.last_applied r))
     c.replicas;
   (* all pending entries acknowledged *)
@@ -152,10 +135,7 @@ let test_join_fresh_replica () =
   done;
   Sim.run ~until:2.0 c.sim;
   (* bring in a fresh replica; it must receive the full history *)
-  let fresh =
-    Chain.Replica.create ~net:c.net ~addr:9 ~apply:(register_sm ())
-      ~config:{ Chain.version = 0; chain = [] } ()
-  in
+  let fresh = Toy_replica.register ~net:c.net ~addr:9 () in
   Chain.Coordinator.join c.coordinator fresh;
   Sim.run ~until:4.0 c.sim;
   Alcotest.(check int) "history transferred" 5 (Chain.Replica.last_applied fresh);
@@ -171,6 +151,48 @@ let test_join_fresh_replica () =
   Sim.run ~until:8.0 c.sim;
   Alcotest.(check string) "read from fresh tail" "115" !answer
 
+(* A transfer whose entries start past [last_applied + 1] must not be
+   applied over the hole: the entries wait until the missing ones arrive.
+   The [Sync_state] messages are forged, so no coordinator is needed. *)
+let test_gapped_sync_waits () =
+  let sim = Sim.create ~seed:5L () in
+  let net = Sim_transport.of_net (Net.create sim) in
+  let replica = Toy_replica.register ~net ~addr:0 () in
+  let answers = ref [] in
+  Kronos_transport.Transport.register net 501 (fun ~src:_ msg ->
+      match (msg : Chain.msg) with
+      | Chain.Reply { resp; _ } -> answers := resp :: !answers
+      | _ -> ());
+  let req = ref 0 in
+  let read () =
+    incr req;
+    Kronos_transport.Transport.send net ~src:501 ~dst:0
+      (Chain.Client_read { client = 501; req_id = !req; cmd = "get" });
+    Sim.run ~until:(Sim.now sim +. 1.0) sim;
+    List.hd !answers
+  in
+  let sync entries =
+    Kronos_transport.Transport.send net ~src:500 ~dst:0
+      (Chain.Sync_state
+         { entries =
+             List.map
+               (fun (seq, n) -> (seq, 600, seq, Printf.sprintf "add:%d" n))
+               entries });
+    Sim.run ~until:(Sim.now sim +. 1.0) sim
+  in
+  sync [ (3, 4); (4, 8) ];
+  Alcotest.(check int) "nothing applied past the gap" 0
+    (Chain.Replica.last_applied replica);
+  Alcotest.(check string) "state untouched" "0" (read ());
+  sync [ (1, 1) ];
+  Alcotest.(check int) "contiguous entry applied" 1
+    (Chain.Replica.last_applied replica);
+  Alcotest.(check string) "still waiting for 2" "1" (read ());
+  sync [ (1, 1); (2, 2) ];
+  Alcotest.(check int) "gap filled, waiting entries applied" 4
+    (Chain.Replica.last_applied replica);
+  Alcotest.(check string) "every entry applied once, in order" "15" (read ())
+
 let test_exactly_once_writes () =
   (* Lossy links force retransmissions; dedup must keep each write applied
      exactly once. *)
@@ -180,11 +202,7 @@ let test_exactly_once_writes () =
       (Net.create ~latency:{ Net.base = 1e-3; jitter = 1e-3; drop = 0.15 } sim)
   in
   let chain = [ 0; 1; 2 ] in
-  let config = { Chain.version = 0; chain = [] } in
-  let replicas =
-    Array.init 3 (fun i ->
-        Chain.Replica.create ~net ~addr:i ~apply:(register_sm ()) ~config ())
-  in
+  let replicas = Array.init 3 (fun i -> Toy_replica.register ~net ~addr:i ()) in
   ignore
     (Chain.Coordinator.create ~net ~addr:coordinator_addr ~chain
        ~ping_interval:0.1 ~failure_timeout:5.0 ());
@@ -232,6 +250,7 @@ let suites =
         Alcotest.test_case "head failure" `Quick test_head_failure_recovery;
         Alcotest.test_case "tail failure" `Quick test_tail_failure_recovery;
         Alcotest.test_case "join fresh replica" `Quick test_join_fresh_replica;
+        Alcotest.test_case "gapped transfer waits" `Quick test_gapped_sync_waits;
         Alcotest.test_case "exactly-once under loss" `Quick test_exactly_once_writes;
         Alcotest.test_case "deterministic" `Quick test_deterministic_runs;
       ] );

@@ -204,7 +204,8 @@ let test_malformed_replies_fail_the_call () =
   in
   let (_ : Chain.Replica.t) =
     Chain.Replica.create ~net ~addr:1 ~apply:fake_apply
-      ~config:{ Chain.version = 0; chain = [] } ()
+      ~persist:(Toy_replica.persist ~save:(fun () -> "") ~load:ignore)
+      ()
   in
   let (_ : Chain.Coordinator.t) =
     Chain.Coordinator.create ~net ~addr:coordinator_addr ~chain:[ 1 ]
