@@ -509,10 +509,9 @@ let write_scaling_smoke () =
 let recovery_ms_budget = 2_000.
 
 (* Bounded-time recovery (DESIGN.md §16): build a single-chain history of
-   [events] events through the wire codec into a WAL plus incremental
-   snapshots, group-committing every 32 commands through the snapshot
-   schedule the server runs ([Schedule.commit]: a delta per WAL window, a
-   full re-anchor every [Schedule.max_delta_chain] deltas, segments
+   [events] events through the wire codec into a WAL plus snapshots,
+   group-committing every 32 commands through the snapshot schedule the
+   server runs ([Schedule.commit]: a full snapshot per WAL window, segments
    retired and the directory compacted as it goes) — then measure a cold
    [Recovery.run] over the result.  The replayed tail is bounded by one
    window no matter how long the history grew (that is the point of the
@@ -568,9 +567,6 @@ let durability_recovery_smoke () =
   record "durability.wal_replayed_mb"
     (float_of_int outcome.Recovery.wal_bytes_replayed /. 1e6)
     "MB";
-  record "durability.deltas_applied"
-    (float_of_int outcome.Recovery.deltas_applied)
-    "x";
   match
     try
       let ic = open_in "/proc/self/statm" in

@@ -121,8 +121,8 @@ let () =
               raise (Arg.Bad ("--snapshot-wal-bytes: expected B >= 1, got "
                               ^ string_of_int b));
             snapshot_wal_bytes := b),
-        "B snapshot once B WAL bytes accrue, writing incremental deltas \
-         between full snapshots (default 4194304)" );
+        "B write a full snapshot once B WAL bytes accrue (default \
+         4194304)" );
       ( "--query-domains",
         Arg.Set_int query_domains,
         "N reader domains answering queries over published views (default \

@@ -229,44 +229,6 @@ let of_snapshot ?(config = default_config) s =
     collected = s.snap_collected;
   }
 
-(* Incremental snapshots (DESIGN.md §16): the graph delta plus the
-   engine's own counters captured absolutely — they are six ints, cheaper
-   to carry wholesale than to diff. *)
-type delta = {
-  delta_graph : Graph.delta;
-  delta_creates : int;
-  delta_queries : int;
-  delta_assigns : int;
-  delta_aborted_batches : int;
-  delta_reversals : int;
-  delta_collected : int;
-}
-
-let to_delta t =
-  {
-    delta_graph = Graph.to_delta t.g;
-    delta_creates = t.creates;
-    delta_queries = t.queries;
-    delta_assigns = t.assigns;
-    delta_aborted_batches = t.aborted_batches;
-    delta_reversals = t.reversals;
-    delta_collected = t.collected;
-  }
-
-let apply_delta s d =
-  {
-    snap_graph = Graph.apply_delta s.snap_graph d.delta_graph;
-    snap_creates = d.delta_creates;
-    snap_queries = d.delta_queries;
-    snap_assigns = d.delta_assigns;
-    snap_aborted_batches = d.delta_aborted_batches;
-    snap_reversals = d.delta_reversals;
-    snap_collected = d.delta_collected;
-  }
-
-let snapshot_written t = Graph.snapshot_written t.g
-let dirty_slot_count t = Graph.dirty_slot_count t.g
-
 let live_events t = Graph.live_count t.g
 let edges t = Graph.edge_count t.g
 let memory_bytes t = Graph.memory_bytes t.g

@@ -98,36 +98,6 @@ val of_snapshot : ?config:config -> snapshot -> t
     any subsequent command sequence ([config] mirrors {!create}).
     @raise Invalid_argument on an internally inconsistent snapshot. *)
 
-(** Incremental counterpart of {!snapshot} (DESIGN.md §16): the graph's
-    dirty-slot delta plus the engine counters captured absolutely.
-    Composing the base snapshot with the delta ({!apply_delta}) restores
-    the same engine {!to_snapshot} would have captured. *)
-type delta = {
-  delta_graph : Graph.delta;
-  delta_creates : int;
-  delta_queries : int;
-  delta_assigns : int;
-  delta_aborted_batches : int;
-  delta_reversals : int;
-  delta_collected : int;
-}
-
-val to_delta : t -> delta
-(** Capture the state changed since the last {!snapshot_written}.  Pure
-    read; see {!Graph.to_delta}. *)
-
-val apply_delta : snapshot -> delta -> snapshot
-(** Overlay a delta on the base snapshot it was captured against.
-    @raise Invalid_argument when the base cannot structurally carry a
-    delta (see {!Graph.apply_delta}). *)
-
-val snapshot_written : t -> unit
-(** Clear the snapshot dirty set — call after a full or delta capture has
-    been made durable. *)
-
-val dirty_slot_count : t -> int
-(** Slots the next {!to_delta} would carry. *)
-
 (** {1 Read views}
 
     The engine's entire read path goes through {!View.t} (DESIGN.md §14).

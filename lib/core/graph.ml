@@ -152,14 +152,6 @@ type t = {
      view. *)
   mutable version : int;
   dirty : Sparse_set.t;
-  (* [snap_dirty] tracks slots whose {e snapshot-visible} per-slot state
-     (refcount, generation, rank, adjacency, chains, chain assignment)
-     changed since the last durable snapshot — a superset of [dirty]'s
-     view-visible notion, because refcount moves that do not collect
-     matter to a restore even though frozen views never see them.
-     Consumed explicitly by [snapshot_written] (after the write is
-     durable), never by [freeze]. *)
-  snap_dirty : Sparse_set.t;
   mutable frozen_cache : frozen option;
   (* Chain-decomposition reachability index (DESIGN.md §15).  Live events
      are partitioned greedily into at most [max_chains] chains at edge
@@ -238,7 +230,6 @@ let create ?(initial_capacity = 1024) ?(digests = true)
     bidir_traversals = 0;
     version = 0;
     dirty = Sparse_set.create cap;
-    snap_dirty = Sparse_set.create cap;
     frozen_cache = None;
   }
 
@@ -286,23 +277,14 @@ let grow g =
   g.labels <- labels;
   g.marks <- copy g.marks 0;
   Sparse_set.grow g.dirty cap;
-  Sparse_set.grow g.snap_dirty cap;
   g.queue <- Array.make cap 0;
   g.queue_b <- Array.make cap 0
 
 let version g = g.version
 
 (* Record a view-visible mutation of slot [s]: the next [freeze] must
-   rewrite it instead of sharing the previous view's chunks.  Every
-   view-visible change is also snapshot-visible. *)
-let touch g s =
-  Sparse_set.add g.dirty s;
-  Sparse_set.add g.snap_dirty s
-
-(* Record a snapshot-visible but view-invisible mutation of slot [s]:
-   refcount moves that do not collect.  These never force a freeze
-   rebuild, but the next incremental snapshot must carry the slot. *)
-let touch_snap g s = Sparse_set.add g.snap_dirty s
+   rewrite it instead of sharing the previous view's chunks. *)
+let touch g s = Sparse_set.add g.dirty s
 
 (* Resolve an identifier to its slot, checking liveness and generation. *)
 let resolve g id =
@@ -354,7 +336,6 @@ let acquire_ref g id =
   match resolve g id with
   | Some s ->
     g.refcount.(s) <- g.refcount.(s) + 1;
-    touch_snap g s;
     true
   | None -> false
 
@@ -435,7 +416,6 @@ let release_ref g id =
     None
   | Some s ->
     g.refcount.(s) <- g.refcount.(s) - 1;
-    touch_snap g s;
     if g.refcount.(s) = 0 && g.indeg.(s) = 0 then Some (collect g s)
     else Some 0
 
@@ -1094,136 +1074,6 @@ let to_snapshot g =
       };
   }
 
-(* ------------------------------------------------------------------ *)
-(* Incremental snapshots (DESIGN.md §16).                              *)
-(* ------------------------------------------------------------------ *)
-
-type slot_delta = {
-  sd_slot : int;
-  sd_refcount : int;
-  sd_gen : int;
-  sd_rank : int;
-  sd_succ : int array;
-  sd_links : (int64 * string * int) array;
-  sd_chain_of : int;
-  sd_chain_pos : int;
-}
-
-type delta = {
-  d_slots : slot_delta array;
-  d_next_slot : int;
-  d_free : int array;
-  d_next_rank : int;
-  d_traversals : int;
-  d_visited_total : int;
-  d_version : int;
-  d_chain_len : int array;
-  d_free_chains : int array;
-  d_digests : bool;
-}
-
-let dirty_slot_count g = Sparse_set.cardinal g.snap_dirty
-let snapshot_written g = Sparse_set.clear g.snap_dirty
-
-(* Capture the slots touched since the last [snapshot_written], plus every
-   small global (free stack, chain lengths, counters) wholesale.  Pure
-   read: the dirty set is only cleared once the caller has made the delta
-   durable. *)
-let to_delta g =
-  let int_vec_to_array v = Array.init (Int_vec.length v) (Int_vec.get v) in
-  let slots = ref [] in
-  Sparse_set.iter (fun s -> slots := s :: !slots) g.snap_dirty;
-  let slots = Array.of_list !slots in
-  Array.sort compare slots;
-  let slot_delta s =
-    {
-      sd_slot = s;
-      sd_refcount = g.refcount.(s);
-      sd_gen = g.gen.(s);
-      sd_rank = g.rank.(s);
-      sd_succ = int_vec_to_array g.succ.(s);
-      sd_links =
-        (if not g.digests then [||]
-         else
-           let c = g.chains.(s) in
-           Array.init (Vec.length c) (fun j ->
-               let l = Vec.get c j in
-               (Event_id.to_int64 l.l_pred, l.l_pred_head, l.l_pred_pos)));
-      sd_chain_of = g.chain_of.(s);
-      sd_chain_pos = g.chain_pos.(s);
-    }
-  in
-  {
-    d_slots = Array.map slot_delta slots;
-    d_next_slot = g.next_slot;
-    d_free = int_vec_to_array g.free;
-    d_next_rank = g.next_rank;
-    d_traversals = g.traversals;
-    d_visited_total = g.visited_total;
-    d_version = g.version;
-    d_chain_len = int_vec_to_array g.chain_len;
-    d_free_chains = int_vec_to_array g.free_chains;
-    d_digests = g.digests;
-  }
-
-(* Compose a base snapshot with a delta captured later on the same engine:
-   per-slot state is overlaid for the slots the delta carries, everything
-   else comes from the base; globals come from the delta wholesale.  Pure
-   — the result is validated like any other snapshot by [of_snapshot].
-   Raises on structural mismatch (a digest-carrying delta over a base
-   without links, or a delta that shrinks the slot space). *)
-let apply_delta base d =
-  let fail what = invalid_arg ("Graph.apply_delta: " ^ what) in
-  let nb = base.snap_next_slot and n = d.d_next_slot in
-  if n < nb then fail "delta shrinks the slot space";
-  let base_links =
-    if not d.d_digests then None
-    else
-      match base.snap_links with
-      | Some l -> Some l
-      | None -> fail "base snapshot has no digest section"
-  in
-  let extend a fill = Array.init n (fun i -> if i < nb then a.(i) else fill) in
-  let refcount = extend base.snap_refcount (-1) in
-  let gen = extend base.snap_gen 0 in
-  let succ = extend base.snap_succ [||] in
-  let rank = extend base.snap_rank 0 in
-  let links = Option.map (fun l -> extend l [||]) base_links in
-  let chain_of = extend base.snap_chains.cs_chain_of (-1) in
-  let chain_pos = extend base.snap_chains.cs_chain_pos 0 in
-  Array.iter
-    (fun sd ->
-      let s = sd.sd_slot in
-      if s < 0 || s >= n then fail "slot out of range";
-      refcount.(s) <- sd.sd_refcount;
-      gen.(s) <- sd.sd_gen;
-      succ.(s) <- sd.sd_succ;
-      rank.(s) <- sd.sd_rank;
-      Option.iter (fun l -> l.(s) <- sd.sd_links) links;
-      chain_of.(s) <- sd.sd_chain_of;
-      chain_pos.(s) <- sd.sd_chain_pos)
-    d.d_slots;
-  {
-    snap_next_slot = n;
-    snap_refcount = refcount;
-    snap_gen = gen;
-    snap_succ = succ;
-    snap_free = d.d_free;
-    snap_rank = rank;
-    snap_next_rank = d.d_next_rank;
-    snap_traversals = d.d_traversals;
-    snap_visited_total = d.d_visited_total;
-    snap_links = links;
-    snap_version = d.d_version;
-    snap_chains =
-      {
-        cs_chain_of = chain_of;
-        cs_chain_pos = chain_pos;
-        cs_chain_len = d.d_chain_len;
-        cs_free_chains = d.d_free_chains;
-      };
-  }
-
 (* Deterministic commitment reconstruction for captures without a digest
    section (snapshots of a digest-less engine restored into a
    digest-enabled one).  Live slots are processed in
@@ -1416,12 +1266,6 @@ let of_snapshot ?(initial_capacity = 1024) ?(digests = true)
      [`At_least e] demand issued before a restart is still satisfiable
      after it. *)
   g.version <- s.snap_version;
-  (* A restored graph shares no durable base with any snapshot on disk
-     (a digest toggle even rebuilds its chains), so the first incremental
-     snapshot after a restore must carry every slot. *)
-  for s = 0 to n - 1 do
-    Sparse_set.add g.snap_dirty s
-  done;
   g
 
 let commitment g id =
@@ -1491,8 +1335,8 @@ let memory_bytes g =
   + (2 * (capacity g + 2) * word) (* succ/pred pointer arrays *)
   + adjacency g.succ + adjacency g.pred
   + array_bytes g.marks
-  (* dirty-slot sets: a sparse and a dense array each *)
-  + (4 * (capacity g + 2) * word)
+  (* dirty-slot set: a sparse and a dense array *)
+  + (2 * (capacity g + 2) * word)
   + Int_vec.capacity_bytes g.free
   + Int_vec.capacity_bytes g.relabel_stack
   (* chain-decomposition index: flat arrays + per-slot label vectors *)

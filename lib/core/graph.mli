@@ -257,68 +257,6 @@ val of_snapshot :
     ranks violating the edge invariant — as any cyclic edge set does — or
     a malformed chain section or chain links). *)
 
-(** {1 Incremental snapshots}
-
-    The graph tracks the slots whose snapshot-visible state changed since
-    the last durable snapshot in a dedicated dirty set — a superset of the
-    freeze set, because refcount moves that do not collect matter to a
-    restore even though frozen views never observe them.  {!to_delta}
-    captures exactly those slots plus every small global; composing the
-    previous full snapshot with the delta ({!apply_delta}) yields a
-    snapshot bit-equal in behaviour to {!to_snapshot} of the same graph.
-    The set is consumed only by an explicit {!snapshot_written} — called
-    {e after} the capture is durable, so a failed write never loses
-    dirtiness. *)
-
-(** Per-slot section of a delta: the slot's complete snapshot-visible
-    state at capture time (free slots appear with [sd_refcount = -1]). *)
-type slot_delta = {
-  sd_slot : int;
-  sd_refcount : int;
-  sd_gen : int;
-  sd_rank : int;
-  sd_succ : int array;
-  sd_links : (int64 * string * int) array;  (** empty when digests are off *)
-  sd_chain_of : int;
-  sd_chain_pos : int;
-}
-
-(** A delta against the graph state as of the last {!snapshot_written}:
-    dirty slots in ascending order, plus the globals (free stack, rank
-    allocator, chain table, counters) captured wholesale — they are small
-    and churn too fast to diff. *)
-type delta = {
-  d_slots : slot_delta array;   (** ascending [sd_slot] order *)
-  d_next_slot : int;
-  d_free : int array;
-  d_next_rank : int;
-  d_traversals : int;
-  d_visited_total : int;
-  d_version : int;
-  d_chain_len : int array;
-  d_free_chains : int array;
-  d_digests : bool;
-}
-
-val to_delta : t -> delta
-(** Capture the slots dirtied since the last {!snapshot_written}.  Pure
-    read — the dirty set survives until {!snapshot_written}. *)
-
-val apply_delta : snapshot -> delta -> snapshot
-(** Overlay a delta on the base snapshot it was captured against.  Pure;
-    the composed snapshot is validated by {!of_snapshot} like any other.
-    @raise Invalid_argument when the base structurally cannot carry the
-    delta: a digest-carrying delta over a base without links, or a delta
-    whose slot space is smaller than the base's. *)
-
-val snapshot_written : t -> unit
-(** Mark the current state durably captured: clear the snapshot dirty set
-    so the next {!to_delta} starts from here.  Call only after the write
-    (full or delta) has been made durable. *)
-
-val dirty_slot_count : t -> int
-(** Slots the next {!to_delta} would carry. *)
-
 (** {1 Introspection} *)
 
 val live_count : t -> int

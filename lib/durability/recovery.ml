@@ -5,7 +5,6 @@ module M = struct
   let replay_ms = Kronos_metrics.gauge scope "replay_ms"
   let recovery_ms = Kronos_metrics.gauge scope "recovery_ms"
   let wal_bytes = Kronos_metrics.counter scope "wal_bytes_replayed_total"
-  let deltas = Kronos_metrics.counter scope "deltas_applied_total"
 end
 
 type outcome = {
@@ -14,7 +13,6 @@ type outcome = {
   snapshot_seq : int;
   next_seq : int;
   replayed : int;
-  deltas_applied : int;
   replay_ms : float;
   recovery_ms : float;
   wal_bytes_replayed : int;
@@ -26,10 +24,10 @@ let record_bytes (r : Wal.record) = 16 + String.length r.payload
 let run ?engine_config ?wal_config ~replay storage =
   let t0 = Unix.gettimeofday () in
   let wal, records = Wal.open_ ?config:wal_config storage in
-  let snapshot_seq, engine, deltas_applied =
+  let snapshot_seq, engine =
     match Snapshot.load_chain ?config:engine_config storage with
-    | Some (seq, engine, deltas) -> (seq, engine, deltas)
-    | None -> (0, Engine.create ?config:engine_config (), 0)
+    | Some (seq, engine) -> (seq, engine)
+    | None -> (0, Engine.create ?config:engine_config ())
   in
   (* a snapshot past every logged record (installed by state transfer,
      nothing appended since) still bounds the log from below *)
@@ -57,14 +55,12 @@ let run ?engine_config ?wal_config ~replay storage =
   Kronos_metrics.Gauge.set M.replay_ms (int_of_float replay_ms);
   Kronos_metrics.Gauge.set M.recovery_ms (int_of_float recovery_ms);
   Kronos_metrics.Counter.add M.wal_bytes !bytes;
-  Kronos_metrics.Counter.add M.deltas deltas_applied;
   {
     engine;
     wal;
     snapshot_seq;
     next_seq = !next;
     replayed = !replayed;
-    deltas_applied;
     replay_ms;
     recovery_ms;
     wal_bytes_replayed = !bytes;

@@ -239,255 +239,43 @@ let list_snapshots storage =
   |> List.filter_map (fun n -> Option.map (fun s -> (s, n)) (parse_filename n))
   |> List.sort (fun a b -> compare b a) (* newest first *)
 
-(* ------------------------------------------------------------------ *)
-(* Incremental snapshots (DESIGN.md §16).                              *)
-(*                                                                     *)
-(* A delta file ([delta-<seq>.delta], magic KSND) carries an           *)
-(* [Engine.delta] against the snapshot state at [base_seq] — itself a  *)
-(* full file or another delta, forming a chain that terminates in a    *)
-(* full snapshot.  Recovery resolves the newest head whose whole chain *)
-(* is intact; any corrupt or missing link makes the resolver fall back *)
-(* to the next older head, exactly like corrupt full snapshots.        *)
-(* ------------------------------------------------------------------ *)
-
-let delta_version = 1
-let delta_magic = "KSND"
-
-let encode_delta ~base_seq ~seq (d : Engine.delta) =
-  let e = Codec.encoder () in
-  Codec.put_i64 e (Int64.of_int base_seq);
-  Codec.put_i64 e (Int64.of_int seq);
-  let gd = d.Engine.delta_graph in
-  Codec.put_u32 e (Array.length gd.Graph.d_slots);
-  Array.iter
-    (fun sd ->
-      Codec.put_u32 e sd.Graph.sd_slot;
-      Codec.put_u32 e (sd.Graph.sd_refcount + 1);
-      Codec.put_u32 e sd.Graph.sd_gen;
-      Codec.put_i64 e (Int64.of_int sd.Graph.sd_rank);
-      put_int_array e sd.Graph.sd_succ;
-      Codec.put_u32 e (Array.length sd.Graph.sd_links);
-      Array.iter
-        (fun (pred, head, pos) ->
-          Codec.put_i64 e pred;
-          Codec.put_string e head;
-          Codec.put_i64 e (Int64.of_int pos))
-        sd.Graph.sd_links;
-      Codec.put_u32 e (sd.Graph.sd_chain_of + 1);
-      Codec.put_i64 e (Int64.of_int sd.Graph.sd_chain_pos))
-    gd.Graph.d_slots;
-  Codec.put_u32 e gd.Graph.d_next_slot;
-  put_int_array e gd.Graph.d_free;
-  Codec.put_i64 e (Int64.of_int gd.Graph.d_next_rank);
-  Codec.put_i64 e (Int64.of_int gd.Graph.d_traversals);
-  Codec.put_i64 e (Int64.of_int gd.Graph.d_visited_total);
-  Codec.put_i64 e (Int64.of_int gd.Graph.d_version);
-  Codec.put_u32 e (Array.length gd.Graph.d_chain_len);
-  Array.iter (fun l -> Codec.put_i64 e (Int64.of_int l)) gd.Graph.d_chain_len;
-  put_int_array e gd.Graph.d_free_chains;
-  Codec.put_bool e gd.Graph.d_digests;
-  Codec.put_i64 e (Int64.of_int d.Engine.delta_creates);
-  Codec.put_i64 e (Int64.of_int d.Engine.delta_queries);
-  Codec.put_i64 e (Int64.of_int d.Engine.delta_assigns);
-  Codec.put_i64 e (Int64.of_int d.Engine.delta_aborted_batches);
-  Codec.put_i64 e (Int64.of_int d.Engine.delta_reversals);
-  Codec.put_i64 e (Int64.of_int d.Engine.delta_collected);
-  let body = Codec.to_string e in
-  let b = Buffer.create (String.length body + header_bytes) in
-  Buffer.add_string b delta_magic;
-  Buffer.add_uint16_be b delta_version;
-  Buffer.add_int32_be b (Crc32.string body);
-  Buffer.add_string b body;
-  Buffer.contents b
-
-let validate_delta data =
-  if String.length data < header_bytes then
-    raise (Codec.Decode_error "delta: truncated header");
-  if String.sub data 0 4 <> delta_magic then
-    raise (Codec.Decode_error "delta: bad magic");
-  let v = String.get_uint16_be data 4 in
-  if v <> delta_version then
-    raise (Codec.Decode_error (Printf.sprintf "delta: unsupported version %d" v));
-  let crc = String.get_int32_be data 6 in
-  let body = String.sub data header_bytes (String.length data - header_bytes) in
-  if Crc32.string body <> crc then
-    raise (Codec.Decode_error "delta: checksum mismatch");
-  body
-
-let decode_delta data =
-  let body = validate_delta data in
-  let d = Codec.decoder body in
-  let base_seq = get_int64 d in
-  let seq = get_int64 d in
-  let nslots = Codec.get_u32 d in
-  if nslots > String.length body then
-    raise (Codec.Decode_error "delta: absurd slot count");
-  let d_slots =
-    Array.init nslots (fun _ ->
-        let sd_slot = Codec.get_u32 d in
-        let sd_refcount = Codec.get_u32 d - 1 in
-        let sd_gen = Codec.get_u32 d in
-        let sd_rank = get_int64 d in
-        let sd_succ = get_int_array d in
-        let nlinks = Codec.get_u32 d in
-        if nlinks > String.length body then
-          raise (Codec.Decode_error "delta: absurd link count");
-        let sd_links =
-          Array.init nlinks (fun _ ->
-              let pred = Codec.get_i64 d in
-              let head = Codec.get_string d in
-              let pos = get_int64 d in
-              (pred, head, pos))
+(* Delta files ([delta-<seq>.delta]) were the incremental snapshot kind
+   of earlier builds, chained onto a full file.  Their WAL was truncated
+   past the full below them, so recovering from that full would silently
+   drop every command the deltas covered: a directory holding one stops
+   recovery like a retired full format.  The version reported is the
+   delta header's (magic [KSND], then a u16), or 0 for a torn file. *)
+let refuse_deltas storage =
+  List.iter
+    (fun file ->
+      if String.starts_with ~prefix:"delta-" file
+         && Filename.check_suffix file ".delta"
+      then
+        let version =
+          match storage.Storage.read_file file with
+          | Some data
+            when String.starts_with ~prefix:"KSND" data && String.length data >= 6
+            -> String.get_uint16_be data 4
+          | Some _ | None -> 0
         in
-        let sd_chain_of = Codec.get_u32 d - 1 in
-        let sd_chain_pos = get_int64 d in
-        {
-          Graph.sd_slot;
-          sd_refcount;
-          sd_gen;
-          sd_rank;
-          sd_succ;
-          sd_links;
-          sd_chain_of;
-          sd_chain_pos;
-        })
-  in
-  let d_next_slot = Codec.get_u32 d in
-  let d_free = get_int_array d in
-  let d_next_rank = get_int64 d in
-  let d_traversals = get_int64 d in
-  let d_visited_total = get_int64 d in
-  let d_version = get_int64 d in
-  let nchains = Codec.get_u32 d in
-  if nchains > String.length body then
-    raise (Codec.Decode_error "delta: absurd chain count");
-  let d_chain_len = Array.init nchains (fun _ -> get_int64 d) in
-  let d_free_chains = get_int_array d in
-  let d_digests = Codec.get_bool d in
-  let delta_creates = get_int64 d in
-  let delta_queries = get_int64 d in
-  let delta_assigns = get_int64 d in
-  let delta_aborted_batches = get_int64 d in
-  let delta_reversals = get_int64 d in
-  let delta_collected = get_int64 d in
-  Codec.expect_end d;
-  ( base_seq,
-    seq,
-    {
-      Engine.delta_graph =
-        {
-          Graph.d_slots;
-          d_next_slot;
-          d_free;
-          d_next_rank;
-          d_traversals;
-          d_visited_total;
-          d_version;
-          d_chain_len;
-          d_free_chains;
-          d_digests;
-        };
-      delta_creates;
-      delta_queries;
-      delta_assigns;
-      delta_aborted_batches;
-      delta_reversals;
-      delta_collected;
-    } )
-
-let delta_filename ~seq = Printf.sprintf "delta-%010d.delta" seq
-
-let parse_delta_filename name =
-  if String.length name = 22
-     && String.sub name 0 6 = "delta-"
-     && Filename.check_suffix name ".delta"
-  then int_of_string_opt (String.sub name 6 10)
-  else None
-
-let m_delta_writes =
-  Kronos_metrics.counter (Kronos_metrics.scope "snapshot") "delta_writes_total"
-
-let write_delta_bytes storage ~seq data =
-  Kronos_metrics.Counter.incr m_delta_writes;
-  Kronos_metrics.Counter.add m_bytes (String.length data);
-  let final = delta_filename ~seq in
-  let tmp = Printf.sprintf "delta-%010d.tmp" seq in
-  storage.Storage.remove_file tmp;
-  let w = storage.Storage.open_append tmp in
-  w.Storage.append data;
-  w.Storage.sync ();
-  w.Storage.close ();
-  storage.Storage.rename_file tmp final
-
-let write_delta storage ~base_seq ~seq engine =
-  write_delta_bytes storage ~seq
-    (encode_delta ~base_seq ~seq (Engine.to_delta engine))
-
-let list_deltas storage =
-  storage.Storage.list_files ()
-  |> List.filter_map (fun n ->
-         Option.map (fun s -> (s, n)) (parse_delta_filename n))
-  |> List.sort (fun a b -> compare b a) (* newest first *)
-
-(* Fuel for chain resolution: a delta chain longer than this is treated as
-   unresolvable (policies cap chains at a handful of links; only corrupt
-   base_seq values could approach the bound). *)
-let max_chain_depth = 1024
-
-(* Resolve the composed snapshot state at [seq]: a valid full file wins;
-   otherwise a valid delta at [seq] recursively resolves its base and
-   overlays.  Returns the composed snapshot and the number of deltas
-   applied, or [None] when any link of the chain is missing or corrupt.
-   A full file in another format version raises [Unsupported_version]. *)
-let rec state_at storage ~fuel seq =
-  let full =
-    let file = filename ~seq in
-    match storage.Storage.read_file file with
-    | None -> None
-    | Some data -> (
-        match decode_file ~file data with
-        | s, snap when s = seq -> Some (snap, 0)
-        | _ -> None
-        | exception (Codec.Decode_error _ | Invalid_argument _) -> None)
-  in
-  match full with
-  | Some _ -> full
-  | None -> (
-      if fuel <= 0 then None
-      else
-        match storage.Storage.read_file (delta_filename ~seq) with
-        | None -> None
-        | Some data -> (
-            match decode_delta data with
-            | base_seq, s, d when s = seq && base_seq < seq -> (
-                match state_at storage ~fuel:(fuel - 1) base_seq with
-                | None -> None
-                | Some (base, applied) -> (
-                    match Engine.apply_delta base d with
-                    | snap -> Some (snap, applied + 1)
-                    | exception Invalid_argument _ -> None))
-            | _ -> None
-            | exception (Codec.Decode_error _ | Invalid_argument _) -> None))
-
-(* Candidate recovery heads: every sequence number holding a full or delta
-   file, newest first. *)
-let heads storage =
-  let seqs =
-    List.map fst (list_snapshots storage)
-    @ List.map fst (list_deltas storage)
-  in
-  List.sort_uniq (fun a b -> compare b a) seqs
+        raise (Unsupported_version { file; version }))
+    (storage.Storage.list_files ())
 
 let load_chain ?config storage =
+  refuse_deltas storage;
   List.find_map
-    (fun seq ->
-      match state_at storage ~fuel:max_chain_depth seq with
+    (fun (seq, file) ->
+      match storage.Storage.read_file file with
       | None -> None
-      | Some (snap, applied) -> (
-          match Engine.of_snapshot ?config snap with
-          | engine -> Some (seq, engine, applied)
-          | exception Invalid_argument _ -> None))
-    (heads storage)
+      | Some data -> (
+          match decode_file ~file data with
+          | s, snap when s = seq -> (
+              match Engine.of_snapshot ?config snap with
+              | engine -> Some (seq, engine)
+              | exception Invalid_argument _ -> None)
+          | _ -> None
+          | exception (Codec.Decode_error _ | Invalid_argument _) -> None))
+    (list_snapshots storage)
 
 (* A full file whose header and checksum hold; [Unsupported_version]
    propagates. *)
@@ -498,16 +286,11 @@ let is_valid ~file data =
 
 let load_chain_bytes storage =
   List.find_map
-    (fun seq ->
-      (* fast path: a checksum-valid full file ships as-is *)
-      let file = filename ~seq in
+    (fun (seq, file) ->
       match storage.Storage.read_file file with
       | Some data when is_valid ~file data -> Some (seq, data)
-      | _ -> (
-          match state_at storage ~fuel:max_chain_depth seq with
-          | None -> None
-          | Some (snap, _) -> Some (seq, encode ~seq snap)))
-    (heads storage)
+      | Some _ | None -> None)
+    (list_snapshots storage)
 
 (* ------------------------------------------------------------------ *)
 (* Compaction manifest.                                                *)
@@ -560,15 +343,14 @@ let m_retired =
     (Kronos_metrics.scope "durability")
     "snapshots_retired_total"
 
-(* Retire snapshot files made redundant by newer durable state: delta
-   files at or below the newest valid full snapshot (the full already
-   covers them), valid full files beyond the newest [keep], corrupt full
-   files (a file under its final name never becomes valid later: writes
-   go tmp -> sync -> rename), and stray temporaries.  Crash ordering is
-   the caller's: the covering snapshot is written and synced {e before}
-   compact unlinks anything, and unlinking is idempotent — a crash
-   mid-compact leaves extra files that the next compact retires and
-   recovery happily ignores.  Returns the number of files removed. *)
+(* Retire snapshot files made redundant by newer durable state: valid
+   full files beyond the newest [keep], corrupt full files (a file under
+   its final name never becomes valid later: writes go tmp -> sync ->
+   rename), and stray temporaries.  Crash ordering is the caller's: the
+   covering snapshot is written and synced {e before} compact unlinks
+   anything, and unlinking is idempotent — a crash mid-compact leaves
+   extra files that the next compact retires and recovery happily
+   ignores.  Returns the number of files removed. *)
 let compact storage ~keep =
   let keep = max keep 1 in
   let removed = ref 0 in
@@ -585,35 +367,22 @@ let compact storage ~keep =
         | Some data -> is_valid ~file data)
       (list_snapshots storage)
   in
-  let newest_full = match fulls with (s, _) :: _ -> s | [] -> min_int in
-  List.iter
-    (fun (seq, name) -> if seq <= newest_full then remove name)
-    (list_deltas storage);
   List.iteri (fun i (_, name) -> if i >= keep then remove name) fulls;
   List.iter (fun (_, name) -> remove name) corrupt;
   storage.Storage.list_files ()
   |> List.iter (fun n ->
-         if Filename.check_suffix n ".tmp"
-            && String.length n >= 6
-            && (String.sub n 0 5 = "snap-" || String.sub n 0 6 = "delta-")
+         if String.starts_with ~prefix:"snap-" n && Filename.check_suffix n ".tmp"
          then remove n);
-  let kept =
-    storage.Storage.list_files ()
-    |> List.filter (fun n ->
-           parse_filename n <> None || parse_delta_filename n <> None)
-  in
-  (* The manifest records the head recovery would actually resolve, not
-     just the newest file name — a torn newest file must not be audited as
-     the head it can never be.  Checksum-valid fulls short-circuit the
-     chain walk. *)
-  let resolvable seq =
-    (let file = filename ~seq in
-     match storage.Storage.read_file file with
-     | Some data -> is_valid ~file data
-     | None -> false)
-    || state_at storage ~fuel:max_chain_depth seq <> None
-  in
-  (match List.find_opt resolvable (heads storage) with
-   | Some head -> write_manifest storage ~head kept
-   | None -> storage.Storage.remove_file manifest_name);
+  (* The manifest audits the newest valid full — the head recovery would
+     restore — not just the newest file name: a torn newest file must not
+     be recorded as the head it can never be. *)
+  (match fulls with
+   | (head, _) :: _ ->
+     let kept =
+       List.filter
+         (fun n -> parse_filename n <> None)
+         (storage.Storage.list_files ())
+     in
+     write_manifest storage ~head kept
+   | [] -> storage.Storage.remove_file manifest_name);
   !removed

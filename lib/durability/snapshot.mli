@@ -43,48 +43,30 @@ val write : Storage.t -> seq:int -> Engine.t -> unit
 val write_bytes : Storage.t -> seq:int -> string -> unit
 (** Persist already-encoded snapshot bytes (state transfer receive path). *)
 
-(** {1 Incremental snapshots (DESIGN.md §16)}
+(** {1 Recovery and state transfer}
 
-    A delta file ([delta-<seq>.delta]) holds an {!Kronos.Engine.delta}
-    against the snapshot state at [base_seq] — itself a full file or
-    another delta, forming a chain terminating in a full snapshot.
-    Recovery resolves the newest head whose entire chain is intact and
-    falls back to older heads otherwise, exactly as it skips corrupt full
-    snapshots.  Every resolver below lets {!Unsupported_version}
-    propagate from any full file it reads. *)
+    Every snapshot is a full file: recovery restores the newest valid one
+    and replays the WAL above it (DESIGN.md §16).  Earlier builds also
+    wrote [delta-<seq>.delta] files chained onto a full; their WAL was
+    truncated past that full, so a directory still holding one raises
+    {!Unsupported_version} (naming the delta file) instead of recovering
+    older state. *)
 
-val encode_delta : base_seq:int -> seq:int -> Engine.delta -> string
-
-val decode_delta : string -> int * int * Engine.delta
-(** [(base_seq, seq, delta)].
-    @raise Kronos_wire.Codec.Decode_error on a malformed file. *)
-
-val delta_filename : seq:int -> string
-
-val write_delta : Storage.t -> base_seq:int -> seq:int -> Engine.t -> unit
-(** Capture the engine's dirty-slot delta and persist it atomically
-    (tmp → sync → rename) as the delta for [seq] against [base_seq].
-    Does {e not} clear the engine's dirty set — call
-    {!Kronos.Engine.snapshot_written} after this returns. *)
-
-val load_chain :
-  ?config:Engine.config -> Storage.t -> (int * Engine.t * int) option
-(** Resolve and restore the newest recoverable snapshot state:
-    [(seq, engine, deltas_applied)].  Tries every candidate head newest
-    first; a head resolves when its full file is valid or its delta chain
-    composes onto a valid full.  [deltas_applied = 0] means a full
-    snapshot was used directly. *)
+val load_chain : ?config:Engine.config -> Storage.t -> (int * Engine.t) option
+(** Restore the newest valid full snapshot: [(seq, engine)], skipping
+    torn or corrupt files newest first; [None] when none is valid.
+    @raise Unsupported_version on a full file in another format version
+    or on a [delta-*.delta] file. *)
 
 val load_chain_bytes : Storage.t -> (int * string) option
-(** The newest recoverable state as {e full-format} snapshot bytes (state
-    transfer send path): a valid full file ships as-is, a delta head is
-    composed and re-encoded, so the wire format never exposes deltas. *)
+(** The newest checksum-valid full snapshot file, as its bytes (state
+    transfer send path: it ships as-is).
+    @raise Unsupported_version on a full file in another format version. *)
 
 val compact : Storage.t -> keep:int -> int
-(** Retire snapshot files made redundant by newer durable state: deltas
-    at or below the newest valid full snapshot, valid fulls beyond the
-    newest [keep] (min 1), corrupt fulls, and the stray [snap-*.tmp] /
-    [delta-*.tmp] files of interrupted writes.  Call {e after} the
+(** Retire snapshot files made redundant by newer durable state: valid
+    fulls beyond the newest [keep] (min 1), corrupt fulls, and the stray
+    [snap-*.tmp] files of interrupted writes.  Call {e after} the
     covering snapshot is durably written — unlinking is idempotent and recovery
     ignores missing files, so a crash at any point mid-compact is safe.
     Rewrites the {!read_manifest} audit record.  Returns the number of

@@ -100,8 +100,10 @@ module Replica = struct
     persist : persist;
     mutable cfg : config;
     mutable last_applied : int;
-    responses : (int, string) Hashtbl.t;     (* seq -> response *)
-    dedup : (addr * int, int) Hashtbl.t;     (* (client, req_id) -> seq *)
+    replies : (addr * int, int * string) Hashtbl.t;
+      (* (client, req_id) -> (seq, response): deduplicates retransmissions
+         and re-answers them *)
+    mutable acked : int;                     (* highest seq an Ack covered *)
     pending : entry Queue.t;                 (* forwarded, unacked; seq asc *)
     stash : (int, entry) Hashtbl.t;          (* out-of-order forwards *)
     mutable removed : bool;
@@ -134,16 +136,15 @@ module Replica = struct
     | Some pred -> send t pred msg
     | None -> ()
 
-  (* Apply a command locally, record what is needed to re-reply and
-     deduplicate, and log it at its sequence number (group-committed at the
+  (* Apply a command locally, record its reply for deduplication and
+     re-replies, and log it at its sequence number (group-committed at the
      transport's next deferral point, see [handle]); the log is also what
      later state transfers ship. *)
   let apply_entry t entry =
     let resp = t.apply entry.cmd in
     Kronos_metrics.Counter.incr M.applied;
     t.last_applied <- entry.seq;
-    Hashtbl.replace t.responses entry.seq resp;
-    Hashtbl.replace t.dedup (entry.client, entry.req_id) entry.seq;
+    Hashtbl.replace t.replies (entry.client, entry.req_id) (entry.seq, resp);
     t.persist.log_entry ~seq:entry.seq ~client:entry.client
       ~req_id:entry.req_id ~cmd:entry.cmd;
     resp
@@ -173,8 +174,9 @@ module Replica = struct
 
   let handle_duplicate_forward t (entry : entry) =
     if is_tail t.cfg t.addr then begin
-      (match Hashtbl.find_opt t.responses entry.seq with
-       | Some resp -> send t entry.client (Reply { req_id = entry.req_id; resp })
+      (match Hashtbl.find_opt t.replies (entry.client, entry.req_id) with
+       | Some (_, resp) ->
+         send t entry.client (Reply { req_id = entry.req_id; resp })
        | None -> ());
       to_predecessor t (Ack { seq = entry.seq })
     end
@@ -199,14 +201,14 @@ module Replica = struct
       (* stale client: relay to the real head *)
       send t head (Client_write { client; req_id; cmd })
     | Some _ -> (
-        match Hashtbl.find_opt t.dedup (client, req_id) with
-        | Some seq ->
-          (* retransmission of an already-sequenced request *)
-          if is_tail t.cfg t.addr then begin
-            match Hashtbl.find_opt t.responses seq with
-            | Some resp -> send t client (Reply { req_id; resp })
-            | None -> ()
-          end
+        match Hashtbl.find_opt t.replies (client, req_id) with
+        | Some (seq, resp) ->
+          (* Retransmission of an already-sequenced request.  Once an Ack
+             covered [seq], every replica has applied and committed it, so
+             the head's own reply is final — and the tail may not hold one
+             (a tail that joined by snapshot has none below it). *)
+          if is_tail t.cfg t.addr || seq <= t.acked then
+            send t client (Reply { req_id; resp })
           else to_successor t (Forward { seq; client; req_id; cmd })
         | None ->
           let entry = { seq = t.last_applied + 1; client; req_id; cmd } in
@@ -215,6 +217,7 @@ module Replica = struct
 
   let handle_ack t seq =
     Kronos_metrics.Counter.incr M.acks;
+    t.acked <- max t.acked seq;
     (* acks are cumulative and [pending] is in seq order: drop the
        acknowledged prefix *)
     while
@@ -265,11 +268,13 @@ module Replica = struct
           (* We just became tail: close out the in-flight entries. *)
           Queue.iter
             (fun e ->
-              match Hashtbl.find_opt t.responses e.seq with
-              | Some resp -> send t e.client (Reply { req_id = e.req_id; resp })
+              match Hashtbl.find_opt t.replies (e.client, e.req_id) with
+              | Some (_, resp) ->
+                send t e.client (Reply { req_id = e.req_id; resp })
               | None -> ())
             t.pending;
           let last = Queue.fold (fun _ e -> e.seq) 0 t.pending in
+          t.acked <- max t.acked last;
           to_predecessor t (Ack { seq = last });
           Queue.clear t.pending
         end
@@ -298,8 +303,7 @@ module Replica = struct
       t.last_applied <- seq;
       (* bookkeeping for the snapshotted prefix is gone with the old
          engine; it is no longer replayable, so drop it *)
-      Hashtbl.reset t.responses;
-      Hashtbl.reset t.dedup;
+      Hashtbl.reset t.replies;
       Hashtbl.reset t.stash
     end;
     handle_sync t entries
@@ -348,13 +352,12 @@ module Replica = struct
       end)
 
   let restore t ~last_applied ~entries =
-    if t.last_applied <> 0 || Hashtbl.length t.responses > 0 then
+    if t.last_applied <> 0 || Hashtbl.length t.replies > 0 then
       invalid_arg "Replica.restore: replica already has state";
     t.last_applied <- last_applied;
     List.iter
       (fun (seq, client, req_id, resp) ->
-        Hashtbl.replace t.responses seq resp;
-        Hashtbl.replace t.dedup (client, req_id) seq)
+        Hashtbl.replace t.replies (client, req_id) (seq, resp))
       entries
 
   let create ~net ~addr ~apply ?read_async
@@ -368,8 +371,8 @@ module Replica = struct
         persist;
         cfg = config;
         last_applied = 0;
-        responses = Hashtbl.create 1024;
-        dedup = Hashtbl.create 1024;
+        replies = Hashtbl.create 1024;
+        acked = 0;
         pending = Queue.create ();
         stash = Hashtbl.create 16;
         removed = false;

@@ -19,7 +19,11 @@
     Failure handling follows the standard protocol: on reconfiguration a
     replica that gained a new successor re-sends its unacknowledged pending
     entries (duplicates are discarded by sequence number); a replica that
-    became tail replies to the clients of its pending entries.
+    became tail replies to the clients of its pending entries.  A client's
+    retransmission of a write the head has already sequenced is answered
+    by the tail, or by the head itself once an Ack has covered it: every
+    replica has then applied and committed it, while a tail that joined
+    by snapshot holds no reply below that snapshot.
 
     {b Durability.}  Every replica keeps its history through
     {!Replica.persist} hooks, which the service layer wires to the
@@ -154,9 +158,10 @@ module Replica : sig
     entries:(int * addr * int * string) list ->
     unit
   (** Pre-load recovered state into a freshly created, not-yet-joined
-      replica: set its applied sequence number and re-seed the response
-      table and deduplication index from replayed entries
-      ((seq, client, req_id, resp), ascending).  Only the replayed WAL
+      replica: set its applied sequence number and re-seed the reply table
+      (keyed by client and request id, it both deduplicates and re-answers
+      retransmissions) from replayed entries ((seq, client, req_id, resp),
+      ascending).  Only the replayed WAL
       suffix is available after a restart; earlier history lives in the
       snapshot the engine was restored from. *)
 
@@ -186,7 +191,7 @@ end
 
     The byte format used when a chain entry is stored in a WAL record:
     client address, request id and command, so a restart can rebuild the
-    deduplication index and re-reply to clients. *)
+    reply table that deduplicates and re-answers retransmissions. *)
 
 val encode_entry_payload : client:addr -> req_id:int -> cmd:string -> string
 

@@ -22,9 +22,9 @@ val apply : Engine.t -> string -> string
     an encoded [Rejected] response rather than raising. *)
 
 (** Per-cluster durability configuration.  Every durable replica runs the
-    one snapshot schedule, {!Durability.Schedule}: a snapshot once
-    [wal_bytes_per_snapshot] WAL bytes accrue, deltas between full
-    re-anchors, and compaction of what each snapshot covers. *)
+    one snapshot schedule, {!Durability.Schedule}: a full snapshot once
+    [wal_bytes_per_snapshot] WAL bytes accrue, and compaction of what
+    each snapshot covers. *)
 type durability = {
   storage_of : Kronos_transport.Transport.addr -> Durability.Storage.t;
       (** each replica's private storage directory; must return the {e

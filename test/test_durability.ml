@@ -9,6 +9,7 @@ module Wal = Kronos_durability.Wal
 module Snapshot = Kronos_durability.Snapshot
 module Recovery = Kronos_durability.Recovery
 module Schedule = Kronos_durability.Schedule
+module Crc32 = Kronos_durability.Crc32
 module Graph_gen = Kronos_workload.Graph_gen
 module Message = Kronos_wire.Message
 
@@ -28,6 +29,48 @@ let check_records what expected records =
     what
     (List.map (fun seq -> (seq, payload_of seq)) expected)
     (List.map (fun (r : Wal.record) -> (r.seq, r.payload)) records)
+
+(* {1 CRC-32} *)
+
+(* Bit-at-a-time CRC-32 over [int32]: the definition the table-driven
+   [Crc32] must agree with, extending the running checksum [crc]. *)
+let crc32_bitwise crc s =
+  let c = ref (Int32.lognot crc) in
+  String.iter
+    (fun ch ->
+      c := Int32.logxor !c (Int32.of_int (Char.code ch));
+      for _ = 1 to 8 do
+        let low = Int32.logand !c 1l <> 0l in
+        c := Int32.shift_right_logical !c 1;
+        if low then c := Int32.logxor !c 0xEDB88320l
+      done)
+    s;
+  Int32.lognot !c
+
+let test_crc32_known_answers () =
+  let check what expected got =
+    Alcotest.(check int32) what expected got
+  in
+  check "123456789" 0xCBF43926l (Crc32.string "123456789");
+  check "empty" 0l (Crc32.string "");
+  check "substring" 0xCBF43926l (Crc32.string ~off:2 ~len:9 "xx123456789yy");
+  check "incremental" 0xCBF43926l
+    (Crc32.update (Crc32.string "1234") "56789");
+  Alcotest.check_raises "out of bounds"
+    (Invalid_argument "Crc32.update: out of bounds") (fun () ->
+      ignore (Crc32.string ~off:3 ~len:2 "abcd"))
+
+let prop_crc32_matches_bitwise =
+  let open QCheck2 in
+  Test.make ~name:"crc32 matches the bitwise definition" ~count:500
+    Gen.(triple (string_size (int_range 0 300)) nat int32)
+    (fun (s, k, crc) ->
+      let n = String.length s in
+      let off = if n = 0 then 0 else k mod (n + 1) in
+      let len = if n = off then 0 else (k / 7) mod (n - off + 1) in
+      Int32.equal
+        (Crc32.update crc ~off ~len s)
+        (crc32_bitwise crc (String.sub s off len)))
 
 (* {1 WAL} *)
 
@@ -297,7 +340,7 @@ let test_snapshot_files () =
   let final = List.length cmds in
   Snapshot.write storage ~seq:final engine;
   (match Snapshot.load_chain storage with
-   | Some (seq, restored, _) ->
+   | Some (seq, restored) ->
      Alcotest.(check int) "newest snapshot wins" final seq;
      check_engines_agree "loaded snapshot" ids engine restored
    | None -> Alcotest.fail "snapshot missing");
@@ -309,7 +352,7 @@ let test_snapshot_files () =
   w.Storage.sync ();
   w.Storage.close ();
   (match Snapshot.load_chain storage with
-   | Some (seq, _, _) ->
+   | Some (seq, _) ->
      Alcotest.(check bool) "fell back past corruption" true (seq < final)
    | None -> Alcotest.fail "no fallback snapshot");
   ignore (Snapshot.compact storage ~keep:1);
@@ -321,21 +364,20 @@ let test_snapshot_files () =
   Alcotest.(check int) "compact keeps one" 1 (List.length snaps);
   (* the one kept is the valid fallback, not the corrupt newest file *)
   match Snapshot.load_chain storage with
-  | Some (seq, _, _) ->
+  | Some (seq, _) ->
     Alcotest.(check bool) "kept snapshot still loads" true (seq < final)
   | None -> Alcotest.fail "compact kept no loadable snapshot"
 
-(* Interrupted writes leave [snap-*.tmp] / [delta-*.tmp] files behind;
-   compaction retires them and nothing else that recovery needs. *)
+(* Interrupted writes leave [snap-*.tmp] files behind; compaction retires
+   them and nothing else that recovery needs. *)
 let test_compact_retires_temporaries () =
   let _dir, storage = mem () in
   let engine = Engine.create () in
   ignore (Engine.create_event engine);
   Snapshot.write storage ~seq:1 engine;
-  Engine.snapshot_written engine;
   ignore (Engine.create_event engine);
-  Snapshot.write_delta storage ~base_seq:1 ~seq:2 engine;
-  let strays = [ "snap-0000000003.tmp"; "delta-0000000004.tmp" ] in
+  Snapshot.write storage ~seq:2 engine;
+  let strays = [ "snap-0000000003.tmp"; "snap-0000000004.tmp" ] in
   List.iter
     (fun name ->
       let w = storage.Storage.open_append name in
@@ -345,13 +387,12 @@ let test_compact_retires_temporaries () =
     strays;
   Alcotest.(check int) "both strays retired" 2
     (Snapshot.compact storage ~keep:2);
-  Alcotest.(check (list string)) "full, delta and manifest remain"
-    [ "MANIFEST"; Snapshot.delta_filename ~seq:2; Snapshot.filename ~seq:1 ]
+  Alcotest.(check (list string)) "both fulls and the manifest remain"
+    [ "MANIFEST"; Snapshot.filename ~seq:1; Snapshot.filename ~seq:2 ]
     (List.sort compare (storage.Storage.list_files ()));
   match Snapshot.load_chain storage with
-  | Some (seq, _, applied) ->
-    Alcotest.(check (pair int int)) "head still resolves" (2, 1) (seq, applied)
-  | None -> Alcotest.fail "compaction destroyed the chain"
+  | Some (seq, _) -> Alcotest.(check int) "newest full still loads" 2 seq
+  | None -> Alcotest.fail "compaction destroyed the newest snapshot"
 
 (* Crash-restart recovery must reproduce the reference engine at {e every}
    prefix of the workload, across snapshot cadences and segment rotations. *)
@@ -430,7 +471,7 @@ let test_recovery_after_crash_loses_only_unsynced () =
   check_engines_agree "recovered at the fsync boundary" ids reference
     outcome.Recovery.engine
 
-(* {1 Incremental snapshots (DESIGN.md §16)} *)
+(* {1 Snapshot versions and kinds (DESIGN.md §16)} *)
 
 (* Rewrite the u16 format version in a snapshot header (bytes 4-5).  The
    CRC covers only the body, so the relabelled file stays checksum-valid. *)
@@ -549,46 +590,56 @@ let test_retired_version_stops_recovery () =
   Alcotest.(check bool) "the WAL no longer covers the gap" true
     (outcome.Recovery.next_seq <= 32)
 
-(* A delta captures exactly the slots dirtied since the base was written:
-   composing it back onto the base reproduces the live engine and the wire
-   encoding round-trips. *)
-let test_delta_round_trip () =
-  let ids, cmds = workload ~seed:29 ~n:12 ~m:18 in
+(* An earlier build also wrote delta files ([delta-<seq>.delta]) chained
+   onto a full snapshot, and truncated the WAL past the full below them.
+   Recovering from that full would stop replay at the WAL gap: a silent
+   rollback of every command the deltas covered.  A directory holding a
+   delta file, intact or torn, must stop recovery instead, naming it. *)
+let test_delta_file_stops_recovery () =
+  let _, cmds = workload ~seed:41 ~n:14 ~m:24 in
   let cmds = Array.of_list cmds in
-  let half = Array.length cmds / 2 in
+  let wal_config = { Wal.segment_bytes = 256; sync = Wal.Always } in
+  let _dir, storage = mem () in
+  let wal, _ = Wal.open_ ~config:wal_config storage in
   let engine = Engine.create () in
-  for i = 0 to half - 1 do
-    ignore (Kronos_service.Server.apply engine cmds.(i))
-  done;
-  let base = Engine.to_snapshot engine in
-  Engine.snapshot_written engine;
-  Alcotest.(check int) "dirty set cleared after capture" 0
-    (Engine.dirty_slot_count engine);
-  for i = half to Array.length cmds - 1 do
-    ignore (Kronos_service.Server.apply engine cmds.(i))
-  done;
-  Alcotest.(check bool) "mutations re-dirty the engine" true
-    (Engine.dirty_slot_count engine > 0);
-  let d = Engine.to_delta engine in
-  let bytes = Snapshot.encode_delta ~base_seq:half ~seq:(Array.length cmds) d in
-  let base_seq, seq, decoded = Snapshot.decode_delta bytes in
-  Alcotest.(check int) "delta base seq" half base_seq;
-  Alcotest.(check int) "delta seq" (Array.length cmds) seq;
-  let composed = Engine.of_snapshot (Engine.apply_delta base decoded) in
-  check_engines_agree "base + delta equals live engine" ids engine composed;
-  (* corrupting the encoding must be detected by the checksum *)
-  let flipped = Bytes.of_string bytes in
-  Bytes.set flipped (Bytes.length flipped - 1)
-    (Char.chr (Char.code (Bytes.get flipped (Bytes.length flipped - 1)) lxor 1));
-  try
-    ignore (Snapshot.decode_delta (Bytes.to_string flipped));
-    Alcotest.fail "corrupt delta decoded"
-  with Kronos_wire.Codec.Decode_error _ -> ()
+  Array.iteri
+    (fun i c ->
+      let seq = i + 1 in
+      ignore (Kronos_service.Server.apply engine c);
+      Wal.append wal ~seq ~payload:c;
+      Wal.flush wal;
+      if seq = 16 then Snapshot.write storage ~seq engine;
+      if seq = 32 then Wal.truncate_before wal ~seq)
+    cmds;
+  Wal.sync wal;
+  let file = "delta-0000000032.delta" in
+  let refused what data version =
+    storage.Storage.remove_file file;
+    let w = storage.Storage.open_append file in
+    w.Storage.append data;
+    w.Storage.sync ();
+    w.Storage.close ();
+    match
+      Recovery.run ~wal_config
+        ~replay:(fun e (r : Wal.record) ->
+          ignore (Kronos_service.Server.apply e r.payload))
+        storage
+    with
+    | _ -> Alcotest.failf "recovery skipped a %s delta file" what
+    | exception Snapshot.Unsupported_version v ->
+      Alcotest.(check string) (what ^ ": file named") file v.file;
+      Alcotest.(check int) (what ^ ": version named") version v.version
+  in
+  (* a delta header: magic, u16 version 1, u32 crc, then the body *)
+  refused "intact" "KSND\x00\x01\x00\x00\x00\x00body" 1;
+  refused "torn" "KSN" 0;
+  Alcotest.(check bool) "the full below it is untouched" true
+    (List.mem (Snapshot.filename ~seq:16) (storage.Storage.list_files ()))
 
-(* Restart over a full + delta-chain + WAL-tail directory: recovery walks
-   the chain, replays exactly the uncovered suffix, and reports how much
-   work that took through the outcome and the recovery metrics. *)
-let test_delta_chain_recovery () =
+(* Restart over a full snapshot + WAL-tail directory: recovery restores
+   the newest full, replays exactly the uncovered suffix, and reports how
+   much work that took through the outcome and the recovery metrics. *)
+let test_snapshot_wal_tail_recovery () =
   let ids, cmds = workload ~seed:31 ~n:14 ~m:22 in
   let cmds = Array.of_list cmds in
   let total = Array.length cmds in
@@ -597,7 +648,6 @@ let test_delta_chain_recovery () =
   let _dir, storage = mem () in
   let wal, _ = Wal.open_ ~config:wal_config storage in
   let engine = Engine.create () in
-  let last_snap = ref 0 in
   Array.iteri
     (fun i c ->
       let seq = i + 1 in
@@ -605,10 +655,7 @@ let test_delta_chain_recovery () =
       Wal.append wal ~seq ~payload:c;
       Wal.flush wal;
       if seq mod 6 = 0 then begin
-        (if !last_snap = 0 then Snapshot.write storage ~seq engine
-         else Snapshot.write_delta storage ~base_seq:!last_snap ~seq engine);
-        Engine.snapshot_written engine;
-        last_snap := seq;
+        Snapshot.write storage ~seq engine;
         Wal.truncate_before wal ~seq
       end)
     cmds;
@@ -619,9 +666,8 @@ let test_delta_chain_recovery () =
         ignore (Kronos_service.Server.apply e r.payload))
       storage
   in
-  (* full at 6, deltas at 12..36 chained on it, records 37-38 replayed *)
+  (* fulls at 6..36, records 37-38 replayed *)
   Alcotest.(check int) "recovered head" 36 outcome.Recovery.snapshot_seq;
-  Alcotest.(check int) "deltas composed" 5 outcome.Recovery.deltas_applied;
   Alcotest.(check int) "next seq" (total + 1) outcome.Recovery.next_seq;
   Alcotest.(check int) "bounded tail replayed" 2 outcome.Recovery.replayed;
   Alcotest.(check bool) "replayed bytes accounted" true
@@ -629,70 +675,71 @@ let test_delta_chain_recovery () =
   Alcotest.(check bool) "timings are sane" true
     (outcome.Recovery.replay_ms >= 0.
      && outcome.Recovery.recovery_ms >= outcome.Recovery.replay_ms);
-  check_engines_agree "delta chain recovery" ids engine
+  check_engines_agree "snapshot + WAL tail recovery" ids engine
     outcome.Recovery.engine;
   (* the run is visible through the metrics registry *)
-  let cval scope name =
-    Kronos_metrics.Counter.value
-      (Kronos_metrics.counter (Kronos_metrics.scope scope) name)
-  in
   Alcotest.(check bool) "wal bytes counter advanced" true
-    (cval "recovery" "wal_bytes_replayed_total" > 0);
-  Alcotest.(check bool) "deltas counter advanced" true
-    (cval "recovery" "deltas_applied_total" >= 5)
+    (Kronos_metrics.Counter.value
+       (Kronos_metrics.counter
+          (Kronos_metrics.scope "recovery")
+          "wal_bytes_replayed_total")
+     > 0)
 
-(* A torn delta write at the head of the chain: recovery falls back to
-   the previous link, and compaction retires strays while auditing the
-   head it can actually resolve — never the torn file's. *)
-let test_delta_torn_write_compaction () =
+(* A torn write of the newest full snapshot (its final name holds
+   garbage, and the interrupted write left its temporary behind):
+   recovery falls back to the older full and replays the WAL above it,
+   and compaction retires the torn file and the stray while auditing the
+   head recovery actually restores — never the torn file's. *)
+let test_torn_snapshot_write_compaction () =
   let ids, cmds = workload ~seed:43 ~n:12 ~m:18 in
   let cmds = Array.of_list cmds in
   let total = Array.length cmds in
   Alcotest.(check int) "workload length" 32 total;
+  let wal_config = { Wal.segment_bytes = 256; sync = Wal.Always } in
   let _dir, storage = mem () in
+  let wal, _ = Wal.open_ ~config:wal_config storage in
   let engine = Engine.create () in
-  let last_snap = ref 0 in
   Array.iteri
     (fun i c ->
-      ignore (Kronos_service.Server.apply engine c);
       let seq = i + 1 in
-      if seq mod 8 = 0 then begin
-        (if !last_snap = 0 then Snapshot.write storage ~seq engine
-         else Snapshot.write_delta storage ~base_seq:!last_snap ~seq engine);
-        Engine.snapshot_written engine;
-        last_snap := seq
+      ignore (Kronos_service.Server.apply engine c);
+      Wal.append wal ~seq ~payload:c;
+      Wal.flush wal;
+      (* fulls at 8, 16, 24; the write at 32 tears below *)
+      if seq mod 8 = 0 && seq < total then begin
+        Snapshot.write storage ~seq engine;
+        Wal.truncate_before wal ~seq
       end)
     cmds;
-  (* full at 8; deltas at 16, 24, 32.  Tear the head delta and leave the
-     stray tmp of the interrupted write behind. *)
-  let torn = Snapshot.delta_filename ~seq:32 in
-  storage.Storage.remove_file torn;
-  let w = storage.Storage.open_append torn in
-  w.Storage.append "KSNDtorn";
-  w.Storage.sync ();
-  w.Storage.close ();
-  let w = storage.Storage.open_append "delta-0000000032.tmp" in
-  w.Storage.append "interrupted";
-  w.Storage.sync ();
-  w.Storage.close ();
-  let reference = Engine.create () in
-  for i = 0 to 23 do
-    ignore (Kronos_service.Server.apply reference cmds.(i))
-  done;
-  (match Snapshot.load_chain storage with
-   | Some (seq, restored, applied) ->
-     Alcotest.(check int) "fell back past the torn head" 24 seq;
-     Alcotest.(check int) "surviving chain composed" 2 applied;
-     check_engines_agree "torn-head fallback" ids reference restored
-   | None -> Alcotest.fail "torn head destroyed the chain");
-  let removed = Snapshot.compact storage ~keep:2 in
-  Alcotest.(check bool) "stray tmp retired" true (removed >= 1);
-  Alcotest.(check bool) "tmp really gone" true
-    (not (List.mem "delta-0000000032.tmp" (storage.Storage.list_files ())));
+  Wal.sync wal;
+  let torn = Snapshot.filename ~seq:32 in
+  List.iter
+    (fun (name, data) ->
+      let w = storage.Storage.open_append name in
+      w.Storage.append data;
+      w.Storage.sync ();
+      w.Storage.close ())
+    [ (torn, "KSNPtorn"); ("snap-0000000032.tmp", "interrupted") ];
+  let recover () =
+    Recovery.run ~wal_config
+      ~replay:(fun e (r : Wal.record) ->
+        ignore (Kronos_service.Server.apply e r.payload))
+      storage
+  in
+  let o = recover () in
+  Alcotest.(check int) "fell back past the torn head" 24 o.Recovery.snapshot_seq;
+  Alcotest.(check int) "the WAL above it replayed" 8 o.Recovery.replayed;
+  check_engines_agree "torn-head fallback" ids engine o.Recovery.engine;
+  (* torn head, stray tmp and the full beyond [keep] *)
+  Alcotest.(check int) "retired" 3 (Snapshot.compact storage ~keep:2);
+  Alcotest.(check (list string)) "the two newest valid fulls remain"
+    [ Snapshot.filename ~seq:16; Snapshot.filename ~seq:24 ]
+    (List.filter (String.starts_with ~prefix:"snap-")
+       (storage.Storage.list_files ()));
   (match Snapshot.read_manifest storage with
    | None -> Alcotest.fail "compaction wrote no manifest"
    | Some (head, kept) ->
-     Alcotest.(check int) "manifest audits the resolvable head" 24 head;
+     Alcotest.(check int) "manifest audits the restorable head" 24 head;
      let files = storage.Storage.list_files () in
      List.iter
        (fun n ->
@@ -701,17 +748,15 @@ let test_delta_torn_write_compaction () =
            true (List.mem n files))
        kept);
   (* compaction must not have hurt recoverability *)
-  match Snapshot.load_chain storage with
-  | Some (seq, _, _) ->
-    Alcotest.(check int) "head unchanged by compaction" 24 seq
-  | None -> Alcotest.fail "compaction destroyed the chain"
+  let o = recover () in
+  Alcotest.(check (pair int int)) "head and tail unchanged by compaction"
+    (24, total + 1) (o.Recovery.snapshot_seq, o.Recovery.next_seq)
 
 (* The snapshot schedule every durable replica runs.  With a one-byte
-   window every group commit snapshots, so the cadence is exact: a full
-   snapshot, [max_delta_chain] deltas, a full re-anchor, and so on; the
-   directory never holds more than [fulls_kept] fulls or a delta a full
-   covers.  After a restart the first snapshot is full again, whatever the
-   chain length, and recovery resolves the schedule's head. *)
+   window every group commit writes a full snapshot, and the directory
+   never holds more than [fulls_kept] of them.  Recovery resolves the
+   schedule's head, and a schedule created over the recovered state
+   carries on. *)
 let test_schedule_cadence () =
   let ids, cmds = workload ~seed:31 ~n:14 ~m:22 in
   let cmds = Array.of_list cmds in
@@ -719,7 +764,6 @@ let test_schedule_cadence () =
   let restart_at = 30 in
   let wal_config = { Wal.segment_bytes = 256; sync = Wal.Always } in
   let _dir, storage = mem () in
-  let kinds = Buffer.create total in
   let run wal engine schedule lo hi =
     for seq = lo to hi do
       ignore (Kronos_service.Server.apply engine cmds.(seq - 1));
@@ -727,21 +771,14 @@ let test_schedule_cadence () =
       Schedule.commit schedule engine ~upto:seq;
       Alcotest.(check int) "every commit snapshots" seq
         (Schedule.last_snapshot schedule);
-      let files = storage.Storage.list_files () in
-      Buffer.add_char kinds
-        (if List.mem (Snapshot.filename ~seq) files then 'F' else 'D');
-      let fulls =
-        List.filter (fun n -> Filename.check_suffix n ".snap") files
+      let snaps =
+        List.filter (String.starts_with ~prefix:"snap-")
+          (storage.Storage.list_files ())
       in
+      Alcotest.(check bool) "a full snapshot at the commit" true
+        (List.mem (Snapshot.filename ~seq) snaps);
       Alcotest.(check bool) "at most fulls_kept fulls" true
-        (List.length fulls <= Schedule.fulls_kept);
-      let newest_full = List.fold_left max "" fulls in
-      List.iter
-        (fun n ->
-          if Filename.check_suffix n ".delta" then
-            Alcotest.(check bool) (n ^ " is newer than the newest full") true
-              (String.sub n 6 10 > String.sub newest_full 5 10))
-        files
+        (List.length snaps <= Schedule.fulls_kept)
     done
   in
   let wal, _ = Wal.open_ ~config:wal_config storage in
@@ -757,16 +794,11 @@ let test_schedule_cadence () =
   let o = recover () in
   Alcotest.(check int) "restart resolves the schedule's head" restart_at
     o.Recovery.snapshot_seq;
-  Alcotest.(check int) "restart composes the open chain" 2
-    o.Recovery.deltas_applied;
+  Alcotest.(check int) "nothing to replay at the head" 0 o.Recovery.replayed;
   run o.Recovery.wal o.Recovery.engine
     (Schedule.create storage o.Recovery.wal ~wal_bytes:1
        ~snapshot_seq:o.Recovery.snapshot_seq)
     (restart_at + 1) total;
-  (* fulls at 1, 10, 19, 28; the restart forces one at 31 *)
-  Alcotest.(check string) "full every max_delta_chain deltas"
-    "FDDDDDDDDFDDDDDDDDFDDDDDDDDFDDFDDDDDDD" (Buffer.contents kinds);
-  Alcotest.(check int) "max_delta_chain" 8 Schedule.max_delta_chain;
   let o = recover () in
   Alcotest.(check int) "final head" total o.Recovery.snapshot_seq;
   Alcotest.(check int) "nothing left to replay" 0 o.Recovery.replayed;
@@ -797,6 +829,8 @@ let test_durability_window_validated () =
 let suites =
   [ ( "durability",
       [
+        Alcotest.test_case "crc32 known answers" `Quick test_crc32_known_answers;
+        QCheck_alcotest.to_alcotest prop_crc32_matches_bitwise;
         Alcotest.test_case "wal round trip" `Quick test_wal_round_trip;
         Alcotest.test_case "wal crash drops unsynced" `Quick
           test_wal_crash_drops_unsynced;
@@ -818,11 +852,12 @@ let suites =
           test_snapshot_version_matrix;
         Alcotest.test_case "retired-version head stops recovery" `Quick
           test_retired_version_stops_recovery;
-        Alcotest.test_case "delta round trip" `Quick test_delta_round_trip;
-        Alcotest.test_case "delta chain recovery" `Quick
-          test_delta_chain_recovery;
-        Alcotest.test_case "torn delta write + compaction" `Quick
-          test_delta_torn_write_compaction;
+        Alcotest.test_case "delta file stops recovery" `Quick
+          test_delta_file_stops_recovery;
+        Alcotest.test_case "snapshot + wal tail recovery" `Quick
+          test_snapshot_wal_tail_recovery;
+        Alcotest.test_case "torn snapshot write + compaction" `Quick
+          test_torn_snapshot_write_compaction;
         Alcotest.test_case "compact retires temporaries" `Quick
           test_compact_retires_temporaries;
         Alcotest.test_case "schedule cadence" `Quick test_schedule_cadence;

@@ -144,6 +144,7 @@ module Storage = Kronos_durability.Storage
 
 type durable_env = {
   dsim : Sim.t;
+  dnet : Chain.msg Net.t;  (* for per-link drops *)
   cluster : Server.cluster;
   client : Client.t;
   writes : int ref;  (** completed write acknowledgements *)
@@ -154,7 +155,8 @@ type durable_env = {
    that is [None]. *)
 let make_env ?(seed = 21L) ~durability disks =
   let sim = Sim.create ~seed () in
-  let net = Sim_transport.of_net (Net.create sim) in
+  let dnet = Net.create sim in
+  let net = Sim_transport.of_net dnet in
   let cluster =
     Server.deploy ~net ~coordinator:coordinator_addr ~replicas:[ 0; 1; 2 ]
       ?durability ~ping_interval:0.1 ~failure_timeout:0.35 ()
@@ -163,7 +165,7 @@ let make_env ?(seed = 21L) ~durability disks =
     Client.create ~net ~addr:2000 ~coordinator:coordinator_addr
       ~cache_capacity:0 ~request_timeout:0.4 ()
   in
-  { dsim = sim; cluster; client; writes = ref 0; disks }
+  { dsim = sim; dnet; cluster; client; writes = ref 0; disks }
 
 (* With [in_memory], every replica start gets a fresh disk, as in a
    cluster deployed without [~durability] ([disks] then holds the latest
@@ -408,6 +410,49 @@ let test_in_memory_blank_join_installs_snapshot () =
   Sim.run ~until:(Sim.now env.dsim +. 2.0) env.dsim;
   check_snapshot_join "restarted blank" env ids 1
 
+(* A write whose replies are all lost, retried across a tail that rejoins
+   by snapshot: the new tail holds no reply for any seq at or below the
+   snapshot, so it acks the re-forwarded retry without answering.  The
+   head answers the retry itself, because an Ack already covered the
+   write — every replica applied and committed it. *)
+let test_lost_reply_retried_across_snapshot_join () =
+  let env = truncating_env ~in_memory:true () in
+  let sim = env.dsim in
+  ignore (run_to_completion env ~n:4);
+  let replies_lost lost =
+    List.iter
+      (fun a ->
+        Net.set_link env.dnet ~src:a ~dst:2000
+          { Net.default_latency with drop = (if lost then 1.0 else 0.0) })
+      [ 0; 1; 2 ]
+  in
+  replies_lost true;
+  let result = ref None in
+  Client.create_event env.client ~timeout:8.0 (fun r -> result := Some r);
+  Sim.run ~until:(Sim.now sim +. 0.5) sim;
+  (* more writes push the survivors' snapshots past the lost one *)
+  for _ = 1 to 8 do
+    Client.create_event env.client ignore
+  done;
+  Sim.run ~until:(Sim.now sim +. 1.0) sim;
+  Server.crash env.cluster 2;
+  Sim.run ~until:(Sim.now sim +. 1.0) sim;
+  Server.restart_replica env.cluster 2 ();
+  Sim.run ~until:(Sim.now sim +. 1.0) sim;
+  (match Server.replica_of env.cluster 2 with
+   | Some replica ->
+     Alcotest.(check int) "tail rejoined by snapshot" 1
+       (Chain.Replica.snapshot_installs replica)
+   | None -> Alcotest.fail "restarted replica missing");
+  Alcotest.(check bool) "no reply reached the client yet" true (!result = None);
+  replies_lost false;
+  Sim.run ~until:(Sim.now sim +. 6.0) sim;
+  match !result with
+  | Some (Ok _) -> ()
+  | Some (Error e) ->
+    Alcotest.failf "retried write failed: %s" (Kronos_service.Error.to_string e)
+  | None -> Alcotest.fail "retried write never answered"
+
 (* A cluster deployed without [~durability] restarts a crashed replica
    blank, and the tail's WAL tail brings it back. *)
 let test_restart_without_durability () =
@@ -474,6 +519,8 @@ let suites =
           test_durable_restart_far_behind_installs_snapshot;
         Alcotest.test_case "in-memory blank join installs snapshot" `Quick
           test_in_memory_blank_join_installs_snapshot;
+        Alcotest.test_case "lost reply retried across a snapshot join" `Quick
+          test_lost_reply_retried_across_snapshot_join;
         Alcotest.test_case "restart without durability" `Quick
           test_restart_without_durability;
         Alcotest.test_case "join after snapshot files deleted" `Quick

@@ -173,7 +173,7 @@ let test_introspection () =
    slot: nine int arrays (refcount, gen, indeg, rank, marks, queue,
    queue_b, chain_of, chain_pos), four pointer arrays (succ, pred, labels,
    chains), two fresh capacity-2 adjacency vectors (4 words each), and the
-   sparse + dense arrays of the [dirty] and [snap_dirty] sets. *)
+   sparse + dense arrays of the [dirty] set. *)
 let test_memory_bytes_across_doubling () =
   let g = Graph.create ~initial_capacity:64 () in
   for _ = 1 to 64 do
@@ -184,7 +184,7 @@ let test_memory_bytes_across_doubling () =
   ignore (Graph.create_event g);
   Alcotest.(check int) "capacity doubled" (2 * cap) (Graph.capacity g);
   let word = Sys.word_size / 8 in
-  let per_slot_words = 9 + 4 + 8 + 4 in
+  let per_slot_words = 9 + 4 + 8 + 2 in
   let grown = Graph.memory_bytes g - before in
   if grown < per_slot_words * word * cap then
     Alcotest.failf "memory_bytes grew by %d bytes over %d new slots, below %d"

@@ -8,20 +8,20 @@
    - {b clean kill + planted snapshot}: replica 2's runtime is shut down
      and a full snapshot of its engine is planted in its storage at the
      applied sequence, so recovery must resolve it among the schedule's
-     own full snapshots and deltas;
+     own full snapshots;
    - {b machine crash + lying disk}: replica 2's storage wrapper silently
      drops fsyncs, then the "machine" crashes (un-synced bytes vanish) and
      a torn half-record is appended to the WAL tail — recovery must
      truncate the tear and rejoin from whatever really reached the disk.
 
    Replicas run the snapshot schedule with a tiny WAL window, so full
-   snapshots, delta chains, WAL segment retirement and compaction all
-   churn constantly underneath the faults — every iteration checks that
+   snapshots, WAL segment retirement and compaction all churn
+   constantly underneath the faults — every iteration checks that
    they did.  The checker asserts that no acknowledged order is ever lost
    (every acked pair still answers [Before] through the tail), that the
    replicas that never crashed converge bit-identically, that the
    restarted replica's engine matches the head, and that an offline
-   re-recovery of the victim's storage resolves a snapshot chain plus a
+   re-recovery of the victim's storage resolves a full snapshot plus a
    bounded WAL tail.
 
    Iteration count: KRONOS_NEMESIS_ITERS (default 3; CI's PR lane runs a
@@ -202,10 +202,10 @@ let test_nemesis_schedule () =
     | 3 -> Storage.Memory.storage dir3
     | a -> Alcotest.fail (Printf.sprintf "unexpected storage for addr %d" a)
   in
-  (* A tiny WAL window so the snapshot schedule — deltas, full re-anchors,
-     WAL segment retirement, compaction — churns constantly: a window is
-     about four commands, so each iteration's ~60 commands take every
-     replica through more than [max_delta_chain] snapshots. *)
+  (* A tiny WAL window so the snapshot schedule — full snapshots, WAL
+     segment retirement, compaction — churns constantly: a window is about
+     four commands, so each iteration's ~60 commands take every replica
+     through a dozen snapshots. *)
   let durability =
     Server.durability
       ~wal_config:{ Wal.segment_bytes = 512; sync = Wal.Always }
@@ -216,7 +216,7 @@ let test_nemesis_schedule () =
       (Kronos_metrics.counter (Kronos_metrics.scope scope) name)
   in
   (* Newest full snapshot in a never-restarted replica's directory: it
-     only grows when the schedule re-anchors its delta chain. *)
+     grows with every snapshot the schedule writes. *)
   let newest_full dir =
     List.fold_left
       (fun acc (n, _) ->
@@ -351,7 +351,6 @@ let test_nemesis_schedule () =
   in
 
   for iter = 1 to iterations do
-    let deltas0 = cval "snapshot" "delta_writes_total" in
     let retired0 = cval "durability" "snapshots_retired_total" in
     let full0 = newest_full dir1 in
     (match (iter - 1) mod 3 with
@@ -371,7 +370,7 @@ let test_nemesis_schedule () =
      | 1 ->
        (* Clean kill, then plant a full snapshot at the replica's applied
           sequence: recovery must prefer it over the schedule's own fulls
-          and deltas beside it. *)
+          beside it. *)
        run_workload ~total:30 ~at:10
          ~nemesis:(fun () -> Tcp.shutdown !t2cur)
          ();
@@ -419,16 +418,14 @@ let test_nemesis_schedule () =
       Alcotest.(check bool) (Printf.sprintf "iteration %d: %s" iter what) true
         (v > v0)
     in
-    churned "a delta was written" deltas0 (cval "snapshot" "delta_writes_total");
-    churned "replica 1 re-anchored with a full snapshot" full0
-      (newest_full dir1);
+    churned "replica 1 wrote a full snapshot" full0 (newest_full dir1);
     churned "a snapshot file was retired" retired0
       (cval "durability" "snapshots_retired_total");
     List.iter
       (fun (addr, dir) ->
         let storage = Storage.Memory.storage dir in
         match (Snapshot.read_manifest storage, Snapshot.load_chain storage) with
-        | Some (head, _), Some (seq, _, _) ->
+        | Some (head, _), Some (seq, _) ->
           Alcotest.(check int)
             (Printf.sprintf "iteration %d: replica %d manifest head" iter addr)
             seq head
@@ -466,8 +463,8 @@ let test_nemesis_schedule () =
     (chunks 32 (List.rev !acked));
 
   (* The snapshot schedule must have actually churned. *)
-  Alcotest.(check bool) "incremental deltas were written" true
-    (cval "snapshot" "delta_writes_total" > 0);
+  Alcotest.(check bool) "full snapshots were written" true
+    (cval "snapshot" "writes_total" > 0);
   Alcotest.(check bool) "WAL segments were retired" true
     (cval "durability" "segments_retired_total" > 0);
 
@@ -476,8 +473,8 @@ let test_nemesis_schedule () =
      state does not, and the manifest only ever names files that exist. *)
   let before =
     match Snapshot.load_chain storage2_raw with
-    | Some (seq, _, _) -> seq
-    | None -> Alcotest.fail "victim storage lost its snapshot chain"
+    | Some (seq, _) -> seq
+    | None -> Alcotest.fail "victim storage lost its snapshot"
   in
   let w = storage2_raw.Storage.open_append "snap-0000000001.tmp" in
   w.Storage.append "interrupted";
@@ -490,10 +487,10 @@ let test_nemesis_schedule () =
   Alcotest.(check bool) "snapshots retired counted" true
     (cval "durability" "snapshots_retired_total" > 0);
   (match Snapshot.load_chain storage2_raw with
-   | Some (seq, _, _) ->
+   | Some (seq, _) ->
      Alcotest.(check int) "compaction preserved the recoverable head" before
        seq
-   | None -> Alcotest.fail "compaction destroyed the snapshot chain");
+   | None -> Alcotest.fail "compaction destroyed the snapshot");
   (match Snapshot.read_manifest storage2_raw with
    | None -> Alcotest.fail "compaction left no manifest"
    | Some (head, kept) ->
@@ -508,7 +505,7 @@ let test_nemesis_schedule () =
        kept);
 
   (* Offline re-recovery of the victim's storage (on a copy, so the live
-     replica keeps running): the snapshot chain must resolve and the
+     replica keeps running): a full snapshot must resolve and the
      replayed WAL tail must stay within what the replica actually
      acknowledged — recovery never invents state. *)
   let copy = Storage.Memory.storage (Storage.Memory.create ()) in
@@ -520,7 +517,7 @@ let test_nemesis_schedule () =
       w.Storage.close ())
     (Storage.Memory.files dir2);
   let oc = Recovery.run ~replay:(fun _ _ -> ()) copy in
-  Alcotest.(check bool) "offline recovery resolves the snapshot chain" true
+  Alcotest.(check bool) "offline recovery resolves a snapshot" true
     (oc.Recovery.snapshot_seq > 0);
   Alcotest.(check bool) "offline recovery stays within acked state" true
     (oc.Recovery.next_seq - 1 <= Chain.Replica.last_applied !r2cur
