@@ -24,8 +24,10 @@ loopback: build
 nemesis: build
 	dune exec test/test_main.exe -- test '^nemesis'
 
-# Verifiable-causality gate (DESIGN.md §13): commitment chains,
-# prover/verifier roundtrips, the tamper-injection suite (flipped digest,
+# Verifiable-causality gate (DESIGN.md §13): the SHA-256 portable/accelerated
+# agreement suite (NIST vectors and compress_pair known answers on both
+# paths, a QCheck agreement property, the sha_ni-host selection check),
+# commitment chains, prover/verifier roundtrips, the tamper-injection suite (flipped digest,
 # truncated path, spliced proof, reordered suffix — all rejected),
 # digest-toggle snapshot restores, verified reads over simnet and real TCP, and
 # audit pinning against a history rewrite.

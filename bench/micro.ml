@@ -291,8 +291,31 @@ let metrics_overhead_ablation () =
     "gate overhead %+.1f%% on the query hot path (budget 5%%), no-op sink diverges: %b"
     overhead (d_on <> d_off)
 
+(* Ablation: the SHA-256 compression every fresh edge runs twice to fold
+   its commitment link (DESIGN.md §13), on the SHA-NI stub and on the
+   portable OCaml code.  Ungated: the accelerated row reads the same as
+   the portable one on CPUs without SHA extensions. *)
+let sha256_ablation () =
+  Bench_util.section "Ablation: SHA-256 compress_pair, SHA-NI vs portable OCaml";
+  let a = Sha256.digest_string "left" and b = Sha256.digest_string "right" in
+  let hw =
+    Bench_util.bechamel_ns_per_op ~name:"compress_pair/dispatch" (fun () ->
+        ignore (Sys.opaque_identity (Sha256.compress_pair a b)))
+  in
+  let portable =
+    Bench_util.bechamel_ns_per_op ~name:"compress_pair/portable" (fun () ->
+        ignore (Sys.opaque_identity (Sha256.Portable.compress_pair a b)))
+  in
+  Printf.printf "  dispatch (%s): %s/compress_pair\n"
+    (if Sha256.accelerated then "SHA-NI" else "portable")
+    (Bench_util.pp_ns hw);
+  Printf.printf "  portable OCaml: %s/compress_pair\n%!" (Bench_util.pp_ns portable);
+  Bench_util.ours "SHA-NI compress_pair %.1fx faster than portable (accelerated: %b)"
+    (portable /. hw) Sha256.accelerated
+
 let run () =
   dependency_creation ();
   sparse_set_ablation ();
   prefer_ordering_ablation ();
-  metrics_overhead_ablation ()
+  metrics_overhead_ablation ();
+  sha256_ablation ()

@@ -1,8 +1,9 @@
-(* SHA-256 over native ints.  Words live in the low 32 bits of an OCaml
-   int (we require a 64-bit platform, as the rest of the engine already
-   does); [mask] truncates after additions.  Keeping everything in
-   immediate ints avoids the Int32 boxing that would otherwise dominate
-   the per-edge commitment fold. *)
+(* SHA-256, two ways: the SHA-NI compression of sha256_stubs.c when the
+   CPU has it, and [Portable], over native ints.  Portable words live in
+   the low 32 bits of an OCaml int (we require a 64-bit platform, as the
+   rest of the engine already does); [mask] truncates after additions.
+   Keeping everything in immediate ints avoids the Int32 boxing that would
+   otherwise dominate the per-edge commitment fold. *)
 
 let mask = 0xffffffff
 
@@ -96,60 +97,92 @@ let state_to_string h =
   done;
   Bytes.unsafe_to_string out
 
-(* Per-domain scratch: state, schedule and a one-block staging buffer.
-   Domain-local (rather than global with a single-writer caveat) because
-   certificate verification folds links on whatever domain the client or a
-   query-pool worker happens to run on, concurrently with the writer.  The
-   32-byte result string is the only allocation left on the hot paths
-   (the per-edge [compress_pair] fold and the one-block [digest_string]
-   of a 52-byte link partner). *)
-type scratch = { h : int array; w : int array; block : Bytes.t }
+let check_pair a b =
+  if String.length a <> digest_length || String.length b <> digest_length then
+    invalid_arg "Sha256.compress_pair: arguments must be 32 bytes"
 
-let scratch_key =
-  Domain.DLS.new_key (fun () ->
-      { h = Array.make 8 0; w = Array.make 64 0; block = Bytes.make 64 '\000' })
+module Portable = struct
+  (* Stage the padded tail of [msg], whose first [full] bytes are whole
+     blocks, in [tail]: the remaining bytes, 0x80, zeros and the 64-bit
+     big-endian bit length.  Returns the tail's block count (1, or 2 when
+     fewer than 9 bytes of the last block are free). *)
+  let pad_tail tail msg full =
+    let len = String.length msg in
+    let rem = len - full in
+    let n = if rem <= 55 then 64 else 128 in
+    Bytes.fill tail 0 n '\000';
+    Bytes.blit_string msg full tail 0 rem;
+    Bytes.set tail rem '\x80';
+    Bytes.set_int64_be tail (n - 8) (Int64.of_int (len * 8));
+    n / 64
 
-let digest_string msg =
-  let len = String.length msg in
-  let s = Domain.DLS.get scratch_key in
-  Array.blit iv 0 s.h 0 8;
-  if len <= 55 then begin
-    (* single padded block: message, 0x80, zeros, 16 bits of bit length
-       (len * 8 < 448 always fits) *)
-    Bytes.fill s.block 0 64 '\000';
-    Bytes.blit_string msg 0 s.block 0 len;
-    Bytes.set s.block len '\x80';
-    Bytes.set_uint16_be s.block 62 (len * 8);
+  (* Per-domain scratch: state, schedule and a two-block staging buffer.
+     Domain-local (rather than global with a single-writer caveat) because
+     certificate verification folds links on whatever domain the client or
+     a query-pool worker happens to run on, concurrently with the writer.
+     The 32-byte result string is the only allocation on the hot paths. *)
+  type scratch = { h : int array; w : int array; block : Bytes.t }
+
+  let scratch_key =
+    Domain.DLS.new_key (fun () ->
+        { h = Array.make 8 0; w = Array.make 64 0; block = Bytes.create 128 })
+
+  let digest_string msg =
+    let s = Domain.DLS.get scratch_key in
+    Array.blit iv 0 s.h 0 8;
+    let full = String.length msg / 64 * 64 in
+    for b = 0 to (full / 64) - 1 do
+      compress s.h s.w msg (b * 64)
+    done;
+    let tail = pad_tail s.block msg full in
+    for b = 0 to tail - 1 do
+      compress s.h s.w (Bytes.unsafe_to_string s.block) (b * 64)
+    done;
+    state_to_string s.h
+
+  let compress_pair a b =
+    check_pair a b;
+    let s = Domain.DLS.get scratch_key in
+    Bytes.blit_string a 0 s.block 0 digest_length;
+    Bytes.blit_string b 0 s.block digest_length digest_length;
+    Array.blit iv 0 s.h 0 8;
     compress s.h s.w (Bytes.unsafe_to_string s.block) 0;
     state_to_string s.h
-  end
+end
+
+(* The SHA-NI path (sha256_stubs.c): the stubs hash into a result buffer
+   allocated here, so the digest string is the only allocation. *)
+external cpu_has_sha : unit -> bool = "kronos_sha256_accelerated" [@@noalloc]
+
+external hw_digest : string -> Bytes.t -> unit = "kronos_sha256_digest"
+[@@noalloc]
+
+external hw_compress_pair : string -> string -> Bytes.t -> unit
+  = "kronos_sha256_compress_pair"
+[@@noalloc]
+
+let accelerated = cpu_has_sha ()
+
+let () =
+  Kronos_metrics.read_only_gauge (Kronos_metrics.scope "sha256") "accelerated"
+    (Bool.to_int accelerated)
+
+let digest_string msg =
+  if not accelerated then Portable.digest_string msg
   else begin
-    (* padded length: message + 0x80 + zeros + 64-bit bit length *)
-    let total = ((len + 8) / 64 * 64) + 64 in
-    let buf = Bytes.make total '\000' in
-    Bytes.blit_string msg 0 buf 0 len;
-    Bytes.set buf len '\x80';
-    let bits = len * 8 in
-    for i = 0 to 7 do
-      Bytes.set buf (total - 1 - i) (Char.chr ((bits lsr (8 * i)) land 0xff))
-    done;
-    let padded = Bytes.unsafe_to_string buf in
-    let blocks = total / 64 in
-    for b = 0 to blocks - 1 do
-      compress s.h s.w padded (b * 64)
-    done;
-    state_to_string s.h
+    let out = Bytes.create digest_length in
+    hw_digest msg out;
+    Bytes.unsafe_to_string out
   end
 
 let compress_pair a b =
-  if String.length a <> digest_length || String.length b <> digest_length then
-    invalid_arg "Sha256.compress_pair: arguments must be 32 bytes";
-  let s = Domain.DLS.get scratch_key in
-  Bytes.blit_string a 0 s.block 0 digest_length;
-  Bytes.blit_string b 0 s.block digest_length digest_length;
-  Array.blit iv 0 s.h 0 8;
-  compress s.h s.w (Bytes.unsafe_to_string s.block) 0;
-  state_to_string s.h
+  if not accelerated then Portable.compress_pair a b
+  else begin
+    check_pair a b;
+    let out = Bytes.create digest_length in
+    hw_compress_pair a b out;
+    Bytes.unsafe_to_string out
+  end
 
 let hex s =
   let out = Bytes.create (2 * String.length s) in

@@ -92,20 +92,18 @@ let encode ~seq (s : Engine.snapshot) =
 
 (* Header check: magic, then body checksum, then version — so garbage and
    torn files stay [Decode_error]s that readers fall back past, and only an
-   intact file under another format number is [Unsupported_version].
-   Returns the body. *)
+   intact file under another format number is [Unsupported_version].  The
+   body is checksummed where it lies: validating copies nothing. *)
 let validate ~file data =
   if String.length data < header_bytes then
     raise (Codec.Decode_error "snapshot: truncated header");
-  if String.sub data 0 4 <> magic then
+  if not (String.starts_with ~prefix:magic data) then
     raise (Codec.Decode_error "snapshot: bad magic");
   let crc = String.get_int32_be data 6 in
-  let body = String.sub data header_bytes (String.length data - header_bytes) in
-  if Crc32.string body <> crc then
+  if Crc32.string ~off:header_bytes data <> crc then
     raise (Codec.Decode_error "snapshot: checksum mismatch");
   let v = String.get_uint16_be data 4 in
-  if v <> version then raise (Unsupported_version { file; version = v });
-  body
+  if v <> version then raise (Unsupported_version { file; version = v })
 
 let get_int64 d = Int64.to_int (Codec.get_i64 d)
 
@@ -116,8 +114,8 @@ let expect_section d what =
     raise (Codec.Decode_error ("snapshot: missing " ^ what ^ " section"))
 
 let decode_file ~file data =
-  let body = validate ~file data in
-  let d = Codec.decoder body in
+  validate ~file data;
+  let d = Codec.decoder ~off:header_bytes data in
   let seq = get_int64 d in
   let snap_next_slot = Codec.get_u32 d in
   let snap_refcount =
@@ -125,7 +123,7 @@ let decode_file ~file data =
   in
   let snap_gen = get_int_array d in
   let n = Codec.get_u32 d in
-  if n > String.length body then
+  if n > String.length data then
     raise (Codec.Decode_error "snapshot: absurd adjacency count");
   let snap_succ = Array.init n (fun _ -> get_int_array d) in
   let snap_free = get_int_array d in
@@ -133,7 +131,7 @@ let decode_file ~file data =
   let snap_visited_total = get_int64 d in
   expect_section d "rank";
   let len = Codec.get_u32 d in
-  if len > String.length body then
+  if len > String.length data then
     raise (Codec.Decode_error "snapshot: absurd rank count");
   let snap_rank = Array.init len (fun _ -> get_int64 d) in
   let snap_next_rank = get_int64 d in
@@ -147,12 +145,12 @@ let decode_file ~file data =
     if not (Codec.get_bool d) then None
     else begin
       let len = Codec.get_u32 d in
-      if len > String.length body then
+      if len > String.length data then
         raise (Codec.Decode_error "snapshot: absurd link table count");
       Some
         (Array.init len (fun _ ->
              let m = Codec.get_u32 d in
-             if m > String.length body then
+             if m > String.length data then
                raise (Codec.Decode_error "snapshot: absurd link count");
              Array.init m (fun _ ->
                  let pred = Codec.get_i64 d in
@@ -164,12 +162,12 @@ let decode_file ~file data =
   let snap_version = get_int64 d in
   expect_section d "chain";
   let nslots = Codec.get_u32 d in
-  if nslots > String.length body then
+  if nslots > String.length data then
     raise (Codec.Decode_error "snapshot: absurd chain table count");
   let cs_chain_of = Array.init nslots (fun _ -> Codec.get_u32 d - 1) in
   let cs_chain_pos = Array.init nslots (fun _ -> get_int64 d) in
   let nchains = Codec.get_u32 d in
-  if nchains > String.length body then
+  if nchains > String.length data then
     raise (Codec.Decode_error "snapshot: absurd chain count");
   let cs_chain_len = Array.init nchains (fun _ -> get_int64 d) in
   let cs_free_chains = get_int_array d in
@@ -281,7 +279,7 @@ let load_chain ?config storage =
    propagates. *)
 let is_valid ~file data =
   match validate ~file data with
-  | (_ : string) -> true
+  | () -> true
   | exception Codec.Decode_error _ -> false
 
 let load_chain_bytes storage =

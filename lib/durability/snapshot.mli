@@ -33,6 +33,13 @@ val decode : string -> int * Engine.snapshot
     or malformed body.
     @raise Unsupported_version on an intact body under another version. *)
 
+val is_valid : file:string -> string -> bool
+(** Whether [data] has the snapshot magic and a body matching its
+    checksum — the check compaction and {!load_chain_bytes} make before
+    trusting a file.  The body is checksummed in place, without a copy.
+    @raise Unsupported_version on an intact body under another version
+    ([file] names it). *)
+
 (** {1 Snapshot files} *)
 
 val filename : seq:int -> string

@@ -111,6 +111,7 @@ type value =
   | C of Counter.t
   | A of Atomic_counter.t
   | G of Gauge.t
+  | K of int
   | H of Histogram.t
 
 type entry = { base : string; labels : (string * string) list; value : value }
@@ -131,6 +132,7 @@ let kind_name = function
   | C _ -> "counter"
   | A _ -> "atomic counter"
   | G _ -> "gauge"
+  | K _ -> "read-only gauge"
   | H _ -> "histogram"
 
 let find_or_add scope_ labels name wrap unwrap make =
@@ -152,26 +154,33 @@ let find_or_add scope_ labels name wrap unwrap make =
 let counter scope_ ?(labels = []) name =
   find_or_add scope_ labels name
     (fun c -> C c)
-    (function C c -> Some c | A _ | G _ | H _ -> None)
+    (function C c -> Some c | A _ | G _ | K _ | H _ -> None)
     Counter.make
 
 let atomic_counter scope_ ?(labels = []) name =
   find_or_add scope_ labels name
     (fun c -> A c)
-    (function A c -> Some c | C _ | G _ | H _ -> None)
+    (function A c -> Some c | C _ | G _ | K _ | H _ -> None)
     Atomic_counter.make
 
 let gauge scope_ ?(labels = []) name =
   find_or_add scope_ labels name
     (fun g -> G g)
-    (function G g -> Some g | C _ | A _ | H _ -> None)
+    (function G g -> Some g | C _ | A _ | K _ | H _ -> None)
     Gauge.make
 
 let histogram scope_ ?(labels = []) name =
   find_or_add scope_ labels name
     (fun h -> H h)
-    (function H h -> Some h | C _ | A _ | G _ -> None)
+    (function H h -> Some h | C _ | A _ | G _ | K _ -> None)
     Histogram.make
+
+let read_only_gauge scope_ ?(labels = []) name v =
+  ignore
+    (find_or_add scope_ labels name
+       (fun v -> K v)
+       (function K v' when v' = v -> Some v' | C _ | A _ | G _ | K _ | H _ -> None)
+       (fun () -> v))
 
 (* {1 Export} *)
 
@@ -203,6 +212,7 @@ let samples () =
          | C c -> [ (key, float_of_int (Counter.value c)) ]
          | A c -> [ (key, float_of_int (Atomic_counter.value c)) ]
          | G g -> [ (key, float_of_int (Gauge.value g)) ]
+         | K v -> [ (key, float_of_int v) ]
          | H h -> histogram_samples entry.base entry.labels h)
   (* flattening histograms breaks key order (base{q=..} vs base_count) *)
   |> List.sort (fun (a, _) (b, _) -> compare a b)
@@ -218,7 +228,7 @@ let render () =
           (Printf.sprintf "# TYPE %s %s\n" entry.base
              (match entry.value with
               | C _ | A _ -> "counter"
-              | G _ -> "gauge"
+              | G _ | K _ -> "gauge"
               | H _ -> "summary"))
       end;
       match entry.value with
@@ -226,6 +236,7 @@ let render () =
       | A c ->
         Buffer.add_string b (Printf.sprintf "%s %d\n" key (Atomic_counter.value c))
       | G g -> Buffer.add_string b (Printf.sprintf "%s %d\n" key (Gauge.value g))
+      | K v -> Buffer.add_string b (Printf.sprintf "%s %d\n" key v)
       | H h ->
         List.iter
           (fun (name, v) -> Buffer.add_string b (Printf.sprintf "%s %.9g\n" name v))
@@ -240,5 +251,6 @@ let reset () =
       | C c -> c.Counter.v <- 0
       | A c -> Atomic.set c 0
       | G g -> g.Gauge.v <- 0
+      | K _ -> ()
       | H h -> Histogram.reset h)
     registry

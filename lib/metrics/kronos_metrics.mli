@@ -115,6 +115,15 @@ val atomic_counter :
 val gauge : scope -> ?labels:(string * string) list -> string -> Gauge.t
 val histogram : scope -> ?labels:(string * string) list -> string -> Histogram.t
 
+val read_only_gauge :
+  scope -> ?labels:(string * string) list -> string -> int -> unit
+(** [read_only_gauge s n v] registers the gauge [kronos_<s>_<n>] with the
+    fixed value [v], for facts settled when the process starts (which
+    code path a module selected, say).  {!set_enabled} and {!reset} leave
+    it alone.  Re-registering with the same value is a no-op.
+    @raise Invalid_argument if the name is registered as anything else,
+    including a read-only gauge with another value. *)
+
 (** {1 Export} *)
 
 val quantiles : float list

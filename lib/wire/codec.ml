@@ -41,7 +41,10 @@ let put_list b f xs =
 
 type decoder = { data : string; mutable pos : int }
 
-let decoder data = { data; pos = 0 }
+let decoder ?(off = 0) data =
+  if off < 0 || off > String.length data then invalid_arg "Codec.decoder";
+  { data; pos = off }
+
 let remaining d = String.length d.data - d.pos
 let at_end d = remaining d = 0
 

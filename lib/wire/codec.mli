@@ -34,7 +34,11 @@ val put_list : encoder -> (encoder -> 'a -> unit) -> 'a list -> unit
 
 type decoder
 
-val decoder : string -> decoder
+val decoder : ?off:int -> string -> decoder
+(** [decoder ~off s] is a cursor over [s] from byte [off] (default 0)
+    to its end.
+    @raise Invalid_argument if [off] is outside [[0, String.length s]]. *)
+
 val remaining : decoder -> int
 val at_end : decoder -> bool
 

@@ -1,4 +1,5 @@
-(* Verifiable causality (DESIGN.md §13): the SHA-256 primitive, the
+(* Verifiable causality (DESIGN.md §13): the SHA-256 primitive on both
+   of its paths (SHA-NI and portable OCaml, which must agree), the
    commitment chains the graph maintains, prover/verifier roundtrips over
    random DAGs, the tamper-injection suite (flipped digests, truncated and
    spliced paths, reordered suffixes — all rejected), snapshot v3 and the
@@ -32,19 +33,60 @@ let commit engine e =
 
 (* ---------- sha256 ---------- *)
 
+(* Every SHA-256 check runs on both implementations: the dispatching
+   functions (the SHA-NI stub on CPUs with SHA extensions) and the
+   pure-OCaml [Portable] oracle. *)
+let sha_paths =
+  [
+    ("dispatch", Sha256.digest_string, Sha256.compress_pair);
+    ("portable", Sha256.Portable.digest_string, Sha256.Portable.compress_pair);
+  ]
+
+let nist_vectors =
+  [
+    ("empty", "", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+    ("abc", "abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+    ( "two blocks",
+      "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+      "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1" );
+    (* one million 'a's, the long NIST vector *)
+    ( "million a",
+      String.make 1_000_000 'a',
+      "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0" );
+  ]
+
 let test_nist_vectors () =
-  let check_hex msg input expected =
-    Alcotest.(check string) msg expected (Sha256.hex (Sha256.digest_string input))
+  List.iter
+    (fun (path, digest, _) ->
+      List.iter
+        (fun (name, input, expected) ->
+          Alcotest.(check string) (path ^ " " ^ name) expected
+            (Sha256.hex (digest input)))
+        nist_vectors)
+    sha_paths
+
+(* Known answers for the bare compression: a message of at most 55 bytes
+   pads to one block, and compressing that block from the IV is its
+   SHA-256 — so the NIST digests of "" and "abc" pin [compress_pair]. *)
+let test_compress_pair_known_answers () =
+  let padded msg =
+    let b = Bytes.make 64 '\000' in
+    Bytes.blit_string msg 0 b 0 (String.length msg);
+    Bytes.set b (String.length msg) '\x80';
+    Bytes.set_uint16_be b 62 (String.length msg * 8);
+    (Bytes.sub_string b 0 32, Bytes.sub_string b 32 32)
   in
-  check_hex "empty" ""
-    "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855";
-  check_hex "abc" "abc"
-    "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad";
-  check_hex "two blocks" "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"
-    "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1";
-  (* one million 'a's, the long NIST vector *)
-  check_hex "million a" (String.make 1_000_000 'a')
-    "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+  List.iter
+    (fun (path, _, compress_pair) ->
+      List.iter
+        (fun (name, input, expected) ->
+          if String.length input <= 55 then begin
+            let a, b = padded input in
+            Alcotest.(check string) (path ^ " " ^ name) expected
+              (Sha256.hex (compress_pair a b))
+          end)
+        nist_vectors)
+    sha_paths
 
 let test_compress_pair_args () =
   let d = Sha256.digest_string "x" in
@@ -53,8 +95,45 @@ let test_compress_pair_args () =
     | exception Invalid_argument _ -> ()
     | _ -> Alcotest.fail (msg ^ ": bad argument accepted")
   in
-  expect_invalid "short left" (fun () -> Sha256.compress_pair "short" d);
-  expect_invalid "short right" (fun () -> Sha256.compress_pair d "short")
+  List.iter
+    (fun (path, _, compress_pair) ->
+      expect_invalid (path ^ " short left") (fun () -> compress_pair "short" d);
+      expect_invalid (path ^ " short right") (fun () -> compress_pair d "short"))
+    sha_paths
+
+(* The accelerated and portable paths agree on random link folds and on
+   random messages of 0-200 bytes, which cross the 55/56-byte (second
+   padding block) and 64-byte (whole block) edges. *)
+let prop_paths_agree =
+  let open QCheck2 in
+  Test.make ~name:"sha256: accelerated and portable paths agree" ~count:2000
+    Gen.(
+      triple (string_size (return 32)) (string_size (return 32))
+        (string_size (int_range 0 200)))
+    (fun (a, b, msg) ->
+      Sha256.compress_pair a b = Sha256.Portable.compress_pair a b
+      && Sha256.digest_string msg = Sha256.Portable.digest_string msg)
+
+(* A host whose kernel reports the SHA extensions must run the
+   accelerated path: a build that quietly fell back to the portable code
+   would still pass every other check, only slower.  The choice is
+   published as a read-only gauge. *)
+let test_accelerated_where_available () =
+  let cpu_has_sha_ni =
+    match In_channel.with_open_text "/proc/cpuinfo" In_channel.input_all with
+    | info ->
+      String.split_on_char '\n' info
+      |> List.exists (fun line ->
+             String.starts_with ~prefix:"flags" line
+             && List.mem "sha_ni" (String.split_on_char ' ' line))
+    | exception Sys_error _ -> false
+  in
+  if cpu_has_sha_ni then
+    Alcotest.(check bool) "sha_ni listed: accelerated path selected" true
+      Sha256.accelerated;
+  Alcotest.(check (option (float 0.))) "kronos_sha256_accelerated gauge"
+    (Some (if Sha256.accelerated then 1. else 0.))
+    (List.assoc_opt "kronos_sha256_accelerated" (Kronos_metrics.samples ()))
 
 (* ---------- commitment chains ---------- *)
 
@@ -707,8 +786,13 @@ let suites =
     ( "certify.sha256",
       [
         Alcotest.test_case "NIST vectors" `Quick test_nist_vectors;
+        Alcotest.test_case "compress_pair known answers" `Quick
+          test_compress_pair_known_answers;
         Alcotest.test_case "compress_pair arguments" `Quick
           test_compress_pair_args;
+        QCheck_alcotest.to_alcotest prop_paths_agree;
+        Alcotest.test_case "accelerated where available" `Quick
+          test_accelerated_where_available;
       ] );
     ( "certify.chain",
       [

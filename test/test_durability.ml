@@ -516,6 +516,34 @@ let test_snapshot_version_matrix () =
     | exception Kronos_wire.Codec.Decode_error _ -> ()
   done
 
+(* [is_valid] accepts an intact file and rejects one with any single body
+   byte flipped, checksumming the body in place: a copy of it would show
+   up as allocation proportional to the file. *)
+let test_snapshot_is_valid () =
+  let _ids, cmds = workload ~seed:43 ~n:200 ~m:400 in
+  let engine = Engine.create () in
+  List.iter (fun c -> ignore (Kronos_service.Server.apply engine c)) cmds;
+  let data = Snapshot.encode ~seq:7 (Engine.to_snapshot engine) in
+  let file = Snapshot.filename ~seq:7 in
+  let before = Gc.allocated_bytes () in
+  let intact = Snapshot.is_valid ~file data in
+  let allocated = Gc.allocated_bytes () -. before in
+  Alcotest.(check bool) "intact file accepted" true intact;
+  Alcotest.(check bool)
+    (Printf.sprintf "no body copy (%.0f bytes allocated for a %d-byte file)"
+       allocated (String.length data))
+    true
+    (allocated < float_of_int (String.length data / 4));
+  List.iter
+    (fun i ->
+      let b = Bytes.of_string data in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x10));
+      Alcotest.(check bool)
+        (Printf.sprintf "body byte %d flipped: rejected" i)
+        false
+        (Snapshot.is_valid ~file (Bytes.to_string b)))
+    [ 10; String.length data / 2; String.length data - 1 ]
+
 (* A checksum-valid head in a format this build does not read — retired
    (4) or newer (6) — sits above an older valid full snapshot, with the WAL
    already truncated past that full.  Skipping the head the way a corrupt
@@ -850,6 +878,8 @@ let suites =
           test_recovery_after_crash_loses_only_unsynced;
         Alcotest.test_case "snapshot version matrix" `Quick
           test_snapshot_version_matrix;
+        Alcotest.test_case "snapshot is_valid checks the body in place" `Quick
+          test_snapshot_is_valid;
         Alcotest.test_case "retired-version head stops recovery" `Quick
           test_retired_version_stops_recovery;
         Alcotest.test_case "delta file stops recovery" `Quick

@@ -1,6 +1,7 @@
 (* Unit and property tests for the observability primitives: instrument
    behaviour, the no-op gate, histogram bucket geometry and quantile
-   extraction, registry idempotence and the text exposition. *)
+   extraction, registry idempotence, read-only gauges and the text
+   exposition. *)
 
 module M = Kronos_metrics
 
@@ -102,6 +103,33 @@ let test_registry_idempotent () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected kind mismatch to raise"
 
+(* A read-only gauge keeps its value through the no-op gate and resets,
+   renders as a gauge, and refuses re-registration with another value. *)
+let test_read_only_gauge () =
+  let s = M.scope "testconst" in
+  M.read_only_gauge s "mode" 1;
+  M.read_only_gauge s "mode" 1;
+  let v () = List.assoc_opt "kronos_testconst_mode" (M.samples ()) in
+  M.set_enabled false;
+  Fun.protect ~finally:(fun () -> M.set_enabled true) (fun () ->
+      M.reset ();
+      Alcotest.(check (option (float 0.))) "survives gate and reset" (Some 1.)
+        (v ()));
+  M.reset ();
+  Alcotest.(check (option (float 0.))) "survives reset" (Some 1.) (v ());
+  let page = M.render () in
+  List.iter
+    (fun line ->
+      Alcotest.(check bool) line true
+        (List.mem line (String.split_on_char '\n' page)))
+    [ "# TYPE kronos_testconst_mode gauge"; "kronos_testconst_mode 1" ];
+  (match M.read_only_gauge s "mode" 0 with
+   | exception Invalid_argument _ -> ()
+   | () -> Alcotest.fail "re-registered with another value");
+  match M.counter s "mode" with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "read-only gauge re-registered as a counter"
+
 let test_samples_and_render () =
   let s = M.scope "testrender" in
   let c = M.counter s "ops_total" in
@@ -169,6 +197,7 @@ let suites =
         Alcotest.test_case "histogram quantiles" `Quick test_histogram_quantiles;
         Alcotest.test_case "registry idempotent" `Quick test_registry_idempotent;
         Alcotest.test_case "samples and render" `Quick test_samples_and_render;
+        Alcotest.test_case "read-only gauge" `Quick test_read_only_gauge;
         QCheck_alcotest.to_alcotest prop_bucket_invariant;
         QCheck_alcotest.to_alcotest prop_quantile_bounds;
       ] );

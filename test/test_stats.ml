@@ -159,7 +159,11 @@ let test_workload_moves_every_layer () =
         (Printf.sprintf "%s moved" name)
         true
         (value samples name > value baseline name))
-    watched
+    watched;
+  (* which SHA-256 path this process runs is published, not just counted *)
+  Alcotest.(check (option (float 0.))) "kronos_sha256_accelerated"
+    (Some (if Kronos.Sha256.accelerated then 1. else 0.))
+    (List.assoc_opt "kronos_sha256_accelerated" samples)
 
 let suites =
   [ ( "stats",
