@@ -4,7 +4,7 @@
 
    Four families of numbers:
    - in-process engine hot paths (ns/op via Bechamel or best-of-N
-     windows);
+     windows, and the words an edge promotes to the major heap);
    - the certify subsystem: proof generation/verification ns/op and the
      digest-maintenance overhead on the assign path (DESIGN.md §13);
    - the federated service (2 shards behind one router): cross-shard
@@ -275,7 +275,10 @@ let query_wide_smoke () =
   let engine = Engine.create () in
   let ids = Array.init n (fun _ -> Engine.create_event engine) in
   let g = Engine.graph engine in
+  (* a bulk load is never rolled back: journal none of it *)
+  Graph.suspend_journal g;
   Array.iter (fun (u, v) -> Graph.add_edge g ids.(u) ids.(v)) graph.edges;
+  Graph.commit_batch g;
   let view = Engine.publish engine in
   let rng = Kronos_simnet.Rng.create ~seed:123L in
   let ops = 10_000 in
@@ -297,6 +300,62 @@ let query_wide_smoke () =
   record "engine.query_frozen_wide"
     (timed (fun a b -> ignore (Engine.View.query view a b)))
     "ns/op"
+
+(* The same G(10k,50k), low -> high, built the way read_wide preloads it:
+   into a fresh default engine (labels and digests on) in 1000-edge Must
+   batches.  Every Must rises in rank, so no batch can abort and none is
+   journaled (DESIGN.md §15).  Two series:
+   - [engine.assign_batch_wide]: ns per edge, the best of five builds,
+     each on a fresh engine after a compaction;
+   - [engine.assign_batch_wide_promoted]: words promoted from the minor to
+     the major heap per edge over one build: the label arrays and undo
+     entries an edge leaves alive across a minor collection, beside its
+     commitment link.  A fresh engine and an empty minor heap make it
+     repeat exactly from build to build (the minimum is kept all the
+     same); it moves slightly with the minor heap size and with what the
+     process allocated before. *)
+let assign_batch_wide_smoke () =
+  let module Graph_gen = Kronos_workload.Graph_gen in
+  let n = 10_000 and batch = 1_000 in
+  let graph =
+    Graph_gen.erdos_renyi_gnm ~rng:(Kronos_simnet.Rng.create ~seed:77L) ~n
+      ~m:50_000
+  in
+  let edges = Array.map (fun (u, v) -> (min u v, max u v)) graph.edges in
+  let m = Array.length edges in
+  (* a fresh engine mints the same ids every time *)
+  let fresh () =
+    let engine = Engine.create () in
+    (engine, Array.init n (fun _ -> Engine.create_event engine))
+  in
+  let _, ids = fresh () in
+  let batches =
+    List.init ((m + batch - 1) / batch) (fun b ->
+        List.init
+          (min batch (m - (b * batch)))
+          (fun k ->
+            let u, v = edges.((b * batch) + k) in
+            Order.must_before ids.(u) ids.(v)))
+  in
+  let best_ns = ref infinity and promoted = ref infinity in
+  for _ = 1 to 5 do
+    let engine, _ = fresh () in
+    Gc.compact ();
+    let p0 = (Gc.quick_stat ()).Gc.promoted_words in
+    let t0 = Unix.gettimeofday () in
+    List.iter
+      (fun specs ->
+        match Engine.assign_order engine specs with
+        | Ok _ -> ()
+        | Error _ -> failwith "smoke: a rising Must batch aborted")
+      batches;
+    let ns = (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int m in
+    let words = (Gc.quick_stat ()).Gc.promoted_words -. p0 in
+    best_ns := Float.min !best_ns ns;
+    promoted := Float.min !promoted (words /. float_of_int m)
+  done;
+  record "engine.assign_batch_wide" !best_ns "ns/edge";
+  record "engine.assign_batch_wide_promoted" !promoted "words/edge"
 
 (* Certify hot paths (DESIGN.md §13): proof generation and verification
    over a real chain, plus the assign-path cost of digest maintenance —
@@ -519,8 +578,25 @@ let recovery_ms_budget = 2_000.
    window no matter how long the history grew (that is the point of the
    subsystem), so [durability.recovery_ms] is held under an absolute
    budget in [check] rather than ratio-gated against a baseline.
-   [durability.recovery_rss_mb] tracks the resident set right after the
-   restore (Linux /proc/self/statm; skipped elsewhere). *)
+   [durability.recovery_rss_mb] is the growth of the resident set across
+   [Recovery.run] alone, from a compacted heap (Linux /proc/self/statm;
+   skipped elsewhere).  The series runs first in [run] and [check], so
+   the heap it grows from holds only the history it built, not whatever
+   the other series left behind. *)
+let resident_mb () =
+  match
+    let ic = open_in "/proc/self/statm" in
+    Fun.protect ~finally:(fun () -> close_in ic) (fun () -> input_line ic)
+  with
+  | exception (Sys_error _ | End_of_file) -> None
+  | statm -> (
+    match String.split_on_char ' ' (String.trim statm) with
+    | _ :: resident :: _ ->
+      Option.map
+        (fun pages -> float_of_int pages *. 4096. /. 1e6)
+        (int_of_string_opt resident)
+    | _ -> None)
+
 let durability_recovery_smoke () =
   let module Storage = Kronos_durability.Storage in
   let module Wal = Kronos_durability.Wal in
@@ -555,11 +631,14 @@ let durability_recovery_smoke () =
   Wal.sync wal;
   if Schedule.last_snapshot schedule = 0 then
     failwith "smoke: recovery bench never snapshotted";
+  Gc.compact ();
+  let rss0 = resident_mb () in
   let outcome =
     Recovery.run ~wal_config
       ~replay:(fun e (r : Wal.record) -> ignore (Server.apply e r.payload))
       storage
   in
+  let rss1 = resident_mb () in
   if outcome.Recovery.next_seq <> !seq + 1 then
     failwith "smoke: recovery lost acknowledged commands";
   if outcome.Recovery.wal_bytes_replayed > 2 * window then
@@ -569,25 +648,9 @@ let durability_recovery_smoke () =
   record "durability.wal_replayed_mb"
     (float_of_int outcome.Recovery.wal_bytes_replayed /. 1e6)
     "MB";
-  match
-    try
-      let ic = open_in "/proc/self/statm" in
-      let line = input_line ic in
-      close_in ic;
-      Some line
-    with Sys_error _ | End_of_file -> None
-  with
-  | None -> ()
-  | Some statm -> (
-    match String.split_on_char ' ' (String.trim statm) with
-    | _ :: resident :: _ -> (
-      match int_of_string_opt resident with
-      | Some pages ->
-        record "durability.recovery_rss_mb"
-          (float_of_int pages *. 4096. /. 1e6)
-          "MB"
-      | None -> ())
-    | _ -> ())
+  match rss0, rss1 with
+  | Some r0, Some r1 -> record "durability.recovery_rss_mb" (r1 -. r0) "MB"
+  | (None | Some _), _ -> ()
 
 let write_json path =
   let oc = open_out path in
@@ -638,7 +701,8 @@ let read_file path =
 (* Regression gate behind `make bench-check`: re-measure the engine hot
    paths, the client order cache, the certify series and the federated
    series, and compare them with the committed BENCH_smoke.json.  The
-   engine.*, client.order_cache_* and certify.* ns/op series are
+   engine.*, client.order_cache_* and certify.* ns/op series, and the
+   promoted words per edge of [engine.assign_batch_wide_promoted], are
    in-process numbers; the fed.* series are closed-loop
    rates on the simulated network (pure compute, no real sleeping), so
    both are stable enough to gate.  The pct series is held under an
@@ -673,15 +737,16 @@ let check () =
   let baseline = parse_results (read_file baseline_path) in
   let threshold = 2.5 in
   results := [];
+  durability_recovery_smoke ();
   engine_hot_paths ();
   order_cache_smoke ();
   query_parallel_smoke ();
   publish_smoke ();
   query_wide_smoke ();
+  assign_batch_wide_smoke ();
   certify_smoke ();
   federation_smoke ();
   write_scaling_smoke ();
-  durability_recovery_smoke ();
   let failures = ref 0 in
   List.iter
     (fun (name, value, unit_) ->
@@ -755,15 +820,16 @@ let check () =
 let run () =
   Bench_util.section "Smoke: quick performance snapshot -> BENCH_smoke.json";
   results := [];
+  durability_recovery_smoke ();
   engine_hot_paths ();
   order_cache_smoke ();
   query_parallel_smoke ();
   publish_smoke ();
   query_wide_smoke ();
+  assign_batch_wide_smoke ();
   certify_smoke ();
   federation_smoke ();
   write_scaling_smoke ();
-  durability_recovery_smoke ();
   let path =
     Option.value ~default:"BENCH_smoke.json" (Sys.getenv_opt "KRONOS_SMOKE_OUT")
   in

@@ -158,6 +158,18 @@ let assign_order t requests =
         outcomes.(p.index) <- Order.Reversed
       end
     in
+    (* A batch whose every Must already rises in rank (which also makes its
+       two events distinct) cannot abort: each Must goes in by the O(1)
+       rank-agreeing path, which relabels nothing, so the ranks checked here
+       hold up to the last Must and none can close a cycle.  Prefers never
+       roll back.  The graph need not journal such a batch, and every label
+       array it replaces can die young. *)
+    let rises p =
+      match Graph.rank t.g p.before, Graph.rank t.g p.after with
+      | Some rb, Some ra -> rb < ra
+      | (None | Some _), _ -> false
+    in
+    if List.for_all rises musts then Graph.suspend_journal t.g;
     (match apply_musts musts with
      | Error e -> Error e
      | Ok () ->

@@ -12,9 +12,11 @@ type config = {
           happens-before answers can be proved; [true] by default *)
   max_chains : int;
       (** cap on the graph's chain-decomposition reachability index
-          (DESIGN.md §15); 64 by default, 0 disables it.  Queries whose
-          destination is off every chain fall back to the BFS and count as
-          {!label_misses}. *)
+          (DESIGN.md §15); 64 by default, 0 disables it, at most [2^22]
+          ({!create} raises [Invalid_argument] above that: a label entry
+          packs the chain id into 22 bits beside a 40-bit position).
+          Queries whose destination is off every chain fall back to the
+          BFS and count as {!label_misses}. *)
 }
 
 val default_config : config

@@ -90,7 +90,8 @@ type frozen = {
 (* One entry of the per-edge rollback journal for the chain-decomposition
    index.  [push_edge] opens a group with [J_mark]; [remove_last_edge] pops
    the topmost group, restoring the exact pre-edge chains and labels.
-   [commit_batch] (and any non-batch mutation) truncates the journal. *)
+   [commit_batch] (and any non-batch mutation) truncates the journal.  A
+   batch that cannot abort ([suspend_journal]) pushes no entries at all. *)
 type label_undo =
   | J_mark of int * int          (* (su, sv) of the admitted edge *)
   | J_label of int * int array   (* slot, previous label array *)
@@ -156,16 +157,16 @@ type t = {
   (* Chain-decomposition reachability index (DESIGN.md §15).  Live events
      are partitioned greedily into at most [max_chains] chains at edge
      time; every member of a chain reaches all later members (consecutive
-     members are joined by a direct edge).  [labels.(s)] is a flattened,
-     chain-sorted vector of (chain, pos) pairs: the {e lowest} position in
-     each chain reachable from [s] (self included), so [u ⇝ v] iff
+     members are joined by a direct edge).  [labels.(s)] is a chain-sorted
+     vector of one-word entries [pack chain pos]: the {e lowest} position
+     in each chain reachable from [s] (self included), so [u ⇝ v] iff
      [labels.(u)] holds an entry for [chain_of.(v)] with pos <=
      [chain_pos.(v)].  Labels are exact — kept so by merge propagation on
      edge admission and by the journal on rollback — hence both answers of
      a query are O(#chains) compares whenever the destination is assigned
      to a chain; only cap saturation forces the BFS fallback.  Label
      arrays are immutable once installed (replaced, never mutated), so
-     frozen views share them structurally. *)
+     frozen views share them structurally, and so may slots. *)
   max_chains : int;
   mutable chain_of : int array;   (* per slot; -1 = unassigned *)
   mutable chain_pos : int array;  (* per slot; valid when chain_of >= 0 *)
@@ -174,7 +175,11 @@ type t = {
   chain_tail : Int_vec.t;         (* per chain: newest member, -1 if empty *)
   free_chains : Int_vec.t;        (* fully-dead chains, reusable *)
   mutable labels : int array array;
+  (* Undo groups of the edges admitted since the last seal, newest first;
+     nothing is pushed while [journaling] is off (a batch that cannot
+     abort, until [commit_batch]). *)
   mutable journal : label_undo list;
+  mutable journaling : bool;
   label_queue : Int_vec.t;        (* label propagation worklist *)
   mutable label_buf : int array;  (* merge scratch *)
   mutable label_hits : int;
@@ -186,8 +191,20 @@ let max_gen = (1 lsl 22) - 1
 
 let default_max_chains = 64
 
+(* A label entry is one word: the chain id in the top 22 bits, the
+   position in the low 40 (the split of [Event_id]).  Both fields are
+   non-negative and the word stays below 2^62, so packed words order by
+   chain, then position. *)
+let pos_bits = 40
+let max_chain_ids = 1 lsl 22   (* chain ids 0 .. 2^22 - 1 *)
+let max_chain_len = 1 lsl pos_bits  (* positions 0 .. 2^40 - 1 *)
+let[@inline] pack c pos = (c lsl pos_bits) lor pos
+let[@inline] entry_chain w = w lsr pos_bits
+
 let create ?(initial_capacity = 1024) ?(digests = true)
     ?(max_chains = default_max_chains) () =
+  if max_chains > max_chain_ids then
+    invalid_arg "Graph.create: max_chains above 2^22";
   let cap = max initial_capacity 16 in
   {
     max_chains = max 0 max_chains;
@@ -199,6 +216,7 @@ let create ?(initial_capacity = 1024) ?(digests = true)
     free_chains = Int_vec.create ();
     labels = Array.make cap [||];
     journal = [];
+    journaling = true;
     label_queue = Int_vec.create ();
     label_buf = Array.make 64 0;
     label_hits = 0;
@@ -317,6 +335,7 @@ let create_event g =
   g.labels.(s) <- [||];
   (* creation is never part of an edge batch: seal any previous journal *)
   g.journal <- [];
+  g.journaling <- true;
   (* fresh events take increasing ranks, so edges that follow creation
      order — the common case — never trigger a relabel *)
   g.rank.(s) <- g.next_rank;
@@ -350,7 +369,9 @@ let rank g id =
    [create_event] overwrites it. *)
 let collect g s =
   g.version <- g.version + 1;
-  g.journal <- []; (* collection never runs mid-batch *)
+  (* collection never runs mid-batch *)
+  g.journal <- [];
+  g.journaling <- true;
   let stack = g.queue in
   let top = ref 0 in
   stack.(0) <- s;
@@ -423,16 +444,18 @@ let release_ref g id =
 (* Chain-decomposition reachability labels (DESIGN.md §15).            *)
 (* ------------------------------------------------------------------ *)
 
-(* Position of chain [c] in the flattened, chain-sorted label vector;
-   [max_int] when the event reaches no member of [c].  Labels hold at most
-   one entry per chain, so the scan is O(#chains) with a tiny constant. *)
+(* Position of chain [c] in the chain-sorted label vector; [max_int] when
+   the event reaches no member of [c].  Labels hold at most one entry per
+   chain, so the scan is O(#chains) one-word compares, and it stops at the
+   first entry of a later chain. *)
 let label_find lbl c =
+  let lo = pack c 0 in
   let n = Array.length lbl in
   let rec go i =
     if i >= n then max_int
     else
-      let ci = lbl.(i) in
-      if ci = c then lbl.(i + 1) else if ci > c then max_int else go (i + 2)
+      let d = Array.unsafe_get lbl i - lo in
+      if d < 0 then go (i + 1) else if d < max_chain_len then d else max_int
   in
   go 0
 
@@ -449,58 +472,56 @@ let ensure_label_buf g n =
 (* Replace a slot's label.  The old array goes to the journal so rollback
    restores it by pointer; [touch] makes the next freeze re-share it. *)
 let set_label g s lbl =
-  g.journal <- J_label (s, g.labels.(s)) :: g.journal;
+  if g.journaling then g.journal <- J_label (s, g.labels.(s)) :: g.journal;
   g.labels.(s) <- lbl;
   touch g s
 
 (* Pointwise-min union of [src] into slot [s]'s label.  Returns [true] iff
    the label changed (some entry decreased or appeared) — the propagation
    worklist only follows actual changes, which also bounds the cascade:
-   entries decrease monotonically toward 0. *)
+   entries decrease monotonically toward 0.  Within one chain the lower
+   position is the lower packed word.  An empty label simply takes [src]
+   by pointer: label arrays are never mutated. *)
 let merge_into g s src =
   let a = g.labels.(s) in
   let la = Array.length a and lb = Array.length src in
   if lb = 0 then false
+  else if la = 0 then begin
+    set_label g s src;
+    true
+  end
   else begin
     let buf = ensure_label_buf g (la + lb) in
     let i = ref 0 and j = ref 0 and k = ref 0 in
     let changed = ref false in
     while !i < la && !j < lb do
-      let ca = a.(!i) and cb = src.(!j) in
+      let wa = a.(!i) and wb = src.(!j) in
+      let ca = entry_chain wa and cb = entry_chain wb in
       if ca < cb then begin
-        buf.(!k) <- ca;
-        buf.(!k + 1) <- a.(!i + 1);
-        i := !i + 2;
-        k := !k + 2
+        buf.(!k) <- wa;
+        incr i
       end
       else if cb < ca then begin
-        buf.(!k) <- cb;
-        buf.(!k + 1) <- src.(!j + 1);
-        j := !j + 2;
-        k := !k + 2;
+        buf.(!k) <- wb;
+        incr j;
         changed := true
       end
       else begin
-        let pa = a.(!i + 1) and pb = src.(!j + 1) in
-        buf.(!k) <- ca;
-        buf.(!k + 1) <-
-          (if pb < pa then begin changed := true; pb end else pa);
-        i := !i + 2;
-        j := !j + 2;
-        k := !k + 2
-      end
+        buf.(!k) <- (if wb < wa then begin changed := true; wb end else wa);
+        incr i;
+        incr j
+      end;
+      incr k
     done;
     while !i < la do
       buf.(!k) <- a.(!i);
-      buf.(!k + 1) <- a.(!i + 1);
-      i := !i + 2;
-      k := !k + 2
+      incr i;
+      incr k
     done;
     while !j < lb do
       buf.(!k) <- src.(!j);
-      buf.(!k + 1) <- src.(!j + 1);
-      j := !j + 2;
-      k := !k + 2;
+      incr j;
+      incr k;
       changed := true
     done;
     if !changed then set_label g s (Array.sub buf 0 !k);
@@ -512,7 +533,7 @@ let merge_into g s src =
 let alloc_chain g =
   if not (Int_vec.is_empty g.free_chains) then begin
     let c = Int_vec.pop g.free_chains in
-    g.journal <- J_chain (c, true) :: g.journal;
+    if g.journaling then g.journal <- J_chain (c, true) :: g.journal;
     c
   end
   else if Int_vec.length g.chain_len >= g.max_chains then -1
@@ -521,27 +542,35 @@ let alloc_chain g =
     Int_vec.push g.chain_len 0;
     Int_vec.push g.chain_live 0;
     Int_vec.push g.chain_tail (-1);
-    g.journal <- J_chain (c, false) :: g.journal;
+    if g.journaling then g.journal <- J_chain (c, false) :: g.journal;
     c
   end
 
 (* Append slot [s] to chain [c] and give it its self entry.  Only ever
    called when [s] can close the chain property: either [c]'s current tail
-   has a direct edge to [s] (admitted by the caller), or [c] is empty. *)
+   has a direct edge to [s] (admitted by the caller), or [c] is empty.
+   Returns [false], changing nothing, when [c] already holds 2^40 members
+   ever appended: position 2^40 does not pack, so [s] stays off-chain as
+   if the cap were saturated. *)
 let assign_slot g s c =
   let pos = Int_vec.get g.chain_len c in
-  g.journal <- J_assign (s, c, Int_vec.get g.chain_tail c) :: g.journal;
-  g.chain_of.(s) <- c;
-  g.chain_pos.(s) <- pos;
-  Int_vec.set g.chain_len c (pos + 1);
-  Int_vec.set g.chain_live c (Int_vec.get g.chain_live c + 1);
-  Int_vec.set g.chain_tail c s;
-  (* self entry: min-merge is safe — [s] cannot already reach an earlier
-     member of [c] (that member would reach the tail, which reaches [s],
-     closing a cycle) *)
-  ignore (merge_into g s [| c; pos |]);
-  Kronos_metrics.Gauge.set M.chains
-    (Int_vec.length g.chain_len - Int_vec.length g.free_chains)
+  if pos >= max_chain_len then false
+  else begin
+    if g.journaling then
+      g.journal <- J_assign (s, c, Int_vec.get g.chain_tail c) :: g.journal;
+    g.chain_of.(s) <- c;
+    g.chain_pos.(s) <- pos;
+    Int_vec.set g.chain_len c (pos + 1);
+    Int_vec.set g.chain_live c (Int_vec.get g.chain_live c + 1);
+    Int_vec.set g.chain_tail c s;
+    (* self entry: min-merge is safe — [s] cannot already reach an earlier
+       member of [c] (that member would reach the tail, which reaches [s],
+       closing a cycle) *)
+    ignore (merge_into g s [| pack c pos |]);
+    Kronos_metrics.Gauge.set M.chains
+      (Int_vec.length g.chain_len - Int_vec.length g.free_chains);
+    true
+  end
 
 (* Maintain the index across an admitted edge [su -> sv]: place [sv] on a
    chain if it has none (extending [su]'s chain when [su] is its tail — the
@@ -551,24 +580,19 @@ let assign_slot g s c =
    propagates nothing beyond [sv]'s own predecessors: every ancestor
    already reaches the chain at a lower position. *)
 let label_admit g su sv =
-  g.journal <- J_mark (su, sv) :: g.journal;
+  if g.journaling then g.journal <- J_mark (su, sv) :: g.journal;
   let sv_assigned = ref false in
   let su_assigned = ref false in
   if g.chain_of.(sv) < 0 then begin
     let cu = g.chain_of.(su) in
-    if cu >= 0 && Int_vec.get g.chain_tail cu = su then begin
-      assign_slot g sv cu;
-      sv_assigned := true
-    end
+    if cu >= 0 && Int_vec.get g.chain_tail cu = su then
+      sv_assigned := assign_slot g sv cu
     else begin
       let c = alloc_chain g in
+      (* a fresh chain is empty, so both appends below succeed *)
       if c >= 0 then begin
-        if cu < 0 then begin
-          assign_slot g su c;
-          su_assigned := true
-        end;
-        assign_slot g sv c;
-        sv_assigned := true
+        if cu < 0 then su_assigned := assign_slot g su c;
+        sv_assigned := assign_slot g sv c
       end
       (* saturated: [sv] stays unassigned; queries to it fall back to BFS *)
     end
@@ -589,8 +613,18 @@ let label_admit g su sv =
   done
 
 (* Seal the per-edge rollback journal: the batch the edges belonged to has
-   committed, [remove_last_edge] can no longer be asked to undo them. *)
-let commit_batch g = g.journal <- []
+   committed, [remove_last_edge] can no longer be asked to undo them.
+   Journaling resumes for the next batch. *)
+let commit_batch g =
+  g.journal <- [];
+  g.journaling <- true
+
+(* The edges admitted until the next [commit_batch] will never be rolled
+   back: journal none of their chain and label changes, so every label
+   array they replace dies young instead of living until the commit. *)
+let suspend_journal g =
+  g.journal <- [];
+  g.journaling <- false
 
 (* Exact label recomputation: live slots in decreasing (rank, slot) order —
    reverse topological by the rank invariant — each taking its self entry
@@ -599,6 +633,8 @@ let commit_batch g = g.journal <- []
    why snapshots persist only the chains: every restore recomputes
    bit-identical labels. *)
 let compute_labels g =
+  (* recomputation is never part of a batch: nothing to journal *)
+  suspend_journal g;
   g.label_rebuilds <- g.label_rebuilds + 1;
   Kronos_metrics.Counter.incr M.label_rebuilds;
   let n = g.next_slot in
@@ -617,10 +653,10 @@ let compute_labels g =
     g.labels.(v) <- [||];
     touch g v;
     if g.chain_of.(v) >= 0 then
-      ignore (merge_into g v [| g.chain_of.(v); g.chain_pos.(v) |]);
+      ignore (merge_into g v [| pack g.chain_of.(v) g.chain_pos.(v) |]);
     Int_vec.iter (fun w -> ignore (merge_into g v g.labels.(w))) g.succ.(v)
   done;
-  g.journal <- [] (* recomputation is never part of a batch *)
+  commit_batch g
 
 (* Deterministic full rebuild for the defensive out-of-protocol rollback
    path of [remove_last_edge]: canonical greedy chain assignment over live
@@ -661,7 +697,9 @@ let rebuild_label_index g =
         g.pred.(v);
       if !c < 0 then c := alloc_chain g;
       if !c >= 0 then begin
-        (* bare append: self entries come with compute_labels below *)
+        (* bare append: self entries come with compute_labels below.  Every
+           chain restarts at 0 and slots are below 2^40, so the position
+           always packs. *)
         let pos = Int_vec.get g.chain_len !c in
         g.chain_of.(v) <- !c;
         g.chain_pos.(v) <- pos;
@@ -1195,9 +1233,10 @@ let of_snapshot ?(initial_capacity = 1024) ?(digests = true)
        done
      | None -> rebuild_chains g);
   (* Chain-decomposition index.  A persisted chain section is validated
-     against its own invariants (one member per position, live members a
-     consecutive suffix joined by direct edges, dead chains reset and
-     freed) and installed verbatim — the cap only gates {e new} chains, so
+     against its own invariants (ids and lengths within the packed label
+     range, one member per position, live members a consecutive suffix
+     joined by direct edges, dead chains reset and freed) and installed
+     verbatim — the cap only gates {e new} chains, so
      a capture from a larger-capped engine still loads.  Labels are never
      persisted: exact labels are a pure function of adjacency + chains,
      recomputed identically on every restore. *)
@@ -1205,7 +1244,12 @@ let of_snapshot ?(initial_capacity = 1024) ?(digests = true)
   if Array.length cs.cs_chain_of <> n || Array.length cs.cs_chain_pos <> n
   then fail "mismatched chain index length";
   let nc = Array.length cs.cs_chain_len in
-  Array.iter (fun l -> if l < 0 then fail "bad chain length")
+  (* label entries pack a chain id below 2^22 and a position below 2^40 *)
+  if nc > max_chain_ids then fail "chain id outside the packed range";
+  Array.iter
+    (fun l ->
+      if l < 0 || l > max_chain_len then
+        fail "chain length outside the packed range")
     cs.cs_chain_len;
   let members = Array.make (max nc 1) [] in
   for i = 0 to n - 1 do
@@ -1339,7 +1383,8 @@ let memory_bytes g =
   + (2 * (capacity g + 2) * word)
   + Int_vec.capacity_bytes g.free
   + Int_vec.capacity_bytes g.relabel_stack
-  (* chain-decomposition index: flat arrays + per-slot label vectors *)
+  (* chain-decomposition index: flat arrays + per-slot label vectors (an
+     array that several slots share is counted once per slot) *)
   + array_bytes g.chain_of + array_bytes g.chain_pos
   + array_bytes g.label_buf
   + ((capacity g + 2) * word)

@@ -51,14 +51,18 @@ val create :
     index.  Wholly-dead chains are recycled, so the cap bounds concurrent
     breadth, not history; events admitted while every chain is occupied
     stay unassigned and queries to them fall back to the BFS.  [0]
-    disables the label index entirely.
+    disables the label index entirely.  A label entry packs the chain id
+    into 22 bits and the position into 40, so [max_chains] is at most
+    [2^22], and an event that would take position [2^40] on its chain
+    stays off-chain like one past a saturated cap.
 
     [digests] (default [true]) maintains hash-chained event commitments
     alongside the graph (DESIGN.md §13): admitting an edge folds one link —
     two SHA-256 compressions — into the target's chain, and an event's
     {!commitment} is its current chain head.  The certify library proves
     happens-before facts against these commitments.  Disabling trades
-    verifiability for the fold cost. *)
+    verifiability for the fold cost.
+    @raise Invalid_argument if [max_chains > 2^22]. *)
 
 (** {1 Events and references} *)
 
@@ -134,7 +138,9 @@ val remove_last_edge : t -> Event_id.t -> Event_id.t -> unit
     invariant cannot break.  Chain labels {e are} rolled back exactly (an
     over-approximate label would corrupt negative answers): each admitted
     edge journals its chain and label changes until {!commit_batch}, and
-    rollback pops the journal.
+    rollback pops the journal.  After {!suspend_journal} nothing is
+    journaled, and a rollback falls back to a full deterministic rebuild
+    of the chains and labels.
     @raise Invalid_argument if the last edge out of [u] is not [v]. *)
 
 val commit_batch : t -> unit
@@ -143,7 +149,13 @@ val commit_batch : t -> unit
     them.  The engine calls this at every batch boundary; event creation
     and collection seal implicitly.  Calling it is never required for
     correctness of queries — only for bounding journal memory and keeping
-    rollback O(changed slots). *)
+    rollback O(changed slots).  It also ends a {!suspend_journal}. *)
+
+val suspend_journal : t -> unit
+(** Declare that the edges added until the next {!commit_batch} will never
+    be rolled back, so their chain and label changes are not journaled and
+    every label array they replace can be reclaimed at once.  The engine
+    calls this for a batch that cannot abort (DESIGN.md §15). *)
 
 (** {1 Commitment chains}
 
@@ -255,7 +267,9 @@ val of_snapshot :
     @raise Invalid_argument if the snapshot is internally inconsistent
     (mismatched array lengths, edges to free slots, out-of-range values,
     ranks violating the edge invariant — as any cyclic edge set does — or
-    a malformed chain section or chain links). *)
+    a malformed chain section or chain links; a chain section with more
+    than [2^22] chains or a chain length above [2^40] is malformed, since
+    label entries could not pack it), or if [max_chains > 2^22]. *)
 
 (** {1 Introspection} *)
 

@@ -38,15 +38,15 @@ and t = {
 }
 
 let drain_wake t () =
-  (try
-     while Unix.read t.wake_r t.wake_buf 0 (Bytes.length t.wake_buf) > 0 do
-       ()
-     done
-   with
-  | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-  | Unix.Unix_error (Unix.EINTR, _, _) -> ());
+  (* One read empties the pipe: the [notified] latch lets a byte in only
+     while it is clear, so the pipe holds at most one byte, and a read of
+     [wake_buf] takes it without a second syscall to hit EAGAIN.  A byte
+     left behind (an interrupted read) only wakes the next round again. *)
+  (try ignore (Unix.read t.wake_r t.wake_buf 0 (Bytes.length t.wake_buf)) with
+  | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
+    ());
   (* Clear the latch only once the pipe is empty.  Clearing it before the
-     drain lost wakeups: a notify racing the reads above would set the
+     drain lost wakeups: a notify racing the read above would set the
      flag and write a byte that the same drain then consumed, leaving the
      latch set over an empty pipe — after which every later notify skipped
      its write and the loop slept through completions until stop.  With

@@ -328,6 +328,53 @@ let test_snapshot_v5_chains () =
   | _ -> Alcotest.fail "corrupt chain section accepted"
   | exception Invalid_argument _ -> ()
 
+(* Label entries pack a chain id below 2^22 and a position below 2^40, so
+   a chain section that needs more is rejected: one naming chain 2^22,
+   and one whose chain is longer than 2^40 but otherwise well formed (its
+   live members shifted to the top of the longer chain). *)
+let test_snapshot_chain_range () =
+  let _, cmds = workload ~seed:23 ~n:12 ~m:20 in
+  let engine = Engine.create () in
+  List.iter (fun c -> ignore (Kronos_service.Server.apply engine c)) cmds;
+  let snap = Engine.to_snapshot engine in
+  let cs = snap.Engine.snap_graph.Graph.snap_chains in
+  let with_chains cs =
+    { snap with
+      Engine.snap_graph = { snap.Engine.snap_graph with Graph.snap_chains = cs } }
+  in
+  let rejected what expected cs =
+    match Engine.of_snapshot (with_chains cs) with
+    | _ -> Alcotest.failf "%s accepted" what
+    | exception Invalid_argument m ->
+      Alcotest.(check string) what ("Graph.of_snapshot: " ^ expected) m
+  in
+  let c0 = cs.Graph.cs_chain_of.(0) in
+  if c0 < 0 then Alcotest.fail "workload left slot 0 off-chain";
+  let far = 1 lsl 22 in
+  let of_ = Array.copy cs.Graph.cs_chain_of in
+  of_.(0) <- far;
+  let len = Array.make (far + 1) 0 in
+  Array.blit cs.Graph.cs_chain_len 0 len 0 (Array.length cs.Graph.cs_chain_len);
+  rejected "chain id 2^22" "chain id outside the packed range"
+    { cs with Graph.cs_chain_of = of_; cs_chain_len = len };
+  (* chain [c0] grown to [n] members ever appended, its live members the
+     top positions *)
+  let grown n =
+    let shift = n - cs.Graph.cs_chain_len.(c0) in
+    let len = Array.copy cs.Graph.cs_chain_len in
+    len.(c0) <- n;
+    { cs with
+      Graph.cs_chain_len = len;
+      cs_chain_pos =
+        Array.mapi
+          (fun i p -> if cs.Graph.cs_chain_of.(i) = c0 then p + shift else p)
+          cs.Graph.cs_chain_pos }
+  in
+  rejected "chain length 2^40 + 1" "chain length outside the packed range"
+    (grown ((1 lsl 40) + 1));
+  (* exactly 2^40 is in range and loads *)
+  ignore (Engine.of_snapshot (with_chains (grown (1 lsl 40))))
+
 let test_snapshot_files () =
   let _dir, storage = mem () in
   let ids, cmds = workload ~seed:7 ~n:12 ~m:18 in
@@ -871,6 +918,7 @@ let suites =
         Alcotest.test_case "wal sync policies" `Quick test_wal_sync_policies;
         QCheck_alcotest.to_alcotest prop_snapshot_round_trip;
         Alcotest.test_case "snapshot v5 chains" `Quick test_snapshot_v5_chains;
+        Alcotest.test_case "snapshot chain range" `Quick test_snapshot_chain_range;
         Alcotest.test_case "snapshot files" `Quick test_snapshot_files;
         Alcotest.test_case "recovery at every prefix" `Quick
           test_recovery_every_prefix;

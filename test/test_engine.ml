@@ -273,6 +273,144 @@ let prop_coherency =
       done;
       !ok)
 
+(* Batch atomicity and exact labels.  Random batches over at most 30
+   events mix Musts that rise in creation order (a batch of only those
+   cannot abort, and the graph journals none of it), falling Musts (some
+   close a cycle and abort the batch after earlier Musts went in), self
+   Musts (which abort) and Prefers.  Every batch goes into a default
+   engine, a 2-chain engine (labels saturate) and a label-free engine;
+   after each one, every engine must report the outcome a DFS model of
+   the committed edges predicts, and answer every pair as the model does.
+   An abort must undo its edges through the journal, never through the
+   full label rebuild kept for callers outside the batch protocol. *)
+let prop_batches_atomic_labels_exact =
+  let open QCheck2 in
+  let gen_constraint n =
+    Gen.(
+      let pair = pair (int_bound (n - 1)) (int_bound (n - 1)) in
+      frequency
+        [ (6, map (fun (u, v) -> (min u v, max u v, Order.Must)) pair);
+          (2, map (fun (u, v) -> (max u v, min u v, Order.Must)) pair);
+          (1, map (fun u -> (u, u, Order.Must)) (int_bound (n - 1)));
+          (3, map (fun (u, v) -> (u, v, Order.Prefer)) pair) ])
+  in
+  let gen =
+    Gen.(
+      int_range 2 30 >>= fun n ->
+      map (fun batches -> (n, batches))
+        (list_size (int_range 1 20)
+           (list_size (int_range 1 8) (gen_constraint n))))
+  in
+  let print (n, batches) =
+    Printf.sprintf "n=%d %s" n
+      (String.concat " | "
+         (List.map
+            (fun b ->
+              String.concat ","
+                (List.map
+                   (fun (u, v, k) ->
+                     Printf.sprintf "%d%s%d" u
+                       (if k = Order.Must then "<" else "<?") v)
+                   b))
+            batches))
+  in
+  (* The batch semantics over an adjacency matrix: Musts in request order,
+     then Prefers; any failing Must leaves the edges as they were. *)
+  let reach adj u v =
+    let n = Array.length adj in
+    let seen = Array.make n false in
+    let rec dfs x =
+      x = v
+      || (not seen.(x))
+         && begin
+           seen.(x) <- true;
+           let found = ref false in
+           for y = 0 to n - 1 do
+             if (not !found) && adj.(x).(y) then found := dfs y
+           done;
+           !found
+         end
+    in
+    dfs u
+  in
+  let model_apply adj batch =
+    let tent = Array.map Array.copy adj in
+    let indexed = List.mapi (fun i c -> (i, c)) batch in
+    let outcomes = Array.make (List.length batch) Order.Already in
+    let rec musts = function
+      | [] -> Ok ()
+      | (i, (u, v, _)) :: rest ->
+        if u = v then Error (Order.Must_self i)
+        else if reach tent u v then musts rest
+        else if reach tent v u then Error (Order.Must_violated i)
+        else begin
+          tent.(u).(v) <- true;
+          outcomes.(i) <- Order.Applied;
+          musts rest
+        end
+    in
+    let prefer (i, (u, v, _)) =
+      if u = v || reach tent u v then ()
+      else if reach tent v u then outcomes.(i) <- Order.Reversed
+      else begin
+        tent.(u).(v) <- true;
+        outcomes.(i) <- Order.Applied
+      end
+    in
+    match
+      musts (List.filter (fun (_, (_, _, k)) -> k = Order.Must) indexed)
+    with
+    | Error e -> (adj, Error e)
+    | Ok () ->
+      List.iter prefer
+        (List.filter (fun (_, (_, _, k)) -> k = Order.Prefer) indexed);
+      (tent, Ok (Array.to_list outcomes))
+  in
+  Test.make ~name:"batches stay atomic and labels exact" ~count:100 ~print gen
+    (fun (n, batches) ->
+      let engines =
+        List.map
+          (fun max_chains ->
+            let t =
+              Engine.create
+                ~config:{ Engine.default_config with max_chains } ()
+            in
+            (t, Array.init n (fun _ -> Engine.create_event t)))
+          [ Engine.default_config.max_chains; 2; 0 ]
+      in
+      let adj = ref (Array.make_matrix n n false) in
+      List.for_all
+        (fun batch ->
+          let adj', expected = model_apply !adj batch in
+          adj := adj';
+          let expected_rel u v =
+            if u = v then Order.Same
+            else if reach !adj u v then Order.Before
+            else if reach !adj v u then Order.After
+            else Order.Concurrent
+          in
+          List.for_all
+            (fun (t, ids) ->
+              let specs =
+                List.map
+                  (fun (u, v, kind) ->
+                    Order.constrain ~kind ~direction:Order.Happens_before
+                      ids.(u) ids.(v))
+                  batch
+              in
+              let result = Engine.assign_order t specs in
+              let agree = ref (result = expected) in
+              for u = 0 to n - 1 do
+                for v = 0 to n - 1 do
+                  match Engine.query_order t [ (ids.(u), ids.(v)) ] with
+                  | Ok [ r ] when r = expected_rel u v -> ()
+                  | Ok _ | Error _ -> agree := false
+                done
+              done;
+              !agree && Engine.label_rebuilds t = 0)
+            engines)
+        batches)
+
 let suites =
   [ ( "engine",
       [
@@ -291,5 +429,6 @@ let suites =
         Alcotest.test_case "stats" `Quick test_stats;
         QCheck_alcotest.to_alcotest prop_monotonicity;
         QCheck_alcotest.to_alcotest prop_coherency;
+        QCheck_alcotest.to_alcotest prop_batches_atomic_labels_exact;
       ] );
   ]

@@ -590,6 +590,43 @@ let test_chain_cap_saturation () =
   Alcotest.(check bool) "bfs answers" true (Graph.reachable g0 x y);
   Alcotest.(check int) "no label hits" 0 (Graph.label_hit_count g0)
 
+(* A label entry packs the chain id into 22 bits and the position into
+   40.  The cap is capped at 2^22 chains; a chain that has appended 2^40
+   members takes no more, and the next event stays off-chain (answered by
+   the BFS) as if the cap were saturated.  A restored chain section
+   reaches the top positions without 2^40 appends. *)
+let test_packed_label_ranges () =
+  ignore (Graph.create ~max_chains:(1 lsl 22) ());
+  Alcotest.check_raises "2^22 + 1 chains"
+    (Invalid_argument "Graph.create: max_chains above 2^22") (fun () ->
+      ignore (Graph.create ~max_chains:((1 lsl 22) + 1) ()));
+  let g = Graph.create () in
+  let a = Graph.create_event g in
+  let b = Graph.create_event g in
+  Graph.add_edge g a b;
+  let snap = Graph.to_snapshot g in
+  let cs = snap.Graph.snap_chains in
+  let top = 1 lsl 40 in
+  let full =
+    { snap with
+      Graph.snap_chains =
+        { cs with
+          Graph.cs_chain_pos =
+            Array.map (fun p -> p + top - 2) cs.Graph.cs_chain_pos;
+          cs_chain_len = [| top |] } }
+  in
+  let g = Graph.of_snapshot full in
+  Alcotest.(check (option bool)) "top positions pack" (Some true)
+    (Graph.label_reachable g a b);
+  Alcotest.(check (option bool)) "and answer negatively" (Some false)
+    (Graph.label_reachable g b a);
+  let c = Graph.create_event g in
+  Graph.add_edge g b c;
+  Alcotest.(check (option bool)) "position 2^40 stays off-chain" None
+    (Graph.label_reachable g a c);
+  Alcotest.(check bool) "the BFS answers it" true (Graph.reachable g a c);
+  Alcotest.(check int) "still one chain" 1 (Graph.chain_count g)
+
 let suites =
   [ ( "graph",
       [
@@ -608,6 +645,7 @@ let suites =
         Alcotest.test_case "introspection" `Quick test_introspection;
         Alcotest.test_case "visited accounting" `Quick test_visited_accounting;
         Alcotest.test_case "chain cap saturation" `Quick test_chain_cap_saturation;
+        Alcotest.test_case "packed label ranges" `Quick test_packed_label_ranges;
         Alcotest.test_case "label rebuild fallback" `Quick
           test_label_rebuild_fallback;
         QCheck_alcotest.to_alcotest prop_rank_index_differential;
