@@ -60,7 +60,8 @@ bench-smoke: build
 # Regression gate: re-measure the smoke series and compare them with the
 # committed BENCH_smoke.json.  It fails when an engine.*,
 # client.order_cache_* or certify.* ns/op (or ns/edge) series, the
-# engine.assign_batch_wide_promoted words/edge count, or a fed.* rate, is
+# engine.assign_batch_wide_promoted words/edge count, the
+# engine.commitment_bytes_per_link B/link figure, or a fed.* rate, is
 # more than 2.5x worse than its committed value; when
 # certify.assign_overhead_pct exceeds its 250 pct budget; when
 # fed.write_scaling (or, on hosts with 4+ domains,

@@ -3,7 +3,9 @@
    The paper holds one reference per event and reports linear growth — 12 GB
    for 100 M events (~120 B/event) — with discontinuities at array-doubling
    points.  We create events the same way and report the engine's internal
-   accounting, which covers every array the implementation allocates. *)
+   accounting, [Engine.memory_bytes]: every block the graph holds, header
+   words included, which test_graph holds within 5% of the live heap words
+   a graph adds. *)
 
 open Kronos
 

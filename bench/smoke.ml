@@ -177,7 +177,14 @@ let order_cache_smoke () =
      single-domain *live* rate — the number the multicore work exists
      for.  [check] holds it above a hard 2x floor, but only on machines
      with at least 4 recommended domains; on smaller hosts the series is
-     still recorded and baseline-gated like everything else. *)
+     still recorded and baseline-gated like everything else.
+   The frozen rates are the best of [parallel_windows] windows of a fixed
+   query count.  The reader domains are spawned once, outside every
+   window, and start each window together at a barrier; the calling
+   domain is one of them and times the window from the barrier's release
+   to the last reader's finish. *)
+let parallel_windows = 7
+
 let query_parallel_smoke () =
   let engine = Engine.create () in
   let n = 2_000 in
@@ -201,21 +208,45 @@ let query_parallel_smoke () =
   let total = if !Bench_util.full_scale then 400_000 else 120_000 in
   let run_with d =
     let per = total / d in
-    let t0 = Unix.gettimeofday () in
-    let workers =
-      Array.init d (fun k ->
+    let reader k =
+      let rng = Kronos_simnet.Rng.create ~seed:(Int64.of_int (100 + k)) in
+      fun () ->
+        for _ = 1 to per do
+          let u = Kronos_simnet.Rng.int rng n
+          and v = Kronos_simnet.Rng.int rng n in
+          ignore (Engine.View.query view c1.(u) c2.(v))
+        done
+    in
+    (* window [w] opens when [round] reaches [w]; [arrived] and
+       [finished] count the spawned readers' barrier arrivals and
+       finished windows over the whole run *)
+    let round = Atomic.make 0 in
+    let arrived = Atomic.make 0 and finished = Atomic.make 0 in
+    let rec await cond = if not (cond ()) then (Domain.cpu_relax (); await cond) in
+    let spawned =
+      Array.init (d - 1) (fun k ->
+          let run = reader (k + 1) in
           Domain.spawn (fun () ->
-              let rng =
-                Kronos_simnet.Rng.create ~seed:(Int64.of_int (100 + k))
-              in
-              for _ = 1 to per do
-                let u = Kronos_simnet.Rng.int rng n
-                and v = Kronos_simnet.Rng.int rng n in
-                ignore (Engine.View.query view c1.(u) c2.(v))
+              for w = 1 to parallel_windows do
+                Atomic.incr arrived;
+                await (fun () -> Atomic.get round >= w);
+                run ();
+                Atomic.incr finished
               done))
     in
-    Array.iter Domain.join workers;
-    float_of_int (per * d) /. (Unix.gettimeofday () -. t0)
+    let run = reader 0 in
+    let best = ref 0. in
+    for w = 1 to parallel_windows do
+      await (fun () -> Atomic.get arrived >= (d - 1) * w);
+      let t0 = Unix.gettimeofday () in
+      Atomic.set round w;
+      run ();
+      await (fun () -> Atomic.get finished >= (d - 1) * w);
+      let rate = float_of_int (per * d) /. (Unix.gettimeofday () -. t0) in
+      best := Float.max !best rate
+    done;
+    Array.iter Domain.join spawned;
+    !best
   in
   let rate1 = run_with 1 in
   let rate_all = run_with domains in
@@ -302,9 +333,45 @@ let query_wide_smoke () =
     "ns/op"
 
 (* The same G(10k,50k), low -> high, built the way read_wide preloads it:
-   into a fresh default engine (labels and digests on) in 1000-edge Must
-   batches.  Every Must rises in rank, so no batch can abort and none is
-   journaled (DESIGN.md §15).  Two series:
+   into a fresh engine in 1000-edge Must batches.  Every Must rises in
+   rank, so no batch can abort and none is journaled (DESIGN.md §15).
+   Returns a builder of fresh engines under [config] (a fresh engine mints
+   the same ids every time, so the batches apply to any of them), and the
+   edge count. *)
+let wide_batches () =
+  let module Graph_gen = Kronos_workload.Graph_gen in
+  let n = 10_000 and batch = 1_000 in
+  let graph =
+    Graph_gen.erdos_renyi_gnm ~rng:(Kronos_simnet.Rng.create ~seed:77L) ~n
+      ~m:50_000
+  in
+  let edges = Array.map (fun (u, v) -> (min u v, max u v)) graph.edges in
+  let m = Array.length edges in
+  let fresh config =
+    let engine = Engine.create ~config () in
+    (engine, Array.init n (fun _ -> Engine.create_event engine))
+  in
+  let _, ids = fresh Engine.default_config in
+  let batches =
+    List.init ((m + batch - 1) / batch) (fun b ->
+        List.init
+          (min batch (m - (b * batch)))
+          (fun k ->
+            let u, v = edges.((b * batch) + k) in
+            Order.must_before ids.(u) ids.(v)))
+  in
+  let build engine =
+    List.iter
+      (fun specs ->
+        match Engine.assign_order engine specs with
+        | Ok _ -> ()
+        | Error _ -> failwith "smoke: a rising Must batch aborted")
+      batches
+  in
+  (fresh, build, m)
+
+(* Two series over [wide_batches] into default engines (labels and
+   digests on):
    - [engine.assign_batch_wide]: ns per edge, the best of five builds,
      each on a fresh engine after a compaction;
    - [engine.assign_batch_wide_promoted]: words promoted from the minor to
@@ -315,40 +382,14 @@ let query_wide_smoke () =
      same); it moves slightly with the minor heap size and with what the
      process allocated before. *)
 let assign_batch_wide_smoke () =
-  let module Graph_gen = Kronos_workload.Graph_gen in
-  let n = 10_000 and batch = 1_000 in
-  let graph =
-    Graph_gen.erdos_renyi_gnm ~rng:(Kronos_simnet.Rng.create ~seed:77L) ~n
-      ~m:50_000
-  in
-  let edges = Array.map (fun (u, v) -> (min u v, max u v)) graph.edges in
-  let m = Array.length edges in
-  (* a fresh engine mints the same ids every time *)
-  let fresh () =
-    let engine = Engine.create () in
-    (engine, Array.init n (fun _ -> Engine.create_event engine))
-  in
-  let _, ids = fresh () in
-  let batches =
-    List.init ((m + batch - 1) / batch) (fun b ->
-        List.init
-          (min batch (m - (b * batch)))
-          (fun k ->
-            let u, v = edges.((b * batch) + k) in
-            Order.must_before ids.(u) ids.(v)))
-  in
+  let fresh, build, m = wide_batches () in
   let best_ns = ref infinity and promoted = ref infinity in
   for _ = 1 to 5 do
-    let engine, _ = fresh () in
+    let engine, _ = fresh Engine.default_config in
     Gc.compact ();
     let p0 = (Gc.quick_stat ()).Gc.promoted_words in
     let t0 = Unix.gettimeofday () in
-    List.iter
-      (fun specs ->
-        match Engine.assign_order engine specs with
-        | Ok _ -> ()
-        | Error _ -> failwith "smoke: a rising Must batch aborted")
-      batches;
+    build engine;
     let ns = (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int m in
     let words = (Gc.quick_stat ()).Gc.promoted_words -. p0 in
     best_ns := Float.min !best_ns ns;
@@ -356,6 +397,28 @@ let assign_batch_wide_smoke () =
   done;
   record "engine.assign_batch_wide" !best_ns "ns/edge";
   record "engine.assign_batch_wide_promoted" !promoted "words/edge"
+
+(* [engine.commitment_bytes_per_link]: heap bytes the commitment chains
+   (DESIGN.md §13) hold per admitted edge after the [wide_batches] build.
+   Live words after a compaction are exact, so the series is the live-word
+   growth of a build with digests on minus that of one with digests off,
+   per edge: everything else the two engines hold is the same. *)
+let commitment_bytes_smoke () =
+  let fresh, build, m = wide_batches () in
+  let growth digests =
+    Gc.compact ();
+    let w0 = (Gc.stat ()).Gc.live_words in
+    let engine, _ = fresh { Engine.default_config with digests } in
+    build engine;
+    Gc.compact ();
+    let w = (Gc.stat ()).Gc.live_words - w0 in
+    ignore (Sys.opaque_identity engine);
+    w
+  in
+  let words = growth true - growth false in
+  record "engine.commitment_bytes_per_link"
+    (float_of_int (words * (Sys.word_size / 8)) /. float_of_int m)
+    "B/link"
 
 (* Certify hot paths (DESIGN.md §13): proof generation and verification
    over a real chain, plus the assign-path cost of digest maintenance —
@@ -701,8 +764,9 @@ let read_file path =
 (* Regression gate behind `make bench-check`: re-measure the engine hot
    paths, the client order cache, the certify series and the federated
    series, and compare them with the committed BENCH_smoke.json.  The
-   engine.*, client.order_cache_* and certify.* ns/op series, and the
-   promoted words per edge of [engine.assign_batch_wide_promoted], are
+   engine.*, client.order_cache_* and certify.* ns/op series, the
+   promoted words per edge of [engine.assign_batch_wide_promoted] and the
+   heap bytes per link of [engine.commitment_bytes_per_link] are
    in-process numbers; the fed.* series are closed-loop
    rates on the simulated network (pure compute, no real sleeping), so
    both are stable enough to gate.  The pct series is held under an
@@ -744,6 +808,7 @@ let check () =
   publish_smoke ();
   query_wide_smoke ();
   assign_batch_wide_smoke ();
+  commitment_bytes_smoke ();
   certify_smoke ();
   federation_smoke ();
   write_scaling_smoke ();
@@ -827,6 +892,7 @@ let run () =
   publish_smoke ();
   query_wide_smoke ();
   assign_batch_wide_smoke ();
+  commitment_bytes_smoke ();
   certify_smoke ();
   federation_smoke ();
   write_scaling_smoke ();

@@ -35,15 +35,18 @@ type reached = {
   mutable processed : int;           (* links already expanded, -1 if never *)
 }
 
+module Chain = Graph.Chain
+
 let prove g ~source ~target =
   if not (Engine.View.digests_enabled g) then None
   else
     match
       ( Engine.View.rank g source, Engine.View.rank g target,
-        Engine.View.chain_length g target )
+        Engine.View.chain g target )
     with
-    | Some rs, Some rt, Some tlen
+    | Some rs, Some rt, Some tchain
       when rs < rt && not (Event_id.equal source target) ->
+      let tlen = Chain.length tchain in
       let best : (Event_id.t, reached) Hashtbl.t = Hashtbl.create 64 in
       let queue = Queue.create () in
       let start =
@@ -59,14 +62,22 @@ let prove g ~source ~target =
         if r.processed < r.bound then begin
           let from = max r.processed 0 in
           r.processed <- r.bound;
+          let c =
+            match Engine.View.chain g e with
+            | Some c -> c
+            | None -> assert false (* queued events are live in [g] *)
+          in
+          (* a bound exceeds the chain only after rollbacks out of LIFO
+             order; links past the chain are not there to follow *)
+          let hi = min r.bound (Chain.length c) in
           let j = ref from in
-          while (not !found) && !j < r.bound do
-            (match Engine.View.chain_link g e !j with
-             | None -> ()
-             | Some l ->
-               incr visited;
-               let p = l.Graph.l_pred in
-               if Event_id.equal p source then begin
+          while (not !found) && !j < hi do
+            (* the search reads only predecessor ids and positions: it
+               hashes nothing *)
+            let p = Chain.pred c !j in
+            let pred_pos = Chain.pred_pos c !j in
+            incr visited;
+            (if Event_id.equal p source then begin
                  (* reach the source directly; bound = link position *)
                  let upd =
                    match Hashtbl.find_opt best p with
@@ -79,7 +90,7 @@ let prove g ~source ~target =
                      Hashtbl.replace best p u;
                      u
                  in
-                 upd.bound <- l.Graph.l_pred_pos;
+                 upd.bound <- pred_pos;
                  upd.via <- e;
                  upd.via_link <- !j;
                  found := true
@@ -91,7 +102,7 @@ let prove g ~source ~target =
                         && Engine.View.label_reachable g source p
                            <> Some false ->
                    let improve u =
-                     u.bound <- l.Graph.l_pred_pos;
+                     u.bound <- pred_pos;
                      u.via <- e;
                      u.via_link <- !j;
                      Queue.add p queue
@@ -104,7 +115,7 @@ let prove g ~source ~target =
                       in
                       Hashtbl.replace best p u;
                       improve u
-                    | Some u when l.Graph.l_pred_pos > u.bound -> improve u
+                    | Some u when pred_pos > u.bound -> improve u
                     | Some _ -> ())
                  | Some _ | None -> ()
                  (* pruned: outside the rank window, refuted by the chain
@@ -132,49 +143,38 @@ let prove g ~source ~target =
             collect ((r.via, r.via_link) :: acc) r.via
         in
         let opened = collect [] source in
-        let partner_suffix e lo hi =
-          (* partners of links [lo..hi-1] of [e], in fold order *)
-          List.init (hi - lo) (fun k ->
-              match Engine.View.chain_link g e (lo + k) with
-              | Some l -> l.Graph.l_partner
-              | None -> assert false (* indices below the live chain length *))
+        (* Only the emitted steps hash: one compression per suffix
+           partner, and two per link below the opened one to refold its
+           pre-head. *)
+        let chain e =
+          match Engine.View.chain g e with
+          | Some c -> c
+          | None -> assert false (* every path event is live in [g] *)
+        in
+        let partner_suffix c lo hi =
+          (* partners of links [lo..hi-1], in fold order *)
+          List.init (hi - lo) (fun k -> Chain.partner c (lo + k))
         in
         let steps =
           List.map
             (fun (e, j) ->
-              let l =
-                match Engine.View.chain_link g e j with
-                | Some l -> l
-                | None -> assert false
-              in
-              let bound = (Hashtbl.find best e).bound in
-              let pre =
-                match Engine.View.head_at g e j with
-                | Some h -> h
-                | None -> assert false
-              in
-              { Certificate.event = e; pred = l.Graph.l_pred; pre;
-                pred_head = l.Graph.l_pred_head;
-                suffix = partner_suffix e (j + 1) bound })
+              let c = chain e in
+              { Certificate.event = e;
+                pred = Chain.pred c j;
+                pre = Chain.head_at c j;
+                pred_head = Chain.pred_head c j;
+                suffix = partner_suffix c (j + 1) (Hashtbl.find best e).bound })
             opened
         in
-        let source_pos = (Hashtbl.find best source).bound in
-        let source_len =
-          match Engine.View.chain_length g source with
-          | Some n -> n
-          | None -> assert false
-        in
-        let commit e =
-          match Engine.View.commitment g e with
-          | Some c -> c
-          | None -> assert false
-        in
+        let schain = chain source in
         Kronos_metrics.Atomic_counter.incr M.proved;
         Some
           { Certificate.source; target;
-            source_commit = commit source;
-            target_commit = commit target;
+            source_commit = Chain.commitment schain;
+            target_commit = Chain.commitment tchain;
             steps;
-            source_suffix = partner_suffix source source_pos source_len }
+            source_suffix =
+              partner_suffix schain (Hashtbl.find best source).bound
+                (Chain.length schain) }
       end
     | _ -> None

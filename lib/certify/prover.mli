@@ -19,8 +19,12 @@
 
     The search is a backward walk over chain links from [target], pruned to
     the open rank window ([Engine.View.rank]), tracking per event the
-    largest usable chain prefix; cost is proportional to the links
-    examined, all pre-hashed (no SHA-256 is computed while proving). *)
+    largest usable chain prefix.  It reads only each link's predecessor id
+    and position, so it computes no SHA-256.  Links store no digests of
+    their own, so the steps of a found path are recomputed: a step that
+    opens link [j] of an event and folds [s] suffix partners costs [s]
+    compressions, plus [2j] to refold its pre-head from the identity
+    digest. *)
 
 open Kronos
 

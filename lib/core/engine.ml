@@ -359,15 +359,10 @@ module View = struct
     | Live e -> Graph.chain_length e.g id
     | Frozen f -> Graph.Frozen.chain_length f id
 
-  let chain_link v id i =
+  let chain v id =
     match v with
-    | Live e -> Graph.chain_link e.g id i
-    | Frozen f -> Graph.Frozen.chain_link f id i
-
-  let head_at v id n =
-    match v with
-    | Live e -> Graph.head_at e.g id n
-    | Frozen f -> Graph.Frozen.head_at f id n
+    | Live e -> Graph.chain e.g id
+    | Frozen f -> Graph.Frozen.chain f id
 
   let live_events = function
     | Live e -> Graph.live_count e.g

@@ -146,10 +146,10 @@ module View : sig
   val digests_enabled : t -> bool
   val commitment : t -> Event_id.t -> string option
   val chain_length : t -> Event_id.t -> int option
-  val chain_link : t -> Event_id.t -> int -> Graph.link option
-  val head_at : t -> Event_id.t -> int -> string option
+  val chain : t -> Event_id.t -> Graph.Chain.t option
   (** Commitment-chain accessors, the certify prover's working set; all
-      answer [None] when digests are disabled. *)
+      answer [None] when digests are disabled.  A chain from a live view
+      must be used before the engine next mutates. *)
 
   val live_events : t -> int
   val edges : t -> int

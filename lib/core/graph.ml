@@ -18,20 +18,130 @@ module M = struct
   let chains = Kronos_metrics.gauge scope "graph_chains"
 end
 
-(* One commitment-chain link, recorded when an edge into this event was
-   admitted (DESIGN.md §13).  Immutable once pushed; only batch rollback
-   pops it again. *)
-type link = {
-  l_pred : Event_id.t;    (* predecessor identifier at link time *)
-  l_pred_head : string;   (* predecessor chain head at link time *)
-  l_pred_pos : int;       (* predecessor link count at link time *)
-  l_partner : string;     (* Chain_digest.link_partner l_pred l_pred_head *)
-  l_head : string;        (* this event's head after folding this link *)
+(* Commitment link stores (DESIGN.md §13).  A slot's commitment-chain
+   links, one per admitted incoming edge, live in one flat append-only
+   [Bytes.t]: a u32 link count, then a 44-byte record per link holding
+   exactly what a snapshot persists of it — predecessor id (i64),
+   predecessor position (u32: a snapshot stores chain lengths as u32) and
+   predecessor head (32 bytes).  Partners and earlier heads are not
+   stored; [partner] and [refold] recompute the few a prover emits.
+
+   Frozen views share a store by pointer and keep their own count, so no
+   byte of a link a view can read is ever written again: an append writes
+   past every published count, a full store grows into a fresh copy, a
+   rollback pops only links no view has seen (and unshares the store
+   otherwise), and a collected slot drops its store for [empty] instead of
+   resetting it.  The count header belongs to the live graph; views never
+   read it. *)
+module Links = struct
+  let record = 44
+  let header = 4
+  let head_off = 12
+  let max_count = 0xFFFF_FFFF
+
+  (* The shared store of every slot without links.  Never written: the
+     first [push] allocates. *)
+  let empty = Bytes.empty
+
+  let[@inline] off i = header + (record * i)
+
+  let length st =
+    if Bytes.length st = 0 then 0
+    else Int32.to_int (Bytes.get_int32_le st 0) land max_count
+
+  let set_length st n = Bytes.set_int32_le st 0 (Int32.of_int n)
+
+  let pred st i = Event_id.of_int64 (Bytes.get_int64_le st (off i))
+
+  let pred_pos st i =
+    Int32.to_int (Bytes.get_int32_le st (off i + 8)) land max_count
+
+  let pred_head st i = Bytes.sub_string st (off i + head_off) Chain_digest.length
+
+  (* [st] holding its first [n] links in a fresh buffer with room for
+     [cap] links. *)
+  let resize st n cap =
+    let st' = Bytes.create (off cap) in
+    if n > 0 then Bytes.blit st header st' header (record * n);
+    set_length st' n;
+    st'
+
+  (* Append one link; the result is [st] itself or, when full, a grown
+     copy.  A store grows by a quarter, and by one link while a quarter
+     rounds below that, so chains up to 8 links fit exactly: slack stays
+     out of the short chains that dominate real graphs, and under a
+     quarter of a long one.  (On G(10k,50k), growing by half past 4 links
+     costs 65 B per link, and doubling 74 B, against 61 B.) *)
+  let push st ~pred ~pos ~head =
+    let n = length st in
+    let st =
+      if off (n + 1) <= Bytes.length st then st
+      else resize st n (n + max 1 (n / 4))
+    in
+    let o = off n in
+    Bytes.set_int64_le st o (Int64.of_int (pred : Event_id.t :> int));
+    Bytes.set_int32_le st (o + 8) (Int32.of_int pos);
+    Bytes.blit_string head 0 st (o + head_off) Chain_digest.length;
+    set_length st (n + 1);
+    st
+
+  (* Link [i]'s partner digest: one compression. *)
+  let partner st i = Chain_digest.link_partner (pred st i) (pred_head st i)
+
+  (* The head after the first [n] links of [id]'s chain, refolded from its
+     identity digest: two compressions per link. *)
+  let refold id st n =
+    let h = ref (Chain_digest.init id) in
+    for i = 0 to n - 1 do
+      h := Chain_digest.fold_link !h (partner st i)
+    done;
+    !h
+
+  (* Bytes held by a store, header word included. *)
+  let heap_bytes st =
+    if Bytes.length st = 0 then 0
+    else ((Bytes.length st / 8) + 2) * (Sys.word_size / 8)
+end
+
+(* One event's chain as of a moment: its store, shared by pointer, with
+   the link count and head ("" while the count is 0) of that moment.  A
+   frozen view keeps one per slot that has links. *)
+type chain = {
+  c_id : Event_id.t;
+  c_store : Bytes.t;
+  c_len : int;
+  c_head : string;
 }
 
-let dummy_link =
-  { l_pred = Event_id.none; l_pred_head = ""; l_pred_pos = 0;
-    l_partner = ""; l_head = "" }
+let no_chain =
+  { c_id = Event_id.none; c_store = Links.empty; c_len = 0; c_head = "" }
+
+module Chain = struct
+  type t = chain
+
+  let length c = c.c_len
+
+  let commitment c =
+    if c.c_len = 0 then Chain_digest.init c.c_id else c.c_head
+
+  let link c i =
+    if i < 0 || i >= c.c_len then
+      invalid_arg "Graph.Chain: link index out of range";
+    i
+
+  let pred c i = Links.pred c.c_store (link c i)
+  let pred_pos c i = Links.pred_pos c.c_store (link c i)
+  let pred_head c i = Links.pred_head c.c_store (link c i)
+  let partner c i = Links.partner c.c_store (link c i)
+
+  let head_at c n =
+    if n < 0 || n > c.c_len then invalid_arg "Graph.Chain.head_at: out of range";
+    if n = c.c_len then commitment c else Links.refold c.c_id c.c_store n
+end
+
+(* The adjacency vector of every slot without edges, shared and never
+   written: [adj_push] allocates a slot's own on its first edge. *)
+let no_adj = Int_vec.create ~capacity:1 ()
 
 (* Every per-slot field of a frozen view (see [freeze]) is a two-level
    persistent array: slot [s] sits at index [s land chunk_mask] of a chunk
@@ -65,6 +175,9 @@ let[@inline] pa_int (root : int pa) s =
 let[@inline] pa_arr (root : 'a array pa) s =
   Array.unsafe_get (pa_chunk root s) (s land chunk_mask)
 
+let[@inline] pa_chain (root : chain pa) s =
+  Array.unsafe_get (pa_chunk root s) (s land chunk_mask)
+
 (* A deeply immutable copy of the graph's query-visible state over slots
    [0, f_next_slot), safe to share across domains.  Views only ever test
    liveness, so one word per slot stands in for refcount and generation:
@@ -83,17 +196,19 @@ type frozen = {
   f_chain_pos : int pa;
   f_succ : int array pa;
   f_pred : int array pa;
-  f_chains : link array pa;  (* all [||] when digests are off *)
+  f_chains : chain pa;  (* [no_chain] for slots without links *)
   f_labels : int array pa;
 }
 
 (* One entry of the per-edge rollback journal for the chain-decomposition
-   index.  [push_edge] opens a group with [J_mark]; [remove_last_edge] pops
-   the topmost group, restoring the exact pre-edge chains and labels.
+   index and the commitment heads.  [push_edge] opens a group with
+   [J_mark]; [remove_last_edge] pops the topmost group, restoring the exact
+   pre-edge chains, labels and target head.
    [commit_batch] (and any non-batch mutation) truncates the journal.  A
    batch that cannot abort ([suspend_journal]) pushes no entries at all. *)
 type label_undo =
-  | J_mark of int * int          (* (su, sv) of the admitted edge *)
+  | J_mark of int * int * string (* (su, sv) of the admitted edge, and sv's
+                                    head before it *)
   | J_label of int * int array   (* slot, previous label array *)
   | J_assign of int * int * int  (* slot appended: slot, chain, prev tail *)
   | J_chain of int * bool        (* chain allocated: id, came from free list *)
@@ -102,6 +217,7 @@ type t = {
   mutable refcount : int array;  (* -1 marks a free slot *)
   mutable gen : int array;       (* generation of the current/next tenant *)
   mutable indeg : int array;
+  (* [no_adj] until a slot's first edge in that direction *)
   mutable succ : Int_vec.t array;
   mutable pred : Int_vec.t array; (* reverse adjacency, for backward BFS *)
   free : Int_vec.t;              (* stack of reusable slots *)
@@ -134,14 +250,14 @@ type t = {
   mutable rank_relabels : int;
   mutable rank_pruned : int;
   mutable bidir_traversals : int;
-  (* Commitment chains (DESIGN.md §13).  Per live slot, the ordered list of
-     links folded into the event's chain, one per admitted incoming edge;
-     the event's commitment is the head of the last link (or its identity
-     digest while the chain is empty).  Identity digests are recomputed
-     from the identifier on demand — they encode (slot, gen) injectively —
-     so only the links need storing. *)
+  (* Commitment chains (DESIGN.md §13).  Per slot, the link store (see
+     [Links]) and the current head, which is the event's commitment; ""
+     while the chain is empty, when the commitment is the identity digest,
+     recomputed from the identifier on demand — it encodes (slot, gen)
+     injectively.  Both arrays are empty when digests are off. *)
   digests : bool;
-  mutable chains : link Vec.t array;
+  mutable links : Bytes.t array;
+  mutable heads : string array;
   mutable digest_folds : int;
   (* Epoch counter for the multicore query plane (DESIGN.md §14): bumped on
      every mutation a read view could observe (event creation, collection,
@@ -223,13 +339,14 @@ let create ?(initial_capacity = 1024) ?(digests = true)
     label_misses = 0;
     label_rebuilds = 0;
     digests;
-    chains = Array.init cap (fun _ -> Vec.create ~dummy:dummy_link ());
+    links = (if digests then Array.make cap Links.empty else [||]);
+    heads = (if digests then Array.make cap "" else [||]);
     digest_folds = 0;
     refcount = Array.make cap (-1);
     gen = Array.make cap 0;
     indeg = Array.make cap 0;
-    succ = Array.init cap (fun _ -> Int_vec.create ~capacity:2 ());
-    pred = Array.init cap (fun _ -> Int_vec.create ~capacity:2 ());
+    succ = Array.make cap no_adj;
+    pred = Array.make cap no_adj;
     free = Int_vec.create ();
     next_slot = 0;
     live = 0;
@@ -279,20 +396,15 @@ let grow g =
   g.gen <- copy g.gen 0;
   g.indeg <- copy g.indeg 0;
   g.rank <- copy g.rank 0;
-  let grow_adj adj =
-    Array.init cap (fun i ->
-      if i < old then adj.(i) else Int_vec.create ~capacity:2 ())
-  in
-  g.succ <- grow_adj g.succ;
-  g.pred <- grow_adj g.pred;
-  g.chains <-
-    Array.init cap (fun i ->
-      if i < old then g.chains.(i) else Vec.create ~dummy:dummy_link ());
+  g.succ <- copy g.succ no_adj;
+  g.pred <- copy g.pred no_adj;
+  if g.digests then begin
+    g.links <- copy g.links Links.empty;
+    g.heads <- copy g.heads ""
+  end;
   g.chain_of <- copy g.chain_of (-1);
   g.chain_pos <- copy g.chain_pos 0;
-  let labels = Array.make cap [||] in
-  Array.blit g.labels 0 labels 0 old;
-  g.labels <- labels;
+  g.labels <- copy g.labels [||];
   g.marks <- copy g.marks 0;
   Sparse_set.grow g.dirty cap;
   g.queue <- Array.make cap 0;
@@ -326,13 +438,8 @@ let create_event g =
       s
     end
   in
+  (* a free slot was reset when collected: no edges, links or label *)
   g.refcount.(s) <- 1;
-  g.indeg.(s) <- 0;
-  Int_vec.clear g.succ.(s);
-  Int_vec.clear g.pred.(s);
-  Vec.clear g.chains.(s);
-  g.chain_of.(s) <- -1;
-  g.labels.(s) <- [||];
   (* creation is never part of an edge batch: seal any previous journal *)
   g.journal <- [];
   g.journaling <- true;
@@ -395,12 +502,17 @@ let collect g s =
       end
     in
     Int_vec.iter kill g.succ.(u);
-    Int_vec.clear g.succ.(u);
-    Int_vec.clear g.pred.(u);
+    (* in-degree zero: [pred.(u)] is empty already *)
+    g.succ.(u) <- no_adj;
+    g.pred.(u) <- no_adj;
     (* Chain links of still-live successors keep referencing this event by
        identifier + head, so certificates through committed history stay
-       checkable; only this event's own chain is dropped. *)
-    Vec.clear g.chains.(u);
+       checkable; only this event's own chain is dropped — for the empty
+       store, never reset in place, since views may share it. *)
+    if g.digests then begin
+      g.links.(u) <- Links.empty;
+      g.heads.(u) <- ""
+    end;
     (* Retire the slot from the chain-decomposition index.  Members die in
        position order (strict topological GC reclaims predecessors first),
        so a chain empties prefix-first and is recycled only once wholly
@@ -580,7 +692,6 @@ let assign_slot g s c =
    propagates nothing beyond [sv]'s own predecessors: every ancestor
    already reaches the chain at a lower position. *)
 let label_admit g su sv =
-  if g.journaling then g.journal <- J_mark (su, sv) :: g.journal;
   let sv_assigned = ref false in
   let su_assigned = ref false in
   if g.chain_of.(sv) < 0 then begin
@@ -866,33 +977,46 @@ let query g e1 e2 =
       end
     end
 
-(* Chain head of slot [s] after its first [n] links (n = length for the
-   current commitment).  n = 0 is the identity digest, recomputed from the
-   identifier rather than stored. *)
-let head_at_slot g s n =
-  if n = 0 then Chain_digest.init (id_of_slot g s)
-  else (Vec.get g.chains.(s) (n - 1)).l_head
+(* Slot [s]'s current chain head: its commitment. *)
+let head_of_slot g s =
+  let h = g.heads.(s) in
+  if String.length h = 0 then Chain_digest.init (id_of_slot g s) else h
 
-(* Fold one commitment link for the admitted edge su -> sv: two SHA-256
-   compressions (partner digest + chain fold). *)
-let fold_edge g su sv =
-  let pred_id = id_of_slot g su in
-  let pred_pos = Vec.length g.chains.(su) in
-  let pred_head = head_at_slot g su pred_pos in
-  let partner = Chain_digest.link_partner pred_id pred_head in
-  let head =
-    Chain_digest.fold_link (head_at_slot g sv (Vec.length g.chains.(sv)))
-      partner
-  in
-  Vec.push g.chains.(sv)
-    { l_pred = pred_id; l_pred_head = pred_head; l_pred_pos = pred_pos;
-      l_partner = partner; l_head = head };
+(* Fold one link into slot [v]'s chain: two SHA-256 compressions (partner
+   digest + chain fold). *)
+let append_link g v ~pred ~pos ~pred_head =
+  let partner = Chain_digest.link_partner pred pred_head in
+  g.heads.(v) <- Chain_digest.fold_link (head_of_slot g v) partner;
+  g.links.(v) <- Links.push g.links.(v) ~pred ~pos ~head:pred_head;
   g.digest_folds <- g.digest_folds + 2;
   Kronos_metrics.Counter.add M.digest_folds 2
 
+(* The link for the admitted edge su -> sv. *)
+let fold_edge g su sv =
+  append_link g sv ~pred:(id_of_slot g su) ~pos:(Links.length g.links.(su))
+    ~pred_head:(head_of_slot g su)
+
+(* Append to a slot's adjacency, giving it its own vector on its first
+   edge. *)
+let adj_push adj s x =
+  let v = adj.(s) in
+  if v == no_adj then begin
+    let v = Int_vec.create ~capacity:2 () in
+    Int_vec.push v x;
+    adj.(s) <- v
+  end
+  else Int_vec.push v x
+
 let push_edge g su sv =
-  Int_vec.push g.succ.(su) sv;
-  Int_vec.push g.pred.(sv) su;
+  (* A link count past the u32 a store and a snapshot hold it in would
+     need ~176 GiB of store; refuse it before mutating anything. *)
+  if g.digests && Links.length g.links.(sv) = Links.max_count then
+    invalid_arg "Graph.add_edge: commitment chain full";
+  if g.journaling then
+    g.journal <-
+      J_mark (su, sv, if g.digests then g.heads.(sv) else "") :: g.journal;
+  adj_push g.succ su sv;
+  adj_push g.pred sv su;
   g.indeg.(sv) <- g.indeg.(sv) + 1;
   g.edges <- g.edges + 1;
   g.version <- g.version + 1;
@@ -1006,6 +1130,29 @@ let add_edge g u v =
     end
   | (None | Some _), _ -> invalid_arg "Graph.add_edge: stale event"
 
+(* Pop slot [s]'s newest link.  The engine rolls back only links of the
+   running batch, which no view has seen.  A caller that froze mid-batch
+   finds the link in the latest view (every older view sharing this store
+   holds at most as many links), so the store is unshared first: the next
+   append must not overwrite bytes a view reads. *)
+let pop_link g s =
+  let st = g.links.(s) in
+  let n = Links.length st in
+  let seen =
+    match g.frozen_cache with
+    | Some f when s < f.f_next_slot ->
+      let c = pa_chain f.f_chains s in
+      c.c_store == st && c.c_len >= n
+    | Some _ | None -> false
+  in
+  g.links.(s) <-
+    (if n = 1 then Links.empty
+     else if seen then Links.resize st (n - 1) (n - 1)
+     else begin
+       Links.set_length st (n - 1);
+       st
+     end)
+
 let remove_last_edge g u v =
   match resolve g u, resolve g v with
   | Some su, Some sv ->
@@ -1019,8 +1166,9 @@ let remove_last_edge g u v =
     touch g su;
     touch g sv;
     (* the chain link folded for this edge is necessarily the newest one on
-       [sv] (edges roll back in LIFO order within the aborting batch) *)
-    if g.digests then ignore (Vec.pop g.chains.(sv));
+       [sv] (edges roll back in LIFO order within the aborting batch); its
+       prior head comes back from the journal below *)
+    if g.digests then pop_link g sv;
     (* Ranks are deliberately not rolled back: removing an edge cannot
        break "u ⇝ v implies rank u < rank v", it only removes paths.  The
        relabel the edge may have caused stays — it is a valid order for the
@@ -1031,7 +1179,9 @@ let remove_last_edge g u v =
        aborting batch); if the journal disagrees — a caller outside the
        batch protocol — fall back to a deterministic full rebuild. *)
     let rec undo = function
-      | J_mark (a, b) :: rest when a = su && b = sv -> g.journal <- rest
+      | J_mark (a, b, head) :: rest when a = su && b = sv ->
+        if g.digests then g.heads.(sv) <- head;
+        g.journal <- rest
       | J_label (s, old) :: rest ->
         g.labels.(s) <- old;
         touch g s;
@@ -1053,7 +1203,14 @@ let remove_last_edge g u v =
         Kronos_metrics.Gauge.set M.chains
           (Int_vec.length g.chain_len - Int_vec.length g.free_chains);
         undo rest
-      | (J_mark _ :: _ | []) -> rebuild_label_index g
+      | (J_mark _ :: _ | []) ->
+        if g.digests then begin
+          let st = g.links.(sv) in
+          let n = Links.length st in
+          g.heads.(sv) <-
+            (if n = 0 then "" else Links.refold (id_of_slot g sv) st n)
+        end;
+        rebuild_label_index g
     in
     undo g.journal
   | (None | Some _), _ -> invalid_arg "Graph.remove_last_edge: stale event"
@@ -1098,10 +1255,11 @@ let to_snapshot g =
        else
          Some
            (Array.init n (fun i ->
-                let c = g.chains.(i) in
-                Array.init (Vec.length c) (fun j ->
-                    let l = Vec.get c j in
-                    (Event_id.to_int64 l.l_pred, l.l_pred_head, l.l_pred_pos)))));
+                let st = g.links.(i) in
+                Array.init (Links.length st) (fun j ->
+                    ( Event_id.to_int64 (Links.pred st j),
+                      Links.pred_head st j,
+                      Links.pred_pos st j )))));
     snap_version = g.version;
     snap_chains =
       {
@@ -1173,8 +1331,8 @@ let of_snapshot ?(initial_capacity = 1024) ?(digests = true)
     Array.iter
       (fun w ->
         if w < 0 || w >= n || g.refcount.(w) < 0 then fail "edge to a free slot";
-        Int_vec.push g.succ.(i) w;
-        Int_vec.push g.pred.(w) i;
+        adj_push g.succ i w;
+        adj_push g.pred w i;
         g.indeg.(w) <- g.indeg.(w) + 1;
         incr edges)
       outs
@@ -1209,6 +1367,7 @@ let of_snapshot ?(initial_capacity = 1024) ?(digests = true)
          let ls = links.(v) in
          if Array.length ls > 0 && g.refcount.(v) < 0 then
            fail "chain links on a free slot";
+         if Array.length ls > Links.max_count then fail "chain too long";
          Array.iter
            (fun (pred64, pred_head, pred_pos) ->
              let pred =
@@ -1217,18 +1376,9 @@ let of_snapshot ?(initial_capacity = 1024) ?(digests = true)
              in
              if String.length pred_head <> Chain_digest.length then
                fail "bad link head length";
-             if pred_pos < 0 then fail "bad link position";
-             let partner = Chain_digest.link_partner pred pred_head in
-             let head =
-               Chain_digest.fold_link
-                 (head_at_slot g v (Vec.length g.chains.(v)))
-                 partner
-             in
-             Vec.push g.chains.(v)
-               { l_pred = pred; l_pred_head = pred_head;
-                 l_pred_pos = pred_pos; l_partner = partner; l_head = head };
-             g.digest_folds <- g.digest_folds + 2;
-             Kronos_metrics.Counter.add M.digest_folds 2)
+             if pred_pos < 0 || pred_pos > Links.max_count then
+               fail "bad link position";
+             append_link g v ~pred ~pos:pred_pos ~pred_head)
            ls
        done
      | None -> rebuild_chains g);
@@ -1314,24 +1464,20 @@ let of_snapshot ?(initial_capacity = 1024) ?(digests = true)
 
 let commitment g id =
   match resolve g id with
-  | Some s when g.digests -> Some (head_at_slot g s (Vec.length g.chains.(s)))
+  | Some s when g.digests -> Some (head_of_slot g s)
   | Some _ | None -> None
 
 let chain_length g id =
   match resolve g id with
-  | Some s when g.digests -> Some (Vec.length g.chains.(s))
+  | Some s when g.digests -> Some (Links.length g.links.(s))
   | Some _ | None -> None
 
-let chain_link g id i =
+let chain g id =
   match resolve g id with
-  | Some s when g.digests && i >= 0 && i < Vec.length g.chains.(s) ->
-    Some (Vec.get g.chains.(s) i)
-  | Some _ | None -> None
-
-let head_at g id n =
-  match resolve g id with
-  | Some s when g.digests && n >= 0 && n <= Vec.length g.chains.(s) ->
-    Some (head_at_slot g s n)
+  | Some s when g.digests ->
+    let st = g.links.(s) in
+    Some
+      { c_id = id; c_store = st; c_len = Links.length st; c_head = g.heads.(s) }
   | Some _ | None -> None
 
 let out_degree g id =
@@ -1367,44 +1513,43 @@ let fold_edges g f init =
   done;
   !acc
 
+(* Heap bytes of the graph's own structures, counted as the runtime lays
+   them out: one header word per block, a string or bytes rounded up to
+   whole words with a padding byte.  Not counted: the graph record, the
+   transient rollback journal, and the cached frozen view, which belongs
+   to whoever holds views.  A label array several slots share is counted
+   once per slot. *)
 let memory_bytes g =
   let word = Sys.word_size / 8 in
-  let array_bytes a = (Array.length a + 2) * word in
+  let block fields = (fields + 1) * word in
+  let arr a = block (Array.length a) in
+  let vec v = block 2 + arr (Int_vec.unsafe_data v) in
+  let string_bytes n = block ((n / word) + 1) in
   let adjacency a =
-    Array.fold_left (fun acc v -> acc + Int_vec.capacity_bytes v) 0 a
+    Array.fold_left (fun acc v -> if v == no_adj then acc else acc + vec v) 0 a
   in
-  array_bytes g.refcount + array_bytes g.gen + array_bytes g.indeg
-  + array_bytes g.rank
-  + array_bytes g.queue + array_bytes g.queue_b
-  + (2 * (capacity g + 2) * word) (* succ/pred pointer arrays *)
-  + adjacency g.succ + adjacency g.pred
-  + array_bytes g.marks
-  (* dirty-slot set: a sparse and a dense array *)
-  + (2 * (capacity g + 2) * word)
-  + Int_vec.capacity_bytes g.free
-  + Int_vec.capacity_bytes g.relabel_stack
-  (* chain-decomposition index: flat arrays + per-slot label vectors (an
-     array that several slots share is counted once per slot) *)
-  + array_bytes g.chain_of + array_bytes g.chain_pos
-  + array_bytes g.label_buf
-  + ((capacity g + 2) * word)
-  + Array.fold_left
-      (fun acc l ->
-        acc + if Array.length l = 0 then 0 else (Array.length l + 2) * word)
-      0 g.labels
-  (* chains: pointer array + per-link record (5 fields + header) + the
-     three digest strings it owns (~32 bytes + header each) *)
-  + ((capacity g + 2) * word)
-  + Array.fold_left
-      (fun acc c -> acc + (Vec.length c * ((6 * word) + (3 * (40 + word)))))
-      0 g.chains
+  let sum f a = Array.fold_left (fun acc x -> acc + f x) 0 a in
+  arr g.refcount + arr g.gen + arr g.indeg + arr g.rank + arr g.marks
+  + arr g.queue + arr g.queue_b + arr g.chain_of + arr g.chain_pos
+  + arr g.label_buf
+  + arr g.succ + arr g.pred + adjacency g.succ + adjacency g.pred
+  + arr g.labels
+  + sum (fun l -> if Array.length l = 0 then 0 else arr l) g.labels
+  (* the dirty-slot set: a record over a sparse and a dense array *)
+  + block 3 + (2 * block (Sparse_set.capacity g.dirty))
+  + vec g.free + vec g.relabel_stack + vec g.chain_len + vec g.chain_live
+  + vec g.chain_tail + vec g.free_chains + vec g.label_queue
+  (* commitment chains: link stores and current heads *)
+  + arr g.links + arr g.heads
+  + sum Links.heap_bytes g.links
+  + sum (fun h -> if String.length h = 0 then 0 else string_bytes (String.length h))
+      g.heads
 
 (* ------------------------------------------------------------------ *)
 (* Frozen views (DESIGN.md §14).                                       *)
 (* ------------------------------------------------------------------ *)
 
 let int_vec_array v = Array.init (Int_vec.length v) (Int_vec.get v)
-let vec_array c = Array.init (Vec.length c) (Vec.get c)
 
 (* One-block templates whose every slot reads [fill]: what a field holds
    for slots past the previous view's end.  Never written — [pa_set]
@@ -1413,7 +1558,7 @@ let pa_empty fill = [| Array.make chunk_size (Array.make chunk_size fill) |]
 let minus_ones : int pa = pa_empty (-1)
 let zeros : int pa = pa_empty 0
 let no_ints : int array pa = pa_empty [||]
-let no_links : link array pa = pa_empty [||]
+let no_chains : chain pa = pa_empty no_chain
 
 (* The next version of [old] over [blocks] blocks, sharing every block
    with it. *)
@@ -1476,7 +1621,7 @@ let freeze g =
     let chain_pos, set_chain_pos = next (fun f -> f.f_chain_pos) zeros in
     let succ, set_succ = next (fun f -> f.f_succ) no_ints in
     let pred, set_pred = next (fun f -> f.f_pred) no_ints in
-    let chains, set_chains = next (fun f -> f.f_chains) no_links in
+    let chains, set_chains = next (fun f -> f.f_chains) no_chains in
     let labels, set_labels = next (fun f -> f.f_labels) no_ints in
     let copy_slot s =
       set_gen s (if g.refcount.(s) >= 0 then g.gen.(s) else -1);
@@ -1485,7 +1630,15 @@ let freeze g =
       set_chain_pos s g.chain_pos.(s);
       set_succ s (int_vec_array g.succ.(s));
       set_pred s (int_vec_array g.pred.(s));
-      if g.digests then set_chains s (vec_array g.chains.(s));
+      (* the store is shared: the view keeps its own count and head *)
+      (if g.digests then
+         let st = g.links.(s) in
+         let n = Links.length st in
+         if n > 0 then
+           set_chains s
+             { c_id = id_of_slot g s; c_store = st; c_len = n;
+               c_head = g.heads.(s) }
+         else set_chains s no_chain);
       (* label arrays are immutable once installed: share the pointer *)
       set_labels s g.labels.(s)
     in
@@ -1661,33 +1814,13 @@ module Frozen = struct
       else Ok Order.Concurrent
     end
 
-  (* [id]'s commitment links, when it is live and the view carries
-     chains. *)
-  let links f id =
+  let chain f id =
     let s = slot_of f id in
-    if s < 0 || not f.f_digests then None else Some (s, pa_arr f.f_chains s)
+    if s < 0 || not f.f_digests then None
+    else
+      let c = pa_chain f.f_chains s in
+      Some (if c.c_len = 0 then { no_chain with c_id = id } else c)
 
-  let head_at_slot f s links n =
-    if n = 0 then
-      Chain_digest.init (Event_id.make ~slot:s ~gen:(pa_int f.f_gen s))
-    else links.(n - 1).l_head
-
-  let commitment f id =
-    match links f id with
-    | Some (s, l) -> Some (head_at_slot f s l (Array.length l))
-    | None -> None
-
-  let chain_length f id =
-    match links f id with Some (_, l) -> Some (Array.length l) | None -> None
-
-  let chain_link f id i =
-    match links f id with
-    | Some (_, l) when i >= 0 && i < Array.length l -> Some l.(i)
-    | Some _ | None -> None
-
-  let head_at f id n =
-    match links f id with
-    | Some (s, l) when n >= 0 && n <= Array.length l ->
-      Some (head_at_slot f s l n)
-    | Some _ | None -> None
+  let commitment f id = Option.map Chain.commitment (chain f id)
+  let chain_length f id = Option.map Chain.length (chain f id)
 end

@@ -58,10 +58,10 @@ val create :
 
     [digests] (default [true]) maintains hash-chained event commitments
     alongside the graph (DESIGN.md §13): admitting an edge folds one link —
-    two SHA-256 compressions — into the target's chain, and an event's
-    {!commitment} is its current chain head.  The certify library proves
-    happens-before facts against these commitments.  Disabling trades
-    verifiability for the fold cost.
+    two SHA-256 compressions, 44 bytes of link store — into the target's
+    chain, and an event's {!commitment} is its current chain head.  The
+    certify library proves happens-before facts against these commitments.
+    Disabling trades verifiability for the fold cost.
     @raise Invalid_argument if [max_chains > 2^22]. *)
 
 (** {1 Events and references} *)
@@ -137,10 +137,11 @@ val remove_last_edge : t -> Event_id.t -> Event_id.t -> unit
     edge caused is kept: removing an edge only removes paths, so the rank
     invariant cannot break.  Chain labels {e are} rolled back exactly (an
     over-approximate label would corrupt negative answers): each admitted
-    edge journals its chain and label changes until {!commit_batch}, and
-    rollback pops the journal.  After {!suspend_journal} nothing is
-    journaled, and a rollback falls back to a full deterministic rebuild
-    of the chains and labels.
+    edge journals its chain and label changes, and the target's previous
+    commitment, until {!commit_batch}, and rollback pops the journal.
+    After {!suspend_journal} nothing is journaled, and a rollback falls
+    back to a full deterministic rebuild of the chains and labels and
+    refolds the target's commitment.
     @raise Invalid_argument if the last edge out of [u] is not [v]. *)
 
 val commit_batch : t -> unit
@@ -162,35 +163,57 @@ val suspend_journal : t -> unit
     Maintained when {!create} was given [~digests:true] (the default); all
     accessors below answer [None] otherwise, and on stale identifiers. *)
 
-(** One link of an event's commitment chain, recorded when an edge into it
-    was admitted.  [l_partner = Chain_digest.link_partner l_pred l_pred_head]
-    and [l_head = Chain_digest.fold_link previous_head l_partner] are cached
-    so provers never re-hash. *)
-type link = private {
-  l_pred : Event_id.t;   (** predecessor identifier at link time *)
-  l_pred_head : string;  (** predecessor chain head at link time *)
-  l_pred_pos : int;      (** predecessor link count at link time *)
-  l_partner : string;
-  l_head : string;
-}
-
 val digests_enabled : t -> bool
 
 val commitment : t -> Event_id.t -> string option
 (** The event's current chain head: its identity digest while no edge has
-    been admitted into it, else the head after the newest link. *)
+    been admitted into it, else the head after the newest link.  Stored;
+    no hashing. *)
 
 val chain_length : t -> Event_id.t -> int option
 (** Number of links folded so far (= edges admitted into the event and not
     rolled back). *)
 
-val chain_link : t -> Event_id.t -> int -> link option
-(** [chain_link g e i] is the event's [i]-th link (0-based), [None] when out
-    of range. *)
+(** One event's commitment chain as of the call that returned it.  Link
+    [i] (0-based) was recorded when an edge into the event was admitted,
+    and stores exactly three fields: the predecessor's identifier, its
+    chain position (link count) and its chain head at that moment.  The
+    link's partner digest and the heads before the current one are
+    recomputed on demand, so only the accessors that say so hash.  A chain
+    taken from a frozen view never changes; one taken from the live graph
+    must be used before the graph next mutates.  Link indices out of
+    [0, length) raise [Invalid_argument]. *)
+module Chain : sig
+  type t
 
-val head_at : t -> Event_id.t -> int -> string option
-(** [head_at g e n] is the chain head after the first [n] links
-    ([0 <= n <= chain_length]); [head_at g e 0] is the identity digest. *)
+  val length : t -> int
+
+  val commitment : t -> string
+  (** The head after every link: stored, no hashing. *)
+
+  val pred : t -> int -> Event_id.t
+  (** Link [i]'s predecessor. *)
+
+  val pred_pos : t -> int -> int
+  (** The predecessor's link count when link [i] was folded. *)
+
+  val pred_head : t -> int -> string
+  (** The predecessor's chain head when link [i] was folded. *)
+
+  val partner : t -> int -> string
+  (** [Chain_digest.link_partner] of link [i]'s predecessor and its head:
+      one SHA-256 compression. *)
+
+  val head_at : t -> int -> string
+  (** [head_at c n] is the head after the first [n] links
+      ([0 <= n <= length]); [head_at c 0] is the identity digest.  The
+      current head is stored; an earlier one is refolded from the
+      identity digest, two compressions per link. *)
+end
+
+val chain : t -> Event_id.t -> Chain.t option
+(** The event's chain; [None] when the identifier is stale or digests are
+    off. *)
 
 val digest_fold_count : t -> int
 (** SHA-256 compressions spent maintaining chains (2 per admitted edge,
@@ -292,7 +315,10 @@ val iter_live : t -> (Event_id.t -> unit) -> unit
 val fold_edges : t -> ('a -> Event_id.t -> Event_id.t -> 'a) -> 'a -> 'a
 
 val memory_bytes : t -> int
-(** Approximate resident footprint of all internal arrays, in bytes. *)
+(** Heap bytes of the graph's structures: every per-slot array, the
+    adjacency vectors, label arrays, commitment link stores and heads, each
+    with its block header.  The cached frozen view is not included, and a
+    label array that several slots share counts once per slot. *)
 
 val traversal_count : t -> int
 (** Number of graph traversals performed so far (bidirectional searches and
@@ -336,9 +362,11 @@ val chain_count : t -> int
     A {!Frozen.g} is a deeply immutable copy of the query-visible state —
     liveness, generations, ranks, adjacency in both directions, and
     commitment chains — stamped with the graph {!version} at capture time.
-    It shares nothing mutable with the live graph, so it may be read from
-    any domain without synchronization while the writer domain keeps
-    mutating the original (DESIGN.md §14). *)
+    It may be read from any domain without synchronization while the
+    writer domain keeps mutating the original (DESIGN.md §14).  The one
+    buffer it shares with the live graph is each slot's commitment link
+    store, read only below the view's own link count; the writer never
+    rewrites those bytes. *)
 
 val version : t -> int
 (** Monotonic mutation counter, bumped once per view-visible change:
@@ -379,8 +407,7 @@ module Frozen : sig
 
   val commitment : g -> Event_id.t -> string option
   val chain_length : g -> Event_id.t -> int option
-  val chain_link : g -> Event_id.t -> int -> link option
-  val head_at : g -> Event_id.t -> int -> string option
+  val chain : g -> Event_id.t -> Chain.t option
   (** Chain accessors mirror the live graph's; all answer [None] when the
       view was frozen with digests disabled. *)
 end

@@ -70,4 +70,3 @@ let remove_first v x =
     true
   end
 
-let capacity_bytes v = (Array.length v.data + 2) * (Sys.word_size / 8)

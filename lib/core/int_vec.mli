@@ -58,5 +58,3 @@ val remove_first : t -> int -> bool
     last element into its slot (order is not preserved).  Returns whether an
     occurrence was found. *)
 
-val capacity_bytes : t -> int
-(** Approximate heap footprint of the backing array, in bytes. *)

@@ -162,11 +162,16 @@ let test_chain_maintenance () =
     (Chain_digest.to_hex (Chain_digest.init a))
     (Chain_digest.to_hex (commit engine a));
   Alcotest.(check (option int)) "chain length" (Some 1) (Graph.chain_length g b);
-  match Graph.chain_link g b 0 with
-  | None -> Alcotest.fail "missing link"
-  | Some l ->
-    Alcotest.(check bool) "link names the predecessor" true
-      (Event_id.equal l.Graph.l_pred a)
+  let c = Option.get (Graph.chain g b) in
+  Alcotest.(check bool) "link names the predecessor" true
+    (Event_id.equal (Graph.Chain.pred c 0) a);
+  Alcotest.(check int) "link records the predecessor's position" 0
+    (Graph.Chain.pred_pos c 0);
+  Alcotest.(check string) "link records the predecessor's head"
+    (Chain_digest.init a) (Graph.Chain.pred_head c 0);
+  Alcotest.check_raises "out of range"
+    (Invalid_argument "Graph.Chain: link index out of range") (fun () ->
+      ignore (Graph.Chain.pred c 1))
 
 let test_rollback_restores_chain () =
   let engine = Engine.create () in
@@ -592,6 +597,189 @@ let prop_digest_toggle =
         Test.fail_report "rebuilt chains proved nothing";
       true)
 
+(* ---------- link stores against a record model ---------- *)
+
+(* The commitment chains as the graph kept them before links went into
+   flat stores: one record per link, partner and resulting head cached.
+   A chain is a list, newest link first. *)
+type model_link = {
+  m_pred : Event_id.t;
+  m_pred_head : string;
+  m_pred_pos : int;
+  m_partner : string;
+  m_head : string;
+}
+
+let model_head e = function [] -> Chain_digest.init e | l :: _ -> l.m_head
+
+(* What every accessor of [view] must answer for live event [e] whose
+   chain the model holds as [links]: commitment, length, each link's
+   predecessor fields and partner, and the head before the newest link
+   and before a [rng]-chosen one (refolded). *)
+let check_chain rng what view e links =
+  let module C = Graph.Chain in
+  let n = List.length links in
+  let fail fmt = QCheck2.Test.fail_reportf ("%s: %a " ^^ fmt) what Event_id.pp e in
+  if Engine.View.commitment view e <> Some (model_head e links) then
+    fail "commitment";
+  if Engine.View.chain_length view e <> Some n then fail "chain length";
+  let c =
+    match Engine.View.chain view e with Some c -> c | None -> fail "no chain"
+  in
+  if C.commitment c <> model_head e links then fail "chain commitment";
+  if C.length c <> n then fail "chain length";
+  List.iteri
+    (fun k l ->
+      let i = n - 1 - k in
+      if not (Event_id.equal (C.pred c i) l.m_pred) then
+        fail "pred of link %d" i;
+      if C.pred_pos c i <> l.m_pred_pos then fail "pos of link %d" i;
+      if C.pred_head c i <> l.m_pred_head then fail "pred head of link %d" i;
+      if C.partner c i <> l.m_partner then fail "partner of link %d" i)
+    links;
+  let head_before i =
+    (* the model head after the first [i] links *)
+    model_head e (List.filteri (fun k _ -> k >= n - i) links)
+  in
+  List.iter
+    (fun i -> if C.head_at c i <> head_before i then fail "head_at %d" i)
+    (if n = 0 then [ 0 ] else [ n - 1; Kronos_simnet.Rng.int rng n; n ])
+
+(* Random histories over one engine's graph — creates, rising and falling
+   Musts, batches that abort and roll back (sometimes after a mid-batch
+   publish), releases that collect and free slots for reuse, and snapshot
+   round trips — checked after every step against the record model: on
+   the live engine, and on every view published so far, which must keep
+   answering for the events it captured exactly as the model did then.
+   Every proof found between random live pairs must verify against the
+   commitments of the view it was proved on. *)
+let prop_link_store_model =
+  let open QCheck2 in
+  Test.make ~name:"certify: link stores match the record model" ~count:60
+    Gen.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Kronos_simnet.Rng.create ~seed:(Int64.of_int seed) in
+      let int n = Kronos_simnet.Rng.int rng n in
+      let engine = ref (Engine.create ()) in
+      let g () = Engine.graph !engine in
+      (* live events in creation order, with their model chains *)
+      let model : (Event_id.t, model_link list) Hashtbl.t = Hashtbl.create 64 in
+      let order = ref [] in
+      let released = Hashtbl.create 16 in
+      let views = ref [] in
+      let create () =
+        let e = Graph.create_event (g ()) in
+        Hashtbl.replace model e [];
+        order := !order @ [ e ]
+      in
+      let live () = Array.of_list !order in
+      let add u v =
+        (* the link the record code folded for an admitted [u -> v] *)
+        let lu = Hashtbl.find model u and lv = Hashtbl.find model v in
+        if Graph.try_add_edge (g ()) u v then begin
+          let pred_head = model_head u lu in
+          let partner = Chain_digest.link_partner u pred_head in
+          Hashtbl.replace model v
+            ({ m_pred = u; m_pred_head = pred_head;
+               m_pred_pos = List.length lu; m_partner = partner;
+               m_head = Chain_digest.fold_link (model_head v lv) partner }
+             :: lv);
+          true
+        end
+        else false
+      in
+      let pick_pair ~rising =
+        let a = live () in
+        let n = Array.length a in
+        if n < 2 then None
+        else
+          let i = int (n - 1) in
+          let j = i + 1 + int (n - i - 1) in
+          Some (if rising then (a.(i), a.(j)) else (a.(j), a.(i)))
+      in
+      let publish () =
+        let v = Engine.publish !engine in
+        let captured =
+          Hashtbl.fold (fun e links acc -> (e, links) :: acc) model []
+        in
+        views := (v, captured) :: !views
+      in
+      let sync_collected () =
+        order := List.filter (fun e -> Graph.is_live (g ()) e) !order;
+        Hashtbl.filter_map_inplace
+          (fun e links -> if Graph.is_live (g ()) e then Some links else None)
+          model
+      in
+      let prove_some view =
+        let a = live () in
+        let n = Array.length a in
+        if n >= 2 then
+          for _ = 1 to 3 do
+            let s = a.(int n) and t = a.(int n) in
+            match Prover.prove view ~source:s ~target:t with
+            | None -> ()
+            | Some cert ->
+              let c e = Option.get (Engine.View.commitment view e) in
+              (match
+                 Verifier.verify_against cert ~source_commit:(c s)
+                   ~target_commit:(c t)
+               with
+               | Ok () -> ()
+               | Error m -> Test.fail_reportf "proof rejected: %s" m)
+          done
+      in
+      for _ = 1 to 4 do create () done;
+      for step = 1 to 70 do
+        (match int 10 with
+         | 0 | 1 -> create ()
+         | 2 | 3 | 4 ->
+           Option.iter (fun (u, v) -> ignore (add u v)) (pick_pair ~rising:true)
+         | 5 ->
+           Option.iter (fun (u, v) -> ignore (add u v)) (pick_pair ~rising:false)
+         | 6 ->
+           (* an aborting batch: admit up to three edges, then roll them
+              back newest first *)
+           let admitted = ref [] in
+           for _ = 1 to 1 + int 3 do
+             Option.iter
+               (fun (u, v) -> if add u v then admitted := (u, v) :: !admitted)
+               (pick_pair ~rising:(int 3 > 0))
+           done;
+           if int 4 = 0 then publish ();
+           List.iter
+             (fun (u, v) ->
+               Graph.remove_last_edge (g ()) u v;
+               match Hashtbl.find model v with
+               | _ :: rest -> Hashtbl.replace model v rest
+               | [] -> Test.fail_report "model pop on an empty chain")
+             !admitted;
+           Graph.commit_batch (g ())
+         | 7 ->
+           let candidates =
+             List.filter (fun e -> not (Hashtbl.mem released e)) !order
+           in
+           if candidates <> [] then begin
+             let e = List.nth candidates (int (List.length candidates)) in
+             Hashtbl.replace released e ();
+             ignore (Graph.release_ref (g ()) e);
+             sync_collected ()
+           end
+         | 8 ->
+           engine := Engine.of_snapshot (Engine.to_snapshot !engine)
+         | _ -> publish ());
+        let what = Printf.sprintf "step %d live" step in
+        let now = Engine.current_view !engine in
+        Hashtbl.iter (fun e links -> check_chain rng what now e links) model;
+        List.iteri
+          (fun k (v, captured) ->
+            let what = Printf.sprintf "step %d view %d" step k in
+            List.iter (fun (e, links) -> check_chain rng what v e links) captured)
+          !views;
+        prove_some now;
+        match !views with (v, _) :: _ -> prove_some v | [] -> ()
+      done;
+      true)
+
 (* ---------- verified reads on the simnet service ---------- *)
 
 module Sim = Kronos_simnet.Sim
@@ -801,6 +989,7 @@ let suites =
         Alcotest.test_case "abort rolls folds back" `Quick
           test_rollback_restores_chain;
         Alcotest.test_case "digests off" `Quick test_digests_off;
+        QCheck_alcotest.to_alcotest prop_link_store_model;
       ] );
     ( "certify.proof",
       [

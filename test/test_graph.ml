@@ -171,9 +171,10 @@ let test_introspection () =
 (* [memory_bytes] counts every capacity-sized structure: across one
    doubling it must grow by at least the words each new slot costs.  Per
    slot: nine int arrays (refcount, gen, indeg, rank, marks, queue,
-   queue_b, chain_of, chain_pos), four pointer arrays (succ, pred, labels,
-   chains), two fresh capacity-2 adjacency vectors (4 words each), and the
-   sparse + dense arrays of the [dirty] set. *)
+   queue_b, chain_of, chain_pos), five pointer arrays (succ, pred, labels,
+   and with digests the link stores and heads), and the sparse + dense
+   arrays of the [dirty] set.  An edge-less slot owns nothing else: its
+   adjacency and link store are shared empty sentinels. *)
 let test_memory_bytes_across_doubling () =
   let g = Graph.create ~initial_capacity:64 () in
   for _ = 1 to 64 do
@@ -184,11 +185,49 @@ let test_memory_bytes_across_doubling () =
   ignore (Graph.create_event g);
   Alcotest.(check int) "capacity doubled" (2 * cap) (Graph.capacity g);
   let word = Sys.word_size / 8 in
-  let per_slot_words = 9 + 4 + 8 + 2 in
+  let per_slot_words = 9 + 5 + 2 in
   let grown = Graph.memory_bytes g - before in
   if grown < per_slot_words * word * cap then
     Alcotest.failf "memory_bytes grew by %d bytes over %d new slots, below %d"
       grown cap (per_slot_words * word * cap)
+
+(* [memory_bytes] against the heap itself: the live words a graph adds
+   (measured after compactions, so exact) must match the reported bytes
+   within 5%, at two sizes — each just past a capacity doubling, the
+   worst case for per-slot arrays — with digests on and off, for an
+   edge-less graph (the shape of Fig 10) and for a random DAG with five
+   edges per event, oriented low -> high.  Identifiers are rebuilt from
+   slots rather than kept, so nothing but the graph is measured. *)
+let test_memory_bytes_match_heap () =
+  let word = Sys.word_size / 8 in
+  List.iter
+    (fun (n, digests, edges) ->
+      let rng = Random.State.make [| n |] in
+      let id s = Event_id.make ~slot:s ~gen:0 in
+      Gc.compact ();
+      let w0 = (Gc.stat ()).Gc.live_words in
+      let g = Graph.create ~digests () in
+      for _ = 1 to n do
+        ignore (Graph.create_event g)
+      done;
+      for _ = 1 to edges * n do
+        let u = Random.State.int rng n and v = Random.State.int rng n in
+        if u <> v then Graph.add_edge g (id (min u v)) (id (max u v))
+      done;
+      Graph.commit_batch g;
+      Gc.compact ();
+      let live = ((Gc.stat ()).Gc.live_words - w0) * word in
+      let reported = Graph.memory_bytes g in
+      ignore (Sys.opaque_identity g);
+      let err = float_of_int (abs (reported - live)) /. float_of_int live in
+      if err > 0.05 then
+        Alcotest.failf
+          "n=%d digests=%b edges/event=%d: memory_bytes %d vs %d live (%.1f%%)"
+          n digests edges reported live (100. *. err))
+    [
+      (1_100, true, 0); (1_100, false, 0); (8_200, true, 0); (8_200, false, 0);
+      (1_100, true, 5); (1_100, false, 5); (8_200, true, 5); (8_200, false, 5);
+    ]
 
 (* Work accounting of the traversal counters.  The chain is built in
    creation order, so the rank index admits every edge in O(1) without a
@@ -633,6 +672,8 @@ let suites =
         Alcotest.test_case "create/refcount" `Quick test_create_refcount;
         Alcotest.test_case "memory bytes across a doubling" `Quick
           test_memory_bytes_across_doubling;
+        Alcotest.test_case "memory bytes match the heap" `Quick
+          test_memory_bytes_match_heap;
         Alcotest.test_case "query relations" `Quick test_query_relations;
         Alcotest.test_case "stale query" `Quick test_stale_query;
         Alcotest.test_case "slot reuse generation" `Quick test_slot_reuse_generation;

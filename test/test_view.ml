@@ -320,7 +320,15 @@ let prop_domains_match_reference ~name config =
    — have no labels and only the frozen BFS can decide them.  The writer
    grows the graph from 300 to ~2 400 slots, so each reader's traversal
    scratch regrows several times mid-run, always under a view it is
-   querying. *)
+   querying.
+
+   Readers also prove and verify (DESIGN.md §13) on the views they read.
+   Every fifth step the writer folds one more link into a hub event whose
+   link store views share with the live graph, appending past their counts
+   and regrowing the store under them.  Each reader proves a stable pair,
+   an edge into the hub, and the same edge on the first view, and checks
+   the certificates against that view's commitments; the first view's
+   must stay the ones captured before the readers started. *)
 let test_publish_race () =
   let t =
     Engine.create ~config:{ Engine.default_config with max_chains = 2 } ()
@@ -339,7 +347,12 @@ let test_publish_race () =
   let unlabelled = [ (10, 280); (30, 299) ] in
   must [ (10, 100); (100, 150); (150, 250); (250, 280); (30, 40); (40, 299) ];
   let concurrent = (10, 40) in
+  let hub = ids.(298) in
+  must [ (297, 298) ];
   let first = Engine.publish t in
+  let first_commits =
+    List.map (fun e -> View.commitment first e) [ ids.(297); hub ]
+  in
   List.iter
     (fun (a, b) ->
       if View.label_reachable first ids.(a) ids.(b) <> None then
@@ -368,6 +381,23 @@ let test_publish_race () =
                match View.query v ids.(a) ids.(b) with
                | Ok Order.Concurrent -> ()
                | _ -> ok := false);
+              let proves v a b =
+                match
+                  ( Kronos_certify.Prover.prove v ~source:a ~target:b,
+                    View.commitment v a, View.commitment v b )
+                with
+                | Some cert, Some ca, Some cb ->
+                  Kronos_certify.Verifier.verify_against cert
+                    ~source_commit:ca ~target_commit:cb
+                  = Ok ()
+                | _ -> false
+              in
+              if not (proves v ids.(0) ids.(2) && proves v ids.(297) hub
+                      && proves first ids.(297) hub
+                      && List.map (fun e -> View.commitment first e)
+                           [ ids.(297); hub ]
+                         = first_commits)
+              then ok := false;
               incr checks
             done;
             (!ok, !checks)))
@@ -384,6 +414,8 @@ let test_publish_race () =
     if Event_id.slot e < 300 then incr reused;
     ignore (Engine.assign_order t [ Order.must_before !prev e ]);
     prev := e;
+    if i mod 5 = 0 then
+      ignore (Engine.assign_order t [ Order.must_before e hub ]);
     if i mod 10 = 0 then begin
       (* against creation order: [x] is relabelled above [y]; collecting
          [y] then frees its slot for the next create *)
