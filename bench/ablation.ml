@@ -6,8 +6,10 @@
      per-vertex ordering requires a Kronos round trip.
    - The chain-label index (DESIGN.md §15) at the engine level: heap
      bytes per event and build time of the read_wide and mixed_rw
-     preloads with labels on ([max_chains] 64, the default) and off
-     ([max_chains] 0). *)
+     preloads under the default config ([max_chains] 64) and with labels
+     off ([max_chains] 0), and whether labels are still live at the end
+     of the build: the default config drops them once the cap saturates,
+     as it does early in read_wide's preload. *)
 
 module Rng = Kronos_simnet.Rng
 module Graph_gen = Kronos_workload.Graph_gen
@@ -59,13 +61,14 @@ let wide_preload () =
 
 (* One preload into a fresh engine: all events, then the edges as Must
    batches of 1000, as perfbench's preload sends them.  Returns the heap
-   bytes the engine holds per event (live words after a compaction) and
-   the build time in seconds, the best of five builds. *)
+   bytes the engine holds per event (live words after a compaction), the
+   build time in seconds, the best of five builds, and whether labels
+   are live at the end. *)
 let build_preload ~max_chains (n, edges) =
   let open Kronos in
   let word = Sys.word_size / 8 in
   let m = Array.length edges in
-  let best = ref infinity and bytes = ref 0 in
+  let best = ref infinity and bytes = ref 0 and live = ref false in
   for _ = 1 to 5 do
     Gc.compact ();
     let w0 = (Gc.stat ()).Gc.live_words in
@@ -94,22 +97,26 @@ let build_preload ~max_chains (n, edges) =
     best := Float.min !best (Unix.gettimeofday () -. t0);
     Gc.compact ();
     bytes := ((Gc.stat ()).Gc.live_words - w0) * word;
+    live := Engine.labels_live engine;
     ignore (Sys.opaque_identity engine)
   done;
-  (float_of_int !bytes /. float_of_int n, !best)
+  (float_of_int !bytes /. float_of_int n, !best, !live)
 
 let labels () =
-  Bench_util.section "Ablation: chain labels on vs off (engine-level preloads)";
-  Printf.printf "  %-10s %-10s %14s %12s\n%!" "preload" "max_chains"
-    "heap B/event" "build ms";
+  Bench_util.section
+    "Ablation: chain labels, default config vs off (engine-level preloads)";
+  Printf.printf "  %-10s %-13s %-8s %14s %12s\n%!" "preload" "max_chains"
+    "labels" "heap B/event" "build ms";
   List.iter
     (fun (name, graph) ->
       List.iter
-        (fun max_chains ->
-          let per_event, secs = build_preload ~max_chains graph in
-          Printf.printf "  %-10s %-10d %14.0f %12.1f\n%!" name max_chains
+        (fun (max_chains, what) ->
+          let per_event, secs, live = build_preload ~max_chains graph in
+          Printf.printf "  %-10s %-13s %-8s %14.0f %12.1f\n%!" name what
+            (if live then "live" else if max_chains > 0 then "dropped"
+             else "off")
             per_event (secs *. 1e3))
-        [ 64; 0 ])
+        [ (Kronos.Engine.default_config.max_chains, "64 (default)"); (0, "0") ])
     [ ("read_wide", wide_preload ()); ("mixed_rw", mixed_preload ()) ]
 
 let run () =

@@ -24,6 +24,28 @@ module M = Kronos_metrics
 let results : (string * float * string) list ref = ref []
 let record name value unit_ = results := (name, value, unit_) :: !results
 
+(* Best of five fixed-length windows of [ops] calls, in ns per call. *)
+let best_window_ns ~ops f =
+  let best = ref infinity in
+  for _ = 1 to 5 do
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to ops do f () done;
+    let ns = (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int ops in
+    best := Float.min !best ns
+  done;
+  !best
+
+(* [best_window_ns] from a compacted heap, so a series pays for its own
+   garbage and not for what the benches before it left. *)
+let compacted_window_ns ~ops f =
+  Gc.compact ();
+  best_window_ns ~ops f
+
+(* Engine hot paths on small graphs, where labels decide every query
+   (DESIGN.md §15).  [engine.assign_fresh] is timed by Bechamel; the
+   other four as the best of five fixed-length windows after a
+   compaction, which on these sub-microsecond paths holds steadier from
+   run to run than Bechamel's 0.25 s quotas did. *)
 let engine_hot_paths () =
   let engine = Engine.create () in
   let assign_ns =
@@ -42,7 +64,7 @@ let engine_hot_paths () =
   done;
   let rng = Kronos_simnet.Rng.create ~seed:7L in
   let query_ns =
-    Bench_util.bechamel_ns_per_op ~quota:0.25 ~name:"smoke/query" (fun () ->
+    compacted_window_ns ~ops:100_000 (fun () ->
         let u = Kronos_simnet.Rng.int rng n and v = Kronos_simnet.Rng.int rng n in
         ignore (Engine.query_order engine [ (ids.(u), ids.(v)) ]))
   in
@@ -52,7 +74,7 @@ let engine_hot_paths () =
      (DESIGN.md §15) *)
   let rng = Kronos_simnet.Rng.create ~seed:9L in
   let label_hit_ns =
-    Bench_util.bechamel_ns_per_op ~quota:0.25 ~name:"smoke/label_hit" (fun () ->
+    compacted_window_ns ~ops:100_000 (fun () ->
         let u = Kronos_simnet.Rng.int rng (n - 1) in
         let v = u + 1 + Kronos_simnet.Rng.int rng (n - u - 1) in
         ignore (Engine.query_order engine [ (ids.(u), ids.(v)) ]))
@@ -78,7 +100,7 @@ let engine_hot_paths () =
     [| c1; c2 |];
   let rng = Kronos_simnet.Rng.create ~seed:13L in
   let concurrent_ns =
-    Bench_util.bechamel_ns_per_op ~quota:0.25 ~name:"smoke/concurrent" (fun () ->
+    compacted_window_ns ~ops:100_000 (fun () ->
         let u = Kronos_simnet.Rng.int rng n and v = Kronos_simnet.Rng.int rng n in
         ignore (Engine.query_order engine [ (c1.(u), c2.(v)) ]))
   in
@@ -95,23 +117,12 @@ let engine_hot_paths () =
     ignore (Engine.assign_order engine [ Order.must_before dense.(i) dense.(j) ])
   done;
   let must_dense_ns =
-    Bench_util.bechamel_ns_per_op ~quota:0.25 ~name:"smoke/must_dense" (fun () ->
+    compacted_window_ns ~ops:20_000 (fun () ->
         let i = Kronos_simnet.Rng.int rng (m - 1) in
         let j = i + 1 + Kronos_simnet.Rng.int rng (m - i - 1) in
         ignore (Engine.assign_order engine [ Order.must_before dense.(i) dense.(j) ]))
   in
   record "engine.assign_must_dense" must_dense_ns "ns/op"
-
-(* Best of five fixed-length windows of [ops] calls, in ns per call. *)
-let best_window_ns ~ops f =
-  let best = ref infinity in
-  for _ = 1 to 5 do
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to ops do f () done;
-    let ns = (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int ops in
-    best := Float.min !best ns
-  done;
-  !best
 
 (* Client order cache (DESIGN.md §17) under the chain-shaped stream that
    session clients produce: 64 session chains fed round-robin into a full
@@ -278,24 +289,27 @@ let publish_smoke () =
              [ Order.must_before ids.(i) ids.(i + 1) ]);
         ignore (Engine.publish engine)
       in
-      Gc.compact ();
-      record name (best_window_ns ~ops:1_000 step) "ns/op")
+      record name (compacted_window_ns ~ops:1_000 step) "ns/op")
     [
       (10_000, "engine.publish_one_write_10k");
       (100_000, "engine.publish_one_write_100k");
     ]
 
 (* Fig 8's graph: G(10k,50k) with every edge oriented low -> high, queried
-   with uniform pairs.  The 64-chain label cap saturates on it, so most
-   queries fall through to the rank-windowed bidirectional BFS — the only
+   with uniform pairs.  The 64-chain label cap saturates on it within the
+   first ~65 edges, so the labels are dropped and every query the ranks
+   do not refute runs the rank-windowed bidirectional BFS — the only
    smoke series whose answers the BFS decides (the two-chain series above
-   are answered by labels).  Two series over the same 10 000 pre-drawn
+   are answered by labels).  Three series over the same 10 000 pre-drawn
    pairs:
+   - [engine.bfs_visited_wide]: slots the BFS visits over one pass of the
+     pairs, an exact work count that host load does not move (gated at
+     1.1x);
    - [engine.query_wide]: [Engine.query_order] on the live engine;
    - [engine.query_frozen_wide]: [Engine.View.query] over a published
      view, on this domain's traversal scratch.
-   Timed like [engine.publish_one_write_*], as the best of five
-   fixed-length windows after a compaction. *)
+   The two times are the best of five fixed-length windows after a
+   compaction. *)
 let query_wide_smoke () =
   let module Graph_gen = Kronos_workload.Graph_gen in
   let n = 10_000 in
@@ -317,10 +331,14 @@ let query_wide_smoke () =
     Array.init ops (fun _ ->
         (ids.(Kronos_simnet.Rng.int rng n), ids.(Kronos_simnet.Rng.int rng n)))
   in
+  let visited0 = (Engine.stats engine).Engine.visited in
+  Array.iter (fun p -> ignore (Engine.query_order engine [ p ])) pairs;
+  record "engine.bfs_visited_wide"
+    (float_of_int ((Engine.stats engine).Engine.visited - visited0))
+    "slots";
   let timed query =
     let k = ref 0 in
-    Gc.compact ();
-    best_window_ns ~ops (fun () ->
+    compacted_window_ns ~ops (fun () ->
         let a, b = pairs.(!k) in
         k := (!k + 1) mod ops;
         query a b)
@@ -447,6 +465,29 @@ let certify_smoke () =
         ignore (Prover.prove g ~source:ids.(i) ~target:ids.(j)))
   in
   record "certify.prove" prove_ns "ns/op";
+  (* [certify.prove_hub]: a proof into a hub event with 128 links, through
+     its oldest, middle and newest link in turn.  A step that opens link
+     [i] refolds the hub's head before it, two compressions per link
+     below [i] (DESIGN.md §13), which the one-link chain above never
+     pays. *)
+  let hub_engine = Engine.create () in
+  let preds = Array.init 128 (fun _ -> Engine.create_event hub_engine) in
+  let hub = Engine.create_event hub_engine in
+  Array.iter
+    (fun p ->
+      ignore (Engine.assign_order hub_engine [ Order.must_before p hub ]))
+    preds;
+  let hub_view = Engine.current_view hub_engine in
+  let sources = [| preds.(0); preds.(64); preds.(127) |] in
+  let k = ref 0 in
+  let prove_hub_ns =
+    compacted_window_ns ~ops:3_000 (fun () ->
+        let source = sources.(!k) in
+        k := (!k + 1) mod 3;
+        if Prover.prove hub_view ~source ~target:hub = None then
+          failwith "smoke: a hub link must be provable")
+  in
+  record "certify.prove_hub" prove_hub_ns "ns/op";
   let cert =
     match Prover.prove g ~source:ids.(0) ~target:ids.(n - 1) with
     | Some c -> c
@@ -761,6 +802,9 @@ let read_file path =
   close_in ic;
   data
 
+(* The bound of the exact work-count series. *)
+let count_threshold = 1.1
+
 (* Regression gate behind `make bench-check`: re-measure the engine hot
    paths, the client order cache, the certify series and the federated
    series, and compare them with the committed BENCH_smoke.json.  The
@@ -769,7 +813,10 @@ let read_file path =
    heap bytes per link of [engine.commitment_bytes_per_link] are
    in-process numbers; the fed.* series are closed-loop
    rates on the simulated network (pure compute, no real sleeping), so
-   both are stable enough to gate.  The pct series is held under an
+   both are stable enough to gate.  [engine.bfs_visited_wide] is an exact
+   count of slots visited, so it takes the tight [count_threshold]
+   (1.1x): a 2x algorithmic regression that a 2.5x time bound would let
+   through fails it.  The pct series is held under an
    absolute budget ([assign_overhead_budget_pct]) instead of a baseline
    ratio — it is a difference of two noisy numbers.  The threshold is
    deliberately loose (2.5x) so only real regressions fail CI, not
@@ -800,6 +847,10 @@ let check () =
   end;
   let baseline = parse_results (read_file baseline_path) in
   let threshold = 2.5 in
+  (* exact work counts take a tight bound: host load does not move them *)
+  let threshold_of name =
+    if name = "engine.bfs_visited_wide" then count_threshold else threshold
+  in
   results := [];
   durability_recovery_smoke ();
   engine_hot_paths ();
@@ -865,7 +916,7 @@ let check () =
             else value /. base
           in
           let verdict =
-            if ratio > threshold then begin
+            if ratio > threshold_of name then begin
               incr failures;
               "FAIL"
             end
@@ -876,11 +927,13 @@ let check () =
     (List.rev !results);
   if !failures > 0 then begin
     Printf.eprintf
-      "smoke-check: %d series regressed more than %.1fx vs %s\n"
-      !failures threshold baseline_path;
+      "smoke-check: %d series regressed past their bound (%.1fx, exact \
+       counts %.1fx) vs %s\n"
+      !failures threshold count_threshold baseline_path;
     exit 1
   end;
-  Bench_util.ours "all gated series within %.1fx of %s" threshold baseline_path
+  Bench_util.ours "all gated series within %.1fx (exact counts %.1fx) of %s"
+    threshold count_threshold baseline_path
 
 let run () =
   Bench_util.section "Smoke: quick performance snapshot -> BENCH_smoke.json";

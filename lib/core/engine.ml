@@ -249,6 +249,7 @@ let label_hits t = Graph.label_hit_count t.g
 let label_misses t = Graph.label_miss_count t.g
 let label_rebuilds t = Graph.label_rebuild_count t.g
 let chain_count t = Graph.chain_count t.g
+let labels_live t = Graph.labels_live t.g
 
 type stats = {
   creates : int;

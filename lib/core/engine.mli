@@ -190,9 +190,10 @@ val label_hits : t -> int
     to the metrics plane as [engine.label_hits_total]). *)
 
 val label_misses : t -> int
-(** Probes that fell back to the BFS ([engine.label_misses_total]).
-    A high miss share means the workload's breadth defeats the chain cap —
-    raise {!config.max_chains}. *)
+(** Probes that fell back to the BFS because labels were not live
+    ([engine.label_misses_total]).  Labels drop when the workload's
+    breadth saturates the chain cap ({!labels_live}); raising
+    {!config.max_chains} keeps them on wider graphs. *)
 
 val label_rebuilds : t -> int
 (** Full deterministic label recomputations ([engine.label_rebuilds_total]):
@@ -200,6 +201,10 @@ val label_rebuilds : t -> int
 
 val chain_count : t -> int
 (** Chains currently holding live events (gauge [engine.graph_chains]). *)
+
+val labels_live : t -> bool
+(** Whether queries are answered by the chain labels (gauge
+    [engine.labels_live]): {!Graph.labels_live}. *)
 
 type stats = {
   creates : int;

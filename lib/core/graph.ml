@@ -16,6 +16,7 @@ module M = struct
   let live = Kronos_metrics.gauge scope "graph_live_events"
   let edges = Kronos_metrics.gauge scope "graph_edges"
   let chains = Kronos_metrics.gauge scope "graph_chains"
+  let labels_live = Kronos_metrics.gauge scope "labels_live"
 end
 
 (* Commitment link stores (DESIGN.md §13).  A slot's commitment-chain
@@ -178,6 +179,16 @@ let[@inline] pa_arr (root : 'a array pa) s =
 let[@inline] pa_chain (root : chain pa) s =
   Array.unsafe_get (pa_chunk root s) (s land chunk_mask)
 
+(* A frozen view's chain index: the live index's per-slot fields as of
+   the freeze.  [fi_epoch] names the live index it was copied from, so a
+   later freeze shares its chunks only with a view of that same index. *)
+type frozen_index = {
+  fi_epoch : int;
+  fi_chain_of : int pa;
+  fi_chain_pos : int pa;
+  fi_labels : int array pa;
+}
+
 (* A deeply immutable copy of the graph's query-visible state over slots
    [0, f_next_slot), safe to share across domains.  Views only ever test
    liveness, so one word per slot stands in for refcount and generation:
@@ -192,18 +203,17 @@ type frozen = {
   f_digests : bool;
   f_gen : int pa;
   f_rank : int pa;
-  f_chain_of : int pa;  (* chain index (DESIGN.md §15) *)
-  f_chain_pos : int pa;
   f_succ : int array pa;
   f_pred : int array pa;
   f_chains : chain pa;  (* [no_chain] for slots without links *)
-  f_labels : int array pa;
+  f_index : frozen_index option;  (* [None] while labels are dropped *)
 }
 
 (* One entry of the per-edge rollback journal for the chain-decomposition
    index and the commitment heads.  [push_edge] opens a group with
    [J_mark]; [remove_last_edge] pops the topmost group, restoring the exact
-   pre-edge chains, labels and target head.
+   pre-edge chains, labels and target head (only the head once the labels
+   have been dropped).
    [commit_batch] (and any non-batch mutation) truncates the journal.  A
    batch that cannot abort ([suspend_journal]) pushes no entries at all. *)
 type label_undo =
@@ -212,6 +222,32 @@ type label_undo =
   | J_label of int * int array   (* slot, previous label array *)
   | J_assign of int * int * int  (* slot appended: slot, chain, prev tail *)
   | J_chain of int * bool        (* chain allocated: id, came from free list *)
+
+(* Chain-decomposition reachability index (DESIGN.md §15).  Live events
+   are partitioned greedily into at most [max_chains] chains at edge time;
+   every member of a chain reaches all later members (consecutive members
+   are joined by a direct edge).  [labels.(s)] is a chain-sorted vector of
+   one-word entries [pack chain pos]: the {e lowest} position in each
+   chain reachable from [s] (self included), so [u ⇝ v] iff [labels.(u)]
+   holds an entry for [chain_of.(v)] with pos <= [chain_pos.(v)].  Labels
+   are exact — kept so by merge propagation on edge admission and by the
+   journal on rollback.  The graph keeps an index only while every live
+   slot with an in-edge is on a chain (see [drop_labels]), so a
+   destination off every chain has no predecessor, and both answers of
+   every query are O(#chains) compares.  Label arrays are immutable once
+   installed (replaced, never mutated), so frozen views share them
+   structurally, and so may slots. *)
+type index = {
+  mutable chain_of : int array;   (* per slot; -1 = unassigned *)
+  mutable chain_pos : int array;  (* per slot; valid when chain_of >= 0 *)
+  chain_len : Int_vec.t;          (* per chain: members ever appended *)
+  chain_live : Int_vec.t;         (* per chain: live members *)
+  chain_tail : Int_vec.t;         (* per chain: newest member, -1 if empty *)
+  free_chains : Int_vec.t;        (* fully-dead chains, reusable *)
+  mutable labels : int array array;
+  queue : Int_vec.t;              (* label propagation worklist *)
+  mutable buf : int array;        (* merge scratch *)
+}
 
 type t = {
   mutable refcount : int array;  (* -1 marks a free slot *)
@@ -270,34 +306,18 @@ type t = {
   mutable version : int;
   dirty : Sparse_set.t;
   mutable frozen_cache : frozen option;
-  (* Chain-decomposition reachability index (DESIGN.md §15).  Live events
-     are partitioned greedily into at most [max_chains] chains at edge
-     time; every member of a chain reaches all later members (consecutive
-     members are joined by a direct edge).  [labels.(s)] is a chain-sorted
-     vector of one-word entries [pack chain pos]: the {e lowest} position
-     in each chain reachable from [s] (self included), so [u ⇝ v] iff
-     [labels.(u)] holds an entry for [chain_of.(v)] with pos <=
-     [chain_pos.(v)].  Labels are exact — kept so by merge propagation on
-     edge admission and by the journal on rollback — hence both answers of
-     a query are O(#chains) compares whenever the destination is assigned
-     to a chain; only cap saturation forces the BFS fallback.  Label
-     arrays are immutable once installed (replaced, never mutated), so
-     frozen views share them structurally, and so may slots. *)
+  (* The chain-label index (DESIGN.md §15): [Some] exactly while
+     [max_chains > 0] and every live slot with an in-edge is on a chain.
+     [label_epoch] is bumped whenever [index] is dropped or replaced, so
+     a freeze never shares index chunks across two different indexes. *)
   max_chains : int;
-  mutable chain_of : int array;   (* per slot; -1 = unassigned *)
-  mutable chain_pos : int array;  (* per slot; valid when chain_of >= 0 *)
-  chain_len : Int_vec.t;          (* per chain: members ever appended *)
-  chain_live : Int_vec.t;         (* per chain: live members *)
-  chain_tail : Int_vec.t;         (* per chain: newest member, -1 if empty *)
-  free_chains : Int_vec.t;        (* fully-dead chains, reusable *)
-  mutable labels : int array array;
+  mutable index : index option;
+  mutable label_epoch : int;
   (* Undo groups of the edges admitted since the last seal, newest first;
      nothing is pushed while [journaling] is off (a batch that cannot
      abort, until [commit_batch]). *)
   mutable journal : label_undo list;
   mutable journaling : bool;
-  label_queue : Int_vec.t;        (* label propagation worklist *)
-  mutable label_buf : int array;  (* merge scratch *)
   mutable label_hits : int;
   mutable label_misses : int;
   mutable label_rebuilds : int;
@@ -317,13 +337,8 @@ let max_chain_len = 1 lsl pos_bits  (* positions 0 .. 2^40 - 1 *)
 let[@inline] pack c pos = (c lsl pos_bits) lor pos
 let[@inline] entry_chain w = w lsr pos_bits
 
-let create ?(initial_capacity = 1024) ?(digests = true)
-    ?(max_chains = default_max_chains) () =
-  if max_chains > max_chain_ids then
-    invalid_arg "Graph.create: max_chains above 2^22";
-  let cap = max initial_capacity 16 in
+let new_index cap =
   {
-    max_chains = max 0 max_chains;
     chain_of = Array.make cap (-1);
     chain_pos = Array.make cap 0;
     chain_len = Int_vec.create ();
@@ -331,10 +346,23 @@ let create ?(initial_capacity = 1024) ?(digests = true)
     chain_tail = Int_vec.create ();
     free_chains = Int_vec.create ();
     labels = Array.make cap [||];
+    queue = Int_vec.create ();
+    buf = Array.make 64 0;
+  }
+
+let create ?(initial_capacity = 1024) ?(digests = true)
+    ?(max_chains = default_max_chains) () =
+  if max_chains > max_chain_ids then
+    invalid_arg "Graph.create: max_chains above 2^22";
+  let cap = max initial_capacity 16 in
+  let max_chains = max 0 max_chains in
+  Kronos_metrics.Gauge.set M.labels_live (if max_chains > 0 then 1 else 0);
+  {
+    max_chains;
+    index = (if max_chains > 0 then Some (new_index cap) else None);
+    label_epoch = 0;
     journal = [];
     journaling = true;
-    label_queue = Int_vec.create ();
-    label_buf = Array.make 64 0;
     label_hits = 0;
     label_misses = 0;
     label_rebuilds = 0;
@@ -382,7 +410,12 @@ let label_hit_count g = g.label_hits
 let label_miss_count g = g.label_misses
 let label_rebuild_count g = g.label_rebuilds
 let max_chains g = g.max_chains
-let chain_count g = Int_vec.length g.chain_len - Int_vec.length g.free_chains
+let labels_live g = Option.is_some g.index
+
+let chain_count g =
+  match g.index with
+  | Some ix -> Int_vec.length ix.chain_len - Int_vec.length ix.free_chains
+  | None -> 0
 
 let grow g =
   let old = capacity g in
@@ -402,13 +435,36 @@ let grow g =
     g.links <- copy g.links Links.empty;
     g.heads <- copy g.heads ""
   end;
-  g.chain_of <- copy g.chain_of (-1);
-  g.chain_pos <- copy g.chain_pos 0;
-  g.labels <- copy g.labels [||];
+  (match g.index with
+   | Some ix ->
+     ix.chain_of <- copy ix.chain_of (-1);
+     ix.chain_pos <- copy ix.chain_pos 0;
+     ix.labels <- copy ix.labels [||]
+   | None -> ());
   g.marks <- copy g.marks 0;
   Sparse_set.grow g.dirty cap;
   g.queue <- Array.make cap 0;
   g.queue_b <- Array.make cap 0
+
+(* Install [ix] as the chain-label index, or drop the index ([None]). *)
+let set_index g ix =
+  g.index <- ix;
+  g.label_epoch <- g.label_epoch + 1;
+  Kronos_metrics.Gauge.set M.labels_live (if Option.is_some ix then 1 else 0);
+  Kronos_metrics.Gauge.set M.chains (chain_count g)
+
+(* Leave label mode (DESIGN.md §15): some live slot with an in-edge could
+   not be placed on a chain, so labels could no longer answer queries to
+   it.  Rather than keep maintaining labels that decide only part of the
+   queries, free the whole index; every query then runs rank-then-BFS,
+   as with [max_chains = 0].  Views published before keep their labels. *)
+let drop_labels g = set_index g None
+
+(* Labels come back only at zero edges, where every slot is trivially
+   placed: a fresh, empty index. *)
+let revive_labels g =
+  if g.edges = 0 && g.max_chains > 0 && Option.is_none g.index then
+    set_index g (Some (new_index (capacity g)))
 
 let version g = g.version
 
@@ -518,24 +574,28 @@ let collect g s =
        so a chain empties prefix-first and is recycled only once wholly
        dead; and no surviving label can point at a dead member — a label
        entry witnesses ancestorship, and ancestors are collected first. *)
-    (let c = g.chain_of.(u) in
-     if c >= 0 then begin
-       g.chain_of.(u) <- -1;
-       let remaining = Int_vec.get g.chain_live c - 1 in
-       Int_vec.set g.chain_live c remaining;
-       if remaining = 0 then begin
-         Int_vec.set g.chain_len c 0;
-         Int_vec.set g.chain_tail c (-1);
-         Int_vec.push g.free_chains c
-       end
-     end);
-    g.labels.(u) <- [||];
+    (match g.index with
+     | Some ix ->
+       let c = ix.chain_of.(u) in
+       if c >= 0 then begin
+         ix.chain_of.(u) <- -1;
+         let remaining = Int_vec.get ix.chain_live c - 1 in
+         Int_vec.set ix.chain_live c remaining;
+         if remaining = 0 then begin
+           Int_vec.set ix.chain_len c 0;
+           Int_vec.set ix.chain_tail c (-1);
+           Int_vec.push ix.free_chains c
+         end
+       end;
+       ix.labels.(u) <- [||]
+     | None -> ());
     (* Retire the slot permanently if its generation space is exhausted. *)
     if g.gen.(u) < max_gen then begin
       g.gen.(u) <- g.gen.(u) + 1;
       Int_vec.push g.free u
     end
   done;
+  revive_labels g;
   Kronos_metrics.Gauge.set M.live g.live;
   Kronos_metrics.Gauge.set M.edges g.edges;
   !collected
@@ -576,16 +636,16 @@ let label_find lbl c =
    below [pos] decides the query in both directions. *)
 let label_le lbl c pos = label_find lbl c <= pos
 
-let ensure_label_buf g n =
-  if Array.length g.label_buf < n then
-    g.label_buf <- Array.make (max n (2 * Array.length g.label_buf)) 0;
-  g.label_buf
+let ensure_label_buf ix n =
+  if Array.length ix.buf < n then
+    ix.buf <- Array.make (max n (2 * Array.length ix.buf)) 0;
+  ix.buf
 
 (* Replace a slot's label.  The old array goes to the journal so rollback
    restores it by pointer; [touch] makes the next freeze re-share it. *)
-let set_label g s lbl =
-  if g.journaling then g.journal <- J_label (s, g.labels.(s)) :: g.journal;
-  g.labels.(s) <- lbl;
+let set_label g ix s lbl =
+  if g.journaling then g.journal <- J_label (s, ix.labels.(s)) :: g.journal;
+  ix.labels.(s) <- lbl;
   touch g s
 
 (* Pointwise-min union of [src] into slot [s]'s label.  Returns [true] iff
@@ -594,16 +654,16 @@ let set_label g s lbl =
    entries decrease monotonically toward 0.  Within one chain the lower
    position is the lower packed word.  An empty label simply takes [src]
    by pointer: label arrays are never mutated. *)
-let merge_into g s src =
-  let a = g.labels.(s) in
+let merge_into g ix s src =
+  let a = ix.labels.(s) in
   let la = Array.length a and lb = Array.length src in
   if lb = 0 then false
   else if la = 0 then begin
-    set_label g s src;
+    set_label g ix s src;
     true
   end
   else begin
-    let buf = ensure_label_buf g (la + lb) in
+    let buf = ensure_label_buf ix (la + lb) in
     let i = ref 0 and j = ref 0 and k = ref 0 in
     let changed = ref false in
     while !i < la && !j < lb do
@@ -636,24 +696,24 @@ let merge_into g s src =
       incr k;
       changed := true
     done;
-    if !changed then set_label g s (Array.sub buf 0 !k);
+    if !changed then set_label g ix s (Array.sub buf 0 !k);
     !changed
   end
 
 (* Allocate a chain: reuse a wholly-dead one first, mint a new id under the
    cap, or give up (-1) once saturated. *)
-let alloc_chain g =
-  if not (Int_vec.is_empty g.free_chains) then begin
-    let c = Int_vec.pop g.free_chains in
+let alloc_chain g ix =
+  if not (Int_vec.is_empty ix.free_chains) then begin
+    let c = Int_vec.pop ix.free_chains in
     if g.journaling then g.journal <- J_chain (c, true) :: g.journal;
     c
   end
-  else if Int_vec.length g.chain_len >= g.max_chains then -1
+  else if Int_vec.length ix.chain_len >= g.max_chains then -1
   else begin
-    let c = Int_vec.length g.chain_len in
-    Int_vec.push g.chain_len 0;
-    Int_vec.push g.chain_live 0;
-    Int_vec.push g.chain_tail (-1);
+    let c = Int_vec.length ix.chain_len in
+    Int_vec.push ix.chain_len 0;
+    Int_vec.push ix.chain_live 0;
+    Int_vec.push ix.chain_tail (-1);
     if g.journaling then g.journal <- J_chain (c, false) :: g.journal;
     c
   end
@@ -662,25 +722,25 @@ let alloc_chain g =
    called when [s] can close the chain property: either [c]'s current tail
    has a direct edge to [s] (admitted by the caller), or [c] is empty.
    Returns [false], changing nothing, when [c] already holds 2^40 members
-   ever appended: position 2^40 does not pack, so [s] stays off-chain as
-   if the cap were saturated. *)
-let assign_slot g s c =
-  let pos = Int_vec.get g.chain_len c in
+   ever appended: position 2^40 does not pack, so [s] cannot be placed,
+   as when the cap is saturated. *)
+let assign_slot g ix s c =
+  let pos = Int_vec.get ix.chain_len c in
   if pos >= max_chain_len then false
   else begin
     if g.journaling then
-      g.journal <- J_assign (s, c, Int_vec.get g.chain_tail c) :: g.journal;
-    g.chain_of.(s) <- c;
-    g.chain_pos.(s) <- pos;
-    Int_vec.set g.chain_len c (pos + 1);
-    Int_vec.set g.chain_live c (Int_vec.get g.chain_live c + 1);
-    Int_vec.set g.chain_tail c s;
+      g.journal <- J_assign (s, c, Int_vec.get ix.chain_tail c) :: g.journal;
+    ix.chain_of.(s) <- c;
+    ix.chain_pos.(s) <- pos;
+    Int_vec.set ix.chain_len c (pos + 1);
+    Int_vec.set ix.chain_live c (Int_vec.get ix.chain_live c + 1);
+    Int_vec.set ix.chain_tail c s;
     (* self entry: min-merge is safe — [s] cannot already reach an earlier
        member of [c] (that member would reach the tail, which reaches [s],
        closing a cycle) *)
-    ignore (merge_into g s [| pack c pos |]);
+    ignore (merge_into g ix s [| pack c pos |]);
     Kronos_metrics.Gauge.set M.chains
-      (Int_vec.length g.chain_len - Int_vec.length g.free_chains);
+      (Int_vec.length ix.chain_len - Int_vec.length ix.free_chains);
     true
   end
 
@@ -690,38 +750,38 @@ let assign_slot g s c =
    unassigned [su] in), then restore label exactness by propagating every
    decreased entry backward over predecessors.  The chain-append fast path
    propagates nothing beyond [sv]'s own predecessors: every ancestor
-   already reaches the chain at a lower position. *)
-let label_admit g su sv =
-  let sv_assigned = ref false in
-  let su_assigned = ref false in
-  if g.chain_of.(sv) < 0 then begin
-    let cu = g.chain_of.(su) in
-    if cu >= 0 && Int_vec.get g.chain_tail cu = su then
-      sv_assigned := assign_slot g sv cu
+   already reaches the chain at a lower position.  An unplaced [sv] had no
+   in-edge before this one, so [su] is its only predecessor; an unplaced
+   [su] has none at all.  When [sv] cannot be placed (cap saturated, or a
+   full chain) the labels are dropped. *)
+let label_admit g ix su sv =
+  let placed =
+    ix.chain_of.(sv) >= 0
+    ||
+    let cu = ix.chain_of.(su) in
+    if cu >= 0 && Int_vec.get ix.chain_tail cu = su then assign_slot g ix sv cu
     else begin
-      let c = alloc_chain g in
+      let c = alloc_chain g ix in
       (* a fresh chain is empty, so both appends below succeed *)
-      if c >= 0 then begin
-        if cu < 0 then su_assigned := assign_slot g su c;
-        sv_assigned := assign_slot g sv c
+      c >= 0
+      && begin
+        if cu < 0 then ignore (assign_slot g ix su c);
+        assign_slot g ix sv c
       end
-      (* saturated: [sv] stays unassigned; queries to it fall back to BFS *)
     end
-  end;
-  let su_changed = merge_into g su g.labels.(sv) || !su_assigned in
-  let q = g.label_queue in
-  Int_vec.clear q;
-  (* a newly assigned [sv] may already have other predecessors (it went
-     unassigned through a saturated period): all of them must learn its
-     self entry, not just [su] *)
-  if !sv_assigned then Int_vec.push q sv;
-  if su_changed then Int_vec.push q su;
-  while not (Int_vec.is_empty q) do
-    let w = Int_vec.pop q in
-    let lbl = g.labels.(w) in
-    Int_vec.iter (fun p -> if merge_into g p lbl then Int_vec.push q p)
-      g.pred.(w)
-  done
+  in
+  if not placed then drop_labels g
+  else if merge_into g ix su ix.labels.(sv) then begin
+    let q = ix.queue in
+    Int_vec.clear q;
+    Int_vec.push q su;
+    while not (Int_vec.is_empty q) do
+      let w = Int_vec.pop q in
+      let lbl = ix.labels.(w) in
+      Int_vec.iter (fun p -> if merge_into g ix p lbl then Int_vec.push q p)
+        g.pred.(w)
+    done
+  end
 
 (* Seal the per-edge rollback journal: the batch the edges belonged to has
    committed, [remove_last_edge] can no longer be asked to undo them.
@@ -737,20 +797,11 @@ let suspend_journal g =
   g.journal <- [];
   g.journaling <- false
 
-(* Exact label recomputation: live slots in decreasing (rank, slot) order —
-   reverse topological by the rank invariant — each taking its self entry
-   plus the min-union of its direct successors' finished labels.  Exact
-   labels are a pure function of (adjacency, chain assignment), which is
-   why snapshots persist only the chains: every restore recomputes
-   bit-identical labels. *)
-let compute_labels g =
-  (* recomputation is never part of a batch: nothing to journal *)
-  suspend_journal g;
-  g.label_rebuilds <- g.label_rebuilds + 1;
-  Kronos_metrics.Counter.incr M.label_rebuilds;
-  let n = g.next_slot in
+(* Live slots in (rank, slot) order: topological, by the rank
+   invariant. *)
+let rank_order g =
   let order = ref [] in
-  for s = 0 to n - 1 do
+  for s = g.next_slot - 1 downto 0 do
     if g.refcount.(s) >= 0 then order := s :: !order
   done;
   let order = Array.of_list !order in
@@ -759,69 +810,77 @@ let compute_labels g =
       let c = compare g.rank.(a) g.rank.(b) in
       if c <> 0 then c else compare a b)
     order;
+  order
+
+(* Exact label recomputation: live slots in decreasing (rank, slot) order —
+   reverse topological by the rank invariant — each taking its self entry
+   plus the min-union of its direct successors' finished labels.  Exact
+   labels are a pure function of (adjacency, chain assignment), which is
+   why snapshots persist only the chains: every restore recomputes
+   bit-identical labels. *)
+let compute_labels g ix =
+  (* recomputation is never part of a batch: nothing to journal *)
+  suspend_journal g;
+  g.label_rebuilds <- g.label_rebuilds + 1;
+  Kronos_metrics.Counter.incr M.label_rebuilds;
+  let order = rank_order g in
   for i = Array.length order - 1 downto 0 do
     let v = order.(i) in
-    g.labels.(v) <- [||];
+    ix.labels.(v) <- [||];
     touch g v;
-    if g.chain_of.(v) >= 0 then
-      ignore (merge_into g v [| pack g.chain_of.(v) g.chain_pos.(v) |]);
-    Int_vec.iter (fun w -> ignore (merge_into g v g.labels.(w))) g.succ.(v)
+    if ix.chain_of.(v) >= 0 then
+      ignore (merge_into g ix v [| pack ix.chain_of.(v) ix.chain_pos.(v) |]);
+    Int_vec.iter (fun w -> ignore (merge_into g ix v ix.labels.(w))) g.succ.(v)
   done;
   commit_batch g
 
 (* Deterministic full rebuild for the defensive out-of-protocol rollback
    path of [remove_last_edge]: canonical greedy chain assignment over live
    slots in (rank, slot) order — extend the first predecessor that is its
-   chain's tail, else open a chain until the cap — then exact labels.  A
-   function of adjacency and ranks alone, so replicas that issue the same
-   operations agree. *)
-let rebuild_label_index g =
-  Int_vec.clear g.chain_len;
-  Int_vec.clear g.chain_live;
-  Int_vec.clear g.chain_tail;
-  Int_vec.clear g.free_chains;
+   chain's tail, else open a chain until the cap — then exact labels, or
+   no labels if a slot with an in-edge finds no chain.  A function of
+   adjacency and ranks alone, so replicas that issue the same operations
+   agree. *)
+let rebuild_label_index g ix =
+  Int_vec.clear ix.chain_len;
+  Int_vec.clear ix.chain_live;
+  Int_vec.clear ix.chain_tail;
+  Int_vec.clear ix.free_chains;
   g.journal <- [];
-  let n = g.next_slot in
-  let order = ref [] in
-  for s = 0 to n - 1 do
-    g.chain_of.(s) <- -1;
-    if g.refcount.(s) >= 0 then begin
-      touch g s;
-      order := s :: !order
-    end
+  for s = 0 to g.next_slot - 1 do
+    ix.chain_of.(s) <- -1;
+    if g.refcount.(s) >= 0 then touch g s
   done;
-  let order = Array.of_list !order in
-  Array.sort
-    (fun a b ->
-      let c = compare g.rank.(a) g.rank.(b) in
-      if c <> 0 then c else compare a b)
-    order;
+  let placed = ref true in
   Array.iter
     (fun v ->
       let c = ref (-1) in
       Int_vec.iter
         (fun p ->
           if !c < 0 then begin
-            let cp = g.chain_of.(p) in
-            if cp >= 0 && Int_vec.get g.chain_tail cp = p then c := cp
+            let cp = ix.chain_of.(p) in
+            if cp >= 0 && Int_vec.get ix.chain_tail cp = p then c := cp
           end)
         g.pred.(v);
-      if !c < 0 then c := alloc_chain g;
+      if !c < 0 then c := alloc_chain g ix;
       if !c >= 0 then begin
         (* bare append: self entries come with compute_labels below.  Every
            chain restarts at 0 and slots are below 2^40, so the position
            always packs. *)
-        let pos = Int_vec.get g.chain_len !c in
-        g.chain_of.(v) <- !c;
-        g.chain_pos.(v) <- pos;
-        Int_vec.set g.chain_len !c (pos + 1);
-        Int_vec.set g.chain_live !c (Int_vec.get g.chain_live !c + 1);
-        Int_vec.set g.chain_tail !c v
-      end)
-    order;
-  Kronos_metrics.Gauge.set M.chains
-    (Int_vec.length g.chain_len - Int_vec.length g.free_chains);
-  compute_labels g
+        let pos = Int_vec.get ix.chain_len !c in
+        ix.chain_of.(v) <- !c;
+        ix.chain_pos.(v) <- pos;
+        Int_vec.set ix.chain_len !c (pos + 1);
+        Int_vec.set ix.chain_live !c (Int_vec.get ix.chain_live !c + 1);
+        Int_vec.set ix.chain_tail !c v
+      end
+      else if g.indeg.(v) > 0 then placed := false)
+    (rank_order g);
+  if !placed then begin
+    Kronos_metrics.Gauge.set M.chains (chain_count g);
+    compute_labels g ix
+  end
+  else drop_labels g
 
 (* Rank-pruned bidirectional BFS over slots; allocation-free thanks to the
    stamped marks and preallocated queues.  Degree guards make the common
@@ -900,10 +959,9 @@ let reachable_slots g src dst =
 
 (* A negative answer by rank comparison alone: u ⇝ v requires
    rank u < rank v, so rank u >= rank v (distinct slots) refutes it in O(1).
-   When the destination sits on a chain, the label compare answers the
-   remaining direction — both ways — in O(#chains); only an unassigned
-   destination (chain cap saturated, or no admitted in-edge) falls back to
-   the BFS. *)
+   While labels are live they answer the remaining direction — both ways —
+   in O(#chains): a destination off every chain has no predecessor at all.
+   Without labels (dropped, or [max_chains = 0]) the BFS answers. *)
 let reachable_ranked g su sv =
   if su = sv then false
   else if g.rank.(su) >= g.rank.(sv) then begin
@@ -911,19 +969,17 @@ let reachable_ranked g su sv =
     Kronos_metrics.Counter.incr M.rank_pruned;
     false
   end
-  else begin
-    let c = g.chain_of.(sv) in
-    if c >= 0 then begin
+  else
+    match g.index with
+    | Some ix ->
       g.label_hits <- g.label_hits + 1;
       Kronos_metrics.Counter.incr M.label_hits;
-      label_le g.labels.(su) c g.chain_pos.(sv)
-    end
-    else begin
+      let c = ix.chain_of.(sv) in
+      c >= 0 && label_le ix.labels.(su) c ix.chain_pos.(sv)
+    | None ->
       g.label_misses <- g.label_misses + 1;
       Kronos_metrics.Counter.incr M.label_misses;
       reachable_slots g su sv
-    end
-  end
 
 (* Label-only probe for provers and planners: [Some ans] when rank or label
    decides [u ⇝ v] without traversing, [None] when only a BFS could tell.
@@ -935,9 +991,11 @@ let label_reachable g u v =
     if su = sv then Some false
     else if g.rank.(su) >= g.rank.(sv) then Some false
     else begin
-      let c = g.chain_of.(sv) in
-      if c >= 0 then Some (label_le g.labels.(su) c g.chain_pos.(sv))
-      else None
+      match g.index with
+      | Some ix ->
+        let c = ix.chain_of.(sv) in
+        Some (c >= 0 && label_le ix.labels.(su) c ix.chain_pos.(sv))
+      | None -> None
     end
   | (None | Some _), _ -> Some false
 
@@ -1023,7 +1081,7 @@ let push_edge g su sv =
   touch g su;
   touch g sv;
   if g.digests then fold_edge g su sv;
-  label_admit g su sv;
+  (match g.index with Some ix -> label_admit g ix su sv | None -> ());
   Kronos_metrics.Gauge.set M.edges g.edges
 
 (* Restricted cycle probe for an edge su -> sv arriving with
@@ -1177,31 +1235,35 @@ let remove_last_edge g u v =
        restoring the exact pre-edge chains and label arrays.  The topmost
        group necessarily belongs to this edge (rollback is LIFO within the
        aborting batch); if the journal disagrees — a caller outside the
-       batch protocol — fall back to a deterministic full rebuild. *)
+       batch protocol — fall back to a deterministic full rebuild.  Once
+       the labels are dropped only the heads are restored: entries for
+       the index the batch dropped are skipped. *)
+    let undo_label ix = function
+      | J_label (s, old) ->
+        ix.labels.(s) <- old;
+        touch g s
+      | J_assign (s, c, prev_tail) ->
+        ix.chain_of.(s) <- -1;
+        touch g s;
+        Int_vec.set ix.chain_len c (Int_vec.get ix.chain_len c - 1);
+        Int_vec.set ix.chain_live c (Int_vec.get ix.chain_live c - 1);
+        Int_vec.set ix.chain_tail c prev_tail
+      | J_chain (c, from_free) ->
+        (if from_free then Int_vec.push ix.free_chains c
+         else begin
+           ignore (Int_vec.pop ix.chain_len);
+           ignore (Int_vec.pop ix.chain_live);
+           ignore (Int_vec.pop ix.chain_tail)
+         end);
+        Kronos_metrics.Gauge.set M.chains (chain_count g)
+      | J_mark _ -> ()
+    in
     let rec undo = function
       | J_mark (a, b, head) :: rest when a = su && b = sv ->
         if g.digests then g.heads.(sv) <- head;
         g.journal <- rest
-      | J_label (s, old) :: rest ->
-        g.labels.(s) <- old;
-        touch g s;
-        undo rest
-      | J_assign (s, c, prev_tail) :: rest ->
-        g.chain_of.(s) <- -1;
-        touch g s;
-        Int_vec.set g.chain_len c (Int_vec.get g.chain_len c - 1);
-        Int_vec.set g.chain_live c (Int_vec.get g.chain_live c - 1);
-        Int_vec.set g.chain_tail c prev_tail;
-        undo rest
-      | J_chain (c, from_free) :: rest ->
-        (if from_free then Int_vec.push g.free_chains c
-         else begin
-           ignore (Int_vec.pop g.chain_len);
-           ignore (Int_vec.pop g.chain_live);
-           ignore (Int_vec.pop g.chain_tail)
-         end);
-        Kronos_metrics.Gauge.set M.chains
-          (Int_vec.length g.chain_len - Int_vec.length g.free_chains);
+      | ((J_label _ | J_assign _ | J_chain _) as j) :: rest ->
+        Option.iter (fun ix -> undo_label ix j) g.index;
         undo rest
       | (J_mark _ :: _ | []) ->
         if g.digests then begin
@@ -1210,9 +1272,10 @@ let remove_last_edge g u v =
           g.heads.(sv) <-
             (if n = 0 then "" else Links.refold (id_of_slot g sv) st n)
         end;
-        rebuild_label_index g
+        Option.iter (rebuild_label_index g) g.index
     in
-    undo g.journal
+    undo g.journal;
+    revive_labels g
   | (None | Some _), _ -> invalid_arg "Graph.remove_last_edge: stale event"
 
 type chain_snapshot = {
@@ -1262,12 +1325,26 @@ let to_snapshot g =
                       Links.pred_pos st j )))));
     snap_version = g.version;
     snap_chains =
-      {
-        cs_chain_of = Array.sub g.chain_of 0 n;
-        cs_chain_pos = Array.sub g.chain_pos 0 n;
-        cs_chain_len = int_vec_to_array g.chain_len;
-        cs_free_chains = int_vec_to_array g.free_chains;
-      };
+      (match g.index with
+       | Some ix ->
+         {
+           cs_chain_of = Array.sub ix.chain_of 0 n;
+           (* an off-chain slot may keep the position it had: write 0,
+              as a restore holds it *)
+           cs_chain_pos =
+             Array.init n (fun s ->
+                 if ix.chain_of.(s) < 0 then 0 else ix.chain_pos.(s));
+           cs_chain_len = int_vec_to_array ix.chain_len;
+           cs_free_chains = int_vec_to_array ix.free_chains;
+         }
+       | None ->
+         (* no index: an empty chain section, every slot off-chain *)
+         {
+           cs_chain_of = Array.make n (-1);
+           cs_chain_pos = Array.make n 0;
+           cs_chain_len = [||];
+           cs_free_chains = [||];
+         });
   }
 
 (* Deterministic commitment reconstruction for captures without a digest
@@ -1386,10 +1463,13 @@ let of_snapshot ?(initial_capacity = 1024) ?(digests = true)
      against its own invariants (ids and lengths within the packed label
      range, one member per position, live members a consecutive suffix
      joined by direct edges, dead chains reset and freed) and installed
-     verbatim — the cap only gates {e new} chains, so
-     a capture from a larger-capped engine still loads.  Labels are never
-     persisted: exact labels are a pure function of adjacency + chains,
-     recomputed identically on every restore. *)
+     verbatim — the cap only gates {e new} chains, so a capture from a
+     larger-capped engine still loads.  Labels are never persisted: exact
+     labels are a pure function of adjacency + chains, recomputed
+     identically on every restore.  They are kept only in label mode —
+     [max_chains > 0] and every live slot with an in-edge on a chain —
+     the rule the captured engine followed, so a capture with an empty
+     chain section and edges (labels dropped) restores without labels. *)
   let cs = s.snap_chains in
   if Array.length cs.cs_chain_of <> n || Array.length cs.cs_chain_pos <> n
   then fail "mismatched chain index length";
@@ -1401,6 +1481,9 @@ let of_snapshot ?(initial_capacity = 1024) ?(digests = true)
       if l < 0 || l > max_chain_len then
         fail "chain length outside the packed range")
     cs.cs_chain_len;
+  let ix =
+    match g.index with Some ix -> ix | None -> new_index (capacity g)
+  in
   let members = Array.make (max nc 1) [] in
   for i = 0 to n - 1 do
     let c = cs.cs_chain_of.(i) in
@@ -1409,8 +1492,8 @@ let of_snapshot ?(initial_capacity = 1024) ?(digests = true)
       if g.refcount.(i) < 0 then fail "chain entry on a free slot";
       let p = cs.cs_chain_pos.(i) in
       if p < 0 || p >= cs.cs_chain_len.(c) then fail "bad chain position";
-      g.chain_of.(i) <- c;
-      g.chain_pos.(i) <- p;
+      ix.chain_of.(i) <- c;
+      ix.chain_pos.(i) <- p;
       members.(c) <- i :: members.(c)
     end
   done;
@@ -1427,12 +1510,12 @@ let of_snapshot ?(initial_capacity = 1024) ?(digests = true)
         members.(c)
     in
     let live = List.length ms in
-    Int_vec.push g.chain_len cs.cs_chain_len.(c);
-    Int_vec.push g.chain_live live;
+    Int_vec.push ix.chain_len cs.cs_chain_len.(c);
+    Int_vec.push ix.chain_live live;
     if live = 0 then begin
       if cs.cs_chain_len.(c) <> 0 || not on_free.(c) then
         fail "dead chain not reset";
-      Int_vec.push g.chain_tail (-1)
+      Int_vec.push ix.chain_tail (-1)
     end
     else begin
       if on_free.(c) then fail "live chain on the free list";
@@ -1447,13 +1530,19 @@ let of_snapshot ?(initial_capacity = 1024) ?(digests = true)
             fail "chain members not joined by an edge";
           prev := m)
         ms;
-      Int_vec.push g.chain_tail !prev
+      Int_vec.push ix.chain_tail !prev
     end
   done;
-  Array.iter (fun c -> Int_vec.push g.free_chains c) cs.cs_free_chains;
-  Kronos_metrics.Gauge.set M.chains
-    (Int_vec.length g.chain_len - Int_vec.length g.free_chains);
-  compute_labels g;
+  Array.iter (fun c -> Int_vec.push ix.free_chains c) cs.cs_free_chains;
+  let placed = ref true in
+  for i = 0 to n - 1 do
+    if g.indeg.(i) > 0 && ix.chain_of.(i) < 0 then placed := false
+  done;
+  if g.max_chains > 0 && !placed then begin
+    set_index g (Some ix);
+    compute_labels g ix
+  end
+  else set_index g None;
   g.traversals <- s.snap_traversals;
   g.visited_total <- s.snap_visited_total;
   (* Restored epochs must continue monotonically so a client's
@@ -1529,16 +1618,20 @@ let memory_bytes g =
     Array.fold_left (fun acc v -> if v == no_adj then acc else acc + vec v) 0 a
   in
   let sum f a = Array.fold_left (fun acc x -> acc + f x) 0 a in
+  (* the [Some] box, the record, its arrays and vectors *)
+  let index ix =
+    block 1 + block 9 + arr ix.chain_of + arr ix.chain_pos + arr ix.buf + arr ix.labels
+    + sum (fun l -> if Array.length l = 0 then 0 else arr l) ix.labels
+    + vec ix.chain_len + vec ix.chain_live + vec ix.chain_tail
+    + vec ix.free_chains + vec ix.queue
+  in
   arr g.refcount + arr g.gen + arr g.indeg + arr g.rank + arr g.marks
-  + arr g.queue + arr g.queue_b + arr g.chain_of + arr g.chain_pos
-  + arr g.label_buf
+  + arr g.queue + arr g.queue_b
   + arr g.succ + arr g.pred + adjacency g.succ + adjacency g.pred
-  + arr g.labels
-  + sum (fun l -> if Array.length l = 0 then 0 else arr l) g.labels
+  + (match g.index with Some ix -> index ix | None -> 0)
   (* the dirty-slot set: a record over a sparse and a dense array *)
   + block 3 + (2 * block (Sparse_set.capacity g.dirty))
-  + vec g.free + vec g.relabel_stack + vec g.chain_len + vec g.chain_live
-  + vec g.chain_tail + vec g.free_chains + vec g.label_queue
+  + vec g.free + vec g.relabel_stack
   (* commitment chains: link stores and current heads *)
   + arr g.links + arr g.heads
   + sum Links.heap_bytes g.links
@@ -1610,24 +1703,50 @@ let freeze g =
   | prev ->
     let n = g.next_slot in
     let blocks = (n + (1 lsl block_bits) - 1) lsr block_bits in
-    let next field empty =
-      let old = match prev with Some p -> field p | None -> [||] in
+    let next old empty =
       let root = pa_next old empty blocks in
       (root, pa_set root old empty)
     in
-    let gen, set_gen = next (fun f -> f.f_gen) minus_ones in
-    let rank, set_rank = next (fun f -> f.f_rank) zeros in
-    let chain_of, set_chain_of = next (fun f -> f.f_chain_of) minus_ones in
-    let chain_pos, set_chain_pos = next (fun f -> f.f_chain_pos) zeros in
-    let succ, set_succ = next (fun f -> f.f_succ) no_ints in
-    let pred, set_pred = next (fun f -> f.f_pred) no_ints in
-    let chains, set_chains = next (fun f -> f.f_chains) no_chains in
-    let labels, set_labels = next (fun f -> f.f_labels) no_ints in
+    let old field = match prev with Some p -> field p | None -> [||] in
+    let gen, set_gen = next (old (fun f -> f.f_gen)) minus_ones in
+    let rank, set_rank = next (old (fun f -> f.f_rank)) zeros in
+    let succ, set_succ = next (old (fun f -> f.f_succ)) no_ints in
+    let pred, set_pred = next (old (fun f -> f.f_pred)) no_ints in
+    let chains, set_chains = next (old (fun f -> f.f_chains)) no_chains in
+    (* Index chunks are shared only with a view of the same index: a view
+       from before a drop or a revival holds another index's entries.  A
+       revived index starts with every slot at the templates' values, and
+       every slot it has changed since is dirty. *)
+    let index, copy_index_slot =
+      match g.index with
+      | None -> (None, fun _ -> ())
+      | Some ix ->
+        let old field =
+          match prev with
+          | Some { f_index = Some fi; _ } when fi.fi_epoch = g.label_epoch ->
+            field fi
+          | Some _ | None -> [||]
+        in
+        let chain_of, set_chain_of =
+          next (old (fun fi -> fi.fi_chain_of)) minus_ones
+        in
+        let chain_pos, set_chain_pos =
+          next (old (fun fi -> fi.fi_chain_pos)) zeros
+        in
+        let labels, set_labels = next (old (fun fi -> fi.fi_labels)) no_ints in
+        ( Some
+            { fi_epoch = g.label_epoch; fi_chain_of = chain_of;
+              fi_chain_pos = chain_pos; fi_labels = labels },
+          fun s ->
+            set_chain_of s ix.chain_of.(s);
+            set_chain_pos s ix.chain_pos.(s);
+            (* label arrays are immutable once installed: share the
+               pointer *)
+            set_labels s ix.labels.(s) )
+    in
     let copy_slot s =
       set_gen s (if g.refcount.(s) >= 0 then g.gen.(s) else -1);
       set_rank s g.rank.(s);
-      set_chain_of s g.chain_of.(s);
-      set_chain_pos s g.chain_pos.(s);
       set_succ s (int_vec_array g.succ.(s));
       set_pred s (int_vec_array g.pred.(s));
       (* the store is shared: the view keeps its own count and head *)
@@ -1639,8 +1758,7 @@ let freeze g =
              { c_id = id_of_slot g s; c_store = st; c_len = n;
                c_head = g.heads.(s) }
          else set_chains s no_chain);
-      (* label arrays are immutable once installed: share the pointer *)
-      set_labels s g.labels.(s)
+      copy_index_slot s
     in
     (match prev with
      | Some _ -> Sparse_set.iter (fun s -> if s < n then copy_slot s) g.dirty
@@ -1658,12 +1776,10 @@ let freeze g =
         f_digests = g.digests;
         f_gen = gen;
         f_rank = rank;
-        f_chain_of = chain_of;
-        f_chain_pos = chain_pos;
         f_succ = succ;
         f_pred = pred;
         f_chains = chains;
-        f_labels = labels;
+        f_index = index;
       }
     in
     g.frozen_cache <- Some f;
@@ -1778,25 +1894,28 @@ module Frozen = struct
       end
     end
 
-  (* The same label fast path as the live graph's [reachable_ranked]: frozen
-     views carry the chain index, so reader domains answer assigned
-     destinations — both polarities — by an O(#chains) compare and only
-     fall back to the scratch BFS on cap saturation. *)
+  (* The same label fast path as the live graph's [reachable_ranked]: a
+     view frozen while labels were live answers both polarities by an
+     O(#chains) compare; one frozen without them runs the scratch BFS. *)
   let reach f su sv =
-    let c = pa_int f.f_chain_of sv in
-    if c >= 0 then label_le (pa_arr f.f_labels su) c (pa_int f.f_chain_pos sv)
-    else reachable_slots f (scratch_for f.f_next_slot) su sv
+    match f.f_index with
+    | Some fi ->
+      let c = pa_int fi.fi_chain_of sv in
+      c >= 0 && label_le (pa_arr fi.fi_labels su) c (pa_int fi.fi_chain_pos sv)
+    | None -> reachable_slots f (scratch_for f.f_next_slot) su sv
 
   let label_reachable f u v =
     let su = slot_of f u and sv = slot_of f v in
     if su < 0 || sv < 0 || su = sv || pa_int f.f_rank su >= pa_int f.f_rank sv
     then Some false
-    else begin
-      let c = pa_int f.f_chain_of sv in
-      if c >= 0 then
-        Some (label_le (pa_arr f.f_labels su) c (pa_int f.f_chain_pos sv))
-      else None
-    end
+    else
+      match f.f_index with
+      | Some fi ->
+        let c = pa_int fi.fi_chain_of sv in
+        Some
+          (c >= 0
+          && label_le (pa_arr fi.fi_labels su) c (pa_int fi.fi_chain_pos sv))
+      | None -> None
 
   let query f e1 e2 =
     let s1 = slot_of f e1 and s2 = slot_of f e2 in

@@ -29,12 +29,15 @@
     partitioned greedily into at most [max_chains] chains (DESIGN.md §15):
     every chain member reaches all later members, and each slot carries an
     exact label — per chain, the lowest position it reaches — so when the
-    query destination sits on a chain, {e both} the positive and the
-    negative answer are an O(#chains) compare.  Labels are maintained
-    incrementally at edge admission, restored exactly by rollback, survive
-    GC slot reuse, and are rebuilt deterministically on snapshot restore;
-    only chain-cap saturation falls back to the BFS (counted by
-    {!label_miss_count}).
+    {e both} the positive and the negative answer of a query are an
+    O(#chains) compare.  Labels are maintained incrementally at edge
+    admission, restored exactly by rollback, survive GC slot reuse, and
+    are rebuilt deterministically on snapshot restore.  They are kept only
+    while every live event with an incoming edge sits on a chain
+    ({!labels_live}): the first edge whose target finds no chain under the
+    cap drops the whole index, and every later query runs the rank-pruned
+    BFS (counted by {!label_miss_count}) until the edge count returns to
+    0.
 
     All memory needed to traverse (one stamped visited-mark array, BFS
     queues) is preallocated and grows with the vertex capacity, so queries
@@ -49,12 +52,13 @@ val create :
 
     [max_chains] (default 64) caps the chain-decomposition reachability
     index.  Wholly-dead chains are recycled, so the cap bounds concurrent
-    breadth, not history; events admitted while every chain is occupied
-    stay unassigned and queries to them fall back to the BFS.  [0]
-    disables the label index entirely.  A label entry packs the chain id
-    into 22 bits and the position into 40, so [max_chains] is at most
-    [2^22], and an event that would take position [2^40] on its chain
-    stays off-chain like one past a saturated cap.
+    breadth, not history.  An edge into an event that finds every chain
+    occupied drops the labels (see {!labels_live}).  [0] disables the
+    label index entirely: no label or chain array is allocated.  A label
+    entry packs the chain id into 22 bits and the position into 40, so
+    [max_chains] is at most [2^22], and an event that would take position
+    [2^40] on its chain drops the labels like one past a saturated
+    cap.
 
     [digests] (default [true]) maintains hash-chained event commitments
     alongside the graph (DESIGN.md §13): admitting an edge folds one link —
@@ -105,7 +109,8 @@ val reachable : t -> Event_id.t -> Event_id.t -> bool
 val label_reachable : t -> Event_id.t -> Event_id.t -> bool option
 (** [label_reachable g u v] answers [reachable g u v] from the rank and
     chain-label indexes alone: [Some ans] in O(#chains) worst case, [None]
-    when only a traversal could tell (the destination has no chain).
+    when only a traversal could tell (labels are not live and the ranks
+    do not refute it).
     Touches no counters — safe for provers to consult per candidate edge
     without distorting the query-path hit rate. *)
 
@@ -138,10 +143,13 @@ val remove_last_edge : t -> Event_id.t -> Event_id.t -> unit
     invariant cannot break.  Chain labels {e are} rolled back exactly (an
     over-approximate label would corrupt negative answers): each admitted
     edge journals its chain and label changes, and the target's previous
-    commitment, until {!commit_batch}, and rollback pops the journal.
+    commitment, until {!commit_batch}, and rollback pops the journal.  If
+    the batch dropped the labels, rollback restores only the commitment
+    and the labels stay dropped, unless the edge count returns to 0.
     After {!suspend_journal} nothing is journaled, and a rollback falls
-    back to a full deterministic rebuild of the chains and labels and
-    refolds the target's commitment.
+    back to a full deterministic rebuild of the chains and labels (which
+    drops them if an event with an in-edge finds no chain) and refolds
+    the target's commitment.
     @raise Invalid_argument if the last edge out of [u] is not [v]. *)
 
 val commit_batch : t -> unit
@@ -239,7 +247,9 @@ val digest_fold_count : t -> int
 
 (** The chain-decomposition assignment (snapshot format v5).  Labels are
     deliberately absent: exact labels are a pure function of adjacency +
-    chains, recomputed identically on every restore. *)
+    chains, recomputed identically on every restore.  A graph whose labels
+    are not live writes an empty section: every slot off-chain, no
+    chains. *)
 type chain_snapshot = {
   cs_chain_of : int array;    (** per slot; -1 = unassigned *)
   cs_chain_pos : int array;   (** per slot; valid when assigned *)
@@ -278,6 +288,10 @@ val of_snapshot :
   ?initial_capacity:int -> ?digests:bool -> ?max_chains:int -> snapshot -> t
 (** Rebuild a graph behaviourally identical to the one captured.  The
     options mirror {!create}; capacity is raised to fit the snapshot.
+    Labels are recomputed only if [max_chains > 0] and the chain section
+    places every live event that has an in-edge (the rule of
+    {!labels_live}); otherwise the restored graph has no labels, as a
+    capture of a graph that had dropped them must.
 
     With [~digests:true] (default) and [snap_links = None] — a capture of
     a digest-less engine — commitment chains are rebuilt canonically: live
@@ -343,9 +357,8 @@ val label_hit_count : t -> int
     traversal). *)
 
 val label_miss_count : t -> int
-(** Probes that passed the rank filter but found the destination off every
-    chain (cap saturation, or no admitted in-edge) and fell back to the
-    BFS. *)
+(** Probes that passed the rank filter while labels were not live, and so
+    ran the BFS. *)
 
 val label_rebuild_count : t -> int
 (** Full deterministic label recomputations (snapshot restores, and the
@@ -353,6 +366,16 @@ val label_rebuild_count : t -> int
 
 val max_chains : t -> int
 (** The chain cap this graph was created with. *)
+
+val labels_live : t -> bool
+(** Whether the chain-label index is in force (gauge
+    [engine.labels_live]).  It is exactly while [max_chains > 0] and
+    every live event with an incoming edge sits on a chain — a function
+    of adjacency and chains, so replicas that apply the same commands,
+    and a restore of any of them, agree on it.  It turns false when an
+    admitted edge's target finds no chain (the cap is saturated), which
+    frees every label and chain array, and true again only when the edge
+    count returns to 0. *)
 
 val chain_count : t -> int
 (** Chains currently holding at least one live event. *)
@@ -394,8 +417,8 @@ module Frozen : sig
   (** Same contract as the live {!val:query}, evaluated against the frozen
       state: rank comparison refutes one direction in O(1), and the
       remaining direction is answered by the frozen chain-label compare
-      whenever the destination sits on a chain, falling back to a
-      rank-pruned bidirectional BFS only on label misses.  Traversal
+      when the view was frozen while labels were live, else by a
+      rank-pruned bidirectional BFS.  Traversal
       scratch (stamped visited marks, queues) is kept in domain-local
       storage and reused, so concurrent queries from different domains
       share no mutable state and allocate nothing once warm.  Frozen
@@ -416,7 +439,8 @@ val freeze : t -> Frozen.g
 (** Capture the current query-visible state as an immutable view, in
     time and allocation proportional to what changed since the previous
     freeze, not to graph size.  Every per-slot field of a view (liveness,
-    rank, chain index, adjacency, chains, labels) is a two-level
+    rank, adjacency, chains, and while labels are live the chain index
+    and labels) is a two-level
     persistent array of 128-entry chunks under 128-entry blocks.  A
     freeze copies each field's small root, copies the blocks and chunks
     holding a slot mutated since the previous freeze, and shares every

@@ -317,7 +317,8 @@ let prop_domains_match_reference ~name config =
    The label cap is two chains, both taken by the first two facts, so the
    three facts assigned after them — a four-hop path across chunks 0 to
    2, a pair it does not connect, and a slot the writer's chain hangs off
-   — have no labels and only the frozen BFS can decide them.  The writer
+   — need a third chain and drop the labels (DESIGN.md §15): every view
+   has none, and only the frozen BFS can decide any fact.  The writer
    grows the graph from 300 to ~2 400 slots, so each reader's traversal
    scratch regrows several times mid-run, always under a view it is
    querying.
@@ -342,7 +343,7 @@ let test_publish_race () =
     | Ok _ -> ()
     | Error _ -> Alcotest.fail "assign failed"
   in
-  let labelled = [ (0, 2); (200, 290) ] in
+  let chained = [ (0, 2); (200, 290) ] in
   must [ (0, 1); (1, 2); (200, 201); (201, 290) ];
   let unlabelled = [ (10, 280); (30, 299) ] in
   must [ (10, 100); (100, 150); (150, 250); (250, 280); (30, 40); (40, 299) ];
@@ -357,7 +358,7 @@ let test_publish_race () =
     (fun (a, b) ->
       if View.label_reachable first ids.(a) ids.(b) <> None then
         Alcotest.failf "labels decide (%d, %d): the BFS would not run" a b)
-    (concurrent :: unlabelled);
+    ((concurrent :: chained) @ unlabelled);
   let slot = Atomic.make first in
   let stop = Atomic.make false in
   let readers =
@@ -376,7 +377,7 @@ let test_publish_race () =
                   match View.query v ids.(a) ids.(b) with
                   | Ok Order.Before -> ()
                   | _ -> ok := false)
-                (labelled @ unlabelled);
+                (chained @ unlabelled);
               (let a, b = concurrent in
                match View.query v ids.(a) ids.(b) with
                | Ok Order.Concurrent -> ()
