@@ -62,8 +62,10 @@ bench-smoke: build
 # client.order_cache_* or certify.* ns/op (or ns/edge) series, the
 # engine.assign_batch_wide_promoted words/edge count, the
 # engine.commitment_bytes_per_link B/link figure, or a fed.* rate, is
-# more than 2.5x worse than its committed value; when the exact
-# engine.bfs_visited_wide slot count is more than 1.1x above its; when
+# more than 2.5x worse than its committed value; when an exact count —
+# the engine.bfs_visited_wide slot count, or the
+# engine.digest_folds_per_edge SHA-256 compressions per committed edge —
+# is more than 1.1x above its; when
 # certify.assign_overhead_pct exceeds its 250 pct budget; when
 # fed.write_scaling (or, on hosts with 4+ domains,
 # engine.query_parallel_speedup) falls to 2x or below; or when

@@ -17,14 +17,11 @@ let load_er engine ~rng ~n ~m =
   let g = Graph_gen.erdos_renyi_gnm ~rng ~n ~m in
   let ids = Array.init n (fun _ -> Engine.create_event engine) in
   let graph = Engine.graph engine in
-  (* a bulk load is never rolled back: journal none of it *)
-  Graph.suspend_journal graph;
   Array.iter
     (fun (u, v) ->
       let u, v = if u < v then (u, v) else (v, u) in
       Graph.add_edge graph ids.(u) ids.(v))
     g.Graph_gen.edges;
-  Graph.commit_batch graph;
   ids
 
 let measure_queries engine ids ~rng ~duration =

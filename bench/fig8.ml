@@ -31,12 +31,9 @@ let preload cluster ~graph =
       let engine = !engine in
       let eids = Array.init vertices (fun _ -> Engine.create_event engine) in
       let g = Engine.graph engine in
-      (* a bulk load is never rolled back: journal none of it *)
-      Graph.suspend_journal g;
       Array.iter
         (fun (u, v) -> Graph.add_edge g eids.(u) eids.(v))
         graph.Graph_gen.edges;
-      Graph.commit_batch g;
       ids := eids)
     cluster.Kronos_service.Server.replicas;
   !ids
@@ -49,9 +46,7 @@ let measured_query_cost ~graph:(g : Graph_gen.t) =
   let engine = Engine.create () in
   let ids = Array.init vertices (fun _ -> Engine.create_event engine) in
   let gr = Engine.graph engine in
-  Graph.suspend_journal gr;
   Array.iter (fun (u, v) -> Graph.add_edge gr ids.(u) ids.(v)) g.Graph_gen.edges;
-  Graph.commit_batch gr;
   let rng = Rng.create ~seed:123L in
   let samples = 2_000 in
   Gc.full_major ();

@@ -241,10 +241,7 @@ let metrics_overhead_ablation () =
     let g = Graph_gen.erdos_renyi_gnm ~rng ~n ~m:20_000 in
     let ids = Array.init n (fun _ -> Engine.create_event engine) in
     let gr = Engine.graph engine in
-    (* a bulk load is never rolled back: journal none of it *)
-    Graph.suspend_journal gr;
     Array.iter (fun (u, v) -> Graph.add_edge gr ids.(u) ids.(v)) g.Graph_gen.edges;
-    Graph.commit_batch gr;
     (engine, ids)
   in
   let engine, ids = build () in

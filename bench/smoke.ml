@@ -320,10 +320,7 @@ let query_wide_smoke () =
   let engine = Engine.create () in
   let ids = Array.init n (fun _ -> Engine.create_event engine) in
   let g = Engine.graph engine in
-  (* a bulk load is never rolled back: journal none of it *)
-  Graph.suspend_journal g;
   Array.iter (fun (u, v) -> Graph.add_edge g ids.(u) ids.(v)) graph.edges;
-  Graph.commit_batch g;
   let view = Engine.publish engine in
   let rng = Kronos_simnet.Rng.create ~seed:123L in
   let ops = 10_000 in
@@ -352,7 +349,8 @@ let query_wide_smoke () =
 
 (* The same G(10k,50k), low -> high, built the way read_wide preloads it:
    into a fresh engine in 1000-edge Must batches.  Every Must rises in
-   rank, so no batch can abort and none is journaled (DESIGN.md §15).
+   rank, so no batch aborts: each is staged whole and sealed once
+   (DESIGN.md §15).
    Returns a builder of fresh engines under [config] (a fresh engine mints
    the same ids every time, so the batches apply to any of them), and the
    edge count. *)
@@ -393,8 +391,8 @@ let wide_batches () =
    - [engine.assign_batch_wide]: ns per edge, the best of five builds,
      each on a fresh engine after a compaction;
    - [engine.assign_batch_wide_promoted]: words promoted from the minor to
-     the major heap per edge over one build: the label arrays and undo
-     entries an edge leaves alive across a minor collection, beside its
+     the major heap per edge over one build: the label arrays and staged
+     adjacency an edge leaves alive across a minor collection, beside its
      commitment link.  A fresh engine and an empty minor heap make it
      repeat exactly from build to build (the minimum is kept all the
      same); it moves slightly with the minor heap size and with what the
@@ -437,6 +435,42 @@ let commitment_bytes_smoke () =
   record "engine.commitment_bytes_per_link"
     (float_of_int (words * (Sys.word_size / 8)) /. float_of_int m)
     "B/link"
+
+(* [engine.digest_folds_per_edge]: SHA-256 compressions the commitment
+   chains (DESIGN.md §13) spend per committed edge, over a fixed seeded
+   mix of 1-4 Must batches into 512 events: a quarter of the Musts fall
+   in rank (some relabel, some close a cycle), and a quarter of the
+   batches end with a Must that reverses their first one, so they abort
+   after staging edges.  A committed edge folds one link, two
+   compressions; an aborted one should fold none.  An exact count, so it
+   takes the tight [count_threshold]. *)
+let digest_folds_smoke () =
+  let module Rng = Kronos_simnet.Rng in
+  let engine = Engine.create () in
+  let g = Engine.graph engine in
+  let n = 512 in
+  let ids = Array.init n (fun _ -> Engine.create_event engine) in
+  let rng = Rng.create ~seed:31L in
+  let folds0 = Graph.digest_fold_count g and edges0 = Engine.edges engine in
+  for _ = 1 to 2_000 do
+    let must () =
+      let i = Rng.int rng (n - 1) in
+      let j = i + 1 + Rng.int rng (n - i - 1) in
+      if Rng.int rng 4 = 0 then (j, i) else (i, j)
+    in
+    let pairs = List.init (1 + Rng.int rng 4) (fun _ -> must ()) in
+    let pairs =
+      if Rng.int rng 4 = 0 then pairs @ [ (fun (u, v) -> (v, u)) (List.hd pairs) ]
+      else pairs
+    in
+    ignore
+      (Engine.assign_order engine
+         (List.map (fun (u, v) -> Order.must_before ids.(u) ids.(v)) pairs))
+  done;
+  record "engine.digest_folds_per_edge"
+    (float_of_int (Graph.digest_fold_count g - folds0)
+    /. float_of_int (Engine.edges engine - edges0))
+    "compressions/edge"
 
 (* Certify hot paths (DESIGN.md §13): proof generation and verification
    over a real chain, plus the assign-path cost of digest maintenance —
@@ -816,7 +850,9 @@ let count_threshold = 1.1
    both are stable enough to gate.  [engine.bfs_visited_wide] is an exact
    count of slots visited, so it takes the tight [count_threshold]
    (1.1x): a 2x algorithmic regression that a 2.5x time bound would let
-   through fails it.  The pct series is held under an
+   through fails it.  [engine.digest_folds_per_edge], SHA-256
+   compressions per committed edge, is exact too and takes the same
+   bound.  The pct series is held under an
    absolute budget ([assign_overhead_budget_pct]) instead of a baseline
    ratio — it is a difference of two noisy numbers.  The threshold is
    deliberately loose (2.5x) so only real regressions fail CI, not
@@ -849,7 +885,9 @@ let check () =
   let threshold = 2.5 in
   (* exact work counts take a tight bound: host load does not move them *)
   let threshold_of name =
-    if name = "engine.bfs_visited_wide" then count_threshold else threshold
+    if name = "engine.bfs_visited_wide" || name = "engine.digest_folds_per_edge"
+    then count_threshold
+    else threshold
   in
   results := [];
   durability_recovery_smoke ();
@@ -860,6 +898,7 @@ let check () =
   query_wide_smoke ();
   assign_batch_wide_smoke ();
   commitment_bytes_smoke ();
+  digest_folds_smoke ();
   certify_smoke ();
   federation_smoke ();
   write_scaling_smoke ();
@@ -946,6 +985,7 @@ let run () =
   query_wide_smoke ();
   assign_batch_wide_smoke ();
   commitment_bytes_smoke ();
+  digest_folds_smoke ();
   certify_smoke ();
   federation_smoke ();
   write_scaling_smoke ();

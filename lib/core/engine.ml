@@ -105,11 +105,10 @@ let assign_order t requests =
     let musts = List.filter (fun p -> p.kind = Order.Must) pending in
     let prefers = List.filter (fun p -> p.kind = Order.Prefer) pending in
     let outcomes = Array.make n Order.Already in
-    (* Edges added by this batch, most recent first, for rollback. *)
-    let added = ref [] in
+    (* The batch's edges stay staged in the graph until it commits: an
+       abort pops them, and nothing else has seen them. *)
     let rollback () =
-      List.iter (fun (u, v) -> Graph.remove_last_edge t.g u v) !added;
-      Graph.commit_batch t.g;
+      Graph.abort t.g;
       t.aborted_batches <- t.aborted_batches + 1;
       Kronos_metrics.Counter.incr M.aborted
     in
@@ -120,7 +119,6 @@ let assign_order t requests =
        "contradicts the committed order" case. *)
     let try_apply_edge p =
       if Graph.try_add_edge t.g p.before p.after then begin
-        added := (p.before, p.after) :: !added;
         outcomes.(p.index) <- Order.Applied;
         true
       end
@@ -158,24 +156,12 @@ let assign_order t requests =
         outcomes.(p.index) <- Order.Reversed
       end
     in
-    (* A batch whose every Must already rises in rank (which also makes its
-       two events distinct) cannot abort: each Must goes in by the O(1)
-       rank-agreeing path, which relabels nothing, so the ranks checked here
-       hold up to the last Must and none can close a cycle.  Prefers never
-       roll back.  The graph need not journal such a batch, and every label
-       array it replaces can die young. *)
-    let rises p =
-      match Graph.rank t.g p.before, Graph.rank t.g p.after with
-      | Some rb, Some ra -> rb < ra
-      | (None | Some _), _ -> false
-    in
-    if List.for_all rises musts then Graph.suspend_journal t.g;
     (match apply_musts musts with
      | Error e -> Error e
      | Ok () ->
        List.iter apply_prefer prefers;
-       (* the batch is final: seal the graph's per-edge rollback journal *)
-       Graph.commit_batch t.g;
+       (* the batch is final: fold and label its edges *)
+       Graph.seal t.g;
        Ok (Array.to_list outcomes))
 
 (* Guards and batch evaluate against the same engine state: the state

@@ -47,10 +47,13 @@ val assign_order :
   t -> Order.spec list -> (Order.outcome list, Order.assign_error) result
 (** Atomically apply a batch of ordering constraints (Section 2.2), built
     with the {!Order.must_before} family of constructors.  Each pair's
-    cycle check rides the graph's topological rank index
-    ({!Graph.try_add_edge}): constraints that respect the committed order —
-    the common case — are admitted in O(1), and the others pay one search
-    bounded to the affected rank interval.  Semantics:
+    edge is staged ({!Graph.try_add_edge}), its cycle check riding the
+    graph's topological rank index: constraints that respect the committed
+    order — the common case — are staged in O(1), and the others pay one
+    search bounded to the affected rank interval.  The batch's edges are
+    sealed ({!Graph.seal}: commitment links and chain labels) only once it
+    commits; an abort pops them ({!Graph.abort}) before any commitment or
+    label has seen them.  Semantics:
 
     - all [Must] pairs are applied before any [Prefer] pair, so a prefer can
       never block a satisfiable must;
@@ -197,7 +200,7 @@ val label_misses : t -> int
 
 val label_rebuilds : t -> int
 (** Full deterministic label recomputations ([engine.label_rebuilds_total]):
-    one per snapshot restore, plus any defensive rebuild. *)
+    one per snapshot restore that keeps labels. *)
 
 val chain_count : t -> int
 (** Chains currently holding live events (gauge [engine.graph_chains]). *)

@@ -28,11 +28,10 @@ end
    stored; [partner] and [refold] recompute the few a prover emits.
 
    Frozen views share a store by pointer and keep their own count, so no
-   byte of a link a view can read is ever written again: an append writes
-   past every published count, a full store grows into a fresh copy, a
-   rollback pops only links no view has seen (and unshares the store
-   otherwise), and a collected slot drops its store for [empty] instead of
-   resetting it.  The count header belongs to the live graph; views never
+   byte of a link a view can read is ever written again: links are only
+   appended, by [seal], an append writes past every published count, a
+   full store grows into a fresh copy, and a collected slot drops its
+   store for [empty] instead of resetting it.  The count header belongs to the live graph; views never
    read it. *)
 module Links = struct
   let record = 44
@@ -209,20 +208,6 @@ type frozen = {
   f_index : frozen_index option;  (* [None] while labels are dropped *)
 }
 
-(* One entry of the per-edge rollback journal for the chain-decomposition
-   index and the commitment heads.  [push_edge] opens a group with
-   [J_mark]; [remove_last_edge] pops the topmost group, restoring the exact
-   pre-edge chains, labels and target head (only the head once the labels
-   have been dropped).
-   [commit_batch] (and any non-batch mutation) truncates the journal.  A
-   batch that cannot abort ([suspend_journal]) pushes no entries at all. *)
-type label_undo =
-  | J_mark of int * int * string (* (su, sv) of the admitted edge, and sv's
-                                    head before it *)
-  | J_label of int * int array   (* slot, previous label array *)
-  | J_assign of int * int * int  (* slot appended: slot, chain, prev tail *)
-  | J_chain of int * bool        (* chain allocated: id, came from free list *)
-
 (* Chain-decomposition reachability index (DESIGN.md §15).  Live events
    are partitioned greedily into at most [max_chains] chains at edge time;
    every member of a chain reaches all later members (consecutive members
@@ -230,8 +215,8 @@ type label_undo =
    one-word entries [pack chain pos]: the {e lowest} position in each
    chain reachable from [s] (self included), so [u ⇝ v] iff [labels.(u)]
    holds an entry for [chain_of.(v)] with pos <= [chain_pos.(v)].  Labels
-   are exact — kept so by merge propagation on edge admission and by the
-   journal on rollback.  The graph keeps an index only while every live
+   are exact over the sealed edges — kept so by merge propagation when
+   [seal] admits an edge; a staged edge never touches them.  The graph keeps an index only while every live
    slot with an in-edge is on a chain (see [drop_labels]), so a
    destination off every chain has no predecessor, and both answers of
    every query are O(#chains) compares.  Label arrays are immutable once
@@ -313,11 +298,10 @@ type t = {
   max_chains : int;
   mutable index : index option;
   mutable label_epoch : int;
-  (* Undo groups of the edges admitted since the last seal, newest first;
-     nothing is pushed while [journaling] is off (a batch that cannot
-     abort, until [commit_batch]). *)
-  mutable journal : label_undo list;
-  mutable journaling : bool;
+  (* The edges staged since the last [seal] or [abort], as flattened
+     (su, sv) pairs in staging order: in the adjacency already, not yet
+     in the commitment chains or the labels. *)
+  staged : Int_vec.t;
   mutable label_hits : int;
   mutable label_misses : int;
   mutable label_rebuilds : int;
@@ -361,8 +345,7 @@ let create ?(initial_capacity = 1024) ?(digests = true)
     max_chains;
     index = (if max_chains > 0 then Some (new_index cap) else None);
     label_epoch = 0;
-    journal = [];
-    journaling = true;
+    staged = Int_vec.create ();
     label_hits = 0;
     label_misses = 0;
     label_rebuilds = 0;
@@ -472,6 +455,13 @@ let version g = g.version
    rewrite it instead of sharing the previous view's chunks. *)
 let touch g s = Sparse_set.add g.dirty s
 
+(* Creation, release, [freeze] and [to_snapshot] see only sealed state:
+   they refuse to run between a batch's first staged edge and its [seal]
+   or [abort]. *)
+let check_unstaged g what =
+  if not (Int_vec.is_empty g.staged) then
+    invalid_arg ("Graph." ^ what ^ ": edges are staged")
+
 (* Resolve an identifier to its slot, checking liveness and generation. *)
 let resolve g id =
   let s = Event_id.slot id in
@@ -485,6 +475,7 @@ let resolve g id =
 let id_of_slot g s = Event_id.make ~slot:s ~gen:g.gen.(s)
 
 let create_event g =
+  check_unstaged g "create_event";
   let s =
     if not (Int_vec.is_empty g.free) then Int_vec.pop g.free
     else begin
@@ -496,9 +487,6 @@ let create_event g =
   in
   (* a free slot was reset when collected: no edges, links or label *)
   g.refcount.(s) <- 1;
-  (* creation is never part of an edge batch: seal any previous journal *)
-  g.journal <- [];
-  g.journaling <- true;
   (* fresh events take increasing ranks, so edges that follow creation
      order — the common case — never trigger a relabel *)
   g.rank.(s) <- g.next_rank;
@@ -532,9 +520,6 @@ let rank g id =
    [create_event] overwrites it. *)
 let collect g s =
   g.version <- g.version + 1;
-  (* collection never runs mid-batch *)
-  g.journal <- [];
-  g.journaling <- true;
   let stack = g.queue in
   let top = ref 0 in
   stack.(0) <- s;
@@ -601,6 +586,7 @@ let collect g s =
   !collected
 
 let release_ref g id =
+  check_unstaged g "release_ref";
   match resolve g id with
   | None -> None
   | Some s when g.refcount.(s) = 0 ->
@@ -641,10 +627,8 @@ let ensure_label_buf ix n =
     ix.buf <- Array.make (max n (2 * Array.length ix.buf)) 0;
   ix.buf
 
-(* Replace a slot's label.  The old array goes to the journal so rollback
-   restores it by pointer; [touch] makes the next freeze re-share it. *)
+(* Replace a slot's label; [touch] makes the next freeze re-share it. *)
 let set_label g ix s lbl =
-  if g.journaling then g.journal <- J_label (s, ix.labels.(s)) :: g.journal;
   ix.labels.(s) <- lbl;
   touch g s
 
@@ -703,18 +687,13 @@ let merge_into g ix s src =
 (* Allocate a chain: reuse a wholly-dead one first, mint a new id under the
    cap, or give up (-1) once saturated. *)
 let alloc_chain g ix =
-  if not (Int_vec.is_empty ix.free_chains) then begin
-    let c = Int_vec.pop ix.free_chains in
-    if g.journaling then g.journal <- J_chain (c, true) :: g.journal;
-    c
-  end
+  if not (Int_vec.is_empty ix.free_chains) then Int_vec.pop ix.free_chains
   else if Int_vec.length ix.chain_len >= g.max_chains then -1
   else begin
     let c = Int_vec.length ix.chain_len in
     Int_vec.push ix.chain_len 0;
     Int_vec.push ix.chain_live 0;
     Int_vec.push ix.chain_tail (-1);
-    if g.journaling then g.journal <- J_chain (c, false) :: g.journal;
     c
   end
 
@@ -728,8 +707,6 @@ let assign_slot g ix s c =
   let pos = Int_vec.get ix.chain_len c in
   if pos >= max_chain_len then false
   else begin
-    if g.journaling then
-      g.journal <- J_assign (s, c, Int_vec.get ix.chain_tail c) :: g.journal;
     ix.chain_of.(s) <- c;
     ix.chain_pos.(s) <- pos;
     Int_vec.set ix.chain_len c (pos + 1);
@@ -744,16 +721,25 @@ let assign_slot g ix s c =
     true
   end
 
-(* Maintain the index across an admitted edge [su -> sv]: place [sv] on a
-   chain if it has none (extending [su]'s chain when [su] is its tail — the
+(* Maintain the index across a sealed edge [su -> sv] ([seal] runs this
+   over a batch's staged edges in staging order): place [sv] on a chain if
+   it has none (extending [su]'s chain when [su] is its tail — the
    in-creation-order common case — else opening a chain, pairing an
    unassigned [su] in), then restore label exactness by propagating every
    decreased entry backward over predecessors.  The chain-append fast path
    propagates nothing beyond [sv]'s own predecessors: every ancestor
-   already reaches the chain at a lower position.  An unplaced [sv] had no
-   in-edge before this one, so [su] is its only predecessor; an unplaced
-   [su] has none at all.  When [sv] cannot be placed (cap saturated, or a
-   full chain) the labels are dropped. *)
+   already reaches the chain at a lower position.  When [sv] cannot be
+   placed (cap saturated, or a full chain) the labels are dropped.
+
+   An unplaced [sv] has no sealed in-edge but this one, and an unplaced
+   [su] none at all; either may already have in-edges staged after this
+   one in [pred].  Those predecessors miss the new self entry for now and
+   take it when their own edge is sealed, and propagation follows only
+   real edges, so no label claims a path the graph lacks, and every label
+   is exact once the last staged edge is sealed.  Placement reads only
+   [chain_of] and [chain_tail], reached in staging order, so a batch gets
+   the chains, and so the labels, that sealing each edge on its own
+   would. *)
 let label_admit g ix su sv =
   let placed =
     ix.chain_of.(sv) >= 0
@@ -783,20 +769,6 @@ let label_admit g ix su sv =
     done
   end
 
-(* Seal the per-edge rollback journal: the batch the edges belonged to has
-   committed, [remove_last_edge] can no longer be asked to undo them.
-   Journaling resumes for the next batch. *)
-let commit_batch g =
-  g.journal <- [];
-  g.journaling <- true
-
-(* The edges admitted until the next [commit_batch] will never be rolled
-   back: journal none of their chain and label changes, so every label
-   array they replace dies young instead of living until the commit. *)
-let suspend_journal g =
-  g.journal <- [];
-  g.journaling <- false
-
 (* Live slots in (rank, slot) order: topological, by the rank
    invariant. *)
 let rank_order g =
@@ -819,8 +791,6 @@ let rank_order g =
    why snapshots persist only the chains: every restore recomputes
    bit-identical labels. *)
 let compute_labels g ix =
-  (* recomputation is never part of a batch: nothing to journal *)
-  suspend_journal g;
   g.label_rebuilds <- g.label_rebuilds + 1;
   Kronos_metrics.Counter.incr M.label_rebuilds;
   let order = rank_order g in
@@ -831,56 +801,7 @@ let compute_labels g ix =
     if ix.chain_of.(v) >= 0 then
       ignore (merge_into g ix v [| pack ix.chain_of.(v) ix.chain_pos.(v) |]);
     Int_vec.iter (fun w -> ignore (merge_into g ix v ix.labels.(w))) g.succ.(v)
-  done;
-  commit_batch g
-
-(* Deterministic full rebuild for the defensive out-of-protocol rollback
-   path of [remove_last_edge]: canonical greedy chain assignment over live
-   slots in (rank, slot) order — extend the first predecessor that is its
-   chain's tail, else open a chain until the cap — then exact labels, or
-   no labels if a slot with an in-edge finds no chain.  A function of
-   adjacency and ranks alone, so replicas that issue the same operations
-   agree. *)
-let rebuild_label_index g ix =
-  Int_vec.clear ix.chain_len;
-  Int_vec.clear ix.chain_live;
-  Int_vec.clear ix.chain_tail;
-  Int_vec.clear ix.free_chains;
-  g.journal <- [];
-  for s = 0 to g.next_slot - 1 do
-    ix.chain_of.(s) <- -1;
-    if g.refcount.(s) >= 0 then touch g s
-  done;
-  let placed = ref true in
-  Array.iter
-    (fun v ->
-      let c = ref (-1) in
-      Int_vec.iter
-        (fun p ->
-          if !c < 0 then begin
-            let cp = ix.chain_of.(p) in
-            if cp >= 0 && Int_vec.get ix.chain_tail cp = p then c := cp
-          end)
-        g.pred.(v);
-      if !c < 0 then c := alloc_chain g ix;
-      if !c >= 0 then begin
-        (* bare append: self entries come with compute_labels below.  Every
-           chain restarts at 0 and slots are below 2^40, so the position
-           always packs. *)
-        let pos = Int_vec.get ix.chain_len !c in
-        ix.chain_of.(v) <- !c;
-        ix.chain_pos.(v) <- pos;
-        Int_vec.set ix.chain_len !c (pos + 1);
-        Int_vec.set ix.chain_live !c (Int_vec.get ix.chain_live !c + 1);
-        Int_vec.set ix.chain_tail !c v
-      end
-      else if g.indeg.(v) > 0 then placed := false)
-    (rank_order g);
-  if !placed then begin
-    Kronos_metrics.Gauge.set M.chains (chain_count g);
-    compute_labels g ix
-  end
-  else drop_labels g
+  done
 
 (* Rank-pruned bidirectional BFS over slots; allocation-free thanks to the
    stamped marks and preallocated queues.  Degree guards make the common
@@ -957,11 +878,25 @@ let reachable_slots g src dst =
     end
   end
 
+(* The label answer to [u ⇝ v] over the sealed edges: [Some] while labels
+   are live — both ways, in O(#chains), since a destination off every
+   chain has no sealed predecessor at all — and [None] without them.
+   Staged edges only add paths, so while a batch is staged only a
+   positive answer still holds. *)
+let label_answer g su sv =
+  match g.index with
+  | None -> None
+  | Some ix ->
+    let c = ix.chain_of.(sv) in
+    if c >= 0 && label_le ix.labels.(su) c ix.chain_pos.(sv) then Some true
+    else if Int_vec.is_empty g.staged then Some false
+    else None
+
 (* A negative answer by rank comparison alone: u ⇝ v requires
    rank u < rank v, so rank u >= rank v (distinct slots) refutes it in O(1).
-   While labels are live they answer the remaining direction — both ways —
-   in O(#chains): a destination off every chain has no predecessor at all.
-   Without labels (dropped, or [max_chains = 0]) the BFS answers. *)
+   The labels answer the remaining direction when they can; otherwise
+   (labels dropped, [max_chains = 0], or no label path while edges are
+   staged) the BFS, which sees the staged adjacency, answers. *)
 let reachable_ranked g su sv =
   if su = sv then false
   else if g.rank.(su) >= g.rank.(sv) then begin
@@ -970,12 +905,11 @@ let reachable_ranked g su sv =
     false
   end
   else
-    match g.index with
-    | Some ix ->
+    match label_answer g su sv with
+    | Some ans ->
       g.label_hits <- g.label_hits + 1;
       Kronos_metrics.Counter.incr M.label_hits;
-      let c = ix.chain_of.(sv) in
-      c >= 0 && label_le ix.labels.(su) c ix.chain_pos.(sv)
+      ans
     | None ->
       g.label_misses <- g.label_misses + 1;
       Kronos_metrics.Counter.incr M.label_misses;
@@ -988,15 +922,8 @@ let reachable_ranked g su sv =
 let label_reachable g u v =
   match resolve g u, resolve g v with
   | Some su, Some sv ->
-    if su = sv then Some false
-    else if g.rank.(su) >= g.rank.(sv) then Some false
-    else begin
-      match g.index with
-      | Some ix ->
-        let c = ix.chain_of.(sv) in
-        Some (c >= 0 && label_le ix.labels.(su) c ix.chain_pos.(sv))
-      | None -> None
-    end
+    if su = sv || g.rank.(su) >= g.rank.(sv) then Some false
+    else label_answer g su sv
   | (None | Some _), _ -> Some false
 
 let reachable g u v =
@@ -1065,14 +992,15 @@ let adj_push adj s x =
   end
   else Int_vec.push v x
 
-let push_edge g su sv =
+(* Stage [su -> sv]: adjacency and in-degree only.  [seal] folds its
+   commitment link and admits it to the labels; [abort] pops it. *)
+let stage_edge g su sv =
   (* A link count past the u32 a store and a snapshot hold it in would
-     need ~176 GiB of store; refuse it before mutating anything. *)
-  if g.digests && Links.length g.links.(sv) = Links.max_count then
-    invalid_arg "Graph.add_edge: commitment chain full";
-  if g.journaling then
-    g.journal <-
-      J_mark (su, sv, if g.digests then g.heads.(sv) else "") :: g.journal;
+     need ~176 GiB of store; refuse it before mutating anything.  Every
+     staged edge into [sv] is counted in its in-degree, so [seal] can
+     never overflow the store. *)
+  if g.digests && Links.length g.links.(sv) + g.indeg.(sv) >= Links.max_count
+  then invalid_arg "Graph.add_edge: commitment chain full";
   adj_push g.succ su sv;
   adj_push g.pred sv su;
   g.indeg.(sv) <- g.indeg.(sv) + 1;
@@ -1080,8 +1008,8 @@ let push_edge g su sv =
   g.version <- g.version + 1;
   touch g su;
   touch g sv;
-  if g.digests then fold_edge g su sv;
-  (match g.index with Some ix -> label_admit g ix su sv | None -> ());
+  Int_vec.push g.staged su;
+  Int_vec.push g.staged sv;
   Kronos_metrics.Gauge.set M.edges g.edges
 
 (* Restricted cycle probe for an edge su -> sv arriving with
@@ -1158,125 +1086,73 @@ let relabel g sv floor =
     end
   done
 
+(* Stage [su -> sv] unless it would close a cycle.  The relabel it may
+   cause is never undone: removing an edge cannot break "u ⇝ v implies
+   rank u < rank v", it only removes paths, so the new ranks are a valid
+   order for the graph after an [abort] too. *)
+let stage g su sv =
+  if g.rank.(su) < g.rank.(sv) then begin
+    (* ranks already agree: v ⇝ u is impossible, no cycle, O(1) *)
+    stage_edge g su sv;
+    true
+  end
+  else if cycle_probe g sv su then false
+  else begin
+    relabel g sv g.rank.(su);
+    stage_edge g su sv;
+    true
+  end
+
 let try_add_edge g u v =
   match resolve g u, resolve g v with
-  | Some su, Some sv ->
-    if su = sv then false
-    else if g.rank.(su) < g.rank.(sv) then begin
-      (* ranks already agree: v ⇝ u is impossible, no cycle, O(1) *)
-      push_edge g su sv;
-      true
-    end
-    else if cycle_probe g sv su then false
-    else begin
-      relabel g sv g.rank.(su);
-      push_edge g su sv;
-      true
-    end
+  | Some su, Some sv -> su <> sv && stage g su sv
   | (None | Some _), _ -> invalid_arg "Graph.try_add_edge: stale event"
+
+(* Commit the staged edges in staging order: fold each one's commitment
+   link, then admit it to the labels — what admitting the edges one at a
+   time would do, so the heads and labels match.  The staging already
+   bumped [version] once per edge, and a seal changes nothing a view could
+   have seen in between: [freeze] refuses to run while edges are
+   staged. *)
+let seal g =
+  let st = g.staged in
+  let n = Int_vec.length st in
+  let data = Int_vec.unsafe_data st in
+  let i = ref 0 in
+  while !i < n do
+    let su = data.(!i) and sv = data.(!i + 1) in
+    if g.digests then fold_edge g su sv;
+    (match g.index with Some ix -> label_admit g ix su sv | None -> ());
+    i := !i + 2
+  done;
+  Int_vec.clear st
+
+(* Pop the staged edges newest first.  Each is then the last entry of its
+   source's successors and of its target's predecessors.  Nothing else
+   needs undoing: commitments and labels only ever see sealed edges. *)
+let abort g =
+  let st = g.staged in
+  while not (Int_vec.is_empty st) do
+    let sv = Int_vec.pop st in
+    let su = Int_vec.pop st in
+    ignore (Int_vec.pop g.succ.(su));
+    ignore (Int_vec.pop g.pred.(sv));
+    g.indeg.(sv) <- g.indeg.(sv) - 1;
+    g.edges <- g.edges - 1;
+    g.version <- g.version + 1;
+    touch g su;
+    touch g sv
+  done;
+  Kronos_metrics.Gauge.set M.edges g.edges
 
 let add_edge g u v =
   match resolve g u, resolve g v with
   | Some su, Some sv ->
     if su = sv then invalid_arg "Graph.add_edge: self edge";
-    if g.rank.(su) < g.rank.(sv) then push_edge g su sv
-    else if cycle_probe g sv su then
-      invalid_arg "Graph.add_edge: edge would close a cycle"
-    else begin
-      relabel g sv g.rank.(su);
-      push_edge g su sv
-    end
+    if not (stage g su sv) then
+      invalid_arg "Graph.add_edge: edge would close a cycle";
+    seal g
   | (None | Some _), _ -> invalid_arg "Graph.add_edge: stale event"
-
-(* Pop slot [s]'s newest link.  The engine rolls back only links of the
-   running batch, which no view has seen.  A caller that froze mid-batch
-   finds the link in the latest view (every older view sharing this store
-   holds at most as many links), so the store is unshared first: the next
-   append must not overwrite bytes a view reads. *)
-let pop_link g s =
-  let st = g.links.(s) in
-  let n = Links.length st in
-  let seen =
-    match g.frozen_cache with
-    | Some f when s < f.f_next_slot ->
-      let c = pa_chain f.f_chains s in
-      c.c_store == st && c.c_len >= n
-    | Some _ | None -> false
-  in
-  g.links.(s) <-
-    (if n = 1 then Links.empty
-     else if seen then Links.resize st (n - 1) (n - 1)
-     else begin
-       Links.set_length st (n - 1);
-       st
-     end)
-
-let remove_last_edge g u v =
-  match resolve g u, resolve g v with
-  | Some su, Some sv ->
-    if Int_vec.is_empty g.succ.(su) || Int_vec.last g.succ.(su) <> sv then
-      invalid_arg "Graph.remove_last_edge: not the last edge";
-    ignore (Int_vec.pop g.succ.(su));
-    ignore (Int_vec.remove_first g.pred.(sv) su);
-    g.indeg.(sv) <- g.indeg.(sv) - 1;
-    g.edges <- g.edges - 1;
-    g.version <- g.version + 1;
-    touch g su;
-    touch g sv;
-    (* the chain link folded for this edge is necessarily the newest one on
-       [sv] (edges roll back in LIFO order within the aborting batch); its
-       prior head comes back from the journal below *)
-    if g.digests then pop_link g sv;
-    (* Ranks are deliberately not rolled back: removing an edge cannot
-       break "u ⇝ v implies rank u < rank v", it only removes paths.  The
-       relabel the edge may have caused stays — it is a valid order for the
-       smaller edge set too. *)
-    (* Labels must not over-approximate: pop this edge's journal group,
-       restoring the exact pre-edge chains and label arrays.  The topmost
-       group necessarily belongs to this edge (rollback is LIFO within the
-       aborting batch); if the journal disagrees — a caller outside the
-       batch protocol — fall back to a deterministic full rebuild.  Once
-       the labels are dropped only the heads are restored: entries for
-       the index the batch dropped are skipped. *)
-    let undo_label ix = function
-      | J_label (s, old) ->
-        ix.labels.(s) <- old;
-        touch g s
-      | J_assign (s, c, prev_tail) ->
-        ix.chain_of.(s) <- -1;
-        touch g s;
-        Int_vec.set ix.chain_len c (Int_vec.get ix.chain_len c - 1);
-        Int_vec.set ix.chain_live c (Int_vec.get ix.chain_live c - 1);
-        Int_vec.set ix.chain_tail c prev_tail
-      | J_chain (c, from_free) ->
-        (if from_free then Int_vec.push ix.free_chains c
-         else begin
-           ignore (Int_vec.pop ix.chain_len);
-           ignore (Int_vec.pop ix.chain_live);
-           ignore (Int_vec.pop ix.chain_tail)
-         end);
-        Kronos_metrics.Gauge.set M.chains (chain_count g)
-      | J_mark _ -> ()
-    in
-    let rec undo = function
-      | J_mark (a, b, head) :: rest when a = su && b = sv ->
-        if g.digests then g.heads.(sv) <- head;
-        g.journal <- rest
-      | ((J_label _ | J_assign _ | J_chain _) as j) :: rest ->
-        Option.iter (fun ix -> undo_label ix j) g.index;
-        undo rest
-      | (J_mark _ :: _ | []) ->
-        if g.digests then begin
-          let st = g.links.(sv) in
-          let n = Links.length st in
-          g.heads.(sv) <-
-            (if n = 0 then "" else Links.refold (id_of_slot g sv) st n)
-        end;
-        Option.iter (rebuild_label_index g) g.index
-    in
-    undo g.journal;
-    revive_labels g
-  | (None | Some _), _ -> invalid_arg "Graph.remove_last_edge: stale event"
 
 type chain_snapshot = {
   cs_chain_of : int array;    (* per slot; -1 = unassigned *)
@@ -1301,6 +1177,7 @@ type snapshot = {
 }
 
 let to_snapshot g =
+  check_unstaged g "to_snapshot";
   let n = g.next_slot in
   let int_vec_to_array v = Array.init (Int_vec.length v) (Int_vec.get v) in
   {
@@ -1364,18 +1241,9 @@ let to_snapshot g =
    turning digests on re-anchors commitments; DESIGN.md §13 spells this
    out. *)
 let rebuild_chains g =
-  let n = g.next_slot in
-  let order = Array.init n (fun i -> i) in
-  Array.sort
-    (fun a b ->
-      let c = compare g.rank.(a) g.rank.(b) in
-      if c <> 0 then c else compare a b)
-    order;
   Array.iter
-    (fun v ->
-      if g.refcount.(v) >= 0 then
-        Int_vec.iter (fun u -> fold_edge g u v) g.pred.(v))
-    order
+    (fun v -> Int_vec.iter (fun u -> fold_edge g u v) g.pred.(v))
+    (rank_order g)
 
 let of_snapshot ?(initial_capacity = 1024) ?(digests = true)
     ?(max_chains = default_max_chains) s =
@@ -1415,9 +1283,13 @@ let of_snapshot ?(initial_capacity = 1024) ?(digests = true)
       outs
   done;
   g.edges <- !edges;
+  (* a slot listed twice would be handed out twice *)
+  let on_free_list = Array.make n false in
   Array.iter
     (fun f ->
-      if f < 0 || f >= n || g.refcount.(f) >= 0 then fail "bad free slot";
+      if f < 0 || f >= n || g.refcount.(f) >= 0 || on_free_list.(f) then
+        fail "bad free slot";
+      on_free_list.(f) <- true;
       Int_vec.push g.free f)
     s.snap_free;
   let ranks = s.snap_rank in
@@ -1604,10 +1476,9 @@ let fold_edges g f init =
 
 (* Heap bytes of the graph's own structures, counted as the runtime lays
    them out: one header word per block, a string or bytes rounded up to
-   whole words with a padding byte.  Not counted: the graph record, the
-   transient rollback journal, and the cached frozen view, which belongs
-   to whoever holds views.  A label array several slots share is counted
-   once per slot. *)
+   whole words with a padding byte.  Not counted: the graph record and
+   the cached frozen view, which belongs to whoever holds views.  A label
+   array several slots share is counted once per slot. *)
 let memory_bytes g =
   let word = Sys.word_size / 8 in
   let block fields = (fields + 1) * word in
@@ -1631,7 +1502,7 @@ let memory_bytes g =
   + (match g.index with Some ix -> index ix | None -> 0)
   (* the dirty-slot set: a record over a sparse and a dense array *)
   + block 3 + (2 * block (Sparse_set.capacity g.dirty))
-  + vec g.free + vec g.relabel_stack
+  + vec g.free + vec g.relabel_stack + vec g.staged
   (* commitment chains: link stores and current heads *)
   + arr g.links + arr g.heads
   + sum Links.heap_bytes g.links
@@ -1698,6 +1569,7 @@ let pa_set root old empty s v =
    (it consumes the dirty set and updates the cache); the returned value
    may then be read from any domain. *)
 let freeze g =
+  check_unstaged g "freeze";
   match g.frozen_cache with
   | Some f when f.f_version = g.version -> f
   | prev ->

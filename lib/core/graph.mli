@@ -22,17 +22,26 @@
     [rank u >= rank v] refutes [u ⇝ v] in O(1), which eliminates at least
     one BFS direction of every {!query}, and the remaining traversal is a
     bidirectional BFS pruned to the open rank window.  The rank index
-    survives slot reuse, garbage collection, {!remove_last_edge} rollback
-    and snapshot round-trips.
+    survives slot reuse, garbage collection, {!abort} and snapshot
+    round-trips.
+
+    {b Atomic batches.}  An edge goes in in two steps.  {!try_add_edge}
+    {e stages} it: the cycle check, any relabel, and the adjacency, so
+    every query sees it at once.  {!seal} then commits every staged edge,
+    in staging order: it folds each one's commitment link and admits it
+    to the chain labels.  {!abort} instead pops the staged edges, and
+    since commitments and labels only ever see sealed edges it has
+    nothing else to undo.  {!add_edge} is a stage and a seal.
 
     {b Chain-decomposition labels.}  On top of the ranks, live events are
     partitioned greedily into at most [max_chains] chains (DESIGN.md §15):
     every chain member reaches all later members, and each slot carries an
     exact label — per chain, the lowest position it reaches — so when the
     {e both} the positive and the negative answer of a query are an
-    O(#chains) compare.  Labels are maintained incrementally at edge
-    admission, restored exactly by rollback, survive GC slot reuse, and
-    are rebuilt deterministically on snapshot restore.  They are kept only
+    O(#chains) compare.  Labels are maintained incrementally as edges are
+    sealed, survive GC slot reuse, and are rebuilt deterministically on
+    snapshot restore.  While edges are staged a label answers only
+    positively; the rank-pruned BFS answers the rest.  They are kept only
     while every live event with an incoming edge sits on a chain
     ({!labels_live}): the first edge whose target finds no chain under the
     cap drops the whole index, and every later query runs the rank-pruned
@@ -61,7 +70,7 @@ val create :
     cap.
 
     [digests] (default [true]) maintains hash-chained event commitments
-    alongside the graph (DESIGN.md §13): admitting an edge folds one link —
+    alongside the graph (DESIGN.md §13): sealing an edge folds one link —
     two SHA-256 compressions, 44 bytes of link store — into the target's
     chain, and an event's {!commitment} is its current chain head.  The
     certify library proves happens-before facts against these commitments.
@@ -109,8 +118,8 @@ val reachable : t -> Event_id.t -> Event_id.t -> bool
 val label_reachable : t -> Event_id.t -> Event_id.t -> bool option
 (** [label_reachable g u v] answers [reachable g u v] from the rank and
     chain-label indexes alone: [Some ans] in O(#chains) worst case, [None]
-    when only a traversal could tell (labels are not live and the ranks
-    do not refute it).
+    when only a traversal could tell (the ranks do not refute it, and
+    labels are not live, or edges are staged and no label path exists).
     Touches no counters — safe for provers to consult per candidate edge
     without distorting the query-path hit rate. *)
 
@@ -120,51 +129,38 @@ val rank : t -> Event_id.t -> int option
     relabels, and carry no meaning beyond the relative order. *)
 
 val try_add_edge : t -> Event_id.t -> Event_id.t -> bool
-(** [try_add_edge g u v] records [u -> v] and returns [true], unless the
+(** [try_add_edge g u v] stages [u -> v] and returns [true], unless the
     edge would close a cycle ([v ->* u], or [u = v]) in which case the graph
     is left untouched and the result is [false].  The cycle check is O(1)
     when [rank u < rank v]; otherwise it is a forward search from [v]
     bounded by [rank u], which then doubles as the relabel's frontier.
+    A staged edge is in the adjacency, so queries and later cycle checks
+    see it, and bumps {!version}; its commitment link and chain labels
+    wait for {!seal}.  Until then {!create_event}, {!release_ref},
+    {!freeze} and {!to_snapshot} raise [Invalid_argument].
     @raise Invalid_argument if either identifier is stale. *)
 
+val seal : t -> unit
+(** Commit every staged edge, in staging order: fold its link into the
+    target's commitment chain and admit it to the chain labels, exactly
+    as if each had been added on its own.  Bumps no {!version}: staging
+    did.  A no-op when nothing is staged. *)
+
+val abort : t -> unit
+(** Remove every staged edge, newest first, bumping {!version} once per
+    edge.  Nothing else needs undoing: commitments and labels never saw
+    the edges.  A relabel a staged edge caused is kept — removing an edge
+    only removes paths, so the ranks stay a valid order.  A no-op when
+    nothing is staged. *)
+
 val add_edge : t -> Event_id.t -> Event_id.t -> unit
-(** [add_edge g u v] records [u -> v].  {b Caller must have established}
-    that [u <> v] and [v ->* u] does not hold; the rank index re-checks
+(** [add_edge g u v] stages [u -> v] and then seals, together with any
+    edge staged before it.  {b Caller must have established} that
+    [u <> v] and [v ->* u] does not hold; the rank index re-checks
     cheaply and raises on contract violations instead of corrupting the
-    graph.  Used by {!Engine}, which may roll the edge back with
-    {!remove_last_edge} while aborting an atomic batch.
+    graph.
     @raise Invalid_argument on stale identifiers, self edges, or an edge
     that would close a cycle. *)
-
-val remove_last_edge : t -> Event_id.t -> Event_id.t -> unit
-(** Roll back the most recent [add_edge g u v].  Only valid in LIFO order on
-    edges added by the current (not yet exposed) batch.  Any relabel the
-    edge caused is kept: removing an edge only removes paths, so the rank
-    invariant cannot break.  Chain labels {e are} rolled back exactly (an
-    over-approximate label would corrupt negative answers): each admitted
-    edge journals its chain and label changes, and the target's previous
-    commitment, until {!commit_batch}, and rollback pops the journal.  If
-    the batch dropped the labels, rollback restores only the commitment
-    and the labels stay dropped, unless the edge count returns to 0.
-    After {!suspend_journal} nothing is journaled, and a rollback falls
-    back to a full deterministic rebuild of the chains and labels (which
-    drops them if an event with an in-edge finds no chain) and refolds
-    the target's commitment.
-    @raise Invalid_argument if the last edge out of [u] is not [v]. *)
-
-val commit_batch : t -> unit
-(** Seal the chain-label rollback journal: the edges added since the last
-    seal are final and {!remove_last_edge} will no longer be asked to undo
-    them.  The engine calls this at every batch boundary; event creation
-    and collection seal implicitly.  Calling it is never required for
-    correctness of queries — only for bounding journal memory and keeping
-    rollback O(changed slots).  It also ends a {!suspend_journal}. *)
-
-val suspend_journal : t -> unit
-(** Declare that the edges added until the next {!commit_batch} will never
-    be rolled back, so their chain and label changes are not journaled and
-    every label array they replace can be reclaimed at once.  The engine
-    calls this for a batch that cannot abort (DESIGN.md §15). *)
 
 (** {1 Commitment chains}
 
@@ -175,15 +171,14 @@ val digests_enabled : t -> bool
 
 val commitment : t -> Event_id.t -> string option
 (** The event's current chain head: its identity digest while no edge has
-    been admitted into it, else the head after the newest link.  Stored;
+    been sealed into it, else the head after the newest link.  Stored;
     no hashing. *)
 
 val chain_length : t -> Event_id.t -> int option
-(** Number of links folded so far (= edges admitted into the event and not
-    rolled back). *)
+(** Number of links folded so far (= edges sealed into the event). *)
 
 (** One event's commitment chain as of the call that returned it.  Link
-    [i] (0-based) was recorded when an edge into the event was admitted,
+    [i] (0-based) was recorded when an edge into the event was sealed,
     and stores exactly three fields: the predecessor's identifier, its
     chain position (link count) and its chain head at that moment.  The
     link's partner digest and the heads before the current one are
@@ -224,7 +219,7 @@ val chain : t -> Event_id.t -> Chain.t option
     off. *)
 
 val digest_fold_count : t -> int
-(** SHA-256 compressions spent maintaining chains (2 per admitted edge,
+(** SHA-256 compressions spent maintaining chains (2 per sealed edge,
     including folds replayed by snapshot restore). *)
 
 (** {1 Serialization} *)
@@ -357,12 +352,13 @@ val label_hit_count : t -> int
     traversal). *)
 
 val label_miss_count : t -> int
-(** Probes that passed the rank filter while labels were not live, and so
-    ran the BFS. *)
+(** Probes that passed the rank filter but that the labels could not
+    decide — labels not live, or no label path while edges are staged —
+    and so ran the BFS. *)
 
 val label_rebuild_count : t -> int
-(** Full deterministic label recomputations (snapshot restores, and the
-    defensive out-of-protocol rollback path). *)
+(** Full deterministic label recomputations: one per snapshot restore
+    that keeps labels. *)
 
 val max_chains : t -> int
 (** The chain cap this graph was created with. *)
@@ -370,10 +366,11 @@ val max_chains : t -> int
 val labels_live : t -> bool
 (** Whether the chain-label index is in force (gauge
     [engine.labels_live]).  It is exactly while [max_chains > 0] and
-    every live event with an incoming edge sits on a chain — a function
-    of adjacency and chains, so replicas that apply the same commands,
-    and a restore of any of them, agree on it.  It turns false when an
-    admitted edge's target finds no chain (the cap is saturated), which
+    every live event with an incoming sealed edge sits on a chain — a
+    function of the sealed adjacency and the chains, so replicas that
+    apply the same commands, and a restore of any of them, agree on it;
+    staging and {!abort} never change it.  It turns false when a
+    sealed edge's target finds no chain (the cap is saturated), which
     frees every label and chain array, and true again only when the edge
     count returns to 0. *)
 
@@ -393,10 +390,11 @@ val chain_count : t -> int
 
 val version : t -> int
 (** Monotonic mutation counter, bumped once per view-visible change:
-    event creation, collection, edge admission, edge rollback.  Reference
-    count changes that do not collect are invisible to views and do not
-    bump it; rank relabels happen only within an edge admission, which
-    bumps it once.  This is the epoch stamped on
+    event creation, collection, staging an edge, and {!abort} (once per
+    removed edge).  Reference count changes that do not collect are
+    invisible to views and do not bump it, and neither does {!seal};
+    rank relabels happen only while an edge is staged, which bumps it
+    once.  This is the epoch stamped on
     frozen views and surfaced in wire replies. *)
 
 module Frozen : sig

@@ -646,9 +646,10 @@ let check_chain rng what view e links =
     (if n = 0 then [ 0 ] else [ n - 1; Kronos_simnet.Rng.int rng n; n ])
 
 (* Random histories over one engine's graph — creates, rising and falling
-   Musts, batches that abort and roll back (sometimes after a mid-batch
-   publish), releases that collect and free slots for reuse, and snapshot
-   round trips — checked after every step against the record model: on
+   Musts, batches of staged edges that are sealed (their links folded in
+   staging order) or aborted (no link folded), releases that collect and
+   free slots for reuse, and snapshot round trips — checked after every
+   step against the record model: on
    the live engine, and on every view published so far, which must keep
    answering for the events it captured exactly as the model did then.
    Every proof found between random live pairs must verify against the
@@ -673,20 +674,22 @@ let prop_link_store_model =
         order := !order @ [ e ]
       in
       let live () = Array.of_list !order in
-      let add u v =
-        (* the link the record code folded for an admitted [u -> v] *)
+      let fold u v =
+        (* the link the record code folds for a sealed [u -> v] *)
         let lu = Hashtbl.find model u and lv = Hashtbl.find model v in
+        let pred_head = model_head u lu in
+        let partner = Chain_digest.link_partner u pred_head in
+        Hashtbl.replace model v
+          ({ m_pred = u; m_pred_head = pred_head;
+             m_pred_pos = List.length lu; m_partner = partner;
+             m_head = Chain_digest.fold_link (model_head v lv) partner }
+           :: lv)
+      in
+      let add u v =
         if Graph.try_add_edge (g ()) u v then begin
-          let pred_head = model_head u lu in
-          let partner = Chain_digest.link_partner u pred_head in
-          Hashtbl.replace model v
-            ({ m_pred = u; m_pred_head = pred_head;
-               m_pred_pos = List.length lu; m_partner = partner;
-               m_head = Chain_digest.fold_link (model_head v lv) partner }
-             :: lv);
-          true
+          Graph.seal (g ());
+          fold u v
         end
-        else false
       in
       let pick_pair ~rising =
         let a = live () in
@@ -733,27 +736,26 @@ let prop_link_store_model =
         (match int 10 with
          | 0 | 1 -> create ()
          | 2 | 3 | 4 ->
-           Option.iter (fun (u, v) -> ignore (add u v)) (pick_pair ~rising:true)
+           Option.iter (fun (u, v) -> add u v) (pick_pair ~rising:true)
          | 5 ->
-           Option.iter (fun (u, v) -> ignore (add u v)) (pick_pair ~rising:false)
+           Option.iter (fun (u, v) -> add u v) (pick_pair ~rising:false)
          | 6 ->
-           (* an aborting batch: admit up to three edges, then roll them
-              back newest first *)
-           let admitted = ref [] in
+           (* a batch: stage up to three edges, then seal them — the model
+              folds their links in staging order — or abort them, which
+              folds nothing *)
+           let staged = ref [] in
            for _ = 1 to 1 + int 3 do
              Option.iter
-               (fun (u, v) -> if add u v then admitted := (u, v) :: !admitted)
+               (fun (u, v) ->
+                 if Graph.try_add_edge (g ()) u v then
+                   staged := (u, v) :: !staged)
                (pick_pair ~rising:(int 3 > 0))
            done;
-           if int 4 = 0 then publish ();
-           List.iter
-             (fun (u, v) ->
-               Graph.remove_last_edge (g ()) u v;
-               match Hashtbl.find model v with
-               | _ :: rest -> Hashtbl.replace model v rest
-               | [] -> Test.fail_report "model pop on an empty chain")
-             !admitted;
-           Graph.commit_batch (g ())
+           if int 2 = 0 then Graph.abort (g ())
+           else begin
+             Graph.seal (g ());
+             List.iter (fun (u, v) -> fold u v) (List.rev !staged)
+           end
          | 7 ->
            let candidates =
              List.filter (fun e -> not (Hashtbl.mem released e)) !order

@@ -274,15 +274,16 @@ let prop_coherency =
       !ok)
 
 (* Batch atomicity and exact labels.  Random batches over at most 30
-   events mix Musts that rise in creation order (a batch of only those
-   cannot abort, and the graph journals none of it), falling Musts (some
-   close a cycle and abort the batch after earlier Musts went in), self
-   Musts (which abort) and Prefers.  Every batch goes into a default
-   engine, a 2-chain engine (labels saturate) and a label-free engine;
-   after each one, every engine must report the outcome a DFS model of
-   the committed edges predicts, and answer every pair as the model does.
-   An abort must undo its edges through the journal, never through the
-   full label rebuild kept for callers outside the batch protocol. *)
+   events mix Musts that rise in creation order, falling Musts (some
+   relabel, some close a cycle and abort the batch after earlier Musts
+   were staged), self Musts (which abort) and Prefers.  Every batch goes
+   into a default engine, a 2-chain engine (labels saturate) and a
+   label-free engine, and, unless the model says it aborts, into a clean
+   twin of each that never sees an aborted batch.  After each one, every
+   engine must report the outcome a DFS model of the committed edges
+   predicts and answer every pair as the model does, and hold its clean
+   twin's commitments, chain lengths, label mode and chain count: an
+   abort leaves nothing behind, not even a dropped label index. *)
 let prop_batches_atomic_labels_exact =
   let open QCheck2 in
   let gen_constraint n =
@@ -371,11 +372,15 @@ let prop_batches_atomic_labels_exact =
       let engines =
         List.map
           (fun max_chains ->
-            let t =
-              Engine.create
-                ~config:{ Engine.default_config with max_chains } ()
+            let make () =
+              let t =
+                Engine.create
+                  ~config:{ Engine.default_config with max_chains } ()
+              in
+              (t, Array.init n (fun _ -> Engine.create_event t))
             in
-            (t, Array.init n (fun _ -> Engine.create_event t)))
+            let t, ids = make () and clean, _ = make () in
+            (t, clean, ids))
           [ Engine.default_config.max_chains; 2; 0 ]
       in
       let adj = ref (Array.make_matrix n n false) in
@@ -390,7 +395,7 @@ let prop_batches_atomic_labels_exact =
             else Order.Concurrent
           in
           List.for_all
-            (fun (t, ids) ->
+            (fun (t, clean, ids) ->
               let specs =
                 List.map
                   (fun (u, v, kind) ->
@@ -400,14 +405,26 @@ let prop_batches_atomic_labels_exact =
               in
               let result = Engine.assign_order t specs in
               let agree = ref (result = expected) in
+              (match expected with
+               | Ok _ ->
+                 if Engine.assign_order clean specs <> expected then
+                   agree := false
+               | Error _ -> ());
+              let g = Engine.graph t and gc = Engine.graph clean in
               for u = 0 to n - 1 do
+                if Graph.commitment g ids.(u) <> Graph.commitment gc ids.(u)
+                   || Graph.chain_length g ids.(u)
+                      <> Graph.chain_length gc ids.(u)
+                then agree := false;
                 for v = 0 to n - 1 do
                   match Engine.query_order t [ (ids.(u), ids.(v)) ] with
                   | Ok [ r ] when r = expected_rel u v -> ()
                   | Ok _ | Error _ -> agree := false
                 done
               done;
-              !agree && Engine.label_rebuilds t = 0)
+              !agree
+              && Engine.labels_live t = Engine.labels_live clean
+              && Engine.chain_count t = Engine.chain_count clean)
             engines)
         batches)
 

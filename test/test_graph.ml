@@ -125,20 +125,82 @@ let test_gc_diamond_partial () =
   Alcotest.(check (option int)) "c releases b too" (Some 2)
     (Graph.release_ref g c)
 
+(* Every call that needs sealed state refuses to run while [g] has
+   staged edges. *)
+let check_guarded_raise g e =
+  List.iter
+    (fun (what, f) ->
+      Alcotest.check_raises (what ^ " while staged")
+        (Invalid_argument ("Graph." ^ what ^ ": edges are staged")) f)
+    [
+      ("create_event", fun () -> ignore (Graph.create_event g));
+      ("release_ref", fun () -> ignore (Graph.release_ref g e));
+      ("freeze", fun () -> ignore (Graph.freeze g));
+      ("to_snapshot", fun () -> ignore (Graph.to_snapshot g));
+    ]
+
+(* A staged edge answers queries at once but folds no link until the
+   seal; an abort pops it, and the guarded calls work again. *)
 let test_rollback () =
   let g = Graph.create () in
   let a = Graph.create_event g in
   let b = Graph.create_event g in
-  Graph.add_edge g a b;
+  let head = Graph.commitment g b in
+  let version = Graph.version g in
+  Alcotest.(check bool) "staged" true (Graph.try_add_edge g a b);
   Alcotest.(check int) "one edge" 1 (Graph.edge_count g);
-  Graph.remove_last_edge g a b;
+  Alcotest.check relation "the staged edge orders" Order.Before
+    (query_exn g a b);
+  Alcotest.(check (option int)) "no link before the seal" (Some 0)
+    (Graph.chain_length g b);
+  check_guarded_raise g a;
+  Graph.abort g;
   Alcotest.(check int) "rolled back" 0 (Graph.edge_count g);
   Alcotest.check relation "concurrent again" Order.Concurrent (query_exn g a b);
   Alcotest.(check (option int)) "in-degree restored" (Some 0)
     (Graph.in_degree g b);
-  Alcotest.check_raises "wrong rollback"
-    (Invalid_argument "Graph.remove_last_edge: not the last edge") (fun () ->
-      Graph.remove_last_edge g a b)
+  Alcotest.(check bool) "commitment untouched" true (Graph.commitment g b = head);
+  Alcotest.(check int) "stage and abort each bump the version" (version + 2)
+    (Graph.version g);
+  Graph.abort g;
+  Alcotest.(check int) "an empty abort is a no-op" (version + 2)
+    (Graph.version g);
+  Alcotest.(check bool) "staged again" true (Graph.try_add_edge g a b);
+  Graph.seal g;
+  Alcotest.(check int) "the seal bumps no version" (version + 3)
+    (Graph.version g);
+  Alcotest.(check (option int)) "one link after the seal" (Some 1)
+    (Graph.chain_length g b);
+  ignore (Graph.freeze g);
+  ignore (Graph.create_event g)
+
+(* A snapshot whose free list names a slot twice would hand that slot to
+   two [create_event] calls.  It reaches [of_snapshot] from a peer's state
+   transfer or from disk, so the restore must refuse it, through the
+   encoded bytes too. *)
+let test_snapshot_free_list_repeat () =
+  let g = Graph.create () in
+  let a = Graph.create_event g in
+  ignore (Graph.create_event g);
+  ignore (Graph.release_ref g a);
+  let snap = Graph.to_snapshot g in
+  Alcotest.(check int) "one free slot" 1 (Array.length snap.Graph.snap_free);
+  let doubled =
+    { snap with Graph.snap_free = Array.append snap.snap_free snap.snap_free }
+  in
+  Alcotest.check_raises "graph restore"
+    (Invalid_argument "Graph.of_snapshot: bad free slot") (fun () ->
+      ignore (Graph.of_snapshot doubled));
+  let bytes =
+    Kronos_durability.Snapshot.encode ~seq:1
+      { Engine.snap_graph = doubled; snap_creates = 0; snap_queries = 0;
+        snap_assigns = 0; snap_aborted_batches = 0; snap_reversals = 0;
+        snap_collected = 0 }
+  in
+  let _, decoded = Kronos_durability.Snapshot.decode bytes in
+  Alcotest.check_raises "engine restore from bytes"
+    (Invalid_argument "Graph.of_snapshot: bad free slot") (fun () ->
+      ignore (Engine.of_snapshot decoded))
 
 let test_growth () =
   let g = Graph.create ~initial_capacity:16 () in
@@ -232,7 +294,6 @@ let test_memory_bytes_match_heap () =
            let u = Random.State.int rng n and v = Random.State.int rng n in
            if u <> v then Graph.add_edge g (id (min u v)) (id (max u v))
          done);
-      Graph.commit_batch g;
       let labels = Graph.labels_live g in
       Gc.compact ();
       let live = ((Gc.stat ()).Gc.live_words - w0) * word in
@@ -304,60 +365,17 @@ let test_visited_accounting () =
      Alcotest.(check bool) "ranks repaired" true (ry < rx)
    | _ -> Alcotest.fail "live events must have ranks")
 
-(* [remove_last_edge] outside the batch protocol: creating an event seals
-   the rollback journal, so undoing the edge admitted just before finds no
-   journal group and falls back to the deterministic full label rebuild.
-   The rebuilt index may decide more pairs than a graph that never saw the
-   edge (the rebuild assigns every live event a chain), but every answer
-   it commits to, and every query, must match that graph. *)
-let test_label_rebuild_fallback () =
-  let edges = [ (0, 1); (1, 2); (0, 3); (3, 4); (2, 5); (4, 5); (6, 7) ] in
-  let build () =
-    let g = Graph.create () in
-    let ids = Array.init 8 (fun _ -> Graph.create_event g) in
-    List.iter (fun (u, v) -> Graph.add_edge g ids.(u) ids.(v)) edges;
-    (g, ids)
-  in
-  let g, ids = build () in
-  Graph.add_edge g ids.(5) ids.(6);
-  let extra = Graph.create_event g in
-  let rebuilds = Graph.label_rebuild_count g in
-  Graph.remove_last_edge g ids.(5) ids.(6);
-  Alcotest.(check int) "one full label rebuild" (rebuilds + 1)
-    (Graph.label_rebuild_count g);
-  let fresh, fids = build () in
-  let fextra = Graph.create_event fresh in
-  let ids = Array.append ids [| extra |] in
-  let fids = Array.append fids [| fextra |] in
-  let decided = ref 0 in
-  Array.iteri
-    (fun i u ->
-      Array.iteri
-        (fun j v ->
-          if i <> j then begin
-            let what = Printf.sprintf "%d -> %d" i j in
-            (match Graph.label_reachable g u v with
-             | Some ans ->
-               incr decided;
-               Alcotest.(check bool) ("label " ^ what)
-                 (Graph.reachable fresh fids.(i) fids.(j)) ans
-             | None -> ());
-            Alcotest.(check bool) ("query " ^ what) true
-              (Graph.query fresh fids.(i) fids.(j) = Graph.query g u v)
-          end)
-        ids)
-    ids;
-  Alcotest.(check int) "rebuilt labels decide every pair" (9 * 8) !decided
-
 (* Differential property for the rank index: drive a random interleaving of
-   create / add_edge / release / rollback / snapshot operations against
-   both the real graph and a naive reference model (adjacency lists,
-   refcounts and the same strict-GC rule), and after every single step
-   check that liveness, GC counts and pairwise reachability agree with the
-   model and that rank u < rank v holds for every live edge — through slot
-   reuse, GC cascades, edge rollback and snapshot round-trips.  The same
-   program
-   also exercises the chain-label index: whenever [Graph.label_reachable]
+   create / staged edge / seal / abort / release / snapshot operations
+   against both the real graph and a naive reference model (adjacency
+   lists, refcounts and the same strict-GC rule), and after every single
+   step check that liveness, GC counts and pairwise reachability agree
+   with the model and that rank u < rank v holds for every live edge —
+   through slot reuse, GC cascades, aborts of every edge staged since the
+   last seal, and snapshot round-trips.  Creates, releases and snapshots
+   seal the staged edges first, as the engine's batches end before the
+   next command.  The same program also exercises the chain-label index,
+   with and without staged edges: whenever [Graph.label_reachable]
    commits to an answer it must bit-match the model — over-approximation
    is as much a bug as under-approximation.  Instantiated three times:
    with the default chain cap (labels answer nearly everything), with a
@@ -371,7 +389,8 @@ let make_rank_differential ~max_chains name =
         (4, Gen.return `Create);
         (6, Gen.map2 (fun a b -> `Edge (a, b)) (Gen.int_bound 999) (Gen.int_bound 999));
         (2, Gen.map (fun a -> `Release a) (Gen.int_bound 999));
-        (1, Gen.return `Rollback);
+        (1, Gen.return `Abort);
+        (1, Gen.return `Seal);
         (1, Gen.return `Snapshot);
       ]
   in
@@ -386,8 +405,12 @@ let make_rank_differential ~max_chains name =
       let succs = Array.make max_n [] in
       let indeg = Array.make max_n 0 in
       let created = ref 0 in
-      (* the one edge remove_last_edge may legally undo right now *)
-      let last_edge = ref None in
+      (* the edges staged since the last seal or abort, newest first *)
+      let staged = ref [] in
+      let seal () =
+        Graph.seal !g;
+        staged := []
+      in
       let model_reach u v =
         let seen = Array.make max_n false in
         let rec dfs x =
@@ -454,14 +477,14 @@ let make_rank_differential ~max_chains name =
           (match op with
            | `Create ->
              if !created < max_n then begin
+               seal ();
                let e = Graph.create_event !g in
                ids.(!created) <- e;
                rc.(!created) <- 1;
                live.(!created) <- true;
                succs.(!created) <- [];
                indeg.(!created) <- 0;
-               incr created;
-               last_edge := None
+               incr created
              end
            | `Edge (a, b) ->
              if !created > 0 then begin
@@ -476,12 +499,13 @@ let make_rank_differential ~max_chains name =
                  if admitted then begin
                    succs.(u) <- v :: succs.(u);
                    indeg.(v) <- indeg.(v) + 1;
-                   last_edge := Some (u, v)
+                   staged := (u, v) :: !staged
                  end
                end
              end
            | `Release a ->
              if !created > 0 then begin
+               seal ();
                let i = a mod !created in
                let expected =
                  if (not live.(i)) || rc.(i) = 0 then None
@@ -495,20 +519,20 @@ let make_rank_differential ~max_chains name =
                let got = Graph.release_ref !g ids.(i) in
                if got <> expected then
                  Test.fail_reportf "step %d: release %d disagrees with model"
-                   step i;
-               last_edge := None
+                   step i
              end
-           | `Rollback -> (
-               match !last_edge with
-               | None -> ()
-               | Some (u, v) ->
-                 Graph.remove_last_edge !g ids.(u) ids.(v);
+           | `Abort ->
+             Graph.abort !g;
+             List.iter
+               (fun (u, v) ->
                  succs.(u) <- List.filter (fun x -> x <> v) succs.(u);
-                 indeg.(v) <- indeg.(v) - 1;
-                 last_edge := None)
+                 indeg.(v) <- indeg.(v) - 1)
+               !staged;
+             staged := []
+           | `Seal -> seal ()
            | `Snapshot ->
-             g := Graph.of_snapshot ~max_chains (Graph.to_snapshot !g);
-             last_edge := None);
+             seal ();
+             g := Graph.of_snapshot ~max_chains (Graph.to_snapshot !g));
           check_agree step)
         ops;
       true)
@@ -759,12 +783,16 @@ let test_packed_label_ranges () =
   Alcotest.(check int) "no chains left" 0 (Graph.chain_count g)
 
 (* Label-mode lifecycle (DESIGN.md §15) at a cap of 2, over random
-   70-step histories of creates, Must batches (some cross the cap and
-   then abort, some publish a view mid-batch), single releases, releases
+   70-step histories of creates, Must batches (staged, then sealed or
+   aborted; some cross the cap, some relabel), single releases, releases
    of every reference (down to zero edges), publishes and snapshot round
    trips.  A round trip keeps the source and starts a restored twin;
-   every later command goes to both.  After every step, on the source and
-   every twin:
+   every later command goes to both.  A clean twin gets every command but
+   the aborted batches.  Mid-batch, on the source and every restored
+   twin, every guarded call raises and every answer matches the model of
+   the staged graph.  An abort leaves the label mode as it was, even when
+   the batch crossed the cap.  After every step, on the source, the clean
+   twin and every restored twin:
    - every answer matches a DFS model, and while labels are live the
      labels decide every pair without a traversal;
    - labels are live exactly when the invariant holds: the cap is
@@ -773,7 +801,9 @@ let test_packed_label_ranges () =
      dropped until the edge count is 0;
    - every view published earlier still answers as the model did when it
      was published;
-   - each twin encodes the same snapshot bytes as the source. *)
+   - each restored twin encodes the same snapshot bytes as the source;
+   - the clean twin holds the source's commitments, chain lengths,
+     label mode and chain count. *)
 let prop_label_lifecycle =
   let open QCheck2 in
   Test.make ~name:"chain labels drop at the cap and return at zero edges"
@@ -783,8 +813,10 @@ let prop_label_lifecycle =
       let int n = Kronos_simnet.Rng.int rng n in
       let max_chains = 2 and max_n = 12 in
       let g = Graph.create ~initial_capacity:4 ~max_chains () in
+      let clean = Graph.create ~initial_capacity:4 ~max_chains () in
       let twins = ref [] in
       let each f = List.iter f (g :: !twins) in
+      let all f = List.iter f (g :: clean :: !twins) in
       let ids = Array.make max_n Event_id.none in
       let created = ref 0 in
       let rc = Array.make max_n 0 and live = Array.make max_n false in
@@ -831,7 +863,7 @@ let prop_label_lifecycle =
       in
       let release i =
         if live.(i) && rc.(i) > 0 then begin
-          each (fun x -> ignore (Graph.release_ref x ids.(i)));
+          all (fun x -> ignore (Graph.release_ref x ids.(i)));
           rc.(i) <- rc.(i) - 1;
           collect i
         end
@@ -839,7 +871,10 @@ let prop_label_lifecycle =
       let edges () = Array.fold_left (fun n l -> n + List.length l) 0 succs in
       let was_live = ref true in
       let check step x =
-        let what = Printf.sprintf "step %d%s" step (if x == g then "" else " twin") in
+        let what =
+          Printf.sprintf "step %d%s" step
+            (if x == g then "" else if x == clean then " clean twin" else " twin")
+        in
         let ls = live_events () in
         let misses = Graph.label_miss_count x in
         List.iter
@@ -878,8 +913,9 @@ let prop_label_lifecycle =
           Test.fail_reportf "%s: labels back with edges left" what
       in
       (* a batch of Musts under the engine's protocol: skip implied pairs,
-         abort on a cycle or when asked, journal unless every Must rises
-         and no abort is asked *)
+         abort on a cycle or when asked, seal otherwise; at one Must, try
+         every guarded call and check every answer against the staged
+         model *)
       let batch () =
         let ls = Array.of_list (live_events ()) in
         let n = Array.length ls in
@@ -892,21 +928,36 @@ let prop_label_lifecycle =
             if int 4 = 0 then (ls.(j), ls.(i)) else (ls.(i), ls.(j))
           in
           let pairs = List.init k pair in
-          let mid = if int 3 = 0 then int k else -1 in
+          let probe = int k in
           let abort = int 2 = 0 in
-          let rises (u, v) =
-            match (Graph.rank g ids.(u), Graph.rank g ids.(v)) with
-            | Some ru, Some rv -> ru < rv
-            | _ -> false
-          in
-          if (not abort) && List.for_all rises pairs then
-            each Graph.suspend_journal;
+          let labels_before = Graph.labels_live g in
           let added = ref [] in
+          let mid_batch x =
+            if !added <> [] then check_guarded_raise x ids.(ls.(0));
+            Array.iter
+              (fun u ->
+                Array.iter
+                  (fun v ->
+                    let want = u <> v && reach u v in
+                    if Graph.reachable x ids.(u) ids.(v) <> want then
+                      Test.fail_reportf "mid-batch: reachable %d -> %d" u v;
+                    match Graph.label_reachable x ids.(u) ids.(v) with
+                    | Some ans when ans <> want ->
+                      Test.fail_reportf "mid-batch: label %d -> %d" u v
+                    | Some _ | None -> ())
+                  ls)
+              ls
+          in
           let rec go i = function
             | [] -> abort
             | (u, v) :: rest ->
-              if i = mid then publish ();
-              if u = v || reach v u then true
+              if i = probe then each mid_batch;
+              if u = v || reach v u then begin
+                each (fun x ->
+                    if Graph.try_add_edge x ids.(u) ids.(v) then
+                      Test.fail_reportf "edge %d -> %d closes a cycle" u v);
+                true
+              end
               else begin
                 if not (reach u v) then begin
                   each (fun x ->
@@ -919,14 +970,25 @@ let prop_label_lifecycle =
                 go (i + 1) rest
               end
           in
-          if go 0 pairs then
+          if go 0 pairs then begin
+            each Graph.abort;
             List.iter
               (fun (u, v) ->
-                each (fun x -> Graph.remove_last_edge x ids.(u) ids.(v));
                 succs.(u) <- List.filter (fun w -> w <> v) succs.(u);
                 indeg.(v) <- indeg.(v) - 1)
               !added;
-          each Graph.commit_batch
+            if Graph.labels_live g <> labels_before then
+              Test.fail_report "an abort changed the label mode"
+          end
+          else begin
+            each Graph.seal;
+            List.iter
+              (fun (u, v) ->
+                if not (Graph.try_add_edge clean ids.(u) ids.(v)) then
+                  Test.fail_reportf "clean twin refused %d -> %d" u v)
+              (List.rev !added);
+            Graph.seal clean
+          end
         end
       in
       for step = 1 to 70 do
@@ -939,7 +1001,7 @@ let prop_label_lifecycle =
                (fun x ->
                  if not (Event_id.equal (Graph.create_event x) e) then
                    Test.fail_reportf "step %d: twin minted another id" step)
-               !twins;
+               (clean :: !twins);
              ids.(!created) <- e;
              rc.(!created) <- 1;
              live.(!created) <- true;
@@ -952,7 +1014,19 @@ let prop_label_lifecycle =
          | _ ->
            let twin = Graph.of_snapshot ~max_chains (Graph.to_snapshot g) in
            twins := twin :: List.filteri (fun i _ -> i < 2) !twins);
-        each (check step);
+        all (check step);
+        List.iter
+          (fun i ->
+            let e = ids.(i) in
+            if Graph.commitment clean e <> Graph.commitment g e
+               || Graph.chain_length clean e <> Graph.chain_length g e
+            then
+              Test.fail_reportf "step %d: event %d's chain differs from the \
+                                 clean twin's" step i)
+          (live_events ());
+        if Graph.labels_live clean <> Graph.labels_live g
+           || Graph.chain_count clean <> Graph.chain_count g
+        then Test.fail_reportf "step %d: the clean twin's labels differ" step;
         List.iteri
           (fun k (v, rels) ->
             List.iter
@@ -1050,14 +1124,14 @@ let suites =
         Alcotest.test_case "gc chain" `Quick test_gc_chain_linear;
         Alcotest.test_case "gc diamond" `Quick test_gc_diamond_partial;
         Alcotest.test_case "edge rollback" `Quick test_rollback;
+        Alcotest.test_case "snapshot free list repeat" `Quick
+          test_snapshot_free_list_repeat;
         Alcotest.test_case "growth" `Quick test_growth;
         Alcotest.test_case "introspection" `Quick test_introspection;
         Alcotest.test_case "visited accounting" `Quick test_visited_accounting;
         Alcotest.test_case "chain label lifecycle" `Quick
           test_chain_label_lifecycle;
         Alcotest.test_case "packed label ranges" `Quick test_packed_label_ranges;
-        Alcotest.test_case "label rebuild fallback" `Quick
-          test_label_rebuild_fallback;
         QCheck_alcotest.to_alcotest prop_rank_index_differential;
         QCheck_alcotest.to_alcotest prop_label_saturated_differential;
         QCheck_alcotest.to_alcotest prop_label_disabled_differential;

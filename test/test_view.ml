@@ -147,8 +147,8 @@ let test_publish_allocates_o_dirty () =
 
 (* Chunk-boundary differential: a graph spanning five chunks goes through
    slot reuse across a chunk boundary, an out-of-order must edge that
-   relabels ranks in several chunks, and a batch rollback
-   ([Graph.remove_last_edge]) — publishing after each step.  Every older
+   relabels ranks in several chunks, and an aborted batch whose staged
+   edges are popped ([Graph.abort]) — publishing after each step.  Every older
    view must keep answering exactly as it did when it was published (its
    chunks are shared with, never mutated by, later publishes), and the
    newest must match the live engine. *)
