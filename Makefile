@@ -69,8 +69,10 @@ bench-smoke: build
 # certify.assign_overhead_pct exceeds its 250 pct budget; when
 # fed.write_scaling (or, on hosts with 4+ domains,
 # engine.query_parallel_speedup) falls to 2x or below; or when
-# durability.recovery_ms exceeds its 2000 ms budget.  The replicated service end to end is
-# measured by perfbench/, not here.
+# durability.recovery_ms exceeds its 2000 ms budget.  Every gated engine.*
+# and certify.* ns/op series but certify.assign_digests_* is the best of
+# five fixed-length windows after a Gc.compact, not a Bechamel estimate.
+# The replicated service end to end is measured by perfbench/, not here.
 bench-check: build
 	dune exec bench/main.exe -- smoke-check
 

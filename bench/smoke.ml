@@ -24,10 +24,12 @@ module M = Kronos_metrics
 let results : (string * float * string) list ref = ref []
 let record name value unit_ = results := (name, value, unit_) :: !results
 
-(* Best of five fixed-length windows of [ops] calls, in ns per call. *)
-let best_window_ns ~ops f =
+(* Best of five fixed-length windows of [ops] calls, in ns per call;
+   [before] runs untimed ahead of each window. *)
+let best_window_ns ?(before = ignore) ~ops f =
   let best = ref infinity in
   for _ = 1 to 5 do
+    before ();
     let t0 = Unix.gettimeofday () in
     for _ = 1 to ops do f () done;
     let ns = (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int ops in
@@ -42,17 +44,26 @@ let compacted_window_ns ~ops f =
   best_window_ns ~ops f
 
 (* Engine hot paths on small graphs, where labels decide every query
-   (DESIGN.md §15).  [engine.assign_fresh] is timed by Bechamel; the
-   other four as the best of five fixed-length windows after a
-   compaction, which on these sub-microsecond paths holds steadier from
-   run to run than Bechamel's 0.25 s quotas did. *)
+   (DESIGN.md §15).  Each is timed as the best of five fixed-length
+   windows, which on these sub-microsecond paths holds steadier from run
+   to run than Bechamel's 0.25 s quotas did.  The queries run after a
+   compaction.  [engine.assign_fresh] is bound by allocation, and each of
+   its windows starts a fresh engine after a full major collection
+   instead: over one growing engine each window paid the collector for a
+   different heap, and after a compaction it paid page faults for the
+   memory the compaction returned; either way one process read about
+   twice what the next did. *)
 let engine_hot_paths () =
-  let engine = Engine.create () in
+  let engine = ref (Engine.create ()) in
   let assign_ns =
-    Bench_util.bechamel_ns_per_op ~quota:0.25 ~name:"smoke/assign" (fun () ->
-        let a = Engine.create_event engine in
-        let b = Engine.create_event engine in
-        ignore (Engine.assign_order engine [ Order.must_before a b ]))
+    best_window_ns ~ops:10_000
+      ~before:(fun () ->
+        engine := Engine.create ();
+        Gc.full_major ())
+      (fun () ->
+        let a = Engine.create_event !engine in
+        let b = Engine.create_event !engine in
+        ignore (Engine.assign_order !engine [ Order.must_before a b ]))
   in
   record "engine.assign_fresh" assign_ns "ns/op";
   (* a long chain makes the query a real traversal *)
@@ -473,7 +484,8 @@ let digest_folds_smoke () =
     "compressions/edge"
 
 (* Certify hot paths (DESIGN.md §13): proof generation and verification
-   over a real chain, plus the assign-path cost of digest maintenance —
+   over a real chain, each the best of five fixed-length windows after a
+   compaction, plus the assign-path cost of digest maintenance —
    the fresh-assign workload of [engine.assign_fresh] with commitment
    chains on and off, and the relative overhead as a percentage.  Every
    fresh edge folds one link — two SHA-256 compressions — so the pct
@@ -493,7 +505,7 @@ let certify_smoke () =
   let module Verifier = Kronos_certify.Verifier in
   let rng = Kronos_simnet.Rng.create ~seed:41L in
   let prove_ns =
-    Bench_util.bechamel_ns_per_op ~quota:0.25 ~name:"smoke/prove" (fun () ->
+    compacted_window_ns ~ops:10_000 (fun () ->
         let i = Kronos_simnet.Rng.int rng (n - 64) in
         let j = i + 1 + Kronos_simnet.Rng.int rng 63 in
         ignore (Prover.prove g ~source:ids.(i) ~target:ids.(j)))
@@ -528,7 +540,7 @@ let certify_smoke () =
     | None -> failwith "smoke: chain path must be provable"
   in
   let verify_ns =
-    Bench_util.bechamel_ns_per_op ~quota:0.25 ~name:"smoke/verify" (fun () ->
+    compacted_window_ns ~ops:100 (fun () ->
         match Verifier.verify cert with
         | Ok () -> ()
         | Error m -> failwith ("smoke: " ^ m))

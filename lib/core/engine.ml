@@ -214,11 +214,9 @@ let to_snapshot t =
     snap_collected = t.collected;
   }
 
-let of_snapshot ?(config = default_config) s =
+let of_snapshot s =
   {
-    g =
-      Graph.of_snapshot ~initial_capacity:config.initial_capacity
-        ~digests:config.digests ~max_chains:config.max_chains s.snap_graph;
+    g = Graph.of_snapshot s.snap_graph;
     creates = s.snap_creates;
     queries = s.snap_queries;
     assigns = s.snap_assigns;

@@ -98,9 +98,10 @@ type snapshot = {
 
 val to_snapshot : t -> snapshot
 
-val of_snapshot : ?config:config -> snapshot -> t
+val of_snapshot : snapshot -> t
 (** Rebuild an engine that behaves identically to the captured one under
-    any subsequent command sequence ([config] mirrors {!create}).
+    any subsequent command sequence, with {!default_config}'s digests and
+    chain cap.
     @raise Invalid_argument on an internally inconsistent snapshot. *)
 
 (** {1 Read views}

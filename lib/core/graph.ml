@@ -183,8 +183,7 @@ let[@inline] pa_chain (root : chain pa) s =
    later freeze shares its chunks only with a view of that same index. *)
 type frozen_index = {
   fi_epoch : int;
-  fi_chain_of : int pa;
-  fi_chain_pos : int pa;
+  fi_place : int pa;
   fi_labels : int array pa;
 }
 
@@ -211,10 +210,12 @@ type frozen = {
 (* Chain-decomposition reachability index (DESIGN.md §15).  Live events
    are partitioned greedily into at most [max_chains] chains at edge time;
    every member of a chain reaches all later members (consecutive members
-   are joined by a direct edge).  [labels.(s)] is a chain-sorted vector of
-   one-word entries [pack chain pos]: the {e lowest} position in each
-   chain reachable from [s] (self included), so [u ⇝ v] iff [labels.(u)]
-   holds an entry for [chain_of.(v)] with pos <= [chain_pos.(v)].  Labels
+   are joined by a direct edge).  [place.(s)] is [s]'s placement, the
+   one word [pack chain pos], or -1 off every chain.  [labels.(s)] is a
+   chain-sorted vector of the same words: the {e lowest} position in each
+   chain reachable from [s] (self included, so a placed slot's label holds
+   its own placement), and [u ⇝ v] iff [labels.(u)] holds an entry of
+   [v]'s chain at or below [place.(v)].  Labels
    are exact over the sealed edges — kept so by merge propagation when
    [seal] admits an edge; a staged edge never touches them.  The graph keeps an index only while every live
    slot with an in-edge is on a chain (see [drop_labels]), so a
@@ -223,8 +224,7 @@ type frozen = {
    installed (replaced, never mutated), so frozen views share them
    structurally, and so may slots. *)
 type index = {
-  mutable chain_of : int array;   (* per slot; -1 = unassigned *)
-  mutable chain_pos : int array;  (* per slot; valid when chain_of >= 0 *)
+  mutable place : int array;      (* per slot; -1 = unassigned *)
   chain_len : Int_vec.t;          (* per chain: members ever appended *)
   chain_live : Int_vec.t;         (* per chain: live members *)
   chain_tail : Int_vec.t;         (* per chain: newest member, -1 if empty *)
@@ -237,10 +237,10 @@ type index = {
 type t = {
   mutable refcount : int array;  (* -1 marks a free slot *)
   mutable gen : int array;       (* generation of the current/next tenant *)
-  mutable indeg : int array;
   (* [no_adj] until a slot's first edge in that direction *)
   mutable succ : Int_vec.t array;
-  mutable pred : Int_vec.t array; (* reverse adjacency, for backward BFS *)
+  (* reverse adjacency, for backward BFS; its length is the in-degree *)
+  mutable pred : Int_vec.t array;
   free : Int_vec.t;              (* stack of reusable slots *)
   mutable next_slot : int;       (* high-water mark of ever-used slots *)
   mutable live : int;
@@ -270,7 +270,6 @@ type t = {
   mutable visited_total : int;
   mutable rank_relabels : int;
   mutable rank_pruned : int;
-  mutable bidir_traversals : int;
   (* Commitment chains (DESIGN.md §13).  Per slot, the link store (see
      [Links]) and the current head, which is the event's commitment; ""
      while the chain is empty, when the commitment is the identity digest,
@@ -283,13 +282,16 @@ type t = {
   (* Epoch counter for the multicore query plane (DESIGN.md §14): bumped on
      every mutation a read view could observe (event creation, collection,
      edge admission/rollback) and never on invisible ones (refcount moves
-     that do not collect).  [dirty] tracks the slots whose view-visible
-     per-slot state (liveness, rank, chain assignment, adjacency, chains,
-     labels) changed since the last [freeze], so a freeze copies only
-     the chunks holding them and shares the rest with the previous frozen
-     view. *)
+     that do not collect).  [dirty] lists the slots whose view-visible
+     per-slot state (liveness, rank, chain placement, adjacency, chains,
+     labels) changed since the last [freeze], each once: its byte in
+     [dirty_flags] is set while it is listed.  A freeze copies only the
+     chunks holding them and shares the rest with the previous frozen
+     view.  Nothing is tracked before the first freeze, which copies every
+     slot. *)
   mutable version : int;
-  dirty : Sparse_set.t;
+  mutable dirty_flags : Bytes.t;
+  dirty : Int_vec.t;
   mutable frozen_cache : frozen option;
   (* The chain-label index (DESIGN.md §15): [Some] exactly while
      [max_chains > 0] and every live slot with an in-edge is on a chain.
@@ -320,11 +322,11 @@ let max_chain_ids = 1 lsl 22   (* chain ids 0 .. 2^22 - 1 *)
 let max_chain_len = 1 lsl pos_bits  (* positions 0 .. 2^40 - 1 *)
 let[@inline] pack c pos = (c lsl pos_bits) lor pos
 let[@inline] entry_chain w = w lsr pos_bits
+let[@inline] entry_pos w = w land (max_chain_len - 1)
 
 let new_index cap =
   {
-    chain_of = Array.make cap (-1);
-    chain_pos = Array.make cap 0;
+    place = Array.make cap (-1);
     chain_len = Int_vec.create ();
     chain_live = Int_vec.create ();
     chain_tail = Int_vec.create ();
@@ -355,7 +357,6 @@ let create ?(initial_capacity = 1024) ?(digests = true)
     digest_folds = 0;
     refcount = Array.make cap (-1);
     gen = Array.make cap 0;
-    indeg = Array.make cap 0;
     succ = Array.make cap no_adj;
     pred = Array.make cap no_adj;
     free = Int_vec.create ();
@@ -373,9 +374,9 @@ let create ?(initial_capacity = 1024) ?(digests = true)
     visited_total = 0;
     rank_relabels = 0;
     rank_pruned = 0;
-    bidir_traversals = 0;
     version = 0;
-    dirty = Sparse_set.create cap;
+    dirty_flags = Bytes.make cap '\000';
+    dirty = Int_vec.create ();
     frozen_cache = None;
   }
 
@@ -386,7 +387,6 @@ let traversal_count g = g.traversals
 let visited_total g = g.visited_total
 let rank_relabel_count g = g.rank_relabels
 let rank_pruned_count g = g.rank_pruned
-let bidir_traversal_count g = g.bidir_traversals
 let digests_enabled g = g.digests
 let digest_fold_count g = g.digest_folds
 let label_hit_count g = g.label_hits
@@ -410,7 +410,6 @@ let grow g =
   in
   g.refcount <- copy g.refcount (-1);
   g.gen <- copy g.gen 0;
-  g.indeg <- copy g.indeg 0;
   g.rank <- copy g.rank 0;
   g.succ <- copy g.succ no_adj;
   g.pred <- copy g.pred no_adj;
@@ -420,12 +419,12 @@ let grow g =
   end;
   (match g.index with
    | Some ix ->
-     ix.chain_of <- copy ix.chain_of (-1);
-     ix.chain_pos <- copy ix.chain_pos 0;
+     ix.place <- copy ix.place (-1);
      ix.labels <- copy ix.labels [||]
    | None -> ());
   g.marks <- copy g.marks 0;
-  Sparse_set.grow g.dirty cap;
+  g.dirty_flags <- Bytes.extend g.dirty_flags 0 old;
+  Bytes.fill g.dirty_flags old old '\000';
   g.queue <- Array.make cap 0;
   g.queue_b <- Array.make cap 0
 
@@ -452,8 +451,15 @@ let revive_labels g =
 let version g = g.version
 
 (* Record a view-visible mutation of slot [s]: the next [freeze] must
-   rewrite it instead of sharing the previous view's chunks. *)
-let touch g s = Sparse_set.add g.dirty s
+   rewrite it instead of sharing the previous view's chunks.  Before the
+   first freeze there is no view to share with. *)
+let touch g s =
+  if Option.is_some g.frozen_cache
+     && Bytes.unsafe_get g.dirty_flags s = '\000'
+  then begin
+    Bytes.unsafe_set g.dirty_flags s '\001';
+    Int_vec.push g.dirty s
+  end
 
 (* Creation, release, [freeze] and [to_snapshot] see only sealed state:
    they refuse to run between a batch's first staged edge and its [seal]
@@ -533,11 +539,10 @@ let collect g s =
     incr collected;
     touch g u;
     let kill w =
-      g.indeg.(w) <- g.indeg.(w) - 1;
       g.edges <- g.edges - 1;
       ignore (Int_vec.remove_first g.pred.(w) u);
       touch g w;
-      if g.indeg.(w) = 0 && g.refcount.(w) = 0 then begin
+      if Int_vec.is_empty g.pred.(w) && g.refcount.(w) = 0 then begin
         stack.(!top) <- w;
         incr top
       end
@@ -561,9 +566,10 @@ let collect g s =
        entry witnesses ancestorship, and ancestors are collected first. *)
     (match g.index with
      | Some ix ->
-       let c = ix.chain_of.(u) in
-       if c >= 0 then begin
-         ix.chain_of.(u) <- -1;
+       let w = ix.place.(u) in
+       if w >= 0 then begin
+         let c = entry_chain w in
+         ix.place.(u) <- -1;
          let remaining = Int_vec.get ix.chain_live c - 1 in
          Int_vec.set ix.chain_live c remaining;
          if remaining = 0 then begin
@@ -595,32 +601,31 @@ let release_ref g id =
     None
   | Some s ->
     g.refcount.(s) <- g.refcount.(s) - 1;
-    if g.refcount.(s) = 0 && g.indeg.(s) = 0 then Some (collect g s)
+    if g.refcount.(s) = 0 && Int_vec.is_empty g.pred.(s) then
+      Some (collect g s)
     else Some 0
 
 (* ------------------------------------------------------------------ *)
 (* Chain-decomposition reachability labels (DESIGN.md §15).            *)
 (* ------------------------------------------------------------------ *)
 
-(* Position of chain [c] in the chain-sorted label vector; [max_int] when
-   the event reaches no member of [c].  Labels hold at most one entry per
-   chain, so the scan is O(#chains) one-word compares, and it stops at the
-   first entry of a later chain. *)
-let label_find lbl c =
-  let lo = pack c 0 in
+(* [u ⇝ v] for a label of [u] and the placement [p] of a placed [v]:
+   exact labels hold the lowest reachable position per chain, so reaching
+   any member of [v]'s chain at or below [v] decides the query in both
+   directions.  The label holds at most one entry per chain, sorted, so
+   the first entry at or above position 0 of [v]'s chain is the only
+   candidate, and it qualifies iff it is at most [p]: one compare per
+   entry, O(#chains). *)
+let label_le lbl p =
+  let lo = p - entry_pos p in
   let n = Array.length lbl in
   let rec go i =
-    if i >= n then max_int
-    else
-      let d = Array.unsafe_get lbl i - lo in
-      if d < 0 then go (i + 1) else if d < max_chain_len then d else max_int
+    i < n
+    &&
+    let w = Array.unsafe_get lbl i in
+    if w < lo then go (i + 1) else w <= p
   in
   go 0
-
-(* [u ⇝ v] for a label of [u] and a chain-assigned [v]: exact labels hold
-   the lowest reachable position per chain, so reaching any member at or
-   below [pos] decides the query in both directions. *)
-let label_le lbl c pos = label_find lbl c <= pos
 
 let ensure_label_buf ix n =
   if Array.length ix.buf < n then
@@ -707,15 +712,15 @@ let assign_slot g ix s c =
   let pos = Int_vec.get ix.chain_len c in
   if pos >= max_chain_len then false
   else begin
-    ix.chain_of.(s) <- c;
-    ix.chain_pos.(s) <- pos;
+    let w = pack c pos in
+    ix.place.(s) <- w;
     Int_vec.set ix.chain_len c (pos + 1);
     Int_vec.set ix.chain_live c (Int_vec.get ix.chain_live c + 1);
     Int_vec.set ix.chain_tail c s;
     (* self entry: min-merge is safe — [s] cannot already reach an earlier
        member of [c] (that member would reach the tail, which reaches [s],
        closing a cycle) *)
-    ignore (merge_into g ix s [| pack c pos |]);
+    ignore (merge_into g ix s [| w |]);
     Kronos_metrics.Gauge.set M.chains
       (Int_vec.length ix.chain_len - Int_vec.length ix.free_chains);
     true
@@ -737,21 +742,22 @@ let assign_slot g ix s c =
    take it when their own edge is sealed, and propagation follows only
    real edges, so no label claims a path the graph lacks, and every label
    is exact once the last staged edge is sealed.  Placement reads only
-   [chain_of] and [chain_tail], reached in staging order, so a batch gets
+   [place] and [chain_tail], reached in staging order, so a batch gets
    the chains, and so the labels, that sealing each edge on its own
    would. *)
 let label_admit g ix su sv =
   let placed =
-    ix.chain_of.(sv) >= 0
+    ix.place.(sv) >= 0
     ||
-    let cu = ix.chain_of.(su) in
-    if cu >= 0 && Int_vec.get ix.chain_tail cu = su then assign_slot g ix sv cu
+    let wu = ix.place.(su) in
+    if wu >= 0 && Int_vec.get ix.chain_tail (entry_chain wu) = su then
+      assign_slot g ix sv (entry_chain wu)
     else begin
       let c = alloc_chain g ix in
       (* a fresh chain is empty, so both appends below succeed *)
       c >= 0
       && begin
-        if cu < 0 then ignore (assign_slot g ix su c);
+        if wu < 0 then ignore (assign_slot g ix su c);
         assign_slot g ix sv c
       end
     end
@@ -798,8 +804,8 @@ let compute_labels g ix =
     let v = order.(i) in
     ix.labels.(v) <- [||];
     touch g v;
-    if ix.chain_of.(v) >= 0 then
-      ignore (merge_into g ix v [| pack ix.chain_of.(v) ix.chain_pos.(v) |]);
+    let w = ix.place.(v) in
+    if w >= 0 then ignore (merge_into g ix v [| w |]);
     Int_vec.iter (fun w -> ignore (merge_into g ix v ix.labels.(w))) g.succ.(v)
   done
 
@@ -826,7 +832,8 @@ let reachable_slots g src dst =
     let rank = g.rank in
     let rlo = rank.(src) and rhi = rank.(dst) in
     if rlo >= rhi then false
-    else if Int_vec.is_empty g.succ.(src) || g.indeg.(dst) = 0 then false
+    else if Int_vec.is_empty g.succ.(src) || Int_vec.is_empty g.pred.(dst)
+    then false
     else begin
       g.traversals <- g.traversals + 1;
       Kronos_metrics.Counter.incr M.traversals;
@@ -866,7 +873,6 @@ let reachable_slots g src dst =
       while (not !found) && !fh < !ft && !bh < !bt do
         if !ft - !fh <= !bt - !bh then expand g.succ qf fh ft fmark bmark
         else begin
-          g.bidir_traversals <- g.bidir_traversals + 1;
           Kronos_metrics.Counter.incr M.bidir;
           expand g.pred qb bh bt bmark fmark
         end
@@ -887,8 +893,8 @@ let label_answer g su sv =
   match g.index with
   | None -> None
   | Some ix ->
-    let c = ix.chain_of.(sv) in
-    if c >= 0 && label_le ix.labels.(su) c ix.chain_pos.(sv) then Some true
+    let p = ix.place.(sv) in
+    if p >= 0 && label_le ix.labels.(su) p then Some true
     else if Int_vec.is_empty g.staged then Some false
     else None
 
@@ -992,18 +998,19 @@ let adj_push adj s x =
   end
   else Int_vec.push v x
 
-(* Stage [su -> sv]: adjacency and in-degree only.  [seal] folds its
-   commitment link and admits it to the labels; [abort] pops it. *)
+(* Stage [su -> sv]: adjacency only.  [seal] folds its commitment link
+   and admits it to the labels; [abort] pops it. *)
 let stage_edge g su sv =
   (* A link count past the u32 a store and a snapshot hold it in would
      need ~176 GiB of store; refuse it before mutating anything.  Every
      staged edge into [sv] is counted in its in-degree, so [seal] can
      never overflow the store. *)
-  if g.digests && Links.length g.links.(sv) + g.indeg.(sv) >= Links.max_count
+  if g.digests
+     && Links.length g.links.(sv) + Int_vec.length g.pred.(sv)
+        >= Links.max_count
   then invalid_arg "Graph.add_edge: commitment chain full";
   adj_push g.succ su sv;
   adj_push g.pred sv su;
-  g.indeg.(sv) <- g.indeg.(sv) + 1;
   g.edges <- g.edges + 1;
   g.version <- g.version + 1;
   touch g su;
@@ -1137,7 +1144,6 @@ let abort g =
     let su = Int_vec.pop st in
     ignore (Int_vec.pop g.succ.(su));
     ignore (Int_vec.pop g.pred.(sv));
-    g.indeg.(sv) <- g.indeg.(sv) - 1;
     g.edges <- g.edges - 1;
     g.version <- g.version + 1;
     touch g su;
@@ -1204,13 +1210,15 @@ let to_snapshot g =
     snap_chains =
       (match g.index with
        | Some ix ->
+         let place = ix.place in
          {
-           cs_chain_of = Array.sub ix.chain_of 0 n;
-           (* an off-chain slot may keep the position it had: write 0,
-              as a restore holds it *)
+           cs_chain_of =
+             Array.init n (fun s ->
+                 if place.(s) < 0 then -1 else entry_chain place.(s));
+           (* position 0 for an off-chain slot *)
            cs_chain_pos =
              Array.init n (fun s ->
-                 if ix.chain_of.(s) < 0 then 0 else ix.chain_pos.(s));
+                 if place.(s) < 0 then 0 else entry_pos place.(s));
            cs_chain_len = int_vec_to_array ix.chain_len;
            cs_free_chains = int_vec_to_array ix.free_chains;
          }
@@ -1278,7 +1286,6 @@ let of_snapshot ?(initial_capacity = 1024) ?(digests = true)
         if w < 0 || w >= n || g.refcount.(w) < 0 then fail "edge to a free slot";
         adj_push g.succ i w;
         adj_push g.pred w i;
-        g.indeg.(w) <- g.indeg.(w) + 1;
         incr edges)
       outs
   done;
@@ -1364,8 +1371,7 @@ let of_snapshot ?(initial_capacity = 1024) ?(digests = true)
       if g.refcount.(i) < 0 then fail "chain entry on a free slot";
       let p = cs.cs_chain_pos.(i) in
       if p < 0 || p >= cs.cs_chain_len.(c) then fail "bad chain position";
-      ix.chain_of.(i) <- c;
-      ix.chain_pos.(i) <- p;
+      ix.place.(i) <- pack c p;
       members.(c) <- i :: members.(c)
     end
   done;
@@ -1408,7 +1414,8 @@ let of_snapshot ?(initial_capacity = 1024) ?(digests = true)
   Array.iter (fun c -> Int_vec.push ix.free_chains c) cs.cs_free_chains;
   let placed = ref true in
   for i = 0 to n - 1 do
-    if g.indeg.(i) > 0 && ix.chain_of.(i) < 0 then placed := false
+    if (not (Int_vec.is_empty g.pred.(i))) && ix.place.(i) < 0 then
+      placed := false
   done;
   if g.max_chains > 0 && !placed then begin
     set_index g (Some ix);
@@ -1447,7 +1454,9 @@ let out_degree g id =
   | None -> None
 
 let in_degree g id =
-  match resolve g id with Some s -> Some g.indeg.(s) | None -> None
+  match resolve g id with
+  | Some s -> Some (Int_vec.length g.pred.(s))
+  | None -> None
 
 let successors g id =
   match resolve g id with
@@ -1491,17 +1500,17 @@ let memory_bytes g =
   let sum f a = Array.fold_left (fun acc x -> acc + f x) 0 a in
   (* the [Some] box, the record, its arrays and vectors *)
   let index ix =
-    block 1 + block 9 + arr ix.chain_of + arr ix.chain_pos + arr ix.buf + arr ix.labels
+    block 1 + block 8 + arr ix.place + arr ix.buf + arr ix.labels
     + sum (fun l -> if Array.length l = 0 then 0 else arr l) ix.labels
     + vec ix.chain_len + vec ix.chain_live + vec ix.chain_tail
     + vec ix.free_chains + vec ix.queue
   in
-  arr g.refcount + arr g.gen + arr g.indeg + arr g.rank + arr g.marks
+  arr g.refcount + arr g.gen + arr g.rank + arr g.marks
   + arr g.queue + arr g.queue_b
   + arr g.succ + arr g.pred + adjacency g.succ + adjacency g.pred
   + (match g.index with Some ix -> index ix | None -> 0)
-  (* the dirty-slot set: a record over a sparse and a dense array *)
-  + block 3 + (2 * block (Sparse_set.capacity g.dirty))
+  (* dirty tracking: a flag byte per slot and the list of flagged slots *)
+  + string_bytes (Bytes.length g.dirty_flags) + vec g.dirty
   + vec g.free + vec g.relabel_stack + vec g.staged
   (* commitment chains: link stores and current heads *)
   + arr g.links + arr g.heads
@@ -1562,12 +1571,13 @@ let pa_set root old empty s v =
    block and chunk holding every slot dirtied since the previous freeze;
    every other block and chunk is shared with the previous view by
    pointer.  Sharing is sound because [frozen_cache] always holds the
-   {e latest} freeze and [dirty] records exactly the slots mutated since
+   {e latest} freeze and [dirty] lists exactly the slots mutated since
    it; slots created since are dirty too, so chunks past the previous
    view's end are always written.  The first freeze (and the first after a
-   restore) writes every slot.  Must be called from the writer domain only
-   (it consumes the dirty set and updates the cache); the returned value
-   may then be read from any domain. *)
+   restore) writes every slot, and from then on [touch] tracks.  Must be
+   called from the writer domain only (it consumes the dirty list and
+   updates the cache); the returned value may then be read from any
+   domain. *)
 let freeze g =
   check_unstaged g "freeze";
   match g.frozen_cache with
@@ -1599,19 +1609,12 @@ let freeze g =
             field fi
           | Some _ | None -> [||]
         in
-        let chain_of, set_chain_of =
-          next (old (fun fi -> fi.fi_chain_of)) minus_ones
-        in
-        let chain_pos, set_chain_pos =
-          next (old (fun fi -> fi.fi_chain_pos)) zeros
-        in
+        let place, set_place = next (old (fun fi -> fi.fi_place)) minus_ones in
         let labels, set_labels = next (old (fun fi -> fi.fi_labels)) no_ints in
         ( Some
-            { fi_epoch = g.label_epoch; fi_chain_of = chain_of;
-              fi_chain_pos = chain_pos; fi_labels = labels },
+            { fi_epoch = g.label_epoch; fi_place = place; fi_labels = labels },
           fun s ->
-            set_chain_of s ix.chain_of.(s);
-            set_chain_pos s ix.chain_pos.(s);
+            set_place s ix.place.(s);
             (* label arrays are immutable once installed: share the
                pointer *)
             set_labels s ix.labels.(s) )
@@ -1633,12 +1636,17 @@ let freeze g =
       copy_index_slot s
     in
     (match prev with
-     | Some _ -> Sparse_set.iter (fun s -> if s < n then copy_slot s) g.dirty
+     | Some _ ->
+       Int_vec.iter
+         (fun s ->
+           copy_slot s;
+           Bytes.unsafe_set g.dirty_flags s '\000')
+         g.dirty;
+       Int_vec.clear g.dirty
      | None ->
        for s = 0 to n - 1 do
          copy_slot s
        done);
-    Sparse_set.clear g.dirty;
     let f =
       {
         f_version = g.version;
@@ -1772,8 +1780,8 @@ module Frozen = struct
   let reach f su sv =
     match f.f_index with
     | Some fi ->
-      let c = pa_int fi.fi_chain_of sv in
-      c >= 0 && label_le (pa_arr fi.fi_labels su) c (pa_int fi.fi_chain_pos sv)
+      let p = pa_int fi.fi_place sv in
+      p >= 0 && label_le (pa_arr fi.fi_labels su) p
     | None -> reachable_slots f (scratch_for f.f_next_slot) su sv
 
   let label_reachable f u v =
@@ -1783,10 +1791,8 @@ module Frozen = struct
     else
       match f.f_index with
       | Some fi ->
-        let c = pa_int fi.fi_chain_of sv in
-        Some
-          (c >= 0
-          && label_le (pa_arr fi.fi_labels su) c (pa_int fi.fi_chain_pos sv))
+        let p = pa_int fi.fi_place sv in
+        Some (p >= 0 && label_le (pa_arr fi.fi_labels su) p)
       | None -> None
 
   let query f e1 e2 =

@@ -237,8 +237,7 @@ val digest_fold_count : t -> int
       engines prune and relabel exactly as the captured one would;
     - traversal counters, so work accounting continues rather than resets.
 
-    In-degrees, reverse adjacency and live/edge counts are
-    reconstructed. *)
+    Reverse adjacency and live/edge counts are reconstructed. *)
 
 (** The chain-decomposition assignment (snapshot format v5).  Labels are
     deliberately absent: exact labels are a pure function of adjacency +
@@ -344,8 +343,6 @@ val rank_pruned_count : t -> int
 (** Reachability directions refuted by rank comparison alone (no
     traversal). *)
 
-val bidir_traversal_count : t -> int
-(** Backward frontier expansions performed by bidirectional searches. *)
 
 val label_hit_count : t -> int
 (** Reachability probes answered by the chain-label compare alone (no

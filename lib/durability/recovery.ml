@@ -21,13 +21,13 @@ type outcome = {
 (* One framed record's on-disk footprint, mirroring [Wal.encode_record]. *)
 let record_bytes (r : Wal.record) = 16 + String.length r.payload
 
-let run ?engine_config ?wal_config ~replay storage =
+let run ?wal_config ~replay storage =
   let t0 = Unix.gettimeofday () in
   let wal, records = Wal.open_ ?config:wal_config storage in
   let snapshot_seq, engine =
-    match Snapshot.load_chain ?config:engine_config storage with
+    match Snapshot.load_chain storage with
     | Some (seq, engine) -> (seq, engine)
-    | None -> (0, Engine.create ?config:engine_config ())
+    | None -> (0, Engine.create ())
   in
   (* a snapshot past every logged record (installed by state transfer,
      nothing appended since) still bounds the log from below *)

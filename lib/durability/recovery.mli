@@ -26,7 +26,6 @@ type outcome = {
 }
 
 val run :
-  ?engine_config:Engine.config ->
   ?wal_config:Wal.config ->
   replay:(Engine.t -> Wal.record -> unit) ->
   Storage.t ->

@@ -259,7 +259,7 @@ let refuse_deltas storage =
         raise (Unsupported_version { file; version }))
     (storage.Storage.list_files ())
 
-let load_chain ?config storage =
+let load_chain storage =
   refuse_deltas storage;
   List.find_map
     (fun (seq, file) ->
@@ -268,7 +268,7 @@ let load_chain ?config storage =
       | Some data -> (
           match decode_file ~file data with
           | s, snap when s = seq -> (
-              match Engine.of_snapshot ?config snap with
+              match Engine.of_snapshot snap with
               | engine -> Some (seq, engine)
               | exception Invalid_argument _ -> None)
           | _ -> None

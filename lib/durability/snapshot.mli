@@ -59,7 +59,7 @@ val write_bytes : Storage.t -> seq:int -> string -> unit
     {!Unsupported_version} (naming the delta file) instead of recovering
     older state. *)
 
-val load_chain : ?config:Engine.config -> Storage.t -> (int * Engine.t) option
+val load_chain : Storage.t -> (int * Engine.t) option
 (** Restore the newest valid full snapshot: [(seq, engine)], skipping
     torn or corrupt files newest first; [None] when none is valid.
     @raise Unsupported_version on a full file in another format version

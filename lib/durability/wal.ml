@@ -39,13 +39,11 @@ type t = {
   mutable pending_records : int;
   mutable last_seq : int;
   mutable unsynced_records : int;
-  mutable appended : int;
   mutable syncs : int;
   (* cumulative framed bytes accepted by [append] (header + payload),
      including bytes still in the group-commit buffer — the snapshot
      schedule's WAL-bytes-since-snapshot trigger reads this *)
   mutable logged_bytes : int;
-  mutable retired_segments : int;
 }
 
 let segment_name seq = Printf.sprintf "wal-%010d.log" seq
@@ -140,10 +138,8 @@ let open_ ?(config = default_config) storage =
       pending_records = 0;
       last_seq;
       unsynced_records = 0;
-      appended = 0;
       syncs = 0;
       logged_bytes = 0;
-      retired_segments = 0;
     }
   in
   (t, records)
@@ -210,7 +206,6 @@ let append t ~seq ~payload =
   if t.pending_first_seq < 0 then t.pending_first_seq <- seq;
   encode_record t.pending ~seq ~payload;
   t.pending_records <- t.pending_records + 1;
-  t.appended <- t.appended + 1;
   t.logged_bytes <- t.logged_bytes + header_bytes + String.length payload;
   Kronos_metrics.Counter.incr M.appends;
   t.last_seq <- seq;
@@ -251,7 +246,6 @@ let truncate_before t ~seq =
   let rec drop = function
     | (_, name) :: ((next_first, _) :: _ as rest) when next_first <= seq + 1 ->
       t.storage.Storage.remove_file name;
-      t.retired_segments <- t.retired_segments + 1;
       Kronos_metrics.Counter.incr M.retired;
       drop rest
     | segments -> segments
@@ -260,7 +254,5 @@ let truncate_before t ~seq =
 
 let last_seq t = t.last_seq
 let segment_files t = List.map snd t.segments
-let appended_records t = t.appended
 let sync_count t = t.syncs
 let logged_bytes t = t.logged_bytes
-let retired_segments t = t.retired_segments

@@ -54,8 +54,8 @@ val truncate_before : t -> seq:int -> unit
 (** Delete whole segments every record of which has [seq' <= seq]; the
     active segment is always kept.  [seq] is covered by a snapshot, so
     {!last_seq} rises to at least [seq]: later appends continue above it,
-    and {!read_from} answers [None] for ranges starting below it.  Retired segments are counted in
-    {!retired_segments} and [durability.segments_retired_total]. *)
+    and {!read_from} answers [None] for ranges starting below it.  Retired
+    segments are counted in [durability.segments_retired_total]. *)
 
 val last_seq : t -> int
 (** Highest sequence number appended, recovered or truncated below
@@ -65,7 +65,6 @@ val segment_files : t -> string list
 
 (** {1 Counters (benchmarks and tests)} *)
 
-val appended_records : t -> int
 val sync_count : t -> int
 
 val logged_bytes : t -> int
@@ -73,6 +72,3 @@ val logged_bytes : t -> int
     opened (header + payload, buffered bytes included).  The snapshot
     schedule's WAL-bytes-since-snapshot trigger ({!Schedule}) diffs this
     counter. *)
-
-val retired_segments : t -> int
-(** Segments deleted by {!truncate_before} on this handle. *)

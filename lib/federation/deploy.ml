@@ -12,9 +12,9 @@ let replica_base pos = 100 * (pos + 1)
 let coordinator_base = 1000
 let router_base = 2000
 
-let deploy ~net ?(shards = [ 0; 1 ]) ?(replicas_per_shard = 3) ?engine_config
-    ?service ?cache_capacity ?request_timeout ?vnodes ?ping_interval
-    ?failure_timeout () =
+let deploy ~net ?(shards = [ 0; 1 ]) ?(replicas_per_shard = 3) ?service
+    ?cache_capacity ?request_timeout ?vnodes ?ping_interval ?failure_timeout
+    () =
   if shards = [] then invalid_arg "Deploy.deploy: no shards";
   if replicas_per_shard < 1 then
     invalid_arg "Deploy.deploy: need at least one replica per shard";
@@ -27,7 +27,7 @@ let deploy ~net ?(shards = [ 0; 1 ]) ?(replicas_per_shard = 3) ?engine_config
           List.init replicas_per_shard (fun r -> replica_base pos + r)
         in
         let cluster =
-          Server.deploy ~net ~coordinator ~replicas ?engine_config ?service
+          Server.deploy ~net ~coordinator ~replicas ?service
             ?ping_interval ?failure_timeout ()
         in
         ((shard, cluster), { Router.shard; coordinator }))

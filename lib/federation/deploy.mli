@@ -24,7 +24,6 @@ val deploy :
   net:Kronos_replication.Chain.msg Transport.t ->
   ?shards:int list ->
   ?replicas_per_shard:int ->
-  ?engine_config:Kronos.Engine.config ->
   ?service:[ `Fixed of float | `Measured of float ] ->
   ?cache_capacity:int ->
   ?request_timeout:float ->

@@ -57,41 +57,39 @@ type t = {
 
 let domains t = Array.length t.workers
 
-(* Worker side.  The query path is write-free on shared state: the view is
-   immutable, the BFS scratch is domain-local ([Graph.Frozen]'s DLS), and
-   no process-wide counter is touched except this worker's own
-   [answered_total].  The one exception is [Query_proof]: the certify
-   prover bumps its own counters, so concurrent provers may lose
-   increments — monitoring noise, never a safety issue (documented in
-   DESIGN.md §14). *)
-let answer view req =
-  let response =
-    match (req : Message.request) with
-    | Message.Query_order { min_epoch = _; pairs } -> (
-      (* answer at whatever epoch we have; the stamp lets the client
-         detect staleness and escalate to the tail *)
-      match Engine.View.query_order view pairs with
-      | Ok rels -> Message.Orders { epoch = Engine.View.epoch view; rels }
-      | Error err -> Message.Rejected err)
-    | Message.Query_proof (e1, e2) -> (
-      match Engine.View.query_order view [ (e1, e2) ] with
-      | Error err -> Message.Rejected err
-      | Ok [ relation ] ->
-        let cert =
-          match relation with
-          | Order.Before ->
-            Kronos_certify.Prover.prove view ~source:e1 ~target:e2
-          | Order.After ->
-            Kronos_certify.Prover.prove view ~source:e2 ~target:e1
-          | Order.Concurrent | Order.Same -> None
-        in
-        Message.Proof_is { relation; cert }
-      | Ok _ -> assert false)
-    | Message.Create_event | Message.Acquire_ref _ | Message.Release_ref _
-    | Message.Assign_order _ | Message.Guarded_assign _ ->
-      assert false (* offload never enqueues writes *)
-  in
-  Message.encode_response response
+(* The read path, for workers over published views and for the
+   synchronous [Server.apply] over the live one.  On a published view it
+   is write-free on shared state: the view is immutable, the BFS scratch
+   is domain-local ([Graph.Frozen]'s DLS), and no process-wide counter is
+   touched except the worker's own [answered_total].  The one exception
+   is [Query_proof]: the certify prover bumps its own counters, so
+   concurrent provers may lose increments — monitoring noise, never a
+   safety issue (documented in DESIGN.md §14). *)
+let respond view (req : Message.request) =
+  match req with
+  | Message.Query_order { min_epoch = _; pairs } -> (
+    (* answer at whatever epoch we have; the stamp lets the client
+       detect staleness and escalate to the tail *)
+    match Engine.View.query_order view pairs with
+    | Ok rels -> Message.Orders { epoch = Engine.View.epoch view; rels }
+    | Error err -> Message.Rejected err)
+  | Message.Query_proof (e1, e2) -> (
+    match Engine.View.query_order view [ (e1, e2) ] with
+    | Error err -> Message.Rejected err
+    | Ok [ relation ] ->
+      let cert =
+        match relation with
+        | Order.Before ->
+          Kronos_certify.Prover.prove view ~source:e1 ~target:e2
+        | Order.After ->
+          Kronos_certify.Prover.prove view ~source:e2 ~target:e1
+        | Order.Concurrent | Order.Same -> None
+      in
+      Message.Proof_is { relation; cert }
+    | Ok _ -> assert false (* one pair in, one relation out *))
+  | Message.Create_event | Message.Acquire_ref _ | Message.Release_ref _
+  | Message.Assign_order _ | Message.Guarded_assign _ ->
+    invalid_arg "Query_pool.respond: not a read"
 
 let complete t w reply resp =
   Mutex.lock t.comp_mutex;
@@ -114,7 +112,8 @@ let rec worker_loop t w =
       | None -> assert false (* offload publishes before enqueueing *)
     in
     Kronos_metrics.Counter.incr w.w_answered;
-    complete t w job.j_reply (answer view job.j_req);
+    complete t w job.j_reply
+      (Message.encode_response (respond view job.j_req));
     worker_loop t w
   end
 

@@ -23,6 +23,14 @@
 
 type t
 
+val respond : Kronos.Engine.View.t -> Kronos_wire.Message.request ->
+  Kronos_wire.Message.response
+(** The answer to a [Query_order] or [Query_proof] request over [view],
+    stamped with the view's epoch: the one read path, run by reader
+    domains over published views and by [Server.apply] over the engine's
+    live view.
+    @raise Invalid_argument on a write request. *)
+
 val create : loop:Kronos_transport.Event_loop.t -> domains:int -> unit -> t
 (** Spawn [domains] reader domains (at least 1).  Must be called from the
     main domain before the process starts serving.  Registers the

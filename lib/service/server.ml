@@ -51,30 +51,17 @@ let apply engine cmd =
           match Engine.release_ref engine e with
           | Ok n -> Message.Ref_released n
           | Error err -> Message.Rejected err)
-    | Message.Query_order { min_epoch = _; pairs } ->
-      (* [min_epoch] is advisory: the live engine is the freshest state
-         this replica has, so it answers regardless and the stamped epoch
-         lets the client detect and escalate staleness *)
+    (* Reads run the query pool's function over the live view, which
+       counts into the engine's [queries].  [min_epoch] is advisory: the
+       live engine is the freshest state this replica has, so it answers
+       regardless and the stamped epoch lets the client detect and
+       escalate staleness. *)
+    | Message.Query_order _ as req ->
       timed M.query_order (fun () ->
-          match Engine.query_order engine pairs with
-          | Ok rels -> Message.Orders { epoch = Engine.epoch engine; rels }
-          | Error err -> Message.Rejected err)
-    | Message.Query_proof (e1, e2) ->
+          Query_pool.respond (Engine.current_view engine) req)
+    | Message.Query_proof _ as req ->
       timed M.query_proof (fun () ->
-          match Engine.query_order engine [ (e1, e2) ] with
-          | Error err -> Message.Rejected err
-          | Ok [ relation ] ->
-            let g = Engine.current_view engine in
-            let cert =
-              match relation with
-              | Order.Before ->
-                Kronos_certify.Prover.prove g ~source:e1 ~target:e2
-              | Order.After ->
-                Kronos_certify.Prover.prove g ~source:e2 ~target:e1
-              | Order.Concurrent | Order.Same -> None
-            in
-            Message.Proof_is { relation; cert }
-          | Ok _ -> assert false (* one pair in, one relation out *))
+          Query_pool.respond (Engine.current_view engine) req)
     | Message.Assign_order reqs ->
       (* the reply epoch is replicated state (every replica encodes its own
          answer), which is why the epoch must be deterministic across
@@ -118,7 +105,6 @@ type cluster = {
   coordinator : Chain.Coordinator.t;
   mutable replicas : (Chain.Replica.t * Engine.t ref) list;
   dur : durability;
-  engine_config : Engine.config option;
   service : [ `Fixed of float | `Measured of float ] option;
 }
 
@@ -138,11 +124,11 @@ let read_async_of query_pool engine =
    runs with persistence hooks: log each applied command and group-commit
    once per loop pass through the snapshot schedule, which snapshots by WAL
    bytes and retires what each snapshot covers (DESIGN.md §16). *)
-let start ~net ~addr ~engine_config ~service ?query_pool d =
+let start ~net ~addr ~service ?query_pool d =
   let storage = d.storage_of addr in
   let replayed = ref [] in
   let outcome =
-    Durability.Recovery.run ?engine_config ~wal_config:d.wal_config
+    Durability.Recovery.run ~wal_config:d.wal_config
       ~replay:(fun engine (r : Durability.Wal.record) ->
         let client, req_id, cmd = Chain.decode_entry_payload r.payload in
         let resp = apply engine cmd in
@@ -185,7 +171,7 @@ let start ~net ~addr ~engine_config ~service ?query_pool d =
       install =
         (fun ~seq snapshot ->
           let _, snap = Durability.Snapshot.decode snapshot in
-          engine := Engine.of_snapshot ?config:engine_config snap;
+          engine := Engine.of_snapshot snap;
           (* the received snapshot is this replica's new recovery
              baseline, and its own log below [seq] is stale *)
           Durability.Schedule.install schedule ~seq snapshot);
@@ -203,24 +189,21 @@ let start ~net ~addr ~engine_config ~service ?query_pool d =
       ~entries:(List.rev !replayed);
   (replica, engine)
 
-let start_node ~net ~addr ?engine_config ?service ?(durability = in_memory)
-    ?query_pool () =
-  start ~net ~addr ~engine_config ~service ?query_pool durability
+let start_node ~net ~addr ?service ?(durability = in_memory) ?query_pool () =
+  start ~net ~addr ~service ?query_pool durability
 
-let deploy ~net ~coordinator ~replicas ?engine_config ?service
-    ?(durability = in_memory) ?(ping_interval = 0.2) ?(failure_timeout = 1.0)
-    () =
+let deploy ~net ~coordinator ~replicas ?service ?(durability = in_memory)
+    ?(ping_interval = 0.2) ?(failure_timeout = 1.0) () =
   let started =
     List.map
-      (fun addr -> start ~net ~addr ~engine_config ~service durability)
+      (fun addr -> start ~net ~addr ~service durability)
       replicas
   in
   let coordinator =
     Chain.Coordinator.create ~net ~addr:coordinator ~chain:replicas
       ~ping_interval ~failure_timeout ()
   in
-  { net; coordinator; replicas = started; dur = durability; engine_config;
-    service }
+  { net; coordinator; replicas = started; dur = durability; service }
 
 let replica_of cluster addr =
   List.find_map
@@ -233,13 +216,10 @@ let crash cluster addr =
   | Some replica -> Chain.Replica.crash replica
   | None -> ()
 
-let join cluster addr ?engine_config ?service () =
-  let engine_config =
-    match engine_config with Some _ -> engine_config | None -> cluster.engine_config
-  in
+let join cluster addr ?service () =
   let service = match service with Some _ -> service | None -> cluster.service in
   let replica, engine =
-    start ~net:cluster.net ~addr ~engine_config ~service cluster.dur
+    start ~net:cluster.net ~addr ~service cluster.dur
   in
   Chain.Coordinator.join cluster.coordinator replica;
   cluster.replicas <- cluster.replicas @ [ (replica, engine) ]
@@ -251,8 +231,7 @@ let restart_replica cluster addr ?service () =
     invalid_arg "Server.restart_replica: unknown replica";
   let service = match service with Some _ -> service | None -> cluster.service in
   let replica, engine =
-    start ~net:cluster.net ~addr ~engine_config:cluster.engine_config ~service
-      cluster.dur
+    start ~net:cluster.net ~addr ~service cluster.dur
   in
   cluster.replicas <-
     List.filter (fun (r, _) -> Chain.Replica.addr r <> addr) cluster.replicas

@@ -53,14 +53,12 @@ type cluster = {
   mutable replicas : (Kronos_replication.Chain.Replica.t * Engine.t ref) list;
   dur : durability;  (** fresh in-memory storage per start when deployed
                          without [~durability] *)
-  engine_config : Engine.config option;
   service : [ `Fixed of float | `Measured of float ] option;
 }
 
 val start_node :
   net:Kronos_replication.Chain.msg Kronos_transport.Transport.t ->
   addr:Kronos_transport.Transport.addr ->
-  ?engine_config:Engine.config ->
   ?service:[ `Fixed of float | `Measured of float ] ->
   ?durability:durability ->
   ?query_pool:Query_pool.t ->
@@ -81,7 +79,6 @@ val deploy :
   net:Kronos_replication.Chain.msg Kronos_transport.Transport.t ->
   coordinator:Kronos_transport.Transport.addr ->
   replicas:Kronos_transport.Transport.addr list ->
-  ?engine_config:Engine.config ->
   ?service:[ `Fixed of float | `Measured of float ] ->
   ?durability:durability ->
   ?ping_interval:float ->
@@ -89,6 +86,7 @@ val deploy :
   unit ->
   cluster
 (** Start one engine-backed replica per address plus the coordinator.
+    Every replica runs {!Engine.default_config}.
     [service] models replica CPU capacity (see
     {!Kronos_replication.Chain.Replica.create}); [`Measured scale] charges
     the real wall-clock cost of each engine call as virtual busy time, so
@@ -109,7 +107,6 @@ val crash : cluster -> Kronos_transport.Transport.addr -> unit
 val join :
   cluster ->
   Kronos_transport.Transport.addr ->
-  ?engine_config:Engine.config ->
   ?service:[ `Fixed of float | `Measured of float ] ->
   unit ->
   unit

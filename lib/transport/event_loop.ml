@@ -156,13 +156,6 @@ let watch_write t fd f = (watcher t fd).on_write <- Some f
 let drop_if_empty t fd w =
   if w.on_read = None && w.on_write = None then Hashtbl.remove t.fds fd
 
-let unwatch_read t fd =
-  match Hashtbl.find_opt t.fds fd with
-  | None -> ()
-  | Some w ->
-    w.on_read <- None;
-    drop_if_empty t fd w
-
 let unwatch_write t fd =
   match Hashtbl.find_opt t.fds fd with
   | None -> ()

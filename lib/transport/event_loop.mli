@@ -38,7 +38,6 @@ val pending_timers : t -> int
 
 val watch_read : t -> Unix.file_descr -> (unit -> unit) -> unit
 val watch_write : t -> Unix.file_descr -> (unit -> unit) -> unit
-val unwatch_read : t -> Unix.file_descr -> unit
 val unwatch_write : t -> Unix.file_descr -> unit
 
 val forget : t -> Unix.file_descr -> unit

@@ -231,15 +231,17 @@ let test_introspection () =
   Alcotest.(check bool) "memory positive" true (Graph.memory_bytes g > 0)
 
 (* [memory_bytes] counts every capacity-sized structure: across one
-   doubling it must grow by the words each new slot costs.  Per slot:
-   seven int arrays (refcount, gen, indeg, rank, marks, queue, queue_b),
-   four pointer arrays (succ, pred, and with digests the link stores and
-   heads), and the sparse + dense arrays of the [dirty] set.  While
-   labels are live, two int arrays (chain_of, chain_pos) and one pointer
-   array (labels) more; with [max_chains = 0] none of them exists.  An
-   edge-less slot owns nothing else: its adjacency and link store are
-   shared empty sentinels. *)
+   doubling it must grow by the bytes each new slot costs.  Per slot: six
+   int arrays (refcount, gen, rank, marks, queue, queue_b), four pointer
+   arrays (succ, pred, and with digests the link stores and heads) and one
+   dirty-flag byte.  While labels are live, one int array (the packed
+   chain placement) and one pointer array (labels) more; with
+   [max_chains = 0] neither exists.  An edge-less slot owns nothing else:
+   its adjacency and link store are shared empty sentinels, and no slot is
+   listed dirty before the first freeze.  That is 97 B a slot by default
+   and 81 B with [max_chains = 0] on a 64-bit host. *)
 let test_memory_bytes_across_doubling () =
+  let word = Sys.word_size / 8 in
   List.iter
     (fun (max_chains, per_slot_words) ->
       let g = Graph.create ~initial_capacity:64 ~max_chains () in
@@ -250,17 +252,15 @@ let test_memory_bytes_across_doubling () =
       let before = Graph.memory_bytes g in
       ignore (Graph.create_event g);
       Alcotest.(check int) "capacity doubled" (2 * cap) (Graph.capacity g);
-      let word = Sys.word_size / 8 in
+      let per_slot = (per_slot_words * word) + 1 in
       let grown = Graph.memory_bytes g - before in
       (* a few fixed-size blocks may change beside the per-slot arrays *)
-      if grown < per_slot_words * word * cap
-         || grown > (per_slot_words * cap + 64) * word
-      then
+      if grown < per_slot * cap || grown > (per_slot * cap) + (64 * word) then
         Alcotest.failf
           "max_chains %d: memory_bytes grew by %d bytes over %d new slots, \
            expected %d per slot"
-          max_chains grown cap (per_slot_words * word))
-    [ (Graph.max_chains (Graph.create ()), 9 + 5 + 2); (0, 7 + 4 + 2) ]
+          max_chains grown cap per_slot)
+    [ (Graph.max_chains (Graph.create ()), 6 + 4 + 2); (0, 6 + 4) ]
 
 (* [memory_bytes] against the heap itself: the live words a graph adds
    (measured after compactions, so exact) must match the reported bytes
