@@ -20,7 +20,7 @@ let run () =
   let net = Kronos_transport.Sim_transport.of_net (Net.create sim) in
   let cluster =
     Kronos_service.Server.deploy ~net ~coordinator:1000 ~replicas:[ 0; 1; 2 ]
-      ~service:(`Fixed 20e-6) ~ping_interval:0.25 ~failure_timeout:1.0 ()
+      ~service:20e-6 ~ping_interval:0.25 ~failure_timeout:1.0 ()
   in
   (* workload: a mix of ordering writes and stale reads, closed loop *)
   let completed = ref 0 in
@@ -62,7 +62,7 @@ let run () =
          Kronos_service.Server.crash cluster 1));
   ignore
     (Sim.schedule sim ~delay:60.0 (fun () ->
-         Kronos_service.Server.join cluster 7 ~service:(`Fixed 20e-6) ()));
+         Kronos_service.Server.join cluster 7 ~service:20e-6 ()));
   (* sample completed ops per second of virtual time *)
   let windows = int_of_float horizon in
   let series = Array.make windows 0 in

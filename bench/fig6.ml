@@ -35,7 +35,7 @@ let run_kronograph ?(shard_cache_capacity = 65536) ~seed ~graph ~ops () =
   (* single Kronos instance, as in the paper's application benchmarks *)
   let cluster =
     Kronos_service.Server.deploy ~net:chain_net ~coordinator:1000
-      ~replicas:[ 0 ] ~service:(`Fixed 5e-6) ()
+      ~replicas:[ 0 ] ~service:5e-6 ()
   in
   let gnet = Net.create sim in
   let shard_addrs = Array.init shard_count (fun i -> i) in

@@ -41,7 +41,7 @@ let run_mode ~mode ~clients ~ops ~accounts ~skew ~seed =
      benchmarks (Section 4.1; fault tolerance is evaluated separately) *)
   ignore
     (Kronos_service.Server.deploy ~net:chain_net ~coordinator:1000
-       ~replicas:[ 0 ] ~service:(`Fixed kronos_service_time) ());
+       ~replicas:[ 0 ] ~service:kronos_service_time ());
   (* seed accounts *)
   let seeder = Kv_client.create ~net:kv_net ~addr:900 in
   for i = 0 to accounts - 1 do

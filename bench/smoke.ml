@@ -655,7 +655,7 @@ let scaling_rate ~shards =
   let fed =
     Kronos_federation.Deploy.deploy ~net
       ~shards:(List.init shards (fun i -> i))
-      ~replicas_per_shard:2 ~service:(`Fixed 0.002) ~request_timeout:0.4
+      ~replicas_per_shard:2 ~service:0.002 ~request_timeout:0.4
       ~ping_interval:0.1 ~failure_timeout:0.35 ()
   in
   let rt = fed.Kronos_federation.Deploy.router in

@@ -67,8 +67,12 @@ let prove g ~source ~target =
             | Some c -> c
             | None -> assert false (* queued events are live in [g] *)
           in
-          (* a bound exceeds the chain only after rollbacks out of LIFO
-             order; links past the chain are not there to follow *)
+          (* never binds: a bound is the target's chain length or a
+             link's recorded predecessor position, the predecessor's
+             chain length when that link was folded; chains only grow,
+             since links are folded at seal and no sealed link is ever
+             undone, and a collected event is never queued.  It keeps
+             the loop inside the chain if that invariant ever broke. *)
           let hi = min r.bound (Chain.length c) in
           let j = ref from in
           while (not !found) && !j < hi do

@@ -15,8 +15,10 @@ type config = {
           (DESIGN.md §15); 64 by default, 0 disables it, at most [2^22]
           ({!create} raises [Invalid_argument] above that: a label entry
           packs the chain id into 22 bits beside a 40-bit position).
-          Queries whose destination is off every chain fall back to the
-          BFS and count as {!label_misses}. *)
+          An edge whose target finds no chain under the cap drops the
+          whole index ({!labels_live} turns false): from then on every
+          query the ranks do not refute runs the BFS and counts as
+          {!label_misses}, until the graph's edge count returns to 0. *)
 }
 
 val default_config : config

@@ -230,7 +230,6 @@ type index = {
   chain_tail : Int_vec.t;         (* per chain: newest member, -1 if empty *)
   free_chains : Int_vec.t;        (* fully-dead chains, reusable *)
   mutable labels : int array array;
-  queue : Int_vec.t;              (* label propagation worklist *)
   mutable buf : int array;        (* merge scratch *)
 }
 
@@ -255,17 +254,11 @@ type t = {
      the open rank window (rank src, rank dst). *)
   mutable rank : int array;
   mutable next_rank : int;       (* strictly above every live rank *)
-  (* Visited marks shared by every search: a search bumps [stamp] and marks
-     the slots it reaches forward with [2 * stamp] and backward with
-     [2 * stamp + 1], so any older value reads as unseen.  One load answers
-     seen-forward / seen-backward / unseen, and a search starts without
-     clearing anything.  Stamps start at 1 over a zero-filled array, and a
-     63-bit stamp does not wrap in any realistic lifetime. *)
-  mutable marks : int array;
-  mutable stamp : int;
-  mutable queue : int array;     (* forward BFS frontier, capacity slots *)
-  mutable queue_b : int array;   (* backward BFS frontier *)
-  relabel_stack : Int_vec.t;     (* (slot, floor) pairs, flattened *)
+  (* Work stack of the three walks that never nest: [relabel]'s
+     (slot, floor) pairs, flattened; [collect]'s cascade; label
+     propagation's worklist.  Reachability searches use the per-domain
+     [scratch] instead. *)
+  stack : Int_vec.t;
   mutable traversals : int;
   mutable visited_total : int;
   mutable rank_relabels : int;
@@ -332,7 +325,6 @@ let new_index cap =
     chain_tail = Int_vec.create ();
     free_chains = Int_vec.create ();
     labels = Array.make cap [||];
-    queue = Int_vec.create ();
     buf = Array.make 64 0;
   }
 
@@ -365,11 +357,7 @@ let create ?(initial_capacity = 1024) ?(digests = true)
     edges = 0;
     rank = Array.make cap 0;
     next_rank = 0;
-    marks = Array.make cap 0;
-    stamp = 0;
-    queue = Array.make cap 0;
-    queue_b = Array.make cap 0;
-    relabel_stack = Int_vec.create ();
+    stack = Int_vec.create ();
     traversals = 0;
     visited_total = 0;
     rank_relabels = 0;
@@ -422,11 +410,8 @@ let grow g =
      ix.place <- copy ix.place (-1);
      ix.labels <- copy ix.labels [||]
    | None -> ());
-  g.marks <- copy g.marks 0;
   g.dirty_flags <- Bytes.extend g.dirty_flags 0 old;
-  Bytes.fill g.dirty_flags old old '\000';
-  g.queue <- Array.make cap 0;
-  g.queue_b <- Array.make cap 0
+  Bytes.fill g.dirty_flags old old '\000'
 
 (* Install [ix] as the chain-label index, or drop the index ([None]). *)
 let set_index g ix =
@@ -519,21 +504,18 @@ let rank g id =
   match resolve g id with Some s -> Some g.rank.(s) | None -> None
 
 (* Reclaim the cascade of vertices reachable from slot [s] that have zero
-   references and zero in-degree.  Uses the BFS queue as a work stack: safe
-   because collection never runs concurrently with a traversal.  Removing
+   references and zero in-degree, depth-first on the work stack.  Removing
    vertices and edges only removes paths, so the rank invariant survives
    collection untouched; the freed slot keeps its stale rank until
    [create_event] overwrites it. *)
 let collect g s =
   g.version <- g.version + 1;
-  let stack = g.queue in
-  let top = ref 0 in
-  stack.(0) <- s;
-  incr top;
+  let stack = g.stack in
+  Int_vec.clear stack;
+  Int_vec.push stack s;
   let collected = ref 0 in
-  while !top > 0 do
-    decr top;
-    let u = stack.(!top) in
+  while not (Int_vec.is_empty stack) do
+    let u = Int_vec.pop stack in
     g.refcount.(u) <- (-1);
     g.live <- g.live - 1;
     incr collected;
@@ -542,10 +524,8 @@ let collect g s =
       g.edges <- g.edges - 1;
       ignore (Int_vec.remove_first g.pred.(w) u);
       touch g w;
-      if Int_vec.is_empty g.pred.(w) && g.refcount.(w) = 0 then begin
-        stack.(!top) <- w;
-        incr top
-      end
+      if Int_vec.is_empty g.pred.(w) && g.refcount.(w) = 0 then
+        Int_vec.push stack w
     in
     Int_vec.iter kill g.succ.(u);
     (* in-degree zero: [pred.(u)] is empty already *)
@@ -764,13 +744,14 @@ let label_admit g ix su sv =
   in
   if not placed then drop_labels g
   else if merge_into g ix su ix.labels.(sv) then begin
-    let q = ix.queue in
-    Int_vec.clear q;
-    Int_vec.push q su;
-    while not (Int_vec.is_empty q) do
-      let w = Int_vec.pop q in
+    let stack = g.stack in
+    Int_vec.clear stack;
+    Int_vec.push stack su;
+    while not (Int_vec.is_empty stack) do
+      let w = Int_vec.pop stack in
       let lbl = ix.labels.(w) in
-      Int_vec.iter (fun p -> if merge_into g ix p lbl then Int_vec.push q p)
+      Int_vec.iter
+        (fun p -> if merge_into g ix p lbl then Int_vec.push stack p)
         g.pred.(w)
     done
   end
@@ -809,10 +790,46 @@ let compute_labels g ix =
     Int_vec.iter (fun w -> ignore (merge_into g ix v ix.labels.(w))) g.succ.(v)
   done
 
-(* Rank-pruned bidirectional BFS over slots; allocation-free thanks to the
-   stamped marks and preallocated queues.  Degree guards make the common
-   fresh-event cases O(1): a source with no outgoing edge reaches nothing, a
-   destination with no incoming edge is unreachable.
+(* Per-domain search scratch, shared by every reachability search a
+   domain runs, on the live graph and on frozen views of any graph alike:
+   searches never nest, and domain-local storage keeps concurrent readers
+   apart.  A search bumps [stamp] and marks the slots it reaches forward
+   with [2 * stamp] and backward with [2 * stamp + 1], so any older value
+   reads as unseen: one load answers seen-forward / seen-backward /
+   unseen, and a search starts without clearing anything.  The arrays
+   regrow zero-filled and the stamp only moves forward (a 63-bit stamp
+   does not wrap in any realistic lifetime), so no mark left by an earlier
+   search, on any graph or view, reads as seen.  [queue] holds both
+   frontiers, the forward one filled from the front and the backward one
+   from the back: a slot is queued by at most one side, so with a cell per
+   slot the two ends never cross.  A domain that never searches holds no
+   arrays. *)
+type scratch = {
+  mutable marks : int array;
+  mutable stamp : int;
+  mutable queue : int array;
+}
+
+let scratch_key =
+  Domain.DLS.new_key (fun () -> { marks = [||]; stamp = 0; queue = [||] })
+
+(* The calling domain's scratch, covering slots [0, n). *)
+let scratch_for n =
+  let sc = Domain.DLS.get scratch_key in
+  if Array.length sc.queue < n then begin
+    let cap = max n (2 * Array.length sc.queue) in
+    sc.marks <- Array.make cap 0;
+    sc.queue <- Array.make cap 0
+  end;
+  sc
+
+(* Rank-pruned bidirectional BFS over slots, allocation-free on the
+   domain's scratch.  Every path [src ⇝ dst] climbs strictly in rank, so
+   the search is exact within the open window (rank src, rank dst), and an
+   empty window refutes it.  Degree guards make the common fresh-event
+   cases O(1): a source with no outgoing edge reaches nothing, a
+   destination with no incoming edge is unreachable.  The cycle check of
+   an out-of-order edge is this same search (see [stage]).
 
    The search is level-synchronous on both sides and each round expands the
    smaller frontier.  Levels are expanded completely even once a meeting
@@ -825,7 +842,7 @@ let compute_labels g ix =
    distinct slots marked, endpoints included (the source and destination
    seed their sides, fixing the historical undercount of the destination
    on found paths).  Every marked slot is also queued, so that number is
-   the two queue tails. *)
+   the count of queue cells the two sides filled. *)
 let reachable_slots g src dst =
   if src = dst then true
   else begin
@@ -837,25 +854,32 @@ let reachable_slots g src dst =
     else begin
       g.traversals <- g.traversals + 1;
       Kronos_metrics.Counter.incr M.traversals;
-      g.stamp <- g.stamp + 1;
-      let fmark = 2 * g.stamp in
+      let sc = scratch_for g.next_slot in
+      sc.stamp <- sc.stamp + 1;
+      let fmark = 2 * sc.stamp in
       let bmark = fmark + 1 in
-      let marks = g.marks in
+      let marks = sc.marks and q = sc.queue in
+      let last = Array.length q - 1 in
       marks.(src) <- fmark;
       marks.(dst) <- bmark;
-      let qf = g.queue and qb = g.queue_b in
-      qf.(0) <- src;
-      qb.(0) <- dst;
-      let fh = ref 0 and ft = ref 1 in  (* forward level = qf.[fh..ft) *)
-      let bh = ref 0 and bt = ref 1 in
+      q.(0) <- src;
+      q.(last) <- dst;
+      (* Each side's current level is the queue cells from [head] to
+         [tail], [tail] excluded, stepping by [dir]: the forward side fills
+         upward from cell 0, the backward side downward from cell
+         [last]. *)
+      let fh = ref 0 and ft = ref 1 in
+      let bh = ref last and bt = ref (last - 1) in
       let found = ref false in
       (* Expand one side's current level over [adj], marking with [mine];
          reaching a slot marked [theirs] means the frontiers met. *)
-      let expand adj q head tail mine theirs =
+      let expand adj dir head tail mine theirs =
         let lo = !head and hi = !tail in
         head := hi;
-        for i = lo to hi - 1 do
-          let edges = adj.(q.(i)) in
+        let i = ref lo in
+        while !i <> hi do
+          let edges = adj.(q.(!i)) in
+          i := !i + dir;
           let data = Int_vec.unsafe_data edges in
           for k = 0 to Int_vec.length edges - 1 do
             let w = Array.unsafe_get data k in
@@ -865,19 +889,19 @@ let reachable_slots g src dst =
             then begin
               marks.(w) <- mine;
               q.(!tail) <- w;
-              incr tail
+              tail := !tail + dir
             end
           done
         done
       in
-      while (not !found) && !fh < !ft && !bh < !bt do
-        if !ft - !fh <= !bt - !bh then expand g.succ qf fh ft fmark bmark
+      while (not !found) && !fh < !ft && !bh > !bt do
+        if !ft - !fh <= !bh - !bt then expand g.succ 1 fh ft fmark bmark
         else begin
           Kronos_metrics.Counter.incr M.bidir;
-          expand g.pred qb bh bt bmark fmark
+          expand g.pred (-1) bh bt bmark fmark
         end
       done;
-      let visited = !ft + !bt in
+      let visited = !ft + (last - !bt) in
       g.visited_total <- g.visited_total + visited;
       Kronos_metrics.Counter.add M.visited visited;
       !found
@@ -1019,51 +1043,6 @@ let stage_edge g su sv =
   Int_vec.push g.staged sv;
   Kronos_metrics.Gauge.set M.edges g.edges
 
-(* Restricted cycle probe for an edge su -> sv arriving with
-   rank su >= rank sv: sv ⇝ su would close a cycle, and by the rank
-   invariant any such path stays within rank <= rank su, so a forward BFS
-   from sv bounded by that ceiling is exact.  Read-only; counts as a
-   traversal (it replaces the full reachability probe the engine used to
-   run before every must edge). *)
-let cycle_probe g sv su =
-  g.traversals <- g.traversals + 1;
-  Kronos_metrics.Counter.incr M.traversals;
-  let ceiling = g.rank.(su) in
-  g.stamp <- g.stamp + 1;
-  let mark = 2 * g.stamp in
-  let marks = g.marks in
-  marks.(sv) <- mark;
-  let queue = g.queue in
-  queue.(0) <- sv;
-  let head = ref 0 and tail = ref 1 in
-  let found = ref false in
-  while (not !found) && !head < !tail do
-    let edges = g.succ.(queue.(!head)) in
-    incr head;
-    let data = Int_vec.unsafe_data edges in
-    for k = 0 to Int_vec.length edges - 1 do
-      let w = Array.unsafe_get data k in
-      if marks.(w) <> mark then begin
-        if w = su then begin
-          found := true;
-          (* count the discovered endpoint, mirroring the bidirectional
-             search where both endpoints are seeded *)
-          marks.(w) <- mark
-        end
-        else if g.rank.(w) <= ceiling then begin
-          marks.(w) <- mark;
-          queue.(!tail) <- w;
-          incr tail
-        end
-      end
-    done
-  done;
-  (* every marked slot is queued, except a discovered [su] *)
-  let visited_n = !tail + if !found then 1 else 0 in
-  g.visited_total <- g.visited_total + visited_n;
-  Kronos_metrics.Counter.add M.visited visited_n;
-  !found
-
 (* Restore the invariant after admitting an edge whose target ranked at or
    below its source: push every forward path out of [sv] strictly above
    [floor].  Depth-first on an explicit stack of (slot, floor) pairs; a slot
@@ -1073,7 +1052,7 @@ let cycle_probe g sv su =
 let relabel g sv floor =
   g.rank_relabels <- g.rank_relabels + 1;
   Kronos_metrics.Counter.incr M.rank_relabels;
-  let stack = g.relabel_stack in
+  let stack = g.stack in
   Int_vec.clear stack;
   Int_vec.push stack sv;
   Int_vec.push stack floor;
@@ -1093,17 +1072,24 @@ let relabel g sv floor =
     end
   done
 
-(* Stage [su -> sv] unless it would close a cycle.  The relabel it may
-   cause is never undone: removing an edge cannot break "u ⇝ v implies
-   rank u < rank v", it only removes paths, so the new ranks are a valid
-   order for the graph after an [abort] too. *)
+(* Stage [su -> sv] unless it would close a cycle.  An edge against the
+   rank order closes one iff [sv ⇝ su], which the query search answers
+   exactly: the path would climb strictly in rank from [sv] to [su], so
+   the window (rank sv, rank su) bounds it, equal ranks refute it, and a
+   fresh endpoint without an out-edge from [sv] or an in-edge into [su]
+   answers without a traversal.  (Haeupler, Sen and Tarjan's incremental
+   cycle detection is the same two-way search bounded by a topological
+   order.)  The relabel it may cause is never undone: removing an edge
+   cannot break "u ⇝ v implies rank u < rank v", it only removes paths,
+   so the new ranks are a valid order for the graph after an [abort]
+   too. *)
 let stage g su sv =
   if g.rank.(su) < g.rank.(sv) then begin
     (* ranks already agree: v ⇝ u is impossible, no cycle, O(1) *)
     stage_edge g su sv;
     true
   end
-  else if cycle_probe g sv su then false
+  else if reachable_slots g sv su then false
   else begin
     relabel g sv g.rank.(su);
     stage_edge g su sv;
@@ -1500,18 +1486,17 @@ let memory_bytes g =
   let sum f a = Array.fold_left (fun acc x -> acc + f x) 0 a in
   (* the [Some] box, the record, its arrays and vectors *)
   let index ix =
-    block 1 + block 8 + arr ix.place + arr ix.buf + arr ix.labels
+    block 1 + block 7 + arr ix.place + arr ix.buf + arr ix.labels
     + sum (fun l -> if Array.length l = 0 then 0 else arr l) ix.labels
     + vec ix.chain_len + vec ix.chain_live + vec ix.chain_tail
-    + vec ix.free_chains + vec ix.queue
+    + vec ix.free_chains
   in
-  arr g.refcount + arr g.gen + arr g.rank + arr g.marks
-  + arr g.queue + arr g.queue_b
+  arr g.refcount + arr g.gen + arr g.rank
   + arr g.succ + arr g.pred + adjacency g.succ + adjacency g.pred
   + (match g.index with Some ix -> index ix | None -> 0)
   (* dirty tracking: a flag byte per slot and the list of flagged slots *)
   + string_bytes (Bytes.length g.dirty_flags) + vec g.dirty
-  + vec g.free + vec g.relabel_stack + vec g.staged
+  + vec g.free + vec g.stack + vec g.staged
   (* commitment chains: link stores and current heads *)
   + arr g.links + arr g.heads
   + sum Links.heap_bytes g.links
@@ -1688,45 +1673,12 @@ module Frozen = struct
     let s = slot_of f id in
     if s < 0 then None else Some (pa_int f.f_rank s)
 
-  (* Per-domain reusable traversal scratch — the frozen twin of the live
-     graph's stamped marks and queues.  Keyed by domain-local storage, so
-     concurrent readers never share it and a query allocates nothing once
-     the scratch has grown to the view's slot count.  The marks regrow
-     zero-filled and the stamp only moves forward, so a mark left by a
-     query on any earlier view — larger or smaller — never reads as seen.
-     Frozen queries deliberately touch no process-wide metrics counters and
-     no mutable graph state: the whole read path is write-free outside the
-     domain's own scratch. *)
-  type scratch = {
-    mutable marks : int array;
-    mutable stamp : int;
-    mutable queue : int array;
-    mutable queue_b : int array;
-  }
-
-  let scratch_key =
-    Domain.DLS.new_key (fun () ->
-        {
-          marks = Array.make 16 0;
-          stamp = 0;
-          queue = Array.make 16 0;
-          queue_b = Array.make 16 0;
-        })
-
-  let scratch_for n =
-    let s = Domain.DLS.get scratch_key in
-    if Array.length s.queue < n then begin
-      let cap = max n (2 * Array.length s.queue) in
-      s.marks <- Array.make cap 0;
-      s.queue <- Array.make cap 0;
-      s.queue_b <- Array.make cap 0
-    end;
-    s
-
-  (* Rank-pruned level-synchronous bidirectional BFS over the frozen
-     fields; the same algorithm as the live graph's [reachable_slots], with
-     in-degree read off the immutable reverse adjacency. *)
-  let reachable_slots f sc src dst =
+  (* The live graph's [reachable_slots] over the frozen fields, on the
+     same per-domain scratch, with in-degree read off the immutable
+     reverse adjacency.  Frozen queries deliberately touch no
+     process-wide metrics counters and no mutable graph state: the whole
+     read path is write-free outside the domain's own scratch. *)
+  let reachable_slots f src dst =
     if src = dst then true
     else begin
       let rank = f.f_rank and succ = f.f_succ and pred = f.f_pred in
@@ -1736,23 +1688,26 @@ module Frozen = struct
         Array.length (pa_arr succ src) = 0 || Array.length (pa_arr pred dst) = 0
       then false
       else begin
+        let sc = scratch_for f.f_next_slot in
         sc.stamp <- sc.stamp + 1;
         let fmark = 2 * sc.stamp in
         let bmark = fmark + 1 in
-        let marks = sc.marks in
+        let marks = sc.marks and q = sc.queue in
+        let last = Array.length q - 1 in
         marks.(src) <- fmark;
         marks.(dst) <- bmark;
-        let qf = sc.queue and qb = sc.queue_b in
-        qf.(0) <- src;
-        qb.(0) <- dst;
+        q.(0) <- src;
+        q.(last) <- dst;
         let fh = ref 0 and ft = ref 1 in
-        let bh = ref 0 and bt = ref 1 in
+        let bh = ref last and bt = ref (last - 1) in
         let found = ref false in
-        let expand adj q head tail mine theirs =
+        let expand adj dir head tail mine theirs =
           let lo = !head and hi = !tail in
           head := hi;
-          for i = lo to hi - 1 do
-            let edges = pa_arr adj q.(i) in
+          let i = ref lo in
+          while !i <> hi do
+            let edges = pa_arr adj q.(!i) in
+            i := !i + dir;
             for k = 0 to Array.length edges - 1 do
               let w = Array.unsafe_get edges k in
               let m = marks.(w) in
@@ -1761,14 +1716,14 @@ module Frozen = struct
               then begin
                 marks.(w) <- mine;
                 q.(!tail) <- w;
-                incr tail
+                tail := !tail + dir
               end
             done
           done
         in
-        while (not !found) && !fh < !ft && !bh < !bt do
-          if !ft - !fh <= !bt - !bh then expand succ qf fh ft fmark bmark
-          else expand pred qb bh bt bmark fmark
+        while (not !found) && !fh < !ft && !bh > !bt do
+          if !ft - !fh <= !bh - !bt then expand succ 1 fh ft fmark bmark
+          else expand pred (-1) bh bt bmark fmark
         done;
         !found
       end
@@ -1782,7 +1737,7 @@ module Frozen = struct
     | Some fi ->
       let p = pa_int fi.fi_place sv in
       p >= 0 && label_le (pa_arr fi.fi_labels su) p
-    | None -> reachable_slots f (scratch_for f.f_next_slot) su sv
+    | None -> reachable_slots f su sv
 
   let label_reachable f u v =
     let su = slot_of f u and sv = slot_of f v in

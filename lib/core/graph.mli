@@ -16,9 +16,9 @@
     rank maintained incrementally (Pearce–Kelly / Haeupler–Sen–Tarjan
     style) under the invariant: [u ⇝ v] implies [rank u < rank v].  Edges
     that respect the current order — the common case, since fresh events
-    take increasing ranks — cost O(1); an out-of-order edge triggers a
-    relabel confined to the affected region, and the same bounded search
-    doubles as the cycle check.  Queries exploit the contrapositive:
+    take increasing ranks — cost O(1); an out-of-order edge is checked for
+    a cycle by the query search and triggers a relabel confined to the
+    affected region.  Queries exploit the contrapositive:
     [rank u >= rank v] refutes [u ⇝ v] in O(1), which eliminates at least
     one BFS direction of every {!query}, and the remaining traversal is a
     bidirectional BFS pruned to the open rank window.  The rank index
@@ -48,9 +48,11 @@
     BFS (counted by {!label_miss_count}) until the edge count returns to
     0.
 
-    All memory needed to traverse (one stamped visited-mark array, BFS
-    queues) is preallocated and grows with the vertex capacity, so queries
-    allocate nothing. *)
+    All memory needed to traverse (one stamped visited-mark array and one
+    queue holding both search frontiers) lives in per-domain scratch,
+    shared by the live graph and frozen views and grown to the largest
+    slot count the domain has searched, so warm queries allocate
+    nothing.  The same search checks an out-of-order edge for a cycle. *)
 
 type t
 
@@ -132,8 +134,9 @@ val try_add_edge : t -> Event_id.t -> Event_id.t -> bool
 (** [try_add_edge g u v] stages [u -> v] and returns [true], unless the
     edge would close a cycle ([v ->* u], or [u = v]) in which case the graph
     is left untouched and the result is [false].  The cycle check is O(1)
-    when [rank u < rank v]; otherwise it is a forward search from [v]
-    bounded by [rank u], which then doubles as the relabel's frontier.
+    when [rank u < rank v]; otherwise it is the query search for [v ->* u]
+    over the open rank window (rank v, rank u), O(1) again when [v] has no
+    out-edge or [u] no in-edge.
     A staged edge is in the adjacency, so queries and later cycle checks
     see it, and bumps {!version}; its commitment link and chain labels
     wait for {!seal}.  Until then {!create_event}, {!release_ref},
@@ -329,8 +332,9 @@ val memory_bytes : t -> int
     label array that several slots share counts once per slot. *)
 
 val traversal_count : t -> int
-(** Number of graph traversals performed so far (bidirectional searches and
-    bounded cycle probes; rank-refuted answers never traverse). *)
+(** Number of graph traversals performed so far: bidirectional searches,
+    for queries and for the cycle check of an edge against the rank order
+    alike.  Rank-refuted answers and degree-guarded ones never traverse. *)
 
 val visited_total : t -> int
 (** Total vertices visited across all traversals (work accounting): every
@@ -413,11 +417,11 @@ module Frozen : sig
       state: rank comparison refutes one direction in O(1), and the
       remaining direction is answered by the frozen chain-label compare
       when the view was frozen while labels were live, else by a
-      rank-pruned bidirectional BFS.  Traversal
-      scratch (stamped visited marks, queues) is kept in domain-local
-      storage and reused, so concurrent queries from different domains
-      share no mutable state and allocate nothing once warm.  Frozen
-      queries update no counters and no caches. *)
+      rank-pruned bidirectional BFS.  Traversal scratch (stamped visited
+      marks, one two-ended queue) is kept in domain-local storage and
+      reused, so concurrent queries from different domains share no
+      mutable state and allocate nothing once warm.  Frozen queries update
+      no counters and no caches. *)
 
   val label_reachable : g -> Event_id.t -> Event_id.t -> bool option
   (** The frozen twin of the top-level {!val:label_reachable}: index-only

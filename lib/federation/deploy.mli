@@ -24,7 +24,7 @@ val deploy :
   net:Kronos_replication.Chain.msg Transport.t ->
   ?shards:int list ->
   ?replicas_per_shard:int ->
-  ?service:[ `Fixed of float | `Measured of float ] ->
+  ?service:float ->
   ?cache_capacity:int ->
   ?request_timeout:float ->
   ?vnodes:int ->

@@ -383,7 +383,7 @@ module Replica = struct
     let deliver =
       match service with
       | None -> fun ~src msg -> handle t ~src msg
-      | Some kind ->
+      | Some cost ->
         let sim =
           match Transport.sim net with
           | Some sim -> sim
@@ -398,14 +398,9 @@ module Replica = struct
              thread would: saturation must not look like a crash *)
           (match (msg : msg) with
            | Ping -> handle t ~src msg
-           | _ -> (
-               match kind with
-               | `Fixed cost ->
-                 Service_queue.submit_fixed queue ~cost (fun () ->
-                     handle t ~src msg)
-               | `Measured scale ->
-                 Service_queue.submit_measured queue ~scale (fun () ->
-                     handle t ~src msg)))
+           | _ ->
+             Service_queue.submit_fixed queue ~cost (fun () ->
+                 handle t ~src msg))
     in
     Transport.register net addr deliver;
     t

@@ -128,7 +128,7 @@ module Replica : sig
        reply:(string -> unit) ->
        bool) ->
     ?config:config ->
-    ?service:[ `Fixed of float | `Measured of float ] ->
+    ?service:float ->
     persist:persist ->
     unit ->
     t
@@ -145,12 +145,9 @@ module Replica : sig
       replicated writes always apply in sequence on the owning thread.
 
       [service] models the replica's CPU: each non-heartbeat message
-      occupies the server for a fixed virtual duration, or — with
-      [`Measured scale] — for the scaled wall-clock time the handler
-      actually took, which charges the {e real} cost of the hosted state
-      machine (used by the scalability benchmark).  Service-time modelling
-      needs a simulator, so it raises [Invalid_argument] over a transport
-      whose [sim] is [None]. *)
+      occupies the server for that many virtual seconds.  Service-time
+      modelling needs a simulator, so it raises [Invalid_argument] over a
+      transport whose [sim] is [None]. *)
 
   val restore :
     t ->

@@ -105,7 +105,7 @@ type cluster = {
   coordinator : Chain.Coordinator.t;
   mutable replicas : (Chain.Replica.t * Engine.t ref) list;
   dur : durability;
-  service : [ `Fixed of float | `Measured of float ] option;
+  service : float option;
 }
 
 (* Wire a query pool to a replica's engine cell: attach (so views are

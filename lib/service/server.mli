@@ -53,13 +53,13 @@ type cluster = {
   mutable replicas : (Kronos_replication.Chain.Replica.t * Engine.t ref) list;
   dur : durability;  (** fresh in-memory storage per start when deployed
                          without [~durability] *)
-  service : [ `Fixed of float | `Measured of float ] option;
+  service : float option;
 }
 
 val start_node :
   net:Kronos_replication.Chain.msg Kronos_transport.Transport.t ->
   addr:Kronos_transport.Transport.addr ->
-  ?service:[ `Fixed of float | `Measured of float ] ->
+  ?service:float ->
   ?durability:durability ->
   ?query_pool:Query_pool.t ->
   unit ->
@@ -79,7 +79,7 @@ val deploy :
   net:Kronos_replication.Chain.msg Kronos_transport.Transport.t ->
   coordinator:Kronos_transport.Transport.addr ->
   replicas:Kronos_transport.Transport.addr list ->
-  ?service:[ `Fixed of float | `Measured of float ] ->
+  ?service:float ->
   ?durability:durability ->
   ?ping_interval:float ->
   ?failure_timeout:float ->
@@ -88,9 +88,8 @@ val deploy :
 (** Start one engine-backed replica per address plus the coordinator.
     Every replica runs {!Engine.default_config}.
     [service] models replica CPU capacity (see
-    {!Kronos_replication.Chain.Replica.create}); [`Measured scale] charges
-    the real wall-clock cost of each engine call as virtual busy time, so
-    throughput experiments reflect genuine graph-traversal work.
+    {!Kronos_replication.Chain.Replica.create}): virtual seconds of busy
+    time per message.
 
     Each replica first {e recovers} from its storage (newest snapshot +
     WAL suffix), then logs every applied command; a redeploy over existing
@@ -107,7 +106,7 @@ val crash : cluster -> Kronos_transport.Transport.addr -> unit
 val join :
   cluster ->
   Kronos_transport.Transport.addr ->
-  ?service:[ `Fixed of float | `Measured of float ] ->
+  ?service:float ->
   unit ->
   unit
 (** Start a fresh engine-backed replica and integrate it at the tail.  It
@@ -118,7 +117,7 @@ val join :
 val restart_replica :
   cluster ->
   Kronos_transport.Transport.addr ->
-  ?service:[ `Fixed of float | `Measured of float ] ->
+  ?service:float ->
   unit ->
   unit
 (** Restart a crashed replica from its local storage: recover the engine

@@ -1,10 +1,6 @@
-type job =
-  | Fixed of float * (unit -> unit)
-  | Measured of float * (unit -> unit)
-
 type t = {
   sim : Sim.t;
-  queue : job Queue.t;
+  queue : (float * (unit -> unit)) Queue.t;  (* cost, job *)
   mutable running : bool;
   mutable total_busy : float;
   mutable jobs : int;
@@ -23,30 +19,17 @@ let busy_until t = if t.running then Sim.now t.sim else neg_infinity
 let rec pump t =
   if (not t.running) && not (Queue.is_empty t.queue) then begin
     t.running <- true;
-    let finish cost =
-      t.total_busy <- t.total_busy +. cost;
-      ignore
-        (Sim.schedule t.sim ~delay:cost (fun () ->
-             t.running <- false;
-             pump t))
-    in
-    match Queue.pop t.queue with
-    | Fixed (cost, run) ->
-      run ();
-      finish cost
-    | Measured (scale, run) ->
-      let t0 = Unix.gettimeofday () in
-      run ();
-      finish (scale *. (Unix.gettimeofday () -. t0))
+    let cost, run = Queue.pop t.queue in
+    run ();
+    t.total_busy <- t.total_busy +. cost;
+    ignore
+      (Sim.schedule t.sim ~delay:cost (fun () ->
+           t.running <- false;
+           pump t))
   end
 
 let submit_fixed t ~cost job =
   if cost < 0.0 then invalid_arg "Service_queue.submit_fixed: negative cost";
   t.jobs <- t.jobs + 1;
-  Queue.push (Fixed (cost, job)) t.queue;
-  pump t
-
-let submit_measured t ?(scale = 1.0) job =
-  t.jobs <- t.jobs + 1;
-  Queue.push (Measured (scale, job)) t.queue;
+  Queue.push (cost, job) t.queue;
   pump t

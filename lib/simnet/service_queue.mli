@@ -6,10 +6,8 @@
     bounded by [1 / cost] regardless of how many clients hit it.
 
     Jobs run at the moment the server gets to them (queueing delay
-    included); their cost is either declared up front ({!submit_fixed}) or
-    measured as the scaled wall-clock time the job actually took
-    ({!submit_measured}) — the latter lets a simulated server charge the
-    {e real} computation of the Kronos engine it hosts. *)
+    included); their cost is declared up front, in virtual seconds, so a
+    run's timing never depends on how fast the host executes it. *)
 
 type t
 
@@ -19,10 +17,6 @@ val submit_fixed : t -> cost:float -> (unit -> unit) -> unit
 (** Run the job when the server is free and keep the server busy for
     [cost] virtual seconds afterwards.  @raise Invalid_argument if [cost]
     is negative. *)
-
-val submit_measured : t -> ?scale:float -> (unit -> unit) -> unit
-(** Run the job when the server is free; its busy period is the job's
-    measured wall-clock duration times [scale] (default 1.0). *)
 
 val busy_until : t -> float
 (** Current virtual time when the server is mid-job, [neg_infinity] when

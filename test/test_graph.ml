@@ -231,15 +231,15 @@ let test_introspection () =
   Alcotest.(check bool) "memory positive" true (Graph.memory_bytes g > 0)
 
 (* [memory_bytes] counts every capacity-sized structure: across one
-   doubling it must grow by the bytes each new slot costs.  Per slot: six
-   int arrays (refcount, gen, rank, marks, queue, queue_b), four pointer
-   arrays (succ, pred, and with digests the link stores and heads) and one
+   doubling it must grow by the bytes each new slot costs.  Per slot:
+   three int arrays (refcount, gen, rank), four pointer arrays (succ, pred, and with digests the link stores and heads) and one
    dirty-flag byte.  While labels are live, one int array (the packed
    chain placement) and one pointer array (labels) more; with
    [max_chains = 0] neither exists.  An edge-less slot owns nothing else:
    its adjacency and link store are shared empty sentinels, and no slot is
-   listed dirty before the first freeze.  That is 97 B a slot by default
-   and 81 B with [max_chains = 0] on a 64-bit host. *)
+   listed dirty before the first freeze.  Search scratch is per domain,
+   not per graph.  That is 73 B a slot by default and 57 B with
+   [max_chains = 0] on a 64-bit host. *)
 let test_memory_bytes_across_doubling () =
   let word = Sys.word_size / 8 in
   List.iter
@@ -260,7 +260,7 @@ let test_memory_bytes_across_doubling () =
           "max_chains %d: memory_bytes grew by %d bytes over %d new slots, \
            expected %d per slot"
           max_chains grown cap per_slot)
-    [ (Graph.max_chains (Graph.create ()), 6 + 4 + 2); (0, 6 + 4) ]
+    [ (Graph.max_chains (Graph.create ()), 3 + 4 + 2); (0, 3 + 4) ]
 
 (* [memory_bytes] against the heap itself: the live words a graph adds
    (measured after compactions, so exact) must match the reported bytes
@@ -349,21 +349,65 @@ let test_visited_accounting () =
   Alcotest.(check int) "no extra visits" 5 (Graph.visited_total g);
   Alcotest.(check int) "refuted by rank" (pruned0 + 1)
     (Graph.rank_pruned_count g);
-  (* an out-of-order edge pays one bounded cycle probe plus a relabel *)
+  (* an out-of-order edge between fresh events pays a relabel, but its
+     cycle check (x ⇝ y?) is answered by the degree guard: x has no
+     out-edge *)
   let x = Graph.create_event g in
   let y = Graph.create_event g in
   let relabels0 = Graph.rank_relabel_count g in
   Graph.add_edge g y x;
   Alcotest.(check int) "out-of-order edge relabels" (relabels0 + 1)
     (Graph.rank_relabel_count g);
-  Alcotest.(check int) "cycle probe counted as traversal" 3
+  Alcotest.(check int) "degree-guarded cycle check traverses nothing" 2
     (Graph.traversal_count g);
-  Alcotest.(check int) "cycle probe visits its seed" 6
+  Alcotest.(check int) "degree-guarded cycle check visits nothing" 5
     (Graph.visited_total g);
   (match (Graph.rank g y, Graph.rank g x) with
    | Some ry, Some rx ->
      Alcotest.(check bool) "ranks repaired" true (ry < rx)
    | _ -> Alcotest.fail "live events must have ranks")
+
+(* Both frontiers of a search share one queue, the forward one filled from
+   the front and the backward one from the back.  Here the two sides of a
+   single search together queue every one of the [n] slots, in a fresh
+   domain, whose scratch is then exactly [n] cells: the source fans out to
+   [h] slots, [m] slots feed the destination, and an optional bridge
+   joins the first of each.  With [h <= m] the third round re-expands the
+   forward frontier, whose last entry sits in the cell beside the
+   backward end's last one, so an end that overran the other would hand
+   the forward side a slot feeding the destination and turn "unreachable"
+   into "reachable".  Checked on the live graph, with every slot visited,
+   and on a frozen view, in the same domain. *)
+let test_two_ended_queue () =
+  let n = 32 in
+  let h = (n - 2) / 2 in
+  let m = n - 2 - h in
+  List.iter
+    (fun bridge ->
+      let live, visited, frozen =
+        Domain.join
+          (Domain.spawn (fun () ->
+               let g = Graph.create ~max_chains:0 () in
+               let src = Graph.create_event g in
+               let xs = Array.init h (fun _ -> Graph.create_event g) in
+               let ys = Array.init m (fun _ -> Graph.create_event g) in
+               let dst = Graph.create_event g in
+               Array.iter (fun x -> Graph.add_edge g src x) xs;
+               Array.iter (fun y -> Graph.add_edge g y dst) ys;
+               if bridge then Graph.add_edge g xs.(0) ys.(0);
+               let v0 = Graph.visited_total g in
+               let live = Graph.reachable g src dst in
+               let visited = Graph.visited_total g - v0 in
+               let f = Graph.freeze g in
+               let frozen = Graph.Frozen.query f src dst in
+               (live, visited, frozen)))
+      in
+      let name = if bridge then "bridged" else "unbridged" in
+      Alcotest.(check bool) (name ^ ": live answer") bridge live;
+      Alcotest.(check int) (name ^ ": every slot queued") n visited;
+      Alcotest.(check bool) (name ^ ": frozen answer") true
+        (frozen = Ok (if bridge then Order.Before else Order.Concurrent)))
+    [ true; false ]
 
 (* Differential property for the rank index: drive a random interleaving of
    create / staged edge / seal / abort / release / snapshot operations
@@ -1129,6 +1173,7 @@ let suites =
         Alcotest.test_case "growth" `Quick test_growth;
         Alcotest.test_case "introspection" `Quick test_introspection;
         Alcotest.test_case "visited accounting" `Quick test_visited_accounting;
+        Alcotest.test_case "two-ended search queue" `Quick test_two_ended_queue;
         Alcotest.test_case "chain label lifecycle" `Quick
           test_chain_label_lifecycle;
         Alcotest.test_case "packed label ranges" `Quick test_packed_label_ranges;

@@ -39,24 +39,6 @@ let test_throughput_bounded_by_cost () =
     true
     (!completed >= 99 && !completed <= 101)
 
-let test_measured_charges_real_time () =
-  let sim = Sim.create () in
-  let q = Service_queue.create sim in
-  let spin () =
-    (* a job that takes real wall-clock time *)
-    let t0 = Unix.gettimeofday () in
-    while Unix.gettimeofday () -. t0 < 2e-3 do
-      ()
-    done
-  in
-  Service_queue.submit_measured q spin;
-  Service_queue.submit_measured q spin;
-  Sim.run sim;
-  Alcotest.(check bool) "busy time reflects measured work" true
-    (Service_queue.total_busy q >= 3e-3);
-  Alcotest.(check bool) "virtual clock advanced by the charges" true
-    (Sim.now sim >= 3e-3)
-
 let test_negative_cost_rejected () =
   let sim = Sim.create () in
   let q = Service_queue.create sim in
@@ -70,7 +52,6 @@ let suites =
         Alcotest.test_case "fixed serializes" `Quick test_fixed_serializes;
         Alcotest.test_case "idle runs immediately" `Quick test_idle_server_runs_immediately;
         Alcotest.test_case "throughput bounded" `Quick test_throughput_bounded_by_cost;
-        Alcotest.test_case "measured charges real time" `Quick test_measured_charges_real_time;
         Alcotest.test_case "negative cost rejected" `Quick test_negative_cost_rejected;
       ] );
   ]
