@@ -1,6 +1,6 @@
 # Tier-1 verification in one command: build every target (libraries,
 # executables, tests, benches) and run the full test suite.
-.PHONY: check build test loopback nemesis certify-check query-plane race-smoke bench bench-smoke bench-check fed-determinism perfbench-smoke clean
+.PHONY: check build test loopback nemesis certify-check query-plane race-smoke bench bench-smoke bench-check perfbench-smoke clean
 
 check: build test
 
@@ -60,31 +60,21 @@ bench-smoke: build
 # Regression gate: re-measure the smoke series and compare them with the
 # committed BENCH_smoke.json.  It fails when an engine.*,
 # client.order_cache_* or certify.* ns/op (or ns/edge) series, the
-# engine.assign_batch_wide_promoted words/edge count, the
-# engine.commitment_bytes_per_link B/link figure, or a fed.* rate, is
-# more than 2.5x worse than its committed value; when an exact count —
-# the engine.bfs_visited_wide slot count, or the
+# engine.assign_batch_wide_promoted words/edge count, or the
+# engine.commitment_bytes_per_link B/link figure, is more than 2.5x
+# worse than its committed value; when an exact count — the
+# engine.bfs_visited_wide and engine.bfs_visited_reversed_must slot
+# counts (query searches and stage-time cycle checks), or the
 # engine.digest_folds_per_edge SHA-256 compressions per committed edge —
 # is more than 1.1x above its; when
-# certify.assign_overhead_pct exceeds its 250 pct budget; when
-# fed.write_scaling (or, on hosts with 4+ domains,
-# engine.query_parallel_speedup) falls to 2x or below; or when
-# durability.recovery_ms exceeds its 2000 ms budget.  Every gated engine.*
+# certify.assign_overhead_pct exceeds its 250 pct budget; when, on hosts
+# with 4+ domains, engine.query_parallel_speedup falls to 2x or below;
+# or when durability.recovery_ms exceeds its 2000 ms budget.  Every gated engine.*
 # and certify.* ns/op series but certify.assign_digests_* is the best of
 # five fixed-length windows after a Gc.compact, not a Bechamel estimate.
 # The replicated service end to end is measured by perfbench/, not here.
 bench-check: build
 	dune exec bench/main.exe -- smoke-check
-
-# Federation determinism gate: the scripted simnet federation run (two
-# shards, a replica crash and a partition mid-workload) must replay
-# bit-identically from the same seed.
-fed-determinism: build
-	dune exec bench/main.exe -- fedsim > .fedsim-a.trace
-	dune exec bench/main.exe -- fedsim > .fedsim-b.trace
-	cmp .fedsim-a.trace .fedsim-b.trace
-	rm -f .fedsim-a.trace .fedsim-b.trace
-	@echo "fedsim: trace is deterministic"
 
 # Service benchmark correctness smoke: a short run of each perfbench
 # workload over the durable 3-replica TCP chain.  A failed output check

@@ -13,7 +13,6 @@ let experiments : (string * (unit -> unit)) list =
     ("micro", Kronos_bench.Micro.run);
     ("smoke", Kronos_bench.Smoke.run);
     ("smoke-check", Kronos_bench.Smoke.check);
-    ("fedsim", Kronos_bench.Fedsim.run);
     ("ablation", Kronos_bench.Ablation.run);
     ("durability", Kronos_bench.Durability_bench.run);
     ("fig6", Kronos_bench.Fig6.run);

@@ -2,23 +2,18 @@
    BENCH_smoke.json (override the path with KRONOS_SMOKE_OUT), so CI can
    track coarse regressions without running the full figure harness.
 
-   Four families of numbers:
+   Three families of numbers:
    - in-process engine hot paths (ns/op via Bechamel or best-of-N
-     windows, and the words an edge promotes to the major heap);
+     windows, the words an edge promotes to the major heap, and exact
+     counts of search work);
    - the certify subsystem: proof generation/verification ns/op and the
      digest-maintenance overhead on the assign path (DESIGN.md §13);
-   - the federated service (2 shards behind one router): cross-shard
-     two-shard-commit and scatter-query closed-loop rates, plus the
-     deterministic 4-vs-1-shard write-scaling ratio in virtual time;
    - bounded-time recovery of a durable replica (DESIGN.md §16).
    The replicated service end to end is measured by perfbench/, over
    real TCP. *)
 
 open Kronos
-module Sim = Kronos_simnet.Sim
-module Net = Kronos_simnet.Net
 module Server = Kronos_service.Server
-module Client = Kronos_service.Client
 module M = Kronos_metrics
 
 let results : (string * float * string) list ref = ref []
@@ -53,6 +48,22 @@ let compacted_window_ns ~ops f =
    different heap, and after a compaction it paid page faults for the
    memory the compaction returned; either way one process read about
    twice what the next did. *)
+
+(* The dense DAG of [engine.assign_must_dense]: 256 events and 4 x 256
+   seeded Musts, each from a lower to a higher index, so every one rises
+   in rank.  Returns the generator too, for the caller to draw on. *)
+let dense_dag () =
+  let engine = Engine.create () in
+  let m = 256 in
+  let dense = Array.init m (fun _ -> Engine.create_event engine) in
+  let rng = Kronos_simnet.Rng.create ~seed:23L in
+  for _ = 1 to 4 * m do
+    let i = Kronos_simnet.Rng.int rng (m - 1) in
+    let j = i + 1 + Kronos_simnet.Rng.int rng (m - i - 1) in
+    ignore (Engine.assign_order engine [ Order.must_before dense.(i) dense.(j) ])
+  done;
+  (engine, dense, rng)
+
 let engine_hot_paths () =
   let engine = ref (Engine.create ()) in
   let assign_ns =
@@ -118,15 +129,8 @@ let engine_hot_paths () =
   record "engine.query_concurrent" concurrent_ns "ns/op";
   (* must-edge batches into a dense DAG: each assign pays the engine's
      cycle/implication checks against a graph with many paths *)
-  let engine = Engine.create () in
-  let m = 256 in
-  let dense = Array.init m (fun _ -> Engine.create_event engine) in
-  let rng = Kronos_simnet.Rng.create ~seed:23L in
-  for _ = 1 to 4 * m do
-    let i = Kronos_simnet.Rng.int rng (m - 1) in
-    let j = i + 1 + Kronos_simnet.Rng.int rng (m - i - 1) in
-    ignore (Engine.assign_order engine [ Order.must_before dense.(i) dense.(j) ])
-  done;
+  let engine, dense, rng = dense_dag () in
+  let m = Array.length dense in
   let must_dense_ns =
     compacted_window_ns ~ops:20_000 (fun () ->
         let i = Kronos_simnet.Rng.int rng (m - 1) in
@@ -483,6 +487,31 @@ let digest_folds_smoke () =
     /. float_of_int (Engine.edges engine - edges0))
     "compressions/edge"
 
+(* [engine.bfs_visited_reversed_must]: slots the search visits over a
+   fixed seeded stream of 2 000 one-Must batches [dense.(j) -> dense.(i)],
+   [i < j], into [dense_dag]'s graph.  Each is drawn against creation
+   order, so unless an earlier relabel already lifted [dense.(i)] above
+   [dense.(j)], it pays [Graph.stage]'s cycle check: the query search
+   over the open window (rank dense.(i), rank dense.(j)).  A Must whose
+   search finds the path is refused ([Must_violated]); one whose search
+   does not is applied and relabels.  The rising Musts of
+   [engine.assign_must_dense] never reach that check.  An exact count, so
+   it takes the tight [count_threshold]. *)
+let reversed_must_smoke () =
+  let module Rng = Kronos_simnet.Rng in
+  let engine, dense, _ = dense_dag () in
+  let m = Array.length dense in
+  let rng = Rng.create ~seed:29L in
+  let visited0 = (Engine.stats engine).Engine.visited in
+  for _ = 1 to 2_000 do
+    let i = Rng.int rng (m - 1) in
+    let j = i + 1 + Rng.int rng (m - i - 1) in
+    ignore (Engine.assign_order engine [ Order.must_before dense.(j) dense.(i) ])
+  done;
+  record "engine.bfs_visited_reversed_must"
+    (float_of_int ((Engine.stats engine).Engine.visited - visited0))
+    "slots"
+
 (* Certify hot paths (DESIGN.md §13): proof generation and verification
    over a real chain, each the best of five fixed-length windows after a
    compaction, plus the assign-path cost of digest maintenance —
@@ -591,124 +620,6 @@ let certify_smoke () =
    sneaking onto the assign path (3 compressions ≈ +100 further points)
    still fails. *)
 let assign_overhead_budget_pct = 250.
-
-(* Federated service on the simulated network: a 2-shard deployment
-   behind one router.  [fed.assign_cross_shard] is the closed-loop rate
-   of two-shard commits (portal pair + guarded batches + reflection
-   scan); [fed.query_scatter] the rate of cross-shard reads answered by
-   frontier comparison or a two-shard probe. *)
-let federation_smoke () =
-  let sim = Sim.create ~seed:7L () in
-  let net = Kronos_transport.Sim_transport.of_net (Net.create sim) in
-  let fed =
-    Kronos_federation.Deploy.deploy ~net ~shards:[ 0; 1 ]
-      ~replicas_per_shard:3 ~request_timeout:0.4 ()
-  in
-  let rt = fed.Kronos_federation.Deploy.router in
-  let await f =
-    let result = ref None in
-    f (fun x -> result := Some x);
-    while !result = None && Sim.pending sim > 0 do
-      ignore (Sim.step sim)
-    done;
-    match !result with
-    | Some (Ok x) -> x
-    | Some (Error _) | None -> failwith "smoke: federated op failed"
-  in
-  let module Router = Kronos_federation.Router in
-  let module Fid = Kronos_federation.Fid in
-  let n = if !Bench_util.full_scale then 250 else 80 in
-  let mint shard =
-    let c = Option.get (Router.client_of rt shard) in
-    Fid.make ~shard (await (Client.create_event c))
-  in
-  let left = Array.init n (fun _ -> mint 0)
-  and right = Array.init n (fun _ -> mint 1) in
-  let t0 = Unix.gettimeofday () in
-  for i = 0 to n - 1 do
-    ignore
-      (await (Router.assign_order rt [ Router.must_before left.(i) right.(i) ]))
-  done;
-  let elapsed = Unix.gettimeofday () -. t0 in
-  record "fed.assign_cross_shard" (float_of_int n /. elapsed) "ops/s";
-  let rng = Kronos_simnet.Rng.create ~seed:31L in
-  let q = 2 * n in
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to q do
-    let i = Kronos_simnet.Rng.int rng n and j = Kronos_simnet.Rng.int rng n in
-    ignore (await (Router.query_order rt [ (left.(i), right.(j)) ]))
-  done;
-  let elapsed = Unix.gettimeofday () -. t0 in
-  record "fed.query_scatter" (float_of_int q /. elapsed) "ops/s"
-
-(* Write scaling in *virtual* time: aggregate assign throughput with
-   [shards] chains, each replica charging a fixed simulated service time
-   per command.  Four closed loops per shard issue chains of must-edges
-   over disjoint events (the portal-quiet fast path), so the aggregate
-   rate is bounded by per-shard service capacity and must rise with the
-   shard count.  The recorded series is the 4-shard/1-shard ratio —
-   deterministic (simulated clock, fixed seed), gated like the rest and
-   additionally held above a hard 2x floor by [check]. *)
-let scaling_rate ~shards =
-  let sim = Sim.create ~seed:11L () in
-  let net = Kronos_transport.Sim_transport.of_net (Net.create sim) in
-  let fed =
-    Kronos_federation.Deploy.deploy ~net
-      ~shards:(List.init shards (fun i -> i))
-      ~replicas_per_shard:2 ~service:0.002 ~request_timeout:0.4
-      ~ping_interval:0.1 ~failure_timeout:0.35 ()
-  in
-  let rt = fed.Kronos_federation.Deploy.router in
-  let module Router = Kronos_federation.Router in
-  let module Fid = Kronos_federation.Fid in
-  let await f =
-    let result = ref None in
-    f (fun x -> result := Some x);
-    while !result = None && Sim.pending sim > 0 do
-      ignore (Sim.step sim)
-    done;
-    match !result with
-    | Some (Ok x) -> x
-    | Some (Error _) | None -> failwith "smoke: scaling op failed"
-  in
-  let mint shard =
-    let c = Option.get (Router.client_of rt shard) in
-    Fid.make ~shard (await (Client.create_event c))
-  in
-  let loops_per_shard = 4 and ops_per_loop = 12 in
-  let chains =
-    List.concat_map
-      (fun s ->
-        List.init loops_per_shard (fun _ ->
-            Array.init (ops_per_loop + 1) (fun _ -> mint s)))
-      (List.init shards (fun i -> i))
-  in
-  let live = ref (List.length chains) in
-  let started = Sim.now sim in
-  List.iter
-    (fun chain ->
-      let rec step i =
-        if i >= ops_per_loop then decr live
-        else
-          Router.assign_order rt
-            [ Router.must_before chain.(i) chain.(i + 1) ]
-            (function
-            | Ok _ -> step (i + 1)
-            | Error _ -> failwith "smoke: scaling assign failed")
-      in
-      step 0)
-    chains;
-  while !live > 0 && Sim.pending sim > 0 do
-    ignore (Sim.step sim)
-  done;
-  if !live > 0 then failwith "smoke: scaling loops did not finish";
-  let elapsed = Sim.now sim -. started in
-  float_of_int (shards * loops_per_shard * ops_per_loop) /. elapsed
-
-let write_scaling_smoke () =
-  let t1 = scaling_rate ~shards:1 in
-  let t4 = scaling_rate ~shards:4 in
-  record "fed.write_scaling" (t4 /. t1) "x"
 
 (* Documented budget (DESIGN.md §16) for [durability.recovery_ms]: the
    snapshot schedule bounds the WAL tail a restart replays to one window,
@@ -852,31 +763,27 @@ let read_file path =
 let count_threshold = 1.1
 
 (* Regression gate behind `make bench-check`: re-measure the engine hot
-   paths, the client order cache, the certify series and the federated
-   series, and compare them with the committed BENCH_smoke.json.  The
-   engine.*, client.order_cache_* and certify.* ns/op series, the
-   promoted words per edge of [engine.assign_batch_wide_promoted] and the
-   heap bytes per link of [engine.commitment_bytes_per_link] are
-   in-process numbers; the fed.* series are closed-loop
-   rates on the simulated network (pure compute, no real sleeping), so
-   both are stable enough to gate.  [engine.bfs_visited_wide] is an exact
-   count of slots visited, so it takes the tight [count_threshold]
-   (1.1x): a 2x algorithmic regression that a 2.5x time bound would let
-   through fails it.  [engine.digest_folds_per_edge], SHA-256
-   compressions per committed edge, is exact too and takes the same
-   bound.  The pct series is held under an
+   paths, the client order cache and the certify series, and compare them
+   with the committed BENCH_smoke.json.  The engine.*,
+   client.order_cache_* and certify.* ns/op series, the promoted words
+   per edge of [engine.assign_batch_wide_promoted] and the heap bytes per
+   link of [engine.commitment_bytes_per_link] are in-process numbers,
+   stable enough to gate.  [engine.bfs_visited_wide] and
+   [engine.bfs_visited_reversed_must] are exact counts of slots visited
+   (by queries and by cycle checks), so they take the tight
+   [count_threshold] (1.1x): a 2x algorithmic regression that a 2.5x time
+   bound would let through fails them.  [engine.digest_folds_per_edge],
+   SHA-256 compressions per committed edge, is exact too and takes the
+   same bound.  The pct series is held under an
    absolute budget ([assign_overhead_budget_pct]) instead of a baseline
    ratio — it is a difference of two noisy numbers.  The threshold is
    deliberately loose (2.5x) so only real regressions fail CI, not
    measurement noise; for ops/s and x series "worse" means lower, so the
-   ratio inverts.  [fed.write_scaling] additionally carries the hard
-   floor graduated from the old federation.scaling test: 4 shards must
-   beat 1 shard by more than 2x in absolute terms, not just stay within
-   2.5x of the committed snapshot.  [engine.query_parallel_speedup]
-   carries the analogous floor for the multicore query plane — the
-   parallel reader domains must beat the single-domain live rate by
-   more than 2x — applied only on hosts with at least 4 recommended
-   domains (a single-core machine cannot show parallel speedup).
+   ratio inverts.  [engine.query_parallel_speedup] carries a hard floor
+   for the multicore query plane — the parallel reader domains must beat
+   the single-domain live rate by more than 2x — applied only on hosts
+   with at least 4 recommended domains (a single-core machine cannot
+   show parallel speedup).
    [durability.recovery_ms] is held under the absolute
    [recovery_ms_budget] — recovery time measures the bounded WAL tail,
    not the machine, so a budget is the honest gate; its companion
@@ -897,7 +804,9 @@ let check () =
   let threshold = 2.5 in
   (* exact work counts take a tight bound: host load does not move them *)
   let threshold_of name =
-    if name = "engine.bfs_visited_wide" || name = "engine.digest_folds_per_edge"
+    if name = "engine.bfs_visited_wide"
+       || name = "engine.bfs_visited_reversed_must"
+       || name = "engine.digest_folds_per_edge"
     then count_threshold
     else threshold
   in
@@ -911,9 +820,8 @@ let check () =
   assign_batch_wide_smoke ();
   commitment_bytes_smoke ();
   digest_folds_smoke ();
+  reversed_must_smoke ();
   certify_smoke ();
-  federation_smoke ();
-  write_scaling_smoke ();
   let failures = ref 0 in
   List.iter
     (fun (name, value, unit_) ->
@@ -926,11 +834,6 @@ let check () =
         else
           Printf.printf "  %-32s %12.6g %s  (budget %.0f pct)  ok\n" name value
             unit_ assign_overhead_budget_pct
-      else if name = "fed.write_scaling" && value <= 2.0 then begin
-        incr failures;
-        Printf.printf "  %-32s %12.6g %s  below the hard 2x floor  FAIL\n"
-          name value unit_
-      end
       else if name = "durability.recovery_ms" then
         if value > recovery_ms_budget then begin
           incr failures;
@@ -998,9 +901,8 @@ let run () =
   assign_batch_wide_smoke ();
   commitment_bytes_smoke ();
   digest_folds_smoke ();
+  reversed_must_smoke ();
   certify_smoke ();
-  federation_smoke ();
-  write_scaling_smoke ();
   let path =
     Option.value ~default:"BENCH_smoke.json" (Sys.getenv_opt "KRONOS_SMOKE_OUT")
   in

@@ -18,15 +18,7 @@
    applied command to a WAL and snapshots it; add --data-dir to keep them
    on disk, so the replica recovers from its own snapshot + WAL when
    restarted with the same flags.  Without it they live in memory, and a
-   restarted replica rejoins blank and catches up by state transfer.
-
-   In a federated deployment (N independent chains behind one federation
-   router, see DESIGN.md §12) each daemon declares its slot with
-   --shard i/N: the flag tags the process's metrics registry with the
-   shard identity (so the router's merged stats view can tell shards
-   apart) and, with --coordinate, defaults the hosted coordinator's
-   address to 1000+i — the address plan the federation router and
-   kronos_cli --shards expect. *)
+   restarted replica rejoins blank and catches up by state transfer. *)
 
 module Chain = Kronos_replication.Chain
 module Server = Kronos_service.Server
@@ -64,8 +56,7 @@ let () =
   let peers = ref [] in
   let coordinator = ref None in
   let coordinate = ref false in
-  let coordinator_addr = ref (-1) in
-  let shard = ref None in
+  let coordinator_addr = ref 1000 in
   let data_dir = ref "" in
   let metrics_addr = ref "" in
   let no_metrics = ref false in
@@ -88,22 +79,8 @@ let () =
       ("--coordinate", Arg.Set coordinate, " host the coordinator in this process");
       ( "--coordinator-addr",
         Arg.Set_int coordinator_addr,
-        "N address of the hosted coordinator (default 1000, or 1000+i with \
-         --shard i/N; with --coordinate)" );
-      ( "--shard",
-        Arg.String
-          (fun s ->
-            match String.index_opt s '/' with
-            | None -> raise (Arg.Bad ("--shard: expected i/N, got " ^ s))
-            | Some k -> (
-                match
-                  ( int_of_string_opt (String.sub s 0 k),
-                    int_of_string_opt
-                      (String.sub s (k + 1) (String.length s - k - 1)) )
-                with
-                | Some i, Some n when 0 <= i && i < n -> shard := Some (i, n)
-                | _ -> raise (Arg.Bad ("--shard: expected i/N, got " ^ s)))),
-        "i/N serve shard i of an N-shard federation" );
+        "N address of the hosted coordinator (default 1000, with \
+         --coordinate)" );
       ( "--data-dir",
         Arg.Set_string data_dir,
         "DIR durable storage directory (default: WAL and snapshots in memory, \
@@ -154,17 +131,6 @@ let () =
     Logs.set_level (Some Logs.Debug)
   end;
   if !no_metrics then Kronos_metrics.set_enabled false;
-  (* Resolve the coordinator address under the federation address plan. *)
-  if !coordinator_addr < 0 then
-    coordinator_addr :=
-      (match !shard with Some (i, _) -> 1000 + i | None -> 1000);
-  (match !shard with
-   | None -> ()
-   | Some (i, n) ->
-     let scope = Kronos_metrics.scope "federation" in
-     Kronos_metrics.Gauge.set (Kronos_metrics.gauge scope "shard") i;
-     Kronos_metrics.Gauge.set (Kronos_metrics.gauge scope "shards") n;
-     Printf.printf "kronosd: serving shard %d/%d\n%!" i n);
 
   let loop = Event_loop.create () in
   let tcp =

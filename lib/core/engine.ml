@@ -164,35 +164,6 @@ let assign_order t requests =
        Graph.seal t.g;
        Ok (Array.to_list outcomes))
 
-(* Guards and batch evaluate against the same engine state: the state
-   machine applies commands one at a time, so nothing can interleave
-   between the guard checks and the constraint batch.  This is the
-   primitive the federation layer's two-shard cross-edge commit rides:
-   the second shard's apply re-validates the relations the router probed,
-   closing the window in which a concurrent assign could have changed
-   them. *)
-let guarded_assign t ~guards specs =
-  let rec check i = function
-    | [] -> Ok ()
-    | (e1, e2, expected) :: rest ->
-      if not (Graph.is_live t.g e1) then Error (Order.Unknown_event e1)
-      else if not (Graph.is_live t.g e2) then Error (Order.Unknown_event e2)
-      else begin
-        t.queries <- t.queries + 1;
-        Kronos_metrics.Counter.incr M.queries;
-        match Graph.query t.g e1 e2 with
-        | Ok r when Order.relation_equal r expected -> check (i + 1) rest
-        | Ok _ -> Error (Order.Guard_failed i)
-        | Error _ -> assert false (* both arguments were checked live *)
-      end
-  in
-  match check 0 guards with
-  | Error e ->
-    t.aborted_batches <- t.aborted_batches + 1;
-    Kronos_metrics.Counter.incr M.aborted;
-    Error e
-  | Ok () -> assign_order t specs
-
 type snapshot = {
   snap_graph : Graph.snapshot;
   snap_creates : int;

@@ -67,21 +67,6 @@ val assign_order :
 
     Outcomes are returned in request order. *)
 
-val guarded_assign :
-  t ->
-  guards:(Event_id.t * Event_id.t * Order.relation) list ->
-  Order.spec list ->
-  (Order.outcome list, Order.assign_error) result
-(** [guarded_assign t ~guards specs] applies [specs] exactly as
-    {!assign_order} does, but only after every guard [(e1, e2, expected)]
-    is observed to hold: the current relation of [(e1, e2)] must equal
-    [expected].  Guards and batch are evaluated against the same state
-    with nothing in between, so a replicated engine evaluates them
-    atomically.  On a mismatch the call fails with
-    [Guard_failed i] ([i] the guard's index) and has no side effects.
-    This is the building block of the federation layer's two-shard
-    cross-edge commit (DESIGN §12). *)
-
 (** {1 Serialization} *)
 
 (** Full logical state of an engine: the graph plus the API counters, so a
@@ -180,8 +165,8 @@ val epoch : t -> int64
 (** {1 Introspection} *)
 
 val graph : t -> Graph.t
-(** The underlying dependency graph.  {b Write-side use only} (durability,
-    federation portals): query paths must go through {!View}. *)
+(** The underlying dependency graph.  {b Write-side use only}
+    (durability): query paths must go through {!View}. *)
 
 val live_events : t -> int
 val edges : t -> int

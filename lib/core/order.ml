@@ -8,7 +8,6 @@ type assign_error =
   | Must_violated of int
   | Must_self of int
   | Unknown_event of Event_id.t
-  | Guard_failed of int
 
 type direction = Happens_before | Happens_after
 
@@ -46,9 +45,7 @@ let assign_error_equal a b =
   | Must_violated i, Must_violated j -> i = j
   | Must_self i, Must_self j -> i = j
   | Unknown_event e, Unknown_event f -> Event_id.equal e f
-  | Guard_failed i, Guard_failed j -> i = j
-  | (Must_violated _ | Must_self _ | Unknown_event _ | Guard_failed _), _ ->
-    false
+  | (Must_violated _ | Must_self _ | Unknown_event _), _ -> false
 
 let pp_relation ppf = function
   | Before -> Format.pp_print_string ppf "before"
@@ -69,7 +66,6 @@ let pp_assign_error ppf = function
   | Must_violated i -> Format.fprintf ppf "must-violated@%d" i
   | Must_self i -> Format.fprintf ppf "must-self@%d" i
   | Unknown_event e -> Format.fprintf ppf "unknown-event:%a" Event_id.pp e
-  | Guard_failed i -> Format.fprintf ppf "guard-failed@%d" i
 
 let pp_direction ppf = function
   | Happens_before -> Format.pp_print_string ppf "->"

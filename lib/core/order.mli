@@ -27,10 +27,6 @@ type assign_error =
       (** index of a [Must] pair relating an event to itself *)
   | Unknown_event of Event_id.t
       (** an argument does not name a live event *)
-  | Guard_failed of int
-      (** index of the guard pair of a guarded batch whose observed
-          relation no longer matches the expected one (see
-          [Engine.guarded_assign]) *)
 
 type direction =
   | Happens_before  (** left operand precedes right operand *)

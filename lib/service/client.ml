@@ -307,11 +307,13 @@ let cache_outcomes t specs outs =
       | Reversed -> cache_insert t after before Order.Before)
     specs outs
 
-(* Send an assign-type batch.  The ack's epoch covers it, so a subsequent
+(* The ack's epoch covers the batch, so a subsequent
    [`At_least (last_epoch t)] query reads its own writes.  An ack whose
    outcome count differs from the batch fails the call. *)
-let send_assign t ?timeout request specs callback =
-  Proxy.write t.proxy ?timeout (Message.encode_request request)
+let assign_order t ?timeout specs callback =
+  let callback = timed M.assign_order callback in
+  Proxy.write t.proxy ?timeout
+    (Message.encode_request (Message.Assign_order specs))
     (decoded (function
       | Ok (Message.Outcomes { epoch; outs })
         when List.compare_lengths outs specs = 0 ->
@@ -321,12 +323,3 @@ let send_assign t ?timeout request specs callback =
       | Ok (Message.Rejected err) -> callback (Error (Error.Rejected err))
       | Ok _ -> callback (Error unexpected)
       | Error e -> callback (Error e)))
-
-let assign_order t ?timeout specs callback =
-  let callback = timed M.assign_order callback in
-  send_assign t ?timeout (Message.Assign_order specs) specs callback
-
-let guarded_assign t ?timeout ~guards specs callback =
-  let callback = timed M.assign_order callback in
-  send_assign t ?timeout (Message.Guarded_assign { guards; specs }) specs
-    callback

@@ -104,20 +104,6 @@ val assign_order :
     The ack carries the engine epoch after the batch applied and advances
     {!last_epoch}, so [`At_least (last_epoch t)] reads this write. *)
 
-val guarded_assign :
-  t ->
-  ?timeout:float ->
-  guards:(Event_id.t * Event_id.t * Order.relation) list ->
-  Order.spec list ->
-  ((Order.outcome list, Error.t) result -> unit) ->
-  unit
-(** {!assign_order} preceded by atomically evaluated guards: the batch
-    applies only if every guard pair still has the expected relation,
-    otherwise it fails with [Rejected (Guard_failed i)] and no side
-    effects.  The federation router uses this to commit cross-shard
-    edges without a window for concurrent contradicting assigns.  Like
-    an {!assign_order} ack, a guarded ack advances {!last_epoch}. *)
-
 val query_verified :
   t ->
   ?timeout:float ->
@@ -165,9 +151,8 @@ val stale_revalidations : t -> int
     the tail. *)
 
 val last_epoch : t -> int64
-(** Highest view epoch observed in any reply ({!assign_order} and
-    {!guarded_assign} acks, queries sent to the service); 0 before the
-    first one.
+(** Highest view epoch observed in any reply ({!assign_order} acks,
+    queries sent to the service); 0 before the first one.
     [`At_least (last_epoch t)] demands read-your-writes. *)
 
 val epoch_retries : t -> int

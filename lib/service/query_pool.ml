@@ -88,7 +88,7 @@ let respond view (req : Message.request) =
       Message.Proof_is { relation; cert }
     | Ok _ -> assert false (* one pair in, one relation out *))
   | Message.Create_event | Message.Acquire_ref _ | Message.Release_ref _
-  | Message.Assign_order _ | Message.Guarded_assign _ ->
+  | Message.Assign_order _ ->
     invalid_arg "Query_pool.respond: not a read"
 
 let complete t w reply resp =
@@ -208,7 +208,7 @@ let offload t ~client ~cmd ~reply =
         (* let the synchronous path produce the canonical rejection *)
         false
       | Message.Create_event | Message.Acquire_ref _ | Message.Release_ref _
-      | Message.Assign_order _ | Message.Guarded_assign _ ->
+      | Message.Assign_order _ ->
         Kronos_metrics.Counter.incr M.declined;
         false
       | (Message.Query_order _ | Message.Query_proof _) as req ->

@@ -17,7 +17,6 @@ module M = struct
   let query_order = op_metrics "query_order"
   let query_proof = op_metrics "query_proof"
   let assign_order = op_metrics "assign_order"
-  let guarded_assign = op_metrics "guarded_assign"
   let malformed = Kronos_metrics.counter scope "malformed_requests_total"
 end
 
@@ -69,11 +68,6 @@ let apply engine cmd =
          snapshots *)
       timed M.assign_order (fun () ->
           match Engine.assign_order engine reqs with
-          | Ok outs -> Message.Outcomes { epoch = Engine.epoch engine; outs }
-          | Error err -> Message.Rejected err)
-    | Message.Guarded_assign { guards; specs } ->
-      timed M.guarded_assign (fun () ->
-          match Engine.guarded_assign engine ~guards specs with
           | Ok outs -> Message.Outcomes { epoch = Engine.epoch engine; outs }
           | Error err -> Message.Rejected err)
   in

@@ -9,10 +9,6 @@ type request =
       pairs : (Event_id.t * Event_id.t) list;
     }
   | Assign_order of Order.spec list
-  | Guarded_assign of {
-      guards : (Event_id.t * Event_id.t * Order.relation) list;
-      specs : Order.spec list;
-    }
   | Query_proof of (Event_id.t * Event_id.t)
 
 type response =
@@ -86,14 +82,13 @@ let put_error b = function
   | Order.Must_violated i -> Codec.put_u8 b 0; Codec.put_u32 b i
   | Order.Must_self i -> Codec.put_u8 b 1; Codec.put_u32 b i
   | Order.Unknown_event e -> Codec.put_u8 b 2; put_event b e
-  | Order.Guard_failed i -> Codec.put_u8 b 3; Codec.put_u32 b i
 
+(* Error tag 3 (the retired guard failure) is malformed; never reuse it. *)
 let get_error d =
   match Codec.get_u8 d with
   | 0 -> Order.Must_violated (Codec.get_u32 d)
   | 1 -> Order.Must_self (Codec.get_u32 d)
   | 2 -> Order.Unknown_event (get_event d)
-  | 3 -> Order.Guard_failed (Codec.get_u32 d)
   | n -> raise (Codec.Decode_error (Printf.sprintf "bad error tag %d" n))
 
 let put_spec b (s : Order.spec) =
@@ -115,15 +110,6 @@ let encode_request r =
    | Create_event -> Codec.put_u8 b 0
    | Acquire_ref e -> Codec.put_u8 b 1; put_event b e
    | Release_ref e -> Codec.put_u8 b 2; put_event b e
-   | Guarded_assign { guards; specs } ->
-     Codec.put_u8 b 5;
-     Codec.put_list b
-       (fun b (e1, e2, rel) ->
-         put_event b e1;
-         put_event b e2;
-         put_relation b rel)
-       guards;
-     Codec.put_list b put_spec specs
    | Query_proof (e1, e2) ->
      Codec.put_u8 b 6;
      put_event b e1;
@@ -137,6 +123,9 @@ let encode_request r =
      Codec.put_list b put_spec reqs);
   Codec.to_string b
 
+(* Request tags 3 and 4 (the unstamped query and assign) and 5 (the
+   guarded assign of the removed federation layer) are retired: they
+   decode as malformed and must not be reused. *)
 let decode_request s =
   let d = Codec.decoder s in
   let r =
@@ -144,16 +133,6 @@ let decode_request s =
     | 0 -> Create_event
     | 1 -> Acquire_ref (get_event d)
     | 2 -> Release_ref (get_event d)
-    | 5 ->
-      let guards =
-        Codec.get_list d (fun d ->
-            let e1 = get_event d in
-            let e2 = get_event d in
-            let rel = get_relation d in
-            (e1, e2, rel))
-      in
-      let specs = Codec.get_list d get_spec in
-      Guarded_assign { guards; specs }
     | 6 ->
       let e1 = get_event d in
       let e2 = get_event d in
@@ -242,9 +221,6 @@ let pp_request ppf = function
     Format.fprintf ppf "query_order(>=%Ld, %d pairs)" min_epoch
       (List.length pairs)
   | Assign_order reqs -> Format.fprintf ppf "assign_order(%d pairs)" (List.length reqs)
-  | Guarded_assign { guards; specs } ->
-    Format.fprintf ppf "guarded_assign(%d guards, %d pairs)"
-      (List.length guards) (List.length specs)
   | Query_proof (e1, e2) ->
     Format.fprintf ppf "query_proof(%a, %a)" Event_id.pp e1 Event_id.pp e2
 

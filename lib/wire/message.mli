@@ -23,14 +23,6 @@ type request =
       (** the reply ({!Outcomes}) carries the post-apply epoch, so the
           caller can demand read-your-writes ([`At_least]) from subsequent
           queries *)
-  | Guarded_assign of {
-      guards : (Event_id.t * Event_id.t * Order.relation) list;
-      specs : Order.spec list;
-    }
-      (** atomically check that each guard pair currently has the expected
-          relation, then apply [specs] as one {!Assign_order} batch; any
-          mismatch rejects with [Order.Guard_failed] and no side effects
-          (the federation layer's cross-shard commit primitive) *)
   | Query_proof of (Event_id.t * Event_id.t)
       (** like a one-pair {!Query_order}, but when the answer is
           [Before]/[After] the server also attempts a happens-before
@@ -45,7 +37,7 @@ type response =
       (** answer to {!Query_order}: the relations plus the view epoch they
           were computed against *)
   | Outcomes of { epoch : int64; outs : Order.outcome list }
-      (** answer to {!Assign_order} and {!Guarded_assign}: the outcomes plus
+      (** answer to {!Assign_order}: the outcomes plus
           the engine epoch after the batch applied (deterministic, so
           replicas agree) *)
   | Rejected of Order.assign_error
@@ -61,12 +53,13 @@ type response =
 val encode_request : request -> string
 val decode_request : string -> request
 (** @raise Codec.Decode_error on malformed input.  Tags 3 and 4 (the
-    retired unstamped query and assign) are malformed. *)
+    retired unstamped query and assign) and 5 (the retired guarded
+    assign) are malformed. *)
 
 val encode_response : response -> string
 val decode_response : string -> response
 (** @raise Codec.Decode_error on malformed input, including the retired
-    tags 3 and 4. *)
+    tags 3 and 4 and the retired error tag 3 inside {!Rejected}. *)
 
 val request_equal : request -> request -> bool
 val response_equal : response -> response -> bool

@@ -881,6 +881,60 @@ let test_schedule_cadence () =
   Array.iter (fun c -> ignore (Kronos_service.Server.apply reference c)) cmds;
   check_engines_agree "schedule recovery" ids reference o.Recovery.engine
 
+(* A WAL written while the federation layer existed may hold a guarded
+   assign (request tag 5, now retired).  Recovery replays it as a
+   malformed command: the replica rejects and counts it, none of its
+   edges land, and the records after it still replay. *)
+let test_retired_guarded_assign_replay () =
+  let e n = Event_id.make ~slot:n ~gen:0 in
+  let cmds =
+    List.init 4 (fun _ -> Message.encode_request Message.Create_event)
+    @ [
+        Test_wire.retired_guarded_assign;
+        Message.encode_request
+          (Message.Assign_order [ Order.must_before (e 1) (e 2) ]);
+      ]
+  in
+  let _dir, storage = mem () in
+  let wal, _ = Wal.open_ storage in
+  List.iteri
+    (fun i cmd ->
+      Wal.append wal ~seq:(i + 1)
+        ~payload:
+          (Kronos_replication.Chain.encode_entry_payload ~client:2000
+             ~req_id:(i + 1) ~cmd))
+    cmds;
+  Wal.sync wal;
+  let malformed =
+    Kronos_metrics.counter (Kronos_metrics.scope "server") "malformed_requests_total"
+  in
+  let was_enabled = Kronos_metrics.enabled () in
+  Kronos_metrics.set_enabled true;
+  let before = Kronos_metrics.Counter.value malformed in
+  let net = Kronos_transport.Sim_transport.of_net (Net.create (Sim.create ())) in
+  let durability =
+    Kronos_service.Server.durability ~storage_of:(fun _ -> storage) ()
+  in
+  let _replica, engine =
+    Kronos_service.Server.start_node ~net ~addr:1 ~durability ()
+  in
+  let counted = Kronos_metrics.Counter.value malformed - before in
+  Kronos_metrics.set_enabled was_enabled;
+  Alcotest.(check int) "retired record counted as malformed" 1 counted;
+  let reference = Engine.create () in
+  List.iter (fun c -> ignore (Kronos_service.Server.apply reference c)) cmds;
+  check_engines_agree "retired record replay"
+    (Array.init 4 e) reference !engine;
+  let relation a b =
+    match Engine.query_order !engine [ (a, b) ] with
+    | Ok [ r ] -> r
+    | _ -> Alcotest.fail "query refused"
+  in
+  Alcotest.(check bool) "guarded edge not applied" true
+    (relation (e 2) (e 3) = Order.Concurrent);
+  Alcotest.(check bool) "later record replayed" true
+    (relation (e 1) (e 2) = Order.Before)
+
 (* The snapshot window is the one durability setting; a window below one
    byte is refused where the configuration is built. *)
 let test_durability_window_validated () =
@@ -941,5 +995,10 @@ let suites =
         Alcotest.test_case "schedule cadence" `Quick test_schedule_cadence;
         Alcotest.test_case "durability window validated" `Quick
           test_durability_window_validated;
+      ] );
+    ( "durability.retired",
+      [
+        Alcotest.test_case "guarded assign in the WAL replays as rejected"
+          `Quick test_retired_guarded_assign_replay;
       ] );
   ]

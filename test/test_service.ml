@@ -254,35 +254,6 @@ let test_malformed_replies_fail_the_call () =
   Alcotest.(check (list relation)) "service usable afterwards"
     [ Order.Before ] rels
 
-(* A guarded ack is epoch-stamped like a plain assign ack, so
-   [`At_least (last_epoch c)] after a cross-shard commit reads it. *)
-let test_guarded_assign_advances_epoch () =
-  let env = make_env () in
-  let a = ok (await env (Client.create_event env.client)) in
-  let b = ok (await env (Client.create_event env.client)) in
-  let c = ok (await env (Client.create_event env.client)) in
-  ignore (ok (await env (Client.assign_order env.client [ Order.must_before a b ])));
-  let after_assign = Client.last_epoch env.client in
-  let outs =
-    ok (await env
-          (Client.guarded_assign env.client
-             ~guards:[ (a, b, Order.Before) ]
-             [ Order.must_before b c ]))
-  in
-  Alcotest.(check (list outcome)) "guarded applied" [ Order.Applied ] outs;
-  let e = Client.last_epoch env.client in
-  Alcotest.(check bool) "guarded ack advanced the epoch" true (e > after_assign);
-  (match Server.engine_of env.cluster 0 with
-   | Some engine -> Alcotest.(check int64) "ack epoch is the engine's" (Engine.epoch engine) e
-   | None -> Alcotest.fail "replica 0 missing");
-  let rels, at =
-    ok (await env
-          (Client.query_order_e env.client ~stale:true ~consistency:(`At_least e)
-             [ (b, c) ]))
-  in
-  Alcotest.(check (list relation)) "read your guarded write" [ Order.Before ] rels;
-  Alcotest.(check bool) "answered at the demanded epoch" true (at >= e)
-
 let suites =
   [ ( "service",
       [
@@ -297,7 +268,5 @@ let suites =
         Alcotest.test_case "malformed command" `Quick test_malformed_command_rejected;
         Alcotest.test_case "malformed replies fail the call" `Quick
           test_malformed_replies_fail_the_call;
-        Alcotest.test_case "guarded ack advances last_epoch" `Quick
-          test_guarded_assign_advances_epoch;
       ] );
   ]

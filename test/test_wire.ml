@@ -45,9 +45,6 @@ let sample_requests =
     Message.Query_order { min_epoch = 42L; pairs = [ (e 1, e 2); (e 3, e 3) ] };
     Message.Assign_order
       [ Order.must_before (e 1) (e 2); Order.prefer_after (e 2) (e 3) ];
-    Message.Guarded_assign
-      { guards = [ (e 1, e 2, Order.Concurrent) ];
-        specs = [ Order.must_before (e 1) (e 2) ] };
     Message.Query_proof (e 4, e 5);
   ]
 
@@ -94,18 +91,58 @@ let test_bad_tags () =
   raises "trailing" (fun () ->
       Message.decode_request (Message.encode_request Message.Create_event ^ "x"))
 
+(* A request in the layout of the retired tag 5, the guarded assign of
+   the removed federation layer: a list of (event, event, relation)
+   guards, then a list of specs. *)
+let retired_guarded_assign =
+  let e n = Event_id.to_int64 (Event_id.make ~slot:n ~gen:0) in
+  let b = Codec.encoder () in
+  Codec.put_u8 b 5;
+  Codec.put_list b
+    (fun b (e1, e2, rel) ->
+      Codec.put_i64 b e1;
+      Codec.put_i64 b e2;
+      Codec.put_u8 b rel)
+    [ (e 1, e 2, 2) ];
+  Codec.put_list b
+    (fun b (left, right) ->
+      Codec.put_i64 b left;
+      Codec.put_u8 b 0;
+      Codec.put_u8 b 0;
+      Codec.put_i64 b right)
+    [ (e 2, e 3) ];
+  Codec.to_string b
+
+(* A [Rejected] reply (response tag 5, still live) carrying the retired
+   error tag 3, the guard failure, at guard index 0. *)
+let retired_guard_failed =
+  let b = Codec.encoder () in
+  Codec.put_u8 b 5;
+  Codec.put_u8 b 3;
+  Codec.put_u32 b 0;
+  Codec.to_string b
+
 (* Tags 3 and 4 carried the unstamped query and assign and their replies;
-   they are retired in both directions, empty body or not. *)
+   they are retired in both directions, empty body or not.  Request tag 5
+   and error tag 3 are retired too, but response tag 5 is [Rejected]. *)
 let test_retired_tags () =
+  let request body =
+    match Message.decode_request body with
+    | exception Codec.Decode_error _ -> ()
+    | r -> Alcotest.failf "request %S decoded as %a" body Message.pp_request r
+  in
+  let response body =
+    match Message.decode_response body with
+    | exception Codec.Decode_error _ -> ()
+    | r -> Alcotest.failf "response %S decoded as %a" body Message.pp_response r
+  in
   List.iter
     (fun body ->
-      (match Message.decode_request body with
-       | exception Codec.Decode_error _ -> ()
-       | r -> Alcotest.failf "request %S decoded as %a" body Message.pp_request r);
-      match Message.decode_response body with
-      | exception Codec.Decode_error _ -> ()
-      | r -> Alcotest.failf "response %S decoded as %a" body Message.pp_response r)
-    [ "\x03"; "\x04"; "\x03\x00\x00\x00\x00"; "\x04\x00\x00\x00\x00" ]
+      request body;
+      response body)
+    [ "\x03"; "\x04"; "\x03\x00\x00\x00\x00"; "\x04\x00\x00\x00\x00" ];
+  request retired_guarded_assign;
+  response retired_guard_failed
 
 let test_retired_tag_rejected_by_server () =
   let malformed =
@@ -113,14 +150,23 @@ let test_retired_tag_rejected_by_server () =
   in
   let was_enabled = Kronos_metrics.enabled () in
   Kronos_metrics.set_enabled true;
-  let before = Kronos_metrics.Counter.value malformed in
-  let resp = Kronos_service.Server.apply (Engine.create ()) "\x03\x00\x00\x00\x00" in
-  let after = Kronos_metrics.Counter.value malformed in
+  let engine = Engine.create () in
+  let applied =
+    List.map
+      (fun body ->
+        let before = Kronos_metrics.Counter.value malformed in
+        let resp = Kronos_service.Server.apply engine body in
+        (resp, Kronos_metrics.Counter.value malformed - before))
+      [ "\x03\x00\x00\x00\x00"; retired_guarded_assign ]
+  in
   Kronos_metrics.set_enabled was_enabled;
-  (match Message.decode_response resp with
-   | Message.Rejected (Order.Unknown_event e) when Event_id.equal e Event_id.none -> ()
-   | r -> Alcotest.failf "expected rejection, got %a" Message.pp_response r);
-  Alcotest.(check int) "malformed counted" (before + 1) after
+  List.iter
+    (fun (resp, counted) ->
+      (match Message.decode_response resp with
+       | Message.Rejected (Order.Unknown_event e) when Event_id.equal e Event_id.none -> ()
+       | r -> Alcotest.failf "expected rejection, got %a" Message.pp_response r);
+      Alcotest.(check int) "malformed counted" 1 counted)
+    applied
 
 let test_frame_roundtrip () =
   let r = Frame.Reassembler.create () in
@@ -166,9 +212,6 @@ let prop_request_roundtrip =
              (2, map2 (fun min_epoch pairs -> Message.Query_order { min_epoch; pairs })
                 ui64 (list_size (int_bound 20) (pair gen_event gen_event)));
              (2, map (fun rs -> Message.Assign_order rs) gen_specs);
-             (1, map2 (fun guards specs -> Message.Guarded_assign { guards; specs })
-                (list_size (int_bound 5) (triple gen_event gen_event gen_relation))
-                gen_specs);
              (1, map (fun p -> Message.Query_proof p) (pair gen_event gen_event));
            ])
   in
