@@ -1,6 +1,6 @@
 # Tier-1 verification in one command: build every target (libraries,
 # executables, tests, benches) and run the full test suite.
-.PHONY: check build test loopback nemesis certify-check query-plane race-smoke bench bench-smoke bench-check perfbench-smoke clean
+.PHONY: check build test loopback nemesis certify-check query-plane race-smoke bench bench-smoke bench-check figures-check perfbench-smoke clean
 
 check: build test
 
@@ -75,6 +75,18 @@ bench-smoke: build
 # The replicated service end to end is measured by perfbench/, not here.
 bench-check: build
 	dune exec bench/main.exe -- smoke-check
+
+# Golden-figure gate: the virtual-time figures are deterministic, so a
+# fresh quick-scale run must print exactly the committed output in
+# bench/expected/.  A change that moves a figure on purpose updates its
+# file.  FIGURES picks the set: fig6 and fig7 (~15 s) by default; the
+# nightly lane adds fig13 (~2 min).
+FIGURES ?= fig6 fig7
+figures-check: build
+	@set -e; for f in $(FIGURES); do \
+	  dune exec bench/main.exe -- $$f | diff -u bench/expected/$$f.out -; \
+	  echo "$$f: matches bench/expected/$$f.out"; \
+	done
 
 # Service benchmark correctness smoke: a short run of each perfbench
 # workload over the durable 3-replica TCP chain.  A failed output check

@@ -17,10 +17,15 @@ let run () =
   Bench_util.paper
     "kill middle replica at t=30s, add fresh one at t=60s; service stays available, throughput recovers";
   let sim = Sim.create ~seed:99L () in
-  let net = Kronos_transport.Sim_transport.of_net (Net.create sim) in
+  let raw = Net.create sim in
+  let net = Kronos_transport.Sim_transport.of_net raw in
+  let priced a =
+    Net.set_service raw a (Kronos_replication.Chain.Replica.service 20e-6)
+  in
+  List.iter priced [ 0; 1; 2 ];
   let cluster =
     Kronos_service.Server.deploy ~net ~coordinator:1000 ~replicas:[ 0; 1; 2 ]
-      ~service:20e-6 ~ping_interval:0.25 ~failure_timeout:1.0 ()
+      ~ping_interval:0.25 ~failure_timeout:1.0 ()
   in
   (* workload: a mix of ordering writes and stale reads, closed loop *)
   let completed = ref 0 in
@@ -62,7 +67,8 @@ let run () =
          Kronos_service.Server.crash cluster 1));
   ignore
     (Sim.schedule sim ~delay:60.0 (fun () ->
-         Kronos_service.Server.join cluster 7 ~service:20e-6 ()));
+         priced 7;
+         Kronos_service.Server.join cluster 7));
   (* sample completed ops per second of virtual time *)
   let windows = int_of_float horizon in
   let series = Array.make windows 0 in

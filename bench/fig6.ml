@@ -31,11 +31,14 @@ type load = { name : string; graph : Graph_gen.t; paper_speedup : float }
 
 let run_kronograph ?(shard_cache_capacity = 65536) ~seed ~graph ~ops () =
   let sim = Sim.create ~seed () in
-  let chain_net = Kronos_transport.Sim_transport.of_net (Net.create sim) in
+  let raw_chain_net = Net.create sim in
+  Net.set_service raw_chain_net 0
+    (Kronos_replication.Chain.Replica.service 5e-6);
+  let chain_net = Kronos_transport.Sim_transport.of_net raw_chain_net in
   (* single Kronos instance, as in the paper's application benchmarks *)
   let cluster =
     Kronos_service.Server.deploy ~net:chain_net ~coordinator:1000
-      ~replicas:[ 0 ] ~service:5e-6 ()
+      ~replicas:[ 0 ] ()
   in
   let gnet = Net.create sim in
   let shard_addrs = Array.init shard_count (fun i -> i) in
@@ -47,7 +50,8 @@ let run_kronograph ?(shard_cache_capacity = 65536) ~seed ~graph ~ops () =
             ~coordinator:1000 ~request_timeout:5.0
             ~cache_capacity:(max 1 shard_cache_capacity) ()
         in
-        Kshard.create ~net:gnet ~addr:a ~kronos ~cost:request_cost ())
+        Net.set_service gnet a (G_msg.service request_cost);
+        Kshard.create ~net:gnet ~addr:a ~kronos)
       shard_addrs
   in
   (* preload adjacency directly under a single genesis event *)
@@ -118,7 +122,9 @@ let run_lockgraph ~seed ~graph ~ops =
   let shard_addrs = Array.init shard_count (fun i -> i) in
   let shards =
     Array.map
-      (fun a -> Lshard.create ~net:gnet ~addr:a ~cost:request_cost ())
+      (fun a ->
+        Net.set_service gnet a (G_msg.service request_cost);
+        Lshard.create ~net:gnet ~addr:a ())
       shard_addrs
   in
   let adjacency = Graph_gen.adjacency graph in

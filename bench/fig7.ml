@@ -33,15 +33,20 @@ let run_mode ~mode ~clients ~ops ~accounts ~skew ~seed =
   let shard_addrs = Array.init shard_count (fun i -> i) in
   let shards =
     Array.map
-      (fun a -> Shard.create ~net:kv_net ~addr:a ~service_time:shard_service_time ())
+      (fun a ->
+        Net.set_service kv_net a (fun _ -> Some shard_service_time);
+        Shard.create ~net:kv_net ~addr:a ())
       shard_addrs
   in
-  let chain_net = Kronos_transport.Sim_transport.of_net (Net.create sim) in
+  let raw_chain_net = Net.create sim in
+  Net.set_service raw_chain_net 0
+    (Kronos_replication.Chain.Replica.service kronos_service_time);
+  let chain_net = Kronos_transport.Sim_transport.of_net raw_chain_net in
   (* single Kronos instance on its own server, as in the paper's application
      benchmarks (Section 4.1; fault tolerance is evaluated separately) *)
   ignore
     (Kronos_service.Server.deploy ~net:chain_net ~coordinator:1000
-       ~replicas:[ 0 ] ~service:kronos_service_time ());
+       ~replicas:[ 0 ] ());
   (* seed accounts *)
   let seeder = Kv_client.create ~net:kv_net ~addr:900 in
   for i = 0 to accounts - 1 do

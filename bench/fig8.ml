@@ -60,11 +60,14 @@ let measured_query_cost ~graph:(g : Graph_gen.t) =
 
 let measure ~replicas ~seed ~window ~service_cost =
   let sim = Sim.create ~seed () in
-  let net = Kronos_transport.Sim_transport.of_net (Net.create sim) in
+  let raw = Net.create sim in
+  let addrs = List.init replicas (fun i -> i) in
+  let price = Kronos_replication.Chain.Replica.service service_cost in
+  List.iter (fun a -> Net.set_service raw a price) addrs;
+  let net = Kronos_transport.Sim_transport.of_net raw in
   let cluster =
-    Kronos_service.Server.deploy ~net ~coordinator:1000
-      ~replicas:(List.init replicas (fun i -> i))
-      ~service:service_cost ~failure_timeout:3600.0 ()
+    Kronos_service.Server.deploy ~net ~coordinator:1000 ~replicas:addrs
+      ~failure_timeout:3600.0 ()
   in
   let rng = Rng.create ~seed:77L in
   let g = Graph_gen.erdos_renyi_gnm ~rng ~n:vertices ~m:edges in

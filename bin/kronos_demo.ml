@@ -68,7 +68,7 @@ let () =
   (* restart it from its own disk: the engine recovers from snapshot + WAL
      and the chain ships only the entries it missed *)
   Format.printf "restarting replica 1 from its write-ahead log...@.";
-  Server.restart_replica cluster 1 ();
+  Server.restart_replica cluster 1;
   Sim.run ~until:(Sim.now sim +. 3.0) sim;
   (match (Server.replica_of cluster 1, Server.engine_of cluster 1) with
    | Some replica, Some engine ->
@@ -80,7 +80,7 @@ let () =
    | _ -> ());
   (* a blank replica can still join with a full state transfer *)
   Format.printf "joining fresh replica 7...@.";
-  Server.join cluster 7 ();
+  Server.join cluster 7;
   Sim.run ~until:(Sim.now sim +. 3.0) sim;
   (match Server.engine_of cluster 7 with
    | Some engine ->

@@ -27,7 +27,7 @@ let () =
           Kronos_service.Client.create ~net:chain_net ~addr:(3000 + a)
             ~coordinator:1000 ()
         in
-        Kshard.create ~net:gnet ~addr:a ~kronos ())
+        Kshard.create ~net:gnet ~addr:a ~kronos)
       shard_addrs
   in
   let kronos =

@@ -112,11 +112,12 @@ let assign_order t requests =
       t.aborted_batches <- t.aborted_batches + 1;
       Kronos_metrics.Counter.incr M.aborted
     in
-    (* The rank index folds the cycle check into edge insertion: when the
-       ranks already agree it is O(1), otherwise the bounded relabel search
-       detects [after ⇝ before] itself — no separate full reachability
-       probe per constraint.  A [false] return is exactly the old
-       "contradicts the committed order" case. *)
+    (* Every constraint is first probed with [Graph.reachable] for
+       implication; only a new edge reaches [Graph.try_add_edge], whose
+       cycle check is O(1) when the ranks already agree and otherwise the
+       rank-bounded query search for [after ⇝ before], run before any
+       relabel.  A [false] return is exactly the "contradicts the
+       committed order" case. *)
     let try_apply_edge p =
       if Graph.try_add_edge t.g p.before p.after then begin
         outcomes.(p.index) <- Order.Applied;

@@ -31,6 +31,10 @@ let pp_vop ppf = function
   | Add_edge v -> Format.fprintf ppf "add_edge(%d)" v
   | Remove_edge v -> Format.fprintf ppf "remove_edge(%d)" v
 
+let service cost = function
+  | Request { body; _ } -> Some (cost body)
+  | Response _ -> Some 0.0
+
 let pp_request ppf = function
   | K_update { vertex; op; _ } ->
     Format.fprintf ppf "k_update(%d,%a)" vertex pp_vop op

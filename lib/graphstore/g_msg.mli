@@ -40,4 +40,10 @@ type msg =
   | Request of { client : Kronos_simnet.Net.addr; req_id : int; body : request }
   | Response of { req_id : int; body : response }
 
+val service : (request -> float) -> msg -> float option
+(** [service cost] is a shard's capacity model for
+    {!Kronos_simnet.Net.set_service}: a request occupies the shard's CPU
+    for [cost request] virtual seconds; a response costs nothing but still
+    waits its turn in the queue. *)
+
 val pp_request : Format.formatter -> request -> unit

@@ -27,8 +27,6 @@ type t = {
   addr : Net.addr;
   kronos : Client.t;
   cache : Order_cache.t;
-  service : Kronos_simnet.Service_queue.t option;
-  cost : G_msg.request -> float;
   vertices : (int, vertex_state) Hashtbl.t;
   mutable pending : work list;           (* arrival order, oldest first *)
   in_flight : (int, unit) Hashtbl.t;     (* vertices of ops being processed *)
@@ -254,16 +252,11 @@ let handle t ~src:_ msg =
        invalid_arg "Kshard: lock-protocol message sent to a KronoGraph shard");
     pump t
 
-let create ~net ~addr ~kronos ?cost () =
+let create ~net ~addr ~kronos =
   let cache =
     match Client.cache kronos with
     | Some cache -> cache
     | None -> invalid_arg "Kshard.create: kronos client must have caching enabled"
-  in
-  let service =
-    match cost with
-    | Some _ -> Some (Kronos_simnet.Service_queue.create (Net.sim net))
-    | None -> None
   in
   let t =
     {
@@ -271,8 +264,6 @@ let create ~net ~addr ~kronos ?cost () =
       addr;
       kronos;
       cache;
-      service;
-      cost = Option.value ~default:(fun _ -> 0.0) cost;
       vertices = Hashtbl.create 4096;
       pending = [];
       in_flight = Hashtbl.create 64;
@@ -283,17 +274,5 @@ let create ~net ~addr ~kronos ?cost () =
       reversals = 0;
     }
   in
-  let deliver ~src msg =
-    match t.service with
-    | None -> handle t ~src msg
-    | Some queue ->
-      let cost =
-        match (msg : G_msg.msg) with
-        | G_msg.Request { body; _ } -> t.cost body
-        | G_msg.Response _ -> 0.0
-      in
-      Kronos_simnet.Service_queue.submit_fixed queue ~cost (fun () ->
-          handle t ~src msg)
-  in
-  Net.register net addr deliver;
+  Net.register net addr (handle t);
   t

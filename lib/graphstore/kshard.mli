@@ -26,12 +26,10 @@ val create :
   net:G_msg.msg Kronos_simnet.Net.t ->
   addr:Kronos_simnet.Net.addr ->
   kronos:Kronos_service.Client.t ->
-  ?cost:(G_msg.request -> float) ->
-  unit ->
   t
 (** [kronos] must have caching enabled; the shard's fast path depends on
-    it.  [cost], when given, models the shard's CPU: each request occupies
-    the server for [cost request] virtual seconds (capacity benchmarks). *)
+    it.  Capacity benchmarks model the shard's CPU on the network
+    ({!Kronos_simnet.Net.set_service} with {!G_msg.service}). *)
 
 val addr : t -> Kronos_simnet.Net.addr
 

@@ -21,8 +21,6 @@ type t = {
   addr : Net.addr;
   sim : Sim.t;
   lock_timeout : float;
-  service : Kronos_simnet.Service_queue.t option;
-  cost : G_msg.request -> float;
   adjacency : (int, (int, unit) Hashtbl.t) Hashtbl.t;
   locks : (int, lock_state) Hashtbl.t;
   held_by : (int, int list) Hashtbl.t;  (* txn -> vertices locked here *)
@@ -183,37 +181,18 @@ let handle t ~src:_ msg =
       | G_msg.K_update _ | G_msg.K_neighbors _ ->
         invalid_arg "Lshard: KronoGraph message sent to a lock-based shard")
 
-let create ~net ~addr ?(lock_timeout = 20e-3) ?cost () =
-  let service =
-    match cost with
-    | Some _ -> Some (Kronos_simnet.Service_queue.create (Net.sim net))
-    | None -> None
-  in
+let create ~net ~addr ?(lock_timeout = 20e-3) () =
   let t =
     {
       net;
       addr;
       sim = Net.sim net;
       lock_timeout;
-      service;
-      cost = Option.value ~default:(fun _ -> 0.0) cost;
       adjacency = Hashtbl.create 4096;
       locks = Hashtbl.create 4096;
       held_by = Hashtbl.create 256;
       timeouts = 0;
     }
   in
-  let deliver ~src msg =
-    match t.service with
-    | None -> handle t ~src msg
-    | Some queue ->
-      let cost =
-        match (msg : G_msg.msg) with
-        | G_msg.Request { body; _ } -> t.cost body
-        | G_msg.Response _ -> 0.0
-      in
-      Kronos_simnet.Service_queue.submit_fixed queue ~cost (fun () ->
-          handle t ~src msg)
-  in
-  Net.register net addr deliver;
+  Net.register net addr (handle t);
   t

@@ -12,12 +12,11 @@ val create :
   net:G_msg.msg Kronos_simnet.Net.t ->
   addr:Kronos_simnet.Net.addr ->
   ?lock_timeout:float ->
-  ?cost:(G_msg.request -> float) ->
   unit ->
   t
-(** [lock_timeout] defaults to 20 ms of virtual time.  [cost], when given,
-    models the shard's CPU (capacity benchmarks): each request occupies the
-    server for [cost request] virtual seconds. *)
+(** [lock_timeout] defaults to 20 ms of virtual time.  Capacity benchmarks
+    model the shard's CPU on the network ({!Kronos_simnet.Net.set_service}
+    with {!G_msg.service}). *)
 
 val addr : t -> Kronos_simnet.Net.addr
 

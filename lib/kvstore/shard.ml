@@ -32,8 +32,6 @@ type parked = {
 type t = {
   net : Kv_msg.msg Net.t;
   addr : Net.addr;
-  service : Kronos_simnet.Service_queue.t option;
-  service_time : float;
   prepare_timeout : float;
   keys : (string, key_state) Hashtbl.t;
   active : (int, active_txn) Hashtbl.t;
@@ -288,18 +286,11 @@ let handle t ~src:_ msg =
       | Kv_msg.Decide { txn; commit; writes } ->
         handle_decide t ~client ~req_id ~txn ~commit ~writes)
 
-let create ~net ~addr ?(service_time = 0.0) ?(prepare_timeout = 10e-3) () =
-  let service =
-    if service_time > 0.0 then
-      Some (Kronos_simnet.Service_queue.create (Net.sim net))
-    else None
-  in
+let create ~net ~addr ?(prepare_timeout = 10e-3) () =
   let t =
     {
       net;
       addr;
-      service;
-      service_time;
       prepare_timeout;
       keys = Hashtbl.create 1024;
       active = Hashtbl.create 64;
@@ -310,12 +301,5 @@ let create ~net ~addr ?(service_time = 0.0) ?(prepare_timeout = 10e-3) () =
       aborts = 0;
     }
   in
-  let deliver ~src msg =
-    match t.service with
-    | None -> handle t ~src msg
-    | Some queue ->
-      Kronos_simnet.Service_queue.submit_fixed queue ~cost:t.service_time
-        (fun () -> handle t ~src msg)
-  in
-  Net.register net addr deliver;
+  Net.register net addr (handle t);
   t

@@ -25,15 +25,13 @@ type t
 val create :
   net:Kv_msg.msg Kronos_simnet.Net.t ->
   addr:Kronos_simnet.Net.addr ->
-  ?service_time:float ->
   ?prepare_timeout:float ->
   unit ->
   t
-(** [service_time] > 0 models the shard's CPU: each request occupies the
-    server for that many virtual seconds, bounding its throughput (used by
-    the capacity-sensitive benchmarks).  Default 0 — requests are served
-    instantly.  [prepare_timeout] (default 10 ms virtual) bounds how long a
-    conflicting prepare may park before being rejected. *)
+(** [prepare_timeout] (default 10 ms virtual) bounds how long a
+    conflicting prepare may park before being rejected.  Capacity
+    benchmarks model the shard's CPU on the network
+    ({!Kronos_simnet.Net.set_service}). *)
 
 val addr : t -> Kronos_simnet.Net.addr
 

@@ -1,4 +1,3 @@
-open Kronos_simnet
 module Transport = Kronos_transport.Transport
 
 type addr = Transport.addr
@@ -361,7 +360,7 @@ module Replica = struct
       entries
 
   let create ~net ~addr ~apply ?read_async
-      ?(config = { version = 0; chain = [] }) ?service ~persist () =
+      ?(config = { version = 0; chain = [] }) ~persist () =
     let t =
       {
         net;
@@ -380,30 +379,13 @@ module Replica = struct
         commit_due = false;
       }
     in
-    let deliver =
-      match service with
-      | None -> fun ~src msg -> handle t ~src msg
-      | Some cost ->
-        let sim =
-          match Transport.sim net with
-          | Some sim -> sim
-          | None ->
-            invalid_arg
-              "Replica.create: service-time modelling requires a simulated \
-               transport"
-        in
-        let queue = Service_queue.create sim in
-        fun ~src msg ->
-          (* heartbeats bypass the work queue, as a dedicated heartbeat
-             thread would: saturation must not look like a crash *)
-          (match (msg : msg) with
-           | Ping -> handle t ~src msg
-           | _ ->
-             Service_queue.submit_fixed queue ~cost (fun () ->
-                 handle t ~src msg))
-    in
-    Transport.register net addr deliver;
+    Transport.register net addr (fun ~src msg -> handle t ~src msg);
     t
+
+  (* heartbeats bypass the work queue, as a dedicated heartbeat thread
+     would: saturation must not look like a crash *)
+  let service cost (msg : msg) =
+    match msg with Ping -> None | _ -> Some cost
 end
 
 module Coordinator = struct

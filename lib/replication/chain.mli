@@ -128,7 +128,6 @@ module Replica : sig
        reply:(string -> unit) ->
        bool) ->
     ?config:config ->
-    ?service:float ->
     persist:persist ->
     unit ->
     t
@@ -142,12 +141,7 @@ module Replica : sig
       possibly later and possibly computed on another domain (the
       multicore query plane, DESIGN.md §14); [false] — or no hook — serves
       the read synchronously through [apply].  Only reads go through it;
-      replicated writes always apply in sequence on the owning thread.
-
-      [service] models the replica's CPU: each non-heartbeat message
-      occupies the server for that many virtual seconds.  Service-time
-      modelling needs a simulator, so it raises [Invalid_argument] over a
-      transport whose [sim] is [None]. *)
+      replicated writes always apply in sequence on the owning thread. *)
 
   val restore :
     t ->
@@ -181,7 +175,15 @@ module Replica : sig
       appears in {!config}. *)
 
   val crash : t -> unit
-  (** Unregister from the network; in-flight and future messages drop. *)
+  (** Unregister from the network; in-flight and future messages drop, and
+      so does work a simulated server had queued (fail-stop). *)
+
+  val service : float -> msg -> float option
+  (** [service cost] prices replica messages for a simulated network's
+      capacity model ([Kronos_simnet.Net.set_service]): every message
+      occupies the replica's CPU for [cost] virtual seconds, except [Ping],
+      which skips the queue as a dedicated heartbeat thread would, so a
+      saturated replica is not mistaken for a crashed one. *)
 end
 
 (** {1 Log-entry payloads}

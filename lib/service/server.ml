@@ -99,7 +99,6 @@ type cluster = {
   coordinator : Chain.Coordinator.t;
   mutable replicas : (Chain.Replica.t * Engine.t ref) list;
   dur : durability;
-  service : float option;
 }
 
 (* Wire a query pool to a replica's engine cell: attach (so views are
@@ -118,7 +117,7 @@ let read_async_of query_pool engine =
    runs with persistence hooks: log each applied command and group-commit
    once per loop pass through the snapshot schedule, which snapshots by WAL
    bytes and retires what each snapshot covers (DESIGN.md §16). *)
-let start ~net ~addr ~service ?query_pool d =
+let start ~net ~addr ?query_pool d =
   let storage = d.storage_of addr in
   let replayed = ref [] in
   let outcome =
@@ -175,7 +174,7 @@ let start ~net ~addr ~service ?query_pool d =
     Chain.Replica.create ~net ~addr
       ~apply:(fun cmd -> apply !engine cmd)
       ?read_async:(read_async_of query_pool engine)
-      ~config:{ Chain.version = 0; chain = [] } ?service ~persist ()
+      ~config:{ Chain.version = 0; chain = [] } ~persist ()
   in
   if outcome.Durability.Recovery.next_seq > 1 then
     Chain.Replica.restore replica
@@ -183,21 +182,17 @@ let start ~net ~addr ~service ?query_pool d =
       ~entries:(List.rev !replayed);
   (replica, engine)
 
-let start_node ~net ~addr ?service ?(durability = in_memory) ?query_pool () =
-  start ~net ~addr ~service ?query_pool durability
+let start_node ~net ~addr ?(durability = in_memory) ?query_pool () =
+  start ~net ~addr ?query_pool durability
 
-let deploy ~net ~coordinator ~replicas ?service ?(durability = in_memory)
+let deploy ~net ~coordinator ~replicas ?(durability = in_memory)
     ?(ping_interval = 0.2) ?(failure_timeout = 1.0) () =
-  let started =
-    List.map
-      (fun addr -> start ~net ~addr ~service durability)
-      replicas
-  in
+  let started = List.map (fun addr -> start ~net ~addr durability) replicas in
   let coordinator =
     Chain.Coordinator.create ~net ~addr:coordinator ~chain:replicas
       ~ping_interval ~failure_timeout ()
   in
-  { net; coordinator; replicas = started; dur = durability; service }
+  { net; coordinator; replicas = started; dur = durability }
 
 let replica_of cluster addr =
   List.find_map
@@ -210,23 +205,17 @@ let crash cluster addr =
   | Some replica -> Chain.Replica.crash replica
   | None -> ()
 
-let join cluster addr ?service () =
-  let service = match service with Some _ -> service | None -> cluster.service in
-  let replica, engine =
-    start ~net:cluster.net ~addr ~service cluster.dur
-  in
+let join cluster addr =
+  let replica, engine = start ~net:cluster.net ~addr cluster.dur in
   Chain.Coordinator.join cluster.coordinator replica;
   cluster.replicas <- cluster.replicas @ [ (replica, engine) ]
 
-let restart_replica cluster addr ?service () =
+let restart_replica cluster addr =
   if Transport.is_registered cluster.net addr then
     invalid_arg "Server.restart_replica: replica still running";
   if replica_of cluster addr = None then
     invalid_arg "Server.restart_replica: unknown replica";
-  let service = match service with Some _ -> service | None -> cluster.service in
-  let replica, engine =
-    start ~net:cluster.net ~addr ~service cluster.dur
-  in
+  let replica, engine = start ~net:cluster.net ~addr cluster.dur in
   cluster.replicas <-
     List.filter (fun (r, _) -> Chain.Replica.addr r <> addr) cluster.replicas
     @ [ (replica, engine) ];

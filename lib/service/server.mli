@@ -53,13 +53,11 @@ type cluster = {
   mutable replicas : (Kronos_replication.Chain.Replica.t * Engine.t ref) list;
   dur : durability;  (** fresh in-memory storage per start when deployed
                          without [~durability] *)
-  service : float option;
 }
 
 val start_node :
   net:Kronos_replication.Chain.msg Kronos_transport.Transport.t ->
   addr:Kronos_transport.Transport.addr ->
-  ?service:float ->
   ?durability:durability ->
   ?query_pool:Query_pool.t ->
   unit ->
@@ -79,17 +77,16 @@ val deploy :
   net:Kronos_replication.Chain.msg Kronos_transport.Transport.t ->
   coordinator:Kronos_transport.Transport.addr ->
   replicas:Kronos_transport.Transport.addr list ->
-  ?service:float ->
   ?durability:durability ->
   ?ping_interval:float ->
   ?failure_timeout:float ->
   unit ->
   cluster
 (** Start one engine-backed replica per address plus the coordinator.
-    Every replica runs {!Engine.default_config}.
-    [service] models replica CPU capacity (see
-    {!Kronos_replication.Chain.Replica.create}): virtual seconds of busy
-    time per message.
+    Every replica runs {!Engine.default_config}.  Over a simulated
+    network, replica CPU capacity is the network's business: price the
+    replica addresses with [Kronos_simnet.Net.set_service] and
+    {!Kronos_replication.Chain.Replica.service} before deploying.
 
     Each replica first {e recovers} from its storage (newest snapshot +
     WAL suffix), then logs every applied command; a redeploy over existing
@@ -103,23 +100,13 @@ val crash : cluster -> Kronos_transport.Transport.addr -> unit
     storage survives for {!restart_replica}, unless the cluster runs over
     fresh in-memory storage per start. *)
 
-val join :
-  cluster ->
-  Kronos_transport.Transport.addr ->
-  ?service:float ->
-  unit ->
-  unit
+val join : cluster -> Kronos_transport.Transport.addr -> unit
 (** Start a fresh engine-backed replica and integrate it at the tail.  It
     gets its own storage via [storage_of] and recovers from it first, so
     in a cluster deployed with [~durability] "fresh" storage must be
     empty. *)
 
-val restart_replica :
-  cluster ->
-  Kronos_transport.Transport.addr ->
-  ?service:float ->
-  unit ->
-  unit
+val restart_replica : cluster -> Kronos_transport.Transport.addr -> unit
 (** Restart a crashed replica from its local storage: recover the engine
     (snapshot + WAL replay), re-register on the network and rejoin the
     chain at the tail.  The join announces the recovered sequence number,

@@ -19,5 +19,4 @@ let of_net net =
         Transport.make_timer (fun () -> Sim.cancel timer));
     random_int = (fun n -> Rng.int rng n);
     defer = (fun f -> f ());
-    sim = Some sim;
   }

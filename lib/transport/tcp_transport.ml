@@ -618,5 +618,4 @@ let transport t =
         Transport.make_timer (fun () -> Event_loop.cancel timer));
     random_int = (fun n -> Random.State.int t.rand n);
     defer = Event_loop.defer t.loop;
-    sim = None;
   }

@@ -65,8 +65,8 @@ val connect_peers : 'm t -> unit
     tail, which sends the replies) learn a return route. *)
 
 val transport : 'm t -> 'm Transport.t
-(** The abstraction the replication/service layers consume.  [sim] is
-    [None]; timers run on the event loop; [defer] is {!Event_loop.defer};
+(** The abstraction the replication/service layers consume.  Timers run
+    on the event loop; [defer] is {!Event_loop.defer};
     [send] to a locally registered address short-circuits through the
     loop (never re-entrantly).  [send] only queues: bytes leave in the
     loop's write phase, never inside the caller. *)

@@ -12,7 +12,6 @@ type 'm t = {
   every : period:float -> (unit -> unit) -> timer;
   random_int : int -> int;
   defer : (unit -> unit) -> unit;
-  sim : Kronos_simnet.Sim.t option;
 }
 
 let send t ~src ~dst m = t.send ~src ~dst m
@@ -24,7 +23,6 @@ let schedule t ~delay f = t.schedule ~delay f
 let every t ~period f = t.every ~period f
 let random_int t n = t.random_int n
 let defer t f = t.defer f
-let sim t = t.sim
 
 let cancel timer = timer.cancel ()
 let make_timer cancel = { cancel }

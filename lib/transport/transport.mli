@@ -6,7 +6,9 @@
     in.  Two implementations exist:
 
     - {!Sim_transport} adapts the deterministic simulated network
-      ({!Kronos_simnet.Net}), preserving reproducible simulation;
+      ({!Kronos_simnet.Net}), preserving reproducible simulation; its
+      latency and capacity models live in the network, below this
+      surface;
     - {!Tcp_transport} is a real single-threaded TCP runtime (non-blocking
       sockets on a {!Event_loop}, length-prefixed framing, reconnection).
 
@@ -38,10 +40,6 @@ type 'm t = {
           queued by this pass's handlers leaves the runtime (TCP:
           {!Event_loop.defer}).  The simulated network runs it at once:
           its sends are already events on the virtual clock. *)
-  sim : Kronos_simnet.Sim.t option;
-      (** The simulator when this transport is simulated; [None] over real
-          sockets.  Only simulation-specific features (service-time
-          modelling) need it. *)
 }
 
 (** {1 Call-through helpers} *)
@@ -55,7 +53,6 @@ val schedule : 'm t -> delay:float -> (unit -> unit) -> timer
 val every : 'm t -> period:float -> (unit -> unit) -> timer
 val random_int : 'm t -> int -> int
 val defer : 'm t -> (unit -> unit) -> unit
-val sim : 'm t -> Kronos_simnet.Sim.t option
 
 val cancel : timer -> unit
 (** Cancelling twice is harmless. *)

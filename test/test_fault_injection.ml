@@ -261,7 +261,7 @@ let test_durable_restart_via_wal_tail () =
   in
   Alcotest.(check bool) "durable local prefix" true
     (durable_seq > 0 && durable_seq < total_writes);
-  Server.restart_replica env.cluster 1 ();
+  Server.restart_replica env.cluster 1;
   Sim.run ~until:(Sim.now env.dsim +. 2.0) env.dsim;
   Alcotest.(check (list int)) "restarted replica rejoined at the tail" [ 0; 2; 1 ]
     (Chain.Coordinator.config env.cluster.Server.coordinator).Chain.chain;
@@ -305,7 +305,7 @@ let test_durable_restart_far_behind_installs_snapshot () =
         true
         (List.exists (fun n -> Filename.check_suffix n ".snap") files))
     [ 0; 2 ];
-  Server.restart_replica env.cluster 1 ();
+  Server.restart_replica env.cluster 1;
   Sim.run ~until:(Sim.now env.dsim +. 2.0) env.dsim;
   (match Server.replica_of env.cluster 1 with
    | Some replica ->
@@ -401,12 +401,12 @@ let test_in_memory_blank_join_installs_snapshot () =
   in
   Alcotest.(check bool) "tail's WAL no longer starts at seq 1" false
     (List.mem "wal-0000000001.log" files);
-  Server.join env.cluster 3 ();
+  Server.join env.cluster 3;
   Sim.run ~until:(Sim.now env.dsim +. 2.0) env.dsim;
   check_snapshot_join "blank joiner" env ids 3;
   Server.crash env.cluster 1;
   Sim.run ~until:(Sim.now env.dsim +. 2.0) env.dsim;
-  Server.restart_replica env.cluster 1 ();
+  Server.restart_replica env.cluster 1;
   Sim.run ~until:(Sim.now env.dsim +. 2.0) env.dsim;
   check_snapshot_join "restarted blank" env ids 1
 
@@ -437,7 +437,7 @@ let test_lost_reply_retried_across_snapshot_join () =
   Sim.run ~until:(Sim.now sim +. 1.0) sim;
   Server.crash env.cluster 2;
   Sim.run ~until:(Sim.now sim +. 1.0) sim;
-  Server.restart_replica env.cluster 2 ();
+  Server.restart_replica env.cluster 2;
   Sim.run ~until:(Sim.now sim +. 1.0) sim;
   (match Server.replica_of env.cluster 2 with
    | Some replica ->
@@ -461,7 +461,7 @@ let test_restart_without_durability () =
   let ids = run_to_completion env ~n:6 in
   Server.crash cluster 1;
   Sim.run ~until:(Sim.now sim +. 2.0) sim;
-  Server.restart_replica cluster 1 ();
+  Server.restart_replica cluster 1;
   Alcotest.(check (option int)) "restarts blank" (Some 0)
     (Option.map Chain.Replica.last_applied (Server.replica_of cluster 1));
   Sim.run ~until:(Sim.now sim +. 2.0) sim;
@@ -493,12 +493,12 @@ let test_join_after_snapshot_deleted () =
   List.iter (fun (name, _) -> storage.Storage.remove_file name) planted;
   Alcotest.(check bool) "no snapshot left" true
     (Kronos_durability.Snapshot.load_chain_bytes storage = None);
-  Server.join env.cluster 3 ();
+  Server.join env.cluster 3;
   Sim.run ~until:(Sim.now env.dsim +. 2.0) env.dsim;
   check_snapshot_join "after planted loss" env ids 3;
   (* replica 3's log holds nothing below the installed snapshot, so the
      next blank joiner must get that snapshot, not an empty tail *)
-  Server.join env.cluster 4 ();
+  Server.join env.cluster 4;
   Sim.run ~until:(Sim.now env.dsim +. 2.0) env.dsim;
   check_snapshot_join "served by an installed snapshot" env ids 4;
   let more = run_to_completion env ~n:4 in

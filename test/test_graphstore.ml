@@ -27,7 +27,7 @@ let make_kenv ?(seed = 9L) ?(shards = 4) () =
           Kronos_service.Client.create ~net:chain_net ~addr:(3000 + a)
             ~coordinator:coordinator_addr ~request_timeout:1.0 ()
         in
-        Kshard.create ~net:gnet ~addr:a ~kronos ())
+        Kshard.create ~net:gnet ~addr:a ~kronos)
       shard_addrs
   in
   let kronos =

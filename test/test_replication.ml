@@ -17,10 +17,17 @@ type cluster = {
 
 let coordinator_addr = 1000
 
-let make_cluster ?(n = 3) ?(seed = 7L) () =
+(* [service] prices every replica's messages on the network's capacity
+   model ([Chain.Replica.service]). *)
+let make_cluster ?(n = 3) ?(seed = 7L) ?service () =
   let sim = Sim.create ~seed () in
-  let net = Sim_transport.of_net (Net.create sim) in
+  let raw = Net.create sim in
   let chain = List.init n (fun i -> i) in
+  Option.iter
+    (fun cost ->
+      List.iter (fun a -> Net.set_service raw a (Chain.Replica.service cost)) chain)
+    service;
+  let net = Sim_transport.of_net raw in
   let replicas = Array.init n (fun i -> Toy_replica.register ~net ~addr:i ()) in
   let coordinator =
     Chain.Coordinator.create ~net ~addr:coordinator_addr ~chain
@@ -240,6 +247,29 @@ let test_deterministic_runs () =
   in
   Alcotest.(check bool) "identical" true (run () = run ())
 
+(* Capacity model: a flood gives the head a 1 s backlog at 1 ms per
+   message, longer than the coordinator's 0.35 s failure timeout.  Pings
+   skip the queue under [Chain.Replica.service], so the busy head keeps
+   answering them and stays in the chain. *)
+let test_saturated_replica_stays () =
+  let c = make_cluster ~service:1e-3 () in
+  Sim.run ~until:0.5 c.sim;
+  (* a long timeout: retransmissions would only lengthen the backlog *)
+  let proxy =
+    Proxy.create ~net:c.net ~addr:2000 ~coordinator:coordinator_addr
+      ~request_timeout:30.0 ()
+  in
+  let completed = ref 0 in
+  for _ = 1 to 1000 do
+    Proxy.write proxy "add:1" (fun r -> ignore (ok r); incr completed)
+  done;
+  Sim.run ~until:1.5 c.sim;
+  Alcotest.(check bool) "head still backlogged" true (!completed < 1000);
+  Sim.run ~until:5.0 c.sim;
+  Alcotest.(check int) "every write acknowledged" 1000 !completed;
+  let cfg = Chain.Coordinator.config c.coordinator in
+  Alcotest.(check (list int)) "no replica removed" [ 0; 1; 2 ] cfg.Chain.chain
+
 let suites =
   [ ( "replication",
       [
@@ -253,5 +283,6 @@ let suites =
         Alcotest.test_case "gapped transfer waits" `Quick test_gapped_sync_waits;
         Alcotest.test_case "exactly-once under loss" `Quick test_exactly_once_writes;
         Alcotest.test_case "deterministic" `Quick test_deterministic_runs;
+        Alcotest.test_case "saturated replica stays" `Quick test_saturated_replica_stays;
       ] );
   ]

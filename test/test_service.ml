@@ -161,7 +161,7 @@ let test_join_catches_up () =
     (ok (await env
            (Client.assign_order env.client
               [ Order.must_before a b ])));
-  Server.join env.cluster 7 ();
+  Server.join env.cluster 7;
   Sim.run ~until:(Sim.now env.sim +. 2.0) env.sim;
   (match Server.engine_of env.cluster 7 with
    | Some engine ->
@@ -171,6 +171,46 @@ let test_join_catches_up () =
   (* reads from the fresh tail work *)
   let rels = ok (await env (Client.query_order env.client [ (a, b) ])) in
   Alcotest.(check (list relation)) "reads via new tail" [ Order.Before ] rels
+
+(* Fail-stop under the capacity model: a replica with a queue of costed
+   messages does no more work once it crashes, so it sends nothing after
+   [Server.crash] — not even for the messages it had already accepted. *)
+let test_crashed_replica_stops () =
+  let sim = Sim.create ~seed:5L () in
+  let raw = Net.create sim in
+  List.iter
+    (fun a ->
+      Net.set_service raw a (Kronos_replication.Chain.Replica.service 1e-3))
+    [ 0; 1; 2 ];
+  let crashed = ref false and sent_before = ref 0 and sent_after = ref 0 in
+  let net =
+    let inner = Kronos_transport.Sim_transport.of_net raw in
+    { inner with
+      send =
+        (fun ~src ~dst m ->
+          if src = 1 then incr (if !crashed then sent_after else sent_before);
+          inner.send ~src ~dst m) }
+  in
+  let cluster =
+    Server.deploy ~net ~coordinator:coordinator_addr ~replicas:[ 0; 1; 2 ]
+      ~ping_interval:0.1 ~failure_timeout:0.35 ()
+  in
+  let client =
+    Client.create ~net ~addr:2000 ~coordinator:coordinator_addr
+      ~request_timeout:5.0 ()
+  in
+  Sim.run ~until:0.5 sim;
+  let created = ref 0 in
+  for _ = 1 to 400 do
+    Client.create_event client (fun r -> ignore (ok r); incr created)
+  done;
+  Sim.run ~until:0.6 sim;
+  Server.crash cluster 1;
+  crashed := true;
+  Sim.run ~until:10.0 sim;
+  Alcotest.(check bool) "replica 1 worked before the crash" true (!sent_before > 0);
+  Alcotest.(check int) "replica 1 silent after the crash" 0 !sent_after;
+  Alcotest.(check int) "every create completed" 400 !created
 
 let test_malformed_command_rejected () =
   let engine = Engine.create () in
@@ -265,6 +305,7 @@ let suites =
         Alcotest.test_case "error propagation" `Quick test_error_propagation;
         Alcotest.test_case "survives replica failure" `Quick test_survives_replica_failure;
         Alcotest.test_case "join catches up" `Quick test_join_catches_up;
+        Alcotest.test_case "crashed replica stops" `Quick test_crashed_replica_stops;
         Alcotest.test_case "malformed command" `Quick test_malformed_command_rejected;
         Alcotest.test_case "malformed replies fail the call" `Quick
           test_malformed_replies_fail_the_call;

@@ -201,6 +201,65 @@ let test_net_determinism () =
   Alcotest.(check bool) "identical traces" true (trace 11L = trace 11L);
   Alcotest.(check bool) "seed changes trace" true (trace 11L <> trace 12L)
 
+(* Capacity model: zero-latency links, so each message reaches its
+   server at (about) the instant it was sent. *)
+let instant = { Net.base = 0.0; jitter = 0.0; drop = 0.0 }
+
+type work = Work of float | Beat
+
+let costed sim =
+  let net = Net.create ~latency:instant sim in
+  Net.set_service net 1 (function Work cost -> Some cost | Beat -> None);
+  net
+
+let run_log sim log who ~src:_ msg =
+  let tag = match msg with Work cost -> Printf.sprintf "%g" cost | Beat -> "beat" in
+  log := (who ^ ":" ^ tag, Sim.now sim) :: !log
+
+let check_log expected log =
+  let time = Alcotest.float 1e-6 in
+  Alcotest.(check (list (pair string time))) "runs" expected (List.rev !log)
+
+let test_service_serializes () =
+  let sim = Sim.create () in
+  let net = costed sim in
+  let log = ref [] in
+  Net.register net 1 (run_log sim log "s");
+  List.iter (fun c -> Net.send net ~src:0 ~dst:1 (Work c)) [ 1.0; 2.0; 1.0 ];
+  Sim.run sim;
+  check_log [ ("s:1", 0.0); ("s:2", 1.0); ("s:1", 3.0) ] log;
+  Alcotest.(check int) "delivered" 3 (Net.delivered net)
+
+let test_service_uncosted_bypasses () =
+  let sim = Sim.create () in
+  let net = costed sim in
+  let log = ref [] in
+  Net.register net 1 (run_log sim log "s");
+  Net.send net ~src:0 ~dst:1 (Work 5.0);
+  Net.send net ~src:0 ~dst:1 (Work 1.0);
+  ignore (Sim.schedule sim ~delay:1.0 (fun () -> Net.send net ~src:0 ~dst:1 Beat));
+  Sim.run sim;
+  check_log [ ("s:5", 0.0); ("s:beat", 1.0); ("s:1", 5.0) ] log
+
+(* A crash stops the server: work it queued before [unregister] never
+   runs, and a fresh registration starts with an idle queue. *)
+let test_service_reregister () =
+  let sim = Sim.create () in
+  let net = costed sim in
+  let log = ref [] in
+  Net.register net 1 (run_log sim log "old");
+  Net.send net ~src:0 ~dst:1 (Work 10.0);
+  Net.send net ~src:0 ~dst:1 (Work 1.0);
+  ignore
+    (Sim.schedule sim ~delay:1.0 (fun () ->
+         Net.unregister net 1;
+         Net.register net 1 (run_log sim log "new");
+         Net.send net ~src:0 ~dst:1 (Work 2.0)));
+  Sim.run sim;
+  check_log [ ("old:10", 0.0); ("new:2", 1.0) ] log;
+  Alcotest.(check int) "queued work of the crashed server dropped" 1
+    (Net.dropped net)
+
 let suites =
   [ ( "simnet",
       [
@@ -221,5 +280,9 @@ let suites =
         Alcotest.test_case "net partition/heal" `Quick test_net_partition_heal;
         Alcotest.test_case "net drop probability" `Quick test_net_drop_probability;
         Alcotest.test_case "net determinism" `Quick test_net_determinism;
+        Alcotest.test_case "service serializes" `Quick test_service_serializes;
+        Alcotest.test_case "service uncosted bypasses" `Quick
+          test_service_uncosted_bypasses;
+        Alcotest.test_case "service re-register idle" `Quick test_service_reregister;
       ] );
   ]
