@@ -60,6 +60,7 @@ bench-smoke: build
 # Regression gate: re-measure the smoke series and compare them with the
 # committed BENCH_smoke.json.  It fails when an engine.*,
 # client.order_cache_* or certify.* ns/op (or ns/edge) series, the
+# transport.echo_cpu_ns CPU per loopback round trip, the
 # engine.assign_batch_wide_promoted words/edge count, or the
 # engine.commitment_bytes_per_link B/link figure, is more than 2.5x
 # worse than its committed value; when an exact count — the

@@ -2,13 +2,15 @@
    BENCH_smoke.json (override the path with KRONOS_SMOKE_OUT), so CI can
    track coarse regressions without running the full figure harness.
 
-   Three families of numbers:
+   Four families of numbers:
    - in-process engine hot paths (ns/op via Bechamel or best-of-N
      windows, the words an edge promotes to the major heap, and exact
      counts of search work);
    - the certify subsystem: proof generation/verification ns/op and the
      digest-maintenance overhead on the assign path (DESIGN.md §13);
-   - bounded-time recovery of a durable replica (DESIGN.md §16).
+   - bounded-time recovery of a durable replica (DESIGN.md §16);
+   - the TCP transport's event loop: process CPU per loopback round trip
+     (DESIGN.md §9).
    The replicated service end to end is measured by perfbench/, over
    real TCP. *)
 
@@ -609,6 +611,62 @@ let certify_smoke () =
   record "certify.assign_digests_on" on "ns/op";
   record "certify.assign_overhead_pct" (100. *. (on -. off) /. off) "pct"
 
+(* [transport.echo_cpu_ns]: process CPU (user + system) per round trip
+   between two {!Tcp_transport} runtimes on one event loop, over loopback,
+   with 8 messages in flight and 20 idle accepted connections watched
+   beside the busy one, as the best of five windows.  It prices one loop
+   pass's fixed costs, the wait, dispatch and flush, and not a deployment:
+   each round trip is two frames, two reads, two writes and the waits
+   between them. *)
+let transport_echo_smoke () =
+  let module Event_loop = Kronos_transport.Event_loop in
+  let module Tcp = Kronos_transport.Tcp_transport in
+  let module Transport = Kronos_transport.Transport in
+  let loop = Event_loop.create () in
+  let server = Tcp.create ~loop ~encode:Fun.id ~decode:Fun.id () in
+  let client = Tcp.create ~loop ~encode:Fun.id ~decode:Fun.id () in
+  let port = Tcp.listen server ~port:0 () in
+  Tcp.add_peer client 1 ~host:"127.0.0.1" ~port;
+  let snet = Tcp.transport server and cnet = Tcp.transport client in
+  Transport.register snet 1 (fun ~src m -> Transport.send snet ~src:1 ~dst:src m);
+  let replies = ref 0 in
+  Transport.register cnet 2 (fun ~src:_ m ->
+      incr replies;
+      Transport.send cnet ~src:2 ~dst:1 m);
+  let idle =
+    List.init 20 (fun _ ->
+        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+        Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+        fd)
+  in
+  let run_until what pred =
+    if
+      not
+        (Event_loop.run_until loop ~deadline:(Event_loop.now loop +. 10.0) pred)
+    then failwith ("smoke: transport echo stalled: " ^ what)
+  in
+  run_until "accepting" (fun () -> Tcp.connections server = 20);
+  for _ = 1 to 8 do
+    Transport.send cnet ~src:2 ~dst:1 "ping:0123456789abcdef"
+  done;
+  let cpu () =
+    let t = Unix.times () in
+    t.Unix.tms_utime +. t.Unix.tms_stime
+  in
+  let trips = 50_000 in
+  run_until "warm-up" (fun () -> !replies >= trips);
+  let best = ref infinity in
+  for _ = 1 to 5 do
+    let target = !replies + trips in
+    let c0 = cpu () in
+    run_until "a window" (fun () -> !replies >= target);
+    best := Float.min !best ((cpu () -. c0) *. 1e9 /. float_of_int trips)
+  done;
+  List.iter Unix.close idle;
+  Tcp.shutdown client;
+  Tcp.shutdown server;
+  record "transport.echo_cpu_ns" !best "ns/op"
+
 (* Documented budget (DESIGN.md §13) for [certify.assign_overhead_pct].
    It must hold on either SHA-256 path, so it is set by the slower one:
    in portable OCaml the two compressions a fresh edge folds cost ~2.7 µs,
@@ -765,7 +823,8 @@ let count_threshold = 1.1
 (* Regression gate behind `make bench-check`: re-measure the engine hot
    paths, the client order cache and the certify series, and compare them
    with the committed BENCH_smoke.json.  The engine.*,
-   client.order_cache_* and certify.* ns/op series, the promoted words
+   client.order_cache_* and certify.* ns/op series, the transport's CPU
+   per loopback round trip ([transport.echo_cpu_ns]), the promoted words
    per edge of [engine.assign_batch_wide_promoted] and the heap bytes per
    link of [engine.commitment_bytes_per_link] are in-process numbers,
    stable enough to gate.  [engine.bfs_visited_wide] and
@@ -822,6 +881,7 @@ let check () =
   digest_folds_smoke ();
   reversed_must_smoke ();
   certify_smoke ();
+  transport_echo_smoke ();
   let failures = ref 0 in
   List.iter
     (fun (name, value, unit_) ->
@@ -903,6 +963,7 @@ let run () =
   digest_folds_smoke ();
   reversed_must_smoke ();
   certify_smoke ();
+  transport_echo_smoke ();
   let path =
     Option.value ~default:"BENCH_smoke.json" (Sys.getenv_opt "KRONOS_SMOKE_OUT")
   in

@@ -52,6 +52,7 @@ type t = {
   mutable joined : bool;
   comp_mutex : Mutex.t;
   completions : (int * (string -> unit) * string) Queue.t;
+  drained : (int * (string -> unit) * string) Queue.t; (* loop thread only *)
   mutable handles : unit Domain.t list;
 }
 
@@ -91,51 +92,51 @@ let respond view (req : Message.request) =
   | Message.Assign_order _ ->
     invalid_arg "Query_pool.respond: not a read"
 
-let complete t w reply resp =
-  Mutex.lock t.comp_mutex;
-  Queue.add (w.w_index, reply, resp) t.completions;
-  Mutex.unlock t.comp_mutex;
-  Event_loop.notify t.loop
-
-let rec worker_loop t w =
+(* A worker takes its whole queue under one lock and posts the batch's
+   completions under one lock with one notify, so a burst of reads costs
+   the loop one wakeup rather than one per read.  [jobs] and [done_] are
+   the worker's own. *)
+let rec worker_loop t w ~jobs ~done_ =
   Mutex.lock w.w_mutex;
   while Queue.is_empty w.w_queue && not (Atomic.get t.stopping) do
     Condition.wait w.w_cond w.w_mutex
   done;
-  if Queue.is_empty w.w_queue then Mutex.unlock w.w_mutex (* stopping *)
-  else begin
-    let job = Queue.pop w.w_queue in
-    Mutex.unlock w.w_mutex;
+  Queue.transfer w.w_queue jobs;
+  Mutex.unlock w.w_mutex;
+  if not (Queue.is_empty jobs) then begin
     let view =
       match Atomic.get t.view with
       | Some v -> v
       | None -> assert false (* offload publishes before enqueueing *)
     in
-    Kronos_metrics.Counter.incr w.w_answered;
-    complete t w job.j_reply
-      (Message.encode_response (respond view job.j_req));
-    worker_loop t w
+    Queue.iter
+      (fun job ->
+        Kronos_metrics.Counter.incr w.w_answered;
+        Queue.add
+          (w.w_index, job.j_reply, Message.encode_response (respond view job.j_req))
+          done_)
+      jobs;
+    Queue.clear jobs;
+    Mutex.lock t.comp_mutex;
+    Queue.transfer done_ t.completions;
+    Mutex.unlock t.comp_mutex;
+    Event_loop.notify t.loop;
+    worker_loop t w ~jobs ~done_
   end
 
-(* Loop-thread side. *)
+(* Loop-thread side: every completion posted so far, in one batch. *)
 
 let drain t () =
-  let rec next () =
-    Mutex.lock t.comp_mutex;
-    let item =
-      if Queue.is_empty t.completions then None else Some (Queue.pop t.completions)
-    in
-    Mutex.unlock t.comp_mutex;
-    match item with
-    | None -> ()
-    | Some (wi, reply, resp) ->
-      let w = t.workers.(wi) in
-      w.w_completed <- w.w_completed + 1;
-      Kronos_metrics.Gauge.set w.w_depth (w.w_submitted - w.w_completed);
-      reply resp;
-      next ()
-  in
-  next ()
+  Mutex.lock t.comp_mutex;
+  Queue.transfer t.completions t.drained;
+  Mutex.unlock t.comp_mutex;
+  while not (Queue.is_empty t.drained) do
+    let wi, reply, resp = Queue.pop t.drained in
+    let w = t.workers.(wi) in
+    w.w_completed <- w.w_completed + 1;
+    Kronos_metrics.Gauge.set w.w_depth (w.w_submitted - w.w_completed);
+    reply resp
+  done
 
 let create ~loop ~domains () =
   let n = max 1 domains in
@@ -164,6 +165,7 @@ let create ~loop ~domains () =
       joined = false;
       comp_mutex = Mutex.create ();
       completions = Queue.create ();
+      drained = Queue.create ();
       handles = [];
     }
   in
@@ -171,7 +173,11 @@ let create ~loop ~domains () =
   Event_loop.on_notify loop (drain t);
   t.handles <-
     Array.to_list
-      (Array.map (fun w -> Domain.spawn (fun () -> worker_loop t w)) workers);
+      (Array.map
+         (fun w ->
+           Domain.spawn (fun () ->
+               worker_loop t w ~jobs:(Queue.create ()) ~done_:(Queue.create ())))
+         workers);
   t
 
 let attach t ~engine = t.engine <- Some engine
@@ -216,10 +222,13 @@ let offload t ~client ~cmd ~reply =
            copies the chunks holding every slot written since the last
            one, and re-freezing on every offloaded read would pay that
            per request instead of per iteration.  One view per tick is
-           fresh enough — an ack must cross a select
-           round before the client that received it can have a follow-up
-           query dispatched, so every write acked before this iteration
-           began is already in the engine we freeze here.  The one caller
+           fresh enough.  A write is applied before its ack is queued, and
+           the ack leaves at the end of the pass that queued it, after all
+           of that pass's read callbacks (Event_loop.at_end_of_pass), so a
+           follow-up query sent on receiving it is read in a later pass,
+           whose first offload publishes anew: every write acked before
+           this iteration began is already in the engine we freeze here.
+           The one caller
            that can outrun that argument is an [`At_least] demand raced
            onto an already-ready connection: an explicit [min_epoch] above
            the published view's epoch forces a mid-tick re-publish (a
@@ -243,9 +252,13 @@ let offload t ~client ~cmd ~reply =
         w.w_submitted <- w.w_submitted + 1;
         Kronos_metrics.Gauge.set w.w_depth (w.w_submitted - w.w_completed);
         Kronos_metrics.Counter.incr M.offloaded;
+        (* A worker waits only on an empty queue and re-checks it under
+           the lock before waiting, so only the empty-to-non-empty step
+           needs a signal. *)
         Mutex.lock w.w_mutex;
+        let idle = Queue.is_empty w.w_queue in
         Queue.add { j_req = req; j_reply = reply } w.w_queue;
-        Condition.signal w.w_cond;
+        if idle then Condition.signal w.w_cond;
         Mutex.unlock w.w_mutex;
         true)
 

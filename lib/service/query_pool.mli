@@ -17,9 +17,12 @@
     (connections are sharded [client mod domains], which keeps replies
     per-connection FIFO and epochs per-connection monotonic).  The worker
     answers against the latest view with zero locks on the query path and
-    per-domain reusable traversal scratch, pushes the encoded response on
-    a completion queue and wakes the loop ({!Kronos_transport.Event_loop.notify});
-    the loop thread drains completions and sends the replies. *)
+    per-domain reusable traversal scratch.  A worker takes its whole
+    queue at once and posts the batch's encoded responses on a completion
+    queue under one lock with one {!Kronos_transport.Event_loop.notify};
+    the loop thread drains every posted completion in one batch and sends
+    the replies, and signals a worker only when its queue goes from empty
+    to non-empty. *)
 
 type t
 

@@ -1,5 +1,10 @@
 (** Single-threaded real-time reactor: file-descriptor readiness callbacks
-    plus a timer heap, driven by [Unix.select].
+    plus a timer heap, driven by level-triggered epoll(7) (Linux).
+
+    The loop keeps one epoll interest set across passes: {!watch_read},
+    {!watch_write}, {!unwatch_write} and {!forget} update it when they
+    change a descriptor's interest, and a wait costs per ready descriptor,
+    not per watched one, and descriptor numbers have no ceiling.
 
     This is the wall-clock twin of {!Kronos_simnet.Sim}: the same
     schedule/every/cancel surface, but time is [Unix.gettimeofday] and
@@ -34,7 +39,10 @@ val pending_timers : t -> int
 
     At most one read and one write callback per descriptor; re-watching
     replaces the callback.  A descriptor must be {!forget}ed before it is
-    closed, or the next [select] will fail with [EBADF]. *)
+    closed: epoll drops a closed descriptor by itself, but the loop's table
+    would still hold its callbacks.  An error or hang-up on a descriptor
+    runs whichever of its callbacks are set, as if it were both readable
+    and writable. *)
 
 val watch_read : t -> Unix.file_descr -> (unit -> unit) -> unit
 val watch_write : t -> Unix.file_descr -> (unit -> unit) -> unit
@@ -45,18 +53,23 @@ val forget : t -> Unix.file_descr -> unit
 
 (** {1 Cross-domain wakeup}
 
-    The loop owns a self-pipe whose read end is always in the select set,
-    so it never waits blind — this also fixes the historical idle path
-    where an fd-less loop slept the full timer interval no matter what. *)
+    The loop owns a self-pipe whose read end is always in the epoll set,
+    but it is written only while the loop is parked in a blocking wait: a
+    notify that reaches a busy loop costs one atomic store and no
+    syscall. *)
 
 val notify : t -> unit
-(** Wake the loop promptly.  Safe to call from any domain (the only
-    operation on this type that is); coalesces — any number of calls
-    between two loop iterations cost one pipe byte and one wakeup. *)
+(** Have the loop run its {!on_notify} callbacks promptly.  Safe to call
+    from any domain (the only operation on this type that is).  It marks
+    the loop's notify as pending and, only if the loop is parked, writes
+    the self-pipe to wake it; a loop about to park finds the mark and
+    does not block.  Any number of calls between two passes cost one
+    callback run and at most one pipe byte. *)
 
 val on_notify : t -> (unit -> unit) -> unit
-(** Register a callback run (on the loop's own thread) every time the
-    loop wakes from a {!notify}.  Callbacks run in registration order and
+(** Register a callback run (on the loop's own thread) by every pass that
+    finds a {!notify} pending, after the pass's read callbacks and before
+    its first deferral point.  Callbacks run in registration order and
     must themselves be cheap; typical use is draining a completion queue
     filled by other domains. *)
 
@@ -68,16 +81,27 @@ val defer : t -> (unit -> unit) -> unit
     callbacks and before any write callback, and again after the timers.
     Callbacks run in the order they were deferred; one deferred while the
     queue drains runs in the same drain.  Work that must precede every
-    byte a pass's handlers queued (a WAL group commit) is deferred: write
-    callbacks are the only place queued bytes leave. *)
+    byte a pass's handlers queued (a WAL group commit) is deferred: bytes
+    leave only in write callbacks and {!at_end_of_pass} callbacks, both
+    of which run after a deferral point. *)
+
+val at_end_of_pass : t -> (unit -> unit) -> unit
+(** Queue a callback for the end of the current pass, after its last
+    deferral point (loop thread only); queued outside a pass, it runs at
+    the end of the next one.  Callbacks run in the order they were
+    queued, one queued while they run in the same pass.  This is where
+    {!Tcp_transport} flushes the frames a pass queued, so they leave in
+    the pass that queued them and after its deferred work. *)
 
 (** {1 Driving} *)
 
 val run_once : t -> ?max_wait:float -> unit -> unit
 (** One iteration: wait (at most [max_wait], default 0.05 s, clamped down
-    to the next timer deadline) for readiness, then run, in order: ready
-    read (and notify) callbacks, deferred callbacks, ready write callbacks,
-    due timers, deferred callbacks. *)
+    to the next timer deadline; not at all when a notify is pending or
+    deferred or end-of-pass work is queued) for readiness, then run, in
+    order: ready read callbacks, notify callbacks (if a notify is
+    pending), deferred callbacks, ready write callbacks, due timers,
+    deferred callbacks, end-of-pass callbacks. *)
 
 val ticks : t -> int
 (** Number of {!run_once} iterations started so far (0 before the first).

@@ -43,7 +43,11 @@ type endpoint = string * int
    Outgoing frames are laid end to end in [obuf.(ooff) .. obuf.(ofill - 1)]
    so one [write] can take the whole backlog; [lens] keeps their lengths
    (head first) so a write is accounted frame by frame and a torn head
-   frame can be told apart from the whole frames queued behind it. *)
+   frame can be told apart from the whole frames queued behind it.
+
+   A connection with frames to send is [dirty] until the end of the pass
+   flushes it, and [writing] (watched for writability) only while a flush
+   has left bytes the socket would not take. *)
 type conn = {
   mutable fd : Unix.file_descr option;
   ep : endpoint option;
@@ -57,6 +61,8 @@ type conn = {
   mutable backoff : float;
   mutable last_activity : float;
   mutable retry : Event_loop.timer option;
+  mutable dirty : bool;
+  mutable writing : bool;
 }
 
 type 'm t = {
@@ -72,6 +78,7 @@ type 'm t = {
   mutable listeners : Unix.file_descr list;
   rand : Random.State.t;
   rbuf : Bytes.t;  (* receive buffer shared by every read of this runtime *)
+  mutable to_flush : conn list;  (* dirty, to flush at the end of the pass *)
   mutable housekeeper : Event_loop.timer option;
   mutable closed : bool;
   mutable sent : int;
@@ -162,6 +169,8 @@ let new_conn t ep fd =
     backoff = t.cfg.backoff_min;
     last_activity = Event_loop.now t.loop;
     retry = None;
+    dirty = false;
+    writing = false;
   }
 
 let close_fd t conn =
@@ -170,7 +179,8 @@ let close_fd t conn =
   | Some fd ->
     Event_loop.forget t.loop fd;
     (try Unix.close fd with Unix.Unix_error _ -> ());
-    conn.fd <- None
+    conn.fd <- None;
+    conn.writing <- false
 
 let cancel_retry conn =
   match conn.retry with
@@ -265,25 +275,37 @@ let push_front conn frame =
   conn.ofill <- conn.ofill + Bytes.length rest;
   Queue.transfer lens conn.lens
 
-(* The whole backlog goes out in one write, accounted frame by frame; a
-   short write keeps the rest queued and resumes on writability. *)
+(* The whole backlog goes out in one write, accounted frame by frame.
+   Only a short write (or EAGAIN) watches the socket for writability, and
+   the write callback resumes the flush until the backlog is gone. *)
 let rec flush t conn =
-  match conn.fd with
-  | None -> ()
-  | Some fd when conn.ooff = conn.ofill -> Event_loop.unwatch_write t.loop fd
-  | Some fd -> (
-      match Unix.write fd conn.obuf conn.ooff (conn.ofill - conn.ooff) with
+  match (conn.state, conn.fd) with
+  | `Up, Some fd -> (
+      match
+        if conn.ooff = conn.ofill then 0
+        else Unix.write fd conn.obuf conn.ooff (conn.ofill - conn.ooff)
+      with
       | n ->
-        conn.last_activity <- Event_loop.now t.loop;
-        Kronos_metrics.Counter.add M.bytes_out n;
-        retire conn n;
-        if conn.ooff = conn.ofill then Event_loop.unwatch_write t.loop fd
+        if n > 0 then begin
+          conn.last_activity <- Event_loop.now t.loop;
+          Kronos_metrics.Counter.add M.bytes_out n;
+          retire conn n
+        end;
+        want_write t conn fd (conn.ooff < conn.ofill)
       | exception Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN | Unix.EINTR), _, _)
         ->
-        ()
+        want_write t conn fd true
       | exception Unix.Unix_error (err, _, _) ->
         Log.debug (fun m -> m "write failed: %s" (Unix.error_message err));
         conn_down t conn)
+  | (`Up | `Connecting | `Down), _ -> ()
+
+and want_write t conn fd backlog =
+  if backlog <> conn.writing then begin
+    conn.writing <- backlog;
+    if backlog then Event_loop.watch_write t.loop fd (fun () -> flush t conn)
+    else Event_loop.unwatch_write t.loop fd
+  end
 
 (* Tear a connection down.  Outbound (dialed) connections schedule a
    reconnect with exponential backoff when [redial]; inbound ones are
@@ -373,11 +395,36 @@ and on_connected t conn =
        replies before it processes the first request *)
     push_front conn (hello_bytes t);
     Event_loop.watch_read t.loop fd (fun () -> on_readable t conn);
-    (* The first write is left to the loop's write phase, like every
-       other: a dial that completes at once runs inside [send], possibly
-       inside a handler whose queued frames its deferred WAL commit must
-       precede (Event_loop.defer). *)
-    Event_loop.watch_write t.loop fd (fun () -> flush t conn)
+    (* The first write is left to the end of the pass, like every other:
+       a dial that completes at once runs inside [send], possibly inside
+       a handler whose queued frames its deferred WAL commit must precede
+       (Event_loop.defer). *)
+    kick t conn
+
+(* Get queued frames moving: flush at the end of the pass when up (unless
+   a write callback is already waiting on the socket), dial when down. *)
+and kick t conn =
+  match conn.state with
+  | `Up ->
+    if not (conn.dirty || conn.writing) then begin
+      conn.dirty <- true;
+      if t.to_flush = [] then Event_loop.at_end_of_pass t.loop (fun () -> flush_dirty t);
+      t.to_flush <- conn :: t.to_flush
+    end
+  | `Connecting -> ()
+  | `Down -> if conn.retry = None then start_connect t conn
+
+(* One flush per connection a pass queued frames on, after the pass's
+   last deferral point (its WAL group commit), so the frames leave in the
+   pass that queued them and never ahead of its deferred work. *)
+and flush_dirty t =
+  let conns = List.rev t.to_flush in
+  t.to_flush <- [];
+  List.iter
+    (fun conn ->
+      conn.dirty <- false;
+      flush t conn)
+    conns
 
 and start_connect t conn =
   match conn.ep with
@@ -421,14 +468,6 @@ let conn_to t ep =
 (* Backpressure: a frame that would take the queue past [max_buffer] is
    shed, and retransmission recovers. *)
 let fits t conn len = out_bytes conn + len <= t.cfg.max_buffer || (drop t; false)
-
-(* Get queued frames moving: watch for writability when up, dial when down. *)
-let kick t conn =
-  match (conn.state, conn.fd) with
-  | `Up, Some fd -> Event_loop.watch_write t.loop fd (fun () -> flush t conn)
-  | `Connecting, _ -> ()
-  | `Down, _ -> if conn.retry = None then start_connect t conn
-  | `Up, None -> ()
 
 let route t dst =
   match Hashtbl.find_opt t.peers dst with
@@ -540,6 +579,7 @@ let create ~loop ~encode ~decode ?(config = default_config) () =
       listeners = [];
       rand = Random.State.make [| 0x6b726f6e; 0x6f737463 |];
       rbuf = Bytes.create 65536;
+      to_flush = [];
       housekeeper = None;
       closed = false;
       sent = 0;
@@ -559,19 +599,15 @@ let create ~loop ~encode ~decode ?(config = default_config) () =
    queue before closing: graceful shutdown flushes acknowledged work
    without blocking the daemon for more than [grace] seconds in total. *)
 let drain ~grace t conn =
-  match conn.fd with
-  | None -> ()
-  | Some fd ->
-    let deadline = Unix.gettimeofday () +. grace in
-    (try
-       while
-         out_bytes conn > 0 && Unix.gettimeofday () < deadline
-       do
-         match Unix.select [] [ fd ] [] (deadline -. Unix.gettimeofday ()) with
-         | _, [ _ ], _ -> flush t conn
-         | _ -> raise Exit
-       done
-     with _ -> ())
+  let deadline = Unix.gettimeofday () +. grace in
+  try
+    while out_bytes conn > 0 && Unix.gettimeofday () < deadline do
+      match conn.fd with
+      | Some fd when Epoll.wait_writable fd (deadline -. Unix.gettimeofday ()) ->
+        flush t conn
+      | Some _ | None -> raise Exit
+    done
+  with _ -> ()
 
 let shutdown t =
   if not t.closed then begin

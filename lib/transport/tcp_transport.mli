@@ -13,8 +13,10 @@
     {b Connections.}  Outgoing connections are pooled per endpoint.
     Every read of a runtime lands in one reused receive buffer and partial
     frames are reassembled per connection; a connection's queued frames
-    leave in one write per writability wakeup, and a short write keeps its
-    offset and resumes on the next.  A failed or broken peer connection
+    leave in one write at the end of the loop pass that queued them
+    ({!Event_loop.at_end_of_pass}), and only a short write (or EAGAIN)
+    watches the socket for writability, keeping its offset and resuming
+    when the socket takes more.  A failed or broken peer connection
     reconnects with exponential backoff (a frame half-written when the
     connection died is discarded — the receiver lost its reassembly state
     with the connection, so no torn frame is ever delivered).  Connections
@@ -68,13 +70,14 @@ val transport : 'm t -> 'm Transport.t
 (** The abstraction the replication/service layers consume.  Timers run
     on the event loop; [defer] is {!Event_loop.defer};
     [send] to a locally registered address short-circuits through the
-    loop (never re-entrantly).  [send] only queues: bytes leave in the
-    loop's write phase, never inside the caller. *)
+    loop (never re-entrantly).  [send] only queues: bytes leave at the
+    end of the loop pass, after its deferred work (or, behind a short
+    write, in a later pass's write callbacks), never inside the caller. *)
 
 val shutdown : 'm t -> unit
 (** Graceful: stop listening, try briefly to flush pending write queues,
     close every connection, cancel housekeeping timers.  Idempotent.
-    That flush is the one write outside the loop's write phase: called
+    That flush is the one write outside the loop's flush points: called
     from a handler, it sends frames queued before the pass's deferred
     work ran.  Daemons call it once their loop has stopped. *)
 

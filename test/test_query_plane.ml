@@ -3,8 +3,9 @@
    {!Kronos_service.Query_pool}, exercised through the typed client —
    including a mid-run kill and restart of one node (pool and all), the
    [`At_least] read-your-writes demand, and per-connection epoch
-   monotonicity.  Plus the event-loop self-pipe in isolation: a notify
-   from another domain must cut a long select short. *)
+   monotonicity.  Plus the event loop's cross-domain wakeup in isolation:
+   a notify from another domain must cut a long wait short, and one that
+   reaches a busy loop must be run by its next pass. *)
 
 open Kronos
 module Chain = Kronos_replication.Chain
@@ -83,6 +84,54 @@ let test_notify_drain_race () =
     (!delivered > before);
   Alcotest.(check bool) "woke promptly, latch not wedged" true
     (Unix.gettimeofday () -. t0 < 2.0)
+
+(* A notify that reaches the loop while it runs a pass (so not parked:
+   no pipe byte is written) is run by the next pass, which does not
+   block. *)
+let test_notify_while_busy () =
+  let loop = Event_loop.create () in
+  let runs = ref [] in
+  Event_loop.on_notify loop (fun () -> runs := Event_loop.ticks loop :: !runs);
+  for _ = 1 to 20 do
+    ignore
+      (Event_loop.schedule loop ~delay:0.0 (fun () ->
+           Domain.join (Domain.spawn (fun () -> Event_loop.notify loop))));
+    Event_loop.run_once loop ~max_wait:0.0 ();
+    let busy = Event_loop.ticks loop in
+    let t0 = Unix.gettimeofday () in
+    Event_loop.run_once loop ~max_wait:5.0 ();
+    let elapsed = Unix.gettimeofday () -. t0 in
+    Alcotest.(check (list int)) "run by the next pass" [ busy + 1 ]
+      (List.filter (fun tick -> tick > busy) !runs);
+    Alcotest.(check bool)
+      (Printf.sprintf "next pass took %.3fs, not the full 5s" elapsed)
+      true (elapsed < 1.0)
+  done
+
+(* Park after park: every notify sent while the loop blocks in a 5 s wait
+   ends that wait promptly and runs the callbacks once. *)
+let test_notify_wakes_parked_loop () =
+  let loop = Event_loop.create () in
+  let fired = ref 0 in
+  Event_loop.on_notify loop (fun () -> incr fired);
+  for round = 1 to 20 do
+    let d =
+      Domain.spawn (fun () ->
+          Unix.sleepf 0.01;
+          Event_loop.notify loop)
+    in
+    let t0 = Unix.gettimeofday () in
+    while !fired < round do
+      Event_loop.run_once loop ~max_wait:5.0 ()
+    done;
+    let elapsed = Unix.gettimeofday () -. t0 in
+    Domain.join d;
+    Event_loop.run_once loop ~max_wait:0.0 ();
+    Alcotest.(check int) "callbacks ran once per notify" round !fired;
+    Alcotest.(check bool)
+      (Printf.sprintf "woke in %.3fs, not the full 5s" elapsed)
+      true (elapsed < 1.0)
+  done
 
 (* {1 TCP loopback with 4 reader domains per node} *)
 
@@ -344,6 +393,10 @@ let suites =
           test_notify_interrupts_select;
         Alcotest.test_case "notify/drain race never wedges" `Quick
           test_notify_drain_race;
+        Alcotest.test_case "notify to a busy loop runs next pass" `Quick
+          test_notify_while_busy;
+        Alcotest.test_case "notify wakes a parked loop" `Quick
+          test_notify_wakes_parked_loop;
         Alcotest.test_case "4-domain pools survive kill/restart" `Slow
           test_kill_restart_with_pools;
       ] );

@@ -1,5 +1,5 @@
 (* Transport layer tests: chain-message wire codec under arbitrary stream
-   re-chunking, the select-based event loop, and the real TCP runtime on
+   re-chunking, the epoll event loop, and the real TCP runtime on
    loopback sockets. *)
 
 open Kronos
@@ -678,6 +678,145 @@ let test_tcp_handler_sends_wait_for_deferred () =
    | _ -> Alcotest.fail "deferred callback did not run");
   List.iter Tcp.shutdown [ client; server; third ]
 
+(* The pass contract over a real pair: a handler's reply is flushed at the
+   end of the pass that ran the handler, after the work it deferred, so
+   the peer never reads it first and no extra pass is spent on it. *)
+let test_tcp_reply_leaves_at_end_of_pass () =
+  let loop = Event_loop.create () in
+  let server = string_tcp loop and client = string_tcp loop in
+  let port = Tcp.listen server ~port:0 () in
+  Tcp.add_peer client 1 ~host:"127.0.0.1" ~port;
+  let snet = Tcp.transport server and cnet = Tcp.transport client in
+  let handled = ref None and deferred = ref None and got = ref [] in
+  Transport.register snet 1 (fun ~src m ->
+      if m = "go" then begin
+        handled := Some (Event_loop.ticks loop, metric "bytes_out_total");
+        Transport.send snet ~src:1 ~dst:src "reply";
+        Transport.defer snet (fun () ->
+            deferred := Some (Event_loop.ticks loop, metric "bytes_out_total"))
+      end
+      else Transport.send snet ~src:1 ~dst:src ("re:" ^ m));
+  Transport.register cnet 2 (fun ~src:_ m ->
+      got := (m, !deferred <> None) :: !got);
+  let run_until pred =
+    Alcotest.(check bool) "progress" true
+      (Event_loop.run_until loop ~deadline:(Event_loop.now loop +. 5.0) pred)
+  in
+  (* warm up: both directions connected, routes learned, queues empty *)
+  Transport.send cnet ~src:2 ~dst:1 "hi";
+  run_until (fun () -> List.mem_assoc "re:hi" !got);
+  Transport.send cnet ~src:2 ~dst:1 "go";
+  let deadline = Event_loop.now loop +. 5.0 in
+  let after = ref None in
+  while !after = None && Event_loop.now loop < deadline do
+    Event_loop.run_once loop ~max_wait:0.01 ();
+    match !handled with
+    | Some (tick, _) when tick = Event_loop.ticks loop ->
+      after := Some (metric "bytes_out_total")
+    | Some _ | None -> ()
+  done;
+  run_until (fun () -> List.mem_assoc "reply" !got);
+  (match (!handled, !deferred, !after) with
+   | Some (tick, before), Some (dtick, at_defer), Some after ->
+     Alcotest.(check int) "deferred work ran in the handler's pass" tick dtick;
+     Alcotest.(check int) "nothing written before the deferred work" before
+       at_defer;
+     Alcotest.(check int) "the reply was written in the handler's pass"
+       (Frame.header + 1 + 8 + 8 + 4 + String.length "reply")
+       (after - at_defer)
+   | _ -> Alcotest.fail "the handler's pass was not observed");
+  Alcotest.(check bool) "the peer read the reply after the deferred work" true
+    (List.assoc "reply" !got);
+  List.iter Tcp.shutdown [ client; server ]
+
+(* The open-files limit, from /proc/self/limits; [None] where unreadable. *)
+let open_files_limit () =
+  match open_in "/proc/self/limits" with
+  | exception Sys_error _ -> None
+  | ic ->
+    Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
+        let rec scan () =
+          match input_line ic with
+          | exception End_of_file -> None
+          | line when String.starts_with ~prefix:"Max open files" line -> (
+            match
+              List.filter (( <> ) "")
+                (String.split_on_char ' '
+                   (String.sub line 14 (String.length line - 14)))
+            with
+            | soft :: _ -> int_of_string_opt soft
+            | [] -> None)
+          | _ -> scan ()
+        in
+        scan ())
+
+(* select(2) cannot watch a descriptor at or above FD_SETSIZE (1024), and
+   a loop built on it failed as a whole near a thousand connections.  One
+   loop here holds 1,100 loopback connections, both ends watched (over
+   2,200 descriptors), and a frame crosses the highest-numbered one each
+   way. *)
+let test_loop_beyond_fd_setsize () =
+  let conns = 1_100 in
+  match open_files_limit () with
+  | Some limit when limit >= 2_400 ->
+    let loop = Event_loop.create () in
+    let server = string_tcp loop in
+    let port = Tcp.listen server ~port:0 () in
+    let got = ref [] in
+    Transport.register (Tcp.transport server) 1 (fun ~src m ->
+        Transport.send (Tcp.transport server) ~src:1 ~dst:src ("re:" ^ m));
+    let rbuf = Bytes.create 4096 in
+    let clients =
+      Array.init conns (fun i ->
+          let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+          Unix.set_nonblock fd;
+          (try Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port))
+           with Unix.Unix_error (Unix.EINPROGRESS, _, _) -> ());
+          let reasm = Frame.Reassembler.create () in
+          Event_loop.watch_read loop fd (fun () ->
+              match Unix.read fd rbuf 0 (Bytes.length rbuf) with
+              | 0 -> Event_loop.forget loop fd
+              | n ->
+                List.iter
+                  (fun payload ->
+                    let d = Codec.decoder payload in
+                    if Codec.get_u8 d = 1 then begin
+                      ignore (Codec.get_i64 d);
+                      ignore (Codec.get_i64 d);
+                      got := (i, Codec.get_string d) :: !got
+                    end)
+                  (Frame.Reassembler.feed_sub reasm rbuf 0 n)
+              | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ());
+          (* accept as we go: the listen backlog is 128 *)
+          if i mod 64 = 63 then Event_loop.run_for loop 0.002;
+          fd)
+    in
+    let run_until what pred =
+      Alcotest.(check bool) what true
+        (Event_loop.run_until loop ~deadline:(Event_loop.now loop +. 20.0) pred)
+    in
+    run_until "every connection accepted" (fun () ->
+        Tcp.connections server = conns);
+    let top = ref 0 in
+    Array.iteri (fun i fd -> if fd > clients.(!top) then top := i) clients;
+    (* a descriptor is an int on Unix *)
+    Alcotest.(check bool) "descriptors past FD_SETSIZE on both ends" true
+      ((Obj.magic clients.(!top) : int) > 2 * 1024);
+    write_all clients.(!top) (envelope_msg ~src:(5000 + !top) ~dst:1 "top");
+    run_until "a reply on the highest-numbered connection" (fun () -> !got <> []);
+    Alcotest.(check (list (pair int string))) "delivered on that connection"
+      [ (!top, "re:top") ] !got;
+    Array.iter
+      (fun fd ->
+        Event_loop.forget loop fd;
+        Unix.close fd)
+      clients;
+    Tcp.shutdown server
+  | limit ->
+    Printf.printf "skipped: needs an open-files limit of 2400, have %s\n"
+      (match limit with Some l -> string_of_int l | None -> "unknown");
+    Alcotest.skip ()
+
 let suites =
   [ ( "transport",
       [
@@ -712,5 +851,9 @@ let suites =
           test_tcp_short_and_torn_writes;
         Alcotest.test_case "tcp handler sends wait for deferred work" `Quick
           test_tcp_handler_sends_wait_for_deferred;
+        Alcotest.test_case "tcp reply leaves at the end of its pass" `Quick
+          test_tcp_reply_leaves_at_end_of_pass;
+        Alcotest.test_case "event loop beyond FD_SETSIZE" `Quick
+          test_loop_beyond_fd_setsize;
       ] );
   ]
