@@ -1,6 +1,6 @@
 # Tier-1 verification in one command: build every target (libraries,
 # executables, tests, benches) and run the full test suite.
-.PHONY: check build test loopback nemesis certify-check query-plane race-smoke bench bench-smoke bench-check figures-check perfbench-smoke clean
+.PHONY: check build test loopback nemesis certify-check query-plane race-smoke bench bench-smoke bench-check figures-check examples-check perfbench-smoke clean
 
 check: build test
 
@@ -87,6 +87,16 @@ figures-check: build
 	@set -e; for f in $(FIGURES); do \
 	  dune exec bench/main.exe -- $$f | diff -u bench/expected/$$f.out -; \
 	  echo "$$f: matches bench/expected/$$f.out"; \
+	done
+
+# Golden-example gate: the six examples are deterministic, so each must
+# print exactly its committed examples/expected/*.out.  A change that
+# moves an example's output on purpose updates its file.
+EXAMPLES = quickstart social_timeline bank_transfer fire_alarm graph_traversal audit_trail
+examples-check: build
+	@set -e; for e in $(EXAMPLES); do \
+	  dune exec examples/$$e.exe | diff -u examples/expected/$$e.out -; \
+	  echo "$$e: matches examples/expected/$$e.out"; \
 	done
 
 # Service benchmark correctness smoke: a short run of each perfbench

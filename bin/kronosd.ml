@@ -49,6 +49,20 @@ let parse_endpoint what s =
           with Failure _ ->
             raise (Arg.Bad (what ^ ": expected ADDR@HOST:PORT, got " ^ s))))
 
+(* "[HOST:]PORT" for --metrics-addr; HOST defaults to 127.0.0.1. *)
+let parse_metrics_addr s =
+  let bad () =
+    raise (Arg.Bad ("--metrics-addr: expected [H:]P with 0 <= P <= 65535, got " ^ s))
+  in
+  let host, port =
+    match String.rindex_opt s ':' with
+    | None -> ("127.0.0.1", s)
+    | Some i -> (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
+  in
+  match int_of_string_opt port with
+  | Some p when p >= 0 && p <= 65535 -> (host, p)
+  | Some _ | None -> bad ()
+
 let () =
   let addr = ref (-1) in
   let port = ref (-1) in
@@ -58,7 +72,7 @@ let () =
   let coordinate = ref false in
   let coordinator_addr = ref 1000 in
   let data_dir = ref "" in
-  let metrics_addr = ref "" in
+  let metrics_addr = ref None in
   let no_metrics = ref false in
   let snapshot_wal_bytes = ref Kronos_durability.Schedule.default_wal_bytes in
   let query_domains = ref (max 1 (Domain.recommended_domain_count () - 1)) in
@@ -86,7 +100,7 @@ let () =
         "DIR durable storage directory (default: WAL and snapshots in memory, \
          lost on exit)" );
       ( "--metrics-addr",
-        Arg.Set_string metrics_addr,
+        Arg.String (fun s -> metrics_addr := Some (parse_metrics_addr s)),
         "[H:]P serve the metrics text page over one-shot TCP (0 = ephemeral)" );
       ( "--no-metrics",
         Arg.Set no_metrics,
@@ -139,16 +153,8 @@ let () =
   in
   let actual_port = Tcp.listen tcp ~host:!host ~port:!port () in
   (match !metrics_addr with
-   | "" -> ()
-   | spec ->
-     let mhost, mport =
-       match String.rindex_opt spec ':' with
-       | None -> ("127.0.0.1", int_of_string spec)
-       | Some i ->
-         ( String.sub spec 0 i,
-           int_of_string (String.sub spec (i + 1) (String.length spec - i - 1))
-         )
-     in
+   | None -> ()
+   | Some (mhost, mport) ->
      let server =
        Kronos_transport.Metrics_server.start ~loop ~host:mhost ~port:mport ()
      in

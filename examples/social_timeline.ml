@@ -1,134 +1,48 @@
-(* The social-network timeline of Section 3.1 (Figure 5 of the paper):
-   posts get Kronos events, replies are must-ordered after the message they
-   answer, and rendering topologically sorts each user's inbox so a reply
-   never appears above the message it replies to — without imposing a total
-   order on unrelated posts.
+(* The social-network timeline of Section 3.1 (Figure 5 of the paper),
+   driven through [Kronos_timeline]: posts get Kronos events, replies are
+   must-ordered after the message they answer, and rendering topologically
+   sorts each user's inbox so a reply never appears above the message it
+   replies to — without imposing a total order on unrelated posts.
 
    Run with: dune exec examples/social_timeline.exe *)
 
 open Kronos
-
-type message = {
-  id : int;
-  author : string;
-  text : string;
-  event : Event_id.t;
-}
-
-type network = {
-  engine : Engine.t;
-  mutable next_id : int;
-  timelines : (string, message list) Hashtbl.t;  (* newest first *)
-  friends : (string, string list) Hashtbl.t;
-}
-
-let create_network friendships =
-  let friends = Hashtbl.create 8 in
-  List.iter
-    (fun (a, b) ->
-      Hashtbl.replace friends a (b :: Option.value ~default:[] (Hashtbl.find_opt friends a));
-      Hashtbl.replace friends b (a :: Option.value ~default:[] (Hashtbl.find_opt friends b)))
-    friendships;
-  { engine = Engine.create (); next_id = 0; timelines = Hashtbl.create 8; friends }
-
-let friends_of net user = Option.value ~default:[] (Hashtbl.find_opt net.friends user)
-
-let enqueue net ~timeline message =
-  Hashtbl.replace net.timelines timeline
-    (message :: Option.value ~default:[] (Hashtbl.find_opt net.timelines timeline))
-
-(* post_message from Figure 5 *)
-let post_message net ~author ~text =
-  let event = Engine.create_event net.engine in
-  net.next_id <- net.next_id + 1;
-  let message = { id = net.next_id; author; text; event } in
-  List.iter (fun friend -> enqueue net ~timeline:friend message)
-    (author :: friends_of net author);
-  message
-
-(* reply_to_message from Figure 5: one extra must edge *)
-let reply_to_message net ~author ~text ~in_reply_to =
-  let message = post_message net ~author ~text in
-  (match
-     Engine.assign_order net.engine
-       [ Order.must_before in_reply_to.event message.event ]
-   with
-   | Ok _ -> ()
-   | Error e ->
-     Format.printf "could not order reply: %a@." Order.pp_assign_error e);
-  message
-
-(* render_timeline from Figure 5: query all pairs, then topologically sort
-   respecting the partial order; unordered messages keep arrival order *)
-let render_timeline net ~user =
-  let messages =
-    List.rev (Option.value ~default:[] (Hashtbl.find_opt net.timelines user))
-  in
-  let pairs =
-    List.concat_map
-      (fun a ->
-        List.filter_map
-          (fun b -> if a.id < b.id then Some (a, b) else None)
-          messages)
-      messages
-  in
-  let orderings =
-    match
-      Engine.query_order net.engine
-        (List.map (fun (a, b) -> (a.event, b.event)) pairs)
-    with
-    | Ok rels -> List.combine pairs rels
-    | Error _ -> []
-  in
-  (* must_precede a b: Kronos committed a before b *)
-  let must_precede a b =
-    List.exists
-      (fun ((x, y), rel) ->
-        match (rel : Order.relation) with
-        | Order.Before -> x.id = a.id && y.id = b.id
-        | Order.After -> y.id = a.id && x.id = b.id
-        | Order.Concurrent | Order.Same -> false)
-      orderings
-  in
-  (* stable topological sort: repeatedly take the earliest-arrived message
-     with no unprinted predecessor *)
-  let rec sort remaining acc =
-    match
-      List.find_opt
-        (fun m -> not (List.exists (fun p -> p.id <> m.id && must_precede p m) remaining))
-        remaining
-    with
-    | None -> List.rev acc @ remaining  (* cycle impossible; safety net *)
-    | Some m -> sort (List.filter (fun x -> x.id <> m.id) remaining) (m :: acc)
-  in
-  sort messages []
+module Timeline = Kronos_timeline.Timeline
 
 let print_timeline net user =
   Format.printf "@.-- %s's timeline --@." user;
   List.iter
-    (fun m -> Format.printf "  [%d] %s: %s@." m.id m.author m.text)
-    (render_timeline net ~user)
+    (fun (m : Timeline.message) ->
+      Format.printf "  [%d] %s: %s@." m.id m.author m.text)
+    (Timeline.render net ~user)
 
 let () =
   Format.printf "== social timeline (Figure 5) ==@.";
-  let net = create_network [ ("alice", "bob"); ("alice", "carol"); ("bob", "carol") ] in
-  let brunch = post_message net ~author:"alice" ~text:"Brunch anyone?" in
-  let hike = post_message net ~author:"carol" ~text:"Going hiking today." in
+  let net = Timeline.create () in
+  List.iter
+    (fun (a, b) -> Timeline.add_friendship net a b)
+    [ ("alice", "bob"); ("alice", "carol"); ("bob", "carol") ];
+  let brunch = Timeline.post net ~author:"alice" ~text:"Brunch anyone?" in
+  let hike = Timeline.post net ~author:"carol" ~text:"Going hiking today." in
   (* bob's reply reaches timelines "later" but must render under brunch *)
-  let reply = reply_to_message net ~author:"bob" ~text:"Brunch: count me in!" ~in_reply_to:brunch in
-  let nested =
-    reply_to_message net ~author:"alice" ~text:"Great, 11am at Joe's." ~in_reply_to:reply
+  let reply =
+    Timeline.reply net ~author:"bob" ~text:"Brunch: count me in!"
+      ~in_reply_to:brunch
   in
-  ignore nested;
-  ignore hike;
+  ignore
+    (Timeline.reply net ~author:"alice" ~text:"Great, 11am at Joe's."
+       ~in_reply_to:reply);
   print_timeline net "alice";
   print_timeline net "carol";
   (* demonstrate that the conversation order is pinned while unrelated posts
      stay concurrent *)
-  (match Engine.query_order net.engine [ (brunch.event, reply.event);
-                                         (brunch.event, hike.event) ] with
-   | Ok [ conversation; unrelated ] ->
-     Format.printf "@.brunch vs its reply: %a (pinned)@." Order.pp_relation conversation;
-     Format.printf "brunch vs hike: %a (free for the UI to arrange)@."
-       Order.pp_relation unrelated
-   | Ok _ | Error _ -> assert false)
+  match
+    Engine.query_order (Timeline.engine net)
+      [ (brunch.event, reply.event); (brunch.event, hike.event) ]
+  with
+  | Ok [ conversation; unrelated ] ->
+    Format.printf "@.brunch vs its reply: %a (pinned)@." Order.pp_relation
+      conversation;
+    Format.printf "brunch vs hike: %a (free for the UI to arrange)@."
+      Order.pp_relation unrelated
+  | Ok _ | Error _ -> assert false

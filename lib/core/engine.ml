@@ -4,7 +4,6 @@ module M = struct
   let scope = Kronos_metrics.scope "engine"
   let creates = Kronos_metrics.counter scope "events_created_total"
   let collected = Kronos_metrics.counter scope "events_collected_total"
-  let queries = Kronos_metrics.counter scope "queries_total"
   let assigns = Kronos_metrics.counter scope "assigns_total"
   let aborted = Kronos_metrics.counter scope "aborted_batches_total"
   let reversals = Kronos_metrics.counter scope "reversals_total"
@@ -22,7 +21,6 @@ let default_config =
 type t = {
   g : Graph.t;
   mutable creates : int;
-  mutable queries : int;
   mutable assigns : int;
   mutable aborted_batches : int;
   mutable reversals : int;
@@ -32,7 +30,7 @@ type t = {
 let create ?(config = default_config) () =
   { g = Graph.create ~initial_capacity:config.initial_capacity
       ~digests:config.digests ~max_chains:config.max_chains ();
-    creates = 0; queries = 0; assigns = 0; aborted_batches = 0;
+    creates = 0; assigns = 0; aborted_batches = 0;
     reversals = 0; collected = 0 }
 
 let graph t = t.g
@@ -52,26 +50,6 @@ let release_ref t e =
     Kronos_metrics.Counter.add M.collected n;
     Ok n
   | None -> Error (Order.Unknown_event e)
-
-let query_order t pairs =
-  let rec check = function
-    | [] -> None
-    | (e1, e2) :: rest ->
-      if not (Graph.is_live t.g e1) then Some e1
-      else if not (Graph.is_live t.g e2) then Some e2
-      else check rest
-  in
-  match check pairs with
-  | Some e -> Error (Order.Unknown_event e)
-  | None ->
-    let answer (e1, e2) =
-      t.queries <- t.queries + 1;
-      Kronos_metrics.Counter.incr M.queries;
-      match Graph.query t.g e1 e2 with
-      | Ok r -> r
-      | Error _ -> assert false (* all arguments were checked live *)
-    in
-    Ok (List.map answer pairs)
 
 (* A normalized constraint: [before] precedes [after]. *)
 type pending = {
@@ -179,7 +157,7 @@ let to_snapshot t =
   {
     snap_graph = Graph.to_snapshot t.g;
     snap_creates = t.creates;
-    snap_queries = t.queries;
+    snap_queries = Graph.query_count t.g;
     snap_assigns = t.assigns;
     snap_aborted_batches = t.aborted_batches;
     snap_reversals = t.reversals;
@@ -188,9 +166,8 @@ let to_snapshot t =
 
 let of_snapshot s =
   {
-    g = Graph.of_snapshot s.snap_graph;
+    g = Graph.of_snapshot ~queries:s.snap_queries s.snap_graph;
     creates = s.snap_creates;
-    queries = s.snap_queries;
     assigns = s.snap_assigns;
     aborted_batches = s.snap_aborted_batches;
     reversals = s.snap_reversals;
@@ -221,7 +198,7 @@ type stats = {
 let stats (t : t) =
   {
     creates = t.creates;
-    queries = t.queries;
+    queries = Graph.query_count t.g;
     assigns = t.assigns;
     aborted_batches = t.aborted_batches;
     reversals = t.reversals;
@@ -241,91 +218,28 @@ let pp_stats ppf s =
 (* Read views (DESIGN.md §14).                                         *)
 (* ------------------------------------------------------------------ *)
 
-let epoch t = Int64.of_int (Graph.version t.g)
-
-(* A [Live] view reads the engine's own graph directly — zero publication
-   cost, single-domain only, and queries keep feeding the engine's
-   counters exactly as before.  A [Frozen] view is a deeply immutable
-   snapshot safe to read from any domain; its queries touch no mutable
-   state at all (no counters, no caches). *)
-type view = Live of t | Frozen of Graph.Frozen.g
-
-let current_view t = Live t
-
-let publish t = Frozen (Graph.freeze t.g)
-
+(* A view is a graph store (DESIGN.md §14): the engine's own, read in
+   place and counted, or a frozen copy any domain may read, whose queries
+   touch no mutable state outside the domain's search scratch.  Every
+   read is the same function on either. *)
 module View = struct
-  type t = view
+  type t = Graph.Frozen.g
 
-  let epoch = function
-    | Live e -> Int64.of_int (Graph.version e.g)
-    | Frozen f -> Int64.of_int (Graph.Frozen.version f)
-
-  let is_live v id =
-    match v with
-    | Live e -> Graph.is_live e.g id
-    | Frozen f -> Graph.Frozen.is_live f id
-
-  let rank v id =
-    match v with
-    | Live e -> Graph.rank e.g id
-    | Frozen f -> Graph.Frozen.rank f id
-
-  let query v e1 e2 =
-    match v with
-    | Live e -> Graph.query e.g e1 e2
-    | Frozen f -> Graph.Frozen.query f e1 e2
-
-  let label_reachable v u w =
-    match v with
-    | Live e -> Graph.label_reachable e.g u w
-    | Frozen f -> Graph.Frozen.label_reachable f u w
-
-  let query_order v pairs =
-    match v with
-    | Live e -> query_order e pairs
-    | Frozen f ->
-      let rec check = function
-        | [] -> None
-        | (e1, e2) :: rest ->
-          if not (Graph.Frozen.is_live f e1) then Some e1
-          else if not (Graph.Frozen.is_live f e2) then Some e2
-          else check rest
-      in
-      (match check pairs with
-       | Some e -> Error (Order.Unknown_event e)
-       | None ->
-         let answer (e1, e2) =
-           match Graph.Frozen.query f e1 e2 with
-           | Ok r -> r
-           | Error _ -> assert false (* all arguments were checked live *)
-         in
-         Ok (List.map answer pairs))
-
-  let digests_enabled = function
-    | Live e -> Graph.digests_enabled e.g
-    | Frozen f -> Graph.Frozen.digests_enabled f
-
-  let commitment v id =
-    match v with
-    | Live e -> Graph.commitment e.g id
-    | Frozen f -> Graph.Frozen.commitment f id
-
-  let chain_length v id =
-    match v with
-    | Live e -> Graph.chain_length e.g id
-    | Frozen f -> Graph.Frozen.chain_length f id
-
-  let chain v id =
-    match v with
-    | Live e -> Graph.chain e.g id
-    | Frozen f -> Graph.Frozen.chain f id
-
-  let live_events = function
-    | Live e -> Graph.live_count e.g
-    | Frozen f -> Graph.Frozen.live_count f
-
-  let edges = function
-    | Live e -> Graph.edge_count e.g
-    | Frozen f -> Graph.Frozen.edge_count f
+  let epoch v = Int64.of_int (Graph.Frozen.version v)
+  let is_live = Graph.Frozen.is_live
+  let rank = Graph.Frozen.rank
+  let query = Graph.Frozen.query
+  let label_reachable = Graph.Frozen.label_reachable
+  let query_order = Graph.Frozen.query_order
+  let digests_enabled = Graph.Frozen.digests_enabled
+  let commitment = Graph.Frozen.commitment
+  let chain_length = Graph.Frozen.chain_length
+  let chain = Graph.Frozen.chain
+  let live_events = Graph.Frozen.live_count
+  let edges = Graph.Frozen.edge_count
 end
+
+let current_view t = Graph.view t.g
+let publish t = Graph.freeze t.g
+let epoch t = View.epoch (current_view t)
+let query_order t pairs = View.query_order (current_view t) pairs

@@ -94,13 +94,13 @@ val of_snapshot : snapshot -> t
 (** {1 Read views}
 
     The engine's entire read path goes through {!View.t} (DESIGN.md §14).
-    A view is either {e live} — reading the engine's own graph directly,
-    zero publication cost, valid only on the domain that owns the engine —
-    or {e frozen} — a deeply immutable, epoch-stamped copy that any domain
-    may query concurrently without synchronization.  Single-threaded
-    callers use {!current_view}; the multicore query plane calls
-    {!publish} from the writer domain and hands the frozen view to reader
-    domains. *)
+    A view is a graph store ({!Graph.Frozen.g}): either the engine's own
+    — read in place, zero publication cost, valid only on the domain that
+    owns the engine — or a frozen, epoch-stamped copy that nobody mutates
+    and any domain may query concurrently without synchronization.  Every
+    read below is the same function on either.  Single-threaded callers
+    use {!current_view}; the multicore query plane calls {!publish} from
+    the writer domain and hands the frozen view to reader domains. *)
 
 module View : sig
   type t
@@ -117,8 +117,8 @@ module View : sig
   val query :
     t -> Event_id.t -> Event_id.t -> (Order.relation, Event_id.t) result
   (** Relation of one pair ({!Graph.query} semantics).  On a frozen view
-      this runs entirely over immutable arrays with per-domain scratch:
-      no locks, no counters, no allocation once warm. *)
+      this reads only values nobody mutates, with per-domain scratch: no
+      locks, no counters, no allocation once warm. *)
 
   val query_order :
     t ->
@@ -139,8 +139,8 @@ module View : sig
   val chain_length : t -> Event_id.t -> int option
   val chain : t -> Event_id.t -> Graph.Chain.t option
   (** Commitment-chain accessors, the certify prover's working set; all
-      answer [None] when digests are disabled.  A chain from a live view
-      must be used before the engine next mutates. *)
+      answer [None] when digests are disabled.  A chain never changes once
+      returned, from either kind of view. *)
 
   val live_events : t -> int
   val edges : t -> int

@@ -52,7 +52,13 @@
     queue holding both search frontiers) lives in per-domain scratch,
     shared by the live graph and frozen views and grown to the largest
     slot count the domain has searched, so warm queries allocate
-    nothing.  The same search checks an out-of-order edge for a cycle. *)
+    nothing.  The same search checks an out-of-order edge for a cycle.
+
+    {b One store.}  The live graph keeps its query-visible state in the
+    same chunked layout its frozen views use ({!freeze}), and every read
+    ({!Frozen}) is written once over that layout: the live graph's reads
+    are the views' reads run on its own store, adding only its counters
+    and the staged-edge rule. *)
 
 type t
 
@@ -186,9 +192,9 @@ val chain_length : t -> Event_id.t -> int option
     chain position (link count) and its chain head at that moment.  The
     link's partner digest and the heads before the current one are
     recomputed on demand, so only the accessors that say so hash.  A chain
-    taken from a frozen view never changes; one taken from the live graph
-    must be used before the graph next mutates.  Link indices out of
-    [0, length) raise [Invalid_argument]. *)
+    value never changes, from the live graph or a view alike: a sealed
+    link installs the next value.  Link indices out of [0, length) raise
+    [Invalid_argument]. *)
 module Chain : sig
   type t
 
@@ -282,9 +288,12 @@ val to_snapshot : t -> snapshot
     [snap_links] is [Some _] iff digests are enabled. *)
 
 val of_snapshot :
-  ?initial_capacity:int -> ?digests:bool -> ?max_chains:int -> snapshot -> t
+  ?initial_capacity:int -> ?digests:bool -> ?max_chains:int -> ?queries:int ->
+  snapshot -> t
 (** Rebuild a graph behaviourally identical to the one captured.  The
     options mirror {!create}; capacity is raised to fit the snapshot.
+    [queries] (default 0) seeds {!query_count}, which the engine persists
+    beside the graph.
     Labels are recomputed only if [max_chains > 0] and the chain section
     places every live event that has an in-edge (the rule of
     {!labels_live}); otherwise the restored graph has no labels, as a
@@ -329,7 +338,13 @@ val memory_bytes : t -> int
 (** Heap bytes of the graph's structures: every per-slot array, the
     adjacency vectors, label arrays, commitment link stores and heads, each
     with its block header.  The cached frozen view is not included, and a
-    label array that several slots share counts once per slot. *)
+    label array that several slots share counts once per slot.  The
+    per-domain search scratch is not counted: it belongs to the domain,
+    and every graph and view the domain searches shares it. *)
+
+val query_count : t -> int
+(** Pairs answered by {!Frozen.query_order} on the live graph's own
+    store ({!view}); views count nothing. *)
 
 val traversal_count : t -> int
 (** Number of graph traversals performed so far: bidirectional searches,
@@ -378,16 +393,17 @@ val labels_live : t -> bool
 val chain_count : t -> int
 (** Chains currently holding at least one live event. *)
 
-(** {1 Frozen views}
+(** {1 Views}
 
-    A {!Frozen.g} is a deeply immutable copy of the query-visible state —
-    liveness, generations, ranks, adjacency in both directions, and
-    commitment chains — stamped with the graph {!version} at capture time.
-    It may be read from any domain without synchronization while the
-    writer domain keeps mutating the original (DESIGN.md §14).  The one
-    buffer it shares with the live graph is each slot's commitment link
-    store, read only below the view's own link count; the writer never
-    rewrites those bytes. *)
+    A {!Frozen.g} is the query-visible state — liveness, generations,
+    ranks, adjacency in both directions, commitment chains, and while
+    labels are live the chain placements and labels — in the chunked
+    layout of DESIGN.md §14, stamped with the graph {!version}.  The live
+    graph holds one and mutates it ({!view}); {!freeze} copies it into one
+    nobody mutates, which any domain may read without synchronization
+    while the writer domain keeps mutating the original.  Every per-slot
+    value is immutable once installed, so a frozen view shares them all
+    with the live graph by pointer. *)
 
 val version : t -> int
 (** Monotonic mutation counter, bumped once per view-visible change:
@@ -400,10 +416,11 @@ val version : t -> int
 
 module Frozen : sig
   type g
-  (** An immutable snapshot of the query-visible graph state.  Values of
-      this type are never mutated after {!val:freeze} returns, so they are
-      safe to share across domains; reclamation is the garbage collector's
-      (a view dies when the last domain drops its reference). *)
+  (** A view: the live graph's own store ({!view}) or a frozen copy
+      ({!freeze}).  A frozen copy is never mutated after {!freeze}
+      returns, so it is safe to share across domains; reclamation is the
+      garbage collector's (a view dies when the last domain drops its
+      reference). *)
 
   val version : g -> int
   val live_count : g -> int
@@ -413,39 +430,50 @@ module Frozen : sig
   val rank : g -> Event_id.t -> int option
 
   val query : g -> Event_id.t -> Event_id.t -> (Order.relation, Event_id.t) result
-  (** Same contract as the live {!val:query}, evaluated against the frozen
-      state: rank comparison refutes one direction in O(1), and the
-      remaining direction is answered by the frozen chain-label compare
-      when the view was frozen while labels were live, else by a
-      rank-pruned bidirectional BFS.  Traversal scratch (stamped visited
-      marks, one two-ended queue) is kept in domain-local storage and
-      reused, so concurrent queries from different domains share no
-      mutable state and allocate nothing once warm.  Frozen queries update
-      no counters and no caches. *)
+  (** The top-level {!val:query}: rank comparison refutes one direction
+      in O(1), and the remaining direction is answered by the chain-label
+      compare when the view holds labels, else by the rank-pruned
+      bidirectional search.  Traversal scratch (stamped visited marks,
+      one two-ended queue) is kept in domain-local storage and reused, so
+      concurrent queries from different domains share no mutable state
+      and allocate nothing once warm.  On a frozen view it updates no
+      counters; on the live graph's own store it counts as the top-level
+      call does. *)
+
+  val query_order :
+    g -> (Event_id.t * Event_id.t) list ->
+    (Order.relation list, Order.assign_error) result
+  (** Relation of each pair, in request order, failing atomically with
+      [Unknown_event] if any argument is not live.  On the live graph's
+      store each answered pair adds to {!query_count}. *)
 
   val label_reachable : g -> Event_id.t -> Event_id.t -> bool option
-  (** The frozen twin of the top-level {!val:label_reachable}: index-only
-      answer, [None] when only a BFS could tell. *)
+  (** The top-level {!val:label_reachable}: index-only answer, [None]
+      when only a search could tell. *)
 
   val commitment : g -> Event_id.t -> string option
   val chain_length : g -> Event_id.t -> int option
   val chain : g -> Event_id.t -> Chain.t option
-  (** Chain accessors mirror the live graph's; all answer [None] when the
-      view was frozen with digests disabled. *)
+  (** Chain accessors mirror the top-level ones; all answer [None] when
+      the view has digests disabled. *)
 end
+
+val view : t -> Frozen.g
+(** The live graph's own store: always current, read in place, its
+    queries counted.  Only for the domain that owns the graph. *)
 
 val freeze : t -> Frozen.g
 (** Capture the current query-visible state as an immutable view, in
     time and allocation proportional to what changed since the previous
-    freeze, not to graph size.  Every per-slot field of a view (liveness,
-    rank, adjacency, chains, and while labels are live the chain index
-    and labels) is a two-level
-    persistent array of 128-entry chunks under 128-entry blocks.  A
-    freeze copies each field's small root, copies the blocks and chunks
-    holding a slot mutated since the previous freeze, and shares every
-    other chunk with the previous view by pointer; up to 4M slots, every
-    array it allocates stays in the minor heap.  The first freeze of a
-    graph (including the first after {!of_snapshot}) writes every slot.
-    When nothing changed since the last call, the cached view is returned
-    as-is.  Must be called from the domain that owns the graph (the
-    writer); the result may be handed to any domain. *)
+    freeze, not to graph size.  Every per-slot field is a two-level
+    array of 128-entry chunks under 128-entry blocks.  A freeze copies
+    each field's small root and, once each, the block and chunk holding a
+    slot written since the previous freeze (a shallow copy: the slots'
+    values are shared), and shares every other block and chunk with the
+    previous view by pointer; up to
+    4M slots, every array it allocates stays in the minor heap.  The
+    first freeze of a graph (including the first after {!of_snapshot})
+    copies every chunk.  When nothing changed since the last call, the
+    cached view is returned as-is.  Must be called from the domain that
+    owns the graph (the writer); the result may be handed to any
+    domain. *)

@@ -59,13 +59,13 @@ type t = {
 let domains t = Array.length t.workers
 
 (* The read path, for workers over published views and for the
-   synchronous [Server.apply] over the live one.  On a published view it
-   is write-free on shared state: the view is immutable, the BFS scratch
-   is domain-local ([Graph.Frozen]'s DLS), and no process-wide counter is
-   touched except the worker's own [answered_total].  The one exception
-   is [Query_proof]: the certify prover bumps its own counters, so
-   concurrent provers may lose increments — monitoring noise, never a
-   safety issue (documented in DESIGN.md §14). *)
+   synchronous [Server.apply] over the live one: the same functions on
+   either.  On a published view it is write-free on shared state: the
+   view is never mutated, the search scratch is domain-local (the graph's
+   one search keeps it in [Domain.DLS], shared by every graph and view the
+   domain searches), and no process-wide counter is touched except the
+   worker's own [answered_total] and, for [Query_proof], the certify
+   prover's atomic counters (DESIGN.md §14). *)
 let respond view (req : Message.request) =
   match req with
   | Message.Query_order { min_epoch = _; pairs } -> (

@@ -232,27 +232,28 @@ let test_introspection () =
 
 (* [memory_bytes] counts every capacity-sized structure: across one
    doubling it must grow by the bytes each new slot costs.  Per slot:
-   three int arrays (refcount, gen, rank), four pointer arrays (succ, pred, and with digests the link stores and heads) and one
-   dirty-flag byte.  While labels are live, one int array (the packed
-   chain placement) and one pointer array (labels) more; with
+   the refcount word and one chunk entry per store field — generation,
+   rank, successors and predecessors.  While labels are live, two fields
+   more (the packed chain placement and the label); with
    [max_chains = 0] neither exists.  An edge-less slot owns nothing else:
-   its adjacency and link store are shared empty sentinels, and no slot is
-   listed dirty before the first freeze.  Search scratch is per domain,
-   not per graph.  That is 73 B a slot by default and 57 B with
-   [max_chains = 0] on a 64-bit host. *)
+   its adjacency is the empty array, and a chunk's commitment-chain
+   fields are allocated by its first link.  Chunk headers and the
+   dirty-flag byte are per 128 slots, within the slack.  Search scratch
+   is per domain, not per graph.  That is 56 B a slot by default and
+   40 B with [max_chains = 0] on a 64-bit host. *)
 let test_memory_bytes_across_doubling () =
   let word = Sys.word_size / 8 in
   List.iter
     (fun (max_chains, per_slot_words) ->
       let g = Graph.create ~initial_capacity:64 ~max_chains () in
-      for _ = 1 to 64 do
+      for _ = 1 to Graph.capacity g do
         ignore (Graph.create_event g)
       done;
       let cap = Graph.capacity g in
       let before = Graph.memory_bytes g in
       ignore (Graph.create_event g);
       Alcotest.(check int) "capacity doubled" (2 * cap) (Graph.capacity g);
-      let per_slot = (per_slot_words * word) + 1 in
+      let per_slot = per_slot_words * word in
       let grown = Graph.memory_bytes g - before in
       (* a few fixed-size blocks may change beside the per-slot arrays *)
       if grown < per_slot * cap || grown > (per_slot * cap) + (64 * word) then
@@ -260,7 +261,7 @@ let test_memory_bytes_across_doubling () =
           "max_chains %d: memory_bytes grew by %d bytes over %d new slots, \
            expected %d per slot"
           max_chains grown cap per_slot)
-    [ (Graph.max_chains (Graph.create ()), 3 + 4 + 2); (0, 3 + 4) ]
+    [ (Graph.max_chains (Graph.create ()), 1 + 4 + 2); (0, 1 + 4) ]
 
 (* [memory_bytes] against the heap itself: the live words a graph adds
    (measured after compactions, so exact) must match the reported bytes

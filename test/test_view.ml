@@ -227,6 +227,68 @@ let test_chunk_boundaries config () =
   must [ (130, 254); (513, 559) ];
   publish "extend"
 
+(* An old view stays exact under later writes to its own slots.  Views
+   share every per-slot value with the live graph by pointer (DESIGN.md
+   §14), so each write below must install a new value rather than edit
+   one the view holds: a second out-edge of a slot whose successors the
+   view holds, edges staged on viewed slots and then aborted, a
+   collection that removes an event from a predecessor array the view
+   holds, and a freed slot on a chunk boundary taken by a new event.  The
+   view's relations, ranks, chain lengths and commitments must not move,
+   and the last view must match the live engine. *)
+let test_old_view_own_slots config () =
+  let t = Engine.create ~config () in
+  let ids = Array.init 260 (fun _ -> Engine.create_event t) in
+  let must pairs =
+    match
+      Engine.assign_order t
+        (List.map (fun (u, v) -> Order.must_before ids.(u) ids.(v)) pairs)
+    with
+    | Ok _ -> ()
+    | Error _ -> Alcotest.fail "assign failed"
+  in
+  must
+    [ (10, 11); (20, 21); (30, 33); (31, 33); (32, 33); (33, 34);
+      (126, 127); (127, 129) ];
+  let observe v =
+    ( all_relations v ids,
+      Array.map
+        (fun id ->
+          (View.is_live v id, View.rank v id, View.chain_length v id,
+           View.commitment v id))
+        ids )
+  in
+  let old = Engine.publish t in
+  let expected = observe old in
+  let unchanged what =
+    if observe old <> expected then Alcotest.failf "old view changed by %s" what
+  in
+  must [ (10, 12) ];
+  unchanged "a second out-edge";
+  (match
+     Engine.assign_order t
+       [ Order.must_before ids.(20) ids.(22); Order.must_before ids.(33) ids.(25);
+         Order.must_before ids.(21) ids.(20) ]
+   with
+   | Error (Order.Must_violated 2) -> ()
+   | _ -> Alcotest.fail "the cyclic batch must abort at its last must");
+  unchanged "an aborted batch";
+  if Engine.release_ref t ids.(30) <> Ok 1 then Alcotest.fail "30 not collected";
+  unchanged "a collection";
+  if Engine.release_ref t ids.(128) <> Ok 1 then
+    Alcotest.fail "128 not collected";
+  let fresh = Engine.create_event t in
+  Alcotest.(check int) "slot 128 reused" 128 (Event_id.slot fresh);
+  (match Engine.assign_order t [ Order.must_before ids.(127) fresh ] with
+   | Ok _ -> ()
+   | Error _ -> Alcotest.fail "assign to the new tenant failed");
+  unchanged "slot reuse";
+  Alcotest.(check bool) "the new tenant is not in the old view" false
+    (View.is_live old fresh);
+  let latest = Engine.publish t in
+  if observe latest <> observe (Engine.current_view t) then
+    Alcotest.fail "the latest view differs from the live engine"
+
 (* Differential stress: a random op stream applied to one engine; frozen
    checkpoints taken along the way must answer exactly like a
    single-threaded reference at the matching epoch — verified from N
@@ -513,6 +575,10 @@ let suites =
           (test_chunk_boundaries Engine.default_config);
         Alcotest.test_case "labels off: chunk boundaries" `Quick
           (test_chunk_boundaries labels_off);
+        Alcotest.test_case "old view exact under writes to its slots" `Quick
+          (test_old_view_own_slots Engine.default_config);
+        Alcotest.test_case "labels off: old view exact under writes" `Quick
+          (test_old_view_own_slots labels_off);
         Alcotest.test_case "large view then an older one" `Quick
           test_large_then_older_view;
         QCheck_alcotest.to_alcotest
